@@ -207,7 +207,8 @@ def _fit_extended_logistic(data: Dataset, iv_design: np.ndarray,
 
 
 def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: BasisSpec,
-                      iv_basis: BasisSpec, refit_index: bool = True) -> EstimateResult:
+                      iv_basis: BasisSpec, refit_index: bool = True,
+                      iv_plain: BinaryLogisticIv | None = None) -> EstimateResult:
     """Bias-reduced instrument-model G-estimator for a binary instrument.
 
     The logistic instrument model is extended with the columns
@@ -219,6 +220,12 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
     With ``refit_index`` the index coefficients are re-estimated once with
     centering under the extended fit (the instrument model this procedure
     actually uses) and the extension is rebuilt.
+
+    ``iv_plain`` is the plain maximum-likelihood fit
+    ``BinaryLogisticIv.fit(data, iv_basis)`` that starts the procedure; pass
+    it to share one fit with other estimators on the same dataset, or leave
+    it ``None`` to fit it here.  It must be that fit on this dataset, not a
+    known instrument law: the bias-reduction identity assumes the ML fit.
     """
     _require_single_instrument(data)
     if not data.z_is_binary():
@@ -228,7 +235,7 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
     outcome_design = build_design(data, outcome_basis)
     index_design = build_design(data, index_basis)
 
-    plain = BinaryLogisticIv.fit(data, iv_basis)
+    plain = iv_plain if iv_plain is not None else BinaryLogisticIv.fit(data, iv_basis)
     alpha = eem_fit_alpha(data, plain, index_basis)
 
     def build_and_fit(alpha_vec):
@@ -285,7 +292,8 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
 
 def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: BasisSpec,
                      iv_basis: BasisSpec, update: str = "one_step",
-                     start_psi: float | None = None) -> EstimateResult:
+                     start_psi: float | None = None,
+                     iv_plain: BinaryLogisticIv | None = None) -> EstimateResult:
     """Bias-reduced outcome-model G-estimator for a binary instrument.
 
     The instrument model is fitted by plain maximum likelihood; the linear
@@ -298,6 +306,13 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     then solves the estimating equation once; ``full_solve`` solves the
     outcome fit and the estimating equation as one joint linear system, which
     forces the defining gradient identity to hold exactly at the solution.
+
+    ``iv_plain`` is the plain maximum-likelihood fit
+    ``BinaryLogisticIv.fit(data, iv_basis)``, as for
+    :func:`br_gamma_estimate`; when it is ``None`` it is fitted here, and
+    the same fit is handed to the inner bias-reduced instrument-model
+    estimate that supplies the default start value.  It must be that ML fit,
+    not a known instrument law.
     """
     if update not in ("one_step", "full_solve"):
         raise ValueError(f"unknown update mode {update!r}")
@@ -308,7 +323,7 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     outcome_design = build_design(data, outcome_basis)
     index_design = build_design(data, index_basis)
 
-    plain = BinaryLogisticIv.fit(data, iv_basis)
+    plain = iv_plain if iv_plain is not None else BinaryLogisticIv.fit(data, iv_basis)
     prob = plain.prob(data)
     alpha = eem_fit_alpha(data, plain, index_basis)
     e_scale = index_design @ alpha
@@ -325,7 +340,8 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
 
     if update == "one_step":
         if start_psi is None:
-            start_psi = br_gamma_estimate(data, index_basis, outcome_basis, iv_basis).psi
+            start_psi = br_gamma_estimate(data, index_basis, outcome_basis, iv_basis,
+                                          iv_plain=plain).psi
         beta_ext = fit_ols(x_ext, data.y - float(start_psi) * data.x).coefficients
         psi = float(np.sum(d * (data.y - x_ext @ beta_ext)) / denom)
     else:

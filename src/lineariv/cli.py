@@ -67,33 +67,45 @@ ESTIMATORS = ("tsls", "two-stage", "loc-eff-y", "g-est", "loc-eff-dr",
 SCHEMA_VERSION = 1
 
 
+_OMIT = object()   # no JSON form: dropped from dicts, null inside lists
+
+
 def _jsonable(value):
+    """JSON-ready copy of a diagnostics value.
+
+    Non-finite floats become ``None`` (``null``); values with no JSON form
+    (objects, arrays of more than 64 elements) become ``_OMIT``.  A dict
+    drops entries that are ``None`` or ``_OMIT`` but keeps non-finite ones.
+    """
     if isinstance(value, (str, int, bool)) or value is None:
         return value
-    if isinstance(value, float):
-        return value if np.isfinite(value) else repr(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if np.isfinite(value) else None
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return _jsonable(float(value))
     if isinstance(value, np.ndarray):
         if value.size > 64:
-            return None
-        return [_jsonable(v) for v in value.tolist()]
+            return _OMIT
+        return _jsonable(value.tolist())
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [None if conv is _OMIT else conv for conv in map(_jsonable, value)]
     if isinstance(value, dict):
         out = {}
         for key, val in value.items():
             conv = _jsonable(val)
-            if conv is not None:
+            if val is not None and conv is not _OMIT:
                 out[str(key)] = conv
         return out
-    return None
+    return _OMIT
+
+
+def _floats(values) -> list:
+    return [float(v) if np.isfinite(v) else None for v in values]
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=1)
+    text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
     print(text)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
@@ -267,11 +279,10 @@ def cmd_fit(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "estimator": config["estimator"],
         "n": data.n,
-        "psi_hat": [float(v) for v in result.psi_hat],
-        "beta_hat": [float(v) for v in result.beta_hat],
-        "se": [float(v) for v in se] if se is not None else None,
-        "ci": ({"lower": [float(v) for v in ci[0]], "upper": [float(v) for v in ci[1]]}
-               if ci is not None else None),
+        "psi_hat": _floats(result.psi_hat),
+        "beta_hat": _floats(result.beta_hat),
+        "se": _floats(se) if se is not None else None,
+        "ci": {"lower": _floats(ci[0]), "upper": _floats(ci[1])} if ci is not None else None,
         "inference": method,
         "diagnostics": _jsonable({**result.diagnostics, **extra}),
     }

@@ -161,12 +161,21 @@ class Dataset:
 
     All arrays are validated to be finite and are frozen after construction,
     so a Dataset can be shared freely across threads.
+
+    Each instance also memoises the design matrices that :func:`build_design`
+    evaluates on it, keyed by the (hashable, frozen) :class:`BasisSpec`, so
+    every estimator of a bundle shares one copy per basis.  The cache keeps
+    the thread-safety claim: a design is a pure function of the frozen data
+    and the basis, so two threads that race on a key store equal values, and
+    cached designs are returned read-only so no caller can alter what another
+    sees.  ``take`` and ``with_z`` build new instances with empty caches.
     """
 
     y: np.ndarray
     x: np.ndarray
     z: np.ndarray
     c_raw: np.ndarray
+    _designs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "y", _as_locked_array(self.y, "y", 1))
@@ -276,10 +285,20 @@ def _check_inst_index(i: int, data: Dataset) -> None:
 
 
 def build_design(data: Dataset, spec: BasisSpec) -> np.ndarray:
-    """Evaluate a basis on a dataset, column j = term j evaluated pointwise."""
-    if len(spec) == 0:
-        return np.empty((data.n, 0))
-    return np.column_stack([_eval_term(t, data) for t in spec.terms])
+    """Evaluate a basis on a dataset, column j = term j evaluated pointwise.
+
+    The result is memoised on ``data`` (see :class:`Dataset`) and read-only;
+    copy it before modifying it in place.
+    """
+    design = data._designs.get(spec)
+    if design is None:
+        if len(spec) == 0:
+            design = np.empty((data.n, 0))
+        else:
+            design = np.column_stack([_eval_term(t, data) for t in spec.terms])
+        design.flags.writeable = False
+        data._designs[spec] = design
+    return design
 
 
 # ---------------------------------------------------------------------------

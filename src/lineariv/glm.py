@@ -188,7 +188,8 @@ def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit",
     ll = _loglik(y, mu)
     trace = [ll]
     adj, working_w = score_and_weights(eta, mu)
-    score_norm = float(np.max(np.abs(design.T @ adj)))
+    score_vec = design.T @ adj
+    score_norm = float(np.max(np.abs(score_vec)))
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
@@ -198,7 +199,6 @@ def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit",
         # Fisher scoring step: solve (X'WX) d = X'(score residual)
         xw = design * working_w[:, None]
         hessian = design.T @ xw
-        score_vec = design.T @ adj
         try:
             step = np.linalg.solve(hessian, score_vec)
         except np.linalg.LinAlgError:
@@ -208,21 +208,28 @@ def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit",
                 f"fit_binary: weighted design is rank deficient (condition {cond:.3e})",
                 condition=cond,
             ) from None
+        # step-halving: the accepted candidate's eta, mu and log-likelihood
+        # are kept; only when all 40 halvings fail is the final (untried)
+        # step length evaluated afresh
         t = 1.0
         for _ in range(40):
-            cand = beta + t * step
-            mu_c = _link_mean(link, design @ cand)
+            beta_c = beta + t * step
+            eta_c = design @ beta_c
+            mu_c = _link_mean(link, eta_c)
             ll_c = _loglik(y, mu_c)
             if ll_c >= ll - 1e-10:
+                beta, eta, mu, ll = beta_c, eta_c, mu_c, ll_c
                 break
             t *= 0.5
-        beta = beta + t * step
-        eta = design @ beta
-        mu = _link_mean(link, eta)
-        ll = _loglik(y, mu)
+        else:
+            beta = beta + t * step
+            eta = design @ beta
+            mu = _link_mean(link, eta)
+            ll = _loglik(y, mu)
         trace.append(ll)
         adj, working_w = score_and_weights(eta, mu)
-        score_norm = float(np.max(np.abs(design.T @ adj)))
+        score_vec = design.T @ adj
+        score_norm = float(np.max(np.abs(score_vec)))
 
     converged = score_norm <= tol
     separation = bool(np.linalg.norm(beta) > SEPARATION_NORM)

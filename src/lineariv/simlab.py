@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -327,7 +328,12 @@ def write_report_csv(reports: list[MonteCarloReport], path) -> None:
 
 
 def write_report_json(reports: list[MonteCarloReport], path) -> None:
-    payload = {"schema_version": 1, "rows": report_rows(reports)}
+    """Strict JSON report: a non-finite moment (e.g. an estimator that failed
+    every replicate) is written as ``null``."""
+    rows = [{key: (None if isinstance(val, float) and not math.isfinite(val) else val)
+             for key, val in row.items()}
+            for row in report_rows(reports)]
+    payload = {"schema_version": 1, "rows": rows}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")

@@ -84,17 +84,18 @@ def table1_estimators(iv_known_coef: np.ndarray | None = None) -> dict[str, Call
         out["tsls"] = tsls.psi_hat
         if iv_known_coef is not None:
             iv = BinaryLogisticIv.known(C_LIN, iv_known_coef)
+            iv_plain = None          # the bias-reduced pair needs the ML fit
         else:
-            iv = BinaryLogisticIv.fit(data, C_LIN)
+            iv = iv_plain = BinaryLogisticIv.fit(data, C_LIN)
         exposure = ExposureModel("identity", EXPOSURE_SATURATED).fit(data)
         e_opt = efficient_index(data, exposure, iv, EFFECT_CONST)
         out["loc_eff"] = g_estimate(data, e_opt, OutcomeModel(C_LIN), iv, EFFECT_CONST).psi_hat
         out["eem"] = eem_estimate(data, iv, C_LIN, C_LIN,
                                   preliminary_psi=tsls.psi).psi_hat
-        brg = br_gamma_estimate(data, C_LIN, C_LIN, C_LIN)
+        brg = br_gamma_estimate(data, C_LIN, C_LIN, C_LIN, iv_plain=iv_plain)
         out["br_gamma"] = brg.psi_hat
         out["br_beta"] = br_beta_estimate(data, C_LIN, C_LIN, C_LIN,
-                                          start_psi=brg.psi).psi_hat
+                                          start_psi=brg.psi, iv_plain=iv_plain).psi_hat
         return out
 
     memo = _PerDatasetMemo(compute)

@@ -319,3 +319,58 @@ def test_br_monotone_improvement_under_full_misspecification():
         eem_bias = abs(rep.summaries["eem"].bias[0])
         brb_bias = abs(rep.summaries["br_beta"].bias[0])
         assert brb_bias < eem_bias, f"lam={lam}: {brb_bias:.3f} vs {eem_bias:.3f}"
+
+
+# ---------------------------------------------------------------------------
+# Shared nuisance fits
+# ---------------------------------------------------------------------------
+
+def test_table1_bundle_replicate_makes_three_binary_fits(monkeypatch):
+    import lineariv.adaptive
+    import lineariv.glm
+    import lineariv.models
+    from lineariv.simlab import ScenarioConfig, generate
+    from lineariv.suites import table1_estimators
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lineariv.glm.fit_binary(*args, **kwargs)
+
+    monkeypatch.setattr(lineariv.models, "fit_binary", counting)
+    monkeypatch.setattr(lineariv.adaptive, "fit_binary", counting)
+    data = generate(ScenarioConfig("table1", n=500, seed=555, reps=2, lam=(1, 1, -1)), 0).dataset
+    for estimator in table1_estimators().values():
+        estimator(data)
+    # the plain instrument fit, then br_gamma's two extended fits
+    assert len(calls) == 3
+
+
+def test_br_beta_default_start_fits_plain_iv_once(monkeypatch):
+    data = gen_table1(0, 1, 0, 400, 47).dataset
+    expected = br_beta_estimate(data, C_LIN, C_LIN, C_LIN,
+                                start_psi=br_gamma_estimate(data, C_LIN, C_LIN, C_LIN).psi)
+    plain_fits = []
+    original = BinaryLogisticIv.fit.__func__
+
+    def counting(cls, ds, basis):
+        plain_fits.append(basis)
+        return original(cls, ds, basis)
+
+    monkeypatch.setattr(BinaryLogisticIv, "fit", classmethod(counting))
+    res = br_beta_estimate(data, C_LIN, C_LIN, C_LIN)
+    assert plain_fits == [C_LIN]
+    assert res.psi_hat[0] == expected.psi_hat[0]
+
+
+def test_br_estimates_unchanged_by_shared_plain_fit():
+    data = gen_table1(1, 1, -1, 500, 48).dataset
+    iv = BinaryLogisticIv.fit(data, C_LIN)
+    own = br_gamma_estimate(data, C_LIN, C_LIN, C_LIN)
+    shared = br_gamma_estimate(data, C_LIN, C_LIN, C_LIN, iv_plain=iv)
+    assert shared.psi_hat[0] == own.psi_hat[0]
+    assert shared.nuisance["iv_plain"] is iv
+    own_b = br_beta_estimate(data, C_LIN, C_LIN, C_LIN, start_psi=own.psi)
+    shared_b = br_beta_estimate(data, C_LIN, C_LIN, C_LIN, start_psi=own.psi, iv_plain=iv)
+    assert shared_b.psi_hat[0] == own_b.psi_hat[0]

@@ -178,3 +178,42 @@ def test_replicate_thread_count_invariance(tmp_path, capsys):
     assert code1 == code2 == 0
     assert (d1 / "table1_report.csv").read_bytes() == (d2 / "table1_report.csv").read_bytes()
     assert (d1 / "table1_report.json").read_bytes() == (d2 / "table1_report.json").read_bytes()
+
+
+def test_fit_json_strict_with_non_finite_values(tmp_path, capsys, monkeypatch):
+    import lineariv.cli as cli
+
+    real_tsls = cli.standard_tsls
+
+    def tsls_with_nan(*args, **kwargs):
+        res = real_tsls(*args, **kwargs)
+        res.se = np.array([np.nan])
+        res.ci = (np.array([-np.inf]), np.array([np.inf]))
+        res.diagnostics["probe"] = {"nan": float("nan"), "inf": np.float64(np.inf),
+                                    "list": [1.0, float("-inf"), object()],
+                                    "none": None, "opaque": object()}
+        return res
+
+    monkeypatch.setattr(cli, "standard_tsls", tsls_with_nan)
+    csv_path = tmp_path / "d.csv"
+    run_cli(capsys, "simulate", "--generator", "table1", "--n", "200", "--seed", "3",
+            "--out", str(csv_path))
+    out_path = tmp_path / "fit.json"
+    code, out, _ = run_cli(
+        capsys, "fit", "--data", str(csv_path), "--y-col", "y", "--x-col", "x",
+        "--z-cols", "z", "--cov-cols", "v", "--estimator", "tsls",
+        "--outcome-basis", "1", "c0", "--instrument-basis", "z0", "z0:c0",
+        "--out", str(out_path))
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert json.loads(out_path.read_text(), parse_constant=reject) == payload
+    assert payload["se"] == [None]
+    assert payload["ci"] == {"lower": [None], "upper": [None]}
+    # non-finite values keep their key as null; values with no JSON form are
+    # dropped from dicts and null inside lists
+    assert payload["diagnostics"]["probe"] == {"nan": None, "inf": None,
+                                               "list": [1.0, None, None]}

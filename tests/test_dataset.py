@@ -166,3 +166,28 @@ def test_with_z_replacement():
     at_one = data.with_z(1.0)
     assert_array_equal(at_one.z, np.ones((3, 1)))
     assert_array_equal(at_one.y, data.y)
+
+
+def test_build_design_cached_read_only():
+    data = small_dataset()
+    spec = BasisSpec(["1", "c0"])
+    design = build_design(data, spec)
+    assert build_design(data, BasisSpec(["1", "c0"])) is design
+    assert not design.flags.writeable
+    with pytest.raises(ValueError):
+        design[0, 0] = 5.0
+    empty = build_design(data, BasisSpec([]))
+    assert empty.shape == (3, 0) and not empty.flags.writeable
+
+
+def test_take_and_with_z_build_their_own_designs():
+    data = small_dataset()
+    spec = BasisSpec(["1", "z0:c0"])
+    parent = build_design(data, spec)
+    resampled = data.take([2, 0])
+    assert_array_equal(build_design(resampled, spec), [[1.0, 4.0], [1.0, 0.0]])
+    at_one = data.with_z(1.0)
+    assert_array_equal(build_design(at_one, spec), [[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
+    # the parent's cached design is untouched by its children
+    assert build_design(data, spec) is parent
+    assert_array_equal(parent, [[1.0, 0.0], [1.0, 3.0], [1.0, 4.0]])

@@ -196,6 +196,38 @@ def test_report_serialization_round_trip(tmp_path):
     assert float(row["bias"]) == rows[0]["bias"]
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_report_json_strict_when_estimator_always_fails(tmp_path):
+    cfg = ScenarioConfig("table1", n=60, seed=9, reps=4, lam=(0, 0, 0))
+
+    def broken(ds):
+        raise WeakIdentificationError("always")
+
+    rep = run_monte_carlo(cfg, {"broken": broken, "mean": lambda ds: np.array([ds.y.mean()])})
+    path = tmp_path / "r.json"
+    write_report_json([rep], path)
+    rows = {row["estimator"]: row for row in _strict_json(path.read_text())["rows"]}
+    for key in ("bias", "sd", "raw_bias", "raw_sd"):
+        assert rows["broken"][key] is None
+    assert rows["broken"]["failed"] == 4 and rows["broken"]["used"] == 0
+    assert rows["mean"] == report_rows([rep])[1]
+
+
+def test_report_json_bytes_unchanged_without_nan(tmp_path):
+    cfg = ScenarioConfig("table1", n=80, seed=8, reps=5, lam=(1, 0, -1))
+    rep = run_monte_carlo(cfg, {"mean": lambda ds: np.array([ds.y.mean()])})
+    path = tmp_path / "r.json"
+    write_report_json([rep], path)
+    legacy = json.dumps({"schema_version": 1, "rows": report_rows([rep])},
+                        sort_keys=True, indent=1) + "\n"
+    assert path.read_text(encoding="utf-8") == legacy
+
+
 def test_generated_csv_reloads_lossless(tmp_path):
     from lineariv import write_csv
     sim = gen_sim2(40, 123)
