@@ -11,7 +11,10 @@ intercept is never implicit: a basis that wants one must list the ``1`` term.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -155,7 +158,7 @@ def _as_locked_array(a, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Columnar observations: outcome y, exposure x, instruments z, covariates.
 
@@ -169,13 +172,17 @@ class Dataset:
     and the basis, so two threads that race on a key store equal values, and
     cached designs are returned read-only so no caller can alter what another
     sees.  ``take`` and ``with_z`` build new instances with empty caches.
+
+    Equality and hashing are by identity, like the design cache: two
+    datasets with equal contents are distinct objects.  Compare the arrays
+    to compare contents.
     """
 
     y: np.ndarray
     x: np.ndarray
     z: np.ndarray
     c_raw: np.ndarray
-    _designs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _designs: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "y", _as_locked_array(self.y, "y", 1))
@@ -329,43 +336,89 @@ def _parse_cell(raw: str, row: int, col: str) -> float:
         value = float(text)
     except ValueError:
         raise ParseError(f"cannot parse {raw!r} at data row {row}, column {col!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"non-finite value {raw!r} at data row {row}, column {col!r}")
     return value
+
+
+_BLOCK_ROWS = 4096
+
+
+def _parse_block(cells: list[tuple[str, ...]], rows: list[int], names: tuple[str, ...]) -> np.ndarray:
+    """Convert one block of selected cells to an ``(len(cells), len(names))`` array.
+
+    ``float`` strips the same whitespace as ``str.strip``, so a block that
+    converts and is finite holds exactly what :func:`_parse_cell` would
+    return.  Otherwise the block is re-parsed cell by cell in file order, so
+    its first bad cell raises the usual :class:`ParseError`.
+    """
+    k = len(names)
+    try:
+        block = np.fromiter(map(float, chain.from_iterable(cells)), float, k * len(cells))
+        if np.isfinite(block).all():
+            return block.reshape(len(cells), k)
+    except ValueError:
+        pass
+    return np.array([[_parse_cell(raw, i, name) for raw, name in zip(row, names)]
+                     for row, i in zip(cells, rows)], dtype=float)
 
 
 def load_csv(path, columns: ColumnMap) -> Dataset:
     """Read an RFC-4180 style CSV (header row required) into a Dataset.
 
-    Rows are kept in file order; data row indices in error messages are
-    1-based (the header is row 0).
+    The file is UTF-8; a leading byte-order mark is ignored.  Columns are
+    matched by name, so extra columns and any column order are accepted.
+    Rows are kept in file order.  Data rows are numbered from 1 (the header
+    is row 0); blank lines are skipped but still counted, so the numbers in
+    error messages are line numbers after the header, quoted line breaks
+    aside.
+
+    A selected cell holds one number in Python ``float`` syntax, optionally
+    quoted and surrounded by whitespace: ``" 1.5 "``, ``"3"``, ``1e-3`` and
+    ``1_0`` are all accepted.  Empty, unparseable and non-finite cells
+    (``nan``, ``inf``, or values that overflow) raise :class:`ParseError`, as
+    does a row with the wrong number of fields.  When a file has several
+    faults, the first one in file order is reported.
     """
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    names = (columns.y, columns.x, *columns.z, *columns.covariates)
+    blocks: list[np.ndarray] = []
+    cells: list[tuple[str, ...]] = []
+    rows: list[int] = []
+
+    def flush() -> None:
+        if cells:
+            blocks.append(_parse_block(cells, rows, names))
+            cells.clear()
+            rows.clear()
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: file is empty, expected a header row") from None
         header = [h.strip() for h in header]
-        positions: dict[str, int] = {}
-        for name in (columns.y, columns.x, *columns.z, *columns.covariates):
+        for name in names:
             if name not in header:
                 raise SchemaError(f"{path}: required column {name!r} not found in header {header}")
-            positions[name] = header.index(name)
-        rows = []
+        select = itemgetter(*(header.index(name) for name in names))
         for i, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(header):
+                flush()
                 raise ParseError(f"{path}: data row {i} has {len(row)} fields, expected {len(header)}")
-            rows.append([_parse_cell(row[positions[name]], i, name)
-                         for name in (columns.y, columns.x, *columns.z, *columns.covariates)])
-    if not rows:
+            cells.append(select(row))
+            rows.append(i)
+            if len(cells) == _BLOCK_ROWS:
+                flush()
+        flush()
+    if not blocks:
         raise SchemaError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
+    arr = np.concatenate(blocks)
     nz = len(columns.z)
     return Dataset(
         y=arr[:, 0],

@@ -2,8 +2,14 @@
 
 import csv
 
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from lineariv import (
@@ -65,6 +71,14 @@ def test_load_csv_shuffled_columns_matches_by_name(tmp_path):
     assert_array_equal(a.c_raw[:, 0], [float(r["v"]) for r in rows])
 
 
+def test_load_csv_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbfy,x,z,v\r\n1,2,0,5\r\n2,3,1,6\r\n")
+    data = load_csv(path, ColumnMap("y", "x", ["z"], ["v"]))
+    assert_array_equal(data.y, [1, 2])
+    assert_array_equal(data.c_raw[:, 0], [5, 6])
+
+
 def test_load_csv_missing_column_named(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("y,x,z\n1,2,0\n")
@@ -97,6 +111,14 @@ def test_dataset_validation():
     with pytest.raises(SchemaError, match="length"):
         Dataset([1.0, 2.0], [1.0], [0.0, 1.0], [1.0, 2.0])
     assert not small_dataset().y.flags.writeable
+
+
+def test_dataset_equality_is_identity():
+    a, b = small_dataset(), small_dataset()
+    assert a == a
+    assert a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
 
 
 def test_build_design_intercept():
@@ -191,3 +213,144 @@ def test_take_and_with_z_build_their_own_designs():
     # the parent's cached design is untouched by its children
     assert build_design(data, spec) is parent
     assert_array_equal(parent, [[1.0, 0.0], [1.0, 3.0], [1.0, 4.0]])
+
+
+# ---------------------------------------------------------------------------
+# load_csv cell grammar and error order
+# ---------------------------------------------------------------------------
+
+COLS3 = ColumnMap("y", "x", ["z"])
+
+
+def _parse_error(path, columns=COLS3) -> str:
+    with pytest.raises(ParseError) as excinfo:
+        load_csv(path, columns)
+    return str(excinfo.value)
+
+
+def _good_rows(count: int) -> list[str]:
+    return [f"{i},{i + 0.5},{i % 2}" for i in range(1, count + 1)]
+
+
+def test_load_csv_first_error_in_file_order(tmp_path):
+    bad_then_short = tmp_path / "a.csv"
+    bad_then_short.write_text("y,x,z\n1,2,0\n2,oops,1\n3,4\n")
+    assert _parse_error(bad_then_short) == "cannot parse 'oops' at data row 2, column 'x'"
+    short_then_bad = tmp_path / "b.csv"
+    short_then_bad.write_text("y,x,z\n1,2,0\n3,4\n2,oops,1\n")
+    assert _parse_error(short_then_bad) == f"{short_then_bad}: data row 2 has 2 fields, expected 3"
+
+
+def test_load_csv_errors_across_row_blocks(tmp_path):
+    rows = _good_rows(6000)
+    rows[4096] = "4097,nan,1"
+    late_bad = tmp_path / "late.csv"
+    late_bad.write_text("y,x,z\n" + "\n".join(rows) + "\n")
+    assert _parse_error(late_bad) == "non-finite value 'nan' at data row 4097, column 'x'"
+    # a bad cell in the first block still beats a short row in the second
+    rows = _good_rows(6000)
+    rows[9] = "10,2,?"
+    rows[5000] = "5001,2"
+    early_bad = tmp_path / "early.csv"
+    early_bad.write_text("y,x,z\n" + "\n".join(rows) + "\n")
+    assert _parse_error(early_bad) == "cannot parse '?' at data row 10, column 'z'"
+    # and a short row in the first block beats a bad cell later in it
+    rows = _good_rows(6000)
+    rows[9] = "10,2"
+    rows[19] = "20,2,?"
+    short_first = tmp_path / "short.csv"
+    short_first.write_text("y,x,z\n" + "\n".join(rows) + "\n")
+    assert _parse_error(short_first) == f"{short_first}: data row 10 has 2 fields, expected 3"
+
+
+def test_load_csv_blank_lines_skipped_but_counted(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("y,x,z\n1,2,0\n\n3,4,1\n   \n5,,0\n")
+    assert _parse_error(path) == "empty cell at data row 5, column 'x'"
+    rows = _good_rows(5000)
+    lines = []
+    for i, row in enumerate(rows, start=1):
+        lines.append(row)
+        if i % 100 == 0:
+            lines.append("")
+    good = tmp_path / "good.csv"
+    good.write_text("y,x,z\n" + "\n".join(lines) + "\n")
+    data = load_csv(good, COLS3)
+    assert data.n == 5000
+    assert_array_equal(data.y, np.arange(1, 5001))
+    assert lines[-2:] == ["5000,5000.5,0", ""]
+    lines[-2] = "5000,inf,0"  # the 5000th row, after 49 blank lines
+    bad = tmp_path / "bad.csv"
+    bad.write_text("y,x,z\n" + "\n".join(lines) + "\n")
+    assert _parse_error(bad) == "non-finite value 'inf' at data row 5049, column 'x'"
+
+
+def test_load_csv_cells_parse_as_float(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text('y,x,z\n 1.5 ,"3",1_0\n\t-0.0\t," 2e-3",7\n')
+    data = load_csv(path, COLS3)
+    assert data.y.tolist() == [1.5, -0.0]
+    assert np.signbit(data.y[1])
+    assert data.x.tolist() == [3.0, 0.002]
+    assert data.z[:, 0].tolist() == [10.0, 7.0]
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("   ", "empty cell at data row 1, column 'x'"),
+    ("", "empty cell at data row 1, column 'x'"),
+    ("nan", "non-finite value 'nan' at data row 1, column 'x'"),
+    (" inf", "non-finite value ' inf' at data row 1, column 'x'"),
+    ("-Infinity", "non-finite value '-Infinity' at data row 1, column 'x'"),
+    ("1e999", "non-finite value '1e999' at data row 1, column 'x'"),
+    ("1,5", None),
+    ("0x10", "cannot parse '0x10' at data row 1, column 'x'"),
+])
+def test_load_csv_bad_cell_messages(tmp_path, cell, message):
+    path = tmp_path / "d.csv"
+    path.write_text(f"y,x,z\n1,{cell},0\n")
+    if message is None:  # an unquoted comma makes a row with too many fields
+        message = f"{path}: data row 1 has 4 fields, expected 3"
+    assert _parse_error(path) == message
+
+
+def test_load_csv_strips_unicode_whitespace(tmp_path):
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    path = tmp_path / "d.csv"
+    body = "".join(f'{i},"{ws}2.5{ws}",0\n' for i, ws in enumerate(spaces))
+    path.write_text("y,x,z\n" + body, encoding="utf-8")
+    data = load_csv(path, COLS3)
+    assert data.n == len(spaces)
+    assert data.x.tolist() == [2.5] * len(spaces)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(1, 6))
+    nz = draw(st.integers(1, 3))
+    nc = draw(st.integers(0, 2))
+    cells = draw(st.lists(_finite, min_size=n * (2 + nz + nc), max_size=n * (2 + nz + nc)))
+    block = np.array(cells, dtype=float).reshape(n, 2 + nz + nc)
+    return Dataset(block[:, 0], block[:, 1], block[:, 2:2 + nz], block[:, 2 + nz:].reshape(n, nc))
+
+
+def _hex(data: Dataset) -> list[list[str]]:
+    return [[v.hex() for v in getattr(data, f).ravel().tolist()] for f in ("y", "x", "z", "c_raw")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_datasets())
+@example(Dataset([-0.0, 5e-324], [1.7e308, -1.7e308], [2.2250738585072014e-308, -1e-320],
+                 np.empty((2, 0))))
+@example(Dataset([-0.0], [-5e-324], [[1.7976931348623157e308, 0.1, -0.0]], [[-1.7e308, 1e-310]]))
+def test_csv_round_trip_is_bit_exact(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rt.csv"
+        write_csv(data, path)
+        z_names = ["z"] if data.n_instruments == 1 else [f"z{j}" for j in range(data.n_instruments)]
+        c_names = ["v"] if data.n_covariates == 1 else [f"v{j}" for j in range(data.n_covariates)]
+        back = load_csv(path, ColumnMap("y", "x", z_names, c_names))
+    assert back.z.shape == data.z.shape and back.c_raw.shape == data.c_raw.shape
+    assert _hex(back) == _hex(data)
