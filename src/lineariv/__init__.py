@@ -89,6 +89,7 @@ from .simlab import (
     gen_table1,
     generate,
     run_monte_carlo,
+    simulate,
     write_report_csv,
     write_report_json,
 )

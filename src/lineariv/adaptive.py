@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedCombinationError,
     WeakIdentificationError,
 )
-from .estimators import EstimateResult, g_estimate
+from .estimators import EstimateResult, _solve_ee, g_estimate
 from .glm import expit, fit_binary, fit_ols, fit_wls
 from .models import (
     BinaryLogisticIv,
@@ -67,15 +67,6 @@ class BrFit:
     beta_hat: np.ndarray          # outcome coefficients (incl. extension), empty for br_gamma
     score_identity_norm: float
     converged: bool = True
-
-
-def _require_scalar_effect(effect: EffectModel | None) -> EffectModel:
-    if effect is None:
-        effect = EffectModel.constant()
-    if not effect.is_constant:
-        raise UnsupportedCombinationError(
-            "adaptive procedures are defined for the constant-effect model only")
-    return effect
 
 
 def _require_single_instrument(data: Dataset) -> None:
@@ -146,18 +137,16 @@ def _preliminary_psi_raw_z(data: Dataset, iv: IvModel, outcome_basis: BasisSpec,
 
 
 def eem_estimate(data: Dataset, iv: IvModel, index_basis: BasisSpec,
-                 outcome_basis: BasisSpec, update: str = "one_step",
+                 outcome_basis: BasisSpec,
                  preliminary_psi: float | None = None) -> EstimateResult:
     """G-estimate at the variance-minimising index and outcome coefficients.
 
     The preliminary effect estimate (default: the e=Z G-estimator with an
     OLS outcome model) anchors the beta regression; the final estimating
-    equation is linear in the effect, so the single update and the full solve
-    coincide and ``update`` is kept for interface symmetry.
+    equation is linear in the effect and is solved once by
+    :func:`~lineariv.estimators.g_estimate` with the outcome model fixed.
     """
-    if update not in ("one_step", "full_solve"):
-        raise ValueError(f"unknown update mode {update!r}")
-    effect = _require_scalar_effect(None)
+    effect = EffectModel.constant()
     if preliminary_psi is None:
         preliminary_psi = _preliminary_psi_raw_z(data, iv, outcome_basis, effect)
     alpha = eem_fit_alpha(data, iv, index_basis)
@@ -198,6 +187,17 @@ def _drop_collinear(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray
     return extension[:, kept_cols], kept_cols
 
 
+def _br_denominator(d: np.ndarray, x: np.ndarray, what: str) -> float:
+    """sum(d * x); raises :class:`WeakIdentificationError` when it is
+    negligible against ``||d|| * ||x||``."""
+    denom = float(np.sum(d * x))
+    scale = float(np.linalg.norm(d) * np.linalg.norm(x))
+    if abs(denom) <= 1e-10 * max(scale, 1e-300):
+        raise WeakIdentificationError(
+            f"{what} denominator {denom:.3e} is degenerate against scale {scale:.3e}")
+    return denom
+
+
 def _fit_extended_logistic(data: Dataset, iv_design: np.ndarray,
                            extension: np.ndarray):
     design = np.column_stack([iv_design, extension]) if extension.size else iv_design
@@ -230,7 +230,6 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
     _require_single_instrument(data)
     if not data.z_is_binary():
         raise UnsupportedCombinationError("bias-reduced procedures require a binary instrument")
-    effect = EffectModel.constant()
     iv_design = build_design(data, iv_basis)
     outcome_design = build_design(data, outcome_basis)
     index_design = build_design(data, index_basis)
@@ -256,11 +255,7 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
         e_scale, extension, kept, fit, prob = build_and_fit(alpha)
 
     d = e_scale * (data.z[:, 0] - prob)
-    denom = float(np.sum(d * data.x))
-    scale = float(np.linalg.norm(d) * np.linalg.norm(data.x))
-    if abs(denom) <= 1e-10 * max(scale, 1e-300):
-        raise WeakIdentificationError(
-            f"br_gamma denominator {denom:.3e} is degenerate against scale {scale:.3e}")
+    denom = _br_denominator(d, data.x, "br_gamma")
     psi = float(np.sum(d * data.y) / denom)
 
     score_identity = np.abs((d[:, None] * outcome_design).sum(axis=0)).max()
@@ -305,7 +300,9 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     effect value (default: the bias-reduced instrument-model estimate) and
     then solves the estimating equation once; ``full_solve`` solves the
     outcome fit and the estimating equation as one joint linear system, which
-    forces the defining gradient identity to hold exactly at the solution.
+    forces the defining gradient identity to hold exactly at the solution; a
+    degenerate joint system raises :class:`WeakIdentificationError`.  The two
+    modes are different estimators and generally give different values.
 
     ``iv_plain`` is the plain maximum-likelihood fit
     ``BinaryLogisticIv.fit(data, iv_basis)``, as for
@@ -331,12 +328,7 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     extension, kept = _drop_collinear(outcome_design, (e_scale * w)[:, None] * iv_design)
     x_ext = np.column_stack([outcome_design, extension]) if extension.size else outcome_design
     d = e_scale * (data.z[:, 0] - prob)
-
-    denom = float(np.sum(d * data.x))
-    scale = float(np.linalg.norm(d) * np.linalg.norm(data.x))
-    if abs(denom) <= 1e-10 * max(scale, 1e-300):
-        raise WeakIdentificationError(
-            f"br_beta denominator {denom:.3e} is degenerate against scale {scale:.3e}")
+    denom = _br_denominator(d, data.x, "br_beta")
 
     if update == "one_step":
         if start_psi is None:
@@ -345,22 +337,10 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
         beta_ext = fit_ols(x_ext, data.y - float(start_psi) * data.x).coefficients
         psi = float(np.sum(d * (data.y - x_ext @ beta_ext)) / denom)
     else:
-        p = x_ext.shape[1]
-        system = np.zeros((p + 1, p + 1))
-        rhs = np.zeros(p + 1)
-        system[:p, :p] = x_ext.T @ x_ext
-        system[:p, p] = x_ext.T @ data.x
-        rhs[:p] = x_ext.T @ data.y
-        system[p, :p] = d @ x_ext
-        system[p, p] = float(np.sum(d * data.x))
-        rhs[p] = float(np.sum(d * data.y))
-        s = np.linalg.svd(system, compute_uv=False)
-        if s[-1] <= 1e-12 * max(s[0], 1e-300):
-            raise SingularDesignError("br_beta joint system is singular",
-                                      condition=float(s[0] / max(s[-1], 1e-300)))
-        theta = np.linalg.solve(system, rhs)
-        beta_ext = theta[:p]
-        psi = float(theta[p])
+        theta, _ = _solve_ee(np.column_stack([x_ext, d]), np.column_stack([x_ext, data.x]),
+                             data.y, "br_beta")
+        beta_ext = theta[:-1]
+        psi = float(theta[-1])
 
     resid = data.y - x_ext @ beta_ext - psi * data.x
     # empirical gradient-identity residual (mean form)

@@ -31,7 +31,7 @@ from .estimators import (
     plug_in_two_stage,
     standard_tsls,
 )
-from .inference import bootstrap_ci, conservative_se_brgamma
+from .inference import MIN_RESAMPLES, bootstrap_ci, conservative_se_brgamma
 from .models import (
     BinaryLogisticIv,
     CustomIndex,
@@ -43,13 +43,10 @@ from .models import (
     RawInstruments,
 )
 from .simlab import (
+    GENERATORS,
     ScenarioConfig,
-    gen_effectmod,
-    gen_extreme,
-    gen_sim1,
-    gen_sim2,
-    gen_table1,
     run_monte_carlo,
+    simulate,
     write_report_csv,
     write_report_json,
 )
@@ -155,13 +152,27 @@ def _load_run_config(args) -> dict:
     inference = config.setdefault("inference", {})
     if args.inference:
         inference["method"] = args.inference
-    if args.resamples:
+    if args.resamples is not None:
         inference["resamples"] = args.resamples
-    if args.level:
+    if args.level is not None:
         inference["level"] = args.level
     if args.seed is not None:
         config["seed"] = args.seed
     return config
+
+
+def _inference_settings(config: dict) -> tuple[str, int, float]:
+    """(method, resamples, level) of the run config, validated."""
+    inference = config.get("inference", {})
+    method = inference.get("method", "none")
+    resamples, level = inference.get("resamples", 1000), inference.get("level", 0.95)
+    if method not in ("none", "sandwich", "bootstrap", "conservative", None):
+        raise SchemaError(f"unknown inference method {method!r}")
+    if not isinstance(resamples, int) or resamples < MIN_RESAMPLES:
+        raise SchemaError(f"resamples must be an integer >= {MIN_RESAMPLES}, got {resamples!r}")
+    if not isinstance(level, (int, float)) or not 0.0 < level < 1.0:
+        raise SchemaError(f"level must lie strictly between 0 and 1, got {level!r}")
+    return method, resamples, float(level)
 
 
 def _require(config: dict, key: str, estimator: str):
@@ -242,6 +253,7 @@ def _build_pipeline(config: dict):
 
 def cmd_fit(args) -> int:
     config = _load_run_config(args)
+    method, resamples, level = _inference_settings(config)
     data_cfg = config.get("data", {})
     if "path" not in data_cfg:
         raise SchemaError("no dataset: pass --data or a config with data.path")
@@ -254,26 +266,19 @@ def cmd_fit(args) -> int:
     pipeline = _build_pipeline(config)
     result = pipeline(data)
 
-    inference = config.get("inference", {})
-    method = inference.get("method", "none")
     se, ci, extra = result.se, result.ci, {}
     if method == "bootstrap":
-        boot = bootstrap_ci(data, lambda ds: pipeline(ds).psi_hat,
-                            resamples=int(inference.get("resamples", 1000)),
-                            level=float(inference.get("level", 0.95)),
-                            seed=int(config.get("seed", 0)))
+        boot = bootstrap_ci(data, lambda ds: pipeline(ds).psi_hat, resamples=resamples,
+                            level=level, seed=int(config.get("seed", 0)))
         se, ci = boot.se, (boot.ci_lower, boot.ci_upper)
         extra["failed_resamples"] = boot.failed_resamples
     elif method == "conservative":
         if config.get("estimator") != "br-gamma":
             raise SchemaError("conservative inference is defined for br-gamma only")
-        level = float(inference.get("level", 0.95))
         from scipy.special import ndtri
         zq = float(ndtri(0.5 + level / 2.0))
         se = np.array([conservative_se_brgamma(data, result)])
         ci = (result.psi_hat - zq * se, result.psi_hat + zq * se)
-    elif method not in ("none", "sandwich", None):
-        raise SchemaError(f"unknown inference method {method!r}")
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -295,21 +300,7 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    lam = (args.lx, args.ly, args.lz)
-    if args.generator == "sim1":
-        sim = gen_sim1(args.n, args.seed)
-    elif args.generator == "sim2":
-        sim = gen_sim2(args.n, args.seed)
-    elif args.generator == "effectmod":
-        sim = gen_effectmod(args.n, args.seed)
-    elif args.generator == "table1":
-        sim = gen_table1(*lam, args.n, args.seed)
-    elif args.generator == "extreme":
-        sim = gen_extreme(*lam, args.n, args.seed)
-    else:
-        raise SchemaError(f"unknown generator {args.generator!r}")
-    if not args.out:
-        raise SchemaError("simulate requires --out")
+    sim = simulate(args.generator, args.n, args.seed, (args.lx, args.ly, args.lz))
     write_csv(sim.dataset, args.out)
     print(f"wrote {sim.dataset.n} rows to {args.out} "
           f"(generator={args.generator}, true effect={sim.psi_true.tolist()})")
@@ -356,8 +347,6 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    if args.target not in REPLICATE_TARGETS:
-        raise SchemaError(f"unknown target {args.target!r}; valid: {sorted(REPLICATE_TARGETS)}")
     target = REPLICATE_TARGETS[args.target]
     reps = args.reps if args.reps else target.default_reps
     seed = args.seed if args.seed is not None else target.default_seed
@@ -423,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="write a generated scenario dataset as CSV")
     sim.add_argument("--generator", required=True,
-                     choices=("sim1", "sim2", "effectmod", "table1", "extreme"))
+                     choices=GENERATORS)
     sim.add_argument("--lx", type=int, default=0)
     sim.add_argument("--ly", type=int, default=0)
     sim.add_argument("--lz", type=int, default=0)
@@ -434,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("benchmark", help="Monte Carlo bias/SD benchmark")
     bench.add_argument("--generator", default="table1",
-                       choices=("sim1", "sim2", "effectmod", "table1", "extreme"))
+                       choices=GENERATORS)
     bench.add_argument("--table1-grid", action="store_true",
                        help="run the full lambda grid of the factorial design")
     bench.add_argument("--lx", type=int, default=0)

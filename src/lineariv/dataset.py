@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Callable, Hashable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -165,15 +165,15 @@ class Dataset:
     All arrays are validated to be finite and are frozen after construction,
     so a Dataset can be shared freely across threads.
 
-    Each instance also memoises the design matrices that :func:`build_design`
-    evaluates on it, keyed by the (hashable, frozen) :class:`BasisSpec`, so
-    every estimator of a bundle shares one copy per basis.  The cache keeps
-    the thread-safety claim: a design is a pure function of the frozen data
-    and the basis, so two threads that race on a key store equal values, and
-    cached designs are returned read-only so no caller can alter what another
-    sees.  ``take`` and ``with_z`` build new instances with empty caches.
+    Each instance also memoises values computed from it (:meth:`memo`): the
+    designs of :func:`build_design`, keyed by :class:`BasisSpec`, and the
+    nuisance fits an estimator bundle shares, keyed by the bundle.  The memo
+    keeps the thread-safety claim: a memoised value is a pure function of the
+    frozen data and its key, so threads racing on a key store equal values,
+    and designs are read-only so no caller can alter what another sees.
+    ``take`` and ``with_z`` build new instances with empty memos.
 
-    Equality and hashing are by identity, like the design cache: two
+    Equality and hashing are by identity, like the memo: two
     datasets with equal contents are distinct objects.  Compare the arrays
     to compare contents.
     """
@@ -182,7 +182,7 @@ class Dataset:
     x: np.ndarray
     z: np.ndarray
     c_raw: np.ndarray
-    _designs: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "y", _as_locked_array(self.y, "y", 1))
@@ -209,6 +209,14 @@ class Dataset:
     @property
     def n_covariates(self) -> int:
         return self.c_raw.shape[1]
+
+    def memo(self, key: Hashable, compute: Callable[["Dataset"], object]):
+        """``compute(self)``, kept under ``key``; ``compute`` must be a pure
+        function of the dataset.  A call that raises stores nothing."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            return self._memo.setdefault(key, compute(self))
 
     def with_z(self, z_new) -> "Dataset":
         """Copy of the dataset with the instrument block replaced.
@@ -260,6 +268,14 @@ class BasisSpec:
     def append(self, term: Term | str) -> "BasisSpec":
         return BasisSpec(self.terms + (parse_term(term) if isinstance(term, str) else term,))
 
+    def _evaluate(self, data: Dataset) -> np.ndarray:
+        if self.terms:
+            design = np.column_stack([_eval_term(t, data) for t in self.terms])
+        else:
+            design = np.empty((data.n, 0))
+        design.flags.writeable = False
+        return design
+
 
 def _eval_term(term: Term, data: Dataset) -> np.ndarray:
     if isinstance(term, Intercept):
@@ -294,18 +310,10 @@ def _check_inst_index(i: int, data: Dataset) -> None:
 def build_design(data: Dataset, spec: BasisSpec) -> np.ndarray:
     """Evaluate a basis on a dataset, column j = term j evaluated pointwise.
 
-    The result is memoised on ``data`` (see :class:`Dataset`) and read-only;
-    copy it before modifying it in place.
+    The result is memoised on ``data`` (see :meth:`Dataset.memo`) and
+    read-only; copy it before modifying it in place.
     """
-    design = data._designs.get(spec)
-    if design is None:
-        if len(spec) == 0:
-            design = np.empty((data.n, 0))
-        else:
-            design = np.column_stack([_eval_term(t, data) for t in spec.terms])
-        design.flags.writeable = False
-        data._designs[spec] = design
-    return design
+    return data.memo(spec, spec._evaluate)
 
 
 # ---------------------------------------------------------------------------

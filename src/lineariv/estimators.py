@@ -3,10 +3,11 @@
 Standard TSLS with the implied first stage, the plug-in two-stage estimator
 for arbitrary exposure links, the exposure-model-free locally efficient
 estimator (joint solve over effect and outcome coefficients), and the generic
-double-robust G-estimator built on a centered index.  All estimating
-equations here are linear in the unknowns, so every solver is a single linear
-solve; "one-step" updates from a starting value land on the same solution and
-are retained for interface symmetry with the adaptive procedures.
+double-robust G-estimator built on a centered index.  Every estimating
+equation here is linear: an estimator builds an index matrix D, a regressor
+matrix R and a response y, solves D'(y - R theta) = 0 (:func:`_solve_ee`, or
+an SVD regression for the two least-squares estimators) and takes the
+sandwich at the solution (:func:`_ee_result`).
 """
 
 from __future__ import annotations
@@ -67,12 +68,16 @@ class EstimateResult:
         return float(self.psi_hat[0])
 
 
-def _normal_ci(est: np.ndarray, se: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return est - NORMAL_975 * se, est + NORMAL_975 * se
+def _solve_ee(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
+              what: str) -> tuple[np.ndarray, float]:
+    """Solve index'(response - regressors @ theta) = 0; returns (theta, condition).
 
-
-def _check_denominator(matrix: np.ndarray, scale: float, what: str) -> float:
-    s = np.linalg.svd(matrix, compute_uv=False)
+    Raises :class:`WeakIdentificationError` when index'regressors is
+    degenerate against :func:`_moment_scale` or ill-conditioned.
+    """
+    system = index.T @ regressors
+    scale = _moment_scale(index, regressors, index.shape[0])
+    s = np.linalg.svd(system, compute_uv=False)
     smin, smax = float(s[-1]), float(s[0])
     cond = smax / smin if smin > 0 else np.inf
     if smin <= 1e-10 * max(scale, 1e-300):
@@ -86,7 +91,35 @@ def _check_denominator(matrix: np.ndarray, scale: float, what: str) -> float:
             f"{what}: denominator condition number {cond:.3e} exceeds {WEAK_ID_CONDITION:.0e}",
             condition=cond,
         )
-    return cond
+    return np.linalg.solve(system, index.T @ response), cond
+
+
+def _ee_result(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
+               theta: np.ndarray, psi_slice: slice, beta: np.ndarray, nuisance: dict,
+               diagnostics: dict) -> EstimateResult:
+    """The result at a solution theta: sandwich SEs (``None`` if singular), normal
+    CI and residual norm of the moments index_i * (response_i - regressors_i' theta).
+
+    ``psi_slice`` picks the effect out of theta; the SEs of any other entries
+    of theta (outcome coefficients) go to ``beta_se``.
+    """
+    resid = response - regressors @ theta
+    moments = index * resid[:, None]
+    jac = -(index.T @ regressors) / index.shape[0]
+    try:
+        se_all = sandwich_se(moments, jac)
+    except SingularDesignError:
+        se_all = None
+    psi = theta[psi_slice]
+    se = se_all[psi_slice] if se_all is not None else None
+    ci = (psi - NORMAL_975 * se, psi + NORMAL_975 * se) if se is not None else None
+    total, scale = np.abs(moments.sum(axis=0)), np.abs(moments).sum(axis=0)
+    diagnostics = {**diagnostics,
+                   "ee_residual_norm": float(np.max(total / np.maximum(scale, 1e-300)))}
+    if theta.size > psi.size:
+        diagnostics["beta_se"] = np.delete(se_all, psi_slice) if se_all is not None else None
+    return EstimateResult(psi_hat=psi, beta_hat=beta, nuisance=nuisance, se=se, ci=ci,
+                          diagnostics=diagnostics)
 
 
 def outcome_coef_at(data: Dataset, effect: EffectModel, outcome_basis: BasisSpec,
@@ -138,39 +171,17 @@ def standard_tsls(data: Dataset, effect: EffectModel, outcome_basis: BasisSpec,
             f"rank condition fails: second-stage condition {second.condition:.3e}",
             condition=second.condition)
 
-    p_y = by.shape[1]
-    beta = second.coefficients[:p_y]
-    psi = second.coefficients[p_y:]
-
-    resid = data.y - by @ beta - endog @ psi
-    moments = second_design * resid[:, None]
-    jac = -(second_design.T @ np.column_stack([by, endog])) / data.n
-    try:
-        se_all = sandwich_se(moments, jac)
-        se = se_all[p_y:]
-        beta_se = se_all[:p_y]
-    except SingularDesignError:
-        se = beta_se = None
-
     fs_summary = {}
     for j, f in enumerate(first_fits):
         tot = np.sum((endog[:, j] - endog[:, j].mean()) ** 2)
         fs_summary[f"endog{j}"] = {
             "r_squared": float(1.0 - np.sum(f.residuals ** 2) / tot) if tot > 0 else 0.0,
         }
-    result = EstimateResult(
-        psi_hat=psi,
-        beta_hat=beta,
-        nuisance={"first_stage": first_fits},
-        se=se,
-        ci=_normal_ci(psi, se) if se is not None else None,
-        diagnostics={
-            "second_stage_condition": second.condition,
-            "first_stage": fs_summary,
-            "beta_se": beta_se,
-        },
-    )
-    return result
+    p_y = by.shape[1]
+    return _ee_result(second_design, np.column_stack([by, endog]), data.y,
+                      second.coefficients, slice(p_y, None), second.coefficients[:p_y],
+                      {"first_stage": first_fits},
+                      {"condition": second.condition, "first_stage": fs_summary})
 
 
 # ---------------------------------------------------------------------------
@@ -193,27 +204,10 @@ def plug_in_two_stage(data: Dataset, exposure: ExposureModel, effect: EffectMode
     design = np.column_stack([by, plug])
     second = fit_ols(design, data.y)
     p_y = by.shape[1]
-    beta = second.coefficients[:p_y]
-    psi = second.coefficients[p_y:]
-
-    moments = design * second.residuals[:, None]
-    jac = -(design.T @ design) / data.n
-    try:
-        se_all = sandwich_se(moments, jac)
-        se = se_all[p_y:]
-    except SingularDesignError:
-        se = None
-    return EstimateResult(
-        psi_hat=psi,
-        beta_hat=beta,
-        nuisance={"exposure": fitted_exposure},
-        se=se,
-        ci=_normal_ci(psi, se) if se is not None else None,
-        diagnostics={
-            "second_stage_condition": second.condition,
-            "exposure_converged": fitted_exposure.fit_converged,
-        },
-    )
+    return _ee_result(design, design, data.y, second.coefficients, slice(p_y, None),
+                      second.coefficients[:p_y], {"exposure": fitted_exposure},
+                      {"condition": second.condition,
+                       "exposure_converged": fitted_exposure.fit_converged})
 
 
 # ---------------------------------------------------------------------------
@@ -221,62 +215,31 @@ def plug_in_two_stage(data: Dataset, exposure: ExposureModel, effect: EffectMode
 # ---------------------------------------------------------------------------
 
 def locally_efficient_y(data: Dataset, exposure: ExposureModel, effect: EffectModel,
-                        outcome_basis: BasisSpec, update: str = "full_solve",
-                        start: np.ndarray | None = None) -> EstimateResult:
+                        outcome_basis: BasisSpec) -> EstimateResult:
     """Joint solve for (psi, beta) with index (m_x * dm/dpsi ; dm_y/dbeta).
 
     The exposure model only shapes the index, so the estimator stays
     consistent under exposure-model misspecification as long as the outcome
-    model is correct.  The system is linear; ``one_step`` from any start is
-    identical to ``full_solve`` and is kept for interface symmetry.
+    model is correct.  The system is linear in (psi, beta), so one solve
+    gives the estimate.
     """
     if not exposure.is_fitted:
         raise ValueError("exposure model must be fitted first")
-    if update == "one_step" and start is None:
-        raise ValueError("one_step update requires a starting value")
     mhat = exposure.predict(data)
     by = build_design(data, outcome_basis)
     grad = effect.gradient(data)
-    k = effect.dim
-
     index_mat = np.column_stack([mhat[:, None] * grad, by])
     regressors = np.column_stack([data.x[:, None] * grad, by])
-    system = index_mat.T @ regressors
-    labels = [f"m_x*{lab}" for lab in (effect.basis.labels() if effect.basis else ["1"])] + outcome_basis.labels()
     try:
-        cond = _check_denominator(system, _moment_scale(index_mat, regressors, data.n), "locally_efficient_y")
+        theta, cond = _solve_ee(index_mat, regressors, data.y, "locally_efficient_y")
     except WeakIdentificationError as err:
+        labels = ([f"m_x*{lab}" for lab in (effect.basis.labels() if effect.basis else ["1"])]
+                  + outcome_basis.labels())
         raise SingularDesignError(
             f"locally efficient system is singular; index components: {labels} ({err})") from None
-
-    rhs = index_mat.T @ data.y
-    if update == "one_step":
-        start = np.asarray(start, dtype=float)
-        theta = start + np.linalg.solve(system, rhs - system @ start)
-    else:
-        theta = np.linalg.solve(system, rhs)
-    psi = theta[:k]
-    beta = theta[k:]
-
-    resid = data.y - regressors @ theta
-    moments = index_mat * resid[:, None]
-    jac = -(index_mat.T @ regressors) / data.n
-    try:
-        se_all = sandwich_se(moments, jac)
-        se = se_all[:k]
-    except SingularDesignError:
-        se = None
-    return EstimateResult(
-        psi_hat=psi,
-        beta_hat=beta,
-        nuisance={"exposure": exposure},
-        se=se,
-        ci=_normal_ci(psi, se) if se is not None else None,
-        diagnostics={
-            "system_condition": cond,
-            "ee_residual_norm": _relative_residual(moments),
-        },
-    )
+    k = effect.dim
+    return _ee_result(index_mat, regressors, data.y, theta, slice(0, k), theta[k:],
+                      {"exposure": exposure}, {"condition": cond})
 
 
 # ---------------------------------------------------------------------------
@@ -350,42 +313,15 @@ def g_estimate(data: Dataset, index: IndexFunction, outcome: OutcomeModel | None
         by = outcome.design(data)
         index_mat = np.column_stack([d, by])
         regressors = np.column_stack([endog, by])
-        system = index_mat.T @ regressors
-        cond = _check_denominator(system, _moment_scale(index_mat, regressors, data.n), "g_estimate")
-        theta = np.linalg.solve(system, index_mat.T @ data.y)
-        psi = theta[:k]
-        beta = theta[k:]
-        resid = data.y - regressors @ theta
-        moments = index_mat * resid[:, None]
-        jac = -(index_mat.T @ regressors) / data.n
-        se_slice = slice(0, k)
+        response = data.y
     else:
-        base = data.y if outcome is None else data.y - outcome.predict(data)
-        system = d.T @ endog
-        cond = _check_denominator(system, _moment_scale(d, endog, data.n), "g_estimate")
-        psi = np.linalg.solve(system, d.T @ base)
-        beta = np.empty(0) if outcome is None else np.asarray(outcome.coef, dtype=float)
-        resid = base - endog @ psi
-        moments = d * resid[:, None]
-        jac = -(d.T @ endog) / data.n
-        se_slice = slice(0, k)
-
-    try:
-        se = sandwich_se(moments, jac)[se_slice]
-    except SingularDesignError:
-        se = None
-    return EstimateResult(
-        psi_hat=psi,
-        beta_hat=beta,
-        nuisance={"iv": iv, "index": index, "outcome": outcome},
-        se=se,
-        ci=_normal_ci(psi, se) if se is not None else None,
-        diagnostics={
-            "denominator_condition": cond,
-            "ee_residual_norm": _relative_residual(moments),
-            "profiled_outcome": profiled,
-        },
-    )
+        index_mat, regressors = d, endog
+        response = data.y if outcome is None else data.y - outcome.predict(data)
+    theta, cond = _solve_ee(index_mat, regressors, response, "g_estimate")
+    beta = theta[k:] if profiled else np.asarray([] if outcome is None else outcome.coef, dtype=float)
+    return _ee_result(index_mat, regressors, response, theta, slice(0, k), beta,
+                      {"iv": iv, "index": index, "outcome": outcome},
+                      {"condition": cond, "profiled_outcome": profiled})
 
 
 def efficient_index(data: Dataset, exposure: ExposureModel, iv: IvModel,
@@ -433,9 +369,3 @@ def _moment_scale(left: np.ndarray, right: np.ndarray, n: int) -> float:
     # so any sanely scaled index sits far above both references.
     right_norm = float(np.linalg.norm(right))
     return max(float(np.linalg.norm(left)) * right_norm, right_norm**2) / n
-
-
-def _relative_residual(moments: np.ndarray) -> float:
-    total = moments.sum(axis=0)
-    scale = np.abs(moments).sum(axis=0)
-    return float(np.max(np.abs(total) / np.maximum(scale, 1e-300)))

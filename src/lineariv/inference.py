@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 MAX_FAILED_FRACTION = 0.2
+MIN_RESAMPLES = 100
 
 
 @dataclass
@@ -95,8 +96,8 @@ def bootstrap_ci(data, estimator, resamples: int = 1000, level: float = 0.95,
     ``identity_resampling`` replaces every resample by the identity
     permutation -- a sanity hook that must produce a zero-width interval.
     """
-    if resamples < 100:
-        raise ValueError("resamples must be at least 100")
+    if resamples < MIN_RESAMPLES:
+        raise ValueError(f"resamples must be at least {MIN_RESAMPLES}")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     n = data.n

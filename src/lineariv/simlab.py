@@ -36,6 +36,7 @@ __all__ = [
     "gen_effectmod",
     "gen_table1",
     "gen_extreme",
+    "simulate",
     "generate",
     "run_monte_carlo",
     "report_rows",
@@ -160,18 +161,24 @@ class ScenarioConfig:
         return self.generator
 
 
+def simulate(generator: str, n: int, seed, lam: tuple[int, int, int] | None = None) -> SimulatedData:
+    """One dataset of a generator family; ``lam`` is read by table1/extreme only."""
+    if generator == "sim1":
+        return gen_sim1(n, seed)
+    if generator == "sim2":
+        return gen_sim2(n, seed)
+    if generator == "effectmod":
+        return gen_effectmod(n, seed)
+    if generator == "table1":
+        return gen_table1(*lam, n, seed)
+    if generator == "extreme":
+        return gen_extreme(*lam, n, seed)
+    raise SchemaError(f"unknown generator {generator!r}; choose from {GENERATORS}")
+
+
 def generate(config: ScenarioConfig, rep: int) -> SimulatedData:
     """Dataset for replicate ``rep``: depends only on (master seed, rep)."""
-    seed = [config.seed, rep]
-    if config.generator == "sim1":
-        return gen_sim1(config.n, seed)
-    if config.generator == "sim2":
-        return gen_sim2(config.n, seed)
-    if config.generator == "effectmod":
-        return gen_effectmod(config.n, seed)
-    if config.generator == "table1":
-        return gen_table1(*config.lam, config.n, seed)
-    return gen_extreme(*config.lam, config.n, seed)
+    return simulate(config.generator, config.n, [config.seed, rep], config.lam)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ suite.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +25,7 @@ from .estimators import (
     standard_tsls,
 )
 from .models import BinaryLogisticIv, EffectModel, ExposureModel, OutcomeModel
-from .simlab import MonteCarloReport, ScenarioConfig
+from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
 
 __all__ = [
     "table1_estimators",
@@ -47,25 +46,10 @@ EXPOSURE_MAIN = BasisSpec(["z0", "1", "c0"])
 EFFECT_CONST = EffectModel.constant()
 
 
-class _PerDatasetMemo:
-    """Per-thread single-entry memo so bundle members share nuisance fits.
-
-    Results are pure functions of the dataset; the memo only avoids refitting
-    when several closures run on the same Dataset object, so it cannot change
-    any value.
-    """
-
-    def __init__(self, compute: Callable[[Dataset], dict]):
-        self._compute = compute
-        self._local = threading.local()
-
-    def __call__(self, data: Dataset) -> dict:
-        cached = getattr(self._local, "entry", None)
-        if cached is not None and cached[0] is data:
-            return cached[1]
-        value = self._compute(data)
-        self._local.entry = (data, value)
-        return value
+def _bundle(compute: Callable[[Dataset], dict], names) -> dict[str, Callable]:
+    """One estimator closure per name; ``compute`` (all estimates of the bundle)
+    runs once per Dataset (:meth:`Dataset.memo`), so members share nuisance fits."""
+    return {name: (lambda ds, _n=name: ds.memo(compute, compute)[_n]) for name in names}
 
 
 def table1_estimators(iv_known_coef: np.ndarray | None = None) -> dict[str, Callable]:
@@ -98,9 +82,7 @@ def table1_estimators(iv_known_coef: np.ndarray | None = None) -> dict[str, Call
                                           start_psi=brg.psi, iv_plain=iv_plain).psi_hat
         return out
 
-    memo = _PerDatasetMemo(compute)
-    return {name: (lambda ds, _n=name: memo(ds)[_n])
-            for name in ("tsls", "loc_eff", "eem", "br_gamma", "br_beta")}
+    return _bundle(compute, ("tsls", "loc_eff", "eem", "br_gamma", "br_beta"))
 
 
 def sim_binary_estimators() -> dict[str, Callable]:
@@ -133,9 +115,7 @@ def sim_binary_estimators() -> dict[str, Callable]:
         out["dr_mm"] = g_estimate(data, e_lin, OutcomeModel(C_LIN, beta_m), iv, EFFECT_CONST).psi_hat
         return out
 
-    memo = _PerDatasetMemo(compute)
-    return {name: (lambda ds, _n=name: memo(ds)[_n])
-            for name in ("tsls", "ts", "le_y_c", "le_y_m", "dr_cc", "dr_cm", "dr_mm")}
+    return _bundle(compute, ("tsls", "ts", "le_y_c", "le_y_m", "dr_cc", "dr_cm", "dr_mm"))
 
 
 def effectmod_estimators() -> dict[str, Callable]:
@@ -156,9 +136,7 @@ def effectmod_estimators() -> dict[str, Callable]:
         out["ts_m"] = plug_in_two_stage(data, misspec, effect, C_LIN).psi_hat
         return out
 
-    memo = _PerDatasetMemo(compute)
-    return {name: (lambda ds, _n=name: memo(ds)[_n])
-            for name in ("tsls_c", "tsls_m", "ts_c", "ts_m")}
+    return _bundle(compute, ("tsls_c", "tsls_m", "ts_c", "ts_m"))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +323,6 @@ def run_replicate(target: str, reps: int, seed: int, threads: int = 1,
     Gates are evaluated only when ``reps >= AUDIT_MIN_REPS``; below that the
     run is a smoke test and no verdict is produced.
     """
-    from .simlab import run_monte_carlo
-
     audit = reps >= AUDIT_MIN_REPS
     if target == "table1":
         rows = TABLE1_ROWS if full_grid else TABLE1_GATED_ROWS

@@ -223,14 +223,6 @@ def test_eem_estimate_never_worse_than_naive_configuration():
         assert fit.objective_value <= naive + 1e-8
 
 
-def test_eem_update_modes_agree():
-    data = binary_z_dataset(n=300, seed=14)
-    iv = BinaryLogisticIv.fit(data, C_LIN)
-    one = eem_estimate(data, iv, C_LIN, C_LIN, update="one_step")
-    full = eem_estimate(data, iv, C_LIN, C_LIN, update="full_solve")
-    assert_allclose(one.psi_hat, full.psi_hat, rtol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # BR-gamma
 # ---------------------------------------------------------------------------
@@ -345,6 +337,33 @@ def test_table1_bundle_replicate_makes_three_binary_fits(monkeypatch):
         estimator(data)
     # the plain instrument fit, then br_gamma's two extended fits
     assert len(calls) == 3
+
+
+def test_bundle_shares_fits_per_dataset_not_per_thread(monkeypatch):
+    import lineariv.adaptive
+    import lineariv.glm
+    import lineariv.models
+    from lineariv.simlab import ScenarioConfig, generate
+    from lineariv.suites import table1_estimators
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lineariv.glm.fit_binary(*args, **kwargs)
+
+    monkeypatch.setattr(lineariv.models, "fit_binary", counting)
+    monkeypatch.setattr(lineariv.adaptive, "fit_binary", counting)
+    cfg = ScenarioConfig("table1", n=500, seed=555, reps=2, lam=(1, 1, -1))
+    a, b = generate(cfg, 0).dataset, generate(cfg, 1).dataset
+    bundle = table1_estimators()
+    first = {name: estimator(a) for name, estimator in bundle.items()}
+    for data in (b, a):
+        for estimator in bundle.values():
+            estimator(data)
+    # three fits each for A and B; returning to A reuses A's fits
+    assert len(calls) == 6
+    assert all(bundle[name](a) is first[name] for name in bundle)
 
 
 def test_br_beta_default_start_fits_plain_iv_once(monkeypatch):

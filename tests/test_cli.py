@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from lineariv import BasisSpec, ColumnMap, EffectModel, load_csv, standard_tsls
 from lineariv.cli import main
@@ -101,6 +102,36 @@ def test_fit_bootstrap_inference(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["inference"] == "bootstrap"
     assert payload["ci"]["lower"][0] < payload["psi_hat"][0] < payload["ci"]["upper"][0]
+
+
+TSLS_FLAGS = ["--y-col", "y", "--x-col", "x", "--z-cols", "z", "--cov-cols", "v",
+              "--estimator", "tsls", "--outcome-basis", "1", "c0",
+              "--instrument-basis", "z0", "z0:c0"]
+
+
+@pytest.mark.parametrize("flags, word", [
+    # zero values must not fall back to the defaults (1000 resamples, 0.95)
+    (["--resamples", "0", "--level", "0"], "resamples"),
+    (["--resamples", "50"], "resamples"),
+    (["--level", "1.5"], "level"),
+])
+def test_fit_bad_bootstrap_flags_are_usage_errors(tmp_path, capsys, flags, word):
+    csv_path = tmp_path / "d.csv"
+    run_cli(capsys, "simulate", "--generator", "table1", "--n", "100", "--seed", "3",
+            "--out", str(csv_path))
+    code, out, err = run_cli(capsys, "fit", "--data", str(csv_path), *TSLS_FLAGS,
+                             "--inference", "bootstrap", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and word in err
+
+
+def test_fit_bad_bootstrap_config_is_rejected_before_loading_data(tmp_path, capsys):
+    cfg = make_config(tmp_path, tmp_path / "missing.csv",
+                      inference={"method": "bootstrap", "resamples": 99})
+    code, _, err = run_cli(capsys, "fit", "--config", str(cfg))
+    assert code == 2
+    assert "resamples" in err and "file not found" not in err
 
 
 def test_fit_estimation_failure_exit_code(tmp_path, capsys):

@@ -138,15 +138,6 @@ def test_locally_efficient_exact_recovery():
     assert_allclose(res.beta_hat, [1.5, -0.5], atol=1e-8)
 
 
-def test_locally_efficient_one_step_equals_full_solve():
-    data = seeded_dataset(n=60, seed=5)
-    exposure = ExposureModel("identity", BasisSpec(["z0", "1", "c0"])).fit(data)
-    full = locally_efficient_y(data, exposure, CONST, C_LIN)
-    start = np.zeros(3)
-    one = locally_efficient_y(data, exposure, CONST, C_LIN, update="one_step", start=start)
-    assert_allclose(one.psi_hat, full.psi_hat, rtol=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # Centered index
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
-"""Bit-identity guard: pinned outputs of the Table 1 bundle and of IRLS.
+"""Bit-identity guard: pinned outputs of the estimator bundles and of IRLS.
 
-The values are ``float.hex`` strings recorded from the implementation before
-the nuisance fits were shared and the IRLS line search stopped recomputing the
-accepted step.  Any later speed-up must reproduce them to the last bit; a
-change that is meant to move them must say so and re-pin them.
+The values are ``float.hex`` strings.  The Table 1 and IRLS pins were
+recorded before the nuisance fits were shared and the IRLS line search
+stopped recomputing the accepted step; the binary-exposure and
+effect-modification pins were recorded before the linear estimators were
+collapsed onto one estimating-equation core.  Any later speed-up or
+refactor must reproduce them to the last bit; a change that is meant to move
+them must say so and re-pin them.
 """
 
 from lineariv.dataset import BasisSpec, build_design
 from lineariv.glm import fit_binary
 from lineariv.simlab import ScenarioConfig, gen_sim1, gen_table1, generate
-from lineariv.suites import table1_estimators
+from lineariv.suites import effectmod_estimators, sim_binary_estimators, table1_estimators
 
 # table1_estimators() on replicates 0..9 of table1 lambda=(1,1,-1), n=500, seed 555
 BUNDLE_HEX = {
@@ -75,6 +78,112 @@ BUNDLE_HEX = {
     ],
 }
 
+# sim_binary_estimators() on replicates 0..4 of sim1, n=500, seed 777
+SIM1_HEX = {
+    "tsls": [
+        "-0x1.03d4f07802a02p-1",
+        "-0x1.b076a3ddb8424p-3",
+        "-0x1.9d3bbe8a86ce5p-2",
+        "0x1.ae59b25031cf3p-1",
+        "0x1.cb05b707bf3d8p+0",
+    ],
+    "ts": [
+        "-0x1.616ba4441a281p+1",
+        "-0x1.04322a01396fep+1",
+        "-0x1.6ca59e648bdabp+0",
+        "-0x1.625b22b9cd047p-1",
+        "0x1.1ee42c6956b71p-3",
+    ],
+    "le_y_c": [
+        "-0x1.3bf8021910143p-1",
+        "-0x1.03592615ff2d8p-1",
+        "0x1.ea534afa1140bp-2",
+        "0x1.ee4c9d32ef581p-1",
+        "0x1.b1c1b0a3ae88ap+0",
+    ],
+    "le_y_m": [
+        "-0x1.8e0a23b0538e4p+1",
+        "-0x1.ef223ecede594p+0",
+        "-0x1.8709d4bf2077ep+0",
+        "-0x1.56c76f45e71fcp-1",
+        "0x1.368a8039bde8bp-3",
+    ],
+    "dr_cc": [
+        "-0x1.b4e21f7c744aep-2",
+        "-0x1.a8cf60d04619cp-2",
+        "0x1.bac34128e5890p-2",
+        "0x1.11d776b1217c5p-1",
+        "0x1.b0edd960a3e23p+0",
+    ],
+    "dr_cm": [
+        "-0x1.800670490c1bep-3",
+        "-0x1.d6e9af24908e9p-3",
+        "0x1.2f7f4f11585bap-2",
+        "0x1.7afc5fe127c81p-2",
+        "0x1.1cffd0c37d3f3p+1",
+    ],
+    "dr_mm": [
+        "-0x1.0a605eff4b9aep-1",
+        "-0x1.b09d5ee1892c5p-3",
+        "-0x1.d85752eeb6e47p-2",
+        "0x1.a166585074ed0p-1",
+        "0x1.cb0591aeda1c2p+0",
+    ],
+}
+
+# effectmod_estimators() on replicates 0..4 of effectmod, n=500, seed 20260809;
+# two components per replicate
+EFFECTMOD_HEX = {
+    "tsls_c": [
+        "0x1.5dea891a38e93p-1",
+        "0x1.0714da74310fbp+0",
+        "0x1.938a868637808p-2",
+        "0x1.c4ddda0db7d09p-1",
+        "0x1.1e04ff4c18873p-1",
+        "0x1.06dfb0fa0ff34p+0",
+        "0x1.1c4384ded6019p-1",
+        "0x1.1bbf445546b20p+0",
+        "0x1.1bea02bd7b07ep-1",
+        "0x1.2b97665b9b6f8p+0",
+    ],
+    "tsls_m": [
+        "0x1.99d2102b6de48p-1",
+        "0x1.6140bcc0d9e6ap+0",
+        "0x1.0d7b5d7bf010fp-1",
+        "0x1.1147ab037698fp+0",
+        "0x1.da0074a6f11acp-2",
+        "0x1.9e946bad221cfp-1",
+        "0x1.20937fc92fcf8p-1",
+        "0x1.03a41c2ffd546p+0",
+        "0x1.5594159ca8c1dp-1",
+        "0x1.4b74523cb9a11p+0",
+    ],
+    "ts_c": [
+        "0x1.68a0b6695886ap-3",
+        "0x1.82e2ee6ee4f34p-3",
+        "0x1.813e48728f995p-4",
+        "0x1.86dd1c964f241p-1",
+        "0x1.3141d77541e7ap-3",
+        "0x1.10b46eb7358d6p+0",
+        "-0x1.47839a072f108p-6",
+        "0x1.f551430114b93p-1",
+        "-0x1.faf069411821fp-5",
+        "0x1.9d5d6610bf76dp-1",
+    ],
+    "ts_m": [
+        "0x1.cb053d7eeceeep-4",
+        "0x1.b60f497a9867ap+0",
+        "0x1.1338c55130e75p-3",
+        "0x1.9f75ef74762a7p+0",
+        "0x1.05769133348c1p-2",
+        "0x1.dd5ac460d02d6p+0",
+        "0x1.eb084dc391575p-5",
+        "0x1.8e4107836db46p+0",
+        "0x1.aad3159ef6e84p-5",
+        "0x1.0a205d89843d4p+1",
+    ],
+}
+
 # logistic fit of z on (1, c0, c0^2), table1 lambda=(1,1,-1), n=400, seed [31, 4]
 LOGIT_HEX = {
     "coefficients": [
@@ -128,6 +237,25 @@ def test_table1_bundle_bit_identical():
         for name, estimator in bundle.items():
             got[name].extend(_hex(estimator(data)))
     assert got == BUNDLE_HEX
+
+
+def _bundle_hex(cfg, bundle):
+    got = {name: [] for name in bundle}
+    for i in range(cfg.reps):
+        data = generate(cfg, i).dataset
+        for name, estimator in bundle.items():
+            got[name].extend(_hex(estimator(data)))
+    return got
+
+
+def test_sim_binary_bundle_bit_identical():
+    cfg = ScenarioConfig("sim1", n=500, seed=777, reps=5)
+    assert _bundle_hex(cfg, sim_binary_estimators()) == SIM1_HEX
+
+
+def test_effectmod_bundle_bit_identical():
+    cfg = ScenarioConfig("effectmod", n=500, seed=20260809, reps=5)
+    assert _bundle_hex(cfg, effectmod_estimators()) == EFFECTMOD_HEX
 
 
 def _fit_hex(fit):

@@ -22,9 +22,18 @@ from lineariv import (
 )
 from lineariv.dataset import ColumnMap
 from lineariv.glm import fit_binary, fit_ols
-from lineariv.simlab import ScenarioConfig, report_rows
+from lineariv.simlab import ScenarioConfig, report_rows, simulate
 
 BIG_N = 100_000
+
+
+def test_simulate_is_the_generator_dispatch_of_generate():
+    cfg = ScenarioConfig("extreme", n=60, seed=8, reps=2, lam=(1, -1, 0))
+    direct = simulate("extreme", 60, [8, 1], (1, -1, 0)).dataset
+    assert_array_equal(generate(cfg, 1).dataset.y, direct.y)
+    assert_array_equal(simulate("sim2", 60, 4).dataset.x, gen_sim2(60, 4).dataset.x)
+    with pytest.raises(SchemaError, match="unknown generator"):
+        simulate("sim3", 60, 4)
 
 
 def test_generators_bit_deterministic():
