@@ -112,11 +112,17 @@ def _emit_json(payload: dict, out: str | None) -> None:
 # fit
 # ---------------------------------------------------------------------------
 
+def _object(value, where: str):
+    if not isinstance(value, dict):
+        raise SchemaError(f"config {where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _load_run_config(args) -> dict:
     config: dict = {}
     if args.config:
         try:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            config = _object(json.loads(Path(args.config).read_text(encoding="utf-8")), "document")
         except (OSError, json.JSONDecodeError) as err:
             raise SchemaError(f"cannot read config {args.config}: {err}") from None
 
@@ -125,10 +131,10 @@ def _load_run_config(args) -> dict:
             config[key] = value
 
     put("estimator", args.estimator)
-    data_cfg = config.setdefault("data", {})
+    data_cfg = _object(config.setdefault("data", {}), "'data'")
     if args.data:
         data_cfg["path"] = args.data
-    cols = data_cfg.setdefault("columns", {})
+    cols = _object(data_cfg.setdefault("columns", {}), "'data.columns'")
     if args.y_col:
         cols["y"] = args.y_col
     if args.x_col:
@@ -137,7 +143,7 @@ def _load_run_config(args) -> dict:
         cols["z"] = args.z_cols
     if args.cov_cols is not None:
         cols["covariates"] = args.cov_cols
-    bases = config.setdefault("bases", {})
+    bases = _object(config.setdefault("bases", {}), "'bases'")
     for key, flag in (("outcome", args.outcome_basis), ("exposure", args.exposure_basis),
                       ("index", args.index_basis), ("iv", args.iv_basis),
                       ("instruments", args.instrument_basis)):
@@ -147,9 +153,10 @@ def _load_run_config(args) -> dict:
         config["effect"] = {"form": args.effect}
         if args.effect_basis:
             config["effect"]["basis"] = args.effect_basis
+    _object(config.get("effect", {}), "'effect'")
     put("exposure_link", args.exposure_link)
     put("iv_kind", args.iv_kind)
-    inference = config.setdefault("inference", {})
+    inference = _object(config.setdefault("inference", {}), "'inference'")
     if args.inference:
         inference["method"] = args.inference
     if args.resamples is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import itemgetter
@@ -371,6 +372,50 @@ def _parse_block(cells: list[tuple[str, ...]], rows: list[int], names: tuple[str
                      for row, i in zip(cells, rows)], dtype=float)
 
 
+def _load_clean(fh, n_fields: int, cols: list[int]) -> np.ndarray | None:
+    """Columns ``cols`` of the rest of ``fh``, parsed by numpy's C reader;
+    ``None`` if it raised or warned, or gave no rows, or anything but
+    ``n_fields`` finite values a row.  No ``usecols``: with it, ragged rows pass."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            block = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, dtype=float, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    if block.shape[0] and block.shape[1] == n_fields and np.isfinite(block).all():
+        return block[:, cols]
+    return None
+
+
+def _parse_rows(reader, path: Path, n_fields: int, cols: list[int], names) -> np.ndarray:
+    """Columns ``cols`` of the data rows of ``reader``; the first fault raises."""
+    select = itemgetter(*cols)
+    blocks: list[np.ndarray] = []
+    cells: list[tuple[str, ...]] = []
+    rows: list[int] = []
+
+    def flush() -> None:
+        if cells:
+            blocks.append(_parse_block(cells, rows, names))
+            cells.clear()
+            rows.clear()
+
+    for i, row in enumerate(reader, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != n_fields:
+            flush()
+            raise ParseError(f"{path}: data row {i} has {len(row)} fields, expected {n_fields}")
+        cells.append(select(row))
+        rows.append(i)
+        if len(cells) == _BLOCK_ROWS:
+            flush()
+    flush()
+    if not blocks:
+        raise SchemaError(f"{path}: no data rows")
+    return np.concatenate(blocks)
+
+
 def load_csv(path, columns: ColumnMap) -> Dataset:
     """Read an RFC-4180 style CSV (header row required) into a Dataset.
 
@@ -387,21 +432,17 @@ def load_csv(path, columns: ColumnMap) -> Dataset:
     (``nan``, ``inf``, or values that overflow) raise :class:`ParseError`, as
     does a row with the wrong number of fields.  When a file has several
     faults, the first one in file order is reported.
+
+    A file whose every data field is a finite ASCII number (all
+    :func:`write_csv` output) is parsed by numpy's C reader, which converts
+    like ``float``.  Any other (a fault, ``1_0``, non-ASCII digits, a
+    whitespace-only line, a text column) is re-read by the ``csv.reader``
+    loop, which alone reports faults, with the messages and row numbers above.
     """
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"file not found: {path}")
     names = (columns.y, columns.x, *columns.z, *columns.covariates)
-    blocks: list[np.ndarray] = []
-    cells: list[tuple[str, ...]] = []
-    rows: list[int] = []
-
-    def flush() -> None:
-        if cells:
-            blocks.append(_parse_block(cells, rows, names))
-            cells.clear()
-            rows.clear()
-
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -412,21 +453,12 @@ def load_csv(path, columns: ColumnMap) -> Dataset:
         for name in names:
             if name not in header:
                 raise SchemaError(f"{path}: required column {name!r} not found in header {header}")
-        select = itemgetter(*(header.index(name) for name in names))
-        for i, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                flush()
-                raise ParseError(f"{path}: data row {i} has {len(row)} fields, expected {len(header)}")
-            cells.append(select(row))
-            rows.append(i)
-            if len(cells) == _BLOCK_ROWS:
-                flush()
-        flush()
-    if not blocks:
-        raise SchemaError(f"{path}: no data rows")
-    arr = np.concatenate(blocks)
+        cols = [header.index(name) for name in names]
+        arr = _load_clean(fh, len(header), cols)
+        if arr is None:
+            fh.seek(0)
+            next(reader)
+            arr = _parse_rows(reader, path, len(header), cols, names)
     nz = len(columns.z)
     return Dataset(
         y=arr[:, 0],

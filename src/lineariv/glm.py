@@ -132,21 +132,18 @@ class BinaryFit:
 
     def predict(self, design: np.ndarray) -> np.ndarray:
         """Success probabilities, kept strictly inside (0, 1)."""
-        mu = _link_mean(self.link, np.asarray(design, dtype=float) @ self.coefficients)
+        mu = _mean_function(self.link)(np.asarray(design, dtype=float) @ self.coefficients)
         return np.clip(mu, 5e-324, 1.0 - 1e-16)
 
 
-def _link_mean(link: str, eta: np.ndarray) -> np.ndarray:
-    if link == "logit":
-        return _expit(eta)
-    if link == "probit":
-        return _ndtr(eta)
-    raise ValueError(f"unknown link {link!r}")
+_LINK_MEANS = {"logit": _expit, "probit": _ndtr}
 
 
-def _loglik(y: np.ndarray, mu: np.ndarray) -> float:
-    muc = np.clip(mu, PROB_CLIP, 1.0 - PROB_CLIP)
-    return float(np.sum(y * np.log(muc) + (1.0 - y) * np.log1p(-muc)))
+def _mean_function(link: str):
+    try:
+        return _LINK_MEANS[link]
+    except KeyError:
+        raise ValueError(f"unknown link {link!r}") from None
 
 
 def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit",
@@ -173,21 +170,28 @@ def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit",
     if ones_cols.size:
         beta[ones_cols[0]] = np.log(m / (1 - m)) if link == "logit" else float(_ndtri(m))
 
-    def score_and_weights(eta, mu):
+    mean = _mean_function(link)
+    one_minus_y = 1.0 - y
+
+    def evaluate(b):
+        # eta, mu, clipped mu and log-likelihood at coefficients b
+        eta = design @ b
+        mu = mean(eta)
+        muc = np.minimum(np.maximum(mu, PROB_CLIP), 1.0 - PROB_CLIP)
+        return eta, mu, muc, float(np.sum(y * np.log(muc) + one_minus_y * np.log1p(-muc)))
+
+    def score_and_weights(eta, mu, muc):
         # likelihood score X'adj and Fisher weights per link; for the logit
         # (canonical) link adj is the raw residual y - mu
-        muc = np.clip(mu, PROB_CLIP, 1.0 - PROB_CLIP)
         if link == "logit":
             return y - mu, muc * (1.0 - muc)
         phi = np.exp(-0.5 * eta * eta) / np.sqrt(2.0 * np.pi)
         ratio = phi / (muc * (1.0 - muc))
         return (y - mu) * ratio, phi * ratio
 
-    eta = design @ beta
-    mu = _link_mean(link, eta)
-    ll = _loglik(y, mu)
+    eta, mu, muc, ll = evaluate(beta)
     trace = [ll]
-    adj, working_w = score_and_weights(eta, mu)
+    adj, working_w = score_and_weights(eta, mu, muc)
     score_vec = design.T @ adj
     score_norm = float(np.max(np.abs(score_vec)))
     iterations = 0
@@ -208,26 +212,22 @@ def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit",
                 f"fit_binary: weighted design is rank deficient (condition {cond:.3e})",
                 condition=cond,
             ) from None
-        # step-halving: the accepted candidate's eta, mu and log-likelihood
-        # are kept; only when all 40 halvings fail is the final (untried)
-        # step length evaluated afresh
+        # step-halving: the accepted candidate's eta, mu, clipped mu and
+        # log-likelihood are kept; only when all 40 halvings fail is the final
+        # (untried) step length evaluated afresh
         t = 1.0
         for _ in range(40):
             beta_c = beta + t * step
-            eta_c = design @ beta_c
-            mu_c = _link_mean(link, eta_c)
-            ll_c = _loglik(y, mu_c)
+            eta_c, mu_c, muc_c, ll_c = evaluate(beta_c)
             if ll_c >= ll - 1e-10:
-                beta, eta, mu, ll = beta_c, eta_c, mu_c, ll_c
+                beta, eta, mu, muc, ll = beta_c, eta_c, mu_c, muc_c, ll_c
                 break
             t *= 0.5
         else:
             beta = beta + t * step
-            eta = design @ beta
-            mu = _link_mean(link, eta)
-            ll = _loglik(y, mu)
+            eta, mu, muc, ll = evaluate(beta)
         trace.append(ll)
-        adj, working_w = score_and_weights(eta, mu)
+        adj, working_w = score_and_weights(eta, mu, muc)
         score_vec = design.T @ adj
         score_norm = float(np.max(np.abs(score_vec)))
 

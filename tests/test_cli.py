@@ -134,6 +134,22 @@ def test_fit_bad_bootstrap_config_is_rejected_before_loading_data(tmp_path, caps
     assert "resamples" in err and "file not found" not in err
 
 
+@pytest.mark.parametrize("document, message", [
+    ({"inference": "bootstrap"}, "config 'inference' must be a JSON object, got str"),
+    ({"data": "x.csv"}, "config 'data' must be a JSON object, got str"),
+    ({"data": {"path": "x.csv", "columns": ["y", "x"]}},
+     "config 'data.columns' must be a JSON object, got list"),
+    ({"bases": ["1"]}, "config 'bases' must be a JSON object, got list"),
+    ({"effect": 3}, "config 'effect' must be a JSON object, got int"),
+    ([1, 2], "config document must be a JSON object, got list"),
+])
+def test_fit_config_sections_must_be_objects(tmp_path, capsys, document, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "fit", "--config", str(cfg), "--estimator", "tsls")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_fit_estimation_failure_exit_code(tmp_path, capsys):
     # constant instrument column: the first stage is rank deficient
     csv_path = tmp_path / "bad.csv"

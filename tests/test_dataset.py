@@ -4,7 +4,9 @@ import csv
 
 import sys
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from lineariv import (
     parse_term,
     write_csv,
 )
+from lineariv import dataset
 from lineariv.dataset import InstrumentByTerm, Intercept, Power, Product, Raw
 
 
@@ -346,11 +349,152 @@ def _hex(data: Dataset) -> list[list[str]]:
                  np.empty((2, 0))))
 @example(Dataset([-0.0], [-5e-324], [[1.7976931348623157e308, 0.1, -0.0]], [[-1.7e308, 1e-310]]))
 def test_csv_round_trip_is_bit_exact(data):
+    back = _write_and_load(data)
+    assert back.z.shape == data.z.shape and back.c_raw.shape == data.c_raw.shape
+    assert _hex(back) == _hex(data)
+
+
+def _write_and_load(data: Dataset) -> Dataset:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rt.csv"
         write_csv(data, path)
         z_names = ["z"] if data.n_instruments == 1 else [f"z{j}" for j in range(data.n_instruments)]
         c_names = ["v"] if data.n_covariates == 1 else [f"v{j}" for j in range(data.n_covariates)]
-        back = load_csv(path, ColumnMap("y", "x", z_names, c_names))
+        return load_csv(path, ColumnMap("y", "x", z_names, c_names))
+
+
+# ---------------------------------------------------------------------------
+# load_csv: numpy's C reader and the csv.reader loop give the same result
+# ---------------------------------------------------------------------------
+
+COLS4 = ColumnMap("y", "x", ["z"], ["v"])
+_H = "y,x,z,v\n"
+
+
+def _rows(count: int, first: int = 1) -> str:
+    return "".join(f"{i},{i / 7!r},{i % 2},{-i * 1e-3!r}\n" for i in range(first, first + count))
+
+
+def _at_row_20000(cell: str) -> str:
+    return _H + _rows(19_999) + f"20000,{cell},0,1\n"
+
+
+# name -> (file contents, whether numpy's C reader takes the file)
+CSV_CORPUS = {
+    "clean": (_H + _rows(50), True),
+    "quoted cells": (_H + '"1"," 2.5 ",0,"7"\n2,-3,"1",8\n', True),
+    "doubled quote": (_H + '"1""",2.5,0,7\n', False),
+    "doubled quote, unselected": ('y,x,z,v,note\n1,2.5,0,7,"a""b"\n', False),
+    "quote after a space": (_H + '1, "2.5",0,7\n', False),
+    "quoted comma": (_H + '1,"2,5",0,7\n', False),
+    "quoted comma, unselected": ('y,x,z,v,note\n1,2.5,0,7,"a,b"\n', False),
+    "text after a closing quote": (_H + '"1"2,2.5,0,7\n', True),
+    "unterminated quote": (_H + '1,2.5,0,"7', True),
+    "crlf": ((_H + _rows(5)).replace("\n", "\r\n"), True),
+    "cr only": ((_H + _rows(5)).replace("\n", "\r"), True),
+    "byte-order mark": ("\ufeff" + _H + _rows(5), True),
+    "quoted newline in header": ('y,"x\n",z,"\nv"\n' + _rows(5), True),
+    "quoted newline in cell": (_H + '1,"2.5\n",0,7\n2,3,1,"\r8"\n', True),
+    "extra numeric column": ("v,w,z,x,y\n1,2,3,4,5\n6,7,8,9,10\n", True),
+    "duplicate column name": ("y,x,z,v,y\n1,2.5,0,7,9\n", True),
+    "id string column": ("id,y,x,z,v\na1,1,2,0,3\nb2,4,5,1,6\n", False),
+    "non-finite unselected column": ("y,x,z,v,w\n1,2.5,0,7,nan\n", False),
+    "trailing comma": ("y,x,z,v,\n1,2.5,0,7,\n", False),
+    "blank lines": (_H + "\n" + _rows(3) + "\n\r\n" + _rows(2, 4) + "\n", True),
+    "whitespace-only lines": (_H + _rows(3) + "  \t\n" + _rows(2, 4), False),
+    "quoted empty line": (_H + _rows(3) + '""\n' + _rows(2, 4), False),
+    "underscore": (_H + "1_0,2.5,0,7\n", False),
+    "subnormals": (_H + "5e-324,-4.9e-324,2.2250738585072009e-308,-1e-320\n", True),
+    "long mantissas": (_H + "0.1000000000000000055511151231257827021181583404541015625,"
+                       "9007199254740993,1.00000000000000011102230246251565404236316680908203125,"
+                       "123456789012345678901234567890.123456789e-5\n", True),
+    "signs and dots": (_H + "+1,-0,.5,5.\n", True),
+    "unicode whitespace": (_H + "\x1c1\x1f,\xa02.5\u2003,\t0 ,\x0b7\x0c\n", True),
+    "non-ascii digits": (_H + "\u0661,2.5,0,\uff17\n", False),
+    "nul in cell": (_H + "1\x00,2.5,0,7\n", False),
+    "hexadecimal": (_H + "0x10,2.5,0,7\n", False),
+    "empty cell": (_H + "1,,0,7\n", False),
+    "nan at row 1": (_H + "nan,2.5,0,7\n" + _rows(3, 2), False),
+    "inf at row 1": (_H + "1,-inf,0,7\n" + _rows(3, 2), False),
+    "1e400 at row 1": (_H + "1,2.5,0,1e400\n" + _rows(3, 2), False),
+    "nan at row 20000": (_at_row_20000("nan"), False),
+    "inf at row 20000": (_at_row_20000("inf"), False),
+    "1e400 at row 20000": (_at_row_20000("1e400"), False),
+    "longer row": (_H + _rows(3) + "4,1,0,1,5\n" + _rows(2, 5), False),
+    "shorter row": (_H + _rows(3) + "4,1,0\n" + _rows(2, 5), False),
+    "uniform extra field": (_H + _rows(4).replace("\n", ",9\n"), False),
+    "header only": (_H, False),
+    "blank-only body": (_H + "\n\r\n\n", False),
+    "empty file": ("", False),
+    "invalid utf-8": ((_H + _rows(3)).encode() + b"4,\xff,0,1\n", False),
+}
+
+
+def _load_outcome(path: Path):
+    """The arrays of ``load_csv(path)`` as (shape, bytes), or (class, text) of its error."""
+    try:
+        data = load_csv(path, COLS4)
+    except Exception as err:  # every error class must match, not only InputError
+        return type(err), str(err)
+    return [(a.shape, a.tobytes()) for a in (data.y, data.x, data.z, data.c_raw)]
+
+
+@pytest.mark.parametrize("name", list(CSV_CORPUS))
+def test_c_reader_and_csv_loop_agree(tmp_path, monkeypatch, name):
+    contents, clean = CSV_CORPUS[name]
+    path = tmp_path / "d.csv"
+    path.write_bytes(contents if isinstance(contents, bytes) else contents.encode("utf-8"))
+    taken = []
+    load_clean = dataset._load_clean
+
+    def spy(*args):
+        taken.append(load_clean(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(dataset, "_load_clean", spy)
+    outcome = _load_outcome(path)
+    assert any(block is not None for block in taken) == clean
+    monkeypatch.setattr(dataset, "_load_clean", lambda *args: None)
+    assert _load_outcome(path) == outcome
+
+
+def test_c_reader_ignores_the_csv_field_size_limit(tmp_path, monkeypatch):
+    # the one known difference: csv.reader refuses a field over
+    # csv.field_size_limit() characters, numpy's C reader does not
+    path = tmp_path / "d.csv"
+    path.write_text(_H + "0" * (csv.field_size_limit() + 1) + "1,2,0,7\n")
+    assert load_csv(path, COLS4).y.tolist() == [1.0]
+    monkeypatch.setattr(dataset, "_load_clean", lambda *args: None)
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        load_csv(path, COLS4)
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])
+def test_load_csv_header_only_raises_without_warning(tmp_path, body):
+    path = tmp_path / "d.csv"
+    path.write_text("y,x,z\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match=r"no data rows$"):
+            load_csv(path, COLS3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_datasets())
+@example(Dataset([-0.0, 5e-324], [1.7e308, -1.7e308], [2.2250738585072014e-308, -1e-320],
+                 np.empty((2, 0))))
+def test_write_csv_output_never_reaches_csv_loop(data):
+    fallback = AssertionError("write_csv output reached the csv.reader loop")
+    with mock.patch.object(dataset, "_parse_rows", side_effect=fallback):
+        back = _write_and_load(data)
+    assert _hex(back) == _hex(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_datasets())
+@example(Dataset([-0.0], [-5e-324], [[1.7976931348623157e308, 0.1, -0.0]], [[-1.7e308, 1e-310]]))
+def test_csv_round_trip_through_csv_loop_is_bit_exact(data):
+    with mock.patch.object(dataset, "_load_clean", return_value=None):
+        back = _write_and_load(data)
     assert back.z.shape == data.z.shape and back.c_raw.shape == data.c_raw.shape
     assert _hex(back) == _hex(data)
