@@ -6,8 +6,8 @@ Monte Carlo grids; ``replicate`` runs the pinned benchmark configurations and
 checks their tolerance gates.
 
 Exit codes: 0 ok, 2 usage/config error, 3 estimation failure, 4 tolerance
-failure.  All outputs are byte-deterministic given identical flags and seed,
-independent of the thread count.
+failure.  All outputs are byte-deterministic given identical flags and seed;
+``--threads`` is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -440,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--reps", type=int, default=1000)
     bench.add_argument("--n", type=int, default=500)
     bench.add_argument("--seed", type=int, default=20260809)
-    bench.add_argument("--threads", type=int, default=1)
+    bench.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; replicates run serially")
     bench.add_argument("--out")
     bench.add_argument("--out-json")
     bench.set_defaults(func=cmd_benchmark)
@@ -449,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     repl.add_argument("target", choices=sorted(REPLICATE_TARGETS))
     repl.add_argument("--reps", type=int)
     repl.add_argument("--seed", type=int)
-    repl.add_argument("--threads", type=int, default=1)
+    repl.add_argument("--threads", type=int, default=1,
+                      help="accepted for compatibility; replicates run serially")
     repl.add_argument("--full-grid", action="store_true",
                       help="table1: run all 19 rows, not only the gated ones")
     repl.add_argument("--out-dir")

@@ -10,9 +10,12 @@ intercept is never implicit: a basis that wants one must list the ``1`` term.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import itemgetter
@@ -21,7 +24,7 @@ from typing import Callable, Hashable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, TermSpecError
+from .errors import InputError, ParseError, SchemaError, TermSpecError
 
 __all__ = [
     "Dataset",
@@ -163,16 +166,16 @@ def _as_locked_array(a, name: str, ndim: int) -> np.ndarray:
 class Dataset:
     """Columnar observations: outcome y, exposure x, instruments z, covariates.
 
-    All arrays are validated to be finite and are frozen after construction,
-    so a Dataset can be shared freely across threads.
+    All arrays are validated to be finite and are frozen after construction.
 
     Each instance also memoises values computed from it (:meth:`memo`): the
     designs of :func:`build_design`, keyed by :class:`BasisSpec`, and the
-    nuisance fits an estimator bundle shares, keyed by the bundle.  The memo
-    keeps the thread-safety claim: a memoised value is a pure function of the
-    frozen data and its key, so threads racing on a key store equal values,
-    and designs are read-only so no caller can alter what another sees.
-    ``take`` and ``with_z`` build new instances with empty memos.
+    estimates and nuisance fits of an estimator bundle, keyed by the bundle.
+    A memoised value is a pure function of the frozen data and its key, and
+    designs are read-only, so no caller can alter what another sees.
+    Datasets can be linked into a chunk (:meth:`link`) whose memo entries a
+    bundle fills together.  ``take`` and ``with_z`` build new, unlinked
+    instances with empty memos.
 
     Equality and hashing are by identity, like the memo: two
     datasets with equal contents are distinct objects.  Compare the arrays
@@ -184,6 +187,7 @@ class Dataset:
     z: np.ndarray
     c_raw: np.ndarray
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _chunk: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "y", _as_locked_array(self.y, "y", 1))
@@ -211,13 +215,36 @@ class Dataset:
     def n_covariates(self) -> int:
         return self.c_raw.shape[1]
 
-    def memo(self, key: Hashable, compute: Callable[["Dataset"], object]):
+    def memo(self, key: Hashable, compute: Callable[["Dataset"], object],
+             compute_chunk: Callable[[list], list] | None = None):
         """``compute(self)``, kept under ``key``; ``compute`` must be a pure
-        function of the dataset.  A call that raises stores nothing."""
+        function of the dataset.  A call that raises stores nothing.
+
+        With ``compute_chunk``, a miss fills ``key`` for every dataset of this
+        one's chunk (:meth:`link`; an unlinked dataset is a chunk of one)
+        that lacks it, with one call ``compute_chunk(datasets)``.  It returns
+        one value per dataset, equal to what ``compute`` returns, or ``None``
+        for a dataset it leaves to ``compute``.
+        """
         try:
             return self._memo[key]
         except KeyError:
+            pass
+        if compute_chunk is None:
             return self._memo.setdefault(key, compute(self))
+        chunk = [ds for ds in (ref() for ref in self._chunk) if ds is not None] or [self]
+        pending = [ds for ds in chunk if key not in ds._memo]
+        for ds, value in zip(pending, compute_chunk(pending)):
+            ds._memo[key] = compute(ds) if value is None else value
+        return self._memo[key]
+
+    @staticmethod
+    def link(datasets: Sequence["Dataset"]) -> None:
+        """Make ``datasets`` one chunk for :meth:`memo`.  The chunk holds weak
+        references, so linking keeps no dataset alive."""
+        chunk = tuple(weakref.ref(ds) for ds in datasets)
+        for ds in datasets:
+            object.__setattr__(ds, "_chunk", chunk)
 
     def with_z(self, z_new) -> "Dataset":
         """Copy of the dataset with the instrument block replaced.
@@ -388,9 +415,10 @@ def _load_clean(fh, n_fields: int, cols: list[int]) -> np.ndarray | None:
 
 
 def _parse_rows(reader, path: Path, n_fields: int, cols: list[int], names) -> np.ndarray:
-    """Columns ``cols`` of the data rows of ``reader``; the first fault raises."""
+    """Columns ``cols`` of the data rows of ``reader`` (possibly none); the
+    first fault raises, a row the reader rejects (``csv.Error``) included."""
     select = itemgetter(*cols)
-    blocks: list[np.ndarray] = []
+    blocks: list[np.ndarray] = [np.empty((0, len(cols)))]
     cells: list[tuple[str, ...]] = []
     rows: list[int] = []
 
@@ -400,20 +428,71 @@ def _parse_rows(reader, path: Path, n_fields: int, cols: list[int], names) -> np
             cells.clear()
             rows.clear()
 
-    for i, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != n_fields:
-            flush()
-            raise ParseError(f"{path}: data row {i} has {len(row)} fields, expected {n_fields}")
-        cells.append(select(row))
-        rows.append(i)
-        if len(cells) == _BLOCK_ROWS:
-            flush()
+    i = 0
+    try:
+        for i, row in enumerate(reader, start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != n_fields:
+                flush()
+                raise ParseError(f"{path}: data row {i} has {len(row)} fields, expected {n_fields}")
+            cells.append(select(row))
+            rows.append(i)
+            if len(cells) == _BLOCK_ROWS:
+                flush()
+    except csv.Error as err:
+        flush()
+        raise ParseError(f"{path}: data row {i + 1}: {err}") from None
     flush()
-    if not blocks:
-        raise SchemaError(f"{path}: no data rows")
     return np.concatenate(blocks)
+
+
+def _columns(reader, path: Path, names: tuple[str, ...]) -> tuple[int, list[int]]:
+    """Reads the header row: (fields a row, indices of the columns ``names``)."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: file is empty, expected a header row") from None
+    except csv.Error as err:
+        raise ParseError(f"{path}: header row: {err}") from None
+    header = [h.strip() for h in header]
+    for name in names:
+        if name not in header:
+            raise SchemaError(f"{path}: required column {name!r} not found in header {header}")
+    return len(header), [header.index(name) for name in names]
+
+
+def _read_table(fh, path: Path, names: tuple[str, ...]) -> np.ndarray:
+    """The columns ``names`` of the CSV text ``fh``, in that order (possibly no rows)."""
+    reader = csv.reader(fh)
+    n_fields, cols = _columns(reader, path, names)
+    arr = _load_clean(fh, n_fields, cols)
+    if arr is None:
+        fh.seek(0)
+        next(reader)
+        arr = _parse_rows(reader, path, n_fields, cols, names)
+    return arr
+
+
+def _undecodable(path: Path, names: tuple[str, ...]) -> InputError:
+    """The first fault in file order of a file that is not valid UTF-8: a
+    fault of the lines before its first undecodable line, or that line."""
+    lines = path.read_bytes().removeprefix(codecs.BOM_UTF8).splitlines(keepends=True)
+    for bad, line in enumerate(lines):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            break
+    else:
+        return ParseError(f"{path}: file is not valid UTF-8")
+    if bad == 0:
+        return ParseError(f"{path}: header row is not valid UTF-8")
+    reader = csv.reader(io.StringIO(b"".join(lines[:bad]).decode("utf-8"), newline=""))
+    try:
+        _parse_rows(reader, path, *_columns(reader, path, names), names)
+    except InputError as err:
+        return err
+    return ParseError(f"{path}: data row {bad} is not valid UTF-8")
 
 
 def load_csv(path, columns: ColumnMap) -> Dataset:
@@ -430,8 +509,10 @@ def load_csv(path, columns: ColumnMap) -> Dataset:
     quoted and surrounded by whitespace: ``" 1.5 "``, ``"3"``, ``1e-3`` and
     ``1_0`` are all accepted.  Empty, unparseable and non-finite cells
     (``nan``, ``inf``, or values that overflow) raise :class:`ParseError`, as
-    does a row with the wrong number of fields.  When a file has several
-    faults, the first one in file order is reported.
+    does a row with the wrong number of fields, a line that is not valid
+    UTF-8 and a row the ``csv`` module rejects (such as a field longer than
+    ``csv.field_size_limit()``).  When a file has several faults, the first
+    one in file order is reported.
 
     A file whose every data field is a finite ASCII number (all
     :func:`write_csv` output) is parsed by numpy's C reader, which converts
@@ -443,22 +524,13 @@ def load_csv(path, columns: ColumnMap) -> Dataset:
     if not path.exists():
         raise SchemaError(f"file not found: {path}")
     names = (columns.y, columns.x, *columns.z, *columns.covariates)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty, expected a header row") from None
-        header = [h.strip() for h in header]
-        for name in names:
-            if name not in header:
-                raise SchemaError(f"{path}: required column {name!r} not found in header {header}")
-        cols = [header.index(name) for name in names]
-        arr = _load_clean(fh, len(header), cols)
-        if arr is None:
-            fh.seek(0)
-            next(reader)
-            arr = _parse_rows(reader, path, len(header), cols, names)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            arr = _read_table(fh, path, names)
+    except UnicodeDecodeError:
+        raise _undecodable(path, names) from None
+    if not len(arr):
+        raise SchemaError(f"{path}: no data rows")
     nz = len(columns.z)
     return Dataset(
         y=arr[:, 0],

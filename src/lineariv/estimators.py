@@ -74,24 +74,42 @@ def _solve_ee(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
 
     Raises :class:`WeakIdentificationError` when index'regressors is
     degenerate against :func:`_moment_scale` or ill-conditioned.
+
+    The arrays may carry a leading batch axis -- index and regressors
+    (B, n, k), response (B, n) -- and then theta is (B, k) and condition
+    (B,): every member is checked and solved as in its own 2-D call, and a
+    member that call would raise for gets a NaN row instead, so it fails
+    no other member.  A 2-D call is a batch of one.
     """
-    system = index.T @ regressors
-    scale = _moment_scale(index, regressors, index.shape[0])
+    batch = index.ndim == 3
+    if not batch:
+        index, regressors, response = index[None], regressors[None], response[None]
+    system = index.mT @ regressors
+    scale = _moment_scale(index, regressors, index.shape[1])
     s = np.linalg.svd(system, compute_uv=False)
-    smin, smax = float(s[-1]), float(s[0])
-    cond = smax / smin if smin > 0 else np.inf
-    if smin <= 1e-10 * max(scale, 1e-300):
-        raise WeakIdentificationError(
-            f"{what}: estimating-equation denominator is degenerate "
-            f"(smallest singular value {smin:.3e} against scale {scale:.3e})",
-            condition=cond,
-        )
-    if cond > WEAK_ID_CONDITION:
-        raise WeakIdentificationError(
-            f"{what}: denominator condition number {cond:.3e} exceeds {WEAK_ID_CONDITION:.0e}",
-            condition=cond,
-        )
-    return np.linalg.solve(system, index.T @ response), cond
+    smin, smax = s[:, -1].tolist(), s[:, 0].tolist()
+    cond = [hi / lo if lo > 0 else np.inf for lo, hi in zip(smin, smax)]
+    degenerate = [lo <= 1e-10 * max(sc, 1e-300) for lo, sc in zip(smin, scale)]
+    if not batch:
+        if degenerate[0]:
+            raise WeakIdentificationError(
+                f"{what}: estimating-equation denominator is degenerate "
+                f"(smallest singular value {smin[0]:.3e} against scale {scale[0]:.3e})",
+                condition=cond[0],
+            )
+        if cond[0] > WEAK_ID_CONDITION:
+            raise WeakIdentificationError(
+                f"{what}: denominator condition number {cond[0]:.3e} exceeds {WEAK_ID_CONDITION:.0e}",
+                condition=cond[0],
+            )
+    failed = [d or c > WEAK_ID_CONDITION for d, c in zip(degenerate, cond)]
+    if any(failed):
+        system[failed] = np.eye(system.shape[-1])
+    theta = np.linalg.solve(system, np.vecmat(response, index)[..., None])[..., 0]
+    if not batch:
+        return theta[0], cond[0]
+    theta[failed] = np.nan
+    return theta, np.array(cond)
 
 
 def _ee_result(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
@@ -362,10 +380,16 @@ def efficient_index(data: Dataset, exposure: ExposureModel, iv: IvModel,
                        linear_in_z=exposure.is_linear_in_z())
 
 
-def _moment_scale(left: np.ndarray, right: np.ndarray, n: int) -> float:
-    # The ||right||^2 floor makes an (effectively) zero index register as
-    # degenerate no matter how the cancellation scale ||left||*||right||
-    # shrinks with it; the estimating equation is homogeneous in the index,
-    # so any sanely scaled index sits far above both references.
-    right_norm = float(np.linalg.norm(right))
-    return max(float(np.linalg.norm(left)) * right_norm, right_norm**2) / n
+def _moment_scale(left: np.ndarray, right: np.ndarray, n: int) -> list[float]:
+    # Per member of (B, n, k) stacks.  The ||right||^2 floor makes an
+    # (effectively) zero index register as degenerate no matter how the
+    # cancellation scale ||left||*||right|| shrinks with it; the estimating
+    # equation is homogeneous in the index, so any sanely scaled index sits far
+    # above both references.  Each norm is sqrt(a.a) over the member in C
+    # order, as np.linalg.norm takes it.
+    def norms(a):
+        flat = a.reshape(len(a), -1)
+        return np.sqrt(np.vecdot(flat, flat)).tolist()
+
+    return [max(left_norm * right_norm, right_norm**2) / n
+            for left_norm, right_norm in zip(norms(left), norms(right))]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,12 +38,17 @@ __all__ = [
     "simulate",
     "generate",
     "run_monte_carlo",
+    "chunk_size",
     "report_rows",
     "write_report_csv",
     "write_report_json",
 ]
 
 OUTLIER_IQR_MULTIPLIER = 50.0
+# Working-set cap of one chunk of replicates (see run_monte_carlo): 8
+# replicates at n=500, 1 at n=8000.
+CHUNK_BYTES = 2_000_000
+ROW_BYTES = 480
 GENERATORS = ("sim1", "sim2", "effectmod", "table1", "extreme")
 
 
@@ -208,6 +212,12 @@ class MonteCarloReport:
     estimates: dict[str, np.ndarray]   # (reps, k), NaN rows = failed replicates
 
 
+def chunk_size(n: int) -> int:
+    """Replicates of ``n`` rows per chunk: as many as fit in CHUNK_BYTES of the
+    stacked bundle's working set, about ROW_BYTES a row, and at least one."""
+    return max(1, CHUNK_BYTES // (ROW_BYTES * n))
+
+
 def _severe_outliers(values: np.ndarray) -> np.ndarray:
     """Componentwise severity rule: |v - median| > 50 * IQR (any component)."""
     med = np.median(values, axis=0)
@@ -225,8 +235,15 @@ def run_monte_carlo(config: ScenarioConfig,
     vector.  Estimation errors and non-finite results count as failed
     replicates (reported, excluded from the moments); the severity rule then
     removes extreme outliers from the retained ones.  Inserting or removing
-    estimators never changes the data, and the report is invariant to the
-    thread count.
+    estimators never changes the data.
+
+    Replicates are generated in chunks of :func:`chunk_size` consecutive
+    replicates, whose datasets are linked (:meth:`Dataset.link`) so that a
+    bundle such as :func:`~lineariv.suites.table1_estimators` can compute a
+    whole chunk at once; the estimators are still called replicate by
+    replicate, in order.  Replicate ``i`` depends only on (seed, ``i``), and
+    the report is byte-identical for every chunk size.  ``threads`` is
+    accepted for compatibility and ignored: replicates run serially.
     """
     if config.reps < 2:
         raise SchemaError("at least 2 replications are required")
@@ -234,28 +251,18 @@ def run_monte_carlo(config: ScenarioConfig,
     psi_true = generate(config, 0).psi_true
     k = psi_true.shape[0]
     raw: dict[str, np.ndarray] = {name: np.full((config.reps, k), np.nan) for name in names}
-
-    def run_rep(i: int):
-        sim = generate(config, i)
-        out = {}
-        for name in names:
-            try:
-                est = np.atleast_1d(np.asarray(estimators[name](sim.dataset), dtype=float))
-            except EstimationError:
-                out[name] = None
-                continue
-            out[name] = est if np.all(np.isfinite(est)) else None
-        return i, out
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_rep, range(config.reps)))
-    else:
-        results = [run_rep(i) for i in range(config.reps)]
-    for i, out in results:
-        for name, est in out.items():
-            if est is not None:
-                raw[name][i] = est
+    size = chunk_size(config.n)
+    for first in range(0, config.reps, size):
+        chunk = [generate(config, i).dataset for i in range(first, min(first + size, config.reps))]
+        Dataset.link(chunk)
+        for i, data in enumerate(chunk, start=first):
+            for name in names:
+                try:
+                    est = np.atleast_1d(np.asarray(estimators[name](data), dtype=float))
+                except EstimationError:
+                    continue
+                if np.all(np.isfinite(est)):
+                    raw[name][i] = est
 
     summaries = {}
     for name in names:

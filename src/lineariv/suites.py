@@ -16,6 +16,7 @@ import numpy as np
 
 from .adaptive import br_beta_estimate, br_gamma_estimate, eem_estimate
 from .dataset import BasisSpec, Dataset
+from .errors import EstimationError
 from .estimators import (
     efficient_index,
     g_estimate,
@@ -26,6 +27,7 @@ from .estimators import (
 )
 from .models import BinaryLogisticIv, EffectModel, ExposureModel, OutcomeModel
 from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
+from .stacked import table1_point_estimates
 
 __all__ = [
     "table1_estimators",
@@ -46,10 +48,40 @@ EXPOSURE_MAIN = BasisSpec(["z0", "1", "c0"])
 EFFECT_CONST = EffectModel.constant()
 
 
-def _bundle(compute: Callable[[Dataset], dict], names) -> dict[str, Callable]:
-    """One estimator closure per name; ``compute`` (all estimates of the bundle)
-    runs once per Dataset (:meth:`Dataset.memo`), so members share nuisance fits."""
-    return {name: (lambda ds, _n=name: ds.memo(compute, compute)[_n]) for name in names}
+def _attempt(out: dict, key: str, compute: Callable, *needs: str) -> None:
+    """``out[key] = compute(*out[need] for need in needs)``, or the
+    :class:`EstimationError` it raised, or the first error among ``needs``:
+    an estimate fails exactly when it, or a fit it uses, raised."""
+    for need in needs:
+        if isinstance(out[need], EstimationError):
+            out[key] = out[need]
+            return
+    try:
+        out[key] = compute(*(out[need] for need in needs))
+    except EstimationError as err:
+        out[key] = err
+
+
+def _bundle(compute: Callable[[Dataset], dict], names,
+            compute_chunk: Callable[[list], list] | None = None) -> dict[str, Callable]:
+    """One estimator closure per name over the per-dataset ``compute``.
+
+    ``compute`` returns every estimate of the bundle, each a value or the
+    :class:`EstimationError` that estimate raised (see :func:`_attempt`); it
+    runs once per Dataset (:meth:`Dataset.memo`), so members share nuisance
+    fits, and a closure re-raises its own estimate's error, so one failing
+    estimator fails no other.  With ``compute_chunk`` the first closure
+    called on any dataset of a linked chunk computes the point estimates of
+    the whole chunk at once (:meth:`Dataset.memo`); the datasets it leaves
+    out go through ``compute``.
+    """
+    def estimate(data: Dataset, name: str):
+        value = data.memo(compute, compute, compute_chunk)[name]
+        if isinstance(value, EstimationError):
+            raise value
+        return value
+
+    return {name: (lambda ds, _n=name: estimate(ds, _n)) for name in names}
 
 
 def table1_estimators(iv_known_coef: np.ndarray | None = None) -> dict[str, Callable]:
@@ -60,29 +92,39 @@ def table1_estimators(iv_known_coef: np.ndarray | None = None) -> dict[str, Call
     outcome model on (1, V); index class (alpha'(1,V)) * Z.  With
     ``iv_known_coef`` the instrument law is treated as known instead of
     fitted (used by the efficiency-dominance checks).
+
+    On a chunk of datasets linked by the Monte Carlo harness the estimates
+    are computed for the whole chunk by
+    :func:`~lineariv.stacked.table1_point_estimates`, bit-identical to the
+    per-dataset estimators, which remain for the datasets it leaves out.
     """
 
     def compute(data: Dataset) -> dict:
         out = {}
-        tsls = standard_tsls(data, EFFECT_CONST, C_LIN, INSTRUMENTS_ZVZ)
-        out["tsls"] = tsls.psi_hat
+        _attempt(out, "tsls", lambda: standard_tsls(data, EFFECT_CONST, C_LIN, INSTRUMENTS_ZVZ).psi_hat)
         if iv_known_coef is not None:
-            iv = BinaryLogisticIv.known(C_LIN, iv_known_coef)
-            iv_plain = None          # the bias-reduced pair needs the ML fit
+            out["iv"] = BinaryLogisticIv.known(C_LIN, iv_known_coef)
+            out["iv_plain"] = None       # the bias-reduced pair needs the ML fit
         else:
-            iv = iv_plain = BinaryLogisticIv.fit(data, C_LIN)
-        exposure = ExposureModel("identity", EXPOSURE_SATURATED).fit(data)
-        e_opt = efficient_index(data, exposure, iv, EFFECT_CONST)
-        out["loc_eff"] = g_estimate(data, e_opt, OutcomeModel(C_LIN), iv, EFFECT_CONST).psi_hat
-        out["eem"] = eem_estimate(data, iv, C_LIN, C_LIN,
-                                  preliminary_psi=tsls.psi).psi_hat
-        brg = br_gamma_estimate(data, C_LIN, C_LIN, C_LIN, iv_plain=iv_plain)
-        out["br_gamma"] = brg.psi_hat
-        out["br_beta"] = br_beta_estimate(data, C_LIN, C_LIN, C_LIN,
-                                          start_psi=brg.psi, iv_plain=iv_plain).psi_hat
+            _attempt(out, "iv", lambda: BinaryLogisticIv.fit(data, C_LIN))
+            out["iv_plain"] = out["iv"]
+        _attempt(out, "exposure", lambda: ExposureModel("identity", EXPOSURE_SATURATED).fit(data))
+        _attempt(out, "loc_eff", lambda iv, exposure: g_estimate(
+            data, efficient_index(data, exposure, iv, EFFECT_CONST), OutcomeModel(C_LIN), iv,
+            EFFECT_CONST).psi_hat, "iv", "exposure")
+        _attempt(out, "eem", lambda iv, tsls: eem_estimate(
+            data, iv, C_LIN, C_LIN, preliminary_psi=float(tsls[0])).psi_hat, "iv", "tsls")
+        _attempt(out, "br_gamma", lambda plain: br_gamma_estimate(
+            data, C_LIN, C_LIN, C_LIN, iv_plain=plain).psi_hat, "iv_plain")
+        _attempt(out, "br_beta", lambda plain, brg: br_beta_estimate(
+            data, C_LIN, C_LIN, C_LIN, start_psi=float(brg[0]), iv_plain=plain).psi_hat,
+            "iv_plain", "br_gamma")
         return out
 
-    return _bundle(compute, ("tsls", "loc_eff", "eem", "br_gamma", "br_beta"))
+    def compute_chunk(datasets: list) -> list:
+        return table1_point_estimates(datasets, iv_known_coef)
+
+    return _bundle(compute, ("tsls", "loc_eff", "eem", "br_gamma", "br_beta"), compute_chunk)
 
 
 def sim_binary_estimators() -> dict[str, Callable]:
@@ -98,21 +140,30 @@ def sim_binary_estimators() -> dict[str, Callable]:
 
     def compute(data: Dataset) -> dict:
         out = {}
-        tsls = standard_tsls(data, EFFECT_CONST, C_LIN, INSTRUMENT_Z)
-        out["tsls"] = tsls.psi_hat
-        probit = ExposureModel("probit", EXPOSURE_MAIN).fit(data)
-        out["ts"] = plug_in_two_stage(data, probit, EFFECT_CONST, C_LIN).psi_hat
-        out["le_y_c"] = locally_efficient_y(data, probit, EFFECT_CONST, C_QUAD).psi_hat
-        out["le_y_m"] = locally_efficient_y(data, probit, EFFECT_CONST, C_LIN).psi_hat
-        iv = BinaryLogisticIv.fit(data, C_LIN)
-        e_probit = efficient_index(data, probit, iv, EFFECT_CONST)
-        beta_c = outcome_coef_at(data, EFFECT_CONST, C_QUAD, tsls.psi_hat)
-        beta_m = outcome_coef_at(data, EFFECT_CONST, C_LIN, tsls.psi_hat)
-        out["dr_cc"] = g_estimate(data, e_probit, OutcomeModel(C_QUAD, beta_c), iv, EFFECT_CONST).psi_hat
-        out["dr_cm"] = g_estimate(data, e_probit, OutcomeModel(C_LIN, beta_m), iv, EFFECT_CONST).psi_hat
-        linear = ExposureModel("identity", EXPOSURE_MAIN).fit(data)
-        e_lin = efficient_index(data, linear, iv, EFFECT_CONST)
-        out["dr_mm"] = g_estimate(data, e_lin, OutcomeModel(C_LIN, beta_m), iv, EFFECT_CONST).psi_hat
+        _attempt(out, "tsls", lambda: standard_tsls(data, EFFECT_CONST, C_LIN, INSTRUMENT_Z).psi_hat)
+        _attempt(out, "probit", lambda: ExposureModel("probit", EXPOSURE_MAIN).fit(data))
+        _attempt(out, "ts", lambda probit: plug_in_two_stage(
+            data, probit, EFFECT_CONST, C_LIN).psi_hat, "probit")
+        _attempt(out, "le_y_c", lambda probit: locally_efficient_y(
+            data, probit, EFFECT_CONST, C_QUAD).psi_hat, "probit")
+        _attempt(out, "le_y_m", lambda probit: locally_efficient_y(
+            data, probit, EFFECT_CONST, C_LIN).psi_hat, "probit")
+        _attempt(out, "iv", lambda: BinaryLogisticIv.fit(data, C_LIN))
+        _attempt(out, "e_probit", lambda probit, iv: efficient_index(
+            data, probit, iv, EFFECT_CONST), "probit", "iv")
+        _attempt(out, "beta_c", lambda tsls: outcome_coef_at(
+            data, EFFECT_CONST, C_QUAD, tsls), "tsls")
+        _attempt(out, "beta_m", lambda tsls: outcome_coef_at(
+            data, EFFECT_CONST, C_LIN, tsls), "tsls")
+        _attempt(out, "dr_cc", lambda e, iv, beta: g_estimate(
+            data, e, OutcomeModel(C_QUAD, beta), iv, EFFECT_CONST).psi_hat, "e_probit", "iv", "beta_c")
+        _attempt(out, "dr_cm", lambda e, iv, beta: g_estimate(
+            data, e, OutcomeModel(C_LIN, beta), iv, EFFECT_CONST).psi_hat, "e_probit", "iv", "beta_m")
+        _attempt(out, "linear", lambda: ExposureModel("identity", EXPOSURE_MAIN).fit(data))
+        _attempt(out, "e_lin", lambda linear, iv: efficient_index(
+            data, linear, iv, EFFECT_CONST), "linear", "iv")
+        _attempt(out, "dr_mm", lambda e, iv, beta: g_estimate(
+            data, e, OutcomeModel(C_LIN, beta), iv, EFFECT_CONST).psi_hat, "e_lin", "iv", "beta_m")
         return out
 
     return _bundle(compute, ("tsls", "ts", "le_y_c", "le_y_m", "dr_cc", "dr_cm", "dr_mm"))
@@ -129,11 +180,13 @@ def effectmod_estimators() -> dict[str, Callable]:
 
     def compute(data: Dataset) -> dict:
         out = {}
-        out["tsls_c"] = standard_tsls(data, effect, C_QUAD, INSTRUMENTS_ZVZ).psi_hat
-        out["tsls_m"] = standard_tsls(data, effect, C_LIN, INSTRUMENTS_ZVZ).psi_hat
-        misspec = ExposureModel("identity", EXPOSURE_MAIN).fit(data)
-        out["ts_c"] = plug_in_two_stage(data, misspec, effect, C_QUAD).psi_hat
-        out["ts_m"] = plug_in_two_stage(data, misspec, effect, C_LIN).psi_hat
+        _attempt(out, "tsls_c", lambda: standard_tsls(data, effect, C_QUAD, INSTRUMENTS_ZVZ).psi_hat)
+        _attempt(out, "tsls_m", lambda: standard_tsls(data, effect, C_LIN, INSTRUMENTS_ZVZ).psi_hat)
+        _attempt(out, "misspec", lambda: ExposureModel("identity", EXPOSURE_MAIN).fit(data))
+        _attempt(out, "ts_c", lambda misspec: plug_in_two_stage(
+            data, misspec, effect, C_QUAD).psi_hat, "misspec")
+        _attempt(out, "ts_m", lambda misspec: plug_in_two_stage(
+            data, misspec, effect, C_LIN).psi_hat, "misspec")
         return out
 
     return _bundle(compute, ("tsls_c", "tsls_m", "ts_c", "ts_m"))

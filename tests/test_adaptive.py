@@ -317,21 +317,29 @@ def test_br_monotone_improvement_under_full_misspecification():
 # Shared nuisance fits
 # ---------------------------------------------------------------------------
 
-def test_table1_bundle_replicate_makes_three_binary_fits(monkeypatch):
-    import lineariv.adaptive
+def _count_member_fits(monkeypatch) -> list:
+    """Counts binary fits as members of the stacked IRLS kernel: a stack of
+    B designs counts B fits, and fit_binary (a stack of one) counts one."""
     import lineariv.glm
-    import lineariv.models
+    import lineariv.stacked
+
+    calls = []
+    kernel = lineariv.glm._irls
+
+    def counting(design, *args, **kwargs):
+        calls.extend([1] * design.shape[0])
+        return kernel(design, *args, **kwargs)
+
+    monkeypatch.setattr(lineariv.glm, "_irls", counting)
+    monkeypatch.setattr(lineariv.stacked, "_irls", counting)
+    return calls
+
+
+def test_table1_bundle_replicate_makes_three_binary_fits(monkeypatch):
     from lineariv.simlab import ScenarioConfig, generate
     from lineariv.suites import table1_estimators
 
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return lineariv.glm.fit_binary(*args, **kwargs)
-
-    monkeypatch.setattr(lineariv.models, "fit_binary", counting)
-    monkeypatch.setattr(lineariv.adaptive, "fit_binary", counting)
+    calls = _count_member_fits(monkeypatch)
     data = generate(ScenarioConfig("table1", n=500, seed=555, reps=2, lam=(1, 1, -1)), 0).dataset
     for estimator in table1_estimators().values():
         estimator(data)
@@ -340,20 +348,10 @@ def test_table1_bundle_replicate_makes_three_binary_fits(monkeypatch):
 
 
 def test_bundle_shares_fits_per_dataset_not_per_thread(monkeypatch):
-    import lineariv.adaptive
-    import lineariv.glm
-    import lineariv.models
     from lineariv.simlab import ScenarioConfig, generate
     from lineariv.suites import table1_estimators
 
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return lineariv.glm.fit_binary(*args, **kwargs)
-
-    monkeypatch.setattr(lineariv.models, "fit_binary", counting)
-    monkeypatch.setattr(lineariv.adaptive, "fit_binary", counting)
+    calls = _count_member_fits(monkeypatch)
     cfg = ScenarioConfig("table1", n=500, seed=555, reps=2, lam=(1, 1, -1))
     a, b = generate(cfg, 0).dataset, generate(cfg, 1).dataset
     bundle = table1_estimators()

@@ -174,6 +174,19 @@ def test_fit_missing_column_exit_code(tmp_path, capsys):
     assert "'w'" in err
 
 
+@pytest.mark.parametrize("contents, message", [
+    (b"y,x,z,v\n1,2,0,1\n1,\xff,1,2\n", "data row 2 is not valid UTF-8"),
+    (("y,x,z,v,note\n1,2,0,1,a\n1,2,1,2," + "a" * 140_000 + "\n").encode(),
+     "data row 2: field larger than field limit (131072)"),
+], ids=["invalid utf-8", "field over the csv limit"])
+def test_fit_unreadable_csv_is_an_input_error(tmp_path, capsys, contents, message):
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_bytes(contents)
+    code, out, err = run_cli(capsys, "fit", "--data", str(csv_path), *TSLS_FLAGS)
+    assert (code, out) == (2, "")
+    assert err == f"error: {csv_path}: {message}\n"
+
+
 def test_benchmark_smoke_schema(tmp_path, capsys):
     out_csv = tmp_path / "bench.csv"
     out_json = tmp_path / "bench.json"

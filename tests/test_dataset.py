@@ -460,12 +460,40 @@ def test_c_reader_and_csv_loop_agree(tmp_path, monkeypatch, name):
 
 def test_c_reader_ignores_the_csv_field_size_limit(tmp_path, monkeypatch):
     # the one known difference: csv.reader refuses a field over
-    # csv.field_size_limit() characters, numpy's C reader does not
+    # csv.field_size_limit() characters (a ParseError naming the row),
+    # numpy's C reader does not
     path = tmp_path / "d.csv"
     path.write_text(_H + "0" * (csv.field_size_limit() + 1) + "1,2,0,7\n")
     assert load_csv(path, COLS4).y.tolist() == [1.0]
     monkeypatch.setattr(dataset, "_load_clean", lambda *args: None)
-    with pytest.raises(csv.Error, match="field larger than field limit"):
+    with pytest.raises(ParseError, match="data row 1: field larger than field limit"):
+        load_csv(path, COLS4)
+
+
+@pytest.mark.parametrize("contents, message", [
+    (b"y,x,z,v\n1,2,0,1\n1,\xff,1,2\n", r"data row 2 is not valid UTF-8$"),
+    (b"y,x,z,v\n\n1,2,0,1\r\n\n1,2,\xc3(,2\n", r"data row 4 is not valid UTF-8$"),
+    (b"y,x\xff,z,v\n1,2,0,1\n", r"header row is not valid UTF-8$"),
+    # an earlier fault is still the first one in file order
+    (b"y,x,z,v\n1,a,0,1\n1,\xff,1,2\n", r"cannot parse 'a' at data row 1, column 'x'$"),
+    (b"y,x,z,v\n1,2,0\n1,\xff,1,2\n", r"data row 1 has 3 fields, expected 4$"),
+], ids=["data row", "blank lines and crlf", "header", "earlier bad cell", "earlier short row"])
+def test_load_csv_invalid_utf8_names_the_row(tmp_path, contents, message):
+    path = tmp_path / "d.csv"
+    path.write_bytes(contents)
+    with pytest.raises(ParseError, match=message):
+        load_csv(path, COLS4)
+
+
+def test_load_csv_field_over_the_csv_limit_names_the_row(tmp_path):
+    # the text column keeps the file off numpy's C reader
+    path = tmp_path / "d.csv"
+    path.write_text("y,x,z,v,note\n" + "1,2,0,7,a\n" * 3
+                    + "1,2,0,7," + "a" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(ParseError, match=r"data row 4: field larger than field limit"):
+        load_csv(path, COLS4)
+    path.write_text("y,x,z,v," + "n" * (csv.field_size_limit() + 1) + "\n1,2,0,7,a\n")
+    with pytest.raises(ParseError, match=r"header row: field larger than field limit"):
         load_csv(path, COLS4)
 
 
