@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 COLLINEARITY_TOL = 1e-8
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -170,32 +171,59 @@ def eem_estimate(data: Dataset, iv: IvModel, index_basis: BasisSpec,
 # Bias-reduced estimation
 # ---------------------------------------------------------------------------
 
-def _drop_collinear(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Keep extension columns not numerically in the span of base + kept ones."""
+def _norm(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each member of a (B, n) stack."""
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _drop_collinear(base: np.ndarray, extension: np.ndarray
+                    ) -> tuple[np.ndarray, list[int], list[bool]]:
+    """Keep extension columns not numerically in the span of base + kept ones.
+
+    Works on a stack of B problems, ``base`` (B, n, p) and ``extension``
+    (B, n, q); a per-dataset caller passes a stack of one.  A column is kept
+    when its residual after projection on the current design (the left
+    singular vectors that ``lstsq``'s default cutoff keeps) exceeds
+    COLLINEARITY_TOL times its norm; a zero column is dropped.  The stack
+    keeps the columns that most members keep.  Returns the kept columns, their
+    indices and, per member, whether each of its own decisions was the
+    stack's (always for a stack of one).
+    """
     kept_cols: list[int] = []
+    agree = [True] * extension.shape[0]
     current = base
-    for j in range(extension.shape[1]):
-        col = extension[:, j]
-        norm = np.linalg.norm(col)
-        if norm == 0.0:
-            continue
-        coef, *_ = np.linalg.lstsq(current, col, rcond=None)
-        resid = col - current @ coef
-        if np.linalg.norm(resid) > COLLINEARITY_TOL * norm:
+    for j in range(extension.shape[-1]):
+        col = np.ascontiguousarray(extension[:, :, j])
+        u, s, _ = np.linalg.svd(current, full_matrices=False)
+        rcond = _EPS * max(current.shape[-2:])
+        if any(row[-1] <= rcond * row[0] for row in s.tolist()):
+            u = np.where(s[:, None, :] <= rcond * s[:, None, :1], 0.0, u)
+        resid = col - np.matvec(u, np.vecmat(col, u))
+        keep = (_norm(resid) > COLLINEARITY_TOL * _norm(col)).tolist()
+        majority = 2 * sum(keep) > len(keep)
+        agree = [a and k == majority for a, k in zip(agree, keep)]
+        if majority:
             kept_cols.append(j)
-            current = np.column_stack([current, col])
-    return extension[:, kept_cols], kept_cols
+            current = np.concatenate([current, col[:, :, None]], axis=-1)
+    return extension[:, :, kept_cols], kept_cols, agree
 
 
-def _br_denominator(d: np.ndarray, x: np.ndarray, what: str) -> float:
-    """sum(d * x); raises :class:`WeakIdentificationError` when it is
-    negligible against ``||d|| * ||x||``."""
-    denom = float(np.sum(d * x))
-    scale = float(np.linalg.norm(d) * np.linalg.norm(x))
-    if abs(denom) <= 1e-10 * max(scale, 1e-300):
+def _br_denominator(d: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sum(d * x) of each member of a (B, n) stack, its scale
+    ``||d|| * ||x||``, and whether it is negligible against that scale."""
+    denom = (d * x).sum(-1)
+    scale = _norm(d) * _norm(x)
+    return denom, scale, np.abs(denom) <= 1e-10 * np.maximum(scale, 1e-300)
+
+
+def _denominator(d: np.ndarray, x: np.ndarray, what: str) -> float:
+    """:func:`_br_denominator` of one dataset; raises
+    :class:`WeakIdentificationError` when it is degenerate."""
+    denom, scale, degenerate = _br_denominator(d[None], x[None])
+    if degenerate[0]:
         raise WeakIdentificationError(
-            f"{what} denominator {denom:.3e} is degenerate against scale {scale:.3e}")
-    return denom
+            f"{what} denominator {denom[0]:.3e} is degenerate against scale {scale[0]:.3e}")
+    return float(denom[0])
 
 
 def _fit_extended_logistic(data: Dataset, iv_design: np.ndarray,
@@ -239,7 +267,9 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
 
     def build_and_fit(alpha_vec):
         e_scale = index_design @ alpha_vec
-        extension, kept = _drop_collinear(iv_design, e_scale[:, None] * outcome_design)
+        extension, kept, _ = _drop_collinear(iv_design[None],
+                                             (e_scale[:, None] * outcome_design)[None])
+        extension = extension[0]
         fit, prob = _fit_extended_logistic(data, iv_design, extension)
         return e_scale, extension, kept, fit, prob
 
@@ -255,7 +285,7 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
         e_scale, extension, kept, fit, prob = build_and_fit(alpha)
 
     d = e_scale * (data.z[:, 0] - prob)
-    denom = _br_denominator(d, data.x, "br_gamma")
+    denom = _denominator(d, data.x, "br_gamma")
     psi = float(np.sum(d * data.y) / denom)
 
     score_identity = np.abs((d[:, None] * outcome_design).sum(axis=0)).max()
@@ -325,10 +355,12 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     alpha = eem_fit_alpha(data, plain, index_basis)
     e_scale = index_design @ alpha
     w = prob * (1.0 - prob)
-    extension, kept = _drop_collinear(outcome_design, (e_scale * w)[:, None] * iv_design)
+    extension, kept, _ = _drop_collinear(outcome_design[None],
+                                         ((e_scale * w)[:, None] * iv_design)[None])
+    extension = extension[0]
     x_ext = np.column_stack([outcome_design, extension]) if extension.size else outcome_design
     d = e_scale * (data.z[:, 0] - prob)
-    denom = _br_denominator(d, data.x, "br_beta")
+    denom = _denominator(d, data.x, "br_beta")
 
     if update == "one_step":
         if start_psi is None:

@@ -14,6 +14,7 @@ import codecs
 import csv
 import io
 import math
+import re
 import warnings
 import weakref
 from dataclasses import dataclass, field, replace
@@ -378,6 +379,8 @@ def _parse_cell(raw: str, row: int, col: str) -> float:
 
 
 _BLOCK_ROWS = 4096
+# a byte that is not valid UTF-8, decoded with "surrogateescape"
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def _parse_block(cells: list[tuple[str, ...]], rows: list[int], names: tuple[str, ...]) -> np.ndarray:
@@ -476,23 +479,36 @@ def _read_table(fh, path: Path, names: tuple[str, ...]) -> np.ndarray:
 
 def _undecodable(path: Path, names: tuple[str, ...]) -> InputError:
     """The first fault in file order of a file that is not valid UTF-8: a
-    fault of the lines before its first undecodable line, or that line."""
-    lines = path.read_bytes().removeprefix(codecs.BOM_UTF8).splitlines(keepends=True)
-    for bad, line in enumerate(lines):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError:
-            break
-    else:
-        return ParseError(f"{path}: file is not valid UTF-8")
-    if bad == 0:
-        return ParseError(f"{path}: header row is not valid UTF-8")
-    reader = csv.reader(io.StringIO(b"".join(lines[:bad]).decode("utf-8"), newline=""))
+    fault of the records before its first undecodable record, or that record.
+
+    The file is decoded with ``surrogateescape``, so each undecodable byte
+    becomes one character in U+DC80-U+DCFF, and split into records by the
+    same ``csv.reader`` as :func:`_read_table`, so a quoted line break moves
+    no row number."""
+    text = path.read_bytes().removeprefix(codecs.BOM_UTF8).decode("utf-8", "surrogateescape")
+    bad: list[int] = []
+
+    def decodable(reader):
+        # the records before the first one holding an undecodable byte
+        for i, row in enumerate(reader):
+            if any(map(_ESCAPED_BYTE.search, row)):
+                bad.append(i)
+                return
+            yield row
+
+    rows = decodable(csv.reader(io.StringIO(text, newline="")))
     try:
-        _parse_rows(reader, path, *_columns(reader, path, names), names)
+        _parse_rows(rows, path, *_columns(rows, path, names), names)
+        error = None
     except InputError as err:
-        return err
-    return ParseError(f"{path}: data row {bad} is not valid UTF-8")
+        error = err
+    if bad == [0]:
+        return ParseError(f"{path}: header row is not valid UTF-8")
+    if error is not None:
+        return error
+    if bad:
+        return ParseError(f"{path}: data row {bad[0]} is not valid UTF-8")
+    return ParseError(f"{path}: file is not valid UTF-8")
 
 
 def load_csv(path, columns: ColumnMap) -> Dataset:
@@ -509,7 +525,7 @@ def load_csv(path, columns: ColumnMap) -> Dataset:
     quoted and surrounded by whitespace: ``" 1.5 "``, ``"3"``, ``1e-3`` and
     ``1_0`` are all accepted.  Empty, unparseable and non-finite cells
     (``nan``, ``inf``, or values that overflow) raise :class:`ParseError`, as
-    does a row with the wrong number of fields, a line that is not valid
+    does a row with the wrong number of fields, a row that is not valid
     UTF-8 and a row the ``csv`` module rejects (such as a field longer than
     ``csv.field_size_limit()``).  When a file has several faults, the first
     one in file order is reported.

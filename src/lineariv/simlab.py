@@ -38,7 +38,6 @@ __all__ = [
     "simulate",
     "generate",
     "run_monte_carlo",
-    "chunk_size",
     "report_rows",
     "write_report_csv",
     "write_report_json",
@@ -46,7 +45,9 @@ __all__ = [
 
 OUTLIER_IQR_MULTIPLIER = 50.0
 # Working-set cap of one chunk of replicates (see run_monte_carlo): 8
-# replicates at n=500, 1 at n=8000.
+# replicates at n=500, 1 at n=8000.  ROW_BYTES is a conservative figure for
+# the stacked Table 1 bundle's working set a row of a replicate: tracemalloc
+# measured a peak of 355-386 bytes a row for one chunk at n=500 and n=8000.
 CHUNK_BYTES = 2_000_000
 ROW_BYTES = 480
 GENERATORS = ("sim1", "sim2", "effectmod", "table1", "extreme")
@@ -212,7 +213,7 @@ class MonteCarloReport:
     estimates: dict[str, np.ndarray]   # (reps, k), NaN rows = failed replicates
 
 
-def chunk_size(n: int) -> int:
+def _chunk_size(n: int) -> int:
     """Replicates of ``n`` rows per chunk: as many as fit in CHUNK_BYTES of the
     stacked bundle's working set, about ROW_BYTES a row, and at least one."""
     return max(1, CHUNK_BYTES // (ROW_BYTES * n))
@@ -237,8 +238,9 @@ def run_monte_carlo(config: ScenarioConfig,
     removes extreme outliers from the retained ones.  Inserting or removing
     estimators never changes the data.
 
-    Replicates are generated in chunks of :func:`chunk_size` consecutive
-    replicates, whose datasets are linked (:meth:`Dataset.link`) so that a
+    Replicates are generated in chunks of consecutive replicates, as many
+    as fit CHUNK_BYTES of working set at ROW_BYTES a row (8 at n=500, 1 at
+    n=8000), whose datasets are linked (:meth:`Dataset.link`) so that a
     bundle such as :func:`~lineariv.suites.table1_estimators` can compute a
     whole chunk at once; the estimators are still called replicate by
     replicate, in order.  Replicate ``i`` depends only on (seed, ``i``), and
@@ -251,7 +253,7 @@ def run_monte_carlo(config: ScenarioConfig,
     psi_true = generate(config, 0).psi_true
     k = psi_true.shape[0]
     raw: dict[str, np.ndarray] = {name: np.full((config.reps, k), np.nan) for name in names}
-    size = chunk_size(config.n)
+    size = _chunk_size(config.n)
     for first in range(0, config.reps, size):
         chunk = [generate(config, i).dataset for i in range(first, min(first + size, config.reps))]
         Dataset.link(chunk)

@@ -9,28 +9,28 @@ mirrors the per-dataset estimator it stands for, operands, order of
 operations and memory layout included, so each member's estimates equal the
 per-dataset ones to the last bit.
 
+The collinearity and denominator rules are the per-dataset ones
+(``adaptive._drop_collinear`` and ``adaptive._br_denominator`` take the same
+leading batch axis), so they need no copy here.
+
 A member is flagged, and left to the per-dataset estimators, where any check
 of the per-dataset path would raise (rank, condition, degeneracy, a binary
 instrument with both classes, a singular IRLS Hessian), where an IRLS step
-ran out of halvings, and where a collinearity decision of
-``adaptive._drop_collinear`` is too close to call here: the residual ratio
-lies between 1e-11 and 1e-5, where this projection and the ``lstsq`` loop
-might disagree about the 1e-8 cut.  A flagged member leaves the stack and the
-others are computed again without it.
+ran out of halvings, and where ``_drop_collinear`` keeps other extension
+columns for it than for most of the stack.  A flagged member leaves the stack
+and the others are computed again without it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .adaptive import COLLINEARITY_TOL
+from .adaptive import _br_denominator, _drop_collinear
 from .dataset import Dataset
 from .estimators import WEAK_ID_CONDITION, _solve_ee
 from .glm import _irls, _lstsq, expit
 
 __all__ = ["table1_point_estimates"]
-
-AMBIGUOUS_RATIO = (1e-11, 1e-5)
 
 
 class _Flagged(Exception):
@@ -49,11 +49,6 @@ def _require(ok) -> None:
 
 def _col(a: np.ndarray) -> np.ndarray:
     return a[..., None]
-
-
-def _norm(a: np.ndarray) -> np.ndarray:
-    # np.linalg.norm of each (n,) member: sqrt of its BLAS dot with itself
-    return np.sqrt(np.vecdot(a, a))
 
 
 def _linear(design: np.ndarray, response: np.ndarray, well_conditioned: bool = False) -> np.ndarray:
@@ -79,34 +74,18 @@ def _ee(index: np.ndarray, regressors: np.ndarray, response: np.ndarray) -> np.n
     return theta[:, 0]
 
 
-def _drop_collinear(base: np.ndarray, extension: np.ndarray) -> np.ndarray:
-    """``adaptive._drop_collinear``: the extension columns outside the span of
-    base and the columns kept before them.  The residual is projected on the
-    left singular vectors of the kept design; a member whose ratio is
-    ambiguous, or whose decision is not the majority's, is flagged."""
-    kept: list[int] = []
-    current = base
-    for j in range(extension.shape[-1]):
-        col = np.ascontiguousarray(extension[:, :, j])
-        norm = _norm(col)
-        _require(norm != 0.0)
-        u = np.linalg.svd(current, full_matrices=False)[0]
-        ratio = _norm(col - np.matvec(u, np.vecmat(col, u))) / norm
-        keep = ratio > COLLINEARITY_TOL
-        majority = 2 * int(keep.sum()) > len(keep)
-        _require(~((AMBIGUOUS_RATIO[0] < ratio) & (ratio < AMBIGUOUS_RATIO[1]))
-                 & (keep == majority))
-        if majority:
-            kept.append(j)
-            current = np.concatenate([current, _col(col)], axis=-1)
-    return extension[:, :, kept]
+def _extension(base: np.ndarray, extension: np.ndarray) -> np.ndarray:
+    """The extension columns ``_drop_collinear`` keeps; flags a member whose
+    own decisions differ from the stack's."""
+    kept, _, agree = _drop_collinear(base, extension)
+    _require(agree)
+    return kept
 
 
-def _br_denominator(d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``adaptive._br_denominator``: sum(d * x), flagged when negligible."""
-    denom = (d * x).sum(-1)
-    scale = _norm(d) * _norm(x)
-    _require(~(np.abs(denom) <= 1e-10 * np.maximum(scale, 1e-300)))
+def _denominator(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_br_denominator``; flags a member whose denominator is degenerate."""
+    denom, _, degenerate = _br_denominator(d, x)
+    _require(~degenerate)
     return denom
 
 
@@ -165,7 +144,7 @@ def _estimates(datasets: list[Dataset], iv_known_coef) -> list[dict]:
     e_plain = scale_iv if iv_known_coef is None else index_scale(zc)
 
     def extended_fit(e_scale):
-        extension = _drop_collinear(lin, _col(e_scale) * lin)
+        extension = _extension(lin, _col(e_scale) * lin)
         design = np.concatenate([lin, extension], axis=-1) if extension.shape[-1] else lin
         return expit(np.matvec(design, _logistic(design, z)))
 
@@ -173,13 +152,13 @@ def _estimates(datasets: list[Dataset], iv_known_coef) -> list[dict]:
     e_scale = index_scale(z - ext_prob)
     ext_prob = extended_fit(e_scale)
     d = e_scale * (z - ext_prob)
-    br_gamma = (d * y).sum(-1) / _br_denominator(d, x)
+    br_gamma = (d * y).sum(-1) / _denominator(d, x)
 
     # br_beta (one step from br_gamma): the outcome model extended by e(C) P(1-P) * (1, c0)
-    extension = _drop_collinear(lin, _col(e_plain * (prob * (1.0 - prob))) * lin)
+    extension = _extension(lin, _col(e_plain * (prob * (1.0 - prob))) * lin)
     x_ext = np.concatenate([lin, extension], axis=-1) if extension.shape[-1] else lin
     d = e_plain * zc
-    denom = _br_denominator(d, x)
+    denom = _denominator(d, x)
     beta_ext = _linear(x_ext, y - _col(br_gamma) * x)
     br_beta = (d * (y - np.matvec(x_ext, beta_ext))).sum(-1) / denom
 

@@ -474,10 +474,16 @@ def test_c_reader_ignores_the_csv_field_size_limit(tmp_path, monkeypatch):
     (b"y,x,z,v\n1,2,0,1\n1,\xff,1,2\n", r"data row 2 is not valid UTF-8$"),
     (b"y,x,z,v\n\n1,2,0,1\r\n\n1,2,\xc3(,2\n", r"data row 4 is not valid UTF-8$"),
     (b"y,x\xff,z,v\n1,2,0,1\n", r"header row is not valid UTF-8$"),
+    # rows are records: a quoted line break before the bad byte moves no number
+    (b'y,x,z,v\n1,2,0,"1\n"\n1,\xff,1,2\n', r"data row 2 is not valid UTF-8$"),
+    (b'"y\nq",y,x,z,v\n1,2,3,0,1\n1,\xff,1,2,3\n', r"data row 2 is not valid UTF-8$"),
+    (b'y,x,z,v\n1,2,0,"1\n\xff"\n', r"data row 1 is not valid UTF-8$"),
     # an earlier fault is still the first one in file order
     (b"y,x,z,v\n1,a,0,1\n1,\xff,1,2\n", r"cannot parse 'a' at data row 1, column 'x'$"),
     (b"y,x,z,v\n1,2,0\n1,\xff,1,2\n", r"data row 1 has 3 fields, expected 4$"),
-], ids=["data row", "blank lines and crlf", "header", "earlier bad cell", "earlier short row"])
+], ids=["data row", "blank lines and crlf", "header", "quoted line break before",
+        "quoted line break in the header", "in a quoted line break", "earlier bad cell",
+        "earlier short row"])
 def test_load_csv_invalid_utf8_names_the_row(tmp_path, contents, message):
     path = tmp_path / "d.csv"
     path.write_bytes(contents)

@@ -5,6 +5,7 @@ import pytest
 
 import lineariv.suites
 from lineariv import Dataset, EstimationError, simlab
+from lineariv.adaptive import COLLINEARITY_TOL, _drop_collinear
 from lineariv.errors import SingularDesignError, WeakIdentificationError
 from lineariv.estimators import _solve_ee
 from lineariv.glm import _irls, _lstsq, fit_binary, fit_ols
@@ -69,14 +70,14 @@ def test_reports_byte_identical_across_chunk_sizes(tmp_path, monkeypatch):
     reports = []
     for size in (1, 7, 16):
         monkeypatch.setattr(simlab, "CHUNK_BYTES", size * simlab.ROW_BYTES * 500)
-        assert simlab.chunk_size(500) == size
+        assert simlab._chunk_size(500) == size
         reports.append(_report_bytes(tmp_path, f"chunk{size}"))
     assert reports[0] == reports[1] == reports[2]
 
 
 def test_chunk_size_follows_the_byte_cap():
-    assert simlab.chunk_size(500) == 8
-    assert simlab.chunk_size(8000) == 1
+    assert simlab._chunk_size(500) == 8
+    assert simlab._chunk_size(8000) == 1
 
 
 def test_degenerate_member_falls_back_without_failing_its_chunk(monkeypatch):
@@ -216,3 +217,57 @@ def test_solve_ee_gives_a_degenerate_member_a_nan_row():
     for k in (1, 2, 3):
         own, own_cond = _solve_ee(index[k], regressors[k], response[k], "test")
         assert np.array_equal(theta[k], own) and cond[k] == own_cond
+
+
+def _lstsq_keeps(base, extension):
+    """The column-by-column ``np.linalg.lstsq`` rule ``_drop_collinear`` implements."""
+    kept, current = [], base
+    for j in range(extension.shape[1]):
+        col = extension[:, j]
+        norm = np.linalg.norm(col)
+        if norm == 0.0:
+            continue
+        coef, *_ = np.linalg.lstsq(current, col, rcond=None)
+        if np.linalg.norm(col - current @ coef) > COLLINEARITY_TOL * norm:
+            kept.append(j)
+            current = np.column_stack([current, col])
+    return kept
+
+
+def test_drop_collinear_of_one_dataset_is_the_lstsq_rule():
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        n, p, q = 40, int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        base = rng.standard_normal((n, p))
+        if trial % 4 == 0 and p > 1:
+            base[:, -1] = base[:, 0]                      # a rank-deficient base
+        # columns in the span of the base, or off it by 1e-4 or 1e-12, or zero
+        extension = base @ rng.standard_normal((p, q))
+        extension += rng.choice([0.0, 1e-4, 1e-12], size=q) * rng.standard_normal((n, q))
+        extension[:, rng.random(q) < 0.1] = 0.0
+        kept, cols, agree = _drop_collinear(base[None], extension[None])
+        assert cols == _lstsq_keeps(base, extension) and agree == [True]
+        assert np.array_equal(kept[0], extension[:, cols])
+
+
+def test_drop_collinear_flags_members_that_disagree_with_the_stack():
+    rng, base = _designs(3, p=2)
+    extension = base * rng.standard_normal((4, 300, 1))
+    extension[2] = 2.0 * base[2]                          # in the span of its base
+    kept, cols, agree = _drop_collinear(base, extension)
+    assert cols == [0, 1] and agree == [True, True, False, True]
+    assert _drop_collinear(base[2:3], extension[2:3])[1] == []
+    for k in (0, 1, 3):
+        own = _drop_collinear(base[k:k + 1], extension[k:k + 1])
+        assert own[1] == [0, 1] and np.array_equal(own[0][0], kept[k])
+
+
+def test_drop_collinear_projects_on_the_numerical_range_of_a_deficient_base():
+    rng, base = _designs(5, b=1)
+    base[0, :, 2] = base[0, :, 1]
+    u = np.linalg.svd(base[0], full_matrices=False)[0]
+    # off the span only along the singular vector of the zero singular value
+    col = base[0] @ rng.standard_normal(3) + 1e-4 * u[:, 2]
+    extension = col[None, :, None]
+    assert _lstsq_keeps(base[0], extension[0]) == [0]
+    assert _drop_collinear(base, extension)[1] == [0]
