@@ -28,6 +28,7 @@ from .dataset import (
     write_csv,
 )
 from .errors import (
+    DegenerateResponseError,
     DegenerateWeightsError,
     EstimationError,
     InputError,

@@ -13,18 +13,31 @@ Everything here is restricted to a constant causal effect and a single
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dataset import BasisSpec, Dataset, build_design
 from .errors import (
-    SingularDesignError,
     UnsupportedCombinationError,
     WeakIdentificationError,
 )
 from .estimators import EstimateResult, _solve_ee, g_estimate
-from .glm import expit, fit_binary, fit_ols, fit_wls
+from .glm import (
+    BinaryFit,
+    _binary_fit,
+    _class_errors,
+    _design_errors,
+    _Irls,
+    _irls,
+    _lstsq,
+    _shape_error,
+    _singular_errors,
+    expit,
+    fit_ols,
+    fit_wls,
+)
 from .models import (
     BinaryLogisticIv,
     EffectModel,
@@ -46,6 +59,7 @@ __all__ = [
 ]
 
 COLLINEARITY_TOL = 1e-8
+_ALPHA_CONTEXT = "degenerate instrument variation: centered index design is rank deficient"
 _EPS = np.finfo(float).eps
 
 
@@ -88,13 +102,8 @@ def eem_fit_alpha(data: Dataset, iv: IvModel, index_basis: BasisSpec) -> np.ndar
     """Index coefficients: OLS of x on (z - E(z|C)) * index basis columns."""
     _require_single_instrument(data)
     zc = _centered_z(data, iv)
-    design = zc[:, None] * build_design(data, index_basis)
-    try:
-        return fit_ols(design, data.x).coefficients
-    except SingularDesignError as err:
-        raise WeakIdentificationError(
-            f"degenerate instrument variation: centered index design is rank "
-            f"deficient ({err})", condition=err.condition) from None
+    return _index_coef(zc[None], build_design(data, index_basis)[None], data.x[None],
+                       _ALPHA_CONTEXT, strict=True)[0]
 
 
 def eem_fit_beta(data: Dataset, iv: IvModel, alpha: np.ndarray, index_basis: BasisSpec,
@@ -208,30 +217,194 @@ def _drop_collinear(base: np.ndarray, extension: np.ndarray
     return extension[:, :, kept_cols], kept_cols, agree
 
 
-def _br_denominator(d: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sum(d * x) of each member of a (B, n) stack, its scale
-    ``||d|| * ||x||``, and whether it is negligible against that scale."""
+def _br_denominator(d: np.ndarray, x: np.ndarray, what: str) -> tuple[np.ndarray, list]:
+    """sum(d * x) of each member of a (B, n) stack and, per member, the
+    WeakIdentificationError of a denominator negligible against its scale
+    ``||d|| * ||x||``, or None."""
     denom = (d * x).sum(-1)
     scale = _norm(d) * _norm(x)
-    return denom, scale, np.abs(denom) <= 1e-10 * np.maximum(scale, 1e-300)
+    degenerate = np.abs(denom) <= 1e-10 * np.maximum(scale, 1e-300)
+    return denom, [WeakIdentificationError(
+        f"{what} denominator {denom[k]:.3e} is degenerate against scale {scale[k]:.3e}")
+        if bad else None for k, bad in enumerate(degenerate.tolist())]
 
 
 def _denominator(d: np.ndarray, x: np.ndarray, what: str) -> float:
-    """:func:`_br_denominator` of one dataset; raises
-    :class:`WeakIdentificationError` when it is degenerate."""
-    denom, scale, degenerate = _br_denominator(d[None], x[None])
-    if degenerate[0]:
-        raise WeakIdentificationError(
-            f"{what} denominator {denom[0]:.3e} is degenerate against scale {scale[0]:.3e}")
+    """:func:`_br_denominator` of one dataset; raises its error."""
+    denom, errors = _br_denominator(d[None], x[None], what)
+    if errors[0] is not None:
+        raise errors[0]
     return float(denom[0])
 
 
-def _fit_extended_logistic(data: Dataset, iv_design: np.ndarray,
-                           extension: np.ndarray):
-    design = np.column_stack([iv_design, extension]) if extension.size else iv_design
-    fit = fit_binary(design, data.z[:, 0], link="logit")
-    prob = expit(design @ fit.coefficients)
-    return fit, prob
+class _Flagged(Exception):
+    """Positions in a stack of the members left to the per-dataset path."""
+
+    def __init__(self, positions: list[int]):
+        super().__init__(positions)
+        self.positions = positions
+
+
+def _check(errors: list, strict: bool) -> None:
+    """Rejects the stack members whose entry of ``errors`` is not None: a
+    strict stack (one dataset on its own) raises that member's error, which
+    is the per-dataset error; any other stack flags them (:class:`_Flagged`)."""
+    bad = [k for k, err in enumerate(errors) if err is not None]
+    if bad and strict:
+        raise errors[bad[0]]
+    if bad:
+        raise _Flagged(bad)
+
+
+def _fit_stack(compute: Callable[[list], list], members: list, count: int) -> list:
+    """``compute(members)`` on the given positions of a stack of ``count``,
+    again without the members it flags (:class:`_Flagged`) until it
+    succeeds; one value per position, None for a position left out, flagged,
+    or in a stack that hit a LinAlgError."""
+    out = [None] * count
+    with np.errstate(all="ignore"):
+        while members:
+            try:
+                values = compute(members)
+            except _Flagged as flagged:
+                members = [m for k, m in enumerate(members) if k not in flagged.positions]
+                continue
+            except np.linalg.LinAlgError:
+                break
+            for m, value in zip(members, values):
+                out[m] = value
+            break
+    return out
+
+
+def _index_coef(zc: np.ndarray, index_design: np.ndarray, x: np.ndarray, context: str,
+                strict: bool) -> np.ndarray:
+    """fit_ols coefficients of x on zc * index basis for a stack (B, n); a
+    rank-deficient member is a WeakIdentificationError that ``context``
+    names (see :func:`_check`)."""
+    design = zc[..., None] * index_design
+    shape = _shape_error(design.shape)
+    fit = _lstsq(design, x) if shape is None else None
+    errors = [shape] * len(design) if fit is None else _design_errors(fit, "fit_ols")
+    _check([None if err is None else WeakIdentificationError(
+        f"{context} ({err})", condition=err.condition) for err in errors], strict)
+    return fit.coef
+
+
+class _BrGamma(NamedTuple):
+    """The bias-reduced instrument-model fits of a stack of B datasets."""
+
+    psi: np.ndarray                 # (B,)
+    index_coef: np.ndarray          # (B, k), refitted under the extended fit with refit_index
+    plain: _Irls | None             # the plain ML instrument fit, when fitted here
+    extended: _Irls                 # the extended instrument fit
+    kept: list                      # extension columns kept, the same for every member
+    d: np.ndarray                   # (B, n) index times instrument residual
+    denom: np.ndarray               # (B,) sum(d * x)
+
+
+class _BrGammaFit(NamedTuple):
+    """One member of a :class:`_BrGamma` stack, as memoised on its dataset."""
+
+    psi: float
+    index_coef: np.ndarray
+    plain: BinaryFit | None
+    extended: BinaryFit
+    kept: list
+    score_identity: float
+    influence: np.ndarray
+
+
+def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.ndarray,
+                    outcome_design: np.ndarray, index_design: np.ndarray,
+                    refit_index: bool = True, alpha: np.ndarray | None = None,
+                    strict: bool = False) -> _BrGamma:
+    """The arithmetic of :func:`br_gamma_estimate` on a stack of B datasets of
+    one size: z, x, y (B, n) and the designs (B, n, p).  ``alpha`` (B, k) is
+    :func:`eem_fit_alpha` under the plain instrument fit; ``None`` fits the
+    plain model here by maximum likelihood and computes it.
+
+    Members are independent: each takes the iterates, checks and values of a
+    stack of one.  A member that a check rejects raises its per-dataset error
+    when ``strict`` (a stack of one), or else is flagged (:class:`_Flagged`),
+    as is a member whose own collinearity decisions are not the stack's.
+    """
+    def logistic(design):
+        # fit_binary(design, z, "logit") and its fitted probabilities; z's
+        # classes are checked once, below, as every fit here is of z
+        fit = _irls(design, z, "logit")
+        _check(_singular_errors(fit), strict)
+        return fit, expit(np.matvec(design, np.array(fit.coef)))
+
+    def extended(alpha):
+        e_scale = np.matvec(index_design, alpha)
+        extension, kept, agree = _drop_collinear(iv_design, e_scale[..., None] * outcome_design)
+        if not all(agree):
+            raise _Flagged([k for k, a in enumerate(agree) if not a])
+        design = np.concatenate([iv_design, extension], axis=-1) if kept else iv_design
+        return (e_scale, kept, *logistic(design))
+
+    _check(_class_errors(z), strict)
+    plain = None
+    if alpha is None:
+        plain, prob = logistic(iv_design)
+        alpha = _index_coef(z - prob, index_design, x, _ALPHA_CONTEXT, strict)
+    e_scale, kept, fit, ext_prob = extended(alpha)
+    if refit_index:
+        alpha = _index_coef(z - ext_prob, index_design, x,
+                            "degenerate instrument variation under the extended fit", strict)
+        e_scale, kept, fit, ext_prob = extended(alpha)
+    d = e_scale * (z - ext_prob)
+    denom, errors = _br_denominator(d, x, "br_gamma")
+    _check(errors, strict)
+    return _BrGamma((d * y).sum(-1) / denom, alpha, plain, fit, kept, d, denom)
+
+
+def _members(fit: _BrGamma, x: np.ndarray, y: np.ndarray,
+             outcome_design: np.ndarray) -> list[_BrGammaFit]:
+    """Each member of a stacked fit with its score identity and influence
+    values, which only a full result needs."""
+    d, psi = fit.d, fit.psi
+    # the column sums keep this form: a vecmat moves their last bits
+    identity = np.abs((d[..., None] * outcome_design).sum(-2)).max(-1).tolist()
+    influence = d * (y - psi[:, None] * x) / (fit.denom[:, None] / x.shape[-1])
+    return [_BrGammaFit(value, fit.index_coef[k],
+                        None if fit.plain is None else _binary_fit(fit.plain, k, "logit"),
+                        _binary_fit(fit.extended, k, "logit"), fit.kept, identity[k],
+                        influence[k])
+            for k, value in enumerate(psi.tolist())]
+
+
+def _br_gamma_one(data: Dataset, bases: tuple, refit_index: bool,
+                  iv_plain: BinaryLogisticIv | None = None) -> _BrGammaFit:
+    """:func:`_br_gamma_stack` of one dataset (a strict stack of one)."""
+    x, y = data.x[None], data.y[None]
+    designs = [build_design(data, basis)[None] for basis in bases]
+    alpha = None if iv_plain is None else eem_fit_alpha(data, iv_plain, bases[2])[None]
+    fit = _br_gamma_stack(data.z[:, 0][None], x, y, *designs, refit_index=refit_index,
+                          alpha=alpha, strict=True)
+    return _members(fit, x, y, designs[1])[0]
+
+
+def _br_gamma_chunk(datasets: list, bases: tuple, refit_index: bool) -> list:
+    """:func:`_br_gamma_stack` of a chunk of datasets, for :meth:`Dataset.memo`:
+    one fit per dataset, or None for a dataset left to :func:`_br_gamma_one`
+    (a flagged member, or one of another size or without a single binary
+    instrument)."""
+    first = datasets[0]
+
+    def compute(members):
+        chosen = [datasets[m] for m in members]
+        x, y = np.stack([ds.x for ds in chosen]), np.stack([ds.y for ds in chosen])
+        designs = [np.stack([build_design(ds, basis) for ds in chosen]) for basis in bases]
+        fit = _br_gamma_stack(np.stack([ds.z[:, 0] for ds in chosen]), x, y, *designs,
+                              refit_index=refit_index)
+        return _members(fit, x, y, designs[1])
+
+    members = [k for k, ds in enumerate(datasets)
+               if ds.n == first.n and ds.n_covariates == first.n_covariates
+               and ds.n_instruments == 1 and ds.z_is_binary()]
+    return _fit_stack(compute, members, len(datasets))
 
 
 def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: BasisSpec,
@@ -254,63 +427,52 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
     it to share one fit with other estimators on the same dataset, or leave
     it ``None`` to fit it here.  It must be that fit on this dataset, not a
     known instrument law: the bias-reduction identity assumes the ML fit.
+
+    The arithmetic is one stacked kernel, run here as a stack of one.  With
+    ``iv_plain`` left ``None`` the fit is memoised on the dataset
+    (:meth:`Dataset.memo`, keyed by the three bases and ``refit_index``), and
+    the first call on any dataset of a linked chunk -- the bootstrap's
+    resamples -- fits every member at once; each member's result and error
+    are those of a fit on its own.  Every call returns a fresh result.
     """
     _require_single_instrument(data)
     if not data.z_is_binary():
         raise UnsupportedCombinationError("bias-reduced procedures require a binary instrument")
-    iv_design = build_design(data, iv_basis)
-    outcome_design = build_design(data, outcome_basis)
-    index_design = build_design(data, index_basis)
+    bases = (iv_basis, outcome_basis, index_basis)
+    if iv_plain is not None:
+        return _br_gamma_result(_br_gamma_one(data, bases, refit_index, iv_plain), iv_plain)
+    member = data.memo(("br_gamma", *bases, refit_index),
+                       lambda ds: _br_gamma_one(ds, bases, refit_index),
+                       lambda chunk: _br_gamma_chunk(chunk, bases, refit_index))
+    plain = BinaryLogisticIv(iv_basis, member.plain.coefficients.copy(), member.plain.converged)
+    return _br_gamma_result(member, plain)
 
-    plain = iv_plain if iv_plain is not None else BinaryLogisticIv.fit(data, iv_basis)
-    alpha = eem_fit_alpha(data, plain, index_basis)
 
-    def build_and_fit(alpha_vec):
-        e_scale = index_design @ alpha_vec
-        extension, kept, _ = _drop_collinear(iv_design[None],
-                                             (e_scale[:, None] * outcome_design)[None])
-        extension = extension[0]
-        fit, prob = _fit_extended_logistic(data, iv_design, extension)
-        return e_scale, extension, kept, fit, prob
-
-    e_scale, extension, kept, fit, prob = build_and_fit(alpha)
-    if refit_index:
-        zc = data.z[:, 0] - prob
-        try:
-            alpha = fit_ols(zc[:, None] * index_design, data.x).coefficients
-        except SingularDesignError as err:
-            raise WeakIdentificationError(
-                f"degenerate instrument variation under the extended fit ({err})",
-                condition=err.condition) from None
-        e_scale, extension, kept, fit, prob = build_and_fit(alpha)
-
-    d = e_scale * (data.z[:, 0] - prob)
-    denom = _denominator(d, data.x, "br_gamma")
-    psi = float(np.sum(d * data.y) / denom)
-
-    score_identity = np.abs((d[:, None] * outcome_design).sum(axis=0)).max()
-    influence = d * (data.y - psi * data.x) / (denom / data.n)
+def _br_gamma_result(member: _BrGammaFit, plain: BinaryLogisticIv) -> EstimateResult:
+    """A fresh EstimateResult, owning copies of the member's arrays."""
+    fit = replace(member.extended, coefficients=member.extended.coefficients.copy(),
+                  loglik_trace=list(member.extended.loglik_trace))
     br = BrFit(
         variant="br_gamma",
         gamma_hat=fit.coefficients,
         beta_hat=np.empty(0),
-        score_identity_norm=float(score_identity),
+        score_identity_norm=member.score_identity,
         converged=fit.converged,
     )
     diagnostics = {
         "br_fit": br,
         "extended_converged": fit.converged,
-        "extension_columns_kept": kept,
+        "extension_columns_kept": list(member.kept),
         "separation": fit.separation,
-        "influence": influence,
+        "influence": member.influence.copy(),
     }
     if not fit.converged:
         diagnostics["warning"] = ("extended instrument model did not converge; "
                                   "using the step-halved fit")
     return EstimateResult(
-        psi_hat=np.array([psi]),
+        psi_hat=np.array([member.psi]),
         beta_hat=np.empty(0),
-        nuisance={"iv_plain": plain, "index_coef": alpha, "extended_fit": fit},
+        nuisance={"iv_plain": plain, "index_coef": member.index_coef.copy(), "extended_fit": fit},
         diagnostics=diagnostics,
     )
 

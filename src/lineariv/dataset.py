@@ -163,6 +163,25 @@ def _as_locked_array(a, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+# Working-set cap of one chunk of linked datasets (Monte Carlo replicates in
+# run_monte_carlo, bootstrap resamples in bootstrap_ci): 8 datasets at n=500,
+# 4 at n=1000, 1 at n=4000 and above.  ROW_BYTES is a conservative figure for
+# the working set a row of the stacked kernels: tracemalloc measured a peak
+# of 355-386 bytes a row for a chunk of the Table 1 bundle (n=500 and 8000)
+# and 239-299 for a chunk of br-gamma resamples (n=500 and 1000).
+CHUNK_BYTES = 2_000_000
+ROW_BYTES = 480
+
+
+def _chunk_size(n: int) -> int:
+    """Datasets of ``n`` rows per chunk: as many as fit in CHUNK_BYTES of the
+    stacked kernels' working set, about ROW_BYTES a row, and at least one."""
+    return max(1, CHUNK_BYTES // (ROW_BYTES * n))
+
+
+_LEFT_OUT = object()     # memo marker: the chunk computation left this dataset out
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Columnar observations: outcome y, exposure x, instruments z, covariates.
@@ -170,13 +189,15 @@ class Dataset:
     All arrays are validated to be finite and are frozen after construction.
 
     Each instance also memoises values computed from it (:meth:`memo`): the
-    designs of :func:`build_design`, keyed by :class:`BasisSpec`, and the
-    estimates and nuisance fits of an estimator bundle, keyed by the bundle.
-    A memoised value is a pure function of the frozen data and its key, and
-    designs are read-only, so no caller can alter what another sees.
-    Datasets can be linked into a chunk (:meth:`link`) whose memo entries a
-    bundle fills together.  ``take`` and ``with_z`` build new, unlinked
-    instances with empty memos.
+    designs of :func:`build_design`, keyed by :class:`BasisSpec`, the
+    estimates and nuisance fits of an estimator bundle, keyed by the bundle,
+    and the fits of :func:`~lineariv.adaptive.br_gamma_estimate`, keyed by
+    its bases.  A memoised value is a pure function of the frozen data and
+    its key; designs are read-only and br-gamma results are built afresh
+    from the memoised arrays on every call, so no caller can alter what
+    another sees.  Datasets can be linked into a chunk (:meth:`link`) whose
+    memo entries a bundle or br-gamma fills together.  ``take`` and
+    ``with_z`` build new, unlinked instances with empty memos.
 
     Equality and hashing are by identity, like the memo: two
     datasets with equal contents are distinct objects.  Compare the arrays
@@ -225,24 +246,31 @@ class Dataset:
         one's chunk (:meth:`link`; an unlinked dataset is a chunk of one)
         that lacks it, with one call ``compute_chunk(datasets)``.  It returns
         one value per dataset, equal to what ``compute`` returns, or ``None``
-        for a dataset it leaves to ``compute``.
+        for a dataset it leaves to ``compute``.  ``compute`` runs only on a
+        dataset's own call, so a dataset left out raises its own error there
+        and no other dataset's call sees it.
         """
         try:
-            return self._memo[key]
+            value = self._memo[key]
         except KeyError:
-            pass
-        if compute_chunk is None:
-            return self._memo.setdefault(key, compute(self))
-        chunk = [ds for ds in (ref() for ref in self._chunk) if ds is not None] or [self]
-        pending = [ds for ds in chunk if key not in ds._memo]
-        for ds, value in zip(pending, compute_chunk(pending)):
-            ds._memo[key] = compute(ds) if value is None else value
-        return self._memo[key]
+            value = _LEFT_OUT
+            if compute_chunk is not None:
+                chunk = [ds for ds in (ref() for ref in self._chunk) if ds is not None] or [self]
+                pending = [ds for ds in chunk if key not in ds._memo]
+                for ds, result in zip(pending, compute_chunk(pending)):
+                    ds._memo[key] = _LEFT_OUT if result is None else result
+                value = self._memo[key]
+        if value is _LEFT_OUT:
+            value = self._memo[key] = compute(self)
+        return value
 
     @staticmethod
     def link(datasets: Sequence["Dataset"]) -> None:
-        """Make ``datasets`` one chunk for :meth:`memo`.  The chunk holds weak
-        references, so linking keeps no dataset alive."""
+        """Make ``datasets`` one chunk for :meth:`memo`: the first miss of a
+        key with ``compute_chunk`` on any of them computes it for all.  The
+        Monte Carlo harness links each chunk of replicates and
+        :func:`~lineariv.inference.bootstrap_ci` each chunk of resamples.  The
+        chunk holds weak references, so linking keeps no dataset alive."""
         chunk = tuple(weakref.ref(ds) for ds in datasets)
         for ds in datasets:
             object.__setattr__(ds, "_chunk", chunk)

@@ -45,6 +45,12 @@ class DegenerateWeightsError(EstimationError):
     """All weights are zero (or otherwise unusable) in a weighted fit."""
 
 
+class DegenerateResponseError(EstimationError, ValueError):
+    """A binary response holds one class only, so it has no maximum-likelihood
+    fit (a bootstrap resample can draw one class).  Also a ValueError, which
+    ``fit_binary`` raised for this case before the error was typed."""
+
+
 class WeakIdentificationError(EstimationError):
     """The estimating-equation denominator is singular or ill-conditioned."""
 

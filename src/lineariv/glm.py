@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit as _expit, ndtr as _ndtr, ndtri as _ndtri
 
-from .errors import DegenerateWeightsError, SingularDesignError
+from .errors import DegenerateResponseError, DegenerateWeightsError, SingularDesignError
 
 __all__ = [
     "LinearFit",
@@ -92,21 +92,38 @@ def _lstsq(design: np.ndarray, response: np.ndarray) -> _Lstsq:
     return _Lstsq(coef, s, vt, condition, deficient)
 
 
+def _design_errors(ls: _Lstsq, what: str) -> list:
+    """Per member of a stacked fit, the SingularDesignError the 2-D fit
+    ``what`` raises for it, or None for a member of full rank."""
+    errors = [None] * len(ls.deficient)
+    for k, deficient in enumerate(ls.deficient):
+        if deficient and ls.s[k, 0] == 0.0:
+            errors[k] = SingularDesignError(f"{what}: design is identically zero",
+                                            condition=np.inf)
+        elif deficient:
+            errors[k] = SingularDesignError(
+                f"{what}: design is rank deficient (condition estimate {ls.condition[k]:.3e})",
+                condition=ls.condition[k])
+    return errors
+
+
+def _shape_error(shape: tuple) -> SingularDesignError | None:
+    """fit_ols's error for a design with fewer rows than columns."""
+    if shape[-2] < shape[-1]:
+        return SingularDesignError(f"need at least as many rows as columns, got {shape[-2:]}")
+    return None
+
+
 def _linear_fit(design: np.ndarray, response: np.ndarray, scaled_design: np.ndarray,
                 scaled_response: np.ndarray, what: str) -> LinearFit:
     # the 2-D fit: a batch of one through _lstsq, raising for a degenerate design
     ls = _lstsq(scaled_design[None], scaled_response[None])
-    s, vt, condition = ls.s[0], ls.vt[0], ls.condition[0]
-    if s[0] == 0.0:
-        raise SingularDesignError(f"{what}: design is identically zero", condition=np.inf)
-    if ls.deficient[0]:
-        raise SingularDesignError(
-            f"{what}: design is rank deficient (condition estimate {condition:.3e})",
-            condition=condition,
-        )
-    coef = ls.coef[0]
+    error = _design_errors(ls, what)[0]
+    if error is not None:
+        raise error
+    s, vt, coef = ls.s[0], ls.vt[0], ls.coef[0]
     fitted = design @ coef
-    return LinearFit(coef, fitted, response - fitted, (vt.T / s**2) @ vt, condition)
+    return LinearFit(coef, fitted, response - fitted, (vt.T / s**2) @ vt, ls.condition[0])
 
 
 def fit_ols(design: np.ndarray, response: np.ndarray) -> LinearFit:
@@ -122,9 +139,9 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> LinearFit:
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
-    if design.shape[0] < design.shape[1]:
-        raise SingularDesignError(
-            f"need at least as many rows as columns, got {design.shape}")
+    error = _shape_error(design.shape)
+    if error is not None:
+        raise error
     return _linear_fit(design, response, design, response, "fit_ols")
 
 
@@ -326,29 +343,60 @@ def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit",
     ``separation`` flag.  The fit is a batch of one through the stacked
     kernel ``_irls``, which the Monte Carlo bundles call directly on a
     (B, n, p) stack of designs.
+
+    Raises
+    ------
+    ValueError
+        If the response is not 0/1.
+    DegenerateResponseError
+        If it holds one class only (an :class:`EstimationError`, and a
+        ValueError too).
+    SingularDesignError
+        If X'WX is exactly singular at some iterate.
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("response must be binary 0/1")
-    if np.count_nonzero(y) in (0, y.size):
-        raise ValueError("response must contain both classes")
+    error = _class_errors(y[None])[0]
+    if error is not None:
+        raise error
     fit = _irls(design[None], y[None], link, max_iter, tol)
-    cond = fit.singular[0]
-    if cond is not None:
-        raise SingularDesignError(
-            f"fit_binary: weighted design is rank deficient (condition {cond:.3e})",
-            condition=cond,
-        )
-    beta = fit.coef[0]
-    score_norm = fit.score_norm[0]
+    error = _singular_errors(fit)[0]
+    if error is not None:
+        raise error
+    return _binary_fit(fit, 0, link, tol)
+
+
+def _class_errors(y: np.ndarray) -> list:
+    """Per member of a (B, n) stack of binary responses, the
+    DegenerateResponseError ``fit_binary`` raises when it holds one class, or
+    None."""
+    n = y.shape[-1]
+    return [DegenerateResponseError("response must contain both classes") if ones in (0, n)
+            else None for ones in np.count_nonzero(y, axis=-1).tolist()]
+
+
+def _singular_errors(fit: _Irls) -> list:
+    """Per member of a stacked IRLS fit, the SingularDesignError ``fit_binary``
+    raises when its X'WX was singular, or None."""
+    return [None if cond is None else SingularDesignError(
+        f"fit_binary: weighted design is rank deficient (condition {cond:.3e})", condition=cond)
+        for cond in fit.singular]
+
+
+def _binary_fit(fit: _Irls, k: int, link: str, tol: float = SCORE_TOL) -> BinaryFit:
+    """Member ``k`` of a stacked IRLS fit as the BinaryFit ``fit_binary``
+    returns; the member owns copies of the stack's arrays."""
+    beta = np.array(fit.coef[k])
+    score_norm = fit.score_norm[k]
     return BinaryFit(
         coefficients=beta,
         link=link,
         converged=score_norm <= tol,
-        iterations=fit.iterations[0],
+        iterations=fit.iterations[k],
         score_norm=score_norm,
         separation=bool(np.linalg.norm(beta) > SEPARATION_NORM),
-        log_likelihood=fit.loglik[0],
-        loglik_trace=fit.traces[0],
+        log_likelihood=fit.loglik[k],
+        loglik_trace=list(fit.traces[k]),
     )

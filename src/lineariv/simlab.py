@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _chunk_size
 from .errors import EstimationError, SchemaError
 from .glm import expit, normal_cdf
 from .rng import draw_normal, make_generator
@@ -44,12 +44,6 @@ __all__ = [
 ]
 
 OUTLIER_IQR_MULTIPLIER = 50.0
-# Working-set cap of one chunk of replicates (see run_monte_carlo): 8
-# replicates at n=500, 1 at n=8000.  ROW_BYTES is a conservative figure for
-# the stacked Table 1 bundle's working set a row of a replicate: tracemalloc
-# measured a peak of 355-386 bytes a row for one chunk at n=500 and n=8000.
-CHUNK_BYTES = 2_000_000
-ROW_BYTES = 480
 GENERATORS = ("sim1", "sim2", "effectmod", "table1", "extreme")
 
 
@@ -213,12 +207,6 @@ class MonteCarloReport:
     estimates: dict[str, np.ndarray]   # (reps, k), NaN rows = failed replicates
 
 
-def _chunk_size(n: int) -> int:
-    """Replicates of ``n`` rows per chunk: as many as fit in CHUNK_BYTES of the
-    stacked bundle's working set, about ROW_BYTES a row, and at least one."""
-    return max(1, CHUNK_BYTES // (ROW_BYTES * n))
-
-
 def _severe_outliers(values: np.ndarray) -> np.ndarray:
     """Componentwise severity rule: |v - median| > 50 * IQR (any component)."""
     med = np.median(values, axis=0)
@@ -239,10 +227,11 @@ def run_monte_carlo(config: ScenarioConfig,
     estimators never changes the data.
 
     Replicates are generated in chunks of consecutive replicates, as many
-    as fit CHUNK_BYTES of working set at ROW_BYTES a row (8 at n=500, 1 at
-    n=8000), whose datasets are linked (:meth:`Dataset.link`) so that a
-    bundle such as :func:`~lineariv.suites.table1_estimators` can compute a
-    whole chunk at once; the estimators are still called replicate by
+    as fit ``dataset.CHUNK_BYTES`` of working set at ``dataset.ROW_BYTES``
+    a row (8 at n=500, 1 at n=8000), whose datasets are linked
+    (:meth:`Dataset.link`) so that a bundle such as
+    :func:`~lineariv.suites.table1_estimators` can compute a whole chunk at
+    once; the estimators are still called replicate by
     replicate, in order.  Replicate ``i`` depends only on (seed, ``i``), and
     the report is byte-identical for every chunk size.  ``threads`` is
     accepted for compatibility and ignored: replicates run serially.

@@ -4,10 +4,11 @@
 ``suites.table1_estimators()`` for B datasets of one size with the stacked
 kernels (:func:`~lineariv.glm._lstsq`, :func:`~lineariv.glm._irls` and
 :func:`~lineariv.estimators._solve_ee` on a leading batch axis), so each numpy
-call is paid once per stack instead of once per dataset.  Every expression
-mirrors the per-dataset estimator it stands for, operands, order of
-operations and memory layout included, so each member's estimates equal the
-per-dataset ones to the last bit.
+call is paid once per stack instead of once per dataset.  br_gamma runs the
+per-dataset estimator's own kernel (``adaptive._br_gamma_stack``).  Every
+other expression mirrors the per-dataset estimator it stands for, operands,
+order of operations and memory layout included, so each member's estimates
+equal the per-dataset ones to the last bit.
 
 The collinearity and denominator rules are the per-dataset ones
 (``adaptive._drop_collinear`` and ``adaptive._br_denominator`` take the same
@@ -25,20 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adaptive import _br_denominator, _drop_collinear
+from .adaptive import _br_denominator, _br_gamma_stack, _drop_collinear, _fit_stack, _Flagged
 from .dataset import Dataset
 from .estimators import WEAK_ID_CONDITION, _solve_ee
 from .glm import _irls, _lstsq, expit
 
 __all__ = ["table1_point_estimates"]
-
-
-class _Flagged(Exception):
-    """Positions in the stack of members for the per-dataset path."""
-
-    def __init__(self, positions: list[int]):
-        super().__init__(positions)
-        self.positions = positions
 
 
 def _require(ok) -> None:
@@ -84,8 +77,8 @@ def _extension(base: np.ndarray, extension: np.ndarray) -> np.ndarray:
 
 def _denominator(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``_br_denominator``; flags a member whose denominator is degenerate."""
-    denom, _, degenerate = _br_denominator(d, x)
-    _require(~degenerate)
+    denom, errors = _br_denominator(d, x, "br_beta")
+    _require([err is None for err in errors])
     return denom
 
 
@@ -124,13 +117,14 @@ def _estimates(datasets: list[Dataset], iv_known_coef) -> list[dict]:
     d_eff = np.matvec(saturated, a_x) - (p_iv * m1 + (1.0 - p_iv) * m0)
     loc_eff = _ee(np.stack([d_eff, one, v], axis=-1), np.stack([x, one, v], axis=-1), y)
 
-    def index_scale(zc):
-        # (1, c0) @ alpha, alpha from eem_fit_alpha: x on zc * (1, c0)
-        return np.matvec(lin, _linear(_col(zc) * lin, x))
+    def index_coef(zc):
+        # alpha from eem_fit_alpha: x on zc * (1, c0)
+        return _linear(_col(zc) * lin, x)
 
     # eem: alpha, the weighted beta regression, then g_estimate
     zc_iv = z - p_iv
-    scale_iv = index_scale(zc_iv)
+    alpha_iv = index_coef(zc_iv)
+    scale_iv = np.matvec(lin, alpha_iv)
     w = scale_iv**2 * zc_iv**2
     _require(np.isfinite(w).all(-1) & ~(w < 0).any(-1) & (w > 0).any(-1))
     sw = np.sqrt(w)
@@ -139,22 +133,13 @@ def _estimates(datasets: list[Dataset], iv_known_coef) -> list[dict]:
     eem = _ee(_col(d_iv), _col(x), y - np.matvec(lin, beta))
     _require((d_iv * x).mean(-1) != 0.0)                   # eem_objective
 
-    # br_gamma: the logistic instrument model extended by e(C) * (1, c0)
+    # br_gamma: the per-dataset estimator's kernel, from the plain fit's index
     zc = z - prob
-    e_plain = scale_iv if iv_known_coef is None else index_scale(zc)
-
-    def extended_fit(e_scale):
-        extension = _extension(lin, _col(e_scale) * lin)
-        design = np.concatenate([lin, extension], axis=-1) if extension.shape[-1] else lin
-        return expit(np.matvec(design, _logistic(design, z)))
-
-    ext_prob = extended_fit(e_plain)
-    e_scale = index_scale(z - ext_prob)
-    ext_prob = extended_fit(e_scale)
-    d = e_scale * (z - ext_prob)
-    br_gamma = (d * y).sum(-1) / _denominator(d, x)
+    alpha = alpha_iv if iv_known_coef is None else index_coef(zc)
+    br_gamma = _br_gamma_stack(z, x, y, lin, lin, lin, alpha=alpha).psi
 
     # br_beta (one step from br_gamma): the outcome model extended by e(C) P(1-P) * (1, c0)
+    e_plain = scale_iv if iv_known_coef is None else np.matvec(lin, alpha)
     extension = _extension(lin, _col(e_plain * (prob * (1.0 - prob))) * lin)
     x_ext = np.concatenate([lin, extension], axis=-1) if extension.shape[-1] else lin
     d = e_plain * zc
@@ -174,21 +159,8 @@ def table1_point_estimates(datasets: list[Dataset], iv_known_coef=None) -> list[
     Datasets of different sizes, or without one instrument column and a
     covariate, are all left to the per-dataset estimators.
     """
-    out: list[dict | None] = [None] * len(datasets)
     n = datasets[0].n
     if any(ds.n != n or ds.n_instruments != 1 or ds.n_covariates < 1 for ds in datasets) or n < 4:
-        return out
-    members = list(range(len(datasets)))
-    with np.errstate(all="ignore"):
-        while members:
-            try:
-                values = _estimates([datasets[m] for m in members], iv_known_coef)
-            except _Flagged as flagged:
-                members = [m for k, m in enumerate(members) if k not in flagged.positions]
-                continue
-            except np.linalg.LinAlgError:
-                return out
-            for m, value in zip(members, values):
-                out[m] = value
-            return out
-    return out
+        return [None] * len(datasets)
+    return _fit_stack(lambda members: _estimates([datasets[m] for m in members], iv_known_coef),
+                      list(range(len(datasets))), len(datasets))

@@ -320,6 +320,7 @@ def test_br_monotone_improvement_under_full_misspecification():
 def _count_member_fits(monkeypatch) -> list:
     """Counts binary fits as members of the stacked IRLS kernel: a stack of
     B designs counts B fits, and fit_binary (a stack of one) counts one."""
+    import lineariv.adaptive
     import lineariv.glm
     import lineariv.stacked
 
@@ -330,8 +331,8 @@ def _count_member_fits(monkeypatch) -> list:
         calls.extend([1] * design.shape[0])
         return kernel(design, *args, **kwargs)
 
-    monkeypatch.setattr(lineariv.glm, "_irls", counting)
-    monkeypatch.setattr(lineariv.stacked, "_irls", counting)
+    for module in (lineariv.glm, lineariv.adaptive, lineariv.stacked):
+        monkeypatch.setattr(module, "_irls", counting)
     return calls
 
 

@@ -163,6 +163,20 @@ def test_fit_estimation_failure_exit_code(tmp_path, capsys):
     assert "estimation error" in err
 
 
+@pytest.mark.parametrize("estimator", ["br-gamma", "eem"])
+def test_fit_one_class_instrument_is_an_estimation_failure(tmp_path, capsys, estimator):
+    # an instrument that is all 0 has no logistic fit: exit 3, not a traceback
+    csv_path = tmp_path / "one_class.csv"
+    rows = ["y,x,z,v"] + [f"{i},{(i % 3) * 0.5},0,{i * 0.1}" for i in range(20)]
+    csv_path.write_text("\n".join(rows) + "\n")
+    code, _, err = run_cli(
+        capsys, "fit", "--data", str(csv_path), "--y-col", "y", "--x-col", "x",
+        "--z-cols", "z", "--cov-cols", "v", "--estimator", estimator,
+        "--outcome-basis", "1", "c0", "--index-basis", "1", "c0")
+    assert code == 3
+    assert err.strip() == "estimation error: response must contain both classes"
+
+
 def test_fit_missing_column_exit_code(tmp_path, capsys):
     csv_path = tmp_path / "d.csv"
     csv_path.write_text("y,x,z\n1,2,0\n2,1,1\n")

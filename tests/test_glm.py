@@ -5,7 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lineariv import (
+    BasisSpec,
+    BinaryLogisticIv,
+    Dataset,
+    DegenerateResponseError,
     DegenerateWeightsError,
+    EstimationError,
+    ExposureModel,
     SingularDesignError,
     expit,
     fit_binary,
@@ -165,6 +171,20 @@ def test_binary_rejects_degenerate_response():
         fit_binary(np.ones((4, 1)), np.array([1.0, 1, 1, 1]), "logit")
     with pytest.raises(ValueError):
         fit_binary(np.ones((4, 1)), np.array([0.5, 1, 0, 1]), "logit")
+
+
+@pytest.mark.parametrize("fit", [
+    lambda data: BinaryLogisticIv.fit(data, BasisSpec(["1", "c0"])),
+    lambda data: ExposureModel("logit", BasisSpec(["1", "z0"])).fit(data.with_z(1.0)),
+    lambda data: ExposureModel("probit", BasisSpec(["1", "z0"])).fit(data.with_z(1.0)),
+])
+def test_one_class_response_is_an_estimation_error(fit):
+    # a one-class instrument (and exposure): no logistic or probit fit exists
+    c = np.linspace(-1.0, 1.0, 12)
+    data = Dataset(c, np.ones(12), np.zeros(12), c)
+    with pytest.raises(DegenerateResponseError, match="response must contain both classes") as err:
+        fit(data)
+    assert isinstance(err.value, EstimationError) and isinstance(err.value, ValueError)
 
 
 def test_normal_cdf_basics():

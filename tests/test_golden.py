@@ -1,16 +1,20 @@
-"""Bit-identity guard: pinned outputs of the estimator bundles and of IRLS.
+"""Bit-identity guard: pinned outputs of the estimator bundles, of IRLS and
+of a br-gamma bootstrap interval.
 
 The values are ``float.hex`` strings.  The Table 1 and IRLS pins were
 recorded before the nuisance fits were shared and the IRLS line search
 stopped recomputing the accepted step; the binary-exposure and
 effect-modification pins were recorded before the linear estimators were
-collapsed onto one estimating-equation core.  Any later speed-up or
+collapsed onto one estimating-equation core; the bootstrap pins were
+recorded before the resamples were fitted in linked chunks.  Any later speed-up or
 refactor must reproduce them to the last bit; a change that is meant to move
 them must say so and re-pin them.
 """
 
+from lineariv.adaptive import br_gamma_estimate
 from lineariv.dataset import BasisSpec, build_design
 from lineariv.glm import fit_binary
+from lineariv.inference import bootstrap_ci
 from lineariv.simlab import ScenarioConfig, gen_sim1, gen_table1, generate
 from lineariv.suites import effectmod_estimators, sim_binary_estimators, table1_estimators
 
@@ -224,6 +228,16 @@ PROBIT_HEX = {
 }
 
 
+# bootstrap_ci of br_gamma_estimate (index and iv bases 1 c0, outcome basis 1 c0
+# or 1 c0 c0^2), 1000 resamples, seed 8, on table1 lambda=(1,1,-1), n=500,
+# seed 31: [ci_lower, ci_upper, se] and failed_resamples; recorded before
+# the resamples were fitted in linked chunks
+BOOTSTRAP_HEX = {
+    "1 c0": (["0x1.b30fb7456abdap-1", "0x1.fe2c532dc1f8fp+0", "0x1.34425f2c8a981p-2"], 0),
+    "1 c0 c0^2": (["0x1.ad2d8891bf98bp-1", "0x1.ed9a3f1c8e89ap+0", "0x1.269effde81b60p-2"], 0),
+}
+
+
 def _hex(values):
     return [float(v).hex() for v in values]
 
@@ -274,3 +288,15 @@ def test_fit_binary_probit_bit_identical():
     data = gen_sim1(400, [31, 5]).dataset
     fit = fit_binary(build_design(data, BasisSpec(["z0", "1", "c0"])), data.x, link="probit")
     assert _fit_hex(fit) == PROBIT_HEX
+
+
+def test_br_gamma_bootstrap_bit_identical():
+    lin = BasisSpec(["1", "c0"])
+    data = gen_table1(1, 1, -1, 500, 31).dataset
+    got = {}
+    for terms in BOOTSTRAP_HEX:
+        outcome = BasisSpec(terms.split())
+        res = bootstrap_ci(data, lambda ds: br_gamma_estimate(ds, lin, outcome, lin).psi_hat,
+                           resamples=1000, seed=8)
+        got[terms] = (_hex([res.ci_lower[0], res.ci_upper[0], res.se[0]]), res.failed_resamples)
+    assert got == BOOTSTRAP_HEX

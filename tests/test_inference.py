@@ -6,7 +6,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from lineariv import (
     BasisSpec,
+    BinaryLogisticIv,
     Dataset,
+    DegenerateResponseError,
     EffectModel,
     SingularDesignError,
     UnreliableBootstrapError,
@@ -18,6 +20,7 @@ from lineariv import (
     sandwich_se,
     standard_tsls,
 )
+from lineariv import dataset as dataset_module
 from lineariv.rng import draw_normal, make_generator
 
 C_LIN = BasisSpec(["1", "c0"])
@@ -170,3 +173,60 @@ def test_ses_equivariant_under_outcome_scaling():
                       resamples=300, seed=4)
     assert_allclose(fb.se, 2.0 * fa.se, rtol=1e-9)
     assert_allclose(fb.ci_lower, 2.0 * fa.ci_lower, rtol=1e-9)
+
+
+def _twenty_rows_two_treated():
+    base = gen_table1(0, 0, 0, 20, 3).dataset
+    z = np.zeros(20)
+    z[[4, 11]] = 1.0
+    return Dataset(base.y, base.x, z, base.c_raw)
+
+
+def test_bootstrap_counts_one_class_resamples_as_failed():
+    # about one resample in nine draws no instrument-treated row
+    data = _twenty_rows_two_treated()
+    res = bootstrap_ci(data, lambda ds: br_gamma_estimate(ds, C_LIN, C_LIN, C_LIN).psi_hat,
+                       resamples=200, seed=5)
+    draws = [make_generator([5, b]).integers(0, data.n, size=data.n) for b in range(200)]
+    one_class = [idx for idx in draws if not data.z[idx].any()]
+    assert res.failed_resamples == len(one_class) > 0
+    with pytest.raises(DegenerateResponseError):
+        br_gamma_estimate(data.take(one_class[0]), C_LIN, C_LIN, C_LIN)
+
+
+def _br_gamma_psi(ds):
+    return br_gamma_estimate(ds, C_LIN, C_LIN, C_LIN).psi_hat
+
+
+def _opaque_br_gamma_psi(ds):
+    # a fit of its own per resample, outside the dataset memo
+    return br_gamma_estimate(ds, C_LIN, C_LIN, C_LIN,
+                             iv_plain=BinaryLogisticIv.fit(ds, C_LIN)).psi_hat
+
+
+@pytest.mark.parametrize("estimator", [_br_gamma_psi, _opaque_br_gamma_psi])
+@pytest.mark.parametrize("data", [gen_table1(1, 1, -1, 200, 3).dataset,
+                                  _twenty_rows_two_treated()])
+def test_bootstrap_byte_identical_across_chunk_sizes(monkeypatch, estimator, data):
+    def run():
+        res = bootstrap_ci(data, estimator, resamples=150, seed=11)
+        return ([v.hex() for v in (res.ci_lower[0], res.ci_upper[0], res.se[0])],
+                res.failed_resamples)
+
+    default = run()
+    for size in (1, 7):
+        monkeypatch.setattr(dataset_module, "CHUNK_BYTES", size * dataset_module.ROW_BYTES * data.n)
+        assert dataset_module._chunk_size(data.n) == size
+        assert run() == default
+
+
+def test_bootstrap_links_each_chunk_and_calls_in_order(monkeypatch):
+    data = gen_table1(0, 0, 0, 500, 4).dataset
+    monkeypatch.setattr(dataset_module, "CHUNK_BYTES", 3 * dataset_module.ROW_BYTES * data.n)
+    seen = []
+    bootstrap_ci(data, lambda ds: seen.append(ds) or np.array([ds.y.mean()]),
+                 resamples=100, seed=2)
+    for b, ds in enumerate(seen):
+        idx = make_generator([2, b]).integers(0, data.n, size=data.n)
+        assert_array_equal(ds.y, data.y[idx])
+        assert [ref() for ref in ds._chunk] == seen[b - b % 3:b - b % 3 + 3]

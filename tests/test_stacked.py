@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+import lineariv.adaptive
 import lineariv.suites
-from lineariv import Dataset, EstimationError, simlab
+from lineariv import BasisSpec, BinaryLogisticIv, Dataset, EstimationError, dataset, simlab
+from lineariv.adaptive import br_gamma_estimate
+from lineariv.inference import conservative_se_brgamma
+from lineariv.rng import make_generator
 from lineariv.adaptive import COLLINEARITY_TOL, _drop_collinear
 from lineariv.errors import SingularDesignError, WeakIdentificationError
 from lineariv.estimators import _solve_ee
@@ -69,15 +73,16 @@ def _report_bytes(tmp_path, tag):
 def test_reports_byte_identical_across_chunk_sizes(tmp_path, monkeypatch):
     reports = []
     for size in (1, 7, 16):
-        monkeypatch.setattr(simlab, "CHUNK_BYTES", size * simlab.ROW_BYTES * 500)
-        assert simlab._chunk_size(500) == size
+        monkeypatch.setattr(dataset, "CHUNK_BYTES", size * dataset.ROW_BYTES * 500)
+        assert dataset._chunk_size(500) == size
         reports.append(_report_bytes(tmp_path, f"chunk{size}"))
     assert reports[0] == reports[1] == reports[2]
 
 
 def test_chunk_size_follows_the_byte_cap():
-    assert simlab._chunk_size(500) == 8
-    assert simlab._chunk_size(8000) == 1
+    assert dataset._chunk_size(500) == 8
+    assert dataset._chunk_size(1000) == 4
+    assert dataset._chunk_size(8000) == 1
 
 
 def test_degenerate_member_falls_back_without_failing_its_chunk(monkeypatch):
@@ -271,3 +276,105 @@ def test_drop_collinear_projects_on_the_numerical_range_of_a_deficient_base():
     extension = col[None, :, None]
     assert _lstsq_keeps(base[0], extension[0]) == [0]
     assert _drop_collinear(base, extension)[1] == [0]
+
+
+# ---------------------------------------------------------------------------
+# br_gamma: bootstrap resamples of one dataset in a linked chunk
+# ---------------------------------------------------------------------------
+
+LIN = BasisSpec(["1", "c0"])
+QUAD = BasisSpec(["1", "c0", "c0^2"])
+BR_BASES = [(LIN, LIN, LIN), (LIN, QUAD, LIN), (QUAD, LIN, QUAD), (LIN, BasisSpec(["1"]), LIN)]
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _br_fields(data, bases, refit, **kwargs):
+    """Every field of br_gamma_estimate's result as float.hex, or its error."""
+    try:
+        res = br_gamma_estimate(data, *bases, refit_index=refit, **kwargs)
+    except EstimationError as err:
+        return type(err).__name__, str(err)
+    fit, plain = res.nuisance["extended_fit"], res.nuisance["iv_plain"]
+    return {"psi": _hex(res.psi_hat), "index_coef": _hex(res.nuisance["index_coef"]),
+            "coefficients": _hex(fit.coefficients), "iterations": fit.iterations,
+            "loglik_trace": _hex(fit.loglik_trace), "converged": fit.converged,
+            "separation": fit.separation, "score_norm": _hex(fit.score_norm),
+            "log_likelihood": _hex(fit.log_likelihood),
+            "gamma_hat": _hex(res.diagnostics["br_fit"].gamma_hat),
+            "kept": res.diagnostics["extension_columns_kept"],
+            "score_identity_norm": _hex(res.diagnostics["br_fit"].score_identity_norm),
+            "influence": _hex(res.diagnostics["influence"]),
+            "plain": _hex(plain.coef), "plain_converged": plain.fit_converged,
+            "conservative_se": _hex(conservative_se_brgamma(data, res)),
+            "warning": res.diagnostics.get("warning")}
+
+
+def _resamples(data, count, seed):
+    return [data.take(make_generator([seed, b]).integers(0, data.n, size=data.n))
+            for b in range(count)]
+
+
+def _copies(datasets):
+    return [Dataset(ds.y, ds.x, ds.z, ds.c_raw) for ds in datasets]
+
+
+@pytest.mark.parametrize("lam, n", [((0, 0, 0), 300), ((1, 1, -1), 300), ((1, -1, -1), 120)])
+@pytest.mark.parametrize("bases", BR_BASES)
+@pytest.mark.parametrize("refit", [True, False])
+def test_br_gamma_chunk_bit_identical_to_per_dataset(lam, n, bases, refit):
+    datasets = _resamples(simlab.gen_table1(*lam, n, 40).dataset, 9, sum(lam) + n)
+    # the per-dataset reference: a stack of one from a plain fit of its own
+    expected = []
+    for ds in _copies(datasets):
+        try:
+            plain = BinaryLogisticIv.fit(ds, bases[2])
+        except EstimationError as err:
+            expected.append((type(err).__name__, str(err)))
+            continue
+        expected.append(_br_fields(ds, bases, refit, iv_plain=plain))
+    assert [_br_fields(ds, bases, refit) for ds in _copies(datasets)] == expected
+    Dataset.link(datasets)
+    assert [_br_fields(ds, bases, refit) for ds in datasets] == expected
+
+
+def test_br_gamma_degenerate_member_gets_its_own_error(monkeypatch):
+    base = simlab.gen_table1(1, 1, -1, 300, 41).dataset
+    datasets = _resamples(base, 6, 3)
+    one_class, flat = datasets[2], datasets[4]
+    datasets[2] = Dataset(one_class.y, one_class.x, np.zeros(base.n), one_class.c_raw)
+    datasets[4] = Dataset(flat.y, flat.x, flat.z, np.ones_like(flat.c_raw))
+    expected = [_br_fields(ds, (LIN, LIN, LIN), True) for ds in _copies(datasets)]
+    assert expected[2] == ("DegenerateResponseError", "response must contain both classes")
+    assert expected[4][0] == "WeakIdentificationError"
+
+    sizes = []
+    kernel = lineariv.adaptive._br_gamma_stack
+    monkeypatch.setattr(lineariv.adaptive, "_br_gamma_stack",
+                        lambda z, *args, **kw: sizes.append(len(z)) or kernel(z, *args, **kw))
+    Dataset.link(datasets)
+    assert [_br_fields(ds, (LIN, LIN, LIN), True) for ds in datasets] == expected
+    # the class check flags one, the index fit the other, the other four are
+    # fitted together and each degenerate member alone on its own call
+    assert sizes == [6, 5, 4, 1, 1]
+
+
+def test_br_gamma_calls_share_no_mutable_state():
+    data = simlab.gen_table1(0, 0, 0, 200, 42).dataset
+    first = br_gamma_estimate(data, LIN, LIN, LIN)
+    before = _br_fields(data, (LIN, LIN, LIN), True)
+    second = br_gamma_estimate(data, LIN, LIN, LIN)
+    assert first.nuisance is not second.nuisance and first.diagnostics is not second.diagnostics
+    assert first.diagnostics["br_fit"] is not second.diagnostics["br_fit"]
+    arrays = [lambda r: r.nuisance["index_coef"], lambda r: r.diagnostics["influence"],
+              lambda r: r.nuisance["extended_fit"].coefficients,
+              lambda r: r.nuisance["iv_plain"].coef,
+              lambda r: r.psi_hat]
+    for get in arrays:
+        assert not np.shares_memory(get(first), get(second))
+        get(first)[...] = 0.0
+    first.nuisance["extended_fit"].loglik_trace.append(0.0)
+    first.diagnostics["extension_columns_kept"].append(7)
+    assert _br_fields(data, (LIN, LIN, LIN), True) == before
