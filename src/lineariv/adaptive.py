@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedCombinationError,
     WeakIdentificationError,
 )
-from .estimators import EstimateResult, _solve_ee, g_estimate
+from .estimators import EstimateResult, _ee_result, _solve_ee, g_estimate
 from .glm import (
     BinaryFit,
     _binary_fit,
@@ -32,11 +32,10 @@ from .glm import (
     _Irls,
     _irls,
     _lstsq,
-    _shape_error,
+    _ols,
     _singular_errors,
+    _weight_errors,
     expit,
-    fit_ols,
-    fit_wls,
 )
 from .models import (
     BinaryLogisticIv,
@@ -90,20 +89,22 @@ def _require_single_instrument(data: Dataset) -> None:
             "adaptive procedures require a single instrument column")
 
 
-def _centered_z(data: Dataset, iv: IvModel) -> np.ndarray:
-    return data.z[:, 0] - iv.conditional_mean(data)[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # Empirical efficiency maximisation
 # ---------------------------------------------------------------------------
 
+def _eem_data(data: Dataset, iv: IvModel, *bases: BasisSpec) -> tuple:
+    """z - E(z|C), x, y and the designs of ``bases`` of one dataset, each as a
+    stack of one."""
+    _require_single_instrument(data)
+    return ((data.z[:, 0] - iv.conditional_mean(data)[:, 0])[None], data.x[None], data.y[None],
+            *(build_design(data, basis)[None] for basis in bases))
+
+
 def eem_fit_alpha(data: Dataset, iv: IvModel, index_basis: BasisSpec) -> np.ndarray:
     """Index coefficients: OLS of x on (z - E(z|C)) * index basis columns."""
-    _require_single_instrument(data)
-    zc = _centered_z(data, iv)
-    return _index_coef(zc[None], build_design(data, index_basis)[None], data.x[None],
-                       _ALPHA_CONTEXT, strict=True)[0]
+    zc, x, _, index_design = _eem_data(data, iv, index_basis)
+    return _index_coef(zc, index_design, x, _ALPHA_CONTEXT, strict=True)[0]
 
 
 def eem_fit_beta(data: Dataset, iv: IvModel, alpha: np.ndarray, index_basis: BasisSpec,
@@ -113,12 +114,10 @@ def eem_fit_beta(data: Dataset, iv: IvModel, alpha: np.ndarray, index_basis: Bas
     Weights are (alpha' b(C))^2 (z - E(z|C))^2, the variance-minimising
     weighting for the centered-index G-estimator.
     """
-    _require_single_instrument(data)
-    zc = _centered_z(data, iv)
-    scale = build_design(data, index_basis) @ np.asarray(alpha, dtype=float)
-    weights = scale**2 * zc**2
-    response = data.y - float(preliminary_psi) * data.x
-    return fit_wls(build_design(data, outcome_basis), response, weights).coefficients
+    zc, x, y, index_design, outcome_design = _eem_data(data, iv, index_basis, outcome_basis)
+    scale = np.matvec(index_design, np.asarray(alpha, dtype=float))
+    return _eem_beta(zc, x, y, scale, outcome_design, np.array([float(preliminary_psi)]),
+                     strict=True)[0]
 
 
 def eem_objective(data: Dataset, iv: IvModel, alpha, beta, psi: float,
@@ -129,21 +128,63 @@ def eem_objective(data: Dataset, iv: IvModel, alpha, beta, psi: float,
     d the centered index at alpha and eps the structural residual at
     (beta, psi).
     """
-    _require_single_instrument(data)
-    zc = _centered_z(data, iv)
-    d = (build_design(data, index_basis) @ np.asarray(alpha, dtype=float)) * zc
-    eps = data.y - build_design(data, outcome_basis) @ np.asarray(beta, dtype=float) - float(psi) * data.x
-    denom_mean = float(np.mean(d * data.x))
-    if denom_mean == 0.0:
-        raise WeakIdentificationError("objective denominator mean(d*x) is zero")
-    return float(np.var(d * eps, ddof=1) / (data.n * denom_mean**2))
+    zc, x, y, index_design, outcome_design = _eem_data(data, iv, index_basis, outcome_basis)
+    d = np.matvec(index_design, np.asarray(alpha, dtype=float)) * zc
+    eps = y - np.matvec(outcome_design, np.asarray(beta, dtype=float)) - float(psi) * x
+    return _eem_objective(d, x, eps, strict=True)[0]
 
 
-def _preliminary_psi_raw_z(data: Dataset, iv: IvModel, outcome_basis: BasisSpec,
-                           effect: EffectModel) -> float:
-    """G-estimator with index e=Z and OLS-profiled linear outcome model."""
-    res = g_estimate(data, RawInstruments(), OutcomeModel(outcome_basis), iv, effect)
-    return res.psi
+def _eem_beta(zc: np.ndarray, x: np.ndarray, y: np.ndarray, scale: np.ndarray,
+              outcome_design: np.ndarray, psi0: np.ndarray, strict: bool) -> np.ndarray:
+    """:func:`eem_fit_beta` of a stack at index scales alpha'b(C) (B, n) and
+    preliminary estimates psi0 (B,): fit_wls's checks, then its solve."""
+    w = scale**2 * zc**2
+    _check(_weight_errors(w), strict)
+    sw = np.sqrt(w)
+    fit = _lstsq(outcome_design * sw[..., None], (y - psi0[:, None] * x) * sw)
+    _check(_design_errors(fit, "fit_wls"), strict)
+    return fit.coef
+
+
+def _eem_objective(d: np.ndarray, x: np.ndarray, eps: np.ndarray, strict: bool) -> list:
+    """:func:`eem_objective` of a stack from the centered index d and the
+    structural residual eps (B, n); a zero mean(d*x) is an error."""
+    means = (d * x).mean(-1).tolist()
+    _check([WeakIdentificationError("objective denominator mean(d*x) is zero")
+            if mean == 0.0 else None for mean in means], strict)
+    n = x.shape[-1]
+    return [var / (n * mean**2) for var, mean in zip(np.var(d * eps, ddof=1, axis=-1).tolist(),
+                                                     means)]
+
+
+class _Eem(NamedTuple):
+    """The EEM fits of a stack of B datasets."""
+
+    alpha: np.ndarray               # (B, k) index coefficients
+    beta: np.ndarray                # (B, q) outcome coefficients
+    d: np.ndarray                   # (B, n) centered index
+    response: np.ndarray            # (B, n) y minus the outcome fit
+    psi: np.ndarray                 # (B,)
+    condition: list
+    objective: list                 # eem_objective at (alpha, beta, psi0)
+
+
+def _eem_stack(zc: np.ndarray, x: np.ndarray, y: np.ndarray, index_design: np.ndarray,
+               outcome_design: np.ndarray, psi0: np.ndarray, strict: bool = False) -> _Eem:
+    """The arithmetic of :func:`eem_estimate` from its preliminary estimates
+    psi0 (B,) on, for a stack of B datasets of one size: zc = z - E(z|C), x,
+    y (B, n) and the designs (B, n, p).  The index fit, the weighted beta
+    regression, the G-estimating equation at the centered index and the
+    objective, with their checks in that order (see :func:`_check`)."""
+    alpha = _index_coef(zc, index_design, x, _ALPHA_CONTEXT, strict)
+    scale = np.matvec(index_design, alpha)
+    beta = _eem_beta(zc, x, y, scale, outcome_design, psi0, strict)
+    d = scale * zc
+    response = y - np.matvec(outcome_design, beta)
+    theta, condition, errors = _solve_ee(d[..., None], x[..., None], response, "g_estimate")
+    _check(errors, strict)
+    objective = _eem_objective(d, x, response - psi0[:, None] * x, strict)
+    return _Eem(alpha, beta, d, response, theta[:, 0], condition, objective)
 
 
 def eem_estimate(data: Dataset, iv: IvModel, index_basis: BasisSpec,
@@ -153,26 +194,26 @@ def eem_estimate(data: Dataset, iv: IvModel, index_basis: BasisSpec,
 
     The preliminary effect estimate (default: the e=Z G-estimator with an
     OLS outcome model) anchors the beta regression; the final estimating
-    equation is linear in the effect and is solved once by
-    :func:`~lineariv.estimators.g_estimate` with the outcome model fixed.
+    equation is linear in the effect and is solved once, as
+    :func:`~lineariv.estimators.g_estimate` solves it at the centered index
+    (alpha'b(C))(z - E(z|C)) with the outcome model fixed.  All after the
+    preliminary estimate is one stacked kernel, run here as a stack of one
+    and by the Table 1 bundle on its chunks of Monte Carlo replicates.
     """
-    effect = EffectModel.constant()
     if preliminary_psi is None:
-        preliminary_psi = _preliminary_psi_raw_z(data, iv, outcome_basis, effect)
-    alpha = eem_fit_alpha(data, iv, index_basis)
-    beta = eem_fit_beta(data, iv, alpha, index_basis, outcome_basis, preliminary_psi)
-    index = ScaledInstrument(index_basis, alpha)
-    outcome = OutcomeModel(outcome_basis, beta)
-    result = g_estimate(data, index, outcome, iv, effect)
-    fit = EemFit(
-        alpha_tilde=alpha,
-        beta_tilde=beta,
-        objective_value=eem_objective(data, iv, alpha, beta, preliminary_psi,
-                                      index_basis, outcome_basis),
-        preliminary_psi=float(preliminary_psi),
-    )
-    result.nuisance["eem"] = fit
-    result.diagnostics["preliminary_psi"] = float(preliminary_psi)
+        preliminary_psi = g_estimate(data, RawInstruments(), OutcomeModel(outcome_basis), iv,
+                                     EffectModel.constant()).psi
+    psi0 = float(preliminary_psi)
+    fit = _eem_stack(*_eem_data(data, iv, index_basis, outcome_basis), np.array([psi0]),
+                     strict=True)
+    alpha, beta = fit.alpha[0], fit.beta[0]
+    result = _ee_result(fit.d[0][:, None], data.x[:, None], fit.response[0], fit.psi, slice(0, 1),
+                        beta, {"iv": iv, "index": ScaledInstrument(index_basis, alpha),
+                               "outcome": OutcomeModel(outcome_basis, beta)},
+                        {"condition": fit.condition[0], "profiled_outcome": False})
+    result.nuisance["eem"] = EemFit(alpha_tilde=alpha, beta_tilde=beta,
+                                    objective_value=fit.objective[0], preliminary_psi=psi0)
+    result.diagnostics["preliminary_psi"] = psi0
     return result
 
 
@@ -229,14 +270,6 @@ def _br_denominator(d: np.ndarray, x: np.ndarray, what: str) -> tuple[np.ndarray
         if bad else None for k, bad in enumerate(degenerate.tolist())]
 
 
-def _denominator(d: np.ndarray, x: np.ndarray, what: str) -> float:
-    """:func:`_br_denominator` of one dataset; raises its error."""
-    denom, errors = _br_denominator(d[None], x[None], what)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(denom[0])
-
-
 class _Flagged(Exception):
     """Positions in a stack of the members left to the per-dataset path."""
 
@@ -282,13 +315,28 @@ def _index_coef(zc: np.ndarray, index_design: np.ndarray, x: np.ndarray, context
     """fit_ols coefficients of x on zc * index basis for a stack (B, n); a
     rank-deficient member is a WeakIdentificationError that ``context``
     names (see :func:`_check`)."""
-    design = zc[..., None] * index_design
-    shape = _shape_error(design.shape)
-    fit = _lstsq(design, x) if shape is None else None
-    errors = [shape] * len(design) if fit is None else _design_errors(fit, "fit_ols")
+    fit, errors = _ols(zc[..., None] * index_design, x)
     _check([None if err is None else WeakIdentificationError(
         f"{context} ({err})", condition=err.condition) for err in errors], strict)
     return fit.coef
+
+
+def _logistic(design: np.ndarray, z: np.ndarray, strict: bool) -> tuple[_Irls, np.ndarray]:
+    """fit_binary(design, z, "logit") of a stack whose classes the caller has
+    checked, and its fitted probabilities; a singular X'WX is an error.  A
+    member whose step-halvings ran out follows its own fit too."""
+    fit = _irls(design, z, "logit")
+    _check(_singular_errors(fit), strict)
+    return fit, expit(np.matvec(design, np.array(fit.coef)))
+
+
+def _extend(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray, list]:
+    """``base`` with the extension columns :func:`_drop_collinear` keeps, and
+    their indices; flags the members whose own decisions are not the stack's."""
+    kept_columns, kept, agree = _drop_collinear(base, extension)
+    if not all(agree):
+        raise _Flagged([k for k, a in enumerate(agree) if not a])
+    return (np.concatenate([base, kept_columns], axis=-1) if kept else base), kept
 
 
 class _BrGamma(NamedTuple):
@@ -329,25 +377,16 @@ def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.n
     when ``strict`` (a stack of one), or else is flagged (:class:`_Flagged`),
     as is a member whose own collinearity decisions are not the stack's.
     """
-    def logistic(design):
-        # fit_binary(design, z, "logit") and its fitted probabilities; z's
-        # classes are checked once, below, as every fit here is of z
-        fit = _irls(design, z, "logit")
-        _check(_singular_errors(fit), strict)
-        return fit, expit(np.matvec(design, np.array(fit.coef)))
-
     def extended(alpha):
         e_scale = np.matvec(index_design, alpha)
-        extension, kept, agree = _drop_collinear(iv_design, e_scale[..., None] * outcome_design)
-        if not all(agree):
-            raise _Flagged([k for k, a in enumerate(agree) if not a])
-        design = np.concatenate([iv_design, extension], axis=-1) if kept else iv_design
-        return (e_scale, kept, *logistic(design))
+        design, kept = _extend(iv_design, e_scale[..., None] * outcome_design)
+        return (e_scale, kept, *_logistic(design, z, strict))
 
+    # z's classes are checked once, as every fit here is of z
     _check(_class_errors(z), strict)
     plain = None
     if alpha is None:
-        plain, prob = logistic(iv_design)
+        plain, prob = _logistic(iv_design, z, strict)
         alpha = _index_coef(z - prob, index_design, x, _ALPHA_CONTEXT, strict)
     e_scale, kept, fit, ext_prob = extended(alpha)
     if refit_index:
@@ -477,6 +516,45 @@ def _br_gamma_result(member: _BrGammaFit, plain: BinaryLogisticIv) -> EstimateRe
     )
 
 
+class _BrBeta(NamedTuple):
+    """The bias-reduced outcome-model fits of a stack of B datasets."""
+
+    psi: np.ndarray                 # (B,)
+    beta: np.ndarray                # (B, q) extended outcome coefficients
+    kept: list                      # extension columns kept, the same for every member
+    x_ext: np.ndarray               # (B, n, q) outcome design and kept extension
+    e_scale: np.ndarray             # (B, n) index scale alpha'b(C)
+    d: np.ndarray                   # (B, n) index times instrument residual
+
+
+def _br_beta_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, prob: np.ndarray,
+                   iv_design: np.ndarray, outcome_design: np.ndarray,
+                   index_design: np.ndarray, alpha: np.ndarray,
+                   start: Callable[[], np.ndarray] | None, strict: bool = False) -> _BrBeta:
+    """The arithmetic of :func:`br_beta_estimate` on a stack of B datasets of
+    one size: z, x, y and prob, the plain instrument fit's P(Z=1|C), (B, n);
+    the designs (B, n, p); alpha (B, k), the index coefficients under that
+    fit.  ``start()`` gives the one-step start values (B,) and is called only
+    once the denominator has passed its check, so that a start fitted there
+    fails after this estimator's own checks; ``start=None`` is the full
+    solve.  Checks and flags as :func:`_br_gamma_stack`.
+    """
+    e_scale = np.matvec(index_design, alpha)
+    x_ext, kept = _extend(outcome_design, (e_scale * (prob * (1.0 - prob)))[..., None] * iv_design)
+    d = e_scale * (z - prob)
+    denom, errors = _br_denominator(d, x, "br_beta")
+    _check(errors, strict)
+    if start is None:
+        theta, _, errors = _solve_ee(np.concatenate([x_ext, d[..., None]], axis=-1),
+                                     np.concatenate([x_ext, x[..., None]], axis=-1), y, "br_beta")
+        _check(errors, strict)
+        return _BrBeta(theta[:, -1], theta[:, :-1], kept, x_ext, e_scale, d)
+    fit, errors = _ols(x_ext, y - start()[:, None] * x)
+    _check(errors, strict)
+    psi = (d * (y - np.matvec(x_ext, fit.coef))).sum(-1) / denom
+    return _BrBeta(psi, fit.coef, kept, x_ext, e_scale, d)
+
+
 def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: BasisSpec,
                      iv_basis: BasisSpec, update: str = "one_step",
                      start_psi: float | None = None,
@@ -502,6 +580,10 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     the same fit is handed to the inner bias-reduced instrument-model
     estimate that supplies the default start value.  It must be that ML fit,
     not a known instrument law.
+
+    After the plain fit and the index coefficients, both modes are one
+    stacked kernel, run here as a stack of one; the Table 1 bundle runs the
+    same kernel (one step) on its chunks of Monte Carlo replicates.
     """
     if update not in ("one_step", "full_solve"):
         raise ValueError(f"unknown update mode {update!r}")
@@ -515,26 +597,19 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     plain = iv_plain if iv_plain is not None else BinaryLogisticIv.fit(data, iv_basis)
     prob = plain.prob(data)
     alpha = eem_fit_alpha(data, plain, index_basis)
-    e_scale = index_design @ alpha
-    w = prob * (1.0 - prob)
-    extension, kept, _ = _drop_collinear(outcome_design[None],
-                                         ((e_scale * w)[:, None] * iv_design)[None])
-    extension = extension[0]
-    x_ext = np.column_stack([outcome_design, extension]) if extension.size else outcome_design
-    d = e_scale * (data.z[:, 0] - prob)
-    denom = _denominator(d, data.x, "br_beta")
 
-    if update == "one_step":
+    def start():
         if start_psi is None:
-            start_psi = br_gamma_estimate(data, index_basis, outcome_basis, iv_basis,
-                                          iv_plain=plain).psi
-        beta_ext = fit_ols(x_ext, data.y - float(start_psi) * data.x).coefficients
-        psi = float(np.sum(d * (data.y - x_ext @ beta_ext)) / denom)
-    else:
-        theta, _ = _solve_ee(np.column_stack([x_ext, d]), np.column_stack([x_ext, data.x]),
-                             data.y, "br_beta")
-        beta_ext = theta[:-1]
-        psi = float(theta[-1])
+            return np.array([br_gamma_estimate(data, index_basis, outcome_basis, iv_basis,
+                                               iv_plain=plain).psi])
+        return np.array([float(start_psi)])
+
+    fit = _br_beta_stack(data.z[:, 0][None], data.x[None], data.y[None], prob[None],
+                         iv_design[None], outcome_design[None], index_design[None], alpha[None],
+                         None if update == "full_solve" else start, strict=True)
+    psi, beta_ext, x_ext = float(fit.psi[0]), fit.beta[0], fit.x_ext[0]
+    e_scale, d = fit.e_scale[0], fit.d[0]
+    w = prob * (1.0 - prob)
 
     resid = data.y - x_ext @ beta_ext - psi * data.x
     # empirical gradient-identity residual (mean form)
@@ -553,6 +628,6 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     return EstimateResult(
         psi_hat=np.array([psi]),
         beta_hat=beta_ext,
-        nuisance={"iv_plain": plain, "index_coef": alpha, "extension_columns": kept},
+        nuisance={"iv_plain": plain, "index_coef": alpha, "extension_columns": fit.kept},
         diagnostics={"br_fit": br, "update": update},
     )

@@ -18,7 +18,6 @@ import re
 import warnings
 import weakref
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Sequence, Union
@@ -406,28 +405,8 @@ def _parse_cell(raw: str, row: int, col: str) -> float:
     return value
 
 
-_BLOCK_ROWS = 4096
 # a byte that is not valid UTF-8, decoded with "surrogateescape"
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
-
-
-def _parse_block(cells: list[tuple[str, ...]], rows: list[int], names: tuple[str, ...]) -> np.ndarray:
-    """Convert one block of selected cells to an ``(len(cells), len(names))`` array.
-
-    ``float`` strips the same whitespace as ``str.strip``, so a block that
-    converts and is finite holds exactly what :func:`_parse_cell` would
-    return.  Otherwise the block is re-parsed cell by cell in file order, so
-    its first bad cell raises the usual :class:`ParseError`.
-    """
-    k = len(names)
-    try:
-        block = np.fromiter(map(float, chain.from_iterable(cells)), float, k * len(cells))
-        if np.isfinite(block).all():
-            return block.reshape(len(cells), k)
-    except ValueError:
-        pass
-    return np.array([[_parse_cell(raw, i, name) for raw, name in zip(row, names)]
-                     for row, i in zip(cells, rows)], dtype=float)
 
 
 def _load_clean(fh, n_fields: int, cols: list[int]) -> np.ndarray | None:
@@ -449,33 +428,18 @@ def _parse_rows(reader, path: Path, n_fields: int, cols: list[int], names) -> np
     """Columns ``cols`` of the data rows of ``reader`` (possibly none); the
     first fault raises, a row the reader rejects (``csv.Error``) included."""
     select = itemgetter(*cols)
-    blocks: list[np.ndarray] = [np.empty((0, len(cols)))]
-    cells: list[tuple[str, ...]] = []
-    rows: list[int] = []
-
-    def flush() -> None:
-        if cells:
-            blocks.append(_parse_block(cells, rows, names))
-            cells.clear()
-            rows.clear()
-
+    values: list[list[float]] = []
     i = 0
     try:
         for i, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != n_fields:
-                flush()
                 raise ParseError(f"{path}: data row {i} has {len(row)} fields, expected {n_fields}")
-            cells.append(select(row))
-            rows.append(i)
-            if len(cells) == _BLOCK_ROWS:
-                flush()
+            values.append([_parse_cell(raw, i, name) for raw, name in zip(select(row), names)])
     except csv.Error as err:
-        flush()
         raise ParseError(f"{path}: data row {i + 1}: {err}") from None
-    flush()
-    return np.concatenate(blocks)
+    return np.array(values, dtype=float).reshape(len(values), len(cols))
 
 
 def _columns(reader, path: Path, names: tuple[str, ...]) -> tuple[int, list[int]]:

@@ -69,47 +69,38 @@ class EstimateResult:
 
 
 def _solve_ee(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
-              what: str) -> tuple[np.ndarray, float]:
-    """Solve index'(response - regressors @ theta) = 0; returns (theta, condition).
+              what: str) -> tuple[np.ndarray, list, list]:
+    """Solve index'(response - regressors @ theta) = 0 for each member of a
+    stack: index and regressors (B, n, k), response (B, n).
 
-    Raises :class:`WeakIdentificationError` when index'regressors is
-    degenerate against :func:`_moment_scale` or ill-conditioned.
-
-    The arrays may carry a leading batch axis -- index and regressors
-    (B, n, k), response (B, n) -- and then theta is (B, k) and condition
-    (B,): every member is checked and solved as in its own 2-D call, and a
-    member that call would raise for gets a NaN row instead, so it fails
-    no other member.  A 2-D call is a batch of one.
+    Returns theta (B, k), the condition numbers of index'regressors and, per
+    member, the :class:`WeakIdentificationError` of a system that is
+    degenerate against :func:`_moment_scale` or ill-conditioned, or None.  A
+    member with an error gets a NaN row, so it fails no other member; a
+    caller with one dataset passes a stack of one and raises its error.
     """
-    batch = index.ndim == 3
-    if not batch:
-        index, regressors, response = index[None], regressors[None], response[None]
     system = index.mT @ regressors
     scale = _moment_scale(index, regressors, index.shape[1])
     s = np.linalg.svd(system, compute_uv=False)
-    smin, smax = s[:, -1].tolist(), s[:, 0].tolist()
-    cond = [hi / lo if lo > 0 else np.inf for lo, hi in zip(smin, smax)]
-    degenerate = [lo <= 1e-10 * max(sc, 1e-300) for lo, sc in zip(smin, scale)]
-    if not batch:
-        if degenerate[0]:
-            raise WeakIdentificationError(
+    cond, errors = [], []
+    for lo, hi, sc in zip(s[:, -1].tolist(), s[:, 0].tolist(), scale):
+        cond.append(hi / lo if lo > 0 else np.inf)
+        if lo <= 1e-10 * max(sc, 1e-300):
+            errors.append(WeakIdentificationError(
                 f"{what}: estimating-equation denominator is degenerate "
-                f"(smallest singular value {smin[0]:.3e} against scale {scale[0]:.3e})",
-                condition=cond[0],
-            )
-        if cond[0] > WEAK_ID_CONDITION:
-            raise WeakIdentificationError(
-                f"{what}: denominator condition number {cond[0]:.3e} exceeds {WEAK_ID_CONDITION:.0e}",
-                condition=cond[0],
-            )
-    failed = [d or c > WEAK_ID_CONDITION for d, c in zip(degenerate, cond)]
+                f"(smallest singular value {lo:.3e} against scale {sc:.3e})", condition=cond[-1]))
+        elif cond[-1] > WEAK_ID_CONDITION:
+            errors.append(WeakIdentificationError(
+                f"{what}: denominator condition number {cond[-1]:.3e} exceeds "
+                f"{WEAK_ID_CONDITION:.0e}", condition=cond[-1]))
+        else:
+            errors.append(None)
+    failed = [err is not None for err in errors]
     if any(failed):
         system[failed] = np.eye(system.shape[-1])
     theta = np.linalg.solve(system, np.vecmat(response, index)[..., None])[..., 0]
-    if not batch:
-        return theta[0], cond[0]
     theta[failed] = np.nan
-    return theta, np.array(cond)
+    return theta, cond, errors
 
 
 def _ee_result(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
@@ -248,16 +239,16 @@ def locally_efficient_y(data: Dataset, exposure: ExposureModel, effect: EffectMo
     grad = effect.gradient(data)
     index_mat = np.column_stack([mhat[:, None] * grad, by])
     regressors = np.column_stack([data.x[:, None] * grad, by])
-    try:
-        theta, cond = _solve_ee(index_mat, regressors, data.y, "locally_efficient_y")
-    except WeakIdentificationError as err:
+    theta, cond, errors = _solve_ee(index_mat[None], regressors[None], data.y[None],
+                                    "locally_efficient_y")
+    if errors[0] is not None:
         labels = ([f"m_x*{lab}" for lab in (effect.basis.labels() if effect.basis else ["1"])]
                   + outcome_basis.labels())
         raise SingularDesignError(
-            f"locally efficient system is singular; index components: {labels} ({err})") from None
+            f"locally efficient system is singular; index components: {labels} ({errors[0]})")
     k = effect.dim
-    return _ee_result(index_mat, regressors, data.y, theta, slice(0, k), theta[k:],
-                      {"exposure": exposure}, {"condition": cond})
+    return _ee_result(index_mat, regressors, data.y, theta[0], slice(0, k), theta[0, k:],
+                      {"exposure": exposure}, {"condition": cond[0]})
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +326,15 @@ def g_estimate(data: Dataset, index: IndexFunction, outcome: OutcomeModel | None
     else:
         index_mat, regressors = d, endog
         response = data.y if outcome is None else data.y - outcome.predict(data)
-    theta, cond = _solve_ee(index_mat, regressors, response, "g_estimate")
+    theta, cond, errors = _solve_ee(index_mat[None], regressors[None], response[None],
+                                    "g_estimate")
+    if errors[0] is not None:
+        raise errors[0]
+    theta = theta[0]
     beta = theta[k:] if profiled else np.asarray([] if outcome is None else outcome.coef, dtype=float)
     return _ee_result(index_mat, regressors, response, theta, slice(0, k), beta,
                       {"iv": iv, "index": index, "outcome": outcome},
-                      {"condition": cond, "profiled_outcome": profiled})
+                      {"condition": cond[0], "profiled_outcome": profiled})
 
 
 def efficient_index(data: Dataset, exposure: ExposureModel, iv: IvModel,

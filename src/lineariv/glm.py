@@ -107,20 +107,31 @@ def _design_errors(ls: _Lstsq, what: str) -> list:
     return errors
 
 
-def _shape_error(shape: tuple) -> SingularDesignError | None:
-    """fit_ols's error for a design with fewer rows than columns."""
-    if shape[-2] < shape[-1]:
-        return SingularDesignError(f"need at least as many rows as columns, got {shape[-2:]}")
-    return None
+def _ols(design: np.ndarray, response: np.ndarray) -> tuple[_Lstsq | None, list]:
+    """fit_ols on a stack: the stacked fit (None for a design with fewer rows
+    than columns) and, per member, the SingularDesignError ``fit_ols`` raises,
+    or None."""
+    if design.shape[-2] < design.shape[-1]:
+        return None, [SingularDesignError(
+            f"need at least as many rows as columns, got {design.shape[-2:]}")] * len(design)
+    fit = _lstsq(design, response)
+    return fit, _design_errors(fit, "fit_ols")
 
 
-def _linear_fit(design: np.ndarray, response: np.ndarray, scaled_design: np.ndarray,
-                scaled_response: np.ndarray, what: str) -> LinearFit:
-    # the 2-D fit: a batch of one through _lstsq, raising for a degenerate design
-    ls = _lstsq(scaled_design[None], scaled_response[None])
-    error = _design_errors(ls, what)[0]
-    if error is not None:
-        raise error
+def _weight_errors(w: np.ndarray) -> list:
+    """Per member of a (B, n) stack of weights, the DegenerateWeightsError
+    ``fit_wls`` raises for it, or None."""
+    usable = (np.isfinite(w).all(-1) & ~(w < 0).any(-1)).tolist()
+    positive = (w > 0).any(-1).tolist()
+    return [None if ok and pos else DegenerateWeightsError(
+        "weights must be finite and nonnegative" if not ok else "all weights are zero")
+        for ok, pos in zip(usable, positive)]
+
+
+def _linear_fit(design: np.ndarray, response: np.ndarray, ls: _Lstsq, errors: list) -> LinearFit:
+    # the 2-D fit from a stack of one, raising its error
+    if errors[0] is not None:
+        raise errors[0]
     s, vt, coef = ls.s[0], ls.vt[0], ls.coef[0]
     fitted = design @ coef
     return LinearFit(coef, fitted, response - fitted, (vt.T / s**2) @ vt, ls.condition[0])
@@ -139,10 +150,7 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> LinearFit:
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
-    error = _shape_error(design.shape)
-    if error is not None:
-        raise error
-    return _linear_fit(design, response, design, response, "fit_ols")
+    return _linear_fit(design, response, *_ols(design[None], response[None]))
 
 
 def fit_wls(design: np.ndarray, response: np.ndarray, weights: np.ndarray) -> LinearFit:
@@ -158,12 +166,12 @@ def fit_wls(design: np.ndarray, response: np.ndarray, weights: np.ndarray) -> Li
     w = np.asarray(weights, dtype=float)
     if w.shape != response.shape:
         raise DegenerateWeightsError(f"weights shape {w.shape} does not match response {response.shape}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise DegenerateWeightsError("weights must be finite and nonnegative")
-    if not np.any(w > 0):
-        raise DegenerateWeightsError("all weights are zero")
+    error = _weight_errors(w[None])[0]
+    if error is not None:
+        raise error
     sw = np.sqrt(w)
-    return _linear_fit(design, response, design * sw[:, None], response * sw, "fit_wls")
+    ls = _lstsq((design * sw[:, None])[None], (response * sw)[None])
+    return _linear_fit(design, response, ls, _design_errors(ls, "fit_wls"))
 
 
 @dataclass

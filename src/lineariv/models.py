@@ -121,11 +121,15 @@ class ExposureModel:
         return self.link == "identity" and self.basis.is_linear_in_z()
 
     def fit(self, data: Dataset, require_convergence: bool = False) -> "ExposureModel":
-        """Fit by OLS (identity link) or maximum likelihood (logit/probit)."""
+        """Fit by OLS (identity link) or maximum likelihood (logit/probit,
+        which need a binary 0/1 exposure)."""
         design = build_design(data, self.basis)
         if self.link == "identity":
             res = fit_ols(design, data.x)
             return replace(self, coef=res.coefficients, fit_converged=True)
+        if not np.all((data.x == 0.0) | (data.x == 1.0)):
+            raise UnsupportedCombinationError(
+                f"the {self.link} exposure model requires a binary 0/1 exposure")
         res: BinaryFit = fit_binary(design, data.x, link=self.link)
         if require_convergence and not res.converged:
             raise NonConvergenceError(

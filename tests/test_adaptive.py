@@ -322,7 +322,6 @@ def _count_member_fits(monkeypatch) -> list:
     B designs counts B fits, and fit_binary (a stack of one) counts one."""
     import lineariv.adaptive
     import lineariv.glm
-    import lineariv.stacked
 
     calls = []
     kernel = lineariv.glm._irls
@@ -331,7 +330,7 @@ def _count_member_fits(monkeypatch) -> list:
         calls.extend([1] * design.shape[0])
         return kernel(design, *args, **kwargs)
 
-    for module in (lineariv.glm, lineariv.adaptive, lineariv.stacked):
+    for module in (lineariv.glm, lineariv.adaptive):
         monkeypatch.setattr(module, "_irls", counting)
     return calls
 

@@ -177,6 +177,23 @@ def test_fit_one_class_instrument_is_an_estimation_failure(tmp_path, capsys, est
     assert err.strip() == "estimation error: response must contain both classes"
 
 
+@pytest.mark.parametrize("estimator", ["loc-eff-y", "two-stage"])
+@pytest.mark.parametrize("link", ["logit", "probit"])
+def test_fit_binary_link_on_a_continuous_exposure_is_an_estimation_failure(tmp_path, capsys,
+                                                                            estimator, link):
+    # table1 has a continuous exposure, which no logit or probit model fits
+    csv_path = tmp_path / "d.csv"
+    run_cli(capsys, "simulate", "--generator", "table1", "--n", "100", "--seed", "3",
+            "--out", str(csv_path))
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(csv_path), "--y-col", "y", "--x-col", "x",
+        "--z-cols", "z", "--cov-cols", "v", "--estimator", estimator, "--exposure-link", link,
+        "--exposure-basis", "1", "z0", "c0", "--outcome-basis", "1", "c0")
+    assert (code, out) == (3, "")
+    assert err == (f"estimation error: the {link} exposure model requires a binary 0/1 "
+                   "exposure\n")
+
+
 def test_fit_missing_column_exit_code(tmp_path, capsys):
     csv_path = tmp_path / "d.csv"
     csv_path.write_text("y,x,z\n1,2,0\n2,1,1\n")

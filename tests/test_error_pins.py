@@ -1,0 +1,168 @@
+"""Errors and values of eem and br-beta on degenerate inputs, pinned.
+
+Each entry is the exception class and message a call raises, or its value as
+``float.hex``.  They were recorded from the per-dataset implementations that
+preceded the stacked kernels (``adaptive._eem_stack``, ``_br_beta_stack``),
+which must raise the same errors in the same order.
+"""
+
+import numpy as np
+import pytest
+
+from lineariv import BasisSpec, Dataset, EstimationError
+from lineariv.adaptive import br_beta_estimate, eem_estimate, eem_fit_beta, eem_objective
+from lineariv.models import BinaryLogisticIv
+from lineariv.simlab import gen_table1
+
+LIN = BasisSpec(["1", "c0"])
+IV = BinaryLogisticIv.known(LIN, [-0.5, 0.7])
+
+
+def _cases() -> dict:
+    d = gen_table1(1, 1, -1, 300, 61).dataset
+    return {
+        "constant covariate": Dataset(d.y, d.x, d.z, np.ones_like(d.c_raw)),
+        "zero exposure": Dataset(d.y, np.zeros_like(d.x), d.z, d.c_raw),
+        "separated instrument": Dataset(d.y, d.x, (d.c_raw[:, :1] > 0).astype(float), d.c_raw),
+        "three rows": Dataset(d.y[:3], d.x[:3], d.z[:3], d.c_raw[:3]),
+        "doubled exposure": Dataset(d.y, 2.0 * d.x, d.z, d.c_raw),
+    }
+
+
+def _calls(data: Dataset) -> dict:
+    out = {}
+    for pre in (None, 0.5):
+        out[f"eem_estimate(preliminary_psi={pre})"] = lambda pre=pre: eem_estimate(
+            data, IV, LIN, LIN, preliminary_psi=pre).psi_hat
+    # a zero index makes every eem weight zero
+    for name, alpha in (("zero index", [0.0, 0.0]), ("index", [1.0, 0.5])):
+        out[f"eem_fit_beta({name})"] = lambda a=alpha: eem_fit_beta(
+            data, IV, np.array(a), LIN, LIN, 0.5)
+        out[f"eem_objective({name})"] = lambda a=alpha: eem_objective(
+            data, IV, np.array(a), np.array([0.1, 0.2]), 0.5, LIN, LIN)
+    for update in ("one_step", "full_solve"):
+        for start in (None, 0.5):
+            out[f"br_beta_estimate({update}, start_psi={start})"] = (
+                lambda u=update, s=start: br_beta_estimate(data, LIN, LIN, LIN, update=u,
+                                                           start_psi=s).psi_hat)
+    return out
+
+
+def _outcome(call):
+    try:
+        with np.errstate(all="ignore"):
+            value = call()
+    except EstimationError as err:
+        return (type(err).__name__, str(err))
+    return [float(v).hex() for v in np.ravel(value)]
+
+
+PINS = {
+    ('constant covariate', 'eem_estimate(preliminary_psi=None)'):
+        ('WeakIdentificationError', 'g_estimate: estimating-equation denominator is degenerate (smallest singular value 2.062e-31 against scale 7.760e+00)'),
+    ('constant covariate', 'eem_estimate(preliminary_psi=0.5)'):
+        ('WeakIdentificationError', 'degenerate instrument variation: centered index design is rank deficient (fit_ols: design is rank deficient (condition estimate 3.759e+15))'),
+    ('constant covariate', 'eem_fit_beta(zero index)'):
+        ('DegenerateWeightsError', 'all weights are zero'),
+    ('constant covariate', 'eem_objective(zero index)'):
+        ('WeakIdentificationError', 'objective denominator mean(d*x) is zero'),
+    ('constant covariate', 'eem_fit_beta(index)'):
+        ('SingularDesignError', 'fit_wls: design is rank deficient (condition estimate 6.974e+15)'),
+    ('constant covariate', 'eem_objective(index)'):
+        ['0x1.cabeb4cc86bb6p-2'],
+    ('constant covariate', 'br_beta_estimate(one_step, start_psi=None)'):
+        ('WeakIdentificationError', 'degenerate instrument variation: centered index design is rank deficient (fit_ols: design is rank deficient (condition estimate 2.190e+15))'),
+    ('constant covariate', 'br_beta_estimate(one_step, start_psi=0.5)'):
+        ('WeakIdentificationError', 'degenerate instrument variation: centered index design is rank deficient (fit_ols: design is rank deficient (condition estimate 2.190e+15))'),
+    ('constant covariate', 'br_beta_estimate(full_solve, start_psi=None)'):
+        ('WeakIdentificationError', 'degenerate instrument variation: centered index design is rank deficient (fit_ols: design is rank deficient (condition estimate 2.190e+15))'),
+    ('constant covariate', 'br_beta_estimate(full_solve, start_psi=0.5)'):
+        ('WeakIdentificationError', 'degenerate instrument variation: centered index design is rank deficient (fit_ols: design is rank deficient (condition estimate 2.190e+15))'),
+    ('zero exposure', 'eem_estimate(preliminary_psi=None)'):
+        ('WeakIdentificationError', 'g_estimate: estimating-equation denominator is degenerate (smallest singular value 0.000e+00 against scale 2.041e+00)'),
+    ('zero exposure', 'eem_estimate(preliminary_psi=0.5)'):
+        ('DegenerateWeightsError', 'all weights are zero'),
+    ('zero exposure', 'eem_fit_beta(zero index)'):
+        ('DegenerateWeightsError', 'all weights are zero'),
+    ('zero exposure', 'eem_objective(zero index)'):
+        ('WeakIdentificationError', 'objective denominator mean(d*x) is zero'),
+    ('zero exposure', 'eem_fit_beta(index)'):
+        ['-0x1.2f47ef40eda1ap-6', '0x1.08d41fda78b0dp+2'],
+    ('zero exposure', 'eem_objective(index)'):
+        ('WeakIdentificationError', 'objective denominator mean(d*x) is zero'),
+    ('zero exposure', 'br_beta_estimate(one_step, start_psi=None)'):
+        ('WeakIdentificationError', 'br_beta denominator 0.000e+00 is degenerate against scale 0.000e+00'),
+    ('zero exposure', 'br_beta_estimate(one_step, start_psi=0.5)'):
+        ('WeakIdentificationError', 'br_beta denominator 0.000e+00 is degenerate against scale 0.000e+00'),
+    ('zero exposure', 'br_beta_estimate(full_solve, start_psi=None)'):
+        ('WeakIdentificationError', 'br_beta denominator 0.000e+00 is degenerate against scale 0.000e+00'),
+    ('zero exposure', 'br_beta_estimate(full_solve, start_psi=0.5)'):
+        ('WeakIdentificationError', 'br_beta denominator 0.000e+00 is degenerate against scale 0.000e+00'),
+    ('separated instrument', 'eem_estimate(preliminary_psi=None)'):
+        ['0x1.5022fdc2f7181p+1'],
+    ('separated instrument', 'eem_estimate(preliminary_psi=0.5)'):
+        ['0x1.0d9ed76972067p-1'],
+    ('separated instrument', 'eem_fit_beta(zero index)'):
+        ('DegenerateWeightsError', 'all weights are zero'),
+    ('separated instrument', 'eem_objective(zero index)'):
+        ('WeakIdentificationError', 'objective denominator mean(d*x) is zero'),
+    ('separated instrument', 'eem_fit_beta(index)'):
+        ['-0x1.c2b65d85a00e7p-4', '0x1.d7cf3b81cad95p+0'],
+    ('separated instrument', 'eem_objective(index)'):
+        ['0x1.686f290824fb7p-7'],
+    ('separated instrument', 'br_beta_estimate(one_step, start_psi=None)'):
+        ['-0x1.541ba2de0f6a4p-1'],
+    ('separated instrument', 'br_beta_estimate(one_step, start_psi=0.5)'):
+        ['0x1.ffff2d087deafp-2'],
+    ('separated instrument', 'br_beta_estimate(full_solve, start_psi=None)'):
+        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 5.666e-12 against scale 7.707e+00)'),
+    ('separated instrument', 'br_beta_estimate(full_solve, start_psi=0.5)'):
+        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 5.666e-12 against scale 7.707e+00)'),
+    ('three rows', 'eem_estimate(preliminary_psi=None)'):
+        ['0x1.6f6f236937739p-1'],
+    ('three rows', 'eem_estimate(preliminary_psi=0.5)'):
+        ['0x1.14535f84ea6cep-1'],
+    ('three rows', 'eem_fit_beta(zero index)'):
+        ('DegenerateWeightsError', 'all weights are zero'),
+    ('three rows', 'eem_objective(zero index)'):
+        ('WeakIdentificationError', 'objective denominator mean(d*x) is zero'),
+    ('three rows', 'eem_fit_beta(index)'):
+        ['0x1.07a1d3736b482p+1', '0x1.05599f269b938p+1'],
+    ('three rows', 'eem_objective(index)'):
+        ['0x1.1e2020bf4a93ep+0'],
+    ('three rows', 'br_beta_estimate(one_step, start_psi=None)'):
+        ['0x1.4d53a27cfdbcap+0'],
+    ('three rows', 'br_beta_estimate(one_step, start_psi=0.5)'):
+        ['0x1.ffffffffffff9p-2'],
+    ('three rows', 'br_beta_estimate(full_solve, start_psi=None)'):
+        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 2.291e-15 against scale 3.960e+01)'),
+    ('three rows', 'br_beta_estimate(full_solve, start_psi=0.5)'):
+        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 2.291e-15 against scale 3.960e+01)'),
+    ('doubled exposure', 'eem_estimate(preliminary_psi=None)'):
+        ['-0x1.700ff8dc3a986p-5'],
+    ('doubled exposure', 'eem_estimate(preliminary_psi=0.5)'):
+        ['0x1.3c9e1af35d97dp-2'],
+    ('doubled exposure', 'eem_fit_beta(zero index)'):
+        ('DegenerateWeightsError', 'all weights are zero'),
+    ('doubled exposure', 'eem_objective(zero index)'):
+        ('WeakIdentificationError', 'objective denominator mean(d*x) is zero'),
+    ('doubled exposure', 'eem_fit_beta(index)'):
+        ['-0x1.0a59bdc972753p-2', '0x1.5ca2fffb4b55cp+0'],
+    ('doubled exposure', 'eem_objective(index)'):
+        ['0x1.104c015265018p-7'],
+    ('doubled exposure', 'br_beta_estimate(one_step, start_psi=None)'):
+        ['0x1.b98197df707b5p-2'],
+    ('doubled exposure', 'br_beta_estimate(one_step, start_psi=0.5)'):
+        ['0x1.d816db80a82edp-2'],
+    ('doubled exposure', 'br_beta_estimate(full_solve, start_psi=None)'):
+        ['0x1.c603333248256p-2'],
+    ('doubled exposure', 'br_beta_estimate(full_solve, start_psi=0.5)'):
+        ['0x1.c603333248256p-2'],
+}
+
+
+@pytest.mark.parametrize("case", list(_cases()))
+def test_eem_and_br_beta_outcomes_match_their_pins(case):
+    data = _cases()[case]
+    got = {(case, name): _outcome(call) for name, call in _calls(data).items()}
+    assert got == {key: value for key, value in PINS.items() if key[0] == case}

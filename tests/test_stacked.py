@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lineariv.adaptive
+import lineariv.stacked
 import lineariv.suites
 from lineariv import BasisSpec, BinaryLogisticIv, Dataset, EstimationError, dataset, simlab
 from lineariv.adaptive import br_gamma_estimate
@@ -12,7 +13,7 @@ from lineariv.rng import make_generator
 from lineariv.adaptive import COLLINEARITY_TOL, _drop_collinear
 from lineariv.errors import SingularDesignError, WeakIdentificationError
 from lineariv.estimators import _solve_ee
-from lineariv.glm import _irls, _lstsq, fit_binary, fit_ols
+from lineariv.glm import _irls, _lstsq, expit, fit_binary, fit_ols
 from lineariv.simlab import ScenarioConfig, generate, run_monte_carlo
 from lineariv.stacked import table1_point_estimates
 from lineariv.suites import TABLE1_ROWS, table1_estimators
@@ -215,13 +216,14 @@ def test_solve_ee_gives_a_degenerate_member_a_nan_row():
     regressors = index + 0.1 * rng.standard_normal(index.shape)
     response = rng.standard_normal(index.shape[:2])
     index[0, :, 1] = 0.0
-    theta, cond = _solve_ee(index, regressors, response, "test")
+    theta, cond, errors = _solve_ee(index, regressors, response, "test")
     assert np.isnan(theta[0]).all()
-    with pytest.raises(WeakIdentificationError):
-        _solve_ee(index[0], regressors[0], response[0], "test")
+    assert isinstance(errors[0], WeakIdentificationError) and errors[1:] == [None] * 3
+    own_error = _solve_ee(index[:1], regressors[:1], response[:1], "test")[2][0]
+    assert str(own_error) == str(errors[0]) and own_error.condition == errors[0].condition
     for k in (1, 2, 3):
-        own, own_cond = _solve_ee(index[k], regressors[k], response[k], "test")
-        assert np.array_equal(theta[k], own) and cond[k] == own_cond
+        own, own_cond, _ = _solve_ee(index[k:k + 1], regressors[k:k + 1], response[k:k + 1], "test")
+        assert np.array_equal(theta[k], own[0]) and cond[k] == own_cond[0]
 
 
 def _lstsq_keeps(base, extension):
@@ -378,3 +380,61 @@ def test_br_gamma_calls_share_no_mutable_state():
     first.nuisance["extended_fit"].loglik_trace.append(0.0)
     first.diagnostics["extension_columns_kept"].append(7)
     assert _br_fields(data, (LIN, LIN, LIN), True) == before
+
+
+# ---------------------------------------------------------------------------
+# eem and br_beta: one degenerate member of a linked Table 1 chunk
+# ---------------------------------------------------------------------------
+
+def _orthogonal_exposure(data, prob):
+    """``data`` with its exposure made orthogonal to the index columns
+    (z - prob) * (1, c0), so that the index fitted on them is zero up to
+    rounding and so is every estimating equation built on it."""
+    lin = np.column_stack([np.ones(data.n), data.c_raw[:, 0]])
+    cols = (data.z[:, 0] - prob)[:, None] * lin
+    x = data.x - cols @ np.linalg.lstsq(cols, data.x, rcond=None)[0]
+    return Dataset(data.y, x, data.z, data.c_raw)
+
+
+def _kernel_sizes(monkeypatch, name):
+    """Records the stack size of every call of the kernel ``name``, from the
+    Table 1 stack and from the per-dataset estimators alike."""
+    sizes = []
+    kernel = getattr(lineariv.adaptive, name)
+
+    def spy(z, *args, **kwargs):
+        sizes.append(len(z))
+        return kernel(z, *args, **kwargs)
+
+    for module in (lineariv.adaptive, lineariv.stacked):
+        monkeypatch.setattr(module, name, spy)
+    return sizes
+
+
+@pytest.mark.parametrize("estimator, kernel, message", [
+    ("eem", "_eem_stack", "g_estimate: estimating-equation denominator is degenerate"),
+    ("br_beta", "_br_beta_stack", "br_beta denominator"),
+], ids=["eem", "br_beta"])
+def test_eem_and_br_beta_degenerate_member_gets_its_own_error(monkeypatch, estimator, kernel,
+                                                              message):
+    datasets = _replicates("table1", (1, 1, -1), 500, 555, 6)
+    data = datasets[2]
+    lin = np.column_stack([np.ones(data.n), data.c_raw[:, 0]])
+    # eem centers the instrument under the known law, br_beta under the plain fit
+    prob = (expit(lin @ KNOWN_COEF) if estimator == "eem"
+            else BinaryLogisticIv.fit(data, LIN).prob(data))
+    datasets[2] = _orthogonal_exposure(data, prob)
+    expected = _per_dataset(monkeypatch, datasets, KNOWN_COEF)
+    # only the estimator under test fails, with its own error
+    assert [name for name, value in expected[2].items() if isinstance(value, tuple)] == [estimator]
+    assert expected[2][estimator][0] == "WeakIdentificationError"
+    assert expected[2][estimator][1].startswith(message)
+
+    sizes = _kernel_sizes(monkeypatch, kernel)
+    linked = _copies(datasets)
+    Dataset.link(linked)
+    bundle = table1_estimators(KNOWN_COEF)
+    assert [_outcomes(bundle, data) for data in linked] == expected
+    # the chunk flags the member, the other five are computed together and the
+    # member alone by the per-dataset estimator
+    assert sizes == [6, 5, 1]
