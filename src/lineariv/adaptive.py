@@ -25,14 +25,17 @@ from .errors import (
 )
 from .estimators import EstimateResult, _ee_result, _solve_ee, g_estimate
 from .glm import (
+    RANK_RTOL,
     BinaryFit,
     _binary_fit,
+    _check,
     _class_errors,
-    _design_errors,
+    _Flagged,
     _Irls,
     _irls,
-    _lstsq,
+    _join,
     _ols,
+    _ranks,
     _singular_errors,
     _weight_errors,
     expit,
@@ -57,9 +60,7 @@ __all__ = [
     "br_beta_estimate",
 ]
 
-COLLINEARITY_TOL = 1e-8
 _ALPHA_CONTEXT = "degenerate instrument variation: centered index design is rank deficient"
-_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -141,8 +142,8 @@ def _eem_beta(zc: np.ndarray, x: np.ndarray, y: np.ndarray, scale: np.ndarray,
     w = scale**2 * zc**2
     _check(_weight_errors(w), strict)
     sw = np.sqrt(w)
-    fit = _lstsq(outcome_design * sw[..., None], (y - psi0[:, None] * x) * sw)
-    _check(_design_errors(fit, "fit_wls"), strict)
+    fit, errors = _ols(outcome_design * sw[..., None], (y - psi0[:, None] * x) * sw, "fit_wls")
+    _check(errors, strict)
     return fit.coef
 
 
@@ -228,33 +229,39 @@ def _norm(a: np.ndarray) -> np.ndarray:
 
 def _drop_collinear(base: np.ndarray, extension: np.ndarray
                     ) -> tuple[np.ndarray, list[int], list[bool]]:
-    """Keep extension columns not numerically in the span of base + kept ones.
+    """Keep the extension columns that raise the numerical rank of the design.
 
-    Works on a stack of B problems, ``base`` (B, n, p) and ``extension``
-    (B, n, q); a per-dataset caller passes a stack of one.  A column is kept
-    when its residual after projection on the current design (the left
-    singular vectors that ``lstsq``'s default cutoff keeps) exceeds
-    COLLINEARITY_TOL times its norm; a zero column is dropped.  The stack
-    keeps the columns that most members keep.  Returns the kept columns, their
-    indices and, per member, whether each of its own decisions was the
-    stack's (always for a stack of one).
+    On a stack, ``base`` (B, n, p) and ``extension`` (B, n, q): in order, a
+    column is kept when appending it to the base and the kept columns raises
+    the rank under fit_ols's test (``glm._ranks``), so a full-rank base gives
+    a design fit_ols accepts.  An extension beyond RANK_RTOL of the base's
+    largest singular value, either way, is invisible to that test; its scale
+    is the index's, on which the bias-reduced estimators do not depend, so it
+    is tested at the base's.  The stack keeps the columns most members keep.
+    Returns the kept columns, their indices and, per member, whether its own
+    decisions were the stack's.
     """
+    # [base, extension] = QR, so any of its column sets has the singular
+    # values of the same columns of the small R: the test runs on those
+    r = np.linalg.qr(_join(base, extension), mode="r")
+    current, tested = r[..., :base.shape[-1]], r[..., base.shape[-1]:]
+    s = np.linalg.svd(current, compute_uv=False)
+    ranks = _ranks(s)
+    size, reach = np.linalg.norm(tested, axis=(-2, -1)), s[:, 0]
+    blind = (size > 0) & (reach > 0) & ((size <= RANK_RTOL * reach) | (RANK_RTOL * size >= reach))
+    if blind.any():
+        tested = tested * np.divide(reach, size, out=np.ones_like(size), where=blind)[:, None, None]
     kept_cols: list[int] = []
     agree = [True] * extension.shape[0]
-    current = base
     for j in range(extension.shape[-1]):
-        col = np.ascontiguousarray(extension[:, :, j])
-        u, s, _ = np.linalg.svd(current, full_matrices=False)
-        rcond = _EPS * max(current.shape[-2:])
-        if any(row[-1] <= rcond * row[0] for row in s.tolist()):
-            u = np.where(s[:, None, :] <= rcond * s[:, None, :1], 0.0, u)
-        resid = col - np.matvec(u, np.vecmat(col, u))
-        keep = (_norm(resid) > COLLINEARITY_TOL * _norm(col)).tolist()
+        trial = np.concatenate([current, tested[:, :, j:j + 1]], axis=-1)
+        trial_ranks = _ranks(np.linalg.svd(trial, compute_uv=False))
+        keep = [new > old for new, old in zip(trial_ranks, ranks)]
         majority = 2 * sum(keep) > len(keep)
         agree = [a and k == majority for a, k in zip(agree, keep)]
         if majority:
             kept_cols.append(j)
-            current = np.concatenate([current, col[:, :, None]], axis=-1)
+            current, ranks = trial, trial_ranks
     return extension[:, :, kept_cols], kept_cols, agree
 
 
@@ -268,25 +275,6 @@ def _br_denominator(d: np.ndarray, x: np.ndarray, what: str) -> tuple[np.ndarray
     return denom, [WeakIdentificationError(
         f"{what} denominator {denom[k]:.3e} is degenerate against scale {scale[k]:.3e}")
         if bad else None for k, bad in enumerate(degenerate.tolist())]
-
-
-class _Flagged(Exception):
-    """Positions in a stack of the members left to the per-dataset path."""
-
-    def __init__(self, positions: list[int]):
-        super().__init__(positions)
-        self.positions = positions
-
-
-def _check(errors: list, strict: bool) -> None:
-    """Rejects the stack members whose entry of ``errors`` is not None: a
-    strict stack (one dataset on its own) raises that member's error, which
-    is the per-dataset error; any other stack flags them (:class:`_Flagged`)."""
-    bad = [k for k, err in enumerate(errors) if err is not None]
-    if bad and strict:
-        raise errors[bad[0]]
-    if bad:
-        raise _Flagged(bad)
 
 
 def _fit_stack(compute: Callable[[list], list], members: list, count: int) -> list:
@@ -336,7 +324,7 @@ def _extend(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray, list]:
     kept_columns, kept, agree = _drop_collinear(base, extension)
     if not all(agree):
         raise _Flagged([k for k, a in enumerate(agree) if not a])
-    return (np.concatenate([base, kept_columns], axis=-1) if kept else base), kept
+    return (_join(base, kept_columns) if kept else base), kept
 
 
 class _BrGamma(NamedTuple):

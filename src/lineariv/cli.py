@@ -6,8 +6,7 @@ Monte Carlo grids; ``replicate`` runs the pinned benchmark configurations and
 checks their tolerance gates.
 
 Exit codes: 0 ok, 2 usage/config error, 3 estimation failure, 4 tolerance
-failure.  All outputs are byte-deterministic given identical flags and seed;
-``--threads`` is accepted for compatibility and ignored.
+failure.  All outputs are byte-deterministic given identical flags and seed.
 """
 
 from __future__ import annotations
@@ -341,7 +340,7 @@ def cmd_benchmark(args) -> int:
             if unknown:
                 raise SchemaError(f"unknown estimators for {cfg.generator}: {sorted(unknown)}")
             estimators = {k: v for k, v in estimators.items() if k in args.estimators}
-        reports.append(run_monte_carlo(cfg, estimators, threads=args.threads))
+        reports.append(run_monte_carlo(cfg, estimators))
     if args.out:
         write_report_csv(reports, args.out)
     if args.out_json:
@@ -357,8 +356,7 @@ def cmd_replicate(args) -> int:
     target = REPLICATE_TARGETS[args.target]
     reps = args.reps if args.reps else target.default_reps
     seed = args.seed if args.seed is not None else target.default_seed
-    reports, gates = run_replicate(args.target, reps=reps, seed=seed,
-                                   threads=args.threads, full_grid=args.full_grid)
+    reports, gates = run_replicate(args.target, reps=reps, seed=seed, full_grid=args.full_grid)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -440,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--reps", type=int, default=1000)
     bench.add_argument("--n", type=int, default=500)
     bench.add_argument("--seed", type=int, default=20260809)
-    bench.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; replicates run serially")
     bench.add_argument("--out")
     bench.add_argument("--out-json")
     bench.set_defaults(func=cmd_benchmark)
@@ -450,8 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     repl.add_argument("target", choices=sorted(REPLICATE_TARGETS))
     repl.add_argument("--reps", type=int)
     repl.add_argument("--seed", type=int)
-    repl.add_argument("--threads", type=int, default=1,
-                      help="accepted for compatibility; replicates run serially")
     repl.add_argument("--full-grid", action="store_true",
                       help="table1: run all 19 rows, not only the gated ones")
     repl.add_argument("--out-dir")

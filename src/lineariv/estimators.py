@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedCombinationError,
     WeakIdentificationError,
 )
-from .glm import fit_ols
+from .glm import _check, _join, _linear_fit, _Lstsq, _ols, fit_ols
 from .inference import sandwich_se
 from .models import (
     CustomIndex,
@@ -154,7 +154,8 @@ def standard_tsls(data: Dataset, effect: EffectModel, outcome_basis: BasisSpec,
     projected by OLS onto [instrument columns, outcome-basis columns]; the
     second stage regresses y on [outcome basis, fitted endogenous columns].
     Standard errors are the usual IV sandwich, with residuals formed from the
-    actual (not fitted) endogenous columns.
+    actual (not fitted) endogenous columns.  Both stages and the rank
+    condition are :func:`_tsls_stack`, shared with the Table 1 stack.
     """
     inst = build_design(data, instruments)
     by = build_design(data, outcome_basis)
@@ -164,33 +165,43 @@ def standard_tsls(data: Dataset, effect: EffectModel, outcome_basis: BasisSpec,
         raise UnsupportedCombinationError(
             f"order condition fails: {inst.shape[1]} instrument column(s) for {k} effect parameter(s)")
     endog = data.x[:, None] * grad
-    first_design = np.column_stack([inst, by])
-    first_fits = [fit_ols(first_design, endog[:, j]) for j in range(k)]
-    fitted_endog = np.column_stack([f.fitted for f in first_fits])
-
-    second_design = np.column_stack([by, fitted_endog])
-    try:
-        second = fit_ols(second_design, data.y)
-    except SingularDesignError as err:
-        raise WeakIdentificationError(
-            "rank condition fails: fitted endogenous regressors are collinear "
-            f"with the outcome basis ({err})", condition=err.condition) from None
-    if second.condition > WEAK_ID_CONDITION:
-        raise WeakIdentificationError(
-            f"rank condition fails: second-stage condition {second.condition:.3e}",
-            condition=second.condition)
-
-    fs_summary = {}
-    for j, f in enumerate(first_fits):
+    first_design, first, second_design, second = _tsls_stack(
+        inst[None], by[None], endog[None], data.y[None], strict=True)
+    first_fits, fs_summary = [], {}
+    for j, fit in enumerate(first):
+        f = _linear_fit(first_design[0], endog[:, j], fit, [None])
         tot = np.sum((endog[:, j] - endog[:, j].mean()) ** 2)
-        fs_summary[f"endog{j}"] = {
-            "r_squared": float(1.0 - np.sum(f.residuals ** 2) / tot) if tot > 0 else 0.0,
-        }
+        r_squared = float(1.0 - np.sum(f.residuals ** 2) / tot) if tot > 0 else 0.0
+        first_fits.append(f)
+        fs_summary[f"endog{j}"] = {"r_squared": r_squared}
     p_y = by.shape[1]
-    return _ee_result(second_design, np.column_stack([by, endog]), data.y,
-                      second.coefficients, slice(p_y, None), second.coefficients[:p_y],
-                      {"first_stage": first_fits},
-                      {"condition": second.condition, "first_stage": fs_summary})
+    coef = second.coef[0]
+    return _ee_result(second_design[0], np.column_stack([by, endog]), data.y,
+                      coef, slice(p_y, None), coef[:p_y], {"first_stage": first_fits},
+                      {"condition": second.condition[0], "first_stage": fs_summary})
+
+
+def _tsls_stack(inst: np.ndarray, by: np.ndarray, endog: np.ndarray, y: np.ndarray,
+                strict: bool = False) -> tuple[np.ndarray, list[_Lstsq], np.ndarray, _Lstsq]:
+    """:func:`standard_tsls` on a stack: designs (B, n, p), endogenous columns
+    (B, n, k), y (B, n).  Returns the first stage's design and k fits and the
+    second stage's design and fit.  A rank-deficient second stage, or one with
+    condition above WEAK_ID_CONDITION, is a WeakIdentificationError (:func:`_check`)."""
+    first_design = _join(inst, by)
+    first = []
+    for j in range(endog.shape[-1]):
+        fit, errors = _ols(first_design, endog[..., j])
+        _check(errors, strict)
+        first.append(fit)
+    second_design = _join(by, np.stack([np.matvec(first_design, f.coef) for f in first], axis=-1))
+    second, errors = _ols(second_design, y)
+    _check([None if err is None else WeakIdentificationError(
+        "rank condition fails: fitted endogenous regressors are collinear "
+        f"with the outcome basis ({err})", condition=err.condition) for err in errors], strict)
+    _check([WeakIdentificationError(f"rank condition fails: second-stage condition {cond:.3e}",
+                                    condition=cond) if cond > WEAK_ID_CONDITION else None
+            for cond in second.condition], strict)
+    return first_design, first, second_design, second
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +339,7 @@ def g_estimate(data: Dataset, index: IndexFunction, outcome: OutcomeModel | None
         response = data.y if outcome is None else data.y - outcome.predict(data)
     theta, cond, errors = _solve_ee(index_mat[None], regressors[None], response[None],
                                     "g_estimate")
-    if errors[0] is not None:
-        raise errors[0]
+    _check(errors, strict=True)
     theta = theta[0]
     beta = theta[k:] if profiled else np.asarray([] if outcome is None else outcome.coef, dtype=float)
     return _ee_result(index_mat, regressors, response, theta, slice(0, k), beta,

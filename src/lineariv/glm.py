@@ -67,6 +67,25 @@ class LinearFit:
         return design @ self.coefficients
 
 
+class _Flagged(Exception):
+    """Positions in a stack of the members left to the per-dataset path."""
+
+    def __init__(self, positions: list[int]):
+        super().__init__(positions)
+        self.positions = positions
+
+
+def _check(errors: list, strict: bool) -> None:
+    """Rejects the stack members whose entry of ``errors`` is not None: a
+    strict stack (one dataset on its own) raises that member's error, which
+    is the per-dataset error; any other stack flags them (:class:`_Flagged`)."""
+    bad = [k for k, err in enumerate(errors) if err is not None]
+    if bad and strict:
+        raise errors[bad[0]]
+    if bad:
+        raise _Flagged(bad)
+
+
 class _Lstsq(NamedTuple):
     """Stacked SVD least squares, one entry per member."""
 
@@ -74,16 +93,26 @@ class _Lstsq(NamedTuple):
     s: np.ndarray           # (B, p) singular values, largest first
     vt: np.ndarray          # (B, p, p)
     condition: list         # s[0] / s[-1], inf when s[-1] is 0
-    deficient: list         # s[-1] <= RANK_RTOL * s[0] (an all-zero design included)
+    deficient: list         # numerical rank below p (an all-zero design included)
+
+
+def _join(*blocks: np.ndarray) -> np.ndarray:
+    """``np.concatenate(blocks, axis=-1)``, column by column: faster for a short last axis."""
+    return np.stack([block[..., j] for block in blocks for j in range(block.shape[-1])], axis=-1)
+
+
+def _ranks(s: np.ndarray) -> list[int]:
+    """The package's one rank test: per member of a (B, p) stack of singular
+    values, largest first, the count above RANK_RTOL times the largest."""
+    return (s > RANK_RTOL * s[:, :1]).sum(-1).tolist()
 
 
 def _lstsq(design: np.ndarray, response: np.ndarray) -> _Lstsq:
     """Least squares of ``response`` (B, n) on ``design`` (B, n, p) by SVD,
     member by member; a rank-deficient member is reported, not raised."""
     u, s, vt = np.linalg.svd(design, full_matrices=False)
-    ends = [(row[0], row[-1]) for row in s.tolist()]
-    condition = [hi / lo if lo > 0 else np.inf for hi, lo in ends]
-    deficient = [lo <= RANK_RTOL * hi for hi, lo in ends]
+    condition = [row[0] / row[-1] if row[-1] > 0 else np.inf for row in s.tolist()]
+    deficient = [rank < s.shape[-1] for rank in _ranks(s)]
     bad = any(deficient)
     divisor = np.where(np.array(deficient)[:, None], 1.0, s) if bad else s
     coef = np.vecmat(np.vecmat(response, u) / divisor, vt)
@@ -95,27 +124,22 @@ def _lstsq(design: np.ndarray, response: np.ndarray) -> _Lstsq:
 def _design_errors(ls: _Lstsq, what: str) -> list:
     """Per member of a stacked fit, the SingularDesignError the 2-D fit
     ``what`` raises for it, or None for a member of full rank."""
-    errors = [None] * len(ls.deficient)
-    for k, deficient in enumerate(ls.deficient):
-        if deficient and ls.s[k, 0] == 0.0:
-            errors[k] = SingularDesignError(f"{what}: design is identically zero",
-                                            condition=np.inf)
-        elif deficient:
-            errors[k] = SingularDesignError(
-                f"{what}: design is rank deficient (condition estimate {ls.condition[k]:.3e})",
-                condition=ls.condition[k])
-    return errors
+    return [None if not deficient else SingularDesignError(
+        f"{what}: design is identically zero" if ls.s[k, 0] == 0.0 else
+        f"{what}: design is rank deficient (condition estimate {ls.condition[k]:.3e})",
+        condition=ls.condition[k]) for k, deficient in enumerate(ls.deficient)]
 
 
-def _ols(design: np.ndarray, response: np.ndarray) -> tuple[_Lstsq | None, list]:
-    """fit_ols on a stack: the stacked fit (None for a design with fewer rows
-    than columns) and, per member, the SingularDesignError ``fit_ols`` raises,
-    or None."""
+def _ols(design: np.ndarray, response: np.ndarray,
+         what: str = "fit_ols") -> tuple[_Lstsq | None, list]:
+    """Least squares on a stack with ``fit_ols``'s checks: the stacked fit
+    (None for a design with fewer rows than columns) and, per member, the
+    SingularDesignError the 2-D fit ``what`` raises, or None."""
     if design.shape[-2] < design.shape[-1]:
         return None, [SingularDesignError(
             f"need at least as many rows as columns, got {design.shape[-2:]}")] * len(design)
     fit = _lstsq(design, response)
-    return fit, _design_errors(fit, "fit_ols")
+    return fit, _design_errors(fit, what)
 
 
 def _weight_errors(w: np.ndarray) -> list:
@@ -130,8 +154,7 @@ def _weight_errors(w: np.ndarray) -> list:
 
 def _linear_fit(design: np.ndarray, response: np.ndarray, ls: _Lstsq, errors: list) -> LinearFit:
     # the 2-D fit from a stack of one, raising its error
-    if errors[0] is not None:
-        raise errors[0]
+    _check(errors, strict=True)
     s, vt, coef = ls.s[0], ls.vt[0], ls.coef[0]
     fitted = design @ coef
     return LinearFit(coef, fitted, response - fitted, (vt.T / s**2) @ vt, ls.condition[0])
@@ -146,7 +169,8 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> LinearFit:
     Raises
     ------
     SingularDesignError
-        If the smallest singular value is below ``1e-10`` times the largest.
+        If the design has fewer rows than columns, or its smallest singular
+        value is at most ``RANK_RTOL`` (1e-10) times the largest.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
@@ -158,7 +182,7 @@ def fit_wls(design: np.ndarray, response: np.ndarray, weights: np.ndarray) -> Li
 
     Zero weights exclude rows; all-zero weights raise
     :class:`DegenerateWeightsError`.  Fitted values and residuals refer to the
-    full, unweighted rows.  The solve is a batch of one through ``_lstsq``
+    full, unweighted rows.  The solve, with its checks, is :func:`fit_ols`'s
     on the rows scaled by sqrt(w).
     """
     design = np.asarray(design, dtype=float)
@@ -166,12 +190,10 @@ def fit_wls(design: np.ndarray, response: np.ndarray, weights: np.ndarray) -> Li
     w = np.asarray(weights, dtype=float)
     if w.shape != response.shape:
         raise DegenerateWeightsError(f"weights shape {w.shape} does not match response {response.shape}")
-    error = _weight_errors(w[None])[0]
-    if error is not None:
-        raise error
+    _check(_weight_errors(w[None]), strict=True)
     sw = np.sqrt(w)
-    ls = _lstsq((design * sw[:, None])[None], (response * sw)[None])
-    return _linear_fit(design, response, ls, _design_errors(ls, "fit_wls"))
+    return _linear_fit(design, response,
+                       *_ols((design * sw[:, None])[None], (response * sw)[None], "fit_wls"))
 
 
 @dataclass
@@ -366,13 +388,9 @@ def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit",
     y = np.asarray(response, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("response must be binary 0/1")
-    error = _class_errors(y[None])[0]
-    if error is not None:
-        raise error
+    _check(_class_errors(y[None]), strict=True)
     fit = _irls(design[None], y[None], link, max_iter, tol)
-    error = _singular_errors(fit)[0]
-    if error is not None:
-        raise error
+    _check(_singular_errors(fit), strict=True)
     return _binary_fit(fit, 0, link, tol)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -216,8 +216,7 @@ def _severe_outliers(values: np.ndarray) -> np.ndarray:
 
 
 def run_monte_carlo(config: ScenarioConfig,
-                    estimators: dict[str, Callable[[Dataset], np.ndarray]],
-                    threads: int = 1) -> MonteCarloReport:
+                    estimators: dict[str, Callable[[Dataset], np.ndarray]]) -> MonteCarloReport:
     """Run every estimator on every replicate and summarise.
 
     Estimator callables receive a Dataset and return the effect-coefficient
@@ -233,8 +232,7 @@ def run_monte_carlo(config: ScenarioConfig,
     :func:`~lineariv.suites.table1_estimators` can compute a whole chunk at
     once; the estimators are still called replicate by
     replicate, in order.  Replicate ``i`` depends only on (seed, ``i``), and
-    the report is byte-identical for every chunk size.  ``threads`` is
-    accepted for compatibility and ignored: replicates run serially.
+    the report is byte-identical for every chunk size.
     """
     if config.reps < 2:
         raise SchemaError("at least 2 replications are required")

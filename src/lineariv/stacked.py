@@ -4,20 +4,21 @@
 ``suites.table1_estimators()`` for B datasets of one size with the stacked
 kernels (:func:`~lineariv.glm._lstsq`, :func:`~lineariv.glm._irls` and
 :func:`~lineariv.estimators._solve_ee` on a leading batch axis), so each numpy
-call is paid once per stack instead of once per dataset.  eem, br_gamma and
-br_beta run the per-dataset estimators' own kernels (``adaptive._eem_stack``,
-``_br_gamma_stack`` and ``_br_beta_stack``), with their checks.  tsls, the
-plain instrument fit, the exposure fit and loc_eff's efficient index are
-written out here for the bundle's fixed bases, in the per-dataset
-expressions' operands, order and layout, so each member's estimates equal
-the per-dataset ones to the last bit.
+call is paid once per stack instead of once per dataset.  tsls, eem, br_gamma
+and br_beta run the per-dataset estimators' own kernels
+(``estimators._tsls_stack``, ``adaptive._eem_stack``, ``_br_gamma_stack`` and
+``_br_beta_stack``), with their checks.  The plain instrument fit, the
+exposure fit and loc_eff's efficient index are written out here for the
+bundle's fixed bases, in the per-dataset expressions' operands, order and
+layout, so each member's estimates equal the per-dataset ones to the last
+bit.
 
 A member is flagged, and left to the per-dataset estimators, where any check
 of the per-dataset path would raise (rank, condition, degeneracy, a binary
 instrument with both classes, a singular IRLS Hessian) and where
-``_drop_collinear`` keeps other extension columns for it than for most of the
-stack.  A flagged member leaves the stack and the others are computed again
-without it.
+``_drop_collinear``'s rank test keeps other extension columns for it than for
+most of the stack.  A flagged member leaves the stack and the others are
+computed again without it.
 """
 
 from __future__ import annotations
@@ -28,29 +29,16 @@ from .adaptive import (
     _ALPHA_CONTEXT,
     _br_beta_stack,
     _br_gamma_stack,
-    _check,
     _eem_stack,
     _fit_stack,
     _index_coef,
     _logistic,
 )
 from .dataset import Dataset
-from .errors import WeakIdentificationError
-from .estimators import WEAK_ID_CONDITION, _solve_ee
-from .glm import _class_errors, _ols, expit
+from .estimators import _solve_ee, _tsls_stack
+from .glm import _check, _class_errors, _ols, expit
 
 __all__ = ["table1_point_estimates"]
-
-
-def _linear(design: np.ndarray, response: np.ndarray, well_conditioned: bool = False) -> np.ndarray:
-    """fit_ols coefficients; flags a rank deficiency (and with
-    ``well_conditioned`` a condition number above WEAK_ID_CONDITION)."""
-    fit, errors = _ols(design, response)
-    _check(errors, strict=False)
-    if well_conditioned:
-        _check([WeakIdentificationError(f"rank condition fails: second-stage condition {cond:.3e}")
-                if cond > WEAK_ID_CONDITION else None for cond in fit.condition], strict=False)
-    return fit.coef
 
 
 def _estimates(datasets: list[Dataset], iv_known_coef) -> list[dict]:
@@ -63,9 +51,7 @@ def _estimates(datasets: list[Dataset], iv_known_coef) -> list[dict]:
     lin = np.stack([one, v], axis=-1)                       # (1, c0)
 
     # standard_tsls: instruments (z0, z0:c0), outcome basis (1, c0)
-    first = np.stack([z, zv, one, v], axis=-1)
-    fitted = np.matvec(first, _linear(first, x))
-    tsls = _linear(np.stack([one, v, fitted], axis=-1), y, well_conditioned=True)[:, 2]
+    tsls = _tsls_stack(np.stack([z, zv], axis=-1), lin, x[..., None], y)[-1].coef[:, 2]
 
     # BinaryLogisticIv.fit
     _check(_class_errors(z), strict=False)
@@ -77,7 +63,9 @@ def _estimates(datasets: list[Dataset], iv_known_coef) -> list[dict]:
 
     # ExposureModel("identity", (1, z0, c0, z0:c0)).fit
     saturated = np.stack([one, z, v, zv], axis=-1)
-    a_x = _linear(saturated, x)
+    exposure, errors = _ols(saturated, x)
+    _check(errors, strict=False)
+    a_x = exposure.coef
 
     # loc_eff: g_estimate at efficient_index, outcome (1, c0) profiled
     m1 = np.matvec(np.stack([one, one, v, 1.0 * v], axis=-1), a_x)

@@ -369,8 +369,7 @@ REPLICATE_TARGETS = {
 }
 
 
-def run_replicate(target: str, reps: int, seed: int, threads: int = 1,
-                  full_grid: bool = False):
+def run_replicate(target: str, reps: int, seed: int, full_grid: bool = False):
     """Run a pinned replication target; returns (reports, gates or None).
 
     Gates are evaluated only when ``reps >= AUDIT_MIN_REPS``; below that the
@@ -382,31 +381,31 @@ def run_replicate(target: str, reps: int, seed: int, threads: int = 1,
         reports = {}
         for lam in rows:
             cfg = ScenarioConfig("table1", n=500, seed=seed, reps=reps, lam=lam)
-            reports[lam] = run_monte_carlo(cfg, table1_estimators(), threads=threads)
+            reports[lam] = run_monte_carlo(cfg, table1_estimators())
         gates = table1_gates(reports) if audit and all(l in reports for l in TABLE1_GATED_ROWS) else None
         return list(reports.values()), gates
     if target == "fig1":
         cfg1 = ScenarioConfig("sim1", n=500, seed=seed, reps=reps)
         cfg2 = ScenarioConfig("sim2", n=500, seed=seed, reps=reps)
-        rep1 = run_monte_carlo(cfg1, sim_binary_estimators(), threads=threads)
-        rep2 = run_monte_carlo(cfg2, sim_binary_estimators(), threads=threads)
+        rep1 = run_monte_carlo(cfg1, sim_binary_estimators())
+        rep2 = run_monte_carlo(cfg2, sim_binary_estimators())
         if not audit:
             return [rep1, rep2], None
         aux_cfg = ScenarioConfig("sim1", n=CONSISTENCY_N, seed=seed,
                                  reps=min(reps, CONSISTENCY_REPS))
-        aux = run_monte_carlo(aux_cfg, sim_binary_estimators(), threads=threads)
+        aux = run_monte_carlo(aux_cfg, sim_binary_estimators())
         return [rep1, rep2, aux], fig1_gates(rep1, rep2, aux)
     if target == "fig2":
         cfg = ScenarioConfig("effectmod", n=500, seed=seed, reps=reps)
-        rep = run_monte_carlo(cfg, effectmod_estimators(), threads=threads)
+        rep = run_monte_carlo(cfg, effectmod_estimators())
         if not audit:
             return [rep], None
         aux_cfg = ScenarioConfig("effectmod", n=CONSISTENCY_N, seed=seed,
                                  reps=min(reps, CONSISTENCY_REPS))
-        aux = run_monte_carlo(aux_cfg, effectmod_estimators(), threads=threads)
+        aux = run_monte_carlo(aux_cfg, effectmod_estimators())
         return [rep, aux], fig2_gates(rep, aux)
     if target == "fig3":
         cfg = ScenarioConfig("extreme", n=500, seed=seed, reps=reps, lam=FIG3_LAMBDA)
-        rep = run_monte_carlo(cfg, table1_estimators(), threads=threads)
+        rep = run_monte_carlo(cfg, table1_estimators())
         return [rep], (fig3_gates(rep) if audit else None)
     raise ValueError(f"unknown replication target {target!r}")

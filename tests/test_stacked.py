@@ -10,10 +10,10 @@ from lineariv import BasisSpec, BinaryLogisticIv, Dataset, EstimationError, data
 from lineariv.adaptive import br_gamma_estimate
 from lineariv.inference import conservative_se_brgamma
 from lineariv.rng import make_generator
-from lineariv.adaptive import COLLINEARITY_TOL, _drop_collinear
+from lineariv.adaptive import _drop_collinear, _extend
 from lineariv.errors import SingularDesignError, WeakIdentificationError
 from lineariv.estimators import _solve_ee
-from lineariv.glm import _irls, _lstsq, expit, fit_binary, fit_ols
+from lineariv.glm import RANK_RTOL, _irls, _lstsq, expit, fit_binary, fit_ols
 from lineariv.simlab import ScenarioConfig, generate, run_monte_carlo
 from lineariv.stacked import table1_point_estimates
 from lineariv.suites import TABLE1_ROWS, table1_estimators
@@ -226,22 +226,22 @@ def test_solve_ee_gives_a_degenerate_member_a_nan_row():
         assert np.array_equal(theta[k], own[0]) and cond[k] == own_cond[0]
 
 
-def _lstsq_keeps(base, extension):
-    """The column-by-column ``np.linalg.lstsq`` rule ``_drop_collinear`` implements."""
+def _rank_keeps(base, extension):
+    """The rank rule ``_drop_collinear`` implements: keep a column when it
+    raises ``np.linalg.matrix_rank`` at fit_ols's tolerance RANK_RTOL * s_max."""
+    def rank(design):
+        return np.linalg.matrix_rank(design, tol=RANK_RTOL * np.linalg.norm(design, 2))
+
     kept, current = [], base
     for j in range(extension.shape[1]):
-        col = extension[:, j]
-        norm = np.linalg.norm(col)
-        if norm == 0.0:
-            continue
-        coef, *_ = np.linalg.lstsq(current, col, rcond=None)
-        if np.linalg.norm(col - current @ coef) > COLLINEARITY_TOL * norm:
+        trial = np.column_stack([current, extension[:, j]])
+        if rank(trial) > rank(current):
             kept.append(j)
-            current = np.column_stack([current, col])
+            current = trial
     return kept
 
 
-def test_drop_collinear_of_one_dataset_is_the_lstsq_rule():
+def test_drop_collinear_of_one_dataset_is_the_rank_rule():
     rng = np.random.default_rng(11)
     for trial in range(200):
         n, p, q = 40, int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -253,8 +253,13 @@ def test_drop_collinear_of_one_dataset_is_the_lstsq_rule():
         extension += rng.choice([0.0, 1e-4, 1e-12], size=q) * rng.standard_normal((n, q))
         extension[:, rng.random(q) < 0.1] = 0.0
         kept, cols, agree = _drop_collinear(base[None], extension[None])
-        assert cols == _lstsq_keeps(base, extension) and agree == [True]
+        assert cols == _rank_keeps(base, extension) and agree == [True]
         assert np.array_equal(kept[0], extension[:, cols])
+        if np.linalg.matrix_rank(base, tol=RANK_RTOL * np.linalg.norm(base, 2)) == p:
+            # on a full-rank base the extended design passes fit_ols's rank test
+            design, extended = _extend(base[None], extension[None])
+            assert extended == cols
+            fit_ols(design[0], rng.standard_normal(n))
 
 
 def test_drop_collinear_flags_members_that_disagree_with_the_stack():
@@ -276,8 +281,19 @@ def test_drop_collinear_projects_on_the_numerical_range_of_a_deficient_base():
     # off the span only along the singular vector of the zero singular value
     col = base[0] @ rng.standard_normal(3) + 1e-4 * u[:, 2]
     extension = col[None, :, None]
-    assert _lstsq_keeps(base[0], extension[0]) == [0]
+    assert _rank_keeps(base[0], extension[0]) == [0]
     assert _drop_collinear(base, extension)[1] == [0]
+
+
+def test_drop_collinear_judges_an_extension_the_test_cannot_see_at_the_base_scale():
+    rng, base = _designs(6, b=1)
+    # a column in the span of the base and one off it
+    extension = np.stack([base[0] @ rng.standard_normal(3), rng.standard_normal(300)], axis=-1)
+    assert _drop_collinear(base, extension[None])[1] == [1]
+    for scale in (1e-13, 1e13):
+        # numerically zero against the base, or the base against it
+        assert _rank_keeps(base[0], scale * extension) == []
+        assert _drop_collinear(base, scale * extension[None])[1] == [1]
 
 
 # ---------------------------------------------------------------------------
