@@ -533,8 +533,8 @@ def _br_beta_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, prob: np.ndarray
     denom, errors = _br_denominator(d, x, "br_beta")
     _check(errors, strict)
     if start is None:
-        theta, _, errors = _solve_ee(np.concatenate([x_ext, d[..., None]], axis=-1),
-                                     np.concatenate([x_ext, x[..., None]], axis=-1), y, "br_beta")
+        theta, _, errors = _solve_ee(_join(x_ext, d[..., None]), _join(x_ext, x[..., None]),
+                                     y, "br_beta")
         _check(errors, strict)
         return _BrBeta(theta[:, -1], theta[:, :-1], kept, x_ext, e_scale, d)
     fit, errors = _ols(x_ext, y - start()[:, None] * x)
@@ -560,7 +560,10 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     outcome fit and the estimating equation as one joint linear system, which
     forces the defining gradient identity to hold exactly at the solution; a
     degenerate joint system raises :class:`WeakIdentificationError`.  The two
-    modes are different estimators and generally give different values.
+    modes are different estimators and generally give different values.  A
+    one-step fit whose extended outcome regression leaves no residual degrees
+    of freedom returns its start value and says so in
+    ``diagnostics["warning"]``.
 
     ``iv_plain`` is the plain maximum-likelihood fit
     ``BinaryLogisticIv.fit(data, iv_basis)``, as for
@@ -613,9 +616,15 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
         score_identity_norm=float(np.abs(identity).max()),
         converged=True,
     )
+    diagnostics = {"br_fit": br, "update": update}
+    if update == "one_step" and x_ext.shape[0] <= x_ext.shape[1]:
+        # the extended regression interpolates y - start*x, so the one-step
+        # equation gives back its start value
+        diagnostics["warning"] = ("extended outcome regression has no residual degrees of "
+                                  "freedom; the one-step estimate is its start value")
     return EstimateResult(
         psi_hat=np.array([psi]),
         beta_hat=beta_ext,
         nuisance={"iv_plain": plain, "index_coef": alpha, "extension_columns": fit.kept},
-        diagnostics={"br_fit": br, "update": update},
+        diagnostics=diagnostics,
     )

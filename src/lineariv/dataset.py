@@ -287,9 +287,25 @@ class Dataset:
         return replace(self, z=z_arr)
 
     def take(self, rows) -> "Dataset":
-        """Row subset/resample (used by the bootstrap)."""
+        """Row subset/resample (used by the bootstrap): a new, unlinked
+        dataset with an empty memo.
+
+        One non-empty 1-D run of integer row numbers is gathered without a
+        second validation: rows of this dataset are finite, and the gather
+        is already a fresh copy, made read-only here.  Any other index goes
+        through the validating constructor.
+        """
         idx = np.asarray(rows)
-        return Dataset(self.y[idx], self.x[idx], self.z[idx], self.c_raw[idx])
+        if idx.ndim != 1 or not idx.size or idx.dtype.kind not in "iu":
+            return Dataset(self.y[idx], self.x[idx], self.z[idx], self.c_raw[idx])
+        taken = object.__new__(Dataset)
+        for name in ("y", "x", "z", "c_raw"):
+            column = getattr(self, name)[idx]
+            column.flags.writeable = False
+            object.__setattr__(taken, name, column)
+        object.__setattr__(taken, "_memo", {})
+        object.__setattr__(taken, "_chunk", ())
+        return taken
 
     def z_is_binary(self) -> bool:
         return bool(np.all((self.z == 0.0) | (self.z == 1.0)))

@@ -176,7 +176,7 @@ def standard_tsls(data: Dataset, effect: EffectModel, outcome_basis: BasisSpec,
         fs_summary[f"endog{j}"] = {"r_squared": r_squared}
     p_y = by.shape[1]
     coef = second.coef[0]
-    return _ee_result(second_design[0], np.column_stack([by, endog]), data.y,
+    return _ee_result(second_design[0], _join(by, endog), data.y,
                       coef, slice(p_y, None), coef[:p_y], {"first_stage": first_fits},
                       {"condition": second.condition[0], "first_stage": fs_summary})
 
@@ -221,7 +221,7 @@ def plug_in_two_stage(data: Dataset, exposure: ExposureModel, effect: EffectMode
     grad = effect.gradient(data)
     plug = mhat[:, None] * grad
 
-    design = np.column_stack([by, plug])
+    design = _join(by, plug)
     second = fit_ols(design, data.y)
     p_y = by.shape[1]
     return _ee_result(design, design, data.y, second.coefficients, slice(p_y, None),
@@ -248,8 +248,8 @@ def locally_efficient_y(data: Dataset, exposure: ExposureModel, effect: EffectMo
     mhat = exposure.predict(data)
     by = build_design(data, outcome_basis)
     grad = effect.gradient(data)
-    index_mat = np.column_stack([mhat[:, None] * grad, by])
-    regressors = np.column_stack([data.x[:, None] * grad, by])
+    index_mat = _join(mhat[:, None] * grad, by)
+    regressors = _join(data.x[:, None] * grad, by)
     theta, cond, errors = _solve_ee(index_mat[None], regressors[None], data.y[None],
                                     "locally_efficient_y")
     if errors[0] is not None:
@@ -331,8 +331,8 @@ def g_estimate(data: Dataset, index: IndexFunction, outcome: OutcomeModel | None
     profiled = outcome is not None and outcome.coef is None
     if profiled:
         by = outcome.design(data)
-        index_mat = np.column_stack([d, by])
-        regressors = np.column_stack([endog, by])
+        index_mat = _join(d, by)
+        regressors = _join(endog, by)
         response = data.y
     else:
         index_mat, regressors = d, endog

@@ -28,6 +28,7 @@ from lineariv import (
 )
 from lineariv import dataset
 from lineariv.dataset import InstrumentByTerm, Intercept, Power, Product, Raw
+from lineariv.simlab import gen_table1
 
 
 def small_dataset():
@@ -216,6 +217,44 @@ def test_take_and_with_z_build_their_own_designs():
     # the parent's cached design is untouched by its children
     assert build_design(data, spec) is parent
     assert_array_equal(parent, [[1.0, 0.0], [1.0, 3.0], [1.0, 4.0]])
+
+
+def _validated_take(data, rows):
+    """``Dataset.take`` through the validating constructor alone."""
+    idx = np.asarray(rows)
+    return Dataset(data.y[idx], data.x[idx], data.z[idx], data.c_raw[idx])
+
+
+def _take_outcome(take, data, rows):
+    try:
+        taken = take(data, rows)
+    except (IndexError, SchemaError) as err:
+        return type(err), str(err)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (taken.y, taken.x, taken.z, taken.c_raw)]
+
+
+def test_take_of_row_numbers_skips_validation_but_matches_it():
+    data = gen_table1(1, 1, -1, 50, 3).dataset
+    Dataset.link([data])
+    build_design(data, BasisSpec(["1", "c0"]))
+    for rows in (np.random.default_rng(0).integers(0, 50, size=50), [3, -1, 3],
+                 np.array([7], dtype=np.uint8)):
+        taken = data.take(rows)
+        assert _take_outcome(Dataset.take, data, rows) == _take_outcome(_validated_take, data, rows)
+        for a in (taken.y, taken.x, taken.z, taken.c_raw):
+            assert not a.flags.writeable and a.flags.c_contiguous
+        assert taken._memo == {} and taken._chunk == ()
+    with mock.patch.object(dataset, "_as_locked_array") as validate:
+        data.take([0, 1])
+    validate.assert_not_called()
+
+
+@pytest.mark.parametrize("rows", [
+    [], np.array([], dtype=int), [[0, 1], [1, 0]], np.ones(50, dtype=bool),
+    np.zeros(50, dtype=bool), [True, False], [0, 50], [-51], [0.0, 1.0]])
+def test_take_of_other_indices_behaves_as_the_validating_constructor(rows):
+    data = gen_table1(1, 1, -1, 50, 3).dataset
+    assert _take_outcome(Dataset.take, data, rows) == _take_outcome(_validated_take, data, rows)
 
 
 # ---------------------------------------------------------------------------

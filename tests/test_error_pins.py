@@ -3,7 +3,10 @@
 Each entry is the exception class and message a call raises, or its value as
 ``float.hex``.  They were recorded from the per-dataset implementations that
 preceded the stacked kernels (``adaptive._eem_stack``, ``_br_beta_stack``),
-which must raise the same errors in the same order.
+which must raise the same errors in the same order.  The two one-step
+br-beta values from the default start on the separated-instrument and
+three-row cases were re-pinned when the IRLS arithmetic changed (see
+``tests/test_golden.py``).
 """
 
 import numpy as np
@@ -111,7 +114,7 @@ PINS = {
     ('separated instrument', 'eem_objective(index)'):
         ['0x1.686f290824fb7p-7'],
     ('separated instrument', 'br_beta_estimate(one_step, start_psi=None)'):
-        ['-0x1.541ba2de0f6a4p-1'],
+        ['-0x1.541ba2de0f647p-1'],
     ('separated instrument', 'br_beta_estimate(one_step, start_psi=0.5)'):
         ['0x1.ffff2d087deafp-2'],
     ('separated instrument', 'br_beta_estimate(full_solve, start_psi=None)'):
@@ -131,7 +134,7 @@ PINS = {
     ('three rows', 'eem_objective(index)'):
         ['0x1.1e2020bf4a93ep+0'],
     ('three rows', 'br_beta_estimate(one_step, start_psi=None)'):
-        ['0x1.4d53a27cfdbcap+0'],
+        ['0x1.4d53a27cfdbc1p+0'],
     ('three rows', 'br_beta_estimate(one_step, start_psi=0.5)'):
         ['0x1.ffffffffffff9p-2'],
     ('three rows', 'br_beta_estimate(full_solve, start_psi=None)'):
@@ -166,3 +169,18 @@ def test_eem_and_br_beta_outcomes_match_their_pins(case):
     data = _cases()[case]
     got = {(case, name): _outcome(call) for name, call in _calls(data).items()}
     assert got == {key: value for key, value in PINS.items() if key[0] == case}
+
+
+def test_one_step_br_beta_on_a_saturated_design_warns():
+    # three rows against (1, c0) plus one kept extension column: the one-step
+    # regression interpolates, so the estimate is its start value
+    with np.errstate(all="ignore"):
+        for start in (None, 0.5):
+            res = br_beta_estimate(_cases()["three rows"], LIN, LIN, LIN, start_psi=start)
+            assert len(res.nuisance["extension_columns"]) == 1
+            assert "no residual degrees of freedom" in res.diagnostics["warning"]
+            assert [res.psi_hat[0].hex()] == PINS[
+                ("three rows", f"br_beta_estimate(one_step, start_psi={start})")]
+        assert abs(res.psi - 0.5) < 1e-14
+        assert "warning" not in br_beta_estimate(_cases()["doubled exposure"], LIN, LIN,
+                                                 LIN).diagnostics

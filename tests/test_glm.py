@@ -1,8 +1,11 @@
 """Least-squares and binary-regression fitters."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import expit as scipy_expit
 
 from lineariv import (
     BasisSpec,
@@ -20,6 +23,7 @@ from lineariv import (
     normal_cdf,
     normal_quantile,
 )
+from lineariv.glm import _mean_function
 
 
 def test_ols_exact_interpolation():
@@ -210,3 +214,28 @@ def test_normal_cdf_quadrature_oracle():
         dens = np.exp(-0.5 * grid * grid) / np.sqrt(2 * np.pi)
         integral = np.trapezoid(dens, grid)
         assert_allclose(normal_cdf(u), integral, atol=1e-8)
+
+
+def test_logit_mean_within_4_ulp_of_scipy_expit():
+    # the IRLS mean is numpy's 1/(1+exp(-eta)); exp overflows below -709.78
+    # and must do so silently, giving 0 as scipy's expit does
+    eta = np.linspace(-800.0, 800.0, 320001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = _mean_function("logit")(eta)
+    want = scipy_expit(eta)
+    assert np.all(np.abs(mu - want) <= 4 * np.spacing(want))
+    assert mu[0] == want[0] == 0.0 and mu[-1] == want[-1] == 1.0
+
+
+@pytest.mark.parametrize("link", ["logit", "probit"])
+def test_fit_binary_on_separated_data_emits_no_warning(link):
+    # |eta| reaches thousands, where exp(-eta) overflows
+    rng = np.random.default_rng(5)
+    design = np.column_stack([np.ones(200), 0.01 * rng.standard_normal(200)])
+    y = (design[:, 1] > 0).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_binary(design, y, link=link)
+    assert fit.separation and fit.converged
+    assert np.abs(design @ fit.coefficients).max() > 710.0

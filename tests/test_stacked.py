@@ -211,6 +211,29 @@ def test_irls_member_whose_halvings_run_out_follows_its_own_fit(monkeypatch):
             own.iterations, own.score_norm, own.loglik_trace)
 
 
+@pytest.mark.parametrize("link", ["logit", "probit"])
+def test_irls_members_bit_identical_to_stacks_of_one(link):
+    # a weak member that leaves the stack early, two stronger ones and a
+    # separated one whose coefficients run past SEPARATION_NORM
+    rng = np.random.default_rng(5)
+    design = np.empty((4, 200, 3))
+    design[:, :, 0] = 1.0
+    design[:, :, 1:] = rng.standard_normal((4, 200, 2))
+    design[2, :, 1] *= 0.01
+    y = np.empty((4, 200))
+    for k, coef in enumerate(([0.1, 0.05, 0.0], [-0.5, 1.5, -2.0], None, [0.3, 3.0, 1.0])):
+        y[k] = design[k, :, 1] > 0 if coef is None else rng.random(200) < expit(design[k] @ coef)
+    fit = _irls(design, y, link)
+    assert fit.iterations[0] < min(fit.iterations[1:])
+    assert fit_binary(design[2], y[2], link=link).separation
+    for k in range(4):
+        own = _irls(design[k:k + 1], y[k:k + 1], link)
+        assert np.array_equal(fit.coef[k], own.coef[0])
+        assert (fit.iterations[k], fit.score_norm[k], fit.loglik[k], fit.traces[k],
+                fit.exhausted[k]) == (own.iterations[0], own.score_norm[0], own.loglik[0],
+                                      own.traces[0], own.exhausted[0])
+
+
 def test_solve_ee_gives_a_degenerate_member_a_nan_row():
     rng, index = _designs(3, p=2)
     regressors = index + 0.1 * rng.standard_normal(index.shape)

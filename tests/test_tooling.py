@@ -1,13 +1,17 @@
-"""The benchmark's tracer still finds every function it wraps, and its
-bootstrap workload still agrees with ``lineariv fit``."""
+"""The benchmark's tracer still finds every function it wraps, its
+bootstrap workload still agrees with ``lineariv fit``, and the committed
+``BENCH_*.json`` summaries are complete."""
 
 import importlib.util
+import json
+import math
 import sys
 from pathlib import Path
 
 import lineariv.estimators
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
 
@@ -50,3 +54,28 @@ def test_bootstrap_workload_equals_lineariv_fit(tmp_path, monkeypatch):
     assert harness.ops == params["resamples"] and harness.failed_ops == 0
     checks = workload.final_check([result])
     assert checks and all(check["passed"] for check in checks), checks
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_bench_summaries_are_strict_json_with_both_sides_of_every_workload():
+    # each root BENCH_*.json is ``perfbench/summarize.py``'s document for the
+    # parent and for the change, over the same paired runs
+    registry = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in registry["workloads"]}
+    metrics = [m["name"] for m in registry["end_to_end"]]
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        for side in ("parent", "change"):
+            summary = doc[side]["workloads"]
+            assert workloads <= summary.keys(), (path.name, side)
+            for name in workloads:
+                for metric in metrics:
+                    spread = summary[name]["untraced"][metric]
+                    values = [spread[k] for k in ("q1", "median", "q3")]
+                    assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
+                    assert values == sorted(values), (path.name, side, name, metric)
