@@ -298,14 +298,18 @@ class Dataset:
         idx = np.asarray(rows)
         if idx.ndim != 1 or not idx.size or idx.dtype.kind not in "iu":
             return Dataset(self.y[idx], self.x[idx], self.z[idx], self.c_raw[idx])
-        taken = object.__new__(Dataset)
-        for name in ("y", "x", "z", "c_raw"):
-            column = getattr(self, name)[idx]
+        columns = (self.y[idx], self.x[idx], self.z[idx], self.c_raw[idx])
+        for column in columns:
             column.flags.writeable = False
-            object.__setattr__(taken, name, column)
-        object.__setattr__(taken, "_memo", {})
-        object.__setattr__(taken, "_chunk", ())
-        return taken
+        return Dataset._trusted(*columns)
+
+    @staticmethod
+    def _trusted(y, x, z, c_raw) -> "Dataset":
+        """A dataset of read-only columns that the constructor would accept
+        unchanged, taken as they are: no second check, no copy."""
+        data = object.__new__(Dataset)
+        vars(data).update(y=y, x=x, z=z, c_raw=c_raw, _memo={}, _chunk=())
+        return data
 
     def z_is_binary(self) -> bool:
         return bool(np.all((self.z == 0.0) | (self.z == 1.0)))
@@ -568,12 +572,7 @@ def write_csv(data: Dataset, path, columns: ColumnMap | None = None) -> None:
     """Write a dataset as CSV with full round-trip precision (shortest repr)."""
     if columns is None:
         z_names = ("z",) if data.n_instruments == 1 else tuple(f"z{j}" for j in range(data.n_instruments))
-        if data.n_covariates == 0:
-            c_names = ()
-        elif data.n_covariates == 1:
-            c_names = ("v",)
-        else:
-            c_names = tuple(f"v{j}" for j in range(data.n_covariates))
+        c_names = ("v",) if data.n_covariates == 1 else tuple(f"v{j}" for j in range(data.n_covariates))
         columns = ColumnMap(y="y", x="x", z=z_names, covariates=c_names)
     header = [columns.y, columns.x, *columns.z, *columns.covariates]
     block = np.column_stack([data.y, data.x, data.z, data.c_raw])

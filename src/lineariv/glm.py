@@ -7,8 +7,9 @@ needs it.  Binary fits use iteratively reweighted least squares with
 step-halving on likelihood decrease.  Its arithmetic is set for many small
 fits: the logit mean is numpy's vectorised 1/(1+exp(-eta)), within 4 ulp of
 scipy's ``expit`` (which the public :func:`expit` and the data generators
-keep); the log-likelihood takes one log a row; X'WX weights a C-contiguous
-(p, n) copy of the design along its rows.
+keep), evaluated in place with overflow ignored once a fit; the
+log-likelihood takes one log a row; X'WX weights a C-contiguous (p, n) copy of
+the design along its rows, into a buffer reused from step to step.
 
 Each method has one kernel that works on a stack of B problems at once
 (``_lstsq``, ``_irls``), reporting degenerate members instead of raising;
@@ -220,19 +221,22 @@ class BinaryFit:
 
 
 def _logistic(eta: np.ndarray) -> np.ndarray:
-    """1/(1+exp(-eta)) by numpy's vectorised exp, within 4 ulp of scipy's
-    expit and faster; exp(-eta) overflows to inf below eta = -709.78, which
-    gives 0 as expit does."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-eta))
+    """1/(1+exp(-eta)) by numpy's vectorised exp, in one fresh array; within
+    4 ulp of scipy's expit and faster.  exp(-eta) overflows to inf below
+    eta = -709.78, which gives 0 as expit does: callers ignore the overflow."""
+    mu = np.negative(eta)
+    np.exp(mu, out=mu)
+    mu += 1.0
+    return np.divide(1.0, mu, out=mu)
 
 
 _LINK_MEANS = {"logit": _logistic, "probit": _ndtr}
 
 
 def _mean_function(link: str):
+    """The mean of ``link``, the logit's overflow ignored."""
     try:
-        return _LINK_MEANS[link]
+        return np.errstate(over="ignore")(_LINK_MEANS[link])
     except KeyError:
         raise ValueError(f"unknown link {link!r}") from None
 
@@ -249,6 +253,7 @@ class _Irls(NamedTuple):
     exhausted: list     # True where some step failed all 40 halvings
 
 
+@np.errstate(over="ignore")     # once a fit, for the logit mean
 def _irls(design: np.ndarray, y: np.ndarray, link: str, max_iter: int = 100,
           tol: float = SCORE_TOL) -> _Irls:
     """Binary regression by IRLS with step-halving for a stack of problems:
@@ -260,7 +265,7 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, max_iter: int = 100,
     not drop by more than 1e-10.  A member whose X'WX is exactly singular
     stops there and is reported in ``singular``; the others go on.
     """
-    mean = _mean_function(link)
+    mean = _LINK_MEANS.get(link) or _mean_function(link)    # which raises on an unknown link
     B, n, p = design.shape
     y0 = y == 0.0
     m = y.sum(-1) / n           # exact: a sum of zeros and ones, so m == mean(y)
@@ -277,27 +282,29 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, max_iter: int = 100,
         todo = [k for k in todo if not ones[k]]
 
     def evaluate(x, y0, b):
-        # eta, mu, clipped mu and log-likelihood at coefficients b: one log a
-        # row, of the clipped probability of the observed class
+        # eta, mu, the variance muc * (1 - muc) of the clipped mu and the log-
+        # likelihood at b: one log a row, of the clipped P(observed class)
         eta = np.matvec(x, b)
         mu = mean(eta)
         muc = np.clip(mu, PROB_CLIP, 1.0 - PROB_CLIP)
-        return eta, mu, muc, np.log(np.where(y0, 1.0 - muc, muc)).sum(-1)
+        muq = 1.0 - muc
+        ll = np.where(y0, muq, muc)
+        return eta, mu, np.multiply(muc, muq, out=muc), np.log(ll, out=ll).sum(-1)
 
-    def score_and_weights(x, y, eta, mu, muc):
+    def score_and_weights(x, y, eta, mu, var):
         # likelihood score X'adj, its max-abs norm and the Fisher weights; for
         # the logit (canonical) link adj is the raw residual y - mu
         if link == "logit":
-            adj, w = y - mu, muc * (1.0 - muc)
+            adj, w = y - mu, var
         else:
             phi = np.exp(-0.5 * eta * eta) / np.sqrt(2.0 * np.pi)
-            ratio = phi / (muc * (1.0 - muc))
+            ratio = phi / var
             adj, w = (y - mu) * ratio, phi * ratio
         score = np.vecmat(adj, x)
         return score, np.abs(score).max(-1), w
 
-    eta, mu, muc, ll = evaluate(design, y0, beta)
-    score, norm, w = score_and_weights(design, y, eta, mu, muc)
+    eta, mu, var, ll = evaluate(design, y0, beta)
+    score, norm, w = score_and_weights(design, y, eta, mu, var)
     traces = [[v] for v in ll.tolist()]
     coef = [None] * B
     iterations = [0] * B
@@ -307,8 +314,9 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, max_iter: int = 100,
     # the live members and their state; every live member has taken `steps` steps
     live = list(range(B))
     # xt is a C-contiguous copy of the design transposed, (B, p, n), so that
-    # weighting its rows in X'WX runs along the long axis
+    # weighting its rows in X'WX (into the buffer xtw) runs along the long axis
     x, xt, live_y, live_y0 = design, np.ascontiguousarray(design.mT), y, y0
+    xtw = np.empty_like(xt)
     steps = 0
     while True:
         norms = norm.tolist()
@@ -323,10 +331,11 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, max_iter: int = 100,
             if not keep:
                 break
             live = [live[k] for k in keep]
-            x, xt, live_y, live_y0, beta, eta, mu, muc, ll, score, norm, w = (
-                a[keep] for a in (x, xt, live_y, live_y0, beta, eta, mu, muc, ll, score, norm, w))
+            x, xt, live_y, live_y0, beta, eta, mu, var, ll, score, norm, w = (
+                a[keep] for a in (x, xt, live_y, live_y0, beta, eta, mu, var, ll, score, norm, w))
+            xtw = xtw[:len(live)]
         # Fisher scoring step: solve (X'WX) d = X'(score residual)
-        hessian = (xt * w[:, None, :]) @ x
+        hessian = np.multiply(xt, w[:, None, :], out=xtw) @ x
         try:
             step = np.linalg.solve(hessian, score[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -369,10 +378,10 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, max_iter: int = 100,
                 state[pending] = value
             for k in pending:
                 exhausted[live[k]] = True
-        beta, eta, mu, muc, ll = found
+        beta, eta, mu, var, ll = found
         for member, value in zip(live, ll.tolist()):
             traces[member].append(value)
-        score, norm, w = score_and_weights(x, live_y, eta, mu, muc)
+        score, norm, w = score_and_weights(x, live_y, eta, mu, var)
     return _Irls(coef, iterations, score_norm, loglik, traces, singular, exhausted)
 
 
@@ -388,12 +397,9 @@ def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit",
     kernel ``_irls``, which the Monte Carlo bundles call directly on a
     (B, n, p) stack of designs.
 
-    Each iteration evaluates the mean (for the logit link numpy's
-    1/(1+exp(-eta)), within 4 ulp of scipy's ``expit``), the log-likelihood
-    as the sum of log P(observed class) with probabilities clipped to
-    [1e-12, 1 - 1e-12], and X'WX as (X'W) X from a transposed copy of the
-    design made once per fit.  A member of a stack gets the bits of its fit
-    alone.
+    The log-likelihood clips probabilities to [1e-12, 1 - 1e-12]; the rest
+    of the arithmetic is the module docstring's.  A member of a stack gets
+    the bits of its fit alone.
 
     Raises
     ------

@@ -58,10 +58,6 @@ class EffectModel:
     def dim(self) -> int:
         return 1 if self.basis is None else len(self.basis)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.basis is None
-
     def gradient(self, data: Dataset) -> np.ndarray:
         """d m(C;psi)/d psi as an n-by-dim matrix (constant in psi)."""
         if self.basis is None:
@@ -91,9 +87,6 @@ class OutcomeModel:
         if self.coef is None:
             raise ValueError("outcome model has no coefficients yet")
         return self.design(data) @ self.coef
-
-    def with_coef(self, coef) -> "OutcomeModel":
-        return replace(self, coef=np.asarray(coef, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ stream everywhere.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtri
 
-from .glm import normal_quantile
-
-__all__ = ["make_generator", "draw_uniform", "draw_normal", "draw_bernoulli"]
+__all__ = ["make_generator", "draw_normal"]
 
 
 def make_generator(seed_key) -> np.random.Generator:
@@ -21,18 +20,13 @@ def make_generator(seed_key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
 
 
-def draw_uniform(gen: np.random.Generator, n: int) -> np.ndarray:
-    return gen.random(n)
-
-
 def draw_normal(gen: np.random.Generator, n: int) -> np.ndarray:
     """Standard normals via inverse CDF; u=0 is nudged to the smallest double."""
-    u = gen.random(n)
-    u = np.where(u == 0.0, 5e-324, u)
-    return normal_quantile(u)
+    return _to_normal(gen.random(n))
 
 
-def draw_bernoulli(gen: np.random.Generator, p) -> np.ndarray:
-    """One Bernoulli draw per entry of p (uniform-threshold convention)."""
-    p = np.asarray(p, dtype=float)
-    return (gen.random(p.shape[0]) < p).astype(float)
+def _to_normal(u: np.ndarray) -> np.ndarray:
+    """:func:`draw_normal`'s transform, in place on an array of uniforms: no
+    uniform is negative, so the maximum moves u=0 alone."""
+    np.maximum(u, 5e-324, out=u)
+    return ndtri(u, out=u)

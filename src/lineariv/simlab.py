@@ -1,9 +1,9 @@
 """Deterministic data generators and the Monte Carlo harness.
 
 Five generator families (two binary-exposure designs, an effect-modification
-design, and the factorial misspecification designs on the lambda grid), all
-driven by counter-based generators so that replicate i of master seed s is the
-bit-identical dataset on every platform and at any parallelism level.
+design, and the factorial misspecification designs on the lambda grid), each
+one stacked kernel over counter-based generators, so that replicate i of master
+seed s is the bit-identical dataset on every platform and in any chunk.
 
 The harness reports bias and standard deviation on the replicates that
 survive a scale-free severity rule (|estimate - median| <= 50 * IQR,
@@ -23,7 +23,7 @@ import numpy as np
 from .dataset import Dataset, _chunk_size
 from .errors import EstimationError, SchemaError
 from .glm import expit, normal_cdf
-from .rng import draw_normal, make_generator
+from .rng import _to_normal, make_generator
 
 __all__ = [
     "SimulatedData",
@@ -55,19 +55,74 @@ class SimulatedData:
     params: dict
 
 
+# Stacked kernels (see their gen_*): five (B, n) blocks in draw order, lam -> y, x, z, v
+
+def _sim1(u, v, rz, rx, e, *lam):
+    z = (rz < 0.27).astype(float)
+    x = (rx < normal_cdf(z + u + v)).astype(float)
+    return 0.5 * x - u - 2.0 * v + v**2 + e, x, z, v
+
+
+def _sim2(u, v, rz, rx, e, *lam):
+    z = (rz < expit(-1.0 + v / 2.0)).astype(float)
+    x = (rx < normal_cdf(z + u + v - z * v + v**2 / 2.0)).astype(float)
+    return 0.5 * x - u - 2.0 * v + v**2 + e, x, z, v
+
+
+def _effectmod(u, v, rz, d, e, *lam):
+    z = (rz < 0.27).astype(float)
+    x = 2.0 * z + v + u - z * v + 0.5 * v**2 + d
+    return 0.5 * x + x * v - u - 2.0 * v + v**2 + e, x, z, v
+
+
+def _table1(u, v, rz, d, e, lambda_x, lambda_y, lambda_z):
+    z = (rz < expit(-1.0 + v / 2.0 + lambda_z * v**2 / 3.0)).astype(float)
+    x = z + u + v - z * v + lambda_x * v**2 + d
+    return x - u - v + lambda_y * v**2 + e, x, z, v
+
+
+def _extreme(u, v, rz, d, e, lambda_x, lambda_y, lambda_z):
+    pz = 1.0 - np.exp(-np.exp(-1.0 + v / 2.0 - v**2 / 2.0 + lambda_z * v**2 / 8.0))
+    z = (rz < pz).astype(float)
+    x = z + u + v - z * v + 2.0 * v**2 + 2.0 * z * v**2 + 2.0 * lambda_x * v**3 + d
+    return x - u - v - 2.0 * v**2 + 2.0 * lambda_y * v**3 + e, x, z, v
+
+
+# generator name -> (stacked kernel, its normal blocks, true effect coefficients)
+_FAMILIES = {"sim1": (_sim1, (0, 1, 4), (0.5,)), "sim2": (_sim2, (0, 1, 4), (0.5,)),
+             "effectmod": (_effectmod, (0, 1, 3, 4), (0.5, 1.0)),
+             "table1": (_table1, (0, 1, 3, 4), (1.0,)), "extreme": (_extreme, (0, 1, 3, 4), (1.0,))}
+
+
+def _simulate(generator: str, n: int, seeds, lam=None) -> list[Dataset]:
+    """One dataset per seed key, a row of the family's stacked kernel.  A key's five
+    ``random(n)`` blocks are one ``random(5 * n)``; normal ones are made as by ``draw_normal``.
+    The stack is checked as the Dataset constructor checks a dataset and frozen, once."""
+    if generator not in _FAMILIES:
+        raise SchemaError(f"unknown generator {generator!r}; choose from {GENERATORS}")
+    kernel, normal, _ = _FAMILIES[generator]
+    u = np.empty((len(seeds), 5, n))
+    for row, key in zip(u, seeds):
+        make_generator(key).random(out=row.reshape(-1))
+    blocks = u.transpose(1, 0, 2)
+    for k in normal:
+        _to_normal(blocks[k])
+    y, x, z, v = kernel(*blocks, *(lam or ()))
+    v = v.copy()            # the datasets keep the covariate, not all five blocks
+    for name, column in zip(("y", "x", "z", "c_raw"), (y, x, z, v)):
+        if not np.isfinite(column).all():
+            raise SchemaError(f"{name} contains non-finite values")
+        column.flags.writeable = False
+    return [Dataset._trusted(*row) for row in zip(y, x, z[..., None], v[..., None])]
+
+
 def gen_sim1(n: int, seed) -> SimulatedData:
     """Binary exposure, instrument independent of the covariate.
 
     Z ~ Bernoulli(0.27); X ~ Bernoulli(Phi(Z+U+V)); Y normal with mean
     0.5*X - U - 2V + V^2 and unit variance.  U is latent and not included.
     """
-    gen = make_generator(seed)
-    u = draw_normal(gen, n)
-    v = draw_normal(gen, n)
-    z = (gen.random(n) < 0.27).astype(float)
-    x = (gen.random(n) < normal_cdf(z + u + v)).astype(float)
-    y = 0.5 * x - u - 2.0 * v + v**2 + draw_normal(gen, n)
-    return SimulatedData(Dataset(y, x, z, v), np.array([0.5]), "sim1", {})
+    return simulate("sim1", n, seed)
 
 
 def gen_sim2(n: int, seed) -> SimulatedData:
@@ -76,13 +131,7 @@ def gen_sim2(n: int, seed) -> SimulatedData:
     Z ~ Bernoulli(expit(-1+V/2)); X ~ Bernoulli(Phi(Z+U+V-ZV+V^2/2)); Y as in
     the first design.
     """
-    gen = make_generator(seed)
-    u = draw_normal(gen, n)
-    v = draw_normal(gen, n)
-    z = (gen.random(n) < expit(-1.0 + v / 2.0)).astype(float)
-    x = (gen.random(n) < normal_cdf(z + u + v - z * v + v**2 / 2.0)).astype(float)
-    y = 0.5 * x - u - 2.0 * v + v**2 + draw_normal(gen, n)
-    return SimulatedData(Dataset(y, x, z, v), np.array([0.5]), "sim2", {})
+    return simulate("sim2", n, seed)
 
 
 def gen_effectmod(n: int, seed) -> SimulatedData:
@@ -92,13 +141,7 @@ def gen_effectmod(n: int, seed) -> SimulatedData:
     mean 0.5X + XV - U - 2V + V^2; both unit variance.  The causal
     coefficients on (X, XV) are (0.5, 1).
     """
-    gen = make_generator(seed)
-    u = draw_normal(gen, n)
-    v = draw_normal(gen, n)
-    z = (gen.random(n) < 0.27).astype(float)
-    x = 2.0 * z + v + u - z * v + 0.5 * v**2 + draw_normal(gen, n)
-    y = 0.5 * x + x * v - u - 2.0 * v + v**2 + draw_normal(gen, n)
-    return SimulatedData(Dataset(y, x, z, v), np.array([0.5, 1.0]), "effectmod", {})
+    return simulate("effectmod", n, seed)
 
 
 def gen_table1(lambda_x: int, lambda_y: int, lambda_z: int, n: int, seed) -> SimulatedData:
@@ -107,14 +150,7 @@ def gen_table1(lambda_x: int, lambda_y: int, lambda_z: int, n: int, seed) -> Sim
     Z ~ Bernoulli(expit(-1+V/2+lz*V^2/3)); X normal with mean
     Z+U+V-ZV+lx*V^2; Y normal with mean X-U-V+ly*V^2; unit noise variances.
     """
-    gen = make_generator(seed)
-    u = draw_normal(gen, n)
-    v = draw_normal(gen, n)
-    z = (gen.random(n) < expit(-1.0 + v / 2.0 + lambda_z * v**2 / 3.0)).astype(float)
-    x = z + u + v - z * v + lambda_x * v**2 + draw_normal(gen, n)
-    y = x - u - v + lambda_y * v**2 + draw_normal(gen, n)
-    return SimulatedData(Dataset(y, x, z, v), np.array([1.0]), "table1",
-                         {"lambda": (lambda_x, lambda_y, lambda_z)})
+    return simulate("table1", n, seed, (lambda_x, lambda_y, lambda_z))
 
 
 def gen_extreme(lambda_x: int, lambda_y: int, lambda_z: int, n: int, seed) -> SimulatedData:
@@ -124,15 +160,7 @@ def gen_extreme(lambda_x: int, lambda_y: int, lambda_z: int, n: int, seed) -> Si
     X normal with mean Z+U+V-ZV+2V^2+2ZV^2+2*lx*V^3; Y normal with mean
     X-U-V-2V^2+2*ly*V^3; unit noise variances.
     """
-    gen = make_generator(seed)
-    u = draw_normal(gen, n)
-    v = draw_normal(gen, n)
-    pz = 1.0 - np.exp(-np.exp(-1.0 + v / 2.0 - v**2 / 2.0 + lambda_z * v**2 / 8.0))
-    z = (gen.random(n) < pz).astype(float)
-    x = z + u + v - z * v + 2.0 * v**2 + 2.0 * z * v**2 + 2.0 * lambda_x * v**3 + draw_normal(gen, n)
-    y = x - u - v - 2.0 * v**2 + 2.0 * lambda_y * v**3 + draw_normal(gen, n)
-    return SimulatedData(Dataset(y, x, z, v), np.array([1.0]), "extreme",
-                         {"lambda": (lambda_x, lambda_y, lambda_z)})
+    return simulate("extreme", n, seed, (lambda_x, lambda_y, lambda_z))
 
 
 @dataclass(frozen=True)
@@ -161,18 +189,11 @@ class ScenarioConfig:
 
 
 def simulate(generator: str, n: int, seed, lam: tuple[int, int, int] | None = None) -> SimulatedData:
-    """One dataset of a generator family; ``lam`` is read by table1/extreme only."""
-    if generator == "sim1":
-        return gen_sim1(n, seed)
-    if generator == "sim2":
-        return gen_sim2(n, seed)
-    if generator == "effectmod":
-        return gen_effectmod(n, seed)
-    if generator == "table1":
-        return gen_table1(*lam, n, seed)
-    if generator == "extreme":
-        return gen_extreme(*lam, n, seed)
-    raise SchemaError(f"unknown generator {generator!r}; choose from {GENERATORS}")
+    """One dataset of a generator family, its stacked kernel on the one seed key
+    ``seed``; ``lam`` is read by table1/extreme only."""
+    data, = _simulate(generator, n, [seed], lam)
+    params = {"lambda": tuple(lam)} if generator in ("table1", "extreme") else {}
+    return SimulatedData(data, np.array(_FAMILIES[generator][2]), generator, params)
 
 
 def generate(config: ScenarioConfig, rep: int) -> SimulatedData:
@@ -227,7 +248,8 @@ def run_monte_carlo(config: ScenarioConfig,
 
     Replicates are generated in chunks of consecutive replicates, as many
     as fit ``dataset.CHUNK_BYTES`` of working set at ``dataset.ROW_BYTES``
-    a row (8 at n=500, 1 at n=8000), whose datasets are linked
+    a row (8 at n=500, 1 at n=8000).  A chunk is drawn as one stack, bit for
+    bit :func:`generate`'s datasets, which are linked
     (:meth:`Dataset.link`) so that a bundle such as
     :func:`~lineariv.suites.table1_estimators` can compute a whole chunk at
     once; the estimators are still called replicate by
@@ -237,12 +259,13 @@ def run_monte_carlo(config: ScenarioConfig,
     if config.reps < 2:
         raise SchemaError("at least 2 replications are required")
     names = list(estimators)
-    psi_true = generate(config, 0).psi_true
+    psi_true = np.array(_FAMILIES[config.generator][2])
     k = psi_true.shape[0]
     raw: dict[str, np.ndarray] = {name: np.full((config.reps, k), np.nan) for name in names}
     size = _chunk_size(config.n)
     for first in range(0, config.reps, size):
-        chunk = [generate(config, i).dataset for i in range(first, min(first + size, config.reps))]
+        seeds = [[config.seed, i] for i in range(first, min(first + size, config.reps))]
+        chunk = _simulate(config.generator, config.n, seeds, config.lam)
         Dataset.link(chunk)
         for i, data in enumerate(chunk, start=first):
             for name in names:

@@ -20,9 +20,11 @@ from lineariv import (
     write_report_csv,
     write_report_json,
 )
+from lineariv import dataset
 from lineariv.dataset import ColumnMap
-from lineariv.glm import fit_binary, fit_ols
-from lineariv.simlab import ScenarioConfig, report_rows, simulate
+from lineariv.glm import expit, fit_binary, fit_ols, normal_cdf
+from lineariv.rng import draw_normal, make_generator
+from lineariv.simlab import ScenarioConfig, _simulate, report_rows, simulate
 
 BIG_N = 100_000
 
@@ -48,6 +50,79 @@ def test_generators_bit_deterministic():
     assert_array_equal(sim.dataset.z[:, 0], [0.0, 1.0, 1.0, 0.0, 0.0])
     s1 = gen_sim1(4, [7, 2])
     assert s1.dataset.y[3] == 0.32294826059042026
+
+
+def _reference(generator, n, seed, lam):
+    """The per-seed generators drawn block by block, as draws from one
+    generator: the reference the stacked kernels must match bit for bit."""
+    gen = make_generator(seed)
+    u = draw_normal(gen, n)
+    v = draw_normal(gen, n)
+    if generator in ("sim1", "sim2"):
+        pz = 0.27 if generator == "sim1" else expit(-1.0 + v / 2.0)
+        z = (gen.random(n) < pz).astype(float)
+        mean = z + u + v if generator == "sim1" else z + u + v - z * v + v**2 / 2.0
+        x = (gen.random(n) < normal_cdf(mean)).astype(float)
+        y = 0.5 * x - u - 2.0 * v + v**2 + draw_normal(gen, n)
+    elif generator == "effectmod":
+        z = (gen.random(n) < 0.27).astype(float)
+        x = 2.0 * z + v + u - z * v + 0.5 * v**2 + draw_normal(gen, n)
+        y = 0.5 * x + x * v - u - 2.0 * v + v**2 + draw_normal(gen, n)
+    elif generator == "table1":
+        lx, ly, lz = lam
+        z = (gen.random(n) < expit(-1.0 + v / 2.0 + lz * v**2 / 3.0)).astype(float)
+        x = z + u + v - z * v + lx * v**2 + draw_normal(gen, n)
+        y = x - u - v + ly * v**2 + draw_normal(gen, n)
+    else:
+        lx, ly, lz = lam
+        pz = 1.0 - np.exp(-np.exp(-1.0 + v / 2.0 - v**2 / 2.0 + lz * v**2 / 8.0))
+        z = (gen.random(n) < pz).astype(float)
+        x = z + u + v - z * v + 2.0 * v**2 + 2.0 * z * v**2 + 2.0 * lx * v**3 + draw_normal(gen, n)
+        y = x - u - v - 2.0 * v**2 + 2.0 * ly * v**3 + draw_normal(gen, n)
+    return {"y": y, "x": x, "z": z[:, None], "c_raw": v[:, None]}
+
+
+def _columns(data):
+    return {field: getattr(data, field) for field in ("y", "x", "z", "c_raw")}
+
+
+def _assert_same_dataset(got, want: dict):
+    for field, column in _columns(got).items():
+        assert column.shape == want[field].shape and column.tobytes() == want[field].tobytes()
+        assert not column.flags.writeable
+
+
+FAMILIES = [("sim1", None), ("sim2", None), ("effectmod", None),
+            ("table1", (1, -1, 1)), ("extreme", (-1, 1, -1))]
+GEN = {"sim1": lambda n, key, lam: gen_sim1(n, key), "sim2": lambda n, key, lam: gen_sim2(n, key),
+       "effectmod": lambda n, key, lam: gen_effectmod(n, key),
+       "table1": lambda n, key, lam: gen_table1(*lam, n, key),
+       "extreme": lambda n, key, lam: gen_extreme(*lam, n, key)}
+
+
+@pytest.mark.parametrize("generator, lam", FAMILIES)
+@pytest.mark.parametrize("size", [1, 3, 8])
+def test_stacked_generators_equal_per_seed_generators(generator, lam, size):
+    seeds = [[91, i] for i in (5, 0, 13, 2, 7, 1, 11, 3)][:size]    # out of order
+    stack = _simulate(generator, 51, seeds, lam)
+    assert len(stack) == size
+    for key, data in zip(seeds, stack):
+        _assert_same_dataset(data, _reference(generator, 51, key, lam))
+        _assert_same_dataset(data, _columns(GEN[generator](51, key, lam).dataset))
+        _assert_same_dataset(data, _columns(simulate(generator, 51, key, lam).dataset))
+
+
+@pytest.mark.parametrize("generator, lam", FAMILIES)
+def test_generate_is_row_i_of_its_chunk(generator, lam, monkeypatch):
+    cfg = ScenarioConfig(generator, n=51, seed=12, reps=10, lam=lam)
+    for size in (3, dataset._chunk_size(51)):       # chunks of 3, 3, 3, 1 and one of 10
+        monkeypatch.setattr(dataset, "CHUNK_BYTES", size * dataset.ROW_BYTES * 51)
+        seen = []
+        report = run_monte_carlo(cfg, {"seen": lambda ds: seen.append(ds) or np.array([0.0])})
+        assert len(seen) == 10
+        for i, data in enumerate(seen):
+            _assert_same_dataset(data, _columns(generate(cfg, i).dataset))
+        assert_array_equal(report.psi_true, generate(cfg, 0).psi_true)
 
 
 def test_sim1_marginal_oracles():

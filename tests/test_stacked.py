@@ -80,6 +80,28 @@ def test_reports_byte_identical_across_chunk_sizes(tmp_path, monkeypatch):
     assert reports[0] == reports[1] == reports[2]
 
 
+@pytest.mark.parametrize("generator, lam, seed, bundle", [
+    ("sim1", None, 777, lineariv.suites.sim_binary_estimators),
+    ("sim2", None, 777, lineariv.suites.sim_binary_estimators),
+    ("effectmod", None, 20260809, lineariv.suites.effectmod_estimators),
+    ("extreme", (1, -1, -1), 227, table1_estimators)])
+def test_every_family_reports_byte_identical_across_chunk_sizes(tmp_path, monkeypatch, generator,
+                                                                 lam, seed, bundle):
+    cfg = ScenarioConfig(generator, n=500, seed=seed, reps=16, lam=lam)
+    reports = []
+    for size in (1, 7, None):                   # None: the default cap, 8 at n=500
+        with monkeypatch.context() as m:
+            if size is not None:
+                m.setattr(dataset, "CHUNK_BYTES", size * dataset.ROW_BYTES * 500)
+            assert dataset._chunk_size(500) == (size or 8)
+            report = run_monte_carlo(cfg, bundle())
+        simlab.write_report_csv([report], tmp_path / f"{size}.csv")
+        simlab.write_report_json([report], tmp_path / f"{size}.json")
+        reports.append((tmp_path / f"{size}.csv").read_bytes()
+                       + (tmp_path / f"{size}.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_chunk_size_follows_the_byte_cap():
     assert dataset._chunk_size(500) == 8
     assert dataset._chunk_size(1000) == 4
