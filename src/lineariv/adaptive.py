@@ -20,6 +20,7 @@ import numpy as np
 
 from .dataset import BasisSpec, Dataset, build_design
 from .errors import (
+    EstimationError,
     UnsupportedCombinationError,
     WeakIdentificationError,
 )
@@ -30,6 +31,7 @@ from .glm import (
     _binary_fit,
     _check,
     _class_errors,
+    _fit_stack,
     _Flagged,
     _Irls,
     _irls,
@@ -37,6 +39,7 @@ from .glm import (
     _ols,
     _ranks,
     _singular_errors,
+    _stack,
     _weight_errors,
     expit,
 )
@@ -84,10 +87,19 @@ class BrFit:
     converged: bool = True
 
 
-def _require_single_instrument(data: Dataset) -> None:
-    if data.n_instruments != 1:
-        raise UnsupportedCombinationError(
-            "adaptive procedures require a single instrument column")
+_SINGLE_INSTRUMENT = "adaptive procedures require a single instrument column"
+
+
+def _stack_errors(datasets: list[Dataset]) -> list:
+    """Per dataset of a stack for the bias-reduced kernels, the
+    UnsupportedCombinationError of one without a single binary instrument
+    column or of another size than the first, or None."""
+    n = datasets[0].n
+    return [UnsupportedCombinationError(_SINGLE_INSTRUMENT) if ds.n_instruments != 1
+            else UnsupportedCombinationError("bias-reduced procedures require a binary instrument")
+            if not ds.z_is_binary()
+            else UnsupportedCombinationError("a stack holds datasets of one size") if ds.n != n
+            else None for ds in datasets]
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +109,8 @@ def _require_single_instrument(data: Dataset) -> None:
 def _eem_data(data: Dataset, iv: IvModel, *bases: BasisSpec) -> tuple:
     """z - E(z|C), x, y and the designs of ``bases`` of one dataset, each as a
     stack of one."""
-    _require_single_instrument(data)
+    if data.n_instruments != 1:
+        raise UnsupportedCombinationError(_SINGLE_INSTRUMENT)
     return ((data.z[:, 0] - iv.conditional_mean(data)[:, 0])[None], data.x[None], data.y[None],
             *(build_design(data, basis)[None] for basis in bases))
 
@@ -277,27 +290,6 @@ def _br_denominator(d: np.ndarray, x: np.ndarray, what: str) -> tuple[np.ndarray
         if bad else None for k, bad in enumerate(degenerate.tolist())]
 
 
-def _fit_stack(compute: Callable[[list], list], members: list, count: int) -> list:
-    """``compute(members)`` on the given positions of a stack of ``count``,
-    again without the members it flags (:class:`_Flagged`) until it
-    succeeds; one value per position, None for a position left out, flagged,
-    or in a stack that hit a LinAlgError."""
-    out = [None] * count
-    with np.errstate(all="ignore"):
-        while members:
-            try:
-                values = compute(members)
-            except _Flagged as flagged:
-                members = [m for k, m in enumerate(members) if k not in flagged.positions]
-                continue
-            except np.linalg.LinAlgError:
-                break
-            for m, value in zip(members, values):
-                out[m] = value
-            break
-    return out
-
-
 def _index_coef(zc: np.ndarray, index_design: np.ndarray, x: np.ndarray, context: str,
                 strict: bool) -> np.ndarray:
     """fit_ols coefficients of x on zc * index basis for a stack (B, n); a
@@ -387,51 +379,25 @@ def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.n
     return _BrGamma((d * y).sum(-1) / denom, alpha, plain, fit, kept, d, denom)
 
 
-def _members(fit: _BrGamma, x: np.ndarray, y: np.ndarray,
-             outcome_design: np.ndarray) -> list[_BrGammaFit]:
-    """Each member of a stacked fit with its score identity and influence
-    values, which only a full result needs."""
+def _br_gamma_fits(datasets: list[Dataset], bases: tuple, refit_index: bool, strict: bool,
+                   alpha: np.ndarray | None = None) -> list[_BrGammaFit]:
+    """:func:`_br_gamma_stack` of a stack of datasets on the bases (instrument,
+    outcome, index), ``alpha`` and ``strict`` as there: each member's fit with
+    its score identity and influence values, which only a full result needs."""
+    _check(_stack_errors(datasets), strict)
+    x, y = _stack([ds.x for ds in datasets]), _stack([ds.y for ds in datasets])
+    designs = [_stack([build_design(ds, basis) for ds in datasets]) for basis in bases]
+    fit = _br_gamma_stack(_stack([ds.z[:, 0] for ds in datasets]), x, y, *designs,
+                          refit_index=refit_index, alpha=alpha, strict=strict)
     d, psi = fit.d, fit.psi
     # the column sums keep this form: a vecmat moves their last bits
-    identity = np.abs((d[..., None] * outcome_design).sum(-2)).max(-1).tolist()
+    identity = np.abs((d[..., None] * designs[1]).sum(-2)).max(-1).tolist()
     influence = d * (y - psi[:, None] * x) / (fit.denom[:, None] / x.shape[-1])
     return [_BrGammaFit(value, fit.index_coef[k],
                         None if fit.plain is None else _binary_fit(fit.plain, k, "logit"),
                         _binary_fit(fit.extended, k, "logit"), fit.kept, identity[k],
                         influence[k])
             for k, value in enumerate(psi.tolist())]
-
-
-def _br_gamma_one(data: Dataset, bases: tuple, refit_index: bool,
-                  iv_plain: BinaryLogisticIv | None = None) -> _BrGammaFit:
-    """:func:`_br_gamma_stack` of one dataset (a strict stack of one)."""
-    x, y = data.x[None], data.y[None]
-    designs = [build_design(data, basis)[None] for basis in bases]
-    alpha = None if iv_plain is None else eem_fit_alpha(data, iv_plain, bases[2])[None]
-    fit = _br_gamma_stack(data.z[:, 0][None], x, y, *designs, refit_index=refit_index,
-                          alpha=alpha, strict=True)
-    return _members(fit, x, y, designs[1])[0]
-
-
-def _br_gamma_chunk(datasets: list, bases: tuple, refit_index: bool) -> list:
-    """:func:`_br_gamma_stack` of a chunk of datasets, for :meth:`Dataset.memo`:
-    one fit per dataset, or None for a dataset left to :func:`_br_gamma_one`
-    (a flagged member, or one of another size or without a single binary
-    instrument)."""
-    first = datasets[0]
-
-    def compute(members):
-        chosen = [datasets[m] for m in members]
-        x, y = np.stack([ds.x for ds in chosen]), np.stack([ds.y for ds in chosen])
-        designs = [np.stack([build_design(ds, basis) for ds in chosen]) for basis in bases]
-        fit = _br_gamma_stack(np.stack([ds.z[:, 0] for ds in chosen]), x, y, *designs,
-                              refit_index=refit_index)
-        return _members(fit, x, y, designs[1])
-
-    members = [k for k, ds in enumerate(datasets)
-               if ds.n == first.n and ds.n_covariates == first.n_covariates
-               and ds.n_instruments == 1 and ds.z_is_binary()]
-    return _fit_stack(compute, members, len(datasets))
 
 
 def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: BasisSpec,
@@ -456,21 +422,23 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
     known instrument law: the bias-reduction identity assumes the ML fit.
 
     The arithmetic is one stacked kernel, run here as a stack of one.  With
-    ``iv_plain`` left ``None`` the fit is memoised on the dataset
-    (:meth:`Dataset.memo`, keyed by the three bases and ``refit_index``), and
-    the first call on any dataset of a linked chunk -- the bootstrap's
-    resamples -- fits every member at once; each member's result and error
-    are those of a fit on its own.  Every call returns a fresh result.
+    ``iv_plain`` left ``None`` the fit, or the estimation error it raised, is
+    memoised on the dataset (:meth:`Dataset.memo`, keyed by the three bases
+    and ``refit_index``), and the first call on any dataset of a linked chunk
+    -- the bootstrap's resamples -- fits every member at once; each member's
+    result and error are those of a fit on its own.  Every call returns a
+    fresh result.
     """
-    _require_single_instrument(data)
-    if not data.z_is_binary():
-        raise UnsupportedCombinationError("bias-reduced procedures require a binary instrument")
     bases = (iv_basis, outcome_basis, index_basis)
     if iv_plain is not None:
-        return _br_gamma_result(_br_gamma_one(data, bases, refit_index, iv_plain), iv_plain)
-    member = data.memo(("br_gamma", *bases, refit_index),
-                       lambda ds: _br_gamma_one(ds, bases, refit_index),
-                       lambda chunk: _br_gamma_chunk(chunk, bases, refit_index))
+        _check(_stack_errors([data]), strict=True)
+        alpha = eem_fit_alpha(data, iv_plain, index_basis)[None]
+        return _br_gamma_result(_br_gamma_fits([data], bases, refit_index, True, alpha)[0],
+                                iv_plain)
+    member = data.memo(("br_gamma", *bases, refit_index), lambda chunk: _fit_stack(
+        lambda stack, strict: _br_gamma_fits(stack, bases, refit_index, strict), chunk))
+    if isinstance(member, EstimationError):
+        raise member
     plain = BinaryLogisticIv(iv_basis, member.plain.coefficients.copy(), member.plain.converged)
     return _br_gamma_result(member, plain)
 
@@ -578,9 +546,7 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     """
     if update not in ("one_step", "full_solve"):
         raise ValueError(f"unknown update mode {update!r}")
-    _require_single_instrument(data)
-    if not data.z_is_binary():
-        raise UnsupportedCombinationError("bias-reduced procedures require a binary instrument")
+    _check(_stack_errors([data]), strict=True)
     iv_design = build_design(data, iv_basis)
     outcome_design = build_design(data, outcome_basis)
     index_design = build_design(data, index_basis)

@@ -178,9 +178,6 @@ def _chunk_size(n: int) -> int:
     return max(1, CHUNK_BYTES // (ROW_BYTES * n))
 
 
-_LEFT_OUT = object()     # memo marker: the chunk computation left this dataset out
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Columnar observations: outcome y, exposure x, instruments z, covariates.
@@ -189,14 +186,15 @@ class Dataset:
 
     Each instance also memoises values computed from it (:meth:`memo`): the
     designs of :func:`build_design`, keyed by :class:`BasisSpec`, the
-    estimates and nuisance fits of an estimator bundle, keyed by the bundle,
-    and the fits of :func:`~lineariv.adaptive.br_gamma_estimate`, keyed by
-    its bases.  A memoised value is a pure function of the frozen data and
-    its key; designs are read-only and br-gamma results are built afresh
-    from the memoised arrays on every call, so no caller can alter what
-    another sees.  Datasets can be linked into a chunk (:meth:`link`) whose
-    memo entries a bundle or br-gamma fills together.  ``take`` and
-    ``with_z`` build new, unlinked instances with empty memos.
+    estimates of an estimator bundle, keyed by the bundle, and the fits of
+    :func:`~lineariv.adaptive.br_gamma_estimate`, keyed by its bases.  A
+    memoised value (an estimation error included) is a pure function of the
+    frozen data and its key; designs are read-only and br-gamma results are
+    built afresh from the memoised arrays on every call, so no caller can
+    alter what another sees.  Datasets can be linked into a chunk
+    (:meth:`link`), whose entries are filled together on the first call of
+    any member.  ``take`` and ``with_z`` build new, unlinked instances with
+    empty memos.
 
     Equality and hashing are by identity, like the memo: two
     datasets with equal contents are distinct objects.  Compare the arrays
@@ -236,38 +234,27 @@ class Dataset:
     def n_covariates(self) -> int:
         return self.c_raw.shape[1]
 
-    def memo(self, key: Hashable, compute: Callable[["Dataset"], object],
-             compute_chunk: Callable[[list], list] | None = None):
-        """``compute(self)``, kept under ``key``; ``compute`` must be a pure
-        function of the dataset.  A call that raises stores nothing.
-
-        With ``compute_chunk``, a miss fills ``key`` for every dataset of this
-        one's chunk (:meth:`link`; an unlinked dataset is a chunk of one)
-        that lacks it, with one call ``compute_chunk(datasets)``.  It returns
-        one value per dataset, equal to what ``compute`` returns, or ``None``
-        for a dataset it leaves to ``compute``.  ``compute`` runs only on a
-        dataset's own call, so a dataset left out raises its own error there
-        and no other dataset's call sees it.
-        """
+    def memo(self, key: Hashable, compute: Callable[[list["Dataset"]], list]):
+        """The value kept under ``key``.  A miss fills ``key`` for every
+        dataset of this one's chunk (:meth:`link`; an unlinked dataset is a
+        chunk of one) that lacks it, with one call ``compute(datasets)``,
+        which returns one value per dataset and must be a pure function of
+        each.  A call that raises stores nothing."""
         try:
-            value = self._memo[key]
+            return self._memo[key]
         except KeyError:
-            value = _LEFT_OUT
-            if compute_chunk is not None:
-                chunk = [ds for ds in (ref() for ref in self._chunk) if ds is not None] or [self]
-                pending = [ds for ds in chunk if key not in ds._memo]
-                for ds, result in zip(pending, compute_chunk(pending)):
-                    ds._memo[key] = _LEFT_OUT if result is None else result
-                value = self._memo[key]
-        if value is _LEFT_OUT:
-            value = self._memo[key] = compute(self)
-        return value
+            pass
+        chunk = [ds for ds in (ref() for ref in self._chunk) if ds is not None] or [self]
+        pending = [ds for ds in chunk if key not in ds._memo]
+        for ds, value in zip(pending, compute(pending)):
+            ds._memo[key] = value
+        return self._memo[key]
 
     @staticmethod
     def link(datasets: Sequence["Dataset"]) -> None:
         """Make ``datasets`` one chunk for :meth:`memo`: the first miss of a
-        key with ``compute_chunk`` on any of them computes it for all.  The
-        Monte Carlo harness links each chunk of replicates and
+        key on any of them computes it for all.  The Monte Carlo harness
+        links each chunk of replicates and
         :func:`~lineariv.inference.bootstrap_ci` each chunk of resamples.  The
         chunk holds weak references, so linking keeps no dataset alive."""
         chunk = tuple(weakref.ref(ds) for ds in datasets)
@@ -344,13 +331,14 @@ class BasisSpec:
     def append(self, term: Term | str) -> "BasisSpec":
         return BasisSpec(self.terms + (parse_term(term) if isinstance(term, str) else term,))
 
-    def _evaluate(self, data: Dataset) -> np.ndarray:
-        if self.terms:
-            design = np.column_stack([_eval_term(t, data) for t in self.terms])
-        else:
-            design = np.empty((data.n, 0))
-        design.flags.writeable = False
-        return design
+    def _evaluate(self, datasets: list[Dataset]) -> list[np.ndarray]:
+        designs = []
+        for data in datasets:
+            design = (np.column_stack([_eval_term(t, data) for t in self.terms]) if self.terms
+                      else np.empty((data.n, 0)))
+            design.flags.writeable = False
+            designs.append(design)
+        return designs
 
 
 def _eval_term(term: Term, data: Dataset) -> np.ndarray:
@@ -386,8 +374,9 @@ def _check_inst_index(i: int, data: Dataset) -> None:
 def build_design(data: Dataset, spec: BasisSpec) -> np.ndarray:
     """Evaluate a basis on a dataset, column j = term j evaluated pointwise.
 
-    The result is memoised on ``data`` (see :meth:`Dataset.memo`) and
-    read-only; copy it before modifying it in place.
+    The result is memoised on ``data`` (see :meth:`Dataset.memo`), with the
+    designs of the other datasets of its chunk, and read-only; copy it before
+    modifying it in place.
     """
     return data.memo(spec, spec._evaluate)
 

@@ -348,7 +348,7 @@ def g_estimate(data: Dataset, index: IndexFunction, outcome: OutcomeModel | None
 
 
 def efficient_index(data: Dataset, exposure: ExposureModel, iv: IvModel,
-                    effect: EffectModel, variance: str = "homoscedastic") -> CustomIndex:
+                    effect: EffectModel) -> CustomIndex:
     """Locally efficient index under constant residual variance.
 
     e_opt(Z,C) = dm/dpsi * [m_x(Z,C) - E{m_x(Z,C)|C}], with the inner
@@ -356,9 +356,6 @@ def efficient_index(data: Dataset, exposure: ExposureModel, iv: IvModel,
     binary instrument (any exposure link), or substitution of E(Z|C) for an
     exposure model linear in Z.  The result is centered by construction.
     """
-    if variance != "homoscedastic":
-        raise UnsupportedCombinationError(
-            f"only the homoscedastic variance model is supported, got {variance!r}")
     if not exposure.is_fitted:
         raise ValueError("exposure model must be fitted first")
 
@@ -366,8 +363,8 @@ def efficient_index(data: Dataset, exposure: ExposureModel, iv: IvModel,
     if binary:
         def cond_mean_mx(ds: Dataset) -> np.ndarray:
             p = iv.conditional_mean(ds)[:, 0]
-            m1 = exposure.predict_at_z(ds, 1.0)
-            m0 = exposure.predict_at_z(ds, 0.0)
+            m1 = exposure.predict(ds.with_z(1.0))
+            m0 = exposure.predict(ds.with_z(0.0))
             return p * m1 + (1.0 - p) * m0
     elif exposure.is_linear_in_z():
         def cond_mean_mx(ds: Dataset) -> np.ndarray:

@@ -19,12 +19,17 @@ the public fitters are stacks of one that raise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit as _expit, ndtr as _ndtr, ndtri as _ndtri
 
-from .errors import DegenerateResponseError, DegenerateWeightsError, SingularDesignError
+from .errors import (
+    DegenerateResponseError,
+    DegenerateWeightsError,
+    EstimationError,
+    SingularDesignError,
+)
 
 __all__ = [
     "LinearFit",
@@ -73,7 +78,7 @@ class LinearFit:
 
 
 class _Flagged(Exception):
-    """Positions in a stack of the members left to the per-dataset path."""
+    """Positions in a stack of the members that leave it (:func:`_fit_stack`)."""
 
     def __init__(self, positions: list[int]):
         super().__init__(positions)
@@ -91,6 +96,33 @@ def _check(errors: list, strict: bool) -> None:
         raise _Flagged(bad)
 
 
+def _fit_stack(compute: Callable[[list, bool], list], items: list) -> list:
+    """One value per item.  ``compute(stack, strict)``, one value per member,
+    runs on all the items with numpy's warnings off, again without the
+    members it flags (:class:`_Flagged`) until it succeeds; a flagged member,
+    or each one left after a LinAlgError, is then a strict stack of one with
+    warnings on, ``compute([item], True)``, whose EstimationError is its value."""
+    values: dict = {}
+    members = list(range(len(items)))
+    with np.errstate(all="ignore"):
+        while members:
+            try:
+                values = dict(zip(members, compute([items[m] for m in members], False)))
+                break
+            except _Flagged as flagged:
+                members = [m for k, m in enumerate(members) if k not in flagged.positions]
+            except np.linalg.LinAlgError:
+                break
+    return [values[k] if k in values else _strict(compute, item) for k, item in enumerate(items)]
+
+
+def _strict(compute: Callable[[list, bool], list], item):
+    try:
+        return compute([item], True)[0]
+    except EstimationError as err:
+        return err
+
+
 class _Lstsq(NamedTuple):
     """Stacked SVD least squares, one entry per member."""
 
@@ -104,6 +136,11 @@ class _Lstsq(NamedTuple):
 def _join(*blocks: np.ndarray) -> np.ndarray:
     """``np.concatenate(blocks, axis=-1)``, column by column: faster for a short last axis."""
     return np.stack([block[..., j] for block in blocks for j in range(block.shape[-1])], axis=-1)
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.stack(arrays)``, but a view of a single array instead of a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _ranks(s: np.ndarray) -> list[int]:

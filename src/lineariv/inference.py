@@ -85,7 +85,7 @@ def conservative_se_brgamma(data, br_result) -> float:
 
 
 def bootstrap_ci(data, estimator, resamples: int = 1000, level: float = 0.95,
-                 seed: int = 0, identity_resampling: bool = False) -> InferenceResult:
+                 seed: int = 0) -> InferenceResult:
     """Percentile bootstrap over observation resamples.
 
     The full pipeline inside ``estimator`` is re-run on every resample (all
@@ -97,14 +97,12 @@ def bootstrap_ci(data, estimator, resamples: int = 1000, level: float = 0.95,
     Resamples are drawn in chunks of consecutive ones, as many as the Monte
     Carlo harness puts in a chunk of replicates of ``data.n`` rows (4 at
     n=1000, 8 at n=500), and each chunk's datasets are linked
-    (:meth:`Dataset.link`), so an estimator that memoises on the dataset with
-    a chunk computation, such as
-    :func:`~lineariv.adaptive.br_gamma_estimate`, fits a whole chunk at once.
+    (:meth:`Dataset.link`), so what an estimator memoises on a resample
+    (:meth:`Dataset.memo`) is computed for the whole chunk on its first
+    call: the designs of :func:`~lineariv.dataset.build_design`, and the fits
+    of :func:`~lineariv.adaptive.br_gamma_estimate` as one stack.
     ``estimator`` is still called once per resample, in order, and the
     interval is byte-identical for every chunk size.
-
-    ``identity_resampling`` replaces every resample by the identity
-    permutation -- a sanity hook that must produce a zero-width interval.
     """
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be at least {MIN_RESAMPLES}")
@@ -115,13 +113,8 @@ def bootstrap_ci(data, estimator, resamples: int = 1000, level: float = 0.95,
     failed = 0
     size = _chunk_size(n)
     for first in range(0, resamples, size):
-        chunk = []
-        for b in range(first, min(first + size, resamples)):
-            if identity_resampling:
-                idx = np.arange(n)
-            else:
-                idx = make_generator([seed, b]).integers(0, n, size=n)
-            chunk.append(data.take(idx))
+        chunk = [data.take(make_generator([seed, b]).integers(0, n, size=n))
+                 for b in range(first, min(first + size, resamples))]
         Dataset.link(chunk)
         for resample in chunk:
             try:

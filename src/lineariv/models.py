@@ -141,10 +141,6 @@ class ExposureModel:
             return eta
         return expit(eta) if self.link == "logit" else normal_cdf(eta)
 
-    def predict_at_z(self, data: Dataset, z_value) -> np.ndarray:
-        """Prediction with every instrument cell replaced by ``z_value``."""
-        return self.predict(data.with_z(z_value))
-
 
 # ---------------------------------------------------------------------------
 # Instrument-law models f(Z | C)

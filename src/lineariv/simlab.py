@@ -249,12 +249,11 @@ def run_monte_carlo(config: ScenarioConfig,
     Replicates are generated in chunks of consecutive replicates, as many
     as fit ``dataset.CHUNK_BYTES`` of working set at ``dataset.ROW_BYTES``
     a row (8 at n=500, 1 at n=8000).  A chunk is drawn as one stack, bit for
-    bit :func:`generate`'s datasets, which are linked
-    (:meth:`Dataset.link`) so that a bundle such as
-    :func:`~lineariv.suites.table1_estimators` can compute a whole chunk at
-    once; the estimators are still called replicate by
-    replicate, in order.  Replicate ``i`` depends only on (seed, ``i``), and
-    the report is byte-identical for every chunk size.
+    bit :func:`generate`'s datasets, which are linked (:meth:`Dataset.link`):
+    the first estimator call on any of them computes what its bundle
+    memoises for the whole chunk.  The estimators are still called replicate
+    by replicate, in order.  Replicate ``i`` depends only on (seed, ``i``),
+    and the report is byte-identical for every chunk size.
     """
     if config.reps < 2:
         raise SchemaError("at least 2 replications are required")

@@ -14,10 +14,20 @@ from typing import Callable
 
 import numpy as np
 
-from .adaptive import br_beta_estimate, br_gamma_estimate, eem_estimate
-from .dataset import BasisSpec, Dataset
+from .adaptive import (
+    _ALPHA_CONTEXT,
+    _br_beta_stack,
+    _br_gamma_stack,
+    _eem_stack,
+    _index_coef,
+    _logistic,
+    _stack_errors,
+)
+from .dataset import BasisSpec, Dataset, _check_cov_index
 from .errors import EstimationError
 from .estimators import (
+    _solve_ee,
+    _tsls_stack,
     efficient_index,
     g_estimate,
     locally_efficient_y,
@@ -25,9 +35,9 @@ from .estimators import (
     plug_in_two_stage,
     standard_tsls,
 )
+from .glm import _check, _class_errors, _fit_stack, _ols, _stack, expit
 from .models import BinaryLogisticIv, EffectModel, ExposureModel, OutcomeModel
 from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
-from .stacked import table1_point_estimates
 
 __all__ = [
     "table1_estimators",
@@ -46,6 +56,7 @@ EXPOSURE_SATURATED = BasisSpec(["1", "z0", "c0", "z0:c0"])
 EXPOSURE_MAIN = BasisSpec(["z0", "1", "c0"])
 
 EFFECT_CONST = EffectModel.constant()
+TABLE1_NAMES = ("tsls", "loc_eff", "eem", "br_gamma", "br_beta")
 
 
 def _attempt(out: dict, key: str, compute: Callable, *needs: str) -> None:
@@ -62,26 +73,93 @@ def _attempt(out: dict, key: str, compute: Callable, *needs: str) -> None:
         out[key] = err
 
 
-def _bundle(compute: Callable[[Dataset], dict], names,
-            compute_chunk: Callable[[list], list] | None = None) -> dict[str, Callable]:
-    """One estimator closure per name over the per-dataset ``compute``.
-
-    ``compute`` returns every estimate of the bundle, each a value or the
-    :class:`EstimationError` that estimate raised (see :func:`_attempt`); it
-    runs once per Dataset (:meth:`Dataset.memo`), so members share nuisance
-    fits, and a closure re-raises its own estimate's error, so one failing
-    estimator fails no other.  With ``compute_chunk`` the first closure
-    called on any dataset of a linked chunk computes the point estimates of
-    the whole chunk at once (:meth:`Dataset.memo`); the datasets it leaves
-    out go through ``compute``.
+def _bundle(compute: Callable[[list], list], names) -> dict[str, Callable]:
+    """One estimator closure per name over ``compute``, which maps a list of
+    datasets to one outcome per dataset: every estimate of the bundle, each a
+    value or the :class:`EstimationError` it raised (:func:`_attempt`), or
+    one EstimationError for the whole dataset.  The first closure called on
+    any dataset of a chunk computes the whole chunk (:meth:`Dataset.memo`),
+    so estimates share nuisance fits, and a closure re-raises its own
+    estimate's error, so one failing estimator fails no other.
     """
     def estimate(data: Dataset, name: str):
-        value = data.memo(compute, compute, compute_chunk)[name]
+        value = data.memo(compute, compute)
+        if not isinstance(value, EstimationError):
+            value = value[name]
         if isinstance(value, EstimationError):
             raise value
         return value
 
     return {name: (lambda ds, _n=name: estimate(ds, _n)) for name in names}
+
+
+def _table1_stack(datasets: list[Dataset], iv_known_coef, strict: bool) -> list[dict]:
+    """The estimates of :func:`table1_estimators` on a stack of datasets, one
+    dict per dataset.  tsls, eem, br_gamma and br_beta run the kernels of
+    their per-dataset estimators; the instrument and exposure fits and
+    loc_eff's efficient index are written out for the bundle's fixed bases in
+    the per-dataset operands, order and layout, so each estimate equals the
+    per-dataset one to the last bit.  Checks follow
+    :func:`~lineariv.glm._check`; on a strict stack an error is held by its
+    estimate and by the estimates that use it (:func:`_attempt`).  Every
+    estimate of a dataset without one binary instrument column fails with one
+    UnsupportedCombinationError; one without a covariate raises
+    :func:`build_design`'s TermSpecError.
+    """
+    _check(_stack_errors(datasets), strict)
+    for ds in datasets:
+        _check_cov_index(0, ds)
+    y = _stack([ds.y for ds in datasets])
+    x = _stack([ds.x for ds in datasets])
+    z = _stack([ds.z[:, 0] for ds in datasets])
+    v = _stack([ds.c_raw[:, 0] for ds in datasets])
+    one = np.ones_like(y)
+    zv = z * v
+    lin = np.stack([one, v], axis=-1)                       # (1, c0)
+    saturated = np.stack([one, z, v, zv], axis=-1)          # (1, z0, c0, z0:c0)
+
+    def plain():
+        # BinaryLogisticIv.fit's P(Z=1|C)
+        _check(_class_errors(z), strict)
+        return _logistic(lin, z, strict)[1]
+
+    def exposure():
+        # ExposureModel("identity", saturated).fit's coefficients
+        fit, errors = _ols(saturated, x)
+        _check(errors, strict)
+        return fit.coef
+
+    def loc_eff(prob, a_x):
+        # g_estimate at efficient_index, outcome (1, c0) profiled
+        m1 = np.matvec(np.stack([one, one, v, 1.0 * v], axis=-1), a_x)
+        m0 = np.matvec(np.stack([one, np.zeros_like(y), v, 0.0 * v], axis=-1), a_x)
+        d_eff = np.matvec(saturated, a_x) - (prob * m1 + (1.0 - prob) * m0)
+        theta, _, errors = _solve_ee(np.stack([d_eff, one, v], axis=-1),
+                                     np.stack([x, one, v], axis=-1), y, "g_estimate")
+        _check(errors, strict)
+        return theta[:, 0]
+
+    out = {}
+    _attempt(out, "tsls", lambda: _tsls_stack(np.stack([z, zv], axis=-1), lin, x[..., None], y,
+                                              strict=strict)[-1].coef[:, 2])
+    _attempt(out, "plain", plain)
+    # the instrument law of loc_eff and eem: the plain fit, or the known one
+    out["iv"] = (out["plain"] if iv_known_coef is None
+                 else expit(np.matvec(lin, np.asarray(iv_known_coef, dtype=float))))
+    _attempt(out, "exposure", exposure)
+    _attempt(out, "loc_eff", loc_eff, "iv", "exposure")
+    _attempt(out, "eem", lambda prob, tsls: _eem_stack(z - prob, x, y, lin, lin, tsls,
+                                                       strict=strict).psi, "iv", "tsls")
+    # the bias-reduced pair starts from the plain fit's index, br_beta from br_gamma
+    _attempt(out, "alpha", lambda prob: _index_coef(z - prob, lin, x, _ALPHA_CONTEXT, strict),
+             "plain")
+    _attempt(out, "br_gamma", lambda alpha: _br_gamma_stack(z, x, y, lin, lin, lin, alpha=alpha,
+                                                            strict=strict).psi, "alpha")
+    _attempt(out, "br_beta", lambda prob, alpha, start: _br_beta_stack(
+        z, x, y, prob, lin, lin, lin, alpha, lambda: start, strict=strict).psi,
+        "plain", "alpha", "br_gamma")
+    return [{name: out[name] if isinstance(out[name], EstimationError) else out[name][k:k + 1]
+             for name in TABLE1_NAMES} for k in range(len(datasets))]
 
 
 def table1_estimators(iv_known_coef: np.ndarray | None = None) -> dict[str, Callable]:
@@ -90,41 +168,19 @@ def table1_estimators(iv_known_coef: np.ndarray | None = None) -> dict[str, Call
     Working models: logistic instrument law on (1, V); linear exposure model
     with main effects and the instrument-covariate interaction; linear
     outcome model on (1, V); index class (alpha'(1,V)) * Z.  With
-    ``iv_known_coef`` the instrument law is treated as known instead of
-    fitted (used by the efficiency-dominance checks).
+    ``iv_known_coef`` the instrument law of loc_eff and eem is treated as
+    known instead of fitted (used by the efficiency-dominance checks); the
+    bias-reduced pair always uses the fitted one.
 
-    On a chunk of datasets linked by the Monte Carlo harness the estimates
-    are computed for the whole chunk by
-    :func:`~lineariv.stacked.table1_point_estimates`, bit-identical to the
-    per-dataset estimators, which remain for the datasets it leaves out.
+    The estimates equal the per-dataset estimators' (``standard_tsls``,
+    ``g_estimate`` at ``efficient_index``, ``eem_estimate``,
+    ``br_gamma_estimate``, ``br_beta_estimate``) to the last bit, errors
+    included.  One function computes them, :func:`_table1_stack`: on a whole
+    linked chunk of replicates, and on each member the chunk's checks reject
+    as a strict stack of one (:func:`~lineariv.glm._fit_stack`).
     """
-
-    def compute(data: Dataset) -> dict:
-        out = {}
-        _attempt(out, "tsls", lambda: standard_tsls(data, EFFECT_CONST, C_LIN, INSTRUMENTS_ZVZ).psi_hat)
-        if iv_known_coef is not None:
-            out["iv"] = BinaryLogisticIv.known(C_LIN, iv_known_coef)
-            out["iv_plain"] = None       # the bias-reduced pair needs the ML fit
-        else:
-            _attempt(out, "iv", lambda: BinaryLogisticIv.fit(data, C_LIN))
-            out["iv_plain"] = out["iv"]
-        _attempt(out, "exposure", lambda: ExposureModel("identity", EXPOSURE_SATURATED).fit(data))
-        _attempt(out, "loc_eff", lambda iv, exposure: g_estimate(
-            data, efficient_index(data, exposure, iv, EFFECT_CONST), OutcomeModel(C_LIN), iv,
-            EFFECT_CONST).psi_hat, "iv", "exposure")
-        _attempt(out, "eem", lambda iv, tsls: eem_estimate(
-            data, iv, C_LIN, C_LIN, preliminary_psi=float(tsls[0])).psi_hat, "iv", "tsls")
-        _attempt(out, "br_gamma", lambda plain: br_gamma_estimate(
-            data, C_LIN, C_LIN, C_LIN, iv_plain=plain).psi_hat, "iv_plain")
-        _attempt(out, "br_beta", lambda plain, brg: br_beta_estimate(
-            data, C_LIN, C_LIN, C_LIN, start_psi=float(brg[0]), iv_plain=plain).psi_hat,
-            "iv_plain", "br_gamma")
-        return out
-
-    def compute_chunk(datasets: list) -> list:
-        return table1_point_estimates(datasets, iv_known_coef)
-
-    return _bundle(compute, ("tsls", "loc_eff", "eem", "br_gamma", "br_beta"), compute_chunk)
+    return _bundle(lambda datasets: _fit_stack(
+        lambda stack, strict: _table1_stack(stack, iv_known_coef, strict), datasets), TABLE1_NAMES)
 
 
 def sim_binary_estimators() -> dict[str, Callable]:
@@ -166,7 +222,8 @@ def sim_binary_estimators() -> dict[str, Callable]:
             data, e, OutcomeModel(C_LIN, beta), iv, EFFECT_CONST).psi_hat, "e_lin", "iv", "beta_m")
         return out
 
-    return _bundle(compute, ("tsls", "ts", "le_y_c", "le_y_m", "dr_cc", "dr_cm", "dr_mm"))
+    return _bundle(lambda datasets: [compute(data) for data in datasets],
+                   ("tsls", "ts", "le_y_c", "le_y_m", "dr_cc", "dr_cm", "dr_mm"))
 
 
 def effectmod_estimators() -> dict[str, Callable]:
@@ -189,7 +246,7 @@ def effectmod_estimators() -> dict[str, Callable]:
             data, misspec, effect, C_LIN).psi_hat, "misspec")
         return out
 
-    return _bundle(compute, ("tsls_c", "tsls_m", "ts_c", "ts_m"))
+    return _bundle(lambda datasets: [compute(data) for data in datasets], ("tsls_c", "tsls_m", "ts_c", "ts_m"))
 
 
 # ---------------------------------------------------------------------------

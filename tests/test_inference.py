@@ -124,10 +124,12 @@ def test_bootstrap_nested_levels():
     assert wide.ci_upper[0] >= narrow.ci_upper[0]
 
 
-def test_bootstrap_identity_resampling_degenerate():
+def test_bootstrap_of_identical_rows_is_degenerate():
+    # every resample of a dataset whose rows are all one row is that dataset,
+    # and the mean of its outcome 3.0 is exact
     data = normal_mean_data(seed=15)
-    res = bootstrap_ci(data, lambda ds: np.array([ds.y.mean()]),
-                       resamples=200, seed=1, identity_resampling=True)
+    data = Dataset(np.full(data.n, 3.0), data.x, data.z, data.c_raw)
+    res = bootstrap_ci(data, lambda ds: np.array([ds.y.mean()]), resamples=200, seed=1)
     assert res.ci_lower[0] == res.ci_upper[0]
     assert res.se[0] == 0.0
 

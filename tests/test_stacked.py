@@ -4,40 +4,93 @@ import numpy as np
 import pytest
 
 import lineariv.adaptive
-import lineariv.stacked
+import lineariv.estimators
 import lineariv.suites
 from lineariv import BasisSpec, BinaryLogisticIv, Dataset, EstimationError, dataset, simlab
-from lineariv.adaptive import br_gamma_estimate
+from lineariv.adaptive import br_beta_estimate, br_gamma_estimate, eem_estimate
 from lineariv.inference import conservative_se_brgamma
+from lineariv.models import ExposureModel, OutcomeModel
 from lineariv.rng import make_generator
 from lineariv.adaptive import _drop_collinear, _extend
-from lineariv.errors import SingularDesignError, WeakIdentificationError
-from lineariv.estimators import _solve_ee
-from lineariv.glm import RANK_RTOL, _irls, _lstsq, expit, fit_binary, fit_ols
+from lineariv.errors import (
+    DegenerateResponseError,
+    SingularDesignError,
+    TermSpecError,
+    WeakIdentificationError,
+)
+from lineariv.estimators import _solve_ee, efficient_index, g_estimate, standard_tsls
+from lineariv.glm import RANK_RTOL, _check, _irls, _lstsq, expit, fit_binary, fit_ols
 from lineariv.simlab import ScenarioConfig, generate, run_monte_carlo
-from lineariv.stacked import table1_point_estimates
-from lineariv.suites import TABLE1_ROWS, table1_estimators
+from lineariv.suites import (
+    C_LIN,
+    EFFECT_CONST,
+    EXPOSURE_SATURATED,
+    INSTRUMENTS_ZVZ,
+    TABLE1_NAMES,
+    TABLE1_ROWS,
+    _attempt,
+    _table1_stack,
+    table1_estimators,
+)
 
 KNOWN_COEF = np.array([-1.0, 0.5])
 
 
-def _outcomes(bundle, data):
-    """Each estimate as float.hex strings, or (class, message) of its error."""
+def _reference(data, iv_known_coef=None) -> dict:
+    """The Table 1 bundle through the public per-dataset estimators: each
+    estimate, or the EstimationError it or a fit it uses raised."""
     out = {}
-    for name, estimator in bundle.items():
-        try:
-            out[name] = [float(v).hex() for v in estimator(data)]
-        except EstimationError as err:
-            out[name] = (type(err).__name__, str(err))
+    _attempt(out, "tsls", lambda: standard_tsls(data, EFFECT_CONST, C_LIN, INSTRUMENTS_ZVZ).psi_hat)
+    if iv_known_coef is not None:
+        out["iv"] = BinaryLogisticIv.known(C_LIN, iv_known_coef)
+        out["iv_plain"] = None       # the bias-reduced pair needs the ML fit
+    else:
+        _attempt(out, "iv", lambda: BinaryLogisticIv.fit(data, C_LIN))
+        out["iv_plain"] = out["iv"]
+    _attempt(out, "exposure", lambda: ExposureModel("identity", EXPOSURE_SATURATED).fit(data))
+    _attempt(out, "loc_eff", lambda iv, exposure: g_estimate(
+        data, efficient_index(data, exposure, iv, EFFECT_CONST), OutcomeModel(C_LIN), iv,
+        EFFECT_CONST).psi_hat, "iv", "exposure")
+    _attempt(out, "eem", lambda iv, tsls: eem_estimate(
+        data, iv, C_LIN, C_LIN, preliminary_psi=float(tsls[0])).psi_hat, "iv", "tsls")
+    _attempt(out, "br_gamma", lambda plain: br_gamma_estimate(
+        data, C_LIN, C_LIN, C_LIN, iv_plain=plain).psi_hat, "iv_plain")
+    _attempt(out, "br_beta", lambda plain, brg: br_beta_estimate(
+        data, C_LIN, C_LIN, C_LIN, start_psi=float(brg[0]), iv_plain=plain).psi_hat,
+        "iv_plain", "br_gamma")
     return out
 
 
-def _per_dataset(monkeypatch, datasets, iv_known_coef=None):
-    """The bundle's outcomes through the per-dataset estimators alone."""
-    with monkeypatch.context() as m:
-        m.setattr(lineariv.suites, "table1_point_estimates", lambda ds, coef=None: [None] * len(ds))
-        bundle = table1_estimators(iv_known_coef)
-        return [_outcomes(bundle, data) for data in datasets]
+def _outcome(value):
+    """An estimate as float.hex strings, or (class, message) of its error."""
+    if isinstance(value, EstimationError):
+        return type(value).__name__, str(value)
+    return [float(v).hex() for v in value]
+
+
+def _outcomes(bundle, data):
+    out = {}
+    for name, estimator in bundle.items():
+        try:
+            out[name] = _outcome(estimator(data))
+        except EstimationError as err:
+            out[name] = _outcome(err)
+    return out
+
+
+def _per_dataset(datasets, iv_known_coef=None):
+    """The reference outcomes of unlinked copies of ``datasets``."""
+    return [{name: _outcome(value) for name, value in _reference(data, iv_known_coef).items()
+             if name in TABLE1_NAMES} for data in _copies(datasets)]
+
+
+def _bundle_outcomes(datasets, iv_known_coef=None, linked=True):
+    """The bundle's outcomes on copies of ``datasets``, linked as one chunk or not."""
+    copies = _copies(datasets)
+    if linked:
+        Dataset.link(copies)
+    bundle = table1_estimators(iv_known_coef)
+    return [_outcomes(bundle, data) for data in copies]
 
 
 def _replicates(generator, lam, n, seed, reps):
@@ -53,14 +106,38 @@ CASES = ([("table1", lam, 500, 555, 3, None) for lam in TABLE1_ROWS]
 
 
 @pytest.mark.parametrize("generator, lam, n, seed, reps, known", CASES)
-def test_stacked_bundle_bit_identical_to_per_dataset(monkeypatch, generator, lam, n, seed, reps,
-                                                     known):
+def test_stacked_bundle_bit_identical_to_per_dataset(generator, lam, n, seed, reps, known):
     datasets = _replicates(generator, lam, n, seed, reps)
-    expected = _per_dataset(monkeypatch, datasets, known)
-    got = table1_point_estimates(datasets, known)
-    assert all(member is not None for member in got)
-    assert [{name: [float(v).hex() for v in value] for name, value in member.items()}
-            for member in got] == expected
+    expected = _per_dataset(datasets, known)
+    # the whole stack at once, no member flagged, as in a chunk of the harness
+    with np.errstate(all="ignore"):
+        stack = _table1_stack(datasets, known, strict=False)
+    assert [{name: _outcome(value) for name, value in member.items()} for member in stack] == expected
+    # each member as a strict stack of one, and the bundle, linked and unlinked
+    assert [{name: _outcome(value) for name, value in _table1_stack([data], known, True)[0].items()}
+            for data in datasets] == expected
+    assert _bundle_outcomes(datasets, known) == expected
+    assert _bundle_outcomes(datasets, known, linked=False) == expected
+
+
+def _failing(first, *args, strict, **kwargs):
+    """A kernel whose check rejects every member of its stack."""
+    _check([WeakIdentificationError("forced failure")] * len(first), strict)
+
+
+def _kernel_sizes(monkeypatch, name, *modules):
+    """Records the stack size of every call of the kernel ``name`` of
+    ``modules[0]``, called through any of ``modules``."""
+    sizes = []
+    kernel = getattr(modules[0], name)
+
+    def spy(first, *args, **kwargs):
+        sizes.append(len(first))
+        return kernel(first, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, spy)
+    return sizes
 
 
 def _report_bytes(tmp_path, tag):
@@ -113,45 +190,81 @@ def test_degenerate_member_falls_back_without_failing_its_chunk(monkeypatch):
     bad = datasets[2]
     # a constant covariate: every (1, c0) design is rank deficient
     datasets[2] = Dataset(bad.y, bad.x, bad.z, np.ones_like(bad.c_raw))
-    expected = _per_dataset(monkeypatch, datasets)
+    expected = _per_dataset(datasets)
     assert all(isinstance(value, tuple) for value in expected[2].values())
 
-    # only the degenerate member reaches the per-dataset estimators
-    calls = []
-    tsls = lineariv.suites.standard_tsls
-    monkeypatch.setattr(lineariv.suites, "standard_tsls",
-                        lambda data, *args: calls.append(data) or tsls(data, *args))
-    linked = [Dataset(ds.y, ds.x, ds.z, ds.c_raw) for ds in datasets]
-    Dataset.link(linked)
-    bundle = table1_estimators()
-    assert [_outcomes(bundle, data) for data in linked] == expected
-    assert calls == [linked[2]]
+    # only the degenerate member leaves the stack: tsls's check flags it, the
+    # other four are computed together and it alone as a strict stack of one
+    sizes = _kernel_sizes(monkeypatch, "_tsls_stack", lineariv.estimators, lineariv.suites)
+    assert _bundle_outcomes(datasets) == expected
+    assert sizes == [5, 4, 1]
 
 
 def test_one_failing_estimator_fails_only_itself_and_its_dependants(monkeypatch):
-    def failing(*args, **kwargs):
-        raise WeakIdentificationError("forced failure")
-
-    computed = []
-    tsls = lineariv.suites.standard_tsls
-    monkeypatch.setattr(lineariv.suites, "standard_tsls",
-                        lambda *args: computed.append(1) or tsls(*args))
-    monkeypatch.setattr(lineariv.suites, "br_beta_estimate", failing)
-    # the per-dataset estimators, where br_beta_estimate is called
-    monkeypatch.setattr(lineariv.suites, "table1_point_estimates",
-                        lambda ds, coef=None: [None] * len(ds), raising=False)
+    sizes = _kernel_sizes(monkeypatch, "_tsls_stack", lineariv.estimators, lineariv.suites)
+    monkeypatch.setattr(lineariv.suites, "_br_beta_stack", _failing)
     cfg = ScenarioConfig("table1", n=500, seed=555, reps=3, lam=(1, 1, -1))
     report = run_monte_carlo(cfg, table1_estimators())
     failed = {name: s.failed for name, s in report.summaries.items()}
     assert failed == {"tsls": 0, "loc_eff": 0, "eem": 0, "br_gamma": 0, "br_beta": 3}
-    assert len(computed) == 3           # the bundle ran once per replicate
+    # the chunk of three flags all three, and the bundle runs once more for
+    # each of them alone, not once per estimator
+    assert sizes == [3, 1, 1, 1]
 
     # an estimate fails with a fit it uses: eem needs tsls, br_beta needs br_gamma
-    monkeypatch.setattr(lineariv.suites, "standard_tsls", failing)
-    monkeypatch.setattr(lineariv.suites, "br_gamma_estimate", failing)
+    monkeypatch.setattr(lineariv.suites, "_tsls_stack", _failing)
+    monkeypatch.setattr(lineariv.suites, "_br_gamma_stack", _failing)
     report = run_monte_carlo(cfg, table1_estimators())
     failed = {name: s.failed for name, s in report.summaries.items()}
     assert failed == {"tsls": 3, "loc_eff": 0, "eem": 3, "br_gamma": 3, "br_beta": 3}
+
+
+def _small(datasets, rows):
+    return [Dataset(ds.y[:rows], ds.x[:rows], ds.z[:rows], ds.c_raw[:rows]) for ds in datasets]
+
+
+def _degenerate(kind, datasets):
+    data = datasets[2]
+    if kind == "constant covariate":
+        datasets[2] = Dataset(data.y, data.x, data.z, np.ones_like(data.c_raw))
+    elif kind == "one-class instrument":
+        datasets[2] = Dataset(data.y, data.x, np.zeros_like(data.z), data.c_raw)
+    elif kind == "orthogonal exposure":
+        datasets[2] = _orthogonal_exposure(data, BinaryLogisticIv.fit(data, LIN).prob(data))
+    elif kind == "another size":
+        datasets[2:3] = _small(datasets[2:3], 300)
+    else:
+        return _small(datasets, int(kind.split()[0]))
+    return datasets
+
+
+@pytest.mark.parametrize("known", [None, KNOWN_COEF], ids=["fitted", "known"])
+@pytest.mark.parametrize("kind", ["constant covariate", "one-class instrument",
+                                  "orthogonal exposure", "another size", "3 rows", "5 rows"])
+def test_degenerate_members_and_odd_sizes_match_the_reference(kind, known):
+    datasets = _degenerate(kind, _replicates("table1", (1, 1, -1), 500, 555, 6))
+    with np.errstate(all="ignore"):
+        expected = _per_dataset(datasets, known)
+        assert _bundle_outcomes(datasets, known) == expected
+        assert _bundle_outcomes(datasets, known, linked=False) == expected
+
+
+@pytest.mark.parametrize("kind", ["two instruments", "continuous instrument", "no covariate"])
+def test_inputs_outside_the_bundles_working_models_fail_every_estimate(kind):
+    datasets = _replicates("table1", (1, 1, -1), 500, 555, 3)
+    data = datasets[1]
+    z = {"two instruments": np.column_stack([data.z, data.z]),
+         "continuous instrument": data.z + 0.5 * data.c_raw}.get(kind, data.z)
+    c_raw = np.empty((data.n, 0)) if kind == "no covariate" else data.c_raw
+    datasets[1] = Dataset(data.y, data.x, z, c_raw)
+    if kind == "no covariate":
+        # as build_design raises it on every dataset without the covariate c0
+        with pytest.raises(TermSpecError, match="covariate index 0 out of range"):
+            _bundle_outcomes(datasets)
+        return
+    got = _bundle_outcomes(datasets)
+    assert {value[0] for value in got[1].values()} == {"UnsupportedCombinationError"}
+    assert got[0] == _per_dataset(datasets[:1])[0] and got[2] == _per_dataset(datasets[2:])[0]
 
 
 def test_other_bundles_fail_per_estimator(monkeypatch):
@@ -413,15 +526,27 @@ def test_br_gamma_degenerate_member_gets_its_own_error(monkeypatch):
     assert expected[2] == ("DegenerateResponseError", "response must contain both classes")
     assert expected[4][0] == "WeakIdentificationError"
 
-    sizes = []
-    kernel = lineariv.adaptive._br_gamma_stack
-    monkeypatch.setattr(lineariv.adaptive, "_br_gamma_stack",
-                        lambda z, *args, **kw: sizes.append(len(z)) or kernel(z, *args, **kw))
+    sizes = _kernel_sizes(monkeypatch, "_br_gamma_stack", lineariv.adaptive)
     Dataset.link(datasets)
     assert [_br_fields(ds, (LIN, LIN, LIN), True) for ds in datasets] == expected
     # the class check flags one, the index fit the other, the other four are
-    # fitted together and each degenerate member alone on its own call
+    # fitted together and each degenerate member alone
     assert sizes == [6, 5, 4, 1, 1]
+
+
+def test_br_gamma_memoises_a_degenerate_members_error(monkeypatch):
+    datasets = _resamples(simlab.gen_table1(1, 1, -1, 300, 41).dataset, 4, 3)
+    one_class = datasets[1]
+    datasets[1] = Dataset(one_class.y, one_class.x, np.zeros(one_class.n), one_class.c_raw)
+    Dataset.link(datasets)
+    sizes = _kernel_sizes(monkeypatch, "_br_gamma_stack", lineariv.adaptive)
+    with pytest.raises(DegenerateResponseError) as first:
+        br_gamma_estimate(datasets[1], LIN, LIN, LIN)
+    assert sizes == [4, 3, 1]
+    # the error is the member's memoised value: no second fit
+    with pytest.raises(DegenerateResponseError) as second:
+        br_gamma_estimate(datasets[1], LIN, LIN, LIN)
+    assert second.value is first.value and sizes == [4, 3, 1]
 
 
 def test_br_gamma_calls_share_no_mutable_state():
@@ -457,21 +582,6 @@ def _orthogonal_exposure(data, prob):
     return Dataset(data.y, x, data.z, data.c_raw)
 
 
-def _kernel_sizes(monkeypatch, name):
-    """Records the stack size of every call of the kernel ``name``, from the
-    Table 1 stack and from the per-dataset estimators alike."""
-    sizes = []
-    kernel = getattr(lineariv.adaptive, name)
-
-    def spy(z, *args, **kwargs):
-        sizes.append(len(z))
-        return kernel(z, *args, **kwargs)
-
-    for module in (lineariv.adaptive, lineariv.stacked):
-        monkeypatch.setattr(module, name, spy)
-    return sizes
-
-
 @pytest.mark.parametrize("estimator, kernel, message", [
     ("eem", "_eem_stack", "g_estimate: estimating-equation denominator is degenerate"),
     ("br_beta", "_br_beta_stack", "br_beta denominator"),
@@ -485,17 +595,14 @@ def test_eem_and_br_beta_degenerate_member_gets_its_own_error(monkeypatch, estim
     prob = (expit(lin @ KNOWN_COEF) if estimator == "eem"
             else BinaryLogisticIv.fit(data, LIN).prob(data))
     datasets[2] = _orthogonal_exposure(data, prob)
-    expected = _per_dataset(monkeypatch, datasets, KNOWN_COEF)
+    expected = _per_dataset(datasets, KNOWN_COEF)
     # only the estimator under test fails, with its own error
     assert [name for name, value in expected[2].items() if isinstance(value, tuple)] == [estimator]
     assert expected[2][estimator][0] == "WeakIdentificationError"
     assert expected[2][estimator][1].startswith(message)
 
-    sizes = _kernel_sizes(monkeypatch, kernel)
-    linked = _copies(datasets)
-    Dataset.link(linked)
-    bundle = table1_estimators(KNOWN_COEF)
-    assert [_outcomes(bundle, data) for data in linked] == expected
+    sizes = _kernel_sizes(monkeypatch, kernel, lineariv.adaptive, lineariv.suites)
+    assert _bundle_outcomes(datasets, KNOWN_COEF) == expected
     # the chunk flags the member, the other five are computed together and the
-    # member alone by the per-dataset estimator
+    # member alone as a strict stack of one
     assert sizes == [6, 5, 1]

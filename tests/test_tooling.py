@@ -1,7 +1,9 @@
 """The benchmark's tracer still finds every function it wraps, its
-bootstrap workload still agrees with ``lineariv fit``, and the committed
-``BENCH_*.json`` summaries are complete."""
+bootstrap workload still agrees with ``lineariv fit``, the committed
+``BENCH_*.json`` summaries are complete, and no module imports a name it
+does not use."""
 
+import ast
 import importlib.util
 import json
 import math
@@ -79,3 +81,31 @@ def test_bench_summaries_are_strict_json_with_both_sides_of_every_workload():
                     values = [spread[k] for k in ("q1", "median", "q3")]
                     assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
                     assert values == sorted(values), (path.name, side, name, metric)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that a module imports and never reads; a name listed in its
+    ``__all__`` counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_package_modules_import_only_what_they_use():
+    modules = sorted((ROOT / "src" / "lineariv").glob("*.py"))
+    assert len(modules) > 5
+    unused = [entry for path in modules if path.name != "__init__.py"
+              for entry in _unused_imports(path)]
+    assert unused == []
