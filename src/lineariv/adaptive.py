@@ -28,6 +28,7 @@ from .estimators import EstimateResult, _ee_result, _solve_ee, g_estimate
 from .glm import (
     RANK_RTOL,
     BinaryFit,
+    _attempt,
     _binary_fit,
     _check,
     _class_errors,
@@ -118,7 +119,7 @@ def _eem_data(data: Dataset, iv: IvModel, *bases: BasisSpec) -> tuple:
 def eem_fit_alpha(data: Dataset, iv: IvModel, index_basis: BasisSpec) -> np.ndarray:
     """Index coefficients: OLS of x on (z - E(z|C)) * index basis columns."""
     zc, x, _, index_design = _eem_data(data, iv, index_basis)
-    return _index_coef(zc, index_design, x, _ALPHA_CONTEXT, strict=True)[0]
+    return _index_coef(zc, index_design, x, _ALPHA_CONTEXT)[0]
 
 
 def eem_fit_beta(data: Dataset, iv: IvModel, alpha: np.ndarray, index_basis: BasisSpec,
@@ -130,8 +131,7 @@ def eem_fit_beta(data: Dataset, iv: IvModel, alpha: np.ndarray, index_basis: Bas
     """
     zc, x, y, index_design, outcome_design = _eem_data(data, iv, index_basis, outcome_basis)
     scale = np.matvec(index_design, np.asarray(alpha, dtype=float))
-    return _eem_beta(zc, x, y, scale, outcome_design, np.array([float(preliminary_psi)]),
-                     strict=True)[0]
+    return _eem_beta(zc, x, y, scale, outcome_design, np.array([float(preliminary_psi)]))[0]
 
 
 def eem_objective(data: Dataset, iv: IvModel, alpha, beta, psi: float,
@@ -145,27 +145,27 @@ def eem_objective(data: Dataset, iv: IvModel, alpha, beta, psi: float,
     zc, x, y, index_design, outcome_design = _eem_data(data, iv, index_basis, outcome_basis)
     d = np.matvec(index_design, np.asarray(alpha, dtype=float)) * zc
     eps = y - np.matvec(outcome_design, np.asarray(beta, dtype=float)) - float(psi) * x
-    return _eem_objective(d, x, eps, strict=True)[0]
+    return _eem_objective(d, x, eps)[0]
 
 
 def _eem_beta(zc: np.ndarray, x: np.ndarray, y: np.ndarray, scale: np.ndarray,
-              outcome_design: np.ndarray, psi0: np.ndarray, strict: bool) -> np.ndarray:
+              outcome_design: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     """:func:`eem_fit_beta` of a stack at index scales alpha'b(C) (B, n) and
     preliminary estimates psi0 (B,): fit_wls's checks, then its solve."""
     w = scale**2 * zc**2
-    _check(_weight_errors(w), strict)
+    _check(_weight_errors(w))
     sw = np.sqrt(w)
     fit, errors = _ols(outcome_design * sw[..., None], (y - psi0[:, None] * x) * sw, "fit_wls")
-    _check(errors, strict)
+    _check(errors)
     return fit.coef
 
 
-def _eem_objective(d: np.ndarray, x: np.ndarray, eps: np.ndarray, strict: bool) -> list:
+def _eem_objective(d: np.ndarray, x: np.ndarray, eps: np.ndarray) -> list:
     """:func:`eem_objective` of a stack from the centered index d and the
     structural residual eps (B, n); a zero mean(d*x) is an error."""
     means = (d * x).mean(-1).tolist()
     _check([WeakIdentificationError("objective denominator mean(d*x) is zero")
-            if mean == 0.0 else None for mean in means], strict)
+            if mean == 0.0 else None for mean in means])
     n = x.shape[-1]
     return [var / (n * mean**2) for var, mean in zip(np.var(d * eps, ddof=1, axis=-1).tolist(),
                                                      means)]
@@ -184,20 +184,20 @@ class _Eem(NamedTuple):
 
 
 def _eem_stack(zc: np.ndarray, x: np.ndarray, y: np.ndarray, index_design: np.ndarray,
-               outcome_design: np.ndarray, psi0: np.ndarray, strict: bool = False) -> _Eem:
+               outcome_design: np.ndarray, psi0: np.ndarray) -> _Eem:
     """The arithmetic of :func:`eem_estimate` from its preliminary estimates
     psi0 (B,) on, for a stack of B datasets of one size: zc = z - E(z|C), x,
     y (B, n) and the designs (B, n, p).  The index fit, the weighted beta
     regression, the G-estimating equation at the centered index and the
     objective, with their checks in that order (see :func:`_check`)."""
-    alpha = _index_coef(zc, index_design, x, _ALPHA_CONTEXT, strict)
+    alpha = _index_coef(zc, index_design, x, _ALPHA_CONTEXT)
     scale = np.matvec(index_design, alpha)
-    beta = _eem_beta(zc, x, y, scale, outcome_design, psi0, strict)
+    beta = _eem_beta(zc, x, y, scale, outcome_design, psi0)
     d = scale * zc
     response = y - np.matvec(outcome_design, beta)
     theta, condition, errors = _solve_ee(d[..., None], x[..., None], response, "g_estimate")
-    _check(errors, strict)
-    objective = _eem_objective(d, x, response - psi0[:, None] * x, strict)
+    _check(errors)
+    objective = _eem_objective(d, x, response - psi0[:, None] * x)
     return _Eem(alpha, beta, d, response, theta[:, 0], condition, objective)
 
 
@@ -218,8 +218,7 @@ def eem_estimate(data: Dataset, iv: IvModel, index_basis: BasisSpec,
         preliminary_psi = g_estimate(data, RawInstruments(), OutcomeModel(outcome_basis), iv,
                                      EffectModel.constant()).psi
     psi0 = float(preliminary_psi)
-    fit = _eem_stack(*_eem_data(data, iv, index_basis, outcome_basis), np.array([psi0]),
-                     strict=True)
+    fit = _eem_stack(*_eem_data(data, iv, index_basis, outcome_basis), np.array([psi0]))
     alpha, beta = fit.alpha[0], fit.beta[0]
     result = _ee_result(fit.d[0][:, None], data.x[:, None], fit.response[0], fit.psi, slice(0, 1),
                         beta, {"iv": iv, "index": ScaledInstrument(index_basis, alpha),
@@ -290,23 +289,24 @@ def _br_denominator(d: np.ndarray, x: np.ndarray, what: str) -> tuple[np.ndarray
         if bad else None for k, bad in enumerate(degenerate.tolist())]
 
 
-def _index_coef(zc: np.ndarray, index_design: np.ndarray, x: np.ndarray, context: str,
-                strict: bool) -> np.ndarray:
+def _index_coef(zc: np.ndarray, index_design: np.ndarray, x: np.ndarray,
+                context: str) -> np.ndarray:
     """fit_ols coefficients of x on zc * index basis for a stack (B, n); a
     rank-deficient member is a WeakIdentificationError that ``context``
     names (see :func:`_check`)."""
     fit, errors = _ols(zc[..., None] * index_design, x)
     _check([None if err is None else WeakIdentificationError(
-        f"{context} ({err})", condition=err.condition) for err in errors], strict)
+        f"{context} ({err})", condition=err.condition) for err in errors])
     return fit.coef
 
 
-def _logistic(design: np.ndarray, z: np.ndarray, strict: bool) -> tuple[_Irls, np.ndarray]:
-    """fit_binary(design, z, "logit") of a stack whose classes the caller has
-    checked, and its fitted probabilities; a singular X'WX is an error.  A
-    member whose step-halvings ran out follows its own fit too."""
+def _logistic(design: np.ndarray, z: np.ndarray) -> tuple[_Irls, np.ndarray]:
+    """fit_binary(design, z, "logit") of a stack, with its checks, and its
+    fitted probabilities.  A member whose step-halvings ran out follows its
+    own fit too."""
+    _check(_class_errors(z))
     fit = _irls(design, z, "logit")
-    _check(_singular_errors(fit), strict)
+    _check(_singular_errors(fit))
     return fit, expit(np.matvec(design, np.array(fit.coef)))
 
 
@@ -319,90 +319,117 @@ def _extend(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray, list]:
     return (_join(base, kept_columns) if kept else base), kept
 
 
+class _BrPlain(NamedTuple):
+    """The plain stage of the bias-reduced pair on a stack of B datasets."""
+
+    data: tuple                     # z, x, y (B, n) and the instrument, outcome and index designs
+    fit: _Irls                      # the plain ML instrument fit
+    prob: np.ndarray                # (B, n) its P(Z=1|C)
+    alpha: np.ndarray               # (B, k) index coefficients under it
+
+
+def _br_plain(datasets: list[Dataset], bases: tuple) -> _BrPlain:
+    """``BinaryLogisticIv.fit`` and :func:`eem_fit_alpha` under it on a stack
+    of datasets and the bases (instrument, outcome, index), with the stacked
+    data and designs that :func:`_br_gamma_stack` takes."""
+    _check(_stack_errors(datasets))
+    x, y = _stack([ds.x for ds in datasets]), _stack([ds.y for ds in datasets])
+    z = _stack([ds.z[:, 0] for ds in datasets])
+    iv_design, outcome_design, index_design = (
+        _stack([build_design(ds, basis) for ds in datasets]) for basis in bases)
+    fit, prob = _logistic(iv_design, z)
+    return _BrPlain((z, x, y, iv_design, outcome_design, index_design), fit, prob,
+                    _index_coef(z - prob, index_design, x, _ALPHA_CONTEXT))
+
+
 class _BrGamma(NamedTuple):
     """The bias-reduced instrument-model fits of a stack of B datasets."""
 
     psi: np.ndarray                 # (B,)
-    index_coef: np.ndarray          # (B, k), refitted under the extended fit with refit_index
-    plain: _Irls | None             # the plain ML instrument fit, when fitted here
+    index_coef: np.ndarray          # (B, k), refitted under the extended fit
     extended: _Irls                 # the extended instrument fit
     kept: list                      # extension columns kept, the same for every member
     d: np.ndarray                   # (B, n) index times instrument residual
     denom: np.ndarray               # (B,) sum(d * x)
 
 
+def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.ndarray,
+                    outcome_design: np.ndarray, index_design: np.ndarray,
+                    alpha: np.ndarray) -> _BrGamma:
+    """The arithmetic of :func:`br_gamma_estimate` after the plain instrument
+    fit, on a stack of B datasets of one size: z, x, y (B, n), the designs
+    (B, n, p) and alpha (B, k), :func:`eem_fit_alpha` under the plain fit.
+    The extended fit at alpha, the index refitted under it and the extended
+    fit at that index.
+
+    Members are independent: each takes the iterates, checks and values of a
+    stack of one.  A member that a check rejects raises its per-dataset error
+    on a stack of one and is flagged on a larger stack (:func:`_check`), as
+    is a member whose own collinearity decisions are not the stack's.
+    """
+    def extended(alpha):
+        e_scale = np.matvec(index_design, alpha)
+        design, kept = _extend(iv_design, e_scale[..., None] * outcome_design)
+        return (e_scale, kept, *_logistic(design, z))
+
+    ext_prob = extended(alpha)[-1]
+    alpha = _index_coef(z - ext_prob, index_design, x,
+                        "degenerate instrument variation under the extended fit")
+    e_scale, kept, fit, ext_prob = extended(alpha)
+    d = e_scale * (z - ext_prob)
+    denom, errors = _br_denominator(d, x, "br_gamma")
+    _check(errors)
+    return _BrGamma((d * y).sum(-1) / denom, alpha, fit, kept, d, denom)
+
+
 class _BrGammaFit(NamedTuple):
-    """One member of a :class:`_BrGamma` stack, as memoised on its dataset."""
+    """One member of a :class:`_BrGamma` stack."""
 
     psi: float
     index_coef: np.ndarray
-    plain: BinaryFit | None
     extended: BinaryFit
     kept: list
     score_identity: float
     influence: np.ndarray
 
 
-def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.ndarray,
-                    outcome_design: np.ndarray, index_design: np.ndarray,
-                    refit_index: bool = True, alpha: np.ndarray | None = None,
-                    strict: bool = False) -> _BrGamma:
-    """The arithmetic of :func:`br_gamma_estimate` on a stack of B datasets of
-    one size: z, x, y (B, n) and the designs (B, n, p).  ``alpha`` (B, k) is
-    :func:`eem_fit_alpha` under the plain instrument fit; ``None`` fits the
-    plain model here by maximum likelihood and computes it.
-
-    Members are independent: each takes the iterates, checks and values of a
-    stack of one.  A member that a check rejects raises its per-dataset error
-    when ``strict`` (a stack of one), or else is flagged (:class:`_Flagged`),
-    as is a member whose own collinearity decisions are not the stack's.
-    """
-    def extended(alpha):
-        e_scale = np.matvec(index_design, alpha)
-        design, kept = _extend(iv_design, e_scale[..., None] * outcome_design)
-        return (e_scale, kept, *_logistic(design, z, strict))
-
-    # z's classes are checked once, as every fit here is of z
-    _check(_class_errors(z), strict)
-    plain = None
-    if alpha is None:
-        plain, prob = _logistic(iv_design, z, strict)
-        alpha = _index_coef(z - prob, index_design, x, _ALPHA_CONTEXT, strict)
-    e_scale, kept, fit, ext_prob = extended(alpha)
-    if refit_index:
-        alpha = _index_coef(z - ext_prob, index_design, x,
-                            "degenerate instrument variation under the extended fit", strict)
-        e_scale, kept, fit, ext_prob = extended(alpha)
-    d = e_scale * (z - ext_prob)
-    denom, errors = _br_denominator(d, x, "br_gamma")
-    _check(errors, strict)
-    return _BrGamma((d * y).sum(-1) / denom, alpha, plain, fit, kept, d, denom)
-
-
-def _br_gamma_fits(datasets: list[Dataset], bases: tuple, refit_index: bool, strict: bool,
-                   alpha: np.ndarray | None = None) -> list[_BrGammaFit]:
-    """:func:`_br_gamma_stack` of a stack of datasets on the bases (instrument,
-    outcome, index), ``alpha`` and ``strict`` as there: each member's fit with
-    its score identity and influence values, which only a full result needs."""
-    _check(_stack_errors(datasets), strict)
-    x, y = _stack([ds.x for ds in datasets]), _stack([ds.y for ds in datasets])
-    designs = [_stack([build_design(ds, basis) for ds in datasets]) for basis in bases]
-    fit = _br_gamma_stack(_stack([ds.z[:, 0] for ds in datasets]), x, y, *designs,
-                          refit_index=refit_index, alpha=alpha, strict=strict)
+def _br_records(datasets: list[Dataset], bases: tuple) -> list[tuple]:
+    """The records of :func:`_br_record` for a stack of datasets: the plain
+    stage, then :func:`_br_gamma_stack` from it, each through
+    :func:`_attempt`, with each member's score identity and influence
+    values, which only a full result needs."""
+    out: dict = {}
+    _attempt(out, "plain", lambda: _br_plain(datasets, bases))
+    _attempt(out, "gamma", lambda plain: _br_gamma_stack(*plain.data, plain.alpha), "plain")
+    plain, fit = out["plain"], out["gamma"]
+    if isinstance(plain, EstimationError):         # held only on a stack of one
+        return [(plain, fit)]
+    plains = [(_binary_fit(plain.fit, k, "logit"), plain.prob[k], plain.alpha[k])
+              for k in range(len(datasets))]
+    if isinstance(fit, EstimationError):
+        return [(plains[0], fit)]
+    _, x, y, _, outcome_design, _ = plain.data
     d, psi = fit.d, fit.psi
     # the column sums keep this form: a vecmat moves their last bits
-    identity = np.abs((d[..., None] * designs[1]).sum(-2)).max(-1).tolist()
+    identity = np.abs((d[..., None] * outcome_design).sum(-2)).max(-1).tolist()
     influence = d * (y - psi[:, None] * x) / (fit.denom[:, None] / x.shape[-1])
-    return [_BrGammaFit(value, fit.index_coef[k],
-                        None if fit.plain is None else _binary_fit(fit.plain, k, "logit"),
-                        _binary_fit(fit.extended, k, "logit"), fit.kept, identity[k],
-                        influence[k])
+    return [(plains[k], _BrGammaFit(value, fit.index_coef[k], _binary_fit(fit.extended, k, "logit"),
+                                    fit.kept, identity[k], influence[k]))
             for k, value in enumerate(psi.tolist())]
 
 
+def _br_record(data: Dataset, bases: tuple) -> tuple:
+    """The dataset's memoised bias-reduced pair on the bases (instrument,
+    outcome, index): the plain stage, (BinaryFit, P(Z=1|C), index
+    coefficients), and the br-gamma stage, a :class:`_BrGammaFit`.  Each is
+    the fit, or the EstimationError it or the stage before raised, as on the
+    dataset alone; a linked chunk is filled at once (:meth:`Dataset.memo`)."""
+    return data.memo(("br", *bases),
+                     lambda chunk: _fit_stack(lambda stack: _br_records(stack, bases), chunk))
+
+
 def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: BasisSpec,
-                      iv_basis: BasisSpec, refit_index: bool = True,
-                      iv_plain: BinaryLogisticIv | None = None) -> EstimateResult:
+                      iv_basis: BasisSpec) -> EstimateResult:
     """Bias-reduced instrument-model G-estimator for a binary instrument.
 
     The logistic instrument model is extended with the columns
@@ -411,40 +438,21 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
     outcome coefficients vanish, so the final estimating equation
     sum e(C)(z - P)(y - psi*x) = 0 involves no outcome model at all.
 
-    With ``refit_index`` the index coefficients are re-estimated once with
-    centering under the extended fit (the instrument model this procedure
-    actually uses) and the extension is rebuilt.
+    The index e(C) starts from :func:`eem_fit_alpha` under the plain
+    maximum-likelihood fit ``BinaryLogisticIv.fit(data, iv_basis)`` (never a
+    known instrument law: the bias-reduction identity assumes the ML fit);
+    its coefficients are then re-estimated once with centering under the
+    extended fit (the instrument model this procedure actually uses) and the
+    extension is rebuilt.
 
-    ``iv_plain`` is the plain maximum-likelihood fit
-    ``BinaryLogisticIv.fit(data, iv_basis)`` that starts the procedure; pass
-    it to share one fit with other estimators on the same dataset, or leave
-    it ``None`` to fit it here.  It must be that fit on this dataset, not a
-    known instrument law: the bias-reduction identity assumes the ML fit.
-
-    The arithmetic is one stacked kernel, run here as a stack of one.  With
-    ``iv_plain`` left ``None`` the fit, or the estimation error it raised, is
-    memoised on the dataset (:meth:`Dataset.memo`, keyed by the three bases
-    and ``refit_index``), and the first call on any dataset of a linked chunk
-    -- the bootstrap's resamples -- fits every member at once; each member's
-    result and error are those of a fit on its own.  Every call returns a
-    fresh result.
+    Both fits, or the error that stopped them, are the dataset's memoised
+    bias-reduced pair, shared with :func:`br_beta_estimate` on the same bases
+    and fitted as one stack for a linked chunk of resamples.  Every call
+    returns a fresh result.
     """
-    bases = (iv_basis, outcome_basis, index_basis)
-    if iv_plain is not None:
-        _check(_stack_errors([data]), strict=True)
-        alpha = eem_fit_alpha(data, iv_plain, index_basis)[None]
-        return _br_gamma_result(_br_gamma_fits([data], bases, refit_index, True, alpha)[0],
-                                iv_plain)
-    member = data.memo(("br_gamma", *bases, refit_index), lambda chunk: _fit_stack(
-        lambda stack, strict: _br_gamma_fits(stack, bases, refit_index, strict), chunk))
+    plain, member = _br_record(data, (iv_basis, outcome_basis, index_basis))
     if isinstance(member, EstimationError):
         raise member
-    plain = BinaryLogisticIv(iv_basis, member.plain.coefficients.copy(), member.plain.converged)
-    return _br_gamma_result(member, plain)
-
-
-def _br_gamma_result(member: _BrGammaFit, plain: BinaryLogisticIv) -> EstimateResult:
-    """A fresh EstimateResult, owning copies of the member's arrays."""
     fit = replace(member.extended, coefficients=member.extended.coefficients.copy(),
                   loglik_trace=list(member.extended.loglik_trace))
     br = BrFit(
@@ -467,7 +475,9 @@ def _br_gamma_result(member: _BrGammaFit, plain: BinaryLogisticIv) -> EstimateRe
     return EstimateResult(
         psi_hat=np.array([member.psi]),
         beta_hat=np.empty(0),
-        nuisance={"iv_plain": plain, "index_coef": member.index_coef.copy(), "extended_fit": fit},
+        nuisance={"iv_plain": BinaryLogisticIv(iv_basis, plain[0].coefficients.copy(),
+                                               plain[0].converged),
+                  "index_coef": member.index_coef.copy(), "extended_fit": fit},
         diagnostics=diagnostics,
     )
 
@@ -486,12 +496,12 @@ class _BrBeta(NamedTuple):
 def _br_beta_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, prob: np.ndarray,
                    iv_design: np.ndarray, outcome_design: np.ndarray,
                    index_design: np.ndarray, alpha: np.ndarray,
-                   start: Callable[[], np.ndarray] | None, strict: bool = False) -> _BrBeta:
+                   start: Callable[[], np.ndarray] | None) -> _BrBeta:
     """The arithmetic of :func:`br_beta_estimate` on a stack of B datasets of
     one size: z, x, y and prob, the plain instrument fit's P(Z=1|C), (B, n);
     the designs (B, n, p); alpha (B, k), the index coefficients under that
     fit.  ``start()`` gives the one-step start values (B,) and is called only
-    once the denominator has passed its check, so that a start fitted there
+    once the denominator has passed its check, so that a start that failed
     fails after this estimator's own checks; ``start=None`` is the full
     solve.  Checks and flags as :func:`_br_gamma_stack`.
     """
@@ -499,22 +509,21 @@ def _br_beta_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, prob: np.ndarray
     x_ext, kept = _extend(outcome_design, (e_scale * (prob * (1.0 - prob)))[..., None] * iv_design)
     d = e_scale * (z - prob)
     denom, errors = _br_denominator(d, x, "br_beta")
-    _check(errors, strict)
+    _check(errors)
     if start is None:
         theta, _, errors = _solve_ee(_join(x_ext, d[..., None]), _join(x_ext, x[..., None]),
                                      y, "br_beta")
-        _check(errors, strict)
+        _check(errors)
         return _BrBeta(theta[:, -1], theta[:, :-1], kept, x_ext, e_scale, d)
     fit, errors = _ols(x_ext, y - start()[:, None] * x)
-    _check(errors, strict)
+    _check(errors)
     psi = (d * (y - np.matvec(x_ext, fit.coef))).sum(-1) / denom
     return _BrBeta(psi, fit.coef, kept, x_ext, e_scale, d)
 
 
 def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: BasisSpec,
                      iv_basis: BasisSpec, update: str = "one_step",
-                     start_psi: float | None = None,
-                     iv_plain: BinaryLogisticIv | None = None) -> EstimateResult:
+                     start_psi: float | None = None) -> EstimateResult:
     """Bias-reduced outcome-model G-estimator for a binary instrument.
 
     The instrument model is fitted by plain maximum likelihood; the linear
@@ -533,37 +542,31 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     of freedom returns its start value and says so in
     ``diagnostics["warning"]``.
 
-    ``iv_plain`` is the plain maximum-likelihood fit
-    ``BinaryLogisticIv.fit(data, iv_basis)``, as for
-    :func:`br_gamma_estimate`; when it is ``None`` it is fitted here, and
-    the same fit is handed to the inner bias-reduced instrument-model
-    estimate that supplies the default start value.  It must be that ML fit,
-    not a known instrument law.
-
-    After the plain fit and the index coefficients, both modes are one
-    stacked kernel, run here as a stack of one; the Table 1 bundle runs the
-    same kernel (one step) on its chunks of Monte Carlo replicates.
+    The plain fit ``BinaryLogisticIv.fit(data, iv_basis)``, the index
+    coefficients under it and the default start value are read from the
+    dataset's memoised bias-reduced pair, which :func:`br_gamma_estimate` on
+    the same bases shares; filling it fits both stages, whatever the mode
+    and start.  Both modes are then one stacked kernel, run here as a stack
+    of one; the Table 1 bundle runs the same kernel (one step) on its chunks
+    of Monte Carlo replicates.
     """
     if update not in ("one_step", "full_solve"):
         raise ValueError(f"unknown update mode {update!r}")
-    _check(_stack_errors([data]), strict=True)
-    iv_design = build_design(data, iv_basis)
-    outcome_design = build_design(data, outcome_basis)
-    index_design = build_design(data, index_basis)
-
-    plain = iv_plain if iv_plain is not None else BinaryLogisticIv.fit(data, iv_basis)
-    prob = plain.prob(data)
-    alpha = eem_fit_alpha(data, plain, index_basis)
+    bases = (iv_basis, outcome_basis, index_basis)
+    plain, gamma = _br_record(data, bases)
+    if isinstance(plain, EstimationError):
+        raise plain
+    plain_fit, prob, alpha = plain
+    iv_design, outcome_design, index_design = (build_design(data, basis) for basis in bases)
 
     def start():
-        if start_psi is None:
-            return np.array([br_gamma_estimate(data, index_basis, outcome_basis, iv_basis,
-                                               iv_plain=plain).psi])
-        return np.array([float(start_psi)])
+        if start_psi is None and isinstance(gamma, EstimationError):
+            raise gamma
+        return np.array([float(gamma.psi if start_psi is None else start_psi)])
 
     fit = _br_beta_stack(data.z[:, 0][None], data.x[None], data.y[None], prob[None],
                          iv_design[None], outcome_design[None], index_design[None], alpha[None],
-                         None if update == "full_solve" else start, strict=True)
+                         None if update == "full_solve" else start)
     psi, beta_ext, x_ext = float(fit.psi[0]), fit.beta[0], fit.x_ext[0]
     e_scale, d = fit.e_scale[0], fit.d[0]
     w = prob * (1.0 - prob)
@@ -575,9 +578,10 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     gamma_term = (data.z[:, 0] - prob)[:, None] * a_vec[None, :]
     beta_term = (w[:, None] * iv_design) * b_scal
     identity = ((e_scale * resid)[:, None] * (gamma_term - beta_term)).mean(axis=0)
+    iv = BinaryLogisticIv(iv_basis, plain_fit.coefficients.copy(), plain_fit.converged)
     br = BrFit(
         variant="br_beta",
-        gamma_hat=plain.coef,
+        gamma_hat=iv.coef,
         beta_hat=beta_ext,
         score_identity_norm=float(np.abs(identity).max()),
         converged=True,
@@ -591,6 +595,6 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     return EstimateResult(
         psi_hat=np.array([psi]),
         beta_hat=beta_ext,
-        nuisance={"iv_plain": plain, "index_coef": alpha, "extension_columns": fit.kept},
+        nuisance={"iv_plain": iv, "index_coef": alpha.copy(), "extension_columns": fit.kept},
         diagnostics=diagnostics,
     )

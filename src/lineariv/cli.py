@@ -30,6 +30,7 @@ from .estimators import (
     plug_in_two_stage,
     standard_tsls,
 )
+from .glm import normal_quantile
 from .inference import MIN_RESAMPLES, bootstrap_ci, conservative_se_brgamma
 from .models import (
     BinaryLogisticIv,
@@ -281,8 +282,7 @@ def cmd_fit(args) -> int:
     elif method == "conservative":
         if config.get("estimator") != "br-gamma":
             raise SchemaError("conservative inference is defined for br-gamma only")
-        from scipy.special import ndtri
-        zq = float(ndtri(0.5 + level / 2.0))
+        zq = float(normal_quantile(0.5 + level / 2.0))
         se = np.array([conservative_se_brgamma(data, result)])
         ci = (result.psi_hat - zq * se, result.psi_hat + zq * se)
 

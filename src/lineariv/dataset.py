@@ -186,11 +186,12 @@ class Dataset:
 
     Each instance also memoises values computed from it (:meth:`memo`): the
     designs of :func:`build_design`, keyed by :class:`BasisSpec`, the
-    estimates of an estimator bundle, keyed by the bundle, and the fits of
-    :func:`~lineariv.adaptive.br_gamma_estimate`, keyed by its bases.  A
-    memoised value (an estimation error included) is a pure function of the
-    frozen data and its key; designs are read-only and br-gamma results are
-    built afresh from the memoised arrays on every call, so no caller can
+    estimates of an estimator bundle, keyed by the bundle, the bias-reduced
+    pair of :func:`~lineariv.adaptive.br_gamma_estimate` and
+    :func:`~lineariv.adaptive.br_beta_estimate`, keyed by their bases, and
+    :meth:`z_is_binary`.  A memoised value (an estimation error included) is
+    a pure function of the frozen data and its key; designs are read-only and
+    bias-reduced results are built afresh on every call, so no caller can
     alter what another sees.  Datasets can be linked into a chunk
     (:meth:`link`), whose entries are filled together on the first call of
     any member.  ``take`` and ``with_z`` build new, unlinked instances with
@@ -299,7 +300,8 @@ class Dataset:
         return data
 
     def z_is_binary(self) -> bool:
-        return bool(np.all((self.z == 0.0) | (self.z == 1.0)))
+        return self.memo("z_is_binary", lambda chunk: [
+            bool(np.all((ds.z == 0.0) | (ds.z == 1.0))) for ds in chunk])
 
 
 # ---------------------------------------------------------------------------

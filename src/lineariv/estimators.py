@@ -166,7 +166,7 @@ def standard_tsls(data: Dataset, effect: EffectModel, outcome_basis: BasisSpec,
             f"order condition fails: {inst.shape[1]} instrument column(s) for {k} effect parameter(s)")
     endog = data.x[:, None] * grad
     first_design, first, second_design, second = _tsls_stack(
-        inst[None], by[None], endog[None], data.y[None], strict=True)
+        inst[None], by[None], endog[None], data.y[None])
     first_fits, fs_summary = [], {}
     for j, fit in enumerate(first):
         f = _linear_fit(first_design[0], endog[:, j], fit, [None])
@@ -181,8 +181,8 @@ def standard_tsls(data: Dataset, effect: EffectModel, outcome_basis: BasisSpec,
                       {"condition": second.condition[0], "first_stage": fs_summary})
 
 
-def _tsls_stack(inst: np.ndarray, by: np.ndarray, endog: np.ndarray, y: np.ndarray,
-                strict: bool = False) -> tuple[np.ndarray, list[_Lstsq], np.ndarray, _Lstsq]:
+def _tsls_stack(inst: np.ndarray, by: np.ndarray, endog: np.ndarray,
+                y: np.ndarray) -> tuple[np.ndarray, list[_Lstsq], np.ndarray, _Lstsq]:
     """:func:`standard_tsls` on a stack: designs (B, n, p), endogenous columns
     (B, n, k), y (B, n).  Returns the first stage's design and k fits and the
     second stage's design and fit.  A rank-deficient second stage, or one with
@@ -191,16 +191,16 @@ def _tsls_stack(inst: np.ndarray, by: np.ndarray, endog: np.ndarray, y: np.ndarr
     first = []
     for j in range(endog.shape[-1]):
         fit, errors = _ols(first_design, endog[..., j])
-        _check(errors, strict)
+        _check(errors)
         first.append(fit)
     second_design = _join(by, np.stack([np.matvec(first_design, f.coef) for f in first], axis=-1))
     second, errors = _ols(second_design, y)
     _check([None if err is None else WeakIdentificationError(
         "rank condition fails: fitted endogenous regressors are collinear "
-        f"with the outcome basis ({err})", condition=err.condition) for err in errors], strict)
+        f"with the outcome basis ({err})", condition=err.condition) for err in errors])
     _check([WeakIdentificationError(f"rank condition fails: second-stage condition {cond:.3e}",
                                     condition=cond) if cond > WEAK_ID_CONDITION else None
-            for cond in second.condition], strict)
+            for cond in second.condition])
     return first_design, first, second_design, second
 
 
@@ -339,7 +339,7 @@ def g_estimate(data: Dataset, index: IndexFunction, outcome: OutcomeModel | None
         response = data.y if outcome is None else data.y - outcome.predict(data)
     theta, cond, errors = _solve_ee(index_mat[None], regressors[None], response[None],
                                     "g_estimate")
-    _check(errors, strict=True)
+    _check(errors)
     theta = theta[0]
     beta = theta[k:] if profiled else np.asarray([] if outcome is None else outcome.coef, dtype=float)
     return _ee_result(index_mat, regressors, response, theta, slice(0, k), beta,

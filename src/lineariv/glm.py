@@ -85,42 +85,52 @@ class _Flagged(Exception):
         self.positions = positions
 
 
-def _check(errors: list, strict: bool) -> None:
+def _check(errors: list) -> None:
     """Rejects the stack members whose entry of ``errors`` is not None: a
-    strict stack (one dataset on its own) raises that member's error, which
-    is the per-dataset error; any other stack flags them (:class:`_Flagged`)."""
+    stack of one (one dataset on its own) raises its member's error, the
+    per-dataset one; a larger stack flags them (:class:`_Flagged`)."""
     bad = [k for k, err in enumerate(errors) if err is not None]
-    if bad and strict:
-        raise errors[bad[0]]
     if bad:
-        raise _Flagged(bad)
+        raise errors[0] if len(errors) == 1 else _Flagged(bad)
 
 
-def _fit_stack(compute: Callable[[list, bool], list], items: list) -> list:
-    """One value per item.  ``compute(stack, strict)``, one value per member,
-    runs on all the items with numpy's warnings off, again without the
-    members it flags (:class:`_Flagged`) until it succeeds; a flagged member,
-    or each one left after a LinAlgError, is then a strict stack of one with
-    warnings on, ``compute([item], True)``, whose EstimationError is its value."""
+def _fit_stack(compute: Callable[[list], list], items: list) -> list:
+    """One value per item.  ``compute(stack)``, one value per member, runs on
+    the items with numpy's warnings off, again without the members it flags
+    (:class:`_Flagged`) until it succeeds; a member left on its own (flagged,
+    alone, or after a LinAlgError) is then computed once as a stack of one
+    with warnings on, whose EstimationError is its value (:func:`_attempt`)."""
     values: dict = {}
     members = list(range(len(items)))
     with np.errstate(all="ignore"):
-        while members:
+        while len(members) > 1:
             try:
-                values = dict(zip(members, compute([items[m] for m in members], False)))
+                values = dict(zip(members, compute([items[m] for m in members])))
                 break
             except _Flagged as flagged:
                 members = [m for k, m in enumerate(members) if k not in flagged.positions]
             except np.linalg.LinAlgError:
                 break
-    return [values[k] if k in values else _strict(compute, item) for k, item in enumerate(items)]
+    for k, item in enumerate(items):
+        if k not in values:
+            _attempt(values, k, lambda: compute([item])[0])
+    return [values[k] for k in range(len(items))]
 
 
-def _strict(compute: Callable[[list, bool], list], item):
+def _attempt(out: dict, key, compute: Callable, *needs) -> None:
+    """``out[key] = compute(*out[need] for need in needs)``, or the
+    :class:`EstimationError` it raised, or the first error among ``needs``:
+    a stage fails exactly when it, or a stage it uses, raised.  On a stack
+    of one each stage so holds its own error; on a larger stack a rejected
+    member is flagged (:func:`_check`), which passes through."""
+    for need in needs:
+        if isinstance(out[need], EstimationError):
+            out[key] = out[need]
+            return
     try:
-        return compute([item], True)[0]
+        out[key] = compute(*(out[need] for need in needs))
     except EstimationError as err:
-        return err
+        out[key] = err
 
 
 class _Lstsq(NamedTuple):
@@ -196,7 +206,7 @@ def _weight_errors(w: np.ndarray) -> list:
 
 def _linear_fit(design: np.ndarray, response: np.ndarray, ls: _Lstsq, errors: list) -> LinearFit:
     # the 2-D fit from a stack of one, raising its error
-    _check(errors, strict=True)
+    _check(errors)
     s, vt, coef = ls.s[0], ls.vt[0], ls.coef[0]
     fitted = design @ coef
     return LinearFit(coef, fitted, response - fitted, (vt.T / s**2) @ vt, ls.condition[0])
@@ -232,7 +242,7 @@ def fit_wls(design: np.ndarray, response: np.ndarray, weights: np.ndarray) -> Li
     w = np.asarray(weights, dtype=float)
     if w.shape != response.shape:
         raise DegenerateWeightsError(f"weights shape {w.shape} does not match response {response.shape}")
-    _check(_weight_errors(w[None]), strict=True)
+    _check(_weight_errors(w[None]))
     sw = np.sqrt(w)
     return _linear_fit(design, response,
                        *_ols((design * sw[:, None])[None], (response * sw)[None], "fit_wls"))
@@ -452,9 +462,9 @@ def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit",
     y = np.asarray(response, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("response must be binary 0/1")
-    _check(_class_errors(y[None]), strict=True)
+    _check(_class_errors(y[None]))
     fit = _irls(design[None], y[None], link, max_iter, tol)
-    _check(_singular_errors(fit), strict=True)
+    _check(_singular_errors(fit))
     return _binary_fit(fit, 0, link, tol)
 
 

@@ -92,15 +92,17 @@ def bootstrap_ci(data, estimator, resamples: int = 1000, level: float = 0.95,
     nuisance stages re-fitted).  Resample b draws its row indices from a
     generator seeded by (seed, b), so results do not depend on execution
     order.  Failed resamples (estimation errors, non-finite results) are
-    excluded and counted; more than 20% failures raises.
+    excluded and counted; more than 20% failures raises.  ``se`` is the kept
+    estimates' sample standard deviation, exactly 0 where they are all equal.
 
     Resamples are drawn in chunks of consecutive ones, as many as the Monte
     Carlo harness puts in a chunk of replicates of ``data.n`` rows (4 at
     n=1000, 8 at n=500), and each chunk's datasets are linked
     (:meth:`Dataset.link`), so what an estimator memoises on a resample
     (:meth:`Dataset.memo`) is computed for the whole chunk on its first
-    call: the designs of :func:`~lineariv.dataset.build_design`, and the fits
-    of :func:`~lineariv.adaptive.br_gamma_estimate` as one stack.
+    call: the designs of :func:`~lineariv.dataset.build_design`, and the
+    bias-reduced pair that :func:`~lineariv.adaptive.br_gamma_estimate` and
+    :func:`~lineariv.adaptive.br_beta_estimate` share, as one stack.
     ``estimator`` is still called once per resample, in order, and the
     interval is byte-identical for every chunk size.
     """
@@ -134,6 +136,7 @@ def bootstrap_ci(data, estimator, resamples: int = 1000, level: float = 0.95,
     lower = np.quantile(stacked, alpha, axis=0, method="linear")
     upper = np.quantile(stacked, 1.0 - alpha, axis=0, method="linear")
     se = np.std(stacked, axis=0, ddof=1)
+    se[(stacked == stacked[0]).all(axis=0)] = 0.0
     return InferenceResult(
         se=se,
         ci_lower=lower,

@@ -35,7 +35,7 @@ from .estimators import (
     plug_in_two_stage,
     standard_tsls,
 )
-from .glm import _check, _class_errors, _fit_stack, _ols, _stack, expit
+from .glm import _attempt, _check, _fit_stack, _ols, _stack, expit
 from .models import BinaryLogisticIv, EffectModel, ExposureModel, OutcomeModel
 from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
 
@@ -59,20 +59,6 @@ EFFECT_CONST = EffectModel.constant()
 TABLE1_NAMES = ("tsls", "loc_eff", "eem", "br_gamma", "br_beta")
 
 
-def _attempt(out: dict, key: str, compute: Callable, *needs: str) -> None:
-    """``out[key] = compute(*out[need] for need in needs)``, or the
-    :class:`EstimationError` it raised, or the first error among ``needs``:
-    an estimate fails exactly when it, or a fit it uses, raised."""
-    for need in needs:
-        if isinstance(out[need], EstimationError):
-            out[key] = out[need]
-            return
-    try:
-        out[key] = compute(*(out[need] for need in needs))
-    except EstimationError as err:
-        out[key] = err
-
-
 def _bundle(compute: Callable[[list], list], names) -> dict[str, Callable]:
     """One estimator closure per name over ``compute``, which maps a list of
     datasets to one outcome per dataset: every estimate of the bundle, each a
@@ -93,20 +79,20 @@ def _bundle(compute: Callable[[list], list], names) -> dict[str, Callable]:
     return {name: (lambda ds, _n=name: estimate(ds, _n)) for name in names}
 
 
-def _table1_stack(datasets: list[Dataset], iv_known_coef, strict: bool) -> list[dict]:
+def _table1_stack(datasets: list[Dataset], iv_known_coef) -> list[dict]:
     """The estimates of :func:`table1_estimators` on a stack of datasets, one
     dict per dataset.  tsls, eem, br_gamma and br_beta run the kernels of
     their per-dataset estimators; the instrument and exposure fits and
     loc_eff's efficient index are written out for the bundle's fixed bases in
     the per-dataset operands, order and layout, so each estimate equals the
     per-dataset one to the last bit.  Checks follow
-    :func:`~lineariv.glm._check`; on a strict stack an error is held by its
+    :func:`~lineariv.glm._check`; on a stack of one an error is held by its
     estimate and by the estimates that use it (:func:`_attempt`).  Every
     estimate of a dataset without one binary instrument column fails with one
     UnsupportedCombinationError; one without a covariate raises
     :func:`build_design`'s TermSpecError.
     """
-    _check(_stack_errors(datasets), strict)
+    _check(_stack_errors(datasets))
     for ds in datasets:
         _check_cov_index(0, ds)
     y = _stack([ds.y for ds in datasets])
@@ -118,15 +104,10 @@ def _table1_stack(datasets: list[Dataset], iv_known_coef, strict: bool) -> list[
     lin = np.stack([one, v], axis=-1)                       # (1, c0)
     saturated = np.stack([one, z, v, zv], axis=-1)          # (1, z0, c0, z0:c0)
 
-    def plain():
-        # BinaryLogisticIv.fit's P(Z=1|C)
-        _check(_class_errors(z), strict)
-        return _logistic(lin, z, strict)[1]
-
     def exposure():
         # ExposureModel("identity", saturated).fit's coefficients
         fit, errors = _ols(saturated, x)
-        _check(errors, strict)
+        _check(errors)
         return fit.coef
 
     def loc_eff(prob, a_x):
@@ -136,28 +117,26 @@ def _table1_stack(datasets: list[Dataset], iv_known_coef, strict: bool) -> list[
         d_eff = np.matvec(saturated, a_x) - (prob * m1 + (1.0 - prob) * m0)
         theta, _, errors = _solve_ee(np.stack([d_eff, one, v], axis=-1),
                                      np.stack([x, one, v], axis=-1), y, "g_estimate")
-        _check(errors, strict)
+        _check(errors)
         return theta[:, 0]
 
     out = {}
-    _attempt(out, "tsls", lambda: _tsls_stack(np.stack([z, zv], axis=-1), lin, x[..., None], y,
-                                              strict=strict)[-1].coef[:, 2])
-    _attempt(out, "plain", plain)
+    _attempt(out, "tsls", lambda: _tsls_stack(np.stack([z, zv], axis=-1), lin, x[..., None],
+                                              y)[-1].coef[:, 2])
+    _attempt(out, "plain", lambda: _logistic(lin, z)[1])     # BinaryLogisticIv.fit's P(Z=1|C)
     # the instrument law of loc_eff and eem: the plain fit, or the known one
     out["iv"] = (out["plain"] if iv_known_coef is None
                  else expit(np.matvec(lin, np.asarray(iv_known_coef, dtype=float))))
     _attempt(out, "exposure", exposure)
     _attempt(out, "loc_eff", loc_eff, "iv", "exposure")
-    _attempt(out, "eem", lambda prob, tsls: _eem_stack(z - prob, x, y, lin, lin, tsls,
-                                                       strict=strict).psi, "iv", "tsls")
+    _attempt(out, "eem", lambda prob, tsls: _eem_stack(z - prob, x, y, lin, lin, tsls).psi,
+             "iv", "tsls")
     # the bias-reduced pair starts from the plain fit's index, br_beta from br_gamma
-    _attempt(out, "alpha", lambda prob: _index_coef(z - prob, lin, x, _ALPHA_CONTEXT, strict),
-             "plain")
-    _attempt(out, "br_gamma", lambda alpha: _br_gamma_stack(z, x, y, lin, lin, lin, alpha=alpha,
-                                                            strict=strict).psi, "alpha")
+    _attempt(out, "alpha", lambda prob: _index_coef(z - prob, lin, x, _ALPHA_CONTEXT), "plain")
+    _attempt(out, "br_gamma", lambda alpha: _br_gamma_stack(z, x, y, lin, lin, lin, alpha).psi,
+             "alpha")
     _attempt(out, "br_beta", lambda prob, alpha, start: _br_beta_stack(
-        z, x, y, prob, lin, lin, lin, alpha, lambda: start, strict=strict).psi,
-        "plain", "alpha", "br_gamma")
+        z, x, y, prob, lin, lin, lin, alpha, lambda: start).psi, "plain", "alpha", "br_gamma")
     return [{name: out[name] if isinstance(out[name], EstimationError) else out[name][k:k + 1]
              for name in TABLE1_NAMES} for k in range(len(datasets))]
 
@@ -177,10 +156,10 @@ def table1_estimators(iv_known_coef: np.ndarray | None = None) -> dict[str, Call
     ``br_gamma_estimate``, ``br_beta_estimate``) to the last bit, errors
     included.  One function computes them, :func:`_table1_stack`: on a whole
     linked chunk of replicates, and on each member the chunk's checks reject
-    as a strict stack of one (:func:`~lineariv.glm._fit_stack`).
+    as a stack of one (:func:`~lineariv.glm._fit_stack`).
     """
     return _bundle(lambda datasets: _fit_stack(
-        lambda stack, strict: _table1_stack(stack, iv_known_coef, strict), datasets), TABLE1_NAMES)
+        lambda stack: _table1_stack(stack, iv_known_coef), datasets), TABLE1_NAMES)
 
 
 def sim_binary_estimators() -> dict[str, Callable]:

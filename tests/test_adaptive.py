@@ -375,30 +375,26 @@ def test_bundle_shares_fits_per_dataset_not_per_thread(monkeypatch):
     assert all(bundle[name](a) is first[name] for name in bundle)
 
 
-def test_br_beta_default_start_fits_plain_iv_once(monkeypatch):
-    data = gen_table1(0, 1, 0, 400, 47).dataset
-    expected = br_beta_estimate(data, C_LIN, C_LIN, C_LIN,
-                                start_psi=br_gamma_estimate(data, C_LIN, C_LIN, C_LIN).psi)
-    plain_fits = []
-    original = BinaryLogisticIv.fit.__func__
+def test_br_pair_shares_one_plain_fit_per_dataset(monkeypatch):
+    import lineariv.adaptive
 
-    def counting(cls, ds, basis):
-        plain_fits.append(basis)
-        return original(cls, ds, basis)
-
-    monkeypatch.setattr(BinaryLogisticIv, "fit", classmethod(counting))
-    res = br_beta_estimate(data, C_LIN, C_LIN, C_LIN)
-    assert plain_fits == [C_LIN]
-    assert res.psi_hat[0] == expected.psi_hat[0]
-
-
-def test_br_estimates_unchanged_by_shared_plain_fit():
     data = gen_table1(1, 1, -1, 500, 48).dataset
-    iv = BinaryLogisticIv.fit(data, C_LIN)
-    own = br_gamma_estimate(data, C_LIN, C_LIN, C_LIN)
-    shared = br_gamma_estimate(data, C_LIN, C_LIN, C_LIN, iv_plain=iv)
-    assert shared.psi_hat[0] == own.psi_hat[0]
-    assert shared.nuisance["iv_plain"] is iv
-    own_b = br_beta_estimate(data, C_LIN, C_LIN, C_LIN, start_psi=own.psi)
-    shared_b = br_beta_estimate(data, C_LIN, C_LIN, C_LIN, start_psi=own.psi, iv_plain=iv)
-    assert shared_b.psi_hat[0] == own_b.psi_hat[0]
+    widths = []
+    kernel = lineariv.adaptive._irls
+
+    def spy(design, *args, **kwargs):
+        widths.append(design.shape[-1])
+        return kernel(design, *args, **kwargs)
+
+    monkeypatch.setattr(lineariv.adaptive, "_irls", spy)
+    brg = br_gamma_estimate(data, C_LIN, C_LIN, C_LIN)
+    brb = br_beta_estimate(data, C_LIN, C_LIN, C_LIN)
+    # the plain logistic fit on (1, c0) and br_gamma's two extended fits (e(C)
+    # is in the span of (1, c0), e(C) * c0 is not); br_beta reads the plain
+    # fit and its start value from the same record
+    assert widths == [2, 3, 3]
+    assert brg.nuisance["iv_plain"].coef.tobytes() == brb.nuisance["iv_plain"].coef.tobytes()
+    assert brg.nuisance["iv_plain"].coef is not brb.nuisance["iv_plain"].coef
+    own_start = br_beta_estimate(data, C_LIN, C_LIN, C_LIN, start_psi=float(brg.psi_hat[0]))
+    assert own_start.psi_hat[0] == brb.psi_hat[0]
+    assert widths == [2, 3, 3]

@@ -14,8 +14,10 @@ from lineariv import (
     UnreliableBootstrapError,
     WeakIdentificationError,
     bootstrap_ci,
+    br_beta_estimate,
     br_gamma_estimate,
     conservative_se_brgamma,
+    eem_estimate,
     gen_table1,
     sandwich_se,
     standard_tsls,
@@ -102,6 +104,22 @@ def test_bootstrap_mean_against_normal_theory():
     textbook = 2 * 1.96 * data.y.std(ddof=1) / np.sqrt(data.n)
     width = res.ci_upper[0] - res.ci_lower[0]
     assert abs(width - textbook) <= 0.15 * textbook
+
+
+def test_bootstrap_se_is_zero_for_constant_estimates():
+    data = normal_mean_data(seed=15)
+    # every resample of 120 copies of one row has the same mean, which numpy's
+    # standard deviation (from a rounded mean of the estimates) misses
+    same = data.take(np.zeros(data.n, dtype=int))
+    res = bootstrap_ci(same, lambda ds: np.array([ds.y.mean()]), resamples=200, seed=1)
+    assert res.ci_lower[0] == res.ci_upper[0]
+    assert res.se[0] == 0.0
+    # a varying component keeps numpy's value, bit for bit
+    seen = []
+    res = bootstrap_ci(data, lambda ds: seen.append([ds.y.mean(), 1.5]) or np.array(seen[-1]),
+                       resamples=200, seed=1)
+    assert res.se[1] == 0.0
+    assert res.se[0] == np.std(np.array(seen), axis=0, ddof=1)[0] > 0.0
 
 
 def test_bootstrap_deterministic_given_seed():
@@ -200,13 +218,17 @@ def _br_gamma_psi(ds):
     return br_gamma_estimate(ds, C_LIN, C_LIN, C_LIN).psi_hat
 
 
-def _opaque_br_gamma_psi(ds):
-    # a fit of its own per resample, outside the dataset memo
-    return br_gamma_estimate(ds, C_LIN, C_LIN, C_LIN,
-                             iv_plain=BinaryLogisticIv.fit(ds, C_LIN)).psi_hat
+def _br_beta_psi(ds):
+    # the plain fit and the start value come from the chunk's bias-reduced pair
+    return br_beta_estimate(ds, C_LIN, C_LIN, C_LIN).psi_hat
 
 
-@pytest.mark.parametrize("estimator", [_br_gamma_psi, _opaque_br_gamma_psi])
+def _opaque_eem_psi(ds):
+    # an instrument fit of its own per resample, outside the dataset memo
+    return eem_estimate(ds, BinaryLogisticIv.fit(ds, C_LIN), C_LIN, C_LIN).psi_hat
+
+
+@pytest.mark.parametrize("estimator", [_br_gamma_psi, _br_beta_psi, _opaque_eem_psi])
 @pytest.mark.parametrize("data", [gen_table1(1, 1, -1, 200, 3).dataset,
                                   _twenty_rows_two_treated()])
 def test_bootstrap_byte_identical_across_chunk_sizes(monkeypatch, estimator, data):

@@ -7,11 +7,11 @@ import lineariv.adaptive
 import lineariv.estimators
 import lineariv.suites
 from lineariv import BasisSpec, BinaryLogisticIv, Dataset, EstimationError, dataset, simlab
-from lineariv.adaptive import br_beta_estimate, br_gamma_estimate, eem_estimate
+from lineariv.adaptive import br_beta_estimate, br_gamma_estimate, eem_estimate, eem_fit_alpha
 from lineariv.inference import conservative_se_brgamma
 from lineariv.models import ExposureModel, OutcomeModel
 from lineariv.rng import make_generator
-from lineariv.adaptive import _drop_collinear, _extend
+from lineariv.adaptive import _br_gamma_stack, _drop_collinear, _extend
 from lineariv.errors import (
     DegenerateResponseError,
     SingularDesignError,
@@ -19,7 +19,16 @@ from lineariv.errors import (
     WeakIdentificationError,
 )
 from lineariv.estimators import _solve_ee, efficient_index, g_estimate, standard_tsls
-from lineariv.glm import RANK_RTOL, _check, _irls, _lstsq, expit, fit_binary, fit_ols
+from lineariv.glm import (
+    RANK_RTOL,
+    _binary_fit,
+    _check,
+    _irls,
+    _lstsq,
+    expit,
+    fit_binary,
+    fit_ols,
+)
 from lineariv.simlab import ScenarioConfig, generate, run_monte_carlo
 from lineariv.suites import (
     C_LIN,
@@ -43,21 +52,18 @@ def _reference(data, iv_known_coef=None) -> dict:
     _attempt(out, "tsls", lambda: standard_tsls(data, EFFECT_CONST, C_LIN, INSTRUMENTS_ZVZ).psi_hat)
     if iv_known_coef is not None:
         out["iv"] = BinaryLogisticIv.known(C_LIN, iv_known_coef)
-        out["iv_plain"] = None       # the bias-reduced pair needs the ML fit
     else:
         _attempt(out, "iv", lambda: BinaryLogisticIv.fit(data, C_LIN))
-        out["iv_plain"] = out["iv"]
     _attempt(out, "exposure", lambda: ExposureModel("identity", EXPOSURE_SATURATED).fit(data))
     _attempt(out, "loc_eff", lambda iv, exposure: g_estimate(
         data, efficient_index(data, exposure, iv, EFFECT_CONST), OutcomeModel(C_LIN), iv,
         EFFECT_CONST).psi_hat, "iv", "exposure")
     _attempt(out, "eem", lambda iv, tsls: eem_estimate(
         data, iv, C_LIN, C_LIN, preliminary_psi=float(tsls[0])).psi_hat, "iv", "tsls")
-    _attempt(out, "br_gamma", lambda plain: br_gamma_estimate(
-        data, C_LIN, C_LIN, C_LIN, iv_plain=plain).psi_hat, "iv_plain")
-    _attempt(out, "br_beta", lambda plain, brg: br_beta_estimate(
-        data, C_LIN, C_LIN, C_LIN, start_psi=float(brg[0]), iv_plain=plain).psi_hat,
-        "iv_plain", "br_gamma")
+    # the bias-reduced pair fits its own instrument law, even where loc_eff and eem know it
+    _attempt(out, "br_gamma", lambda: br_gamma_estimate(data, C_LIN, C_LIN, C_LIN).psi_hat)
+    _attempt(out, "br_beta", lambda brg: br_beta_estimate(
+        data, C_LIN, C_LIN, C_LIN, start_psi=float(brg[0])).psi_hat, "br_gamma")
     return out
 
 
@@ -111,18 +117,18 @@ def test_stacked_bundle_bit_identical_to_per_dataset(generator, lam, n, seed, re
     expected = _per_dataset(datasets, known)
     # the whole stack at once, no member flagged, as in a chunk of the harness
     with np.errstate(all="ignore"):
-        stack = _table1_stack(datasets, known, strict=False)
+        stack = _table1_stack(datasets, known)
     assert [{name: _outcome(value) for name, value in member.items()} for member in stack] == expected
-    # each member as a strict stack of one, and the bundle, linked and unlinked
-    assert [{name: _outcome(value) for name, value in _table1_stack([data], known, True)[0].items()}
+    # each member as a stack of one, and the bundle, linked and unlinked
+    assert [{name: _outcome(value) for name, value in _table1_stack([data], known)[0].items()}
             for data in datasets] == expected
     assert _bundle_outcomes(datasets, known) == expected
     assert _bundle_outcomes(datasets, known, linked=False) == expected
 
 
-def _failing(first, *args, strict, **kwargs):
+def _failing(first, *args, **kwargs):
     """A kernel whose check rejects every member of its stack."""
-    _check([WeakIdentificationError("forced failure")] * len(first), strict)
+    _check([WeakIdentificationError("forced failure")] * len(first))
 
 
 def _kernel_sizes(monkeypatch, name, *modules):
@@ -194,7 +200,7 @@ def test_degenerate_member_falls_back_without_failing_its_chunk(monkeypatch):
     assert all(isinstance(value, tuple) for value in expected[2].values())
 
     # only the degenerate member leaves the stack: tsls's check flags it, the
-    # other four are computed together and it alone as a strict stack of one
+    # other four are computed together and it alone as a stack of one
     sizes = _kernel_sizes(monkeypatch, "_tsls_stack", lineariv.estimators, lineariv.suites)
     assert _bundle_outcomes(datasets) == expected
     assert sizes == [5, 4, 1]
@@ -467,10 +473,10 @@ def _hex(values) -> list[str]:
     return [float(v).hex() for v in np.ravel(values)]
 
 
-def _br_fields(data, bases, refit, **kwargs):
+def _br_fields(data, bases):
     """Every field of br_gamma_estimate's result as float.hex, or its error."""
     try:
-        res = br_gamma_estimate(data, *bases, refit_index=refit, **kwargs)
+        res = br_gamma_estimate(data, *bases)
     except EstimationError as err:
         return type(err).__name__, str(err)
     fit, plain = res.nuisance["extended_fit"], res.nuisance["iv_plain"]
@@ -497,23 +503,48 @@ def _copies(datasets):
     return [Dataset(ds.y, ds.x, ds.z, ds.c_raw) for ds in datasets]
 
 
+ORACLE_FIELDS = ("psi", "index_coef", "coefficients", "iterations", "loglik_trace", "converged",
+                 "separation", "score_norm", "log_likelihood", "kept", "plain", "plain_converged")
+
+
+def _br_oracle(data, bases):
+    """The fields ORACLE_FIELDS of :func:`_br_fields`, or the error, from a
+    plain fit of its own, ``eem_fit_alpha`` under it and ``_br_gamma_stack``
+    on a stack of one: br_gamma outside the dataset memo."""
+    index_basis, outcome_basis, iv_basis = bases
+    try:
+        plain = BinaryLogisticIv.fit(data, iv_basis)
+        alpha = eem_fit_alpha(data, plain, index_basis)
+        fit = _br_gamma_stack(data.z[:, 0][None], data.x[None], data.y[None],
+                              *(dataset.build_design(data, basis)[None]
+                                for basis in (iv_basis, outcome_basis, index_basis)),
+                              alpha[None])
+    except EstimationError as err:
+        return type(err).__name__, str(err)
+    ext = _binary_fit(fit.extended, 0, "logit")
+    return {"psi": _hex(fit.psi), "index_coef": _hex(fit.index_coef[0]),
+            "coefficients": _hex(ext.coefficients), "iterations": ext.iterations,
+            "loglik_trace": _hex(ext.loglik_trace), "converged": ext.converged,
+            "separation": ext.separation, "score_norm": _hex(ext.score_norm),
+            "log_likelihood": _hex(ext.log_likelihood), "kept": fit.kept,
+            "plain": _hex(plain.coef), "plain_converged": plain.fit_converged}
+
+
 @pytest.mark.parametrize("lam, n", [((0, 0, 0), 300), ((1, 1, -1), 300), ((1, -1, -1), 120)])
 @pytest.mark.parametrize("bases", BR_BASES)
-@pytest.mark.parametrize("refit", [True, False])
-def test_br_gamma_chunk_bit_identical_to_per_dataset(lam, n, bases, refit):
+@pytest.mark.parametrize("linked", [True, False])
+def test_br_gamma_chunk_bit_identical_to_per_dataset(lam, n, bases, linked):
     datasets = _resamples(simlab.gen_table1(*lam, n, 40).dataset, 9, sum(lam) + n)
-    # the per-dataset reference: a stack of one from a plain fit of its own
-    expected = []
-    for ds in _copies(datasets):
-        try:
-            plain = BinaryLogisticIv.fit(ds, bases[2])
-        except EstimationError as err:
-            expected.append((type(err).__name__, str(err)))
-            continue
-        expected.append(_br_fields(ds, bases, refit, iv_plain=plain))
-    assert [_br_fields(ds, bases, refit) for ds in _copies(datasets)] == expected
-    Dataset.link(datasets)
-    assert [_br_fields(ds, bases, refit) for ds in datasets] == expected
+    # unlinked, each dataset is a stack of one through the memo
+    fields = [_br_fields(ds, bases) for ds in _copies(datasets)]
+    if linked:
+        # the linked chunk, fitted as one stack, equals them in every field
+        Dataset.link(datasets)
+        linked_fields = [_br_fields(ds, bases) for ds in datasets]
+        assert linked_fields == fields
+        fields = linked_fields
+    assert [value if isinstance(value, tuple) else {key: value[key] for key in ORACLE_FIELDS}
+            for value in fields] == [_br_oracle(ds, bases) for ds in _copies(datasets)]
 
 
 def test_br_gamma_degenerate_member_gets_its_own_error(monkeypatch):
@@ -522,13 +553,13 @@ def test_br_gamma_degenerate_member_gets_its_own_error(monkeypatch):
     one_class, flat = datasets[2], datasets[4]
     datasets[2] = Dataset(one_class.y, one_class.x, np.zeros(base.n), one_class.c_raw)
     datasets[4] = Dataset(flat.y, flat.x, flat.z, np.ones_like(flat.c_raw))
-    expected = [_br_fields(ds, (LIN, LIN, LIN), True) for ds in _copies(datasets)]
+    expected = [_br_fields(ds, (LIN, LIN, LIN)) for ds in _copies(datasets)]
     assert expected[2] == ("DegenerateResponseError", "response must contain both classes")
     assert expected[4][0] == "WeakIdentificationError"
 
-    sizes = _kernel_sizes(monkeypatch, "_br_gamma_stack", lineariv.adaptive)
+    sizes = _kernel_sizes(monkeypatch, "_br_records", lineariv.adaptive)
     Dataset.link(datasets)
-    assert [_br_fields(ds, (LIN, LIN, LIN), True) for ds in datasets] == expected
+    assert [_br_fields(ds, (LIN, LIN, LIN)) for ds in datasets] == expected
     # the class check flags one, the index fit the other, the other four are
     # fitted together and each degenerate member alone
     assert sizes == [6, 5, 4, 1, 1]
@@ -539,7 +570,7 @@ def test_br_gamma_memoises_a_degenerate_members_error(monkeypatch):
     one_class = datasets[1]
     datasets[1] = Dataset(one_class.y, one_class.x, np.zeros(one_class.n), one_class.c_raw)
     Dataset.link(datasets)
-    sizes = _kernel_sizes(monkeypatch, "_br_gamma_stack", lineariv.adaptive)
+    sizes = _kernel_sizes(monkeypatch, "_br_records", lineariv.adaptive)
     with pytest.raises(DegenerateResponseError) as first:
         br_gamma_estimate(datasets[1], LIN, LIN, LIN)
     assert sizes == [4, 3, 1]
@@ -552,7 +583,7 @@ def test_br_gamma_memoises_a_degenerate_members_error(monkeypatch):
 def test_br_gamma_calls_share_no_mutable_state():
     data = simlab.gen_table1(0, 0, 0, 200, 42).dataset
     first = br_gamma_estimate(data, LIN, LIN, LIN)
-    before = _br_fields(data, (LIN, LIN, LIN), True)
+    before = _br_fields(data, (LIN, LIN, LIN))
     second = br_gamma_estimate(data, LIN, LIN, LIN)
     assert first.nuisance is not second.nuisance and first.diagnostics is not second.diagnostics
     assert first.diagnostics["br_fit"] is not second.diagnostics["br_fit"]
@@ -565,7 +596,7 @@ def test_br_gamma_calls_share_no_mutable_state():
         get(first)[...] = 0.0
     first.nuisance["extended_fit"].loglik_trace.append(0.0)
     first.diagnostics["extension_columns_kept"].append(7)
-    assert _br_fields(data, (LIN, LIN, LIN), True) == before
+    assert _br_fields(data, (LIN, LIN, LIN)) == before
 
 
 # ---------------------------------------------------------------------------
@@ -604,5 +635,5 @@ def test_eem_and_br_beta_degenerate_member_gets_its_own_error(monkeypatch, estim
     sizes = _kernel_sizes(monkeypatch, kernel, lineariv.adaptive, lineariv.suites)
     assert _bundle_outcomes(datasets, KNOWN_COEF) == expected
     # the chunk flags the member, the other five are computed together and the
-    # member alone as a strict stack of one
+    # member alone as a stack of one
     assert sizes == [6, 5, 1]

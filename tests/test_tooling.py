@@ -1,7 +1,7 @@
 """The benchmark's tracer still finds every function it wraps, its
 bootstrap workload still agrees with ``lineariv fit``, the committed
-``BENCH_*.json`` summaries are complete, and no module imports a name it
-does not use."""
+``BENCH_*.json`` summaries are complete, no module imports a name it
+does not use, and README's library quick start runs."""
 
 import ast
 import importlib.util
@@ -109,3 +109,16 @@ def test_package_modules_import_only_what_they_use():
     unused = [entry for path in modules if path.name != "__init__.py"
               for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _quick_start() -> str:
+    """The python block under README's "Library quick start" heading."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(_quick_start(), "README.md quick start", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    # the four point estimates, then the bootstrap interval
+    assert len(printed) == 2 and all("nan" not in line for line in printed)
