@@ -375,6 +375,54 @@ def test_bundle_shares_fits_per_dataset_not_per_thread(monkeypatch):
     assert all(bundle[name](a) is first[name] for name in bundle)
 
 
+def _spy_irls_widths(monkeypatch) -> list:
+    """Records the design width of each call of the bias-reduced IRLS kernel."""
+    import lineariv.adaptive
+
+    widths = []
+    kernel = lineariv.adaptive._irls
+
+    def spy(design, *args, **kwargs):
+        widths.append(design.shape[-1])
+        return kernel(design, *args, **kwargs)
+
+    monkeypatch.setattr(lineariv.adaptive, "_irls", spy)
+    return widths
+
+
+def test_br_beta_default_start_fits_plain_iv_once(monkeypatch):
+    expected = br_beta_estimate(gen_table1(0, 1, 0, 400, 47).dataset, C_LIN, C_LIN, C_LIN,
+                                start_psi=br_gamma_estimate(gen_table1(0, 1, 0, 400, 47).dataset,
+                                                            C_LIN, C_LIN, C_LIN).psi)
+    widths = _spy_irls_widths(monkeypatch)
+    data = gen_table1(0, 1, 0, 400, 47).dataset
+    res = br_beta_estimate(data, C_LIN, C_LIN, C_LIN)
+    # one plain logistic fit on (1, c0); the default start adds only the
+    # extended fits of the bias-reduced instrument model
+    assert widths.count(2) == 1
+    assert res.psi_hat[0] == expected.psi_hat[0]
+    br_beta_estimate(data, C_LIN, C_LIN, C_LIN, update="full_solve")
+    assert widths.count(2) == 1
+
+
+def test_br_estimates_unchanged_by_shared_plain_fit():
+    def fresh():
+        return gen_table1(1, 1, -1, 500, 48).dataset
+
+    iv = BinaryLogisticIv.fit(fresh(), C_LIN)
+    gamma_first = fresh()
+    own = br_gamma_estimate(gamma_first, C_LIN, C_LIN, C_LIN)
+    own_b = br_beta_estimate(fresh(), C_LIN, C_LIN, C_LIN, start_psi=own.psi)
+    shared_b = br_beta_estimate(gamma_first, C_LIN, C_LIN, C_LIN, start_psi=own.psi)
+    assert shared_b.psi_hat[0] == own_b.psi_hat[0]
+    beta_first = fresh()
+    br_beta_estimate(beta_first, C_LIN, C_LIN, C_LIN)
+    shared = br_gamma_estimate(beta_first, C_LIN, C_LIN, C_LIN)
+    assert shared.psi_hat[0] == own.psi_hat[0]
+    for res in (own, shared, own_b, shared_b):
+        assert res.nuisance["iv_plain"].coef.tobytes() == iv.coef.tobytes()
+
+
 def test_br_pair_shares_one_plain_fit_per_dataset(monkeypatch):
     import lineariv.adaptive
 
