@@ -123,7 +123,7 @@ def _load_run_config(args) -> dict:
     if args.config:
         try:
             config = _object(json.loads(Path(args.config).read_text(encoding="utf-8")), "document")
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
             raise SchemaError(f"cannot read config {args.config}: {err}") from None
 
     def put(key, value):

@@ -10,9 +10,7 @@ intercept is never implicit: a basis that wants one must list the ``1`` term.
 
 from __future__ import annotations
 
-import codecs
 import csv
-import io
 import math
 import re
 import warnings
@@ -24,7 +22,7 @@ from typing import Callable, Hashable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import InputError, ParseError, SchemaError, TermSpecError
+from .errors import ParseError, SchemaError, TermSpecError
 
 __all__ = [
     "Dataset",
@@ -420,6 +418,12 @@ def _parse_cell(raw: str, row: int, col: str) -> float:
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
+def _has_escaped_byte(record: list[str]) -> bool:
+    # the isascii test alone settles nearly every record, in C
+    text = "".join(record)
+    return not text.isascii() and _ESCAPED_BYTE.search(text) is not None
+
+
 def _load_clean(fh, n_fields: int, cols: list[int]) -> np.ndarray | None:
     """Columns ``cols`` of the rest of ``fh``, parsed by numpy's C reader;
     ``None`` if it raised or warned, or gave no rows, or anything but
@@ -437,12 +441,15 @@ def _load_clean(fh, n_fields: int, cols: list[int]) -> np.ndarray | None:
 
 def _parse_rows(reader, path: Path, n_fields: int, cols: list[int], names) -> np.ndarray:
     """Columns ``cols`` of the data rows of ``reader`` (possibly none); the
-    first fault raises, a row the reader rejects (``csv.Error``) included."""
+    first fault raises, a row the reader rejects (``csv.Error``) or that
+    holds an undecodable byte included."""
     select = itemgetter(*cols)
     values: list[list[float]] = []
     i = 0
     try:
         for i, row in enumerate(reader, start=1):
+            if _has_escaped_byte(row):
+                raise ParseError(f"{path}: data row {i} is not valid UTF-8")
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != n_fields:
@@ -461,6 +468,8 @@ def _columns(reader, path: Path, names: tuple[str, ...]) -> tuple[int, list[int]
         raise SchemaError(f"{path}: file is empty, expected a header row") from None
     except csv.Error as err:
         raise ParseError(f"{path}: header row: {err}") from None
+    if _has_escaped_byte(header):
+        raise ParseError(f"{path}: header row is not valid UTF-8")
     header = [h.strip() for h in header]
     for name in names:
         if name not in header:
@@ -478,40 +487,6 @@ def _read_table(fh, path: Path, names: tuple[str, ...]) -> np.ndarray:
         next(reader)
         arr = _parse_rows(reader, path, n_fields, cols, names)
     return arr
-
-
-def _undecodable(path: Path, names: tuple[str, ...]) -> InputError:
-    """The first fault in file order of a file that is not valid UTF-8: a
-    fault of the records before its first undecodable record, or that record.
-
-    The file is decoded with ``surrogateescape``, so each undecodable byte
-    becomes one character in U+DC80-U+DCFF, and split into records by the
-    same ``csv.reader`` as :func:`_read_table`, so a quoted line break moves
-    no row number."""
-    text = path.read_bytes().removeprefix(codecs.BOM_UTF8).decode("utf-8", "surrogateescape")
-    bad: list[int] = []
-
-    def decodable(reader):
-        # the records before the first one holding an undecodable byte
-        for i, row in enumerate(reader):
-            if any(map(_ESCAPED_BYTE.search, row)):
-                bad.append(i)
-                return
-            yield row
-
-    rows = decodable(csv.reader(io.StringIO(text, newline="")))
-    try:
-        _parse_rows(rows, path, *_columns(rows, path, names), names)
-        error = None
-    except InputError as err:
-        error = err
-    if bad == [0]:
-        return ParseError(f"{path}: header row is not valid UTF-8")
-    if error is not None:
-        return error
-    if bad:
-        return ParseError(f"{path}: data row {bad[0]} is not valid UTF-8")
-    return ParseError(f"{path}: file is not valid UTF-8")
 
 
 def load_csv(path, columns: ColumnMap) -> Dataset:
@@ -533,21 +508,24 @@ def load_csv(path, columns: ColumnMap) -> Dataset:
     ``csv.field_size_limit()``).  When a file has several faults, the first
     one in file order is reported.
 
+    The file is decoded once, with ``surrogateescape``: a byte that is not
+    valid UTF-8 becomes one character in U+DC80-U+DCFF and is a fault of the
+    record (the header or a data row, in any field) that holds it, found by
+    the ``csv.reader`` loop like any other.
+
     A file whose every data field is a finite ASCII number (all
     :func:`write_csv` output) is parsed by numpy's C reader, which converts
-    like ``float``.  Any other (a fault, ``1_0``, non-ASCII digits, a
-    whitespace-only line, a text column) is re-read by the ``csv.reader``
-    loop, which alone reports faults, with the messages and row numbers above.
+    like ``float``.  Any other (a fault, an undecodable byte among them,
+    ``1_0``, non-ASCII digits, a whitespace-only line, a text column) is
+    re-read by the ``csv.reader`` loop, which alone reports faults, with the
+    messages and row numbers above.
     """
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"file not found: {path}")
     names = (columns.y, columns.x, *columns.z, *columns.covariates)
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            arr = _read_table(fh, path, names)
-    except UnicodeDecodeError:
-        raise _undecodable(path, names) from None
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        arr = _read_table(fh, path, names)
     if not len(arr):
         raise SchemaError(f"{path}: no data rows")
     nz = len(columns.z)

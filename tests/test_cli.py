@@ -177,6 +177,15 @@ def test_fit_config_sections_must_be_objects(tmp_path, capsys, document, message
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_fit_undecodable_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'{"estimator": "tsls\xff"}')
+    code, out, err = run_cli(capsys, "fit", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff "
+                   "in position 19: invalid start byte\n")
+
+
 def test_fit_estimation_failure_exit_code(tmp_path, capsys):
     # constant instrument column: the first stage is rank deficient
     csv_path = tmp_path / "bad.csv"

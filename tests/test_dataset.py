@@ -1,10 +1,13 @@
 """Data model, CSV ingestion and basis expansion."""
 
+import codecs
 import csv
-
+import io
+import re
 import sys
 import tempfile
 import warnings
+from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +21,7 @@ from lineariv import (
     BasisSpec,
     ColumnMap,
     Dataset,
+    InputError,
     ParseError,
     SchemaError,
     TermSpecError,
@@ -528,6 +532,104 @@ def test_load_csv_invalid_utf8_names_the_row(tmp_path, contents, message):
     path.write_bytes(contents)
     with pytest.raises(ParseError, match=message):
         load_csv(path, COLS4)
+
+
+# The reference for files that are not valid UTF-8: load_csv's former third
+# pass, which re-decoded such a file with "surrogateescape" and parsed the
+# records before its first undecodable one, to name the first fault in file
+# order.  Copied unchanged (cells aside, which dataset._parse_cell parses).
+
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _ref_parse_rows(reader, path: Path, n_fields: int, cols: list[int], names) -> np.ndarray:
+    select = itemgetter(*cols)
+    values: list[list[float]] = []
+    i = 0
+    try:
+        for i, row in enumerate(reader, start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != n_fields:
+                raise ParseError(f"{path}: data row {i} has {len(row)} fields, expected {n_fields}")
+            values.append([dataset._parse_cell(raw, i, name) for raw, name in zip(select(row), names)])
+    except csv.Error as err:
+        raise ParseError(f"{path}: data row {i + 1}: {err}") from None
+    return np.array(values, dtype=float).reshape(len(values), len(cols))
+
+
+def _ref_columns(reader, path: Path, names: tuple[str, ...]) -> tuple[int, list[int]]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: file is empty, expected a header row") from None
+    except csv.Error as err:
+        raise ParseError(f"{path}: header row: {err}") from None
+    header = [h.strip() for h in header]
+    for name in names:
+        if name not in header:
+            raise SchemaError(f"{path}: required column {name!r} not found in header {header}")
+    return len(header), [header.index(name) for name in names]
+
+
+def _ref_undecodable(path: Path, names: tuple[str, ...]) -> InputError:
+    text = path.read_bytes().removeprefix(codecs.BOM_UTF8).decode("utf-8", "surrogateescape")
+    bad: list[int] = []
+
+    def decodable(reader):
+        for i, row in enumerate(reader):
+            if any(map(_ESCAPED_BYTE.search, row)):
+                bad.append(i)
+                return
+            yield row
+
+    rows = decodable(csv.reader(io.StringIO(text, newline="")))
+    try:
+        _ref_parse_rows(rows, path, *_ref_columns(rows, path, names), names)
+        error = None
+    except InputError as err:
+        error = err
+    if bad == [0]:
+        return ParseError(f"{path}: header row is not valid UTF-8")
+    if error is not None:
+        return error
+    if bad:
+        return ParseError(f"{path}: data row {bad[0]} is not valid UTF-8")
+    return ParseError(f"{path}: file is not valid UTF-8")
+
+
+# well under one 8 KiB read, so that any reader decodes the whole file at once
+_SMALL_CORPUS = [name for name, (contents, _) in CSV_CORPUS.items() if len(contents) < 2000]
+_INVALID_UTF8 = [b"\xff", b"\xc3(", b"\x80", b"\xed\xb2\x80"]
+
+
+@st.composite
+def _undecodable_csvs(draw):
+    """A small corpus file with 1-3 invalid UTF-8 sequences at random bytes."""
+    contents = CSV_CORPUS[draw(st.sampled_from(_SMALL_CORPUS))][0]
+    data = bytearray(contents if isinstance(contents, bytes) else contents.encode("utf-8"))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        data[at:at] = draw(st.sampled_from(_INVALID_UTF8))
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_undecodable_csvs())
+@example(b'y,"x\n\xc3(",z,"\nv"\n1,2,0,1\n')  # in a quoted line break of the header
+@example(b'y,x,z,v\n"1\xff"," 2.5 ",0,"7"\n')  # in a quoted field
+@example(b'y,x,z,v\n1,"2.5\n\x80",0,7\n2,3,1,"\r8"\n')  # in a quoted line break
+@example(b"y,x,z,v\n0x10,2.5,0,7\n1,\xed\xb2\x80,0,7\n")  # after an earlier bad cell
+@example(b"\xef\xbb\xbfy,x,z,v\n1,2.5,0,\xff\n\n\xff,\x80\n")  # two bad rows
+@example(b"\xef\xbb\xff\xbfy,x,z,v\n1,2.5,0,7\n")  # in the byte-order mark
+def test_load_csv_undecodable_matches_reference(contents):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(contents)
+        expected = _ref_undecodable(path, ("y", "x", "z", "v"))
+        with pytest.raises(InputError) as excinfo:
+            load_csv(path, COLS4)
+    assert (type(excinfo.value), str(excinfo.value)) == (type(expected), str(expected))
 
 
 def test_load_csv_field_over_the_csv_limit_names_the_row(tmp_path):
