@@ -122,7 +122,7 @@ def _load_run_config(args) -> dict:
     config: dict = {}
     if args.config:
         try:
-            config = _object(json.loads(Path(args.config).read_text(encoding="utf-8")), "document")
+            config = _object(json.loads(Path(args.config).read_text(encoding="utf-8-sig")), "document")
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
             raise SchemaError(f"cannot read config {args.config}: {err}") from None
 
@@ -179,6 +179,8 @@ def _inference_settings(config: dict) -> tuple[str, int, float]:
         raise SchemaError(f"resamples must be an integer >= {MIN_RESAMPLES}, got {resamples!r}")
     if not isinstance(level, (int, float)) or not 0.0 < level < 1.0:
         raise SchemaError(f"level must lie strictly between 0 and 1, got {level!r}")
+    if method == "conservative" and config.get("estimator") != "br-gamma":
+        raise SchemaError("conservative inference is defined for br-gamma only")
     return method, resamples, float(level)
 
 
@@ -280,8 +282,6 @@ def cmd_fit(args) -> int:
         se, ci = boot.se, (boot.ci_lower, boot.ci_upper)
         extra["failed_resamples"] = boot.failed_resamples
     elif method == "conservative":
-        if config.get("estimator") != "br-gamma":
-            raise SchemaError("conservative inference is defined for br-gamma only")
         zq = float(normal_quantile(0.5 + level / 2.0))
         se = np.array([conservative_se_brgamma(data, result)])
         ci = (result.psi_hat - zq * se, result.psi_hat + zq * se)

@@ -11,7 +11,9 @@ intercept is never implicit: a basis that wants one must list the ``1`` term.
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
+import os
 import re
 import warnings
 import weakref
@@ -176,6 +178,48 @@ def _chunk_size(n: int) -> int:
     return max(1, CHUNK_BYTES // (ROW_BYTES * n))
 
 
+# The C-heap policy of a process that builds a dataset too large to share a
+# chunk (_chunk_size(n) == 1, n >= 2084).  There, one replicate allocates and
+# frees arrays of a few hundred kB to a few MB many times over; by default
+# glibc serves some of them by mmap and hands the free top of its heap back
+# to the kernel, so every replicate faults in about 900 fresh pages.  The
+# first such dataset sets glibc's mmap threshold to 4 MiB and its trim
+# threshold to 64 MiB (both: one alone turns off glibc's dynamic thresholds),
+# once per process.  Nothing is set off glibc, or when the environment
+# already sets a glibc malloc parameter.  Smaller datasets cost one
+# comparison.  Results do not depend on the heap policy.
+HEAP_MMAP_THRESHOLD = 4 << 20
+HEAP_TRIM_THRESHOLD = 64 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_ENV = ("MALLOC_TOP_PAD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_",
+               "MALLOC_MMAP_MAX_")
+# rows of the smallest dataset that is a chunk of its own; math.inf once the
+# policy has been decided
+_heap_rows: float = CHUNK_BYTES // (2 * ROW_BYTES) + 1
+
+
+def _libc():
+    """The C library of this process if it is glibc, else None."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+    return libc if hasattr(libc, "gnu_get_libc_version") else None
+
+
+def _pin_heap() -> None:
+    """Apply the C-heap policy above, once per process."""
+    global _heap_rows
+    _heap_rows = math.inf
+    if (any(name in os.environ for name in _MALLOC_ENV)
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Columnar observations: outcome y, exposure x, instruments z, covariates.
@@ -220,6 +264,8 @@ class Dataset:
                 raise SchemaError(f"column {name} has length {getattr(self, name).shape[0]}, expected {n}")
         if self.z.shape[1] < 1:
             raise SchemaError("at least one instrument column is required")
+        if n >= _heap_rows:
+            _pin_heap()
 
     @property
     def n(self) -> int:
@@ -293,6 +339,8 @@ class Dataset:
     def _trusted(y, x, z, c_raw) -> "Dataset":
         """A dataset of read-only columns that the constructor would accept
         unchanged, taken as they are: no second check, no copy."""
+        if y.shape[0] >= _heap_rows:
+            _pin_heap()
         data = object.__new__(Dataset)
         vars(data).update(y=y, x=x, z=z, c_raw=c_raw, _memo={}, _chunk=())
         return data

@@ -186,6 +186,27 @@ def test_fit_undecodable_config_exits_2(tmp_path, capsys):
                    "in position 19: invalid start byte\n")
 
 
+def test_fit_config_with_a_byte_order_mark(tmp_path, capsys):
+    # a leading byte-order mark is ignored, as load_csv ignores it
+    csv_path = tmp_path / "d.csv"
+    run_cli(capsys, "simulate", "--generator", "table1", "--n", "200", "--seed", "3",
+            "--out", str(csv_path))
+    cfg = make_config(tmp_path, csv_path)
+    code, out, _ = run_cli(capsys, "fit", "--config", str(cfg))
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    assert run_cli(capsys, "fit", "--config", str(bom)) == (code, out, "")
+    assert code == 0
+
+
+def test_fit_conservative_inference_of_another_estimator_is_rejected_before_loading_data(
+        tmp_path, capsys):
+    code, out, err = run_cli(capsys, "fit", "--data", str(tmp_path / "missing.csv"),
+                             *TSLS_FLAGS, "--inference", "conservative")
+    assert (code, out, err) == (2, "", "error: conservative inference is defined for "
+                                       "br-gamma only\n")
+
+
 def test_fit_estimation_failure_exit_code(tmp_path, capsys):
     # constant instrument column: the first stage is rank deficient
     csv_path = tmp_path / "bad.csv"
