@@ -37,12 +37,12 @@ from .glm import (
     _Irls,
     _irls,
     _join,
+    _mean_function,
     _ols,
     _ranks,
     _singular_errors,
     _stack,
     _weight_errors,
-    expit,
 )
 from .models import (
     BinaryLogisticIv,
@@ -307,7 +307,7 @@ def _logistic(design: np.ndarray, z: np.ndarray) -> tuple[_Irls, np.ndarray]:
     _check(_class_errors(z))
     fit = _irls(design, z, "logit")
     _check(_singular_errors(fit))
-    return fit, expit(np.matvec(design, np.array(fit.coef)))
+    return fit, _mean_function("logit")(np.matvec(design, np.array(fit.coef)))
 
 
 def _extend(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray, list]:

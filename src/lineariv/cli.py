@@ -12,6 +12,7 @@ failure.  All outputs are byte-deterministic given identical flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ from .estimators import (
     plug_in_two_stage,
     standard_tsls,
 )
-from .glm import normal_quantile
+from .glm import _special, normal_quantile
 from .inference import MIN_RESAMPLES, bootstrap_ci, conservative_se_brgamma
 from .models import (
     BinaryLogisticIv,
@@ -126,29 +127,24 @@ def _load_run_config(args) -> dict:
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
             raise SchemaError(f"cannot read config {args.config}: {err}") from None
 
-    def put(key, value):
+    def put(key, value, into=config):
         if value is not None:
-            config[key] = value
+            into[key] = value
 
     put("estimator", args.estimator)
     data_cfg = _object(config.setdefault("data", {}), "'data'")
     if args.data:
         data_cfg["path"] = args.data
     cols = _object(data_cfg.setdefault("columns", {}), "'data.columns'")
-    if args.y_col:
-        cols["y"] = args.y_col
-    if args.x_col:
-        cols["x"] = args.x_col
-    if args.z_cols:
-        cols["z"] = args.z_cols
-    if args.cov_cols is not None:
-        cols["covariates"] = args.cov_cols
+    for key, flag in (("y", args.y_col), ("x", args.x_col), ("z", args.z_cols)):
+        if flag:
+            cols[key] = flag
+    put("covariates", args.cov_cols, cols)
     bases = _object(config.setdefault("bases", {}), "'bases'")
     for key, flag in (("outcome", args.outcome_basis), ("exposure", args.exposure_basis),
                       ("index", args.index_basis), ("iv", args.iv_basis),
                       ("instruments", args.instrument_basis)):
-        if flag is not None:
-            bases[key] = flag
+        put(key, flag, bases)
     if args.effect:
         config["effect"] = {"form": args.effect}
         if args.effect_basis:
@@ -157,14 +153,10 @@ def _load_run_config(args) -> dict:
     put("exposure_link", args.exposure_link)
     put("iv_kind", args.iv_kind)
     inference = _object(config.setdefault("inference", {}), "'inference'")
-    if args.inference:
-        inference["method"] = args.inference
-    if args.resamples is not None:
-        inference["resamples"] = args.resamples
-    if args.level is not None:
-        inference["level"] = args.level
-    if args.seed is not None:
-        config["seed"] = args.seed
+    put("method", args.inference, inference)
+    put("resamples", args.resamples, inference)
+    put("level", args.level, inference)
+    put("seed", args.seed)
     return config
 
 
@@ -453,9 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)     # once per process: parsing does not change it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # scipy.special, loaded here, costs a one-command process nothing and
+    # stays out of the first fit an in-process caller times
+    _special()
     try:
         return args.func(args)
     except InputError as err:

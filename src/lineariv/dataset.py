@@ -178,24 +178,20 @@ def _chunk_size(n: int) -> int:
     return max(1, CHUNK_BYTES // (ROW_BYTES * n))
 
 
-# The C-heap policy of a process that builds a dataset too large to share a
-# chunk (_chunk_size(n) == 1, n >= 2084).  There, one replicate allocates and
-# frees arrays of a few hundred kB to a few MB many times over; by default
-# glibc serves some of them by mmap and hands the free top of its heap back
-# to the kernel, so every replicate faults in about 900 fresh pages.  The
-# first such dataset sets glibc's mmap threshold to 4 MiB and its trim
-# threshold to 64 MiB (both: one alone turns off glibc's dynamic thresholds),
-# once per process.  Nothing is set off glibc, or when the environment
-# already sets a glibc malloc parameter.  Smaller datasets cost one
-# comparison.  Results do not depend on the heap policy.
+# The C-heap policy, set by a process's first dataset.  Fits allocate and free
+# arrays of a few hundred kB to a few MB many times over; by default glibc
+# serves some by mmap and hands the free top of its heap back to the kernel,
+# so each replicate or resample faults in fresh pages (unless an import such
+# as scipy.special's has raised glibc's dynamic thresholds).  Setting the mmap
+# threshold to 4 MiB and the trim threshold to 64 MiB (both: one alone turns
+# off the dynamic thresholds) stops that.  Nothing is set off glibc, or when
+# the environment sets a glibc malloc parameter.  Results do not depend on it.
 HEAP_MMAP_THRESHOLD = 4 << 20
 HEAP_TRIM_THRESHOLD = 64 << 20
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MALLOC_ENV = ("MALLOC_TOP_PAD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_",
                "MALLOC_MMAP_MAX_")
-# rows of the smallest dataset that is a chunk of its own; math.inf once the
-# policy has been decided
-_heap_rows: float = CHUNK_BYTES // (2 * ROW_BYTES) + 1
+_heap_pinned = False        # True once the policy has been decided
 
 
 def _libc():
@@ -209,8 +205,8 @@ def _libc():
 
 def _pin_heap() -> None:
     """Apply the C-heap policy above, once per process."""
-    global _heap_rows
-    _heap_rows = math.inf
+    global _heap_pinned
+    _heap_pinned = True
     if (any(name in os.environ for name in _MALLOC_ENV)
             or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
         return
@@ -264,7 +260,7 @@ class Dataset:
                 raise SchemaError(f"column {name} has length {getattr(self, name).shape[0]}, expected {n}")
         if self.z.shape[1] < 1:
             raise SchemaError("at least one instrument column is required")
-        if n >= _heap_rows:
+        if not _heap_pinned:
             _pin_heap()
 
     @property
@@ -339,7 +335,7 @@ class Dataset:
     def _trusted(y, x, z, c_raw) -> "Dataset":
         """A dataset of read-only columns that the constructor would accept
         unchanged, taken as they are: no second check, no copy."""
-        if y.shape[0] >= _heap_rows:
+        if not _heap_pinned:
             _pin_heap()
         data = object.__new__(Dataset)
         vars(data).update(y=y, x=x, z=z, c_raw=c_raw, _memo={}, _chunk=())

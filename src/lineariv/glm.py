@@ -5,11 +5,13 @@ no explicit inversion of the design cross-product); the inverse Gram matrix is
 reconstructed from the factors only because sandwich variance estimation
 needs it.  Binary fits use iteratively reweighted least squares with
 step-halving on likelihood decrease.  Its arithmetic is set for many small
-fits: the logit mean is numpy's vectorised 1/(1+exp(-eta)), within 4 ulp of
-scipy's ``expit`` (which the public :func:`expit` and the data generators
-keep), evaluated in place with overflow ignored once a fit; the
-log-likelihood takes one log a row; X'WX weights a C-contiguous (p, n) copy of
-the design along its rows, into a buffer reused from step to step.
+fits: the logit mean, which is also every fitted logistic model's
+probability, is numpy's vectorised 1/(1+exp(-eta)), evaluated in place with
+overflow ignored once a fit; the log-likelihood takes one log a row; X'WX
+weights a C-contiguous (p, n) copy of the design along its rows, into a
+buffer reused from step to step.  Only the public :func:`expit`,
+:func:`normal_cdf` and :func:`normal_quantile` (the generators' and the
+probit link's) use scipy, whose ``scipy.special`` they import on first call.
 
 Each method has one kernel that works on a stack of B problems at once
 (``_lstsq``, ``_irls``), reporting degenerate members instead of raising;
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit as _expit, ndtr as _ndtr, ndtri as _ndtri
 
 from .errors import (
     DegenerateResponseError,
@@ -48,19 +49,25 @@ PROB_CLIP = 1e-12          # probability clipping inside IRLS weights only
 SEPARATION_NORM = 1e4
 
 
+def _special():
+    """``scipy.special``, imported on first use: most of the package's import time."""
+    import scipy.special
+    return scipy.special
+
+
 def normal_cdf(u):
-    """Standard normal CDF, accurate to ~1e-15 (vectorised)."""
-    return _ndtr(u)
+    """Standard normal CDF, accurate to ~1e-15 (vectorised), scipy's ``ndtr``."""
+    return _special().ndtr(u)
 
 
 def normal_quantile(p):
-    """Inverse of :func:`normal_cdf` (vectorised)."""
-    return _ndtri(p)
+    """Inverse of :func:`normal_cdf` (vectorised), scipy's ``ndtri``."""
+    return _special().ndtri(p)
 
 
 def expit(u):
     """Logistic function 1/(1+exp(-u)) (vectorised), scipy's ``expit``."""
-    return _expit(u)
+    return _special().expit(u)
 
 
 @dataclass
@@ -277,7 +284,7 @@ def _logistic(eta: np.ndarray) -> np.ndarray:
     return np.divide(1.0, mu, out=mu)
 
 
-_LINK_MEANS = {"logit": _logistic, "probit": _ndtr}
+_LINK_MEANS = {"logit": _logistic, "probit": normal_cdf}
 
 
 def _mean_function(link: str):
@@ -316,7 +323,7 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, max_iter: int = 100,
     B, n, p = design.shape
     y0 = y == 0.0
     m = y.sum(-1) / n           # exact: a sum of zeros and ones, so m == mean(y)
-    start = np.log(m / (1 - m)) if link == "logit" else _ndtri(m)
+    start = np.log(m / (1 - m)) if link == "logit" else normal_quantile(m)
     beta = np.zeros((B, p))
     todo = list(range(B))
     for j in range(p):          # the first all-ones column starts at link(mean(y))

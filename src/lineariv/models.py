@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import BasisSpec, Dataset, build_design
 from .errors import NonConvergenceError, UnsupportedCombinationError
-from .glm import BinaryFit, expit, fit_binary, fit_ols, normal_cdf
+from .glm import BinaryFit, _mean_function, fit_binary, fit_ols
 
 __all__ = [
     "EffectModel",
@@ -137,9 +137,7 @@ class ExposureModel:
         if self.coef is None:
             raise ValueError("exposure model has no coefficients yet")
         eta = build_design(data, self.basis) @ self.coef
-        if self.link == "identity":
-            return eta
-        return expit(eta) if self.link == "logit" else normal_cdf(eta)
+        return eta if self.link == "identity" else _mean_function(self.link)(eta)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +166,7 @@ class BinaryLogisticIv:
         return cls(basis, np.asarray(coef, dtype=float), True)
 
     def prob(self, data: Dataset) -> np.ndarray:
-        return expit(build_design(data, self.basis) @ self.coef)
+        return _mean_function("logit")(build_design(data, self.basis) @ self.coef)
 
     def conditional_mean(self, data: Dataset) -> np.ndarray:
         return self.prob(data)[:, None]

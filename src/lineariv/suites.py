@@ -35,7 +35,7 @@ from .estimators import (
     plug_in_two_stage,
     standard_tsls,
 )
-from .glm import _attempt, _check, _fit_stack, _ols, _stack, expit
+from .glm import _attempt, _check, _fit_stack, _mean_function, _ols, _stack
 from .models import BinaryLogisticIv, EffectModel, ExposureModel, OutcomeModel
 from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
 
@@ -126,7 +126,7 @@ def _table1_stack(datasets: list[Dataset], iv_known_coef) -> list[dict]:
     _attempt(out, "plain", lambda: _logistic(lin, z)[1])     # BinaryLogisticIv.fit's P(Z=1|C)
     # the instrument law of loc_eff and eem: the plain fit, or the known one
     out["iv"] = (out["plain"] if iv_known_coef is None
-                 else expit(np.matvec(lin, np.asarray(iv_known_coef, dtype=float))))
+                 else _mean_function("logit")(np.matvec(lin, np.asarray(iv_known_coef, dtype=float))))
     _attempt(out, "exposure", exposure)
     _attempt(out, "loc_eff", loc_eff, "iv", "exposure")
     _attempt(out, "eem", lambda prob, tsls: _eem_stack(z - prob, x, y, lin, lin, tsls).psi,

@@ -1,4 +1,5 @@
-"""The C-heap policy of large datasets (glibc's mallopt thresholds)."""
+"""The C-heap policy of every process that builds a dataset (glibc's
+mallopt thresholds)."""
 
 import json
 import os
@@ -18,7 +19,6 @@ from lineariv.dataset import Dataset
 glibc_only = pytest.mark.skipif(dataset._libc() is None, reason="the policy acts on glibc only")
 
 GLIBC_MALLOC_ENV = (*dataset._MALLOC_ENV, "GLIBC_TUNABLES")
-BIG = dataset.CHUNK_BYTES // (2 * dataset.ROW_BYTES) + 1
 
 
 def make(n: int) -> Dataset:
@@ -29,7 +29,7 @@ def make(n: int) -> Dataset:
 def mallopt(monkeypatch):
     """Records the mallopt calls of a fresh process with a clean environment."""
     calls = []
-    monkeypatch.setattr(dataset, "_heap_rows", BIG)
+    monkeypatch.setattr(dataset, "_heap_pinned", False)
     monkeypatch.setattr(dataset, "_libc",
                         lambda: SimpleNamespace(mallopt=lambda *args: calls.append(args)))
     for name in GLIBC_MALLOC_ENV:
@@ -40,20 +40,19 @@ def mallopt(monkeypatch):
 PINNED = [(-3, 4 << 20), (-1, 64 << 20)]
 
 
-def test_policy_engages_once_per_process_at_the_chunk_of_one(mallopt):
-    assert dataset._chunk_size(BIG - 1) == 2 and dataset._chunk_size(BIG) == 1
-    make(BIG - 1).take(np.arange(BIG - 1))
-    assert mallopt == []
-    make(BIG)
+def test_policy_engages_once_per_process_at_the_first_dataset(mallopt):
+    make(1)
     assert mallopt == PINNED
-    make(BIG).take(np.arange(BIG))
+    make(8000).take(np.arange(8000))
+    make(3).take([0, 2])
     assert mallopt == PINNED
 
 
-def test_policy_engages_from_the_trusted_constructor(mallopt):
+def test_policy_engages_from_the_trusted_constructor(mallopt, monkeypatch):
     small = make(10)
-    assert mallopt == []
-    small.take(np.zeros(BIG, dtype=int))
+    mallopt.clear()
+    monkeypatch.setattr(dataset, "_heap_pinned", False)
+    small.take(np.zeros(4, dtype=int))
     assert mallopt == PINNED
 
 
@@ -67,23 +66,23 @@ def test_policy_engages_from_the_trusted_constructor(mallopt):
 ])
 def test_environment_settings_defer_the_policy(mallopt, monkeypatch, name, value):
     monkeypatch.setenv(name, value)
-    make(BIG)
-    make(BIG)
+    make(1)
+    make(8000)
     assert mallopt == []
-    assert dataset._heap_rows == np.inf
+    assert dataset._heap_pinned
 
 
 def test_other_tunables_do_not_defer_the_policy(mallopt, monkeypatch):
     monkeypatch.setenv("GLIBC_TUNABLES", "glibc.rtld.nns=2")
-    make(BIG)
+    make(1)
     assert mallopt == PINNED
 
 
 @pytest.mark.parametrize("libc", [None, SimpleNamespace()])
 def test_missing_mallopt_is_no_error(mallopt, monkeypatch, libc):
     monkeypatch.setattr(dataset, "_libc", lambda: libc)
-    assert make(BIG).n == BIG
-    assert dataset._heap_rows == np.inf
+    assert make(1).n == 1
+    assert dataset._heap_pinned
 
 
 def run_python(code: str, env: dict | None = None, cwd=None) -> str:
@@ -143,3 +142,33 @@ def test_reports_are_byte_identical_under_either_heap_policy(tmp_path):
                           for name in ("report.csv", "report.json")]
     assert reports["pinned"] == reports["deferred"]
     assert len(json.loads(reports["pinned"][1])["rows"]) == 2 * 5
+
+
+@glibc_only
+@pytest.mark.skipif(any(name in os.environ for name in GLIBC_MALLOC_ENV),
+                    reason="a glibc malloc variable in the environment defers the policy")
+def test_small_n_resamples_without_scipy_special_stop_faulting_in_fresh_pages(tmp_path):
+    # without the policy, a process that never imports scipy.special (whose
+    # import raises glibc's dynamic thresholds) faults in about 30 fresh pages
+    # a resample at n=1000; with it, about 200 in all 1000 resamples
+    from lineariv.simlab import gen_table1
+
+    dataset.write_csv(gen_table1(0, 0, 0, 1000, 5).dataset, tmp_path / "table1.csv")
+    out = run_python("""
+        import resource, sys
+        from lineariv import BasisSpec, ColumnMap, load_csv
+        from lineariv.adaptive import br_gamma_estimate
+        from lineariv.inference import bootstrap_ci
+
+        data = load_csv("table1.csv", ColumnMap("y", "x", ["z"], ["v"]))
+        lin = BasisSpec(["1", "c0"])
+        fit = lambda ds: br_gamma_estimate(ds, lin, lin, lin).psi_hat
+        bootstrap_ci(data, fit, resamples=200, seed=1)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        bootstrap_ci(data, fit, resamples=1000, seed=2)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
+              "scipy.special" in sys.modules)
+    """, cwd=tmp_path)
+    faults, special = out.split()
+    assert special == "False"
+    assert int(faults) < 2000

@@ -637,3 +637,28 @@ def test_eem_and_br_beta_degenerate_member_gets_its_own_error(monkeypatch, estim
     # the chunk flags the member, the other five are computed together and the
     # member alone as a stack of one
     assert sizes == [6, 5, 1]
+
+
+def test_every_logistic_model_has_the_irls_mean(monkeypatch):
+    # fit_binary's predict, the instrument law, a logit exposure model, the
+    # bias-reduced pair's stacked fit and the Table 1 bundle's known law give
+    # the same probabilities to the last bit, wherever predict does not clip
+    data = generate(ScenarioConfig("table1", n=1000, seed=3, reps=1, lam=(1, 1, -1)), 0).dataset
+    design, z = dataset.build_design(data, LIN), data.z[:, 0]
+    fit = fit_binary(design, z)
+    want = fit.predict(design)
+    known = []
+    mean = lineariv.suites._mean_function
+    monkeypatch.setattr(lineariv.suites, "_mean_function",
+                        lambda link: lambda eta: known.append(mean(link)(eta)) or known[-1])
+    _table1_stack([data], fit.coefficients)
+    got = {
+        "BinaryLogisticIv.prob": BinaryLogisticIv.fit(data, LIN).prob(data),
+        "ExposureModel.predict": ExposureModel("logit", LIN, fit.coefficients).predict(data),
+        "adaptive._logistic": lineariv.adaptive._logistic(design[None], z[None])[1][0],
+        "_table1_stack": known[0][0],
+    }
+    unclipped = want == mean("logit")(design @ fit.coefficients)
+    assert unclipped.sum() >= 990
+    for name, prob in got.items():
+        assert np.array_equal(prob[unclipped], want[unclipped]), name
