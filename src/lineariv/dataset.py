@@ -17,7 +17,7 @@ import os
 import re
 import warnings
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Sequence, Union
@@ -232,8 +232,7 @@ class Dataset:
     bias-reduced results are built afresh on every call, so no caller can
     alter what another sees.  Datasets can be linked into a chunk
     (:meth:`link`), whose entries are filled together on the first call of
-    any member.  ``take`` and ``with_z`` build new, unlinked instances with
-    empty memos.
+    any member.  ``take`` builds new, unlinked instances with empty memos.
 
     Equality and hashing are by identity, like the memo: two
     datasets with equal contents are distinct objects.  Compare the arrays
@@ -302,18 +301,6 @@ class Dataset:
         for ds in datasets:
             object.__setattr__(ds, "_chunk", chunk)
 
-    def with_z(self, z_new) -> "Dataset":
-        """Copy of the dataset with the instrument block replaced.
-
-        A scalar is broadcast to every instrument cell; used for evaluating
-        index functions and exposure models at counterfactual instrument
-        values (e.g. the two-point mixture for a binary instrument).
-        """
-        z_arr = np.asarray(z_new, dtype=float)
-        if z_arr.ndim == 0:
-            z_arr = np.full_like(np.asarray(self.z), float(z_arr))
-        return replace(self, z=z_arr)
-
     def take(self, rows) -> "Dataset":
         """Row subset/resample (used by the bootstrap): a new, unlinked
         dataset with an empty memo.
@@ -375,44 +362,36 @@ class BasisSpec:
     def append(self, term: Term | str) -> "BasisSpec":
         return BasisSpec(self.terms + (parse_term(term) if isinstance(term, str) else term,))
 
-    def _evaluate(self, datasets: list[Dataset]) -> list[np.ndarray]:
-        designs = []
-        for data in datasets:
-            design = (np.column_stack([_eval_term(t, data) for t in self.terms]) if self.terms
-                      else np.empty((data.n, 0)))
-            design.flags.writeable = False
-            designs.append(design)
-        return designs
+    def _evaluate(self, z: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The design at instruments ``z`` (..., n, q) and covariates ``c``
+        (..., n, r), over any leading batch axes: a fresh, read-only,
+        C-contiguous (..., n, p) array whose column j is term j evaluated
+        pointwise (:func:`_term_values`)."""
+        design = (np.stack([_term_values(t, z, c) for t in self.terms], axis=-1) if self.terms
+                  else np.empty((*z.shape[:-1], 0)))
+        design.flags.writeable = False
+        return design
 
 
-def _eval_term(term: Term, data: Dataset) -> np.ndarray:
+def _term_values(term: Term, z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """One term at instruments ``z`` and covariates ``c``, the only place a
+    term is evaluated; one that names a column ``z`` or ``c`` lacks raises
+    TermSpecError."""
     if isinstance(term, Intercept):
-        return np.ones(data.n)
-    if isinstance(term, Raw):
-        _check_cov_index(term.index, data)
-        return data.c_raw[:, term.index]
-    if isinstance(term, Power):
-        _check_cov_index(term.index, data)
-        return data.c_raw[:, term.index] ** term.exponent
+        return np.ones(z.shape[:-1])
+    if isinstance(term, (Raw, Power)):
+        if not 0 <= term.index < c.shape[-1]:
+            raise TermSpecError(f"covariate index {term.index} out of range (dataset has {c.shape[-1]})")
+        column = c[..., term.index]
+        return column if isinstance(term, Raw) else column ** term.exponent
     if isinstance(term, Product):
-        return _eval_term(term.left, data) * _eval_term(term.right, data)
-    if isinstance(term, InstrumentColumn):
-        _check_inst_index(term.index, data)
-        return data.z[:, term.index]
-    if isinstance(term, InstrumentByTerm):
-        _check_inst_index(term.index, data)
-        return data.z[:, term.index] * _eval_term(term.term, data)
+        return _term_values(term.left, z, c) * _term_values(term.right, z, c)
+    if isinstance(term, (InstrumentColumn, InstrumentByTerm)):
+        if not 0 <= term.index < z.shape[-1]:
+            raise TermSpecError(f"instrument index {term.index} out of range (dataset has {z.shape[-1]})")
+        column = z[..., term.index]
+        return column if isinstance(term, InstrumentColumn) else column * _term_values(term.term, z, c)
     raise TermSpecError(f"unknown term {term!r}")
-
-
-def _check_cov_index(i: int, data: Dataset) -> None:
-    if not 0 <= i < data.n_covariates:
-        raise TermSpecError(f"covariate index {i} out of range (dataset has {data.n_covariates})")
-
-
-def _check_inst_index(i: int, data: Dataset) -> None:
-    if not 0 <= i < data.n_instruments:
-        raise TermSpecError(f"instrument index {i} out of range (dataset has {data.n_instruments})")
 
 
 def build_design(data: Dataset, spec: BasisSpec) -> np.ndarray:
@@ -422,7 +401,7 @@ def build_design(data: Dataset, spec: BasisSpec) -> np.ndarray:
     designs of the other datasets of its chunk, and read-only; copy it before
     modifying it in place.
     """
-    return data.memo(spec, spec._evaluate)
+    return data.memo(spec, lambda chunk: [spec._evaluate(ds.z, ds.c_raw) for ds in chunk])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedCombinationError,
     WeakIdentificationError,
 )
-from .glm import _check, _join, _linear_fit, _Lstsq, _ols, fit_ols
+from .glm import _check, _join, _linear_fit, _Lstsq, _mean_function, _ols, fit_ols
 from .inference import sandwich_se
 from .models import (
     CustomIndex,
@@ -273,7 +273,9 @@ def centered_index(data: Dataset, index: IndexFunction, iv: IvModel) -> np.ndarr
     index with a single binary instrument is centered by the two-point
     mixture; linear-in-Z indices substitute E(Z|C); an empirical instrument
     law with a general index falls back to averaging the index over the
-    observed instrument values at each row's covariates.
+    observed instrument values at each row's covariates.  A custom index is
+    evaluated at those counterfactual instrument values through its basis;
+    an uncentered callable index raises UnsupportedCombinationError.
     """
     values = index.evaluate(data)
     if values.ndim == 1:
@@ -285,14 +287,17 @@ def centered_index(data: Dataset, index: IndexFunction, iv: IvModel) -> np.ndarr
         return data.z - cond_mean
     if isinstance(index, ScaledInstrument):
         return index.scale(data)[:, None] * (data.z - cond_mean)
-    # custom index
+    if index.basis is None:
+        raise UnsupportedCombinationError(
+            "an uncentered index given as a callable cannot be evaluated at "
+            "counterfactual instrument values; give the index as a basis")
+    at = lambda z: index.basis._evaluate(z, data.c_raw)
     if data.n_instruments == 1 and data.z_is_binary():
         p = cond_mean[:, 0]
-        e1 = index.evaluate(data.with_z(1.0))
-        e0 = index.evaluate(data.with_z(0.0))
+        e1, e0 = at(np.ones_like(data.z)), at(np.zeros_like(data.z))
         return values - (p[:, None] * e1 + (1.0 - p)[:, None] * e0)
     if index.is_linear_in_z():
-        return values - index.evaluate(data.with_z(cond_mean))
+        return values - at(cond_mean)
     if isinstance(iv, EmpiricalIv):
         if data.n > 4000:
             raise UnsupportedCombinationError(
@@ -300,7 +305,7 @@ def centered_index(data: Dataset, index: IndexFunction, iv: IvModel) -> np.ndarr
                 f"n={data.n} exceeds the supported size")
         acc = np.zeros_like(values)
         for j in range(data.n):
-            acc += index.evaluate(data.with_z(np.broadcast_to(data.z[j], data.z.shape)))
+            acc += at(np.broadcast_to(data.z[j], data.z.shape))
         return values - acc / data.n
     raise UnsupportedCombinationError(
         "no exact conditional mean for a nonlinear index with a continuous instrument")
@@ -347,39 +352,52 @@ def g_estimate(data: Dataset, index: IndexFunction, outcome: OutcomeModel | None
                       {"condition": cond[0], "profiled_outcome": profiled})
 
 
+_NO_EXACT_INDEX = ("continuous instruments combined with a nonlinear exposure model "
+                   "have no exact efficient index here")
+
+
 def efficient_index(data: Dataset, exposure: ExposureModel, iv: IvModel,
                     effect: EffectModel) -> CustomIndex:
     """Locally efficient index under constant residual variance.
 
-    e_opt(Z,C) = dm/dpsi * [m_x(Z,C) - E{m_x(Z,C)|C}], with the inner
-    conditional expectation computed exactly: a two-point mixture for a
-    binary instrument (any exposure link), or substitution of E(Z|C) for an
-    exposure model linear in Z.  The result is centered by construction.
+    e_opt(Z,C) = dm/dpsi * [m_x(Z,C) - E{m_x(Z,C)|C}], the bracket by
+    :func:`_centered_exposure_mean` as a stack of one: exactly a two-point
+    mixture for a binary instrument (any exposure link), or substitution of
+    E(Z|C) for an exposure model linear in Z.  The result is centered by
+    construction.
     """
     if not exposure.is_fitted:
         raise ValueError("exposure model must be fitted first")
-
-    binary = data.n_instruments == 1 and data.z_is_binary()
-    if binary:
-        def cond_mean_mx(ds: Dataset) -> np.ndarray:
-            p = iv.conditional_mean(ds)[:, 0]
-            m1 = exposure.predict(ds.with_z(1.0))
-            m0 = exposure.predict(ds.with_z(0.0))
-            return p * m1 + (1.0 - p) * m0
-    elif exposure.is_linear_in_z():
-        def cond_mean_mx(ds: Dataset) -> np.ndarray:
-            return exposure.predict(ds.with_z(iv.conditional_mean(ds)))
-    else:
-        raise UnsupportedCombinationError(
-            "continuous instruments combined with a nonlinear exposure model "
-            "have no exact efficient index here")
+    if not (data.n_instruments == 1 and data.z_is_binary() or exposure.is_linear_in_z()):
+        raise UnsupportedCombinationError(_NO_EXACT_INDEX)
 
     def evaluator(ds: Dataset) -> np.ndarray:
-        centered_mx = exposure.predict(ds) - cond_mean_mx(ds)
+        centered_mx = _centered_exposure_mean(
+            exposure.basis, exposure.link, exposure.coef[None], ds.z[None], ds.c_raw[None],
+            iv.conditional_mean(ds)[None])[0]
         return centered_mx[:, None] * effect.gradient(ds)
 
     return CustomIndex(evaluator=evaluator, centered=True,
                        linear_in_z=exposure.is_linear_in_z())
+
+
+def _centered_exposure_mean(basis: BasisSpec, link: str, coef: np.ndarray, z: np.ndarray,
+                            c: np.ndarray, z_mean: np.ndarray) -> np.ndarray:
+    """m_x(z, c) - E{m_x(Z, C)|C} on a stack: the exposure model's basis,
+    link and coefficients (B, p), the instruments z (B, n, q), covariates c
+    (B, n, r) and E(Z|C) (B, n, q); returns (B, n).  One binary instrument
+    column takes the two-point mixture p*m_x(1, c) + (1-p)*m_x(0, c); an
+    exposure linear in z takes m_x(E(Z|C), c)."""
+    def mean(at: np.ndarray) -> np.ndarray:
+        eta = np.matvec(basis._evaluate(at, c), coef)
+        return eta if link == "identity" else _mean_function(link)(eta)
+
+    if z.shape[-1] == 1 and np.all((z == 0.0) | (z == 1.0)):
+        p = z_mean[..., 0]
+        return mean(z) - (p * mean(np.ones_like(z)) + (1.0 - p) * mean(np.zeros_like(z)))
+    if link == "identity" and basis.is_linear_in_z():
+        return mean(z) - mean(z_mean)
+    raise UnsupportedCombinationError(_NO_EXACT_INDEX)
 
 
 def _moment_scale(left: np.ndarray, right: np.ndarray, n: int) -> list[float]:

@@ -3,8 +3,9 @@ and index functions for estimating equations.
 
 All models are parameterised by a :class:`~lineariv.dataset.BasisSpec`; fitted
 instances are immutable value objects carrying their coefficient vector, so
-the same fitted model can be evaluated on new data (bootstrap resamples,
-counterfactual instrument values) without re-fitting.
+the same fitted model can be evaluated on new data (bootstrap resamples)
+without re-fitting.  Counterfactual instrument values are evaluated on
+arrays, through the basis, by :mod:`~lineariv.estimators`.
 """
 
 from __future__ import annotations
@@ -254,7 +255,9 @@ class CustomIndex:
     """Arbitrary index: a callable on datasets or a basis over (Z, C).
 
     ``centered`` marks indices that satisfy E{e(Z,C)|C} = 0 by construction,
-    in which case centering is a no-op.
+    in which case centering is a no-op.  Centering evaluates the index at
+    counterfactual instrument values, which only a basis allows: a callable
+    index must be centered.
     """
 
     evaluator: Callable[[Dataset], np.ndarray] | None = None

@@ -23,9 +23,10 @@ from .adaptive import (
     _logistic,
     _stack_errors,
 )
-from .dataset import BasisSpec, Dataset, _check_cov_index
+from .dataset import BasisSpec, Dataset
 from .errors import EstimationError
 from .estimators import (
+    _centered_exposure_mean,
     _solve_ee,
     _tsls_stack,
     efficient_index,
@@ -35,7 +36,7 @@ from .estimators import (
     plug_in_two_stage,
     standard_tsls,
 )
-from .glm import _attempt, _check, _fit_stack, _mean_function, _ols, _stack
+from .glm import _attempt, _check, _fit_stack, _join, _mean_function, _ols, _stack
 from .models import BinaryLogisticIv, EffectModel, ExposureModel, OutcomeModel
 from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
 
@@ -82,27 +83,27 @@ def _bundle(compute: Callable[[list], list], names) -> dict[str, Callable]:
 def _table1_stack(datasets: list[Dataset], iv_known_coef) -> list[dict]:
     """The estimates of :func:`table1_estimators` on a stack of datasets, one
     dict per dataset.  tsls, eem, br_gamma and br_beta run the kernels of
-    their per-dataset estimators; the instrument and exposure fits and
-    loc_eff's efficient index are written out for the bundle's fixed bases in
-    the per-dataset operands, order and layout, so each estimate equals the
-    per-dataset one to the last bit.  Checks follow
+    their per-dataset estimators, and loc_eff centers the exposure mean with
+    :func:`efficient_index`'s function; the designs are the bundle's fixed
+    bases evaluated once on the stacked instruments and covariates.  Every
+    operand keeps the per-dataset order and layout, so each estimate equals
+    the per-dataset one to the last bit.  Checks follow
     :func:`~lineariv.glm._check`; on a stack of one an error is held by its
     estimate and by the estimates that use it (:func:`_attempt`).  Every
     estimate of a dataset without one binary instrument column fails with one
-    UnsupportedCombinationError; one without a covariate raises
-    :func:`build_design`'s TermSpecError.
+    UnsupportedCombinationError; one without a covariate raises the basis
+    evaluator's TermSpecError, as :func:`build_design` does.
     """
     _check(_stack_errors(datasets))
-    for ds in datasets:
-        _check_cov_index(0, ds)
     y = _stack([ds.y for ds in datasets])
     x = _stack([ds.x for ds in datasets])
-    z = _stack([ds.z[:, 0] for ds in datasets])
-    v = _stack([ds.c_raw[:, 0] for ds in datasets])
-    one = np.ones_like(y)
-    zv = z * v
-    lin = np.stack([one, v], axis=-1)                       # (1, c0)
-    saturated = np.stack([one, z, v, zv], axis=-1)          # (1, z0, c0, z0:c0)
+    zs = _stack([ds.z for ds in datasets])
+    # the covariates every member has: the bases raise for one that lacks c0
+    r = min(ds.n_covariates for ds in datasets)
+    cs = _stack([ds.c_raw[:, :r] for ds in datasets])
+    lin, saturated, instruments = (basis._evaluate(zs, cs) for basis in
+                                   (C_LIN, EXPOSURE_SATURATED, INSTRUMENTS_ZVZ))
+    z = zs[..., 0]
 
     def exposure():
         # ExposureModel("identity", saturated).fit's coefficients
@@ -112,17 +113,15 @@ def _table1_stack(datasets: list[Dataset], iv_known_coef) -> list[dict]:
 
     def loc_eff(prob, a_x):
         # g_estimate at efficient_index, outcome (1, c0) profiled
-        m1 = np.matvec(np.stack([one, one, v, 1.0 * v], axis=-1), a_x)
-        m0 = np.matvec(np.stack([one, np.zeros_like(y), v, 0.0 * v], axis=-1), a_x)
-        d_eff = np.matvec(saturated, a_x) - (prob * m1 + (1.0 - prob) * m0)
-        theta, _, errors = _solve_ee(np.stack([d_eff, one, v], axis=-1),
-                                     np.stack([x, one, v], axis=-1), y, "g_estimate")
+        d_eff = _centered_exposure_mean(EXPOSURE_SATURATED, "identity", a_x, zs, cs,
+                                        prob[..., None])
+        theta, _, errors = _solve_ee(_join(d_eff[..., None], lin), _join(x[..., None], lin), y,
+                                     "g_estimate")
         _check(errors)
         return theta[:, 0]
 
     out = {}
-    _attempt(out, "tsls", lambda: _tsls_stack(np.stack([z, zv], axis=-1), lin, x[..., None],
-                                              y)[-1].coef[:, 2])
+    _attempt(out, "tsls", lambda: _tsls_stack(instruments, lin, x[..., None], y)[-1].coef[:, 2])
     _attempt(out, "plain", lambda: _logistic(lin, z)[1])     # BinaryLogisticIv.fit's P(Z=1|C)
     # the instrument law of loc_eff and eem: the plain fit, or the known one
     out["iv"] = (out["plain"] if iv_known_coef is None
@@ -154,9 +153,9 @@ def table1_estimators(iv_known_coef: np.ndarray | None = None) -> dict[str, Call
     The estimates equal the per-dataset estimators' (``standard_tsls``,
     ``g_estimate`` at ``efficient_index``, ``eem_estimate``,
     ``br_gamma_estimate``, ``br_beta_estimate``) to the last bit, errors
-    included.  One function computes them, :func:`_table1_stack`: on a whole
-    linked chunk of replicates, and on each member the chunk's checks reject
-    as a stack of one (:func:`~lineariv.glm._fit_stack`).
+    included, as :func:`_table1_stack` runs their code on a whole linked
+    chunk of replicates, and on each member the chunk's checks reject as a
+    stack of one (:func:`~lineariv.glm._fit_stack`).
     """
     return _bundle(lambda datasets: _fit_stack(
         lambda stack: _table1_stack(stack, iv_known_coef), datasets), TABLE1_NAMES)

@@ -191,13 +191,6 @@ def test_z_degree_and_linearity():
     assert not BasisSpec(["z0*z0"]).is_linear_in_z()
 
 
-def test_with_z_replacement():
-    data = small_dataset()
-    at_one = data.with_z(1.0)
-    assert_array_equal(at_one.z, np.ones((3, 1)))
-    assert_array_equal(at_one.y, data.y)
-
-
 def test_build_design_cached_read_only():
     data = small_dataset()
     spec = BasisSpec(["1", "c0"])
@@ -210,17 +203,53 @@ def test_build_design_cached_read_only():
     assert empty.shape == (3, 0) and not empty.flags.writeable
 
 
-def test_take_and_with_z_build_their_own_designs():
+def test_take_and_counterfactual_designs_leave_the_parent_untouched():
     data = small_dataset()
     spec = BasisSpec(["1", "z0:c0"])
     parent = build_design(data, spec)
     resampled = data.take([2, 0])
     assert_array_equal(build_design(resampled, spec), [[1.0, 4.0], [1.0, 0.0]])
-    at_one = data.with_z(1.0)
-    assert_array_equal(build_design(at_one, spec), [[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
+    at_one = spec._evaluate(np.ones_like(data.z), data.c_raw)
+    assert_array_equal(at_one, [[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
     # the parent's cached design is untouched by its children
     assert build_design(data, spec) is parent
     assert_array_equal(parent, [[1.0, 0.0], [1.0, 3.0], [1.0, 4.0]])
+
+
+EVERY_TERM = BasisSpec(["1", "c0", "c0^2", "c0*c1", "z0", "z0:c0", "z1:c0^2"])
+
+
+def _members(b=3, n=40):
+    rng = np.random.default_rng(17)
+    return [Dataset(rng.normal(size=n), rng.normal(size=n), rng.normal(size=(n, 2)),
+                    rng.normal(size=(n, 2))) for _ in range(b)]
+
+
+def test_evaluator_on_a_stack_equals_each_members_design():
+    members = _members()
+    zs, cs = np.stack([ds.z for ds in members]), np.stack([ds.c_raw for ds in members])
+    stacked = EVERY_TERM._evaluate(zs, cs)
+    assert stacked.shape == (3, 40, 7) and stacked.flags.c_contiguous
+    for design, ds in zip(stacked, members):
+        assert design.tobytes() == build_design(ds, EVERY_TERM).tobytes()
+    assert BasisSpec([])._evaluate(zs, cs).shape == (3, 40, 0)
+    assert BasisSpec([])._evaluate(zs[0], cs[0]).shape == (40, 0)
+
+
+@pytest.mark.parametrize("term, message", [
+    ("c2", "covariate index 2 out of range (dataset has 2)"),
+    ("c3^2", "covariate index 3 out of range (dataset has 2)"),
+    ("z2", "instrument index 2 out of range (dataset has 2)"),
+    ("z0:c2", "covariate index 2 out of range (dataset has 2)"),
+    ("z4:c0", "instrument index 4 out of range (dataset has 2)"),
+])
+def test_evaluator_raises_the_term_errors_of_build_design(term, message):
+    members = _members()
+    spec = BasisSpec(["1", term])
+    with pytest.raises(TermSpecError, match=re.escape(message)):
+        build_design(members[0], spec)
+    with pytest.raises(TermSpecError, match=re.escape(message)):
+        spec._evaluate(np.stack([ds.z for ds in members]), np.stack([ds.c_raw for ds in members]))
 
 
 def _validated_take(data, rows):

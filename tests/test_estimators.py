@@ -351,6 +351,76 @@ def test_efficient_index_continuous_nonlinear_unsupported():
 
 
 # ---------------------------------------------------------------------------
+# Centering branches at counterfactual instrument values: exact pins
+# ---------------------------------------------------------------------------
+
+def continuous_dataset(n=60, seed=5):
+    gen = make_generator(seed)
+    v = draw_normal(gen, n)
+    z = 0.3 + 0.5 * v + draw_normal(gen, n)
+    x = z + v + draw_normal(gen, n)
+    y = x + v + draw_normal(gen, n)
+    return Dataset(y, x, z, v)
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def test_basis_index_linear_in_z_substitutes_the_instrument_mean():
+    data = continuous_dataset()
+    iv = LinearMeanIv.fit(data, C_LIN)
+    index = CustomIndex.from_basis(BasisSpec(["z0", "z0:c0"]))
+    d = centered_index(data, index, iv)
+    assert hexes(d[[0, -1]]) == ["0x1.1f7978c9d315ep-2", "0x1.3374a3ae84184p-2",
+                                 "0x1.d342500f66d27p-2", "-0x1.14e6ecfdf531dp+0"]
+    res = g_estimate(data, index, OutcomeModel(C_LIN), iv, CONST)
+    assert hexes(res.psi_hat) == ["0x1.bd7c806e5b14ep-1"]
+
+
+def test_nonlinear_basis_index_is_averaged_under_the_empirical_law():
+    data = continuous_dataset()
+    iv = EmpiricalIv.fit(data)
+    index = CustomIndex.from_basis(BasisSpec(["z0", "z0*z0"]))
+    d = centered_index(data, index, iv)
+    assert hexes(d[[0, -1]]) == ["0x1.d1884185a3806p-1", "-0x1.dfcf0f2dc4d80p-4",
+                                 "-0x1.906001ca31c21p-1", "-0x1.6b15adbfc17b3p+0"]
+    res = g_estimate(data, index, OutcomeModel(C_LIN), iv, CONST)
+    assert hexes(res.psi_hat) == ["0x1.bd7c806e5b154p-1"]
+    big = continuous_dataset(n=4001)
+    with pytest.raises(UnsupportedCombinationError, match="quadratic in n; n=4001 exceeds"):
+        centered_index(big, index, EmpiricalIv.fit(big))
+
+
+def test_nonlinear_index_with_a_continuous_instrument_has_no_exact_mean():
+    data = continuous_dataset()
+    with pytest.raises(UnsupportedCombinationError, match="no exact conditional mean for a "
+                       "nonlinear index with a continuous instrument"):
+        centered_index(data, CustomIndex.from_basis(BasisSpec(["z0", "z0*z0"])),
+                       LinearMeanIv.fit(data, C_LIN))
+
+
+def test_uncentered_callable_index_must_be_given_as_a_basis():
+    data = seeded_dataset(n=40, seed=21)
+    data = Dataset(data.y, data.x, (data.z[:, 0] > 0.5).astype(float), data.c_raw)
+    index = CustomIndex(evaluator=lambda ds: ds.z[:, 0] * ds.c_raw[:, 0])
+    with pytest.raises(UnsupportedCombinationError, match="give the index as a basis"):
+        centered_index(data, index, BinaryLogisticIv.fit(data, C1))
+
+
+def test_efficient_index_substitutes_the_instrument_mean_for_a_linear_exposure():
+    data = continuous_dataset()
+    iv = LinearMeanIv.fit(data, C_LIN)
+    exposure = ExposureModel("identity", BasisSpec(["1", "z0", "c0", "z0:c0"])).fit(data)
+    index = efficient_index(data, exposure, iv, CONST)
+    assert hexes(index.evaluate(data)[[0, -1]]) == ["0x1.f34dea3da3e20p-3", "0x1.572404c6e3810p-1"]
+    res = g_estimate(data, index, OutcomeModel(C_LIN), iv, CONST)
+    assert hexes(res.psi_hat) == ["0x1.cc7e747176f11p-1"]
+    assert hexes(res.beta_hat) == ["-0x1.37ca31cf1e91bp-4", "0x1.465bb4ff9372bp+0"]
+    assert res.psi == pytest.approx(0.89940227, abs=5e-9)
+
+
+# ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
 
