@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedCombinationError,
     WeakIdentificationError,
 )
-from .estimators import EstimateResult, _ee_result, _solve_ee, g_estimate
+from .estimators import EstimateResult, _ee_result, _ee_solve, _ee_system, _solve_ee, g_estimate
 from .glm import (
     RANK_RTOL,
     BinaryFit,
@@ -234,11 +234,6 @@ def eem_estimate(data: Dataset, iv: IvModel, index_basis: BasisSpec,
 # Bias-reduced estimation
 # ---------------------------------------------------------------------------
 
-def _norm(a: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each member of a (B, n) stack."""
-    return np.sqrt(np.vecdot(a, a))
-
-
 def _drop_collinear(base: np.ndarray, extension: np.ndarray
                     ) -> tuple[np.ndarray, list[int], list[bool]]:
     """Keep the extension columns that raise the numerical rank of the design.
@@ -275,18 +270,6 @@ def _drop_collinear(base: np.ndarray, extension: np.ndarray
             kept_cols.append(j)
             current, ranks = trial, trial_ranks
     return extension[:, :, kept_cols], kept_cols, agree
-
-
-def _br_denominator(d: np.ndarray, x: np.ndarray, what: str) -> tuple[np.ndarray, list]:
-    """sum(d * x) of each member of a (B, n) stack and, per member, the
-    WeakIdentificationError of a denominator negligible against its scale
-    ``||d|| * ||x||``, or None."""
-    denom = (d * x).sum(-1)
-    scale = _norm(d) * _norm(x)
-    degenerate = np.abs(denom) <= 1e-10 * np.maximum(scale, 1e-300)
-    return denom, [WeakIdentificationError(
-        f"{what} denominator {denom[k]:.3e} is degenerate against scale {scale[k]:.3e}")
-        if bad else None for k, bad in enumerate(degenerate.tolist())]
 
 
 def _index_coef(zc: np.ndarray, index_design: np.ndarray, x: np.ndarray,
@@ -350,7 +333,6 @@ class _BrGamma(NamedTuple):
     extended: _Irls                 # the extended instrument fit
     kept: list                      # extension columns kept, the same for every member
     d: np.ndarray                   # (B, n) index times instrument residual
-    denom: np.ndarray               # (B,) sum(d * x)
 
 
 def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.ndarray,
@@ -359,8 +341,10 @@ def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.n
     """The arithmetic of :func:`br_gamma_estimate` after the plain instrument
     fit, on a stack of B datasets of one size: z, x, y (B, n), the designs
     (B, n, p) and alpha (B, k), :func:`eem_fit_alpha` under the plain fit.
-    The extended fit at alpha, the index refitted under it and the extended
-    fit at that index.
+    The extended fit at alpha, the index refitted under it, the extended
+    fit at that index and psi from the scalar estimating equation
+    sum d(y - psi x) = 0 at d = e(C)(z - P), solved and checked by
+    :func:`~lineariv.estimators._solve_ee` as eem's equation is.
 
     Members are independent: each takes the iterates, checks and values of a
     stack of one.  A member that a check rejects raises its per-dataset error
@@ -377,9 +361,9 @@ def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.n
                         "degenerate instrument variation under the extended fit")
     e_scale, kept, fit, ext_prob = extended(alpha)
     d = e_scale * (z - ext_prob)
-    denom, errors = _br_denominator(d, x, "br_gamma")
+    theta, _, errors = _solve_ee(d[..., None], x[..., None], y, "br_gamma")
     _check(errors)
-    return _BrGamma((d * y).sum(-1) / denom, alpha, fit, kept, d, denom)
+    return _BrGamma(theta[:, 0], alpha, fit, kept, d)
 
 
 class _BrGammaFit(NamedTuple):
@@ -412,7 +396,7 @@ def _br_records(datasets: list[Dataset], bases: tuple) -> list[tuple]:
     d, psi = fit.d, fit.psi
     # the column sums keep this form: a vecmat moves their last bits
     identity = np.abs((d[..., None] * outcome_design).sum(-2)).max(-1).tolist()
-    influence = d * (y - psi[:, None] * x) / (fit.denom[:, None] / x.shape[-1])
+    influence = d * (y - psi[:, None] * x) / (d * x).mean(-1)[:, None]
     return [(plains[k], _BrGammaFit(value, fit.index_coef[k], _binary_fit(fit.extended, k, "logit"),
                                     fit.kept, identity[k], influence[k]))
             for k, value in enumerate(psi.tolist())]
@@ -500,16 +484,21 @@ def _br_beta_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, prob: np.ndarray
     """The arithmetic of :func:`br_beta_estimate` on a stack of B datasets of
     one size: z, x, y and prob, the plain instrument fit's P(Z=1|C), (B, n);
     the designs (B, n, p); alpha (B, k), the index coefficients under that
-    fit.  ``start()`` gives the one-step start values (B,) and is called only
-    once the denominator has passed its check, so that a start that failed
-    fails after this estimator's own checks; ``start=None`` is the full
-    solve.  Checks and flags as :func:`_br_gamma_stack`.
+    fit.  The scalar system sum(d x) of d = e(C)(z - P) is checked first by
+    :func:`~lineariv.estimators._ee_system`, the rule of every estimating
+    equation.  ``start()`` gives the one-step start values (B,) and is called
+    only once that check has passed, so that a start that failed fails after
+    this estimator's own checks; the one-step psi then solves
+    sum d(y - X_ext beta - psi x) = 0 with the same system
+    (:func:`~lineariv.estimators._ee_solve`).  ``start=None`` is the full
+    solve, one joint :func:`~lineariv.estimators._solve_ee`.  Checks and
+    flags as :func:`_br_gamma_stack`.
     """
     e_scale = np.matvec(index_design, alpha)
     x_ext, kept = _extend(outcome_design, (e_scale * (prob * (1.0 - prob)))[..., None] * iv_design)
     d = e_scale * (z - prob)
-    denom, errors = _br_denominator(d, x, "br_beta")
-    _check(errors)
+    system, _, scalar_errors = _ee_system(d[..., None], x[..., None], "br_beta")
+    _check(scalar_errors)
     if start is None:
         theta, _, errors = _solve_ee(_join(x_ext, d[..., None]), _join(x_ext, x[..., None]),
                                      y, "br_beta")
@@ -517,7 +506,7 @@ def _br_beta_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, prob: np.ndarray
         return _BrBeta(theta[:, -1], theta[:, :-1], kept, x_ext, e_scale, d)
     fit, errors = _ols(x_ext, y - start()[:, None] * x)
     _check(errors)
-    psi = (d * (y - np.matvec(x_ext, fit.coef))).sum(-1) / denom
+    psi = _ee_solve(system, scalar_errors, d[..., None], y - np.matvec(x_ext, fit.coef))[:, 0]
     return _BrBeta(psi, fit.coef, kept, x_ext, e_scale, d)
 
 
@@ -535,9 +524,13 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     effect value (default: the bias-reduced instrument-model estimate) and
     then solves the estimating equation once; ``full_solve`` solves the
     outcome fit and the estimating equation as one joint linear system, which
-    forces the defining gradient identity to hold exactly at the solution; a
-    degenerate joint system raises :class:`WeakIdentificationError`.  The two
-    modes are different estimators and generally give different values.  A
+    forces the defining gradient identity to hold exactly at the solution.
+    The two modes are different estimators and generally give different
+    values.  Both first check the scalar denominator sum d x, at the index
+    d = e(C)(z - P), by the rule that eem and every other estimating equation
+    use (:func:`~lineariv.estimators._ee_system`), and ``full_solve`` then
+    its joint system; a degenerate or ill-conditioned one raises
+    :class:`WeakIdentificationError`.  A
     one-step fit whose extended outcome regression leaves no residual degrees
     of freedom returns its start value and says so in
     ``diagnostics["warning"]``.

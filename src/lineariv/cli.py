@@ -51,14 +51,7 @@ from .simlab import (
     write_report_csv,
     write_report_json,
 )
-from .suites import (
-    AUDIT_MIN_REPS,
-    REPLICATE_TARGETS,
-    effectmod_estimators,
-    run_replicate,
-    sim_binary_estimators,
-    table1_estimators,
-)
+from .suites import AUDIT_MIN_REPS, BUNDLES, REPLICATE_TARGETS, run_replicate
 
 ESTIMATORS = ("tsls", "two-stage", "loc-eff-y", "g-est", "loc-eff-dr",
               "eem", "br-gamma", "br-beta")
@@ -305,14 +298,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _estimators_for(generator: str):
-    if generator in ("table1", "extreme"):
-        return table1_estimators()
-    if generator in ("sim1", "sim2"):
-        return sim_binary_estimators()
-    return effectmod_estimators()
-
-
 def cmd_benchmark(args) -> int:
     scenarios: list[ScenarioConfig] = []
     if args.table1_grid:
@@ -326,7 +311,7 @@ def cmd_benchmark(args) -> int:
                                         reps=args.reps, lam=lam))
     reports = []
     for cfg in scenarios:
-        estimators = _estimators_for(cfg.generator)
+        estimators = BUNDLES[cfg.generator]()
         if args.estimators:
             unknown = set(args.estimators) - set(estimators)
             if unknown:

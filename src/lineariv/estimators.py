@@ -7,7 +7,10 @@ double-robust G-estimator built on a centered index.  Every estimating
 equation here is linear: an estimator builds an index matrix D, a regressor
 matrix R and a response y, solves D'(y - R theta) = 0 (:func:`_solve_ee`, or
 an SVD regression for the two least-squares estimators) and takes the
-sandwich at the solution (:func:`_ee_result`).
+sandwich at the solution (:func:`_ee_result`).  The adaptive estimators of
+:mod:`~lineariv.adaptive` (eem and the bias-reduced pair, br-gamma and
+br-beta) solve their equations with the same function, so one rule
+(:func:`_ee_system`) decides whether any denominator is degenerate.
 """
 
 from __future__ import annotations
@@ -68,17 +71,14 @@ class EstimateResult:
         return float(self.psi_hat[0])
 
 
-def _solve_ee(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
-              what: str) -> tuple[np.ndarray, list, list]:
-    """Solve index'(response - regressors @ theta) = 0 for each member of a
-    stack: index and regressors (B, n, k), response (B, n).
-
-    Returns theta (B, k), the condition numbers of index'regressors and, per
-    member, the :class:`WeakIdentificationError` of a system that is
-    degenerate against :func:`_moment_scale` or ill-conditioned, or None.  A
-    member with an error gets a NaN row, so it fails no other member; a
-    caller with one dataset passes a stack of one and raises its error.
-    """
+def _ee_system(index: np.ndarray, regressors: np.ndarray,
+               what: str) -> tuple[np.ndarray, list, list]:
+    """The denominator index'regressors (B, k, k) of the estimating equation
+    index'(response - regressors @ theta) = 0 for each member of a stack
+    (index and regressors (B, n, k)), its condition numbers and, per member,
+    the :class:`WeakIdentificationError` of a system that is degenerate
+    against :func:`_moment_scale` or ill-conditioned, or None.  This is the
+    one degeneracy rule of every estimating equation in the package."""
     system = index.mT @ regressors
     scale = _moment_scale(index, regressors, index.shape[1])
     s = np.linalg.svd(system, compute_uv=False)
@@ -95,12 +95,33 @@ def _solve_ee(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
                 f"{WEAK_ID_CONDITION:.0e}", condition=cond[-1]))
         else:
             errors.append(None)
+    return system, cond, errors
+
+
+def _ee_solve(system: np.ndarray, errors: list, index: np.ndarray,
+              response: np.ndarray) -> np.ndarray:
+    """theta (B, k) from a stack's :func:`_ee_system` and its response
+    (B, n).  A member with an error gets a NaN row, so it fails no other
+    member."""
     failed = [err is not None for err in errors]
     if any(failed):
         system[failed] = np.eye(system.shape[-1])
     theta = np.linalg.solve(system, np.vecmat(response, index)[..., None])[..., 0]
     theta[failed] = np.nan
-    return theta, cond, errors
+    return theta
+
+
+def _solve_ee(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
+              what: str) -> tuple[np.ndarray, list, list]:
+    """Solve index'(response - regressors @ theta) = 0 for each member of a
+    stack: index and regressors (B, n, k), response (B, n).
+
+    Returns theta (B, k) by :func:`_ee_solve` and the condition numbers and
+    errors of :func:`_ee_system`; a caller with one dataset passes a stack of
+    one and raises its error.
+    """
+    system, cond, errors = _ee_system(index, regressors, what)
+    return _ee_solve(system, errors, index, response), cond, errors
 
 
 def _ee_result(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
@@ -280,7 +301,7 @@ def centered_index(data: Dataset, index: IndexFunction, iv: IvModel) -> np.ndarr
     values = index.evaluate(data)
     if values.ndim == 1:
         values = values[:, None]
-    if getattr(index, "centered", False):
+    if isinstance(index, CustomIndex) and index.centered:
         return values
     cond_mean = iv.conditional_mean(data)
     if isinstance(index, RawInstruments):
@@ -296,7 +317,7 @@ def centered_index(data: Dataset, index: IndexFunction, iv: IvModel) -> np.ndarr
         p = cond_mean[:, 0]
         e1, e0 = at(np.ones_like(data.z)), at(np.zeros_like(data.z))
         return values - (p[:, None] * e1 + (1.0 - p)[:, None] * e0)
-    if index.is_linear_in_z():
+    if index.basis.is_linear_in_z():
         return values - at(cond_mean)
     if isinstance(iv, EmpiricalIv):
         if data.n > 4000:
@@ -372,31 +393,40 @@ def efficient_index(data: Dataset, exposure: ExposureModel, iv: IvModel,
         raise UnsupportedCombinationError(_NO_EXACT_INDEX)
 
     def evaluator(ds: Dataset) -> np.ndarray:
+        model = exposure.basis, exposure.link, exposure.coef[None]
+        c = ds.c_raw[None]
         centered_mx = _centered_exposure_mean(
-            exposure.basis, exposure.link, exposure.coef[None], ds.z[None], ds.c_raw[None],
-            iv.conditional_mean(ds)[None])[0]
+            *model, c, iv.conditional_mean(ds)[None], _exposure_mean(*model, ds.z[None], c),
+            ds.n_instruments == 1 and ds.z_is_binary())[0]
         return centered_mx[:, None] * effect.gradient(ds)
 
-    return CustomIndex(evaluator=evaluator, centered=True,
-                       linear_in_z=exposure.is_linear_in_z())
+    return CustomIndex(evaluator=evaluator, centered=True)
 
 
-def _centered_exposure_mean(basis: BasisSpec, link: str, coef: np.ndarray, z: np.ndarray,
-                            c: np.ndarray, z_mean: np.ndarray) -> np.ndarray:
-    """m_x(z, c) - E{m_x(Z, C)|C} on a stack: the exposure model's basis,
-    link and coefficients (B, p), the instruments z (B, n, q), covariates c
-    (B, n, r) and E(Z|C) (B, n, q); returns (B, n).  One binary instrument
-    column takes the two-point mixture p*m_x(1, c) + (1-p)*m_x(0, c); an
-    exposure linear in z takes m_x(E(Z|C), c)."""
-    def mean(at: np.ndarray) -> np.ndarray:
-        eta = np.matvec(basis._evaluate(at, c), coef)
-        return eta if link == "identity" else _mean_function(link)(eta)
+def _exposure_mean(basis: BasisSpec, link: str, coef: np.ndarray, z: np.ndarray,
+                   c: np.ndarray) -> np.ndarray:
+    """m_x(z, c) on a stack: the exposure model's basis, link and
+    coefficients (B, p) at instruments z (B, n, q) and covariates c (B, n, r);
+    returns (B, n)."""
+    eta = np.matvec(basis._evaluate(z, c), coef)
+    return eta if link == "identity" else _mean_function(link)(eta)
 
-    if z.shape[-1] == 1 and np.all((z == 0.0) | (z == 1.0)):
+
+def _centered_exposure_mean(basis: BasisSpec, link: str, coef: np.ndarray, c: np.ndarray,
+                            z_mean: np.ndarray, observed: np.ndarray,
+                            binary: bool) -> np.ndarray:
+    """m_x(z, c) - E{m_x(Z, C)|C} on a stack, from the exposure model as
+    :func:`_exposure_mean` takes it, E(Z|C) (B, n, q) and the observed
+    m_x(z, c) (B, n); returns (B, n).  ``binary`` says that the stack's
+    instrument is one binary column, which takes the two-point mixture
+    p*m_x(1, c) + (1-p)*m_x(0, c); otherwise an exposure linear in z takes
+    m_x(E(Z|C), c)."""
+    mean = lambda at: _exposure_mean(basis, link, coef, at, c)
+    if binary:
         p = z_mean[..., 0]
-        return mean(z) - (p * mean(np.ones_like(z)) + (1.0 - p) * mean(np.zeros_like(z)))
+        return observed - (p * mean(np.ones_like(z_mean)) + (1.0 - p) * mean(np.zeros_like(z_mean)))
     if link == "identity" and basis.is_linear_in_z():
-        return mean(z) - mean(z_mean)
+        return observed - mean(z_mean)
     raise UnsupportedCombinationError(_NO_EXACT_INDEX)
 
 

@@ -201,15 +201,14 @@ class LinearMeanIv:
 class EmpiricalIv:
     """Instrument independent of covariates: E(Z|C) is the sample mean of Z."""
 
-    means: np.ndarray | None = None
+    means: np.ndarray
 
     @classmethod
-    def fit(cls, data: Dataset, basis: BasisSpec | None = None) -> "EmpiricalIv":
+    def fit(cls, data: Dataset) -> "EmpiricalIv":
         return cls(np.asarray(data.z.mean(axis=0)))
 
     def conditional_mean(self, data: Dataset) -> np.ndarray:
-        means = self.means if self.means is not None else data.z.mean(axis=0)
-        return np.broadcast_to(means, (data.n, len(means))).copy()
+        return np.broadcast_to(self.means, (data.n, len(self.means))).copy()
 
 
 IvModel = BinaryLogisticIv | LinearMeanIv | EmpiricalIv
@@ -223,13 +222,8 @@ IvModel = BinaryLogisticIv | LinearMeanIv | EmpiricalIv
 class RawInstruments:
     """e(Z, C) = Z: one index component per instrument column."""
 
-    centered: bool = False
-
     def evaluate(self, data: Dataset) -> np.ndarray:
         return np.asarray(data.z)
-
-    def is_linear_in_z(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -238,16 +232,12 @@ class ScaledInstrument:
 
     basis: BasisSpec
     coef: np.ndarray
-    centered: bool = False
 
     def scale(self, data: Dataset) -> np.ndarray:
         return build_design(data, self.basis) @ np.asarray(self.coef, dtype=float)
 
     def evaluate(self, data: Dataset) -> np.ndarray:
         return self.scale(data)[:, None] * data.z
-
-    def is_linear_in_z(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -263,11 +253,10 @@ class CustomIndex:
     evaluator: Callable[[Dataset], np.ndarray] | None = None
     basis: BasisSpec | None = None
     centered: bool = False
-    linear_in_z: bool | None = None
 
     @classmethod
     def from_basis(cls, basis: BasisSpec) -> "CustomIndex":
-        return cls(basis=basis, linear_in_z=basis.is_linear_in_z())
+        return cls(basis=basis)
 
     def evaluate(self, data: Dataset) -> np.ndarray:
         if self.basis is not None:
@@ -279,13 +268,6 @@ class CustomIndex:
         if vals.ndim == 1:
             vals = vals[:, None]
         return vals
-
-    def is_linear_in_z(self) -> bool:
-        if self.linear_in_z is not None:
-            return self.linear_in_z
-        if self.basis is not None:
-            return self.basis.is_linear_in_z()
-        return False
 
 
 IndexFunction = RawInstruments | ScaledInstrument | CustomIndex

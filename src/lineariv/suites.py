@@ -112,9 +112,10 @@ def _table1_stack(datasets: list[Dataset], iv_known_coef) -> list[dict]:
         return fit.coef
 
     def loc_eff(prob, a_x):
-        # g_estimate at efficient_index, outcome (1, c0) profiled
-        d_eff = _centered_exposure_mean(EXPOSURE_SATURATED, "identity", a_x, zs, cs,
-                                        prob[..., None])
+        # g_estimate at efficient_index, outcome (1, c0) profiled; the
+        # instrument is one binary column (_stack_errors)
+        d_eff = _centered_exposure_mean(EXPOSURE_SATURATED, "identity", a_x, cs, prob[..., None],
+                                        np.matvec(saturated, a_x), True)
         theta, _, errors = _solve_ee(_join(d_eff[..., None], lin), _join(x[..., None], lin), y,
                                      "g_estimate")
         _check(errors)
@@ -225,6 +226,14 @@ def effectmod_estimators() -> dict[str, Callable]:
         return out
 
     return _bundle(lambda datasets: [compute(data) for data in datasets], ("tsls_c", "tsls_m", "ts_c", "ts_m"))
+
+
+# the estimator bundle of each generator family (simlab.GENERATORS)
+BUNDLES: dict[str, Callable[[], dict[str, Callable]]] = {
+    "sim1": sim_binary_estimators, "sim2": sim_binary_estimators,
+    "effectmod": effectmod_estimators, "table1": table1_estimators,
+    "extreme": table1_estimators,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -411,36 +420,27 @@ def run_replicate(target: str, reps: int, seed: int, full_grid: bool = False):
     run is a smoke test and no verdict is produced.
     """
     audit = reps >= AUDIT_MIN_REPS
+    run = lambda generator, **kw: run_monte_carlo(
+        ScenarioConfig(generator, seed=seed, **kw), BUNDLES[generator]())
     if target == "table1":
         rows = TABLE1_ROWS if full_grid else TABLE1_GATED_ROWS
-        reports = {}
-        for lam in rows:
-            cfg = ScenarioConfig("table1", n=500, seed=seed, reps=reps, lam=lam)
-            reports[lam] = run_monte_carlo(cfg, table1_estimators())
+        reports = {lam: run("table1", n=500, reps=reps, lam=lam) for lam in rows}
         gates = table1_gates(reports) if audit and all(l in reports for l in TABLE1_GATED_ROWS) else None
         return list(reports.values()), gates
     if target == "fig1":
-        cfg1 = ScenarioConfig("sim1", n=500, seed=seed, reps=reps)
-        cfg2 = ScenarioConfig("sim2", n=500, seed=seed, reps=reps)
-        rep1 = run_monte_carlo(cfg1, sim_binary_estimators())
-        rep2 = run_monte_carlo(cfg2, sim_binary_estimators())
+        rep1 = run("sim1", n=500, reps=reps)
+        rep2 = run("sim2", n=500, reps=reps)
         if not audit:
             return [rep1, rep2], None
-        aux_cfg = ScenarioConfig("sim1", n=CONSISTENCY_N, seed=seed,
-                                 reps=min(reps, CONSISTENCY_REPS))
-        aux = run_monte_carlo(aux_cfg, sim_binary_estimators())
+        aux = run("sim1", n=CONSISTENCY_N, reps=min(reps, CONSISTENCY_REPS))
         return [rep1, rep2, aux], fig1_gates(rep1, rep2, aux)
     if target == "fig2":
-        cfg = ScenarioConfig("effectmod", n=500, seed=seed, reps=reps)
-        rep = run_monte_carlo(cfg, effectmod_estimators())
+        rep = run("effectmod", n=500, reps=reps)
         if not audit:
             return [rep], None
-        aux_cfg = ScenarioConfig("effectmod", n=CONSISTENCY_N, seed=seed,
-                                 reps=min(reps, CONSISTENCY_REPS))
-        aux = run_monte_carlo(aux_cfg, effectmod_estimators())
+        aux = run("effectmod", n=CONSISTENCY_N, reps=min(reps, CONSISTENCY_REPS))
         return [rep, aux], fig2_gates(rep, aux)
     if target == "fig3":
-        cfg = ScenarioConfig("extreme", n=500, seed=seed, reps=reps, lam=FIG3_LAMBDA)
-        rep = run_monte_carlo(cfg, table1_estimators())
+        rep = run("extreme", n=500, reps=reps, lam=FIG3_LAMBDA)
         return [rep], (fig3_gates(rep) if audit else None)
     raise ValueError(f"unknown replication target {target!r}")

@@ -446,3 +446,54 @@ def test_br_pair_shares_one_plain_fit_per_dataset(monkeypatch):
     own_start = br_beta_estimate(data, C_LIN, C_LIN, C_LIN, start_psi=float(brg.psi_hat[0]))
     assert own_start.psi_hat[0] == brb.psi_hat[0]
     assert widths == [2, 3, 3]
+
+
+# ---------------------------------------------------------------------------
+# One degeneracy rule for every estimating equation
+# ---------------------------------------------------------------------------
+
+def _nearly_orthogonal_exposure(ratio):
+    """table1 (1,1,-1), n=500, with the exposure made orthogonal to the index
+    columns (z - P)(1, c0) of the plain instrument fit, plus a multiple of one
+    of their combinations whose norm is ``ratio`` times the remainder's."""
+    d = gen_table1(1, 1, -1, 500, [555, 2]).dataset
+    prob = BinaryLogisticIv.fit(d, C_LIN).prob(d)
+    cols = (d.z[:, 0] - prob)[:, None] * np.column_stack([np.ones(d.n), d.c_raw[:, 0]])
+    x_o = d.x - cols @ np.linalg.lstsq(cols, d.x, rcond=None)[0]
+    u = cols @ np.array([1.0, 0.5])
+    return Dataset(d.y, x_o + ratio * np.linalg.norm(x_o) / np.linalg.norm(u) * u, d.z, d.c_raw)
+
+
+@pytest.mark.parametrize("ratio, identified", [
+    (1e-12, False), (1e-9, False), (1e-8, False), (1e-7, False), (1e-5, True),
+])
+def test_one_step_br_beta_full_solve_and_eem_take_one_degeneracy_decision(ratio, identified):
+    # the same scalar equation sum d(y - psi x) = 0: one-step br-beta once
+    # returned psi ~ 1e6 here, where full_solve and eem raised
+    data = _nearly_orthogonal_exposure(ratio)
+    calls = {
+        "one_step": lambda: br_beta_estimate(data, C_LIN, C_LIN, C_LIN, start_psi=0.5),
+        "eem": lambda: eem_estimate(data, BinaryLogisticIv.fit(data, C_LIN), C_LIN, C_LIN,
+                                    preliminary_psi=0.5),
+    }
+    if identified:
+        for call in calls.values():
+            assert np.isfinite(call().psi)
+        return
+    calls["full_solve"] = lambda: br_beta_estimate(data, C_LIN, C_LIN, C_LIN,
+                                                   update="full_solve", start_psi=0.5)
+    for call in calls.values():
+        with pytest.raises(WeakIdentificationError, match="degenerate"):
+            call()
+
+
+@pytest.mark.parametrize("factor", [1e3, 1e-3])
+def test_bias_reduced_pair_does_not_depend_on_covariate_units(factor):
+    # eem's joint systems carry the c0^2 column and fail at these scales; the
+    # scalar equation of the bias-reduced pair passes the shared rule
+    quad = BasisSpec(["1", "c0", "c0^2"])
+    for seed in range(10):
+        d = gen_table1(0, 0, 0, 500, seed).dataset
+        data = Dataset(d.y, d.x, d.z, factor * d.c_raw)
+        assert np.isfinite(br_gamma_estimate(data, C_LIN, quad, C_LIN).psi)
+        assert np.isfinite(br_beta_estimate(data, C_LIN, quad, C_LIN).psi)

@@ -615,7 +615,7 @@ def _orthogonal_exposure(data, prob):
 
 @pytest.mark.parametrize("estimator, kernel, message", [
     ("eem", "_eem_stack", "g_estimate: estimating-equation denominator is degenerate"),
-    ("br_beta", "_br_beta_stack", "br_beta denominator"),
+    ("br_beta", "_br_beta_stack", "br_beta: estimating-equation denominator is degenerate"),
 ], ids=["eem", "br_beta"])
 def test_eem_and_br_beta_degenerate_member_gets_its_own_error(monkeypatch, estimator, kernel,
                                                               message):
