@@ -29,20 +29,18 @@ from .glm import (
     RANK_RTOL,
     BinaryFit,
     _attempt,
+    _binary,
     _binary_fit,
     _check,
-    _class_errors,
     _fit_stack,
     _Flagged,
     _Irls,
-    _irls,
     _join,
     _mean_function,
     _ols,
     _ranks,
-    _singular_errors,
     _stack,
-    _weight_errors,
+    _wls,
 )
 from .models import (
     BinaryLogisticIv,
@@ -152,12 +150,7 @@ def _eem_beta(zc: np.ndarray, x: np.ndarray, y: np.ndarray, scale: np.ndarray,
               outcome_design: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     """:func:`eem_fit_beta` of a stack at index scales alpha'b(C) (B, n) and
     preliminary estimates psi0 (B,): fit_wls's checks, then its solve."""
-    w = scale**2 * zc**2
-    _check(_weight_errors(w))
-    sw = np.sqrt(w)
-    fit, errors = _ols(outcome_design * sw[..., None], (y - psi0[:, None] * x) * sw, "fit_wls")
-    _check(errors)
-    return fit.coef
+    return _wls(outcome_design, y - psi0[:, None] * x, scale**2 * zc**2).coef
 
 
 def _eem_objective(d: np.ndarray, x: np.ndarray, eps: np.ndarray) -> list:
@@ -195,8 +188,7 @@ def _eem_stack(zc: np.ndarray, x: np.ndarray, y: np.ndarray, index_design: np.nd
     beta = _eem_beta(zc, x, y, scale, outcome_design, psi0)
     d = scale * zc
     response = y - np.matvec(outcome_design, beta)
-    theta, condition, errors = _solve_ee(d[..., None], x[..., None], response, "g_estimate")
-    _check(errors)
+    theta, condition = _solve_ee(d[..., None], x[..., None], response, "g_estimate")
     objective = _eem_objective(d, x, response - psi0[:, None] * x)
     return _Eem(alpha, beta, d, response, theta[:, 0], condition, objective)
 
@@ -234,8 +226,7 @@ def eem_estimate(data: Dataset, iv: IvModel, index_basis: BasisSpec,
 # Bias-reduced estimation
 # ---------------------------------------------------------------------------
 
-def _drop_collinear(base: np.ndarray, extension: np.ndarray
-                    ) -> tuple[np.ndarray, list[int], list[bool]]:
+def _drop_collinear(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Keep the extension columns that raise the numerical rank of the design.
 
     On a stack, ``base`` (B, n, p) and ``extension`` (B, n, q): in order, a
@@ -244,9 +235,9 @@ def _drop_collinear(base: np.ndarray, extension: np.ndarray
     a design fit_ols accepts.  An extension beyond RANK_RTOL of the base's
     largest singular value, either way, is invisible to that test; its scale
     is the index's, on which the bias-reduced estimators do not depend, so it
-    is tested at the base's.  The stack keeps the columns most members keep.
-    Returns the kept columns, their indices and, per member, whether its own
-    decisions were the stack's.
+    is tested at the base's.  A column is kept when every member keeps it;
+    a stack whose members disagree on one raises :class:`~lineariv.glm._Flagged`.
+    Returns the kept columns and their indices.
     """
     # [base, extension] = QR, so any of its column sets has the singular
     # values of the same columns of the small R: the test runs on those
@@ -259,17 +250,16 @@ def _drop_collinear(base: np.ndarray, extension: np.ndarray
     if blind.any():
         tested = tested * np.divide(reach, size, out=np.ones_like(size), where=blind)[:, None, None]
     kept_cols: list[int] = []
-    agree = [True] * extension.shape[0]
     for j in range(extension.shape[-1]):
         trial = np.concatenate([current, tested[:, :, j:j + 1]], axis=-1)
         trial_ranks = _ranks(np.linalg.svd(trial, compute_uv=False))
         keep = [new > old for new, old in zip(trial_ranks, ranks)]
-        majority = 2 * sum(keep) > len(keep)
-        agree = [a and k == majority for a, k in zip(agree, keep)]
-        if majority:
+        if all(keep):
             kept_cols.append(j)
             current, ranks = trial, trial_ranks
-    return extension[:, :, kept_cols], kept_cols, agree
+        elif any(keep):
+            raise _Flagged()
+    return extension[:, :, kept_cols], kept_cols
 
 
 def _index_coef(zc: np.ndarray, index_design: np.ndarray, x: np.ndarray,
@@ -287,18 +277,14 @@ def _logistic(design: np.ndarray, z: np.ndarray) -> tuple[_Irls, np.ndarray]:
     """fit_binary(design, z, "logit") of a stack, with its checks, and its
     fitted probabilities.  A member whose step-halvings ran out follows its
     own fit too."""
-    _check(_class_errors(z))
-    fit = _irls(design, z, "logit")
-    _check(_singular_errors(fit))
+    fit = _binary(design, z, "logit")
     return fit, _mean_function("logit")(np.matvec(design, np.array(fit.coef)))
 
 
 def _extend(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray, list]:
     """``base`` with the extension columns :func:`_drop_collinear` keeps, and
-    their indices; flags the members whose own decisions are not the stack's."""
-    kept_columns, kept, agree = _drop_collinear(base, extension)
-    if not all(agree):
-        raise _Flagged([k for k, a in enumerate(agree) if not a])
+    their indices."""
+    kept_columns, kept = _drop_collinear(base, extension)
     return (_join(base, kept_columns) if kept else base), kept
 
 
@@ -347,9 +333,9 @@ def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.n
     :func:`~lineariv.estimators._solve_ee` as eem's equation is.
 
     Members are independent: each takes the iterates, checks and values of a
-    stack of one.  A member that a check rejects raises its per-dataset error
-    on a stack of one and is flagged on a larger stack (:func:`_check`), as
-    is a member whose own collinearity decisions are not the stack's.
+    stack of one.  A check that rejects a member raises its per-dataset error
+    on a stack of one and flags a larger stack (:func:`_check`), as members
+    that disagree on an extension column do (:func:`_drop_collinear`).
     """
     def extended(alpha):
         e_scale = np.matvec(index_design, alpha)
@@ -361,8 +347,7 @@ def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.n
                         "degenerate instrument variation under the extended fit")
     e_scale, kept, fit, ext_prob = extended(alpha)
     d = e_scale * (z - ext_prob)
-    theta, _, errors = _solve_ee(d[..., None], x[..., None], y, "br_gamma")
-    _check(errors)
+    theta, _ = _solve_ee(d[..., None], x[..., None], y, "br_gamma")
     return _BrGamma(theta[:, 0], alpha, fit, kept, d)
 
 
@@ -491,22 +476,19 @@ def _br_beta_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, prob: np.ndarray
     this estimator's own checks; the one-step psi then solves
     sum d(y - X_ext beta - psi x) = 0 with the same system
     (:func:`~lineariv.estimators._ee_solve`).  ``start=None`` is the full
-    solve, one joint :func:`~lineariv.estimators._solve_ee`.  Checks and
-    flags as :func:`_br_gamma_stack`.
+    solve, one joint :func:`~lineariv.estimators._solve_ee`.  Checks raise
+    on a stack of one and flag a larger stack, as in :func:`_br_gamma_stack`.
     """
     e_scale = np.matvec(index_design, alpha)
     x_ext, kept = _extend(outcome_design, (e_scale * (prob * (1.0 - prob)))[..., None] * iv_design)
     d = e_scale * (z - prob)
-    system, _, scalar_errors = _ee_system(d[..., None], x[..., None], "br_beta")
-    _check(scalar_errors)
+    system, _ = _ee_system(d[..., None], x[..., None], "br_beta")
     if start is None:
-        theta, _, errors = _solve_ee(_join(x_ext, d[..., None]), _join(x_ext, x[..., None]),
-                                     y, "br_beta")
-        _check(errors)
+        theta, _ = _solve_ee(_join(x_ext, d[..., None]), _join(x_ext, x[..., None]), y, "br_beta")
         return _BrBeta(theta[:, -1], theta[:, :-1], kept, x_ext, e_scale, d)
     fit, errors = _ols(x_ext, y - start()[:, None] * x)
     _check(errors)
-    psi = _ee_solve(system, scalar_errors, d[..., None], y - np.matvec(x_ext, fit.coef))[:, 0]
+    psi = _ee_solve(system, d[..., None], y - np.matvec(x_ext, fit.coef))[:, 0]
     return _BrBeta(psi, fit.coef, kept, x_ext, e_scale, d)
 
 

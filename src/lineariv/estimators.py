@@ -71,14 +71,13 @@ class EstimateResult:
         return float(self.psi_hat[0])
 
 
-def _ee_system(index: np.ndarray, regressors: np.ndarray,
-               what: str) -> tuple[np.ndarray, list, list]:
+def _ee_system(index: np.ndarray, regressors: np.ndarray, what: str) -> tuple[np.ndarray, list]:
     """The denominator index'regressors (B, k, k) of the estimating equation
     index'(response - regressors @ theta) = 0 for each member of a stack
-    (index and regressors (B, n, k)), its condition numbers and, per member,
-    the :class:`WeakIdentificationError` of a system that is degenerate
-    against :func:`_moment_scale` or ill-conditioned, or None.  This is the
-    one degeneracy rule of every estimating equation in the package."""
+    (index and regressors (B, n, k)) and its condition numbers.  A system
+    that is degenerate against :func:`_moment_scale` or ill-conditioned is a
+    :class:`WeakIdentificationError` (see :func:`_check`).  This is the one
+    degeneracy rule of every estimating equation in the package."""
     system = index.mT @ regressors
     scale = _moment_scale(index, regressors, index.shape[1])
     s = np.linalg.svd(system, compute_uv=False)
@@ -95,33 +94,26 @@ def _ee_system(index: np.ndarray, regressors: np.ndarray,
                 f"{WEAK_ID_CONDITION:.0e}", condition=cond[-1]))
         else:
             errors.append(None)
-    return system, cond, errors
+    _check(errors)
+    return system, cond
 
 
-def _ee_solve(system: np.ndarray, errors: list, index: np.ndarray,
-              response: np.ndarray) -> np.ndarray:
-    """theta (B, k) from a stack's :func:`_ee_system` and its response
-    (B, n).  A member with an error gets a NaN row, so it fails no other
-    member."""
-    failed = [err is not None for err in errors]
-    if any(failed):
-        system[failed] = np.eye(system.shape[-1])
-    theta = np.linalg.solve(system, np.vecmat(response, index)[..., None])[..., 0]
-    theta[failed] = np.nan
-    return theta
+def _ee_solve(system: np.ndarray, index: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """theta (B, k) from a stack's :func:`_ee_system` and its response (B, n)."""
+    return np.linalg.solve(system, np.vecmat(response, index)[..., None])[..., 0]
 
 
 def _solve_ee(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
-              what: str) -> tuple[np.ndarray, list, list]:
+              what: str) -> tuple[np.ndarray, list]:
     """Solve index'(response - regressors @ theta) = 0 for each member of a
     stack: index and regressors (B, n, k), response (B, n).
 
-    Returns theta (B, k) by :func:`_ee_solve` and the condition numbers and
-    errors of :func:`_ee_system`; a caller with one dataset passes a stack of
-    one and raises its error.
+    Returns theta (B, k) and the condition numbers of :func:`_ee_system`,
+    whose check comes first: a caller with one dataset passes a stack of one
+    and gets its error raised.
     """
-    system, cond, errors = _ee_system(index, regressors, what)
-    return _ee_solve(system, errors, index, response), cond, errors
+    system, cond = _ee_system(index, regressors, what)
+    return _ee_solve(system, index, response), cond
 
 
 def _ee_result(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
@@ -190,7 +182,7 @@ def standard_tsls(data: Dataset, effect: EffectModel, outcome_basis: BasisSpec,
         inst[None], by[None], endog[None], data.y[None])
     first_fits, fs_summary = [], {}
     for j, fit in enumerate(first):
-        f = _linear_fit(first_design[0], endog[:, j], fit, [None])
+        f = _linear_fit(first_design[0], endog[:, j], fit)
         tot = np.sum((endog[:, j] - endog[:, j].mean()) ** 2)
         r_squared = float(1.0 - np.sum(f.residuals ** 2) / tot) if tot > 0 else 0.0
         first_fits.append(f)
@@ -271,13 +263,14 @@ def locally_efficient_y(data: Dataset, exposure: ExposureModel, effect: EffectMo
     grad = effect.gradient(data)
     index_mat = _join(mhat[:, None] * grad, by)
     regressors = _join(data.x[:, None] * grad, by)
-    theta, cond, errors = _solve_ee(index_mat[None], regressors[None], data.y[None],
-                                    "locally_efficient_y")
-    if errors[0] is not None:
+    try:
+        theta, cond = _solve_ee(index_mat[None], regressors[None], data.y[None],
+                                "locally_efficient_y")
+    except WeakIdentificationError as err:
         labels = ([f"m_x*{lab}" for lab in (effect.basis.labels() if effect.basis else ["1"])]
                   + outcome_basis.labels())
         raise SingularDesignError(
-            f"locally efficient system is singular; index components: {labels} ({errors[0]})")
+            f"locally efficient system is singular; index components: {labels} ({err})") from err
     k = effect.dim
     return _ee_result(index_mat, regressors, data.y, theta[0], slice(0, k), theta[0, k:],
                       {"exposure": exposure}, {"condition": cond[0]})
@@ -363,9 +356,7 @@ def g_estimate(data: Dataset, index: IndexFunction, outcome: OutcomeModel | None
     else:
         index_mat, regressors = d, endog
         response = data.y if outcome is None else data.y - outcome.predict(data)
-    theta, cond, errors = _solve_ee(index_mat[None], regressors[None], response[None],
-                                    "g_estimate")
-    _check(errors)
+    theta, cond = _solve_ee(index_mat[None], regressors[None], response[None], "g_estimate")
     theta = theta[0]
     beta = theta[k:] if profiled else np.asarray([] if outcome is None else outcome.coef, dtype=float)
     return _ee_result(index_mat, regressors, response, theta, slice(0, k), beta,

@@ -14,8 +14,10 @@ buffer reused from step to step.  Only the public :func:`expit`,
 probit link's) use scipy, whose ``scipy.special`` they import on first call.
 
 Each method has one kernel that works on a stack of B problems at once
-(``_lstsq``, ``_irls``), reporting degenerate members instead of raising;
-the public fitters are stacks of one that raise.
+(``_lstsq``, ``_irls``), and one sequence of checks on that stack
+(``_ols``, ``_wls``, ``_binary``); the public fitters are stacks of one.
+A stack that any check rejects is computed again member by member
+(``_fit_stack``), so each member gets the error of its fit alone.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
 
 RANK_RTOL = 1e-10          # smallest/largest singular value below this is rank deficient
 SCORE_TOL = 1e-8           # IRLS convergence on the max-abs score
+MAX_ITER = 100             # IRLS Fisher-scoring steps
 PROB_CLIP = 1e-12          # probability clipping inside IRLS weights only
 SEPARATION_NORM = 1e4
 
@@ -85,42 +88,32 @@ class LinearFit:
 
 
 class _Flagged(Exception):
-    """Positions in a stack of the members that leave it (:func:`_fit_stack`)."""
-
-    def __init__(self, positions: list[int]):
-        super().__init__(positions)
-        self.positions = positions
+    """A stack of more than one that a check rejected (:func:`_fit_stack`)."""
 
 
 def _check(errors: list) -> None:
-    """Rejects the stack members whose entry of ``errors`` is not None: a
-    stack of one (one dataset on its own) raises its member's error, the
-    per-dataset one; a larger stack flags them (:class:`_Flagged`)."""
-    bad = [k for k, err in enumerate(errors) if err is not None]
-    if bad:
-        raise errors[0] if len(errors) == 1 else _Flagged(bad)
+    """Rejects a stack in which any member's entry of ``errors`` is not None:
+    a stack of one (one dataset on its own) raises its member's error, the
+    per-dataset one; a larger stack raises :class:`_Flagged`."""
+    if any(err is not None for err in errors):
+        raise errors[0] if len(errors) == 1 else _Flagged()
 
 
 def _fit_stack(compute: Callable[[list], list], items: list) -> list:
     """One value per item.  ``compute(stack)``, one value per member, runs on
-    the items with numpy's warnings off, again without the members it flags
-    (:class:`_Flagged`) until it succeeds; a member left on its own (flagged,
-    alone, or after a LinAlgError) is then computed once as a stack of one
-    with warnings on, whose EstimationError is its value (:func:`_attempt`)."""
+    all the items at once with numpy's warnings off; if a check rejects that
+    stack (:class:`_Flagged`) or a solve in it is singular (LinAlgError),
+    each item is computed again as a stack of one with warnings on, whose
+    EstimationError is its value (:func:`_attempt`)."""
+    if len(items) > 1:
+        try:
+            with np.errstate(all="ignore"):
+                return compute(items)
+        except (_Flagged, np.linalg.LinAlgError):
+            pass
     values: dict = {}
-    members = list(range(len(items)))
-    with np.errstate(all="ignore"):
-        while len(members) > 1:
-            try:
-                values = dict(zip(members, compute([items[m] for m in members])))
-                break
-            except _Flagged as flagged:
-                members = [m for k, m in enumerate(members) if k not in flagged.positions]
-            except np.linalg.LinAlgError:
-                break
     for k, item in enumerate(items):
-        if k not in values:
-            _attempt(values, k, lambda: compute([item])[0])
+        _attempt(values, k, lambda: compute([item])[0])
     return [values[k] for k in range(len(items))]
 
 
@@ -128,8 +121,8 @@ def _attempt(out: dict, key, compute: Callable, *needs) -> None:
     """``out[key] = compute(*out[need] for need in needs)``, or the
     :class:`EstimationError` it raised, or the first error among ``needs``:
     a stage fails exactly when it, or a stage it uses, raised.  On a stack
-    of one each stage so holds its own error; on a larger stack a rejected
-    member is flagged (:func:`_check`), which passes through."""
+    of one each stage so holds its own error; a larger stack that a check
+    rejects raises :class:`_Flagged`, which passes through."""
     for need in needs:
         if isinstance(out[need], EstimationError):
             out[key] = out[need]
@@ -201,19 +194,23 @@ def _ols(design: np.ndarray, response: np.ndarray,
     return fit, _design_errors(fit, what)
 
 
-def _weight_errors(w: np.ndarray) -> list:
-    """Per member of a (B, n) stack of weights, the DegenerateWeightsError
-    ``fit_wls`` raises for it, or None."""
+def _wls(design: np.ndarray, response: np.ndarray, w: np.ndarray) -> _Lstsq:
+    """Weighted least squares on a stack with ``fit_wls``'s checks (see
+    :func:`_check`): weights w (B, n) that are not finite and nonnegative,
+    or all zero, then :func:`_ols`'s checks on the rows scaled by sqrt(w)."""
     usable = (np.isfinite(w).all(-1) & ~(w < 0).any(-1)).tolist()
     positive = (w > 0).any(-1).tolist()
-    return [None if ok and pos else DegenerateWeightsError(
+    _check([None if ok and pos else DegenerateWeightsError(
         "weights must be finite and nonnegative" if not ok else "all weights are zero")
-        for ok, pos in zip(usable, positive)]
-
-
-def _linear_fit(design: np.ndarray, response: np.ndarray, ls: _Lstsq, errors: list) -> LinearFit:
-    # the 2-D fit from a stack of one, raising its error
+        for ok, pos in zip(usable, positive)])
+    sw = np.sqrt(w)
+    fit, errors = _ols(design * sw[..., None], response * sw, "fit_wls")
     _check(errors)
+    return fit
+
+
+def _linear_fit(design: np.ndarray, response: np.ndarray, ls: _Lstsq) -> LinearFit:
+    # the 2-D fit from a checked stack of one
     s, vt, coef = ls.s[0], ls.vt[0], ls.coef[0]
     fitted = design @ coef
     return LinearFit(coef, fitted, response - fitted, (vt.T / s**2) @ vt, ls.condition[0])
@@ -233,7 +230,9 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> LinearFit:
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
-    return _linear_fit(design, response, *_ols(design[None], response[None]))
+    fit, errors = _ols(design[None], response[None])
+    _check(errors)
+    return _linear_fit(design, response, fit)
 
 
 def fit_wls(design: np.ndarray, response: np.ndarray, weights: np.ndarray) -> LinearFit:
@@ -249,10 +248,7 @@ def fit_wls(design: np.ndarray, response: np.ndarray, weights: np.ndarray) -> Li
     w = np.asarray(weights, dtype=float)
     if w.shape != response.shape:
         raise DegenerateWeightsError(f"weights shape {w.shape} does not match response {response.shape}")
-    _check(_weight_errors(w[None]))
-    sw = np.sqrt(w)
-    return _linear_fit(design, response,
-                       *_ols((design * sw[:, None])[None], (response * sw)[None], "fit_wls"))
+    return _linear_fit(design, response, _wls(design[None], response[None], w[None]))
 
 
 @dataclass
@@ -303,21 +299,21 @@ class _Irls(NamedTuple):
     score_norm: list    # max |X'adj| at the final coefficients
     loglik: list
     traces: list        # log-likelihood at the start and after each step
-    singular: list      # condition of the singular X'WX that stopped the member, or None
+    singular: list      # condition of the singular X'WX that stopped a stack of one, or None
     exhausted: list     # True where some step failed all 40 halvings
 
 
 @np.errstate(over="ignore")     # once a fit, for the logit mean
-def _irls(design: np.ndarray, y: np.ndarray, link: str, max_iter: int = 100,
-          tol: float = SCORE_TOL) -> _Irls:
+def _irls(design: np.ndarray, y: np.ndarray, link: str) -> _Irls:
     """Binary regression by IRLS with step-halving for a stack of problems:
     design (B, n, p), binary y (B, n) holding both classes in every member.
 
     Each member follows the iterate sequence of a fit on its own: it stops
-    once its own score norm is at most ``tol`` or after ``max_iter`` steps,
+    once its own score norm is at most SCORE_TOL or after MAX_ITER steps,
     and halves its own step (at most 40 times) until the log-likelihood does
-    not drop by more than 1e-10.  A member whose X'WX is exactly singular
-    stops there and is reported in ``singular``; the others go on.
+    not drop by more than 1e-10.  An exactly singular X'WX stops a stack of
+    one, which reports it in ``singular``, and raises LinAlgError on a larger
+    stack.
     """
     mean = _LINK_MEANS.get(link) or _mean_function(link)    # which raises on an unknown link
     B, n, p = design.shape
@@ -374,11 +370,10 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, max_iter: int = 100,
     steps = 0
     while True:
         norms = norm.tolist()
-        stop = [singular[member] is not None or v <= tol or steps >= max_iter
-                for member, v in zip(live, norms)]
+        stop = [v <= SCORE_TOL or steps >= MAX_ITER for v in norms]
         if any(stop):
             for k, member in enumerate(live):
-                if stop[k] and singular[member] is None:
+                if stop[k]:
                     coef[member], score_norm[member], iterations[member] = beta[k], norms[k], steps
                     loglik[member] = float(ll[k])
             keep = [k for k, s in enumerate(stop) if not s]
@@ -393,18 +388,12 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, max_iter: int = 100,
         try:
             step = np.linalg.solve(hessian, score[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            found = False
-            for k, member in enumerate(live):
-                try:
-                    np.linalg.solve(hessian[k], score[k])
-                except np.linalg.LinAlgError:
-                    s = np.linalg.svd(hessian[k], compute_uv=False)
-                    singular[member] = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-                    coef[member] = np.full(p, np.nan)
-                    found = True
-            if not found:
+            if B > 1:
                 raise
-            continue
+            s = np.linalg.svd(hessian[0], compute_uv=False)
+            singular[0] = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+            coef[0] = np.full(p, np.nan)
+            break
         steps += 1
         # step-halving: the accepted candidate's eta, mu, clipped mu and
         # log-likelihood are kept; a member whose 40 halvings all fail takes
@@ -439,11 +428,11 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, max_iter: int = 100,
     return _Irls(coef, iterations, score_norm, loglik, traces, singular, exhausted)
 
 
-def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit",
-               max_iter: int = 100, tol: float = SCORE_TOL) -> BinaryFit:
+def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit") -> BinaryFit:
     """Fit a binary regression by IRLS with step-halving.
 
-    The start vector is zero except that the coefficient of an all-ones
+    Fisher scoring stops once the max-abs score is at most SCORE_TOL (1e-8)
+    or after MAX_ITER (100) steps.  The start vector is zero except that the coefficient of an all-ones
     column (if present) is initialised at ``link(mean(response))``.
     Non-convergence is reported via ``converged`` rather than raised, so the
     caller decides; apparent separation (coefficient norm above 1e4) sets the
@@ -469,30 +458,25 @@ def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit",
     y = np.asarray(response, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("response must be binary 0/1")
-    _check(_class_errors(y[None]))
-    fit = _irls(design[None], y[None], link, max_iter, tol)
-    _check(_singular_errors(fit))
-    return _binary_fit(fit, 0, link, tol)
+    return _binary_fit(_binary(design[None], y[None], link), 0, link)
 
 
-def _class_errors(y: np.ndarray) -> list:
-    """Per member of a (B, n) stack of binary responses, the
-    DegenerateResponseError ``fit_binary`` raises when it holds one class, or
-    None."""
+def _binary(design: np.ndarray, y: np.ndarray, link: str) -> _Irls:
+    """The IRLS fit of a stack, design (B, n, p) and 0/1 responses y (B, n),
+    with ``fit_binary``'s checks (see :func:`_check`): a response of one
+    class is a DegenerateResponseError, a singular X'WX a
+    SingularDesignError."""
     n = y.shape[-1]
-    return [DegenerateResponseError("response must contain both classes") if ones in (0, n)
-            else None for ones in np.count_nonzero(y, axis=-1).tolist()]
-
-
-def _singular_errors(fit: _Irls) -> list:
-    """Per member of a stacked IRLS fit, the SingularDesignError ``fit_binary``
-    raises when its X'WX was singular, or None."""
-    return [None if cond is None else SingularDesignError(
+    _check([DegenerateResponseError("response must contain both classes") if ones in (0, n)
+            else None for ones in np.count_nonzero(y, axis=-1).tolist()])
+    fit = _irls(design, y, link)
+    _check([None if cond is None else SingularDesignError(
         f"fit_binary: weighted design is rank deficient (condition {cond:.3e})", condition=cond)
-        for cond in fit.singular]
+        for cond in fit.singular])
+    return fit
 
 
-def _binary_fit(fit: _Irls, k: int, link: str, tol: float = SCORE_TOL) -> BinaryFit:
+def _binary_fit(fit: _Irls, k: int, link: str) -> BinaryFit:
     """Member ``k`` of a stacked IRLS fit as the BinaryFit ``fit_binary``
     returns; the member owns copies of the stack's arrays."""
     beta = np.array(fit.coef[k])
@@ -500,7 +484,7 @@ def _binary_fit(fit: _Irls, k: int, link: str, tol: float = SCORE_TOL) -> Binary
     return BinaryFit(
         coefficients=beta,
         link=link,
-        converged=score_norm <= tol,
+        converged=score_norm <= SCORE_TOL,
         iterations=fit.iterations[k],
         score_norm=score_norm,
         separation=bool(np.linalg.norm(beta) > SEPARATION_NORM),

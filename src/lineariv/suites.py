@@ -88,8 +88,9 @@ def _table1_stack(datasets: list[Dataset], iv_known_coef) -> list[dict]:
     bases evaluated once on the stacked instruments and covariates.  Every
     operand keeps the per-dataset order and layout, so each estimate equals
     the per-dataset one to the last bit.  Checks follow
-    :func:`~lineariv.glm._check`; on a stack of one an error is held by its
-    estimate and by the estimates that use it (:func:`_attempt`).  Every
+    :func:`~lineariv.glm._check`: any rejected member flags a larger stack,
+    and on a stack of one an error is held by its estimate and by the
+    estimates that use it (:func:`_attempt`).  Every
     estimate of a dataset without one binary instrument column fails with one
     UnsupportedCombinationError; one without a covariate raises the basis
     evaluator's TermSpecError, as :func:`build_design` does.
@@ -116,10 +117,8 @@ def _table1_stack(datasets: list[Dataset], iv_known_coef) -> list[dict]:
         # instrument is one binary column (_stack_errors)
         d_eff = _centered_exposure_mean(EXPOSURE_SATURATED, "identity", a_x, cs, prob[..., None],
                                         np.matvec(saturated, a_x), True)
-        theta, _, errors = _solve_ee(_join(d_eff[..., None], lin), _join(x[..., None], lin), y,
-                                     "g_estimate")
-        _check(errors)
-        return theta[:, 0]
+        return _solve_ee(_join(d_eff[..., None], lin), _join(x[..., None], lin), y,
+                         "g_estimate")[0][:, 0]
 
     out = {}
     _attempt(out, "tsls", lambda: _tsls_stack(instruments, lin, x[..., None], y)[-1].coef[:, 2])
@@ -155,8 +154,8 @@ def table1_estimators(iv_known_coef: np.ndarray | None = None) -> dict[str, Call
     ``g_estimate`` at ``efficient_index``, ``eem_estimate``,
     ``br_gamma_estimate``, ``br_beta_estimate``) to the last bit, errors
     included, as :func:`_table1_stack` runs their code on a whole linked
-    chunk of replicates, and on each member the chunk's checks reject as a
-    stack of one (:func:`~lineariv.glm._fit_stack`).
+    chunk of replicates, and on each of its replicates as a stack of one when
+    a check rejects the chunk (:func:`~lineariv.glm._fit_stack`).
     """
     return _bundle(lambda datasets: _fit_stack(
         lambda stack: _table1_stack(stack, iv_known_coef), datasets), TABLE1_NAMES)

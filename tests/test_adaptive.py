@@ -331,7 +331,6 @@ def test_br_monotone_improvement_under_full_misspecification():
 def _count_member_fits(monkeypatch) -> list:
     """Counts binary fits as members of the stacked IRLS kernel: a stack of
     B designs counts B fits, and fit_binary (a stack of one) counts one."""
-    import lineariv.adaptive
     import lineariv.glm
 
     calls = []
@@ -341,8 +340,7 @@ def _count_member_fits(monkeypatch) -> list:
         calls.extend([1] * design.shape[0])
         return kernel(design, *args, **kwargs)
 
-    for module in (lineariv.glm, lineariv.adaptive):
-        monkeypatch.setattr(module, "_irls", counting)
+    monkeypatch.setattr(lineariv.glm, "_irls", counting)
     return calls
 
 
@@ -376,17 +374,18 @@ def test_bundle_shares_fits_per_dataset_not_per_thread(monkeypatch):
 
 
 def _spy_irls_widths(monkeypatch) -> list:
-    """Records the design width of each call of the bias-reduced IRLS kernel."""
-    import lineariv.adaptive
+    """Records the design width of each call of the IRLS kernel, which every
+    binary fit, the bias-reduced ones included, runs."""
+    import lineariv.glm
 
     widths = []
-    kernel = lineariv.adaptive._irls
+    kernel = lineariv.glm._irls
 
     def spy(design, *args, **kwargs):
         widths.append(design.shape[-1])
         return kernel(design, *args, **kwargs)
 
-    monkeypatch.setattr(lineariv.adaptive, "_irls", spy)
+    monkeypatch.setattr(lineariv.glm, "_irls", spy)
     return widths
 
 
@@ -424,17 +423,8 @@ def test_br_estimates_unchanged_by_shared_plain_fit():
 
 
 def test_br_pair_shares_one_plain_fit_per_dataset(monkeypatch):
-    import lineariv.adaptive
-
     data = gen_table1(1, 1, -1, 500, 48).dataset
-    widths = []
-    kernel = lineariv.adaptive._irls
-
-    def spy(design, *args, **kwargs):
-        widths.append(design.shape[-1])
-        return kernel(design, *args, **kwargs)
-
-    monkeypatch.setattr(lineariv.adaptive, "_irls", spy)
+    widths = _spy_irls_widths(monkeypatch)
     brg = br_gamma_estimate(data, C_LIN, C_LIN, C_LIN)
     brb = br_beta_estimate(data, C_LIN, C_LIN, C_LIN)
     # the plain logistic fit on (1, c0) and br_gamma's two extended fits (e(C)

@@ -8,7 +8,7 @@ import lineariv.estimators
 import lineariv.suites
 from lineariv import BasisSpec, BinaryLogisticIv, Dataset, EstimationError, dataset, simlab
 from lineariv.adaptive import br_beta_estimate, br_gamma_estimate, eem_estimate, eem_fit_alpha
-from lineariv.inference import conservative_se_brgamma
+from lineariv.inference import bootstrap_ci, conservative_se_brgamma
 from lineariv.models import ExposureModel, OutcomeModel
 from lineariv.rng import make_generator
 from lineariv.adaptive import _br_gamma_stack, _drop_collinear, _extend
@@ -23,6 +23,7 @@ from lineariv.glm import (
     RANK_RTOL,
     _binary_fit,
     _check,
+    _Flagged,
     _irls,
     _lstsq,
     expit,
@@ -35,8 +36,10 @@ from lineariv.suites import (
     EFFECT_CONST,
     EXPOSURE_SATURATED,
     INSTRUMENTS_ZVZ,
+    TABLE1_GATED_ROWS,
     TABLE1_NAMES,
     TABLE1_ROWS,
+    TABLE1_SEED,
     _attempt,
     _table1_stack,
     table1_estimators,
@@ -199,11 +202,11 @@ def test_degenerate_member_falls_back_without_failing_its_chunk(monkeypatch):
     expected = _per_dataset(datasets)
     assert all(isinstance(value, tuple) for value in expected[2].values())
 
-    # only the degenerate member leaves the stack: tsls's check flags it, the
-    # other four are computed together and it alone as a stack of one
+    # tsls's check flags the chunk, and each replicate is computed again as
+    # a stack of one: the other four keep their estimates
     sizes = _kernel_sizes(monkeypatch, "_tsls_stack", lineariv.estimators, lineariv.suites)
     assert _bundle_outcomes(datasets) == expected
-    assert sizes == [5, 4, 1]
+    assert sizes == [5, 1, 1, 1, 1, 1]
 
 
 def test_one_failing_estimator_fails_only_itself_and_its_dependants(monkeypatch):
@@ -223,6 +226,23 @@ def test_one_failing_estimator_fails_only_itself_and_its_dependants(monkeypatch)
     report = run_monte_carlo(cfg, table1_estimators())
     failed = {name: s.failed for name, s in report.summaries.items()}
     assert failed == {"tsls": 3, "loc_eff": 0, "eem": 3, "br_gamma": 3, "br_beta": 3}
+
+
+def test_pinned_runs_never_reject_a_stack(monkeypatch):
+    # the traffic that computing a rejected stack member by member assumes:
+    # no chunk of the gated Table 1 rows at the pinned seed, nor of a br-gamma
+    # bootstrap, is rejected, so none is computed again as stacks of one
+    sizes = _kernel_sizes(monkeypatch, "_table1_stack", lineariv.suites)
+    for lam in TABLE1_GATED_ROWS:
+        cfg = ScenarioConfig("table1", n=500, seed=TABLE1_SEED, reps=32, lam=lam)
+        run_monte_carlo(cfg, table1_estimators())
+    assert sizes == [8] * (4 * len(TABLE1_GATED_ROWS))
+
+    sizes = _kernel_sizes(monkeypatch, "_br_records", lineariv.adaptive)
+    data = simlab.gen_table1(0, 0, 0, 1000, 1).dataset
+    bootstrap_ci(data, lambda ds: br_gamma_estimate(ds, LIN, LIN, LIN).psi_hat, resamples=100,
+                 seed=1)
+    assert sizes == [4] * 25
 
 
 def _small(datasets, rows):
@@ -292,7 +312,8 @@ def test_other_bundles_fail_per_estimator(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Stacked kernels: a degenerate member is reported, the others are unaffected
+# Stacked kernels: a degenerate member rejects its stack, and on its own
+# gets the error of its fit alone
 # ---------------------------------------------------------------------------
 
 def _designs(seed, b=4, n=300, p=3):
@@ -319,14 +340,17 @@ def test_irls_reports_a_singular_member():
     rng, design = _designs(2)
     design[3, :, 2] = design[3, :, 1]
     y = (rng.random(design.shape[:2]) < 0.4).astype(float)
-    fit = _irls(design, y, "logit")
+    # the stack raises; each member alone is fit_binary's fit
+    with pytest.raises(np.linalg.LinAlgError):
+        _irls(design, y, "logit")
     with pytest.raises(SingularDesignError) as err:
         fit_binary(design[3], y[3])
-    assert fit.singular[:3] == [None, None, None] and fit.singular[3] == err.value.condition
+    assert _irls(design[3:], y[3:], "logit").singular == [err.value.condition]
     for k in range(3):
+        fit = _irls(design[k:k + 1], y[k:k + 1], "logit")
         own = fit_binary(design[k], y[k])
-        assert np.array_equal(fit.coef[k], own.coefficients)
-        assert (fit.iterations[k], fit.loglik[k], fit.traces[k]) == (
+        assert fit.singular == [None] and np.array_equal(fit.coef[0], own.coefficients)
+        assert (fit.iterations[0], fit.loglik[0], fit.traces[0]) == (
             own.iterations, own.log_likelihood, own.loglik_trace)
 
 
@@ -339,14 +363,15 @@ def test_irls_member_whose_halvings_run_out_follows_its_own_fit(monkeypatch):
 
     monkeypatch.setitem(lineariv.glm._LINK_MEANS, "logit",
                         lambda eta: np.where(np.abs(eta) < 0.7, expit(eta), expit(-eta)))
+    monkeypatch.setattr(lineariv.glm, "MAX_ITER", 20)
     rng = np.random.default_rng(0)
     design = rng.standard_normal((6, 60, 2)) * rng.uniform(0.5, 6, size=(6, 1, 2))
     design[:, :, 0] = 1.0
     y = (rng.random((6, 60)) < 0.5).astype(float)
-    fit = _irls(design, y, "logit", max_iter=20)
+    fit = _irls(design, y, "logit")
     assert any(fit.exhausted) and not all(fit.exhausted)
     for k in range(6):
-        own = fit_binary(design[k], y[k], max_iter=20)
+        own = fit_binary(design[k], y[k])
         assert np.array_equal(fit.coef[k], own.coefficients)
         assert (fit.iterations[k], fit.score_norm[k], fit.traces[k]) == (
             own.iterations, own.score_norm, own.loglik_trace)
@@ -380,14 +405,15 @@ def test_solve_ee_gives_a_degenerate_member_a_nan_row():
     regressors = index + 0.1 * rng.standard_normal(index.shape)
     response = rng.standard_normal(index.shape[:2])
     index[0, :, 1] = 0.0
-    theta, cond, errors = _solve_ee(index, regressors, response, "test")
-    assert np.isnan(theta[0]).all()
-    assert isinstance(errors[0], WeakIdentificationError) and errors[1:] == [None] * 3
-    own_error = _solve_ee(index[:1], regressors[:1], response[:1], "test")[2][0]
-    assert str(own_error) == str(errors[0]) and own_error.condition == errors[0].condition
+    # the degenerate member flags the stack, and alone raises its own error
+    with pytest.raises(_Flagged):
+        _solve_ee(index, regressors, response, "test")
+    with pytest.raises(WeakIdentificationError, match="test: estimating-equation denominator"):
+        _solve_ee(index[:1], regressors[:1], response[:1], "test")
+    theta, cond = _solve_ee(index[1:], regressors[1:], response[1:], "test")
     for k in (1, 2, 3):
-        own, own_cond, _ = _solve_ee(index[k:k + 1], regressors[k:k + 1], response[k:k + 1], "test")
-        assert np.array_equal(theta[k], own[0]) and cond[k] == own_cond[0]
+        own, own_cond = _solve_ee(index[k:k + 1], regressors[k:k + 1], response[k:k + 1], "test")
+        assert np.array_equal(theta[k - 1], own[0]) and cond[k - 1] == own_cond[0]
 
 
 def _rank_keeps(base, extension):
@@ -416,8 +442,8 @@ def test_drop_collinear_of_one_dataset_is_the_rank_rule():
         extension = base @ rng.standard_normal((p, q))
         extension += rng.choice([0.0, 1e-4, 1e-12], size=q) * rng.standard_normal((n, q))
         extension[:, rng.random(q) < 0.1] = 0.0
-        kept, cols, agree = _drop_collinear(base[None], extension[None])
-        assert cols == _rank_keeps(base, extension) and agree == [True]
+        kept, cols = _drop_collinear(base[None], extension[None])
+        assert cols == _rank_keeps(base, extension)
         assert np.array_equal(kept[0], extension[:, cols])
         if np.linalg.matrix_rank(base, tol=RANK_RTOL * np.linalg.norm(base, 2)) == p:
             # on a full-rank base the extended design passes fit_ols's rank test
@@ -430,12 +456,16 @@ def test_drop_collinear_flags_members_that_disagree_with_the_stack():
     rng, base = _designs(3, p=2)
     extension = base * rng.standard_normal((4, 300, 1))
     extension[2] = 2.0 * base[2]                          # in the span of its base
-    kept, cols, agree = _drop_collinear(base, extension)
-    assert cols == [0, 1] and agree == [True, True, False, True]
+    with pytest.raises(_Flagged):
+        _drop_collinear(base, extension)
+    # each member alone keeps its own columns, the agreeing ones those of
+    # their stack
     assert _drop_collinear(base[2:3], extension[2:3])[1] == []
-    for k in (0, 1, 3):
+    kept, cols = _drop_collinear(base[[0, 1, 3]], extension[[0, 1, 3]])
+    assert cols == [0, 1]
+    for i, k in enumerate((0, 1, 3)):
         own = _drop_collinear(base[k:k + 1], extension[k:k + 1])
-        assert own[1] == [0, 1] and np.array_equal(own[0][0], kept[k])
+        assert own[1] == [0, 1] and np.array_equal(own[0][0], kept[i])
 
 
 def test_drop_collinear_projects_on_the_numerical_range_of_a_deficient_base():
@@ -560,9 +590,8 @@ def test_br_gamma_degenerate_member_gets_its_own_error(monkeypatch):
     sizes = _kernel_sizes(monkeypatch, "_br_records", lineariv.adaptive)
     Dataset.link(datasets)
     assert [_br_fields(ds, (LIN, LIN, LIN)) for ds in datasets] == expected
-    # the class check flags one, the index fit the other, the other four are
-    # fitted together and each degenerate member alone
-    assert sizes == [6, 5, 4, 1, 1]
+    # the class check flags the chunk, and each resample is fitted again alone
+    assert sizes == [6, 1, 1, 1, 1, 1, 1]
 
 
 def test_br_gamma_memoises_a_degenerate_members_error(monkeypatch):
@@ -573,11 +602,11 @@ def test_br_gamma_memoises_a_degenerate_members_error(monkeypatch):
     sizes = _kernel_sizes(monkeypatch, "_br_records", lineariv.adaptive)
     with pytest.raises(DegenerateResponseError) as first:
         br_gamma_estimate(datasets[1], LIN, LIN, LIN)
-    assert sizes == [4, 3, 1]
+    assert sizes == [4, 1, 1, 1, 1]
     # the error is the member's memoised value: no second fit
     with pytest.raises(DegenerateResponseError) as second:
         br_gamma_estimate(datasets[1], LIN, LIN, LIN)
-    assert second.value is first.value and sizes == [4, 3, 1]
+    assert second.value is first.value and sizes == [4, 1, 1, 1, 1]
 
 
 def test_br_gamma_calls_share_no_mutable_state():
@@ -634,9 +663,9 @@ def test_eem_and_br_beta_degenerate_member_gets_its_own_error(monkeypatch, estim
 
     sizes = _kernel_sizes(monkeypatch, kernel, lineariv.adaptive, lineariv.suites)
     assert _bundle_outcomes(datasets, KNOWN_COEF) == expected
-    # the chunk flags the member, the other five are computed together and the
-    # member alone as a stack of one
-    assert sizes == [6, 5, 1]
+    # the member flags the chunk, and each replicate is computed again as a
+    # stack of one
+    assert sizes == [6, 1, 1, 1, 1, 1, 1]
 
 
 def test_every_logistic_model_has_the_irls_mean(monkeypatch):
