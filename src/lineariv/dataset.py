@@ -162,20 +162,17 @@ def _as_locked_array(a, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-# Working-set cap of one chunk of linked datasets (Monte Carlo replicates in
-# run_monte_carlo, bootstrap resamples in bootstrap_ci): 8 datasets at n=500,
-# 4 at n=1000, 1 at n=4000 and above.  ROW_BYTES is a conservative figure for
-# the working set a row of the stacked kernels: tracemalloc measured a peak
-# of 355-386 bytes a row for a chunk of the Table 1 bundle (n=500 and 8000)
-# and 239-299 for a chunk of br-gamma resamples (n=500 and 1000).
-CHUNK_BYTES = 2_000_000
-ROW_BYTES = 480
+# Rows of one chunk of linked datasets (Monte Carlo replicates in
+# run_monte_carlo, bootstrap resamples in bootstrap_ci): 16 datasets at n=500,
+# 8 at n=1000, 2 at n=4000, 1 above n=4096.  Measured cost per member sets
+# it: at a few hundred rows numpy's call overhead outweighs the arithmetic,
+# and the few (B, n) arrays a stacked op streams still fit a per-core L2.
+CHUNK_ROWS = 8192
 
 
 def _chunk_size(n: int) -> int:
-    """Datasets of ``n`` rows per chunk: as many as fit in CHUNK_BYTES of the
-    stacked kernels' working set, about ROW_BYTES a row, and at least one."""
-    return max(1, CHUNK_BYTES // (ROW_BYTES * n))
+    """Datasets of ``n`` rows per chunk: CHUNK_ROWS rows, and at least one."""
+    return max(1, CHUNK_ROWS // n)
 
 
 # The C-heap policy, set by a process's first dataset.  Fits allocate and free

@@ -95,12 +95,13 @@ def bootstrap_ci(data, estimator, resamples: int = 1000, level: float = 0.95,
     excluded and counted; more than 20% failures raises.  ``se`` is the kept
     estimates' sample standard deviation, exactly 0 where they are all equal.
 
-    Resamples are drawn in chunks of consecutive ones, as many as the Monte
-    Carlo harness puts in a chunk of replicates of ``data.n`` rows (4 at
-    n=1000, 8 at n=500), and each chunk's datasets are linked
-    (:meth:`Dataset.link`), so what an estimator memoises on a resample
-    (:meth:`Dataset.memo`) is computed for the whole chunk on its first
-    call: the designs of :func:`~lineariv.dataset.build_design`, and the
+    Resamples are drawn in chunks of consecutive ones that fill
+    ``dataset.CHUNK_ROWS`` rows (16 at n=500, 8 at n=1000), as replicates
+    are, to spread numpy's call overhead over a stack.  Each chunk's
+    datasets are linked (:meth:`Dataset.link`), so what an estimator
+    memoises on a resample (:meth:`Dataset.memo`) is computed for the whole
+    chunk on its first call: the designs of
+    :func:`~lineariv.dataset.build_design`, and the
     bias-reduced pair that :func:`~lineariv.adaptive.br_gamma_estimate` and
     :func:`~lineariv.adaptive.br_beta_estimate` share, as one stack.
     ``estimator`` is still called once per resample, in order, and the

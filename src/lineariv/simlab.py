@@ -246,10 +246,10 @@ def run_monte_carlo(config: ScenarioConfig,
     removes extreme outliers from the retained ones.  Inserting or removing
     estimators never changes the data.
 
-    Replicates are generated in chunks of consecutive replicates, as many
-    as fit ``dataset.CHUNK_BYTES`` of working set at ``dataset.ROW_BYTES``
-    a row (8 at n=500, 1 at n=8000).  A chunk is drawn as one stack, bit for
-    bit :func:`generate`'s datasets, which are linked (:meth:`Dataset.link`):
+    Replicates run in chunks of consecutive ones that fill
+    ``dataset.CHUNK_ROWS`` rows (16 at n=500, 1 at n=8000), which spread
+    numpy's call overhead over a stack.  A chunk is drawn as one stack, bit
+    for bit :func:`generate`'s datasets, linked (:meth:`Dataset.link`):
     the first estimator call on any of them computes what its bundle
     memoises for the whole chunk.  The estimators are still called replicate
     by replicate, in order.  Replicate ``i`` depends only on (seed, ``i``),

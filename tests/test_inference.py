@@ -239,14 +239,14 @@ def test_bootstrap_byte_identical_across_chunk_sizes(monkeypatch, estimator, dat
 
     default = run()
     for size in (1, 7):
-        monkeypatch.setattr(dataset_module, "CHUNK_BYTES", size * dataset_module.ROW_BYTES * data.n)
+        monkeypatch.setattr(dataset_module, "CHUNK_ROWS", size * data.n)
         assert dataset_module._chunk_size(data.n) == size
         assert run() == default
 
 
 def test_bootstrap_links_each_chunk_and_calls_in_order(monkeypatch):
     data = gen_table1(0, 0, 0, 500, 4).dataset
-    monkeypatch.setattr(dataset_module, "CHUNK_BYTES", 3 * dataset_module.ROW_BYTES * data.n)
+    monkeypatch.setattr(dataset_module, "CHUNK_ROWS", 3 * data.n)
     seen = []
     bootstrap_ci(data, lambda ds: seen.append(ds) or np.array([ds.y.mean()]),
                  resamples=100, seed=2)

@@ -1,5 +1,7 @@
 """Stacked Monte Carlo replicates: the chunk kernels against the per-dataset path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,7 +162,7 @@ def _report_bytes(tmp_path, tag):
 def test_reports_byte_identical_across_chunk_sizes(tmp_path, monkeypatch):
     reports = []
     for size in (1, 7, 16):
-        monkeypatch.setattr(dataset, "CHUNK_BYTES", size * dataset.ROW_BYTES * 500)
+        monkeypatch.setattr(dataset, "CHUNK_ROWS", size * 500)
         assert dataset._chunk_size(500) == size
         reports.append(_report_bytes(tmp_path, f"chunk{size}"))
     assert reports[0] == reports[1] == reports[2]
@@ -175,11 +177,11 @@ def test_every_family_reports_byte_identical_across_chunk_sizes(tmp_path, monkey
                                                                  lam, seed, bundle):
     cfg = ScenarioConfig(generator, n=500, seed=seed, reps=16, lam=lam)
     reports = []
-    for size in (1, 7, None):                   # None: the default cap, 8 at n=500
+    for size in (1, 7, None):                   # None: the default budget, 16 at n=500
         with monkeypatch.context() as m:
             if size is not None:
-                m.setattr(dataset, "CHUNK_BYTES", size * dataset.ROW_BYTES * 500)
-            assert dataset._chunk_size(500) == (size or 8)
+                m.setattr(dataset, "CHUNK_ROWS", size * 500)
+            assert dataset._chunk_size(500) == (size or 16)
             report = run_monte_carlo(cfg, bundle())
         simlab.write_report_csv([report], tmp_path / f"{size}.csv")
         simlab.write_report_json([report], tmp_path / f"{size}.json")
@@ -188,10 +190,44 @@ def test_every_family_reports_byte_identical_across_chunk_sizes(tmp_path, monkey
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_chunk_size_follows_the_byte_cap():
-    assert dataset._chunk_size(500) == 8
-    assert dataset._chunk_size(1000) == 4
+def test_chunk_size_follows_the_row_budget():
+    assert dataset._chunk_size(500) == 16
+    assert dataset._chunk_size(1000) == 8
+    assert dataset._chunk_size(4000) == 2
     assert dataset._chunk_size(8000) == 1
+
+
+# a ceiling on the Python-heap peak of one default chunk, about 1.2x its
+# measured 2.2-2.5 MB, so a larger row budget cannot quietly raise peak RSS
+CHUNK_PEAK_BYTES = 3_000_000
+
+
+def _traced_peak(compute) -> int:
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("lam", [(0, 0, 0), (1, 1, -1)])
+def test_a_default_table1_chunk_stays_under_the_peak_ceiling(lam):
+    size = dataset._chunk_size(500)
+    _table1_stack(_replicates("table1", lam, 500, 555, 1), None)     # warm-up
+    chunk = _replicates("table1", lam, 500, 555, size)
+    assert _traced_peak(lambda: _table1_stack(chunk, None)) < CHUNK_PEAK_BYTES
+
+
+def test_a_default_bootstrap_chunk_stays_under_the_peak_ceiling():
+    data = simlab.gen_table1(0, 0, 0, 1000, 1).dataset
+    resamples = [data.take(make_generator([1, b]).integers(0, 1000, size=1000))
+                 for b in range(1 + dataset._chunk_size(1000))]
+    br_records, bases = lineariv.adaptive._br_records, (LIN, LIN, LIN)
+    br_records(resamples[:1], bases)                                    # warm-up
+    assert _traced_peak(lambda: br_records(resamples[1:], bases)) < CHUNK_PEAK_BYTES
 
 
 def test_degenerate_member_falls_back_without_failing_its_chunk(monkeypatch):
@@ -231,18 +267,25 @@ def test_one_failing_estimator_fails_only_itself_and_its_dependants(monkeypatch)
 def test_pinned_runs_never_reject_a_stack(monkeypatch):
     # the traffic that computing a rejected stack member by member assumes:
     # no chunk of the gated Table 1 rows at the pinned seed, nor of a br-gamma
-    # bootstrap, is rejected, so none is computed again as stacks of one
+    # or br-beta bootstrap, is rejected, so none is computed again as stacks
+    # of one
     sizes = _kernel_sizes(monkeypatch, "_table1_stack", lineariv.suites)
     for lam in TABLE1_GATED_ROWS:
         cfg = ScenarioConfig("table1", n=500, seed=TABLE1_SEED, reps=32, lam=lam)
         run_monte_carlo(cfg, table1_estimators())
-    assert sizes == [8] * (4 * len(TABLE1_GATED_ROWS))
+    assert sizes == [16] * (2 * len(TABLE1_GATED_ROWS))
 
     sizes = _kernel_sizes(monkeypatch, "_br_records", lineariv.adaptive)
     data = simlab.gen_table1(0, 0, 0, 1000, 1).dataset
     bootstrap_ci(data, lambda ds: br_gamma_estimate(ds, LIN, LIN, LIN).psi_hat, resamples=100,
                  seed=1)
-    assert sizes == [4] * 25
+    assert sizes == [8] * 12 + [4]
+
+    sizes.clear()
+    data = simlab.gen_table1(0, 0, 0, 200, 1).dataset
+    bootstrap_ci(data, lambda ds: br_beta_estimate(ds, LIN, QUAD, LIN).psi_hat, resamples=100,
+                 seed=1)
+    assert sizes == [40, 40, 20]
 
 
 def _small(datasets, rows):
