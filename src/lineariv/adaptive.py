@@ -101,6 +101,15 @@ def _stack_errors(datasets: list[Dataset]) -> list:
             else None for ds in datasets]
 
 
+def _stack_data(datasets: list[Dataset]) -> tuple:
+    """y, x (B, n), z (B, n, q) and the covariates every member has (B, n, r)
+    of a stack, checked first by :func:`_stack_errors` (see :func:`_check`)."""
+    _check(_stack_errors(datasets))
+    r = min(ds.n_covariates for ds in datasets)
+    return (_stack([ds.y for ds in datasets]), _stack([ds.x for ds in datasets]),
+            _stack([ds.z for ds in datasets]), _stack([ds.c_raw[:, :r] for ds in datasets]))
+
+
 # ---------------------------------------------------------------------------
 # Empirical efficiency maximisation
 # ---------------------------------------------------------------------------
@@ -300,12 +309,11 @@ class _BrPlain(NamedTuple):
 def _br_plain(datasets: list[Dataset], bases: tuple) -> _BrPlain:
     """``BinaryLogisticIv.fit`` and :func:`eem_fit_alpha` under it on a stack
     of datasets and the bases (instrument, outcome, index), with the stacked
-    data and designs that :func:`_br_gamma_stack` takes."""
-    _check(_stack_errors(datasets))
-    x, y = _stack([ds.x for ds in datasets]), _stack([ds.y for ds in datasets])
-    z = _stack([ds.z[:, 0] for ds in datasets])
-    iv_design, outcome_design, index_design = (
-        _stack([build_design(ds, basis) for ds in datasets]) for basis in bases)
+    data and designs that :func:`_br_gamma_stack` takes, each basis
+    evaluated once on the stack."""
+    y, x, zs, cs = _stack_data(datasets)
+    iv_design, outcome_design, index_design = (basis._evaluate(zs, cs) for basis in bases)
+    z = zs[..., 0]
     fit, prob = _logistic(iv_design, z)
     return _BrPlain((z, x, y, iv_design, outcome_design, index_design), fit, prob,
                     _index_coef(z - prob, index_design, x, _ALPHA_CONTEXT))
@@ -373,8 +381,8 @@ def _br_records(datasets: list[Dataset], bases: tuple) -> list[tuple]:
     plain, fit = out["plain"], out["gamma"]
     if isinstance(plain, EstimationError):         # held only on a stack of one
         return [(plain, fit)]
-    plains = [(_binary_fit(plain.fit, k, "logit"), plain.prob[k], plain.alpha[k])
-              for k in range(len(datasets))]
+    plains = [(_binary_fit(plain.fit, k, "logit"), plain.prob[k], plain.alpha[k],
+               tuple(design[k] for design in plain.data[3:])) for k in range(len(datasets))]
     if isinstance(fit, EstimationError):
         return [(plains[0], fit)]
     _, x, y, _, outcome_design, _ = plain.data
@@ -390,9 +398,9 @@ def _br_records(datasets: list[Dataset], bases: tuple) -> list[tuple]:
 def _br_record(data: Dataset, bases: tuple) -> tuple:
     """The dataset's memoised bias-reduced pair on the bases (instrument,
     outcome, index): the plain stage, (BinaryFit, P(Z=1|C), index
-    coefficients), and the br-gamma stage, a :class:`_BrGammaFit`.  Each is
-    the fit, or the EstimationError it or the stage before raised, as on the
-    dataset alone; a linked chunk is filled at once (:meth:`Dataset.memo`)."""
+    coefficients, designs), and the br-gamma stage, a :class:`_BrGammaFit`.
+    Each is the fit, or the EstimationError it or the stage before raised,
+    as on the dataset alone; a linked chunk is filled at once."""
     return data.memo(("br", *bases),
                      lambda chunk: _fit_stack(lambda stack: _br_records(stack, bases), chunk))
 
@@ -518,12 +526,12 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     ``diagnostics["warning"]``.
 
     The plain fit ``BinaryLogisticIv.fit(data, iv_basis)``, the index
-    coefficients under it and the default start value are read from the
-    dataset's memoised bias-reduced pair, which :func:`br_gamma_estimate` on
-    the same bases shares; filling it fits both stages, whatever the mode
-    and start.  Both modes are then one stacked kernel, run here as a stack
-    of one; the Table 1 bundle runs the same kernel (one step) on its chunks
-    of Monte Carlo replicates.
+    coefficients under it, the designs and the default start value are read
+    from the dataset's memoised bias-reduced pair, which
+    :func:`br_gamma_estimate` on the same bases shares; filling it fits both
+    stages, whatever the mode and start.  Both modes are then one stacked
+    kernel, run here as a stack of one; the Table 1 bundle runs the same
+    kernel (one step) on its chunks of Monte Carlo replicates.
     """
     if update not in ("one_step", "full_solve"):
         raise ValueError(f"unknown update mode {update!r}")
@@ -531,8 +539,7 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     plain, gamma = _br_record(data, bases)
     if isinstance(plain, EstimationError):
         raise plain
-    plain_fit, prob, alpha = plain
-    iv_design, outcome_design, index_design = (build_design(data, basis) for basis in bases)
+    plain_fit, prob, alpha, (iv_design, outcome_design, index_design) = plain
 
     def start():
         if start_psi is None and isinstance(gamma, EstimationError):

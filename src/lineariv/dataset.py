@@ -223,13 +223,13 @@ class Dataset:
     designs of :func:`build_design`, keyed by :class:`BasisSpec`, the
     estimates of an estimator bundle, keyed by the bundle, the bias-reduced
     pair of :func:`~lineariv.adaptive.br_gamma_estimate` and
-    :func:`~lineariv.adaptive.br_beta_estimate`, keyed by their bases, and
-    :meth:`z_is_binary`.  A memoised value (an estimation error included) is
-    a pure function of the frozen data and its key; designs are read-only and
-    bias-reduced results are built afresh on every call, so no caller can
-    alter what another sees.  Datasets can be linked into a chunk
-    (:meth:`link`), whose entries are filled together on the first call of
-    any member.  ``take`` builds new, unlinked instances with empty memos.
+    :func:`~lineariv.adaptive.br_beta_estimate`, keyed by their bases.  A
+    memoised value (an estimation error included) is a pure function of the
+    frozen data and its key; designs are read-only and bias-reduced results
+    are built afresh on every call, so no caller can alter what another sees.
+    Datasets can be linked into a chunk (:meth:`link`), whose entries are
+    filled together on the first call of any member.  ``take`` builds new,
+    unlinked instances with empty memos.
 
     Equality and hashing are by identity, like the memo: two
     datasets with equal contents are distinct objects.  Compare the arrays
@@ -326,8 +326,7 @@ class Dataset:
         return data
 
     def z_is_binary(self) -> bool:
-        return self.memo("z_is_binary", lambda chunk: [
-            bool(np.all((ds.z == 0.0) | (ds.z == 1.0))) for ds in chunk])
+        return bool(np.all((self.z == 0.0) | (self.z == 1.0)))
 
 
 # ---------------------------------------------------------------------------

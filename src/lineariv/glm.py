@@ -13,11 +13,11 @@ buffer reused from step to step.  Only the public :func:`expit`,
 :func:`normal_cdf` and :func:`normal_quantile` (the generators' and the
 probit link's) use scipy, whose ``scipy.special`` they import on first call.
 
-Each method has one kernel that works on a stack of B problems at once
-(``_lstsq``, ``_irls``), and one sequence of checks on that stack
-(``_ols``, ``_wls``, ``_binary``); the public fitters are stacks of one.
-A stack that any check rejects is computed again member by member
-(``_fit_stack``), so each member gets the error of its fit alone.
+Each method has one kernel that fits a stack of B problems at once with
+its public fitter's checks (``_ols``, ``_wls``, ``_binary``) and returns
+every member's fit or none; the public fitters are stacks of one.  A stack
+that any check rejects is computed again member by member (``_fit_stack``),
+so each member gets the error of its fit alone.
 """
 
 from __future__ import annotations
@@ -136,11 +136,10 @@ def _attempt(out: dict, key, compute: Callable, *needs) -> None:
 class _Lstsq(NamedTuple):
     """Stacked SVD least squares, one entry per member."""
 
-    coef: np.ndarray        # (B, p); NaN rows where ``deficient``
+    coef: np.ndarray        # (B, p)
     s: np.ndarray           # (B, p) singular values, largest first
     vt: np.ndarray          # (B, p, p)
-    condition: list         # s[0] / s[-1], inf when s[-1] is 0
-    deficient: list         # numerical rank below p (an all-zero design included)
+    condition: list         # s[0] / s[-1]
 
 
 def _join(*blocks: np.ndarray) -> np.ndarray:
@@ -159,39 +158,25 @@ def _ranks(s: np.ndarray) -> list[int]:
     return (s > RANK_RTOL * s[:, :1]).sum(-1).tolist()
 
 
-def _lstsq(design: np.ndarray, response: np.ndarray) -> _Lstsq:
-    """Least squares of ``response`` (B, n) on ``design`` (B, n, p) by SVD,
-    member by member; a rank-deficient member is reported, not raised."""
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    condition = [row[0] / row[-1] if row[-1] > 0 else np.inf for row in s.tolist()]
-    deficient = [rank < s.shape[-1] for rank in _ranks(s)]
-    bad = any(deficient)
-    divisor = np.where(np.array(deficient)[:, None], 1.0, s) if bad else s
-    coef = np.vecmat(np.vecmat(response, u) / divisor, vt)
-    if bad:
-        coef[deficient] = np.nan
-    return _Lstsq(coef, s, vt, condition, deficient)
-
-
-def _design_errors(ls: _Lstsq, what: str) -> list:
-    """Per member of a stacked fit, the SingularDesignError the 2-D fit
-    ``what`` raises for it, or None for a member of full rank."""
-    return [None if not deficient else SingularDesignError(
-        f"{what}: design is identically zero" if ls.s[k, 0] == 0.0 else
-        f"{what}: design is rank deficient (condition estimate {ls.condition[k]:.3e})",
-        condition=ls.condition[k]) for k, deficient in enumerate(ls.deficient)]
-
-
 def _ols(design: np.ndarray, response: np.ndarray,
          what: str = "fit_ols") -> tuple[_Lstsq | None, list]:
-    """Least squares on a stack with ``fit_ols``'s checks: the stacked fit
-    (None for a design with fewer rows than columns) and, per member, the
-    SingularDesignError the 2-D fit ``what`` raises, or None."""
+    """Least squares of ``response`` (B, n) on ``design`` (B, n, p) by SVD,
+    member by member, with ``fit_ols``'s checks: per member, the
+    SingularDesignError the 2-D fit ``what`` raises, or None, and the
+    stacked fit only when every member passes (None otherwise)."""
     if design.shape[-2] < design.shape[-1]:
         return None, [SingularDesignError(
             f"need at least as many rows as columns, got {design.shape[-2:]}")] * len(design)
-    fit = _lstsq(design, response)
-    return fit, _design_errors(fit, what)
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rows = s.tolist()
+    condition = [row[0] / row[-1] if row[-1] > 0 else np.inf for row in rows]
+    errors = [None if rank == len(row) else SingularDesignError(
+        f"{what}: design is identically zero" if row[0] == 0.0 else
+        f"{what}: design is rank deficient (condition estimate {cond:.3e})", condition=cond)
+        for row, cond, rank in zip(rows, condition, _ranks(s))]
+    if any(err is not None for err in errors):
+        return None, errors
+    return _Lstsq(np.vecmat(np.vecmat(response, u) / s, vt), s, vt, condition), errors
 
 
 def _wls(design: np.ndarray, response: np.ndarray, w: np.ndarray) -> _Lstsq:
@@ -219,7 +204,7 @@ def _linear_fit(design: np.ndarray, response: np.ndarray, ls: _Lstsq) -> LinearF
 def fit_ols(design: np.ndarray, response: np.ndarray) -> LinearFit:
     """Ordinary least squares via SVD.
 
-    A batch of one through the stacked kernel ``_lstsq``, which the Monte
+    A batch of one through the stacked kernel ``_ols``, which the Monte
     Carlo bundles call directly on a (B, n, p) stack of designs.
 
     Raises
@@ -294,12 +279,11 @@ def _mean_function(link: str):
 class _Irls(NamedTuple):
     """Stacked IRLS: one list entry per member."""
 
-    coef: list          # (p,) arrays, NaN for a singular member
+    coef: list          # (p,) arrays
     iterations: list    # Fisher-scoring steps taken
     score_norm: list    # max |X'adj| at the final coefficients
     loglik: list
     traces: list        # log-likelihood at the start and after each step
-    singular: list      # condition of the singular X'WX that stopped a stack of one, or None
     exhausted: list     # True where some step failed all 40 halvings
 
 
@@ -311,9 +295,9 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str) -> _Irls:
     Each member follows the iterate sequence of a fit on its own: it stops
     once its own score norm is at most SCORE_TOL or after MAX_ITER steps,
     and halves its own step (at most 40 times) until the log-likelihood does
-    not drop by more than 1e-10.  An exactly singular X'WX stops a stack of
-    one, which reports it in ``singular``, and raises LinAlgError on a larger
-    stack.
+    not drop by more than 1e-10.  An exactly singular X'WX raises
+    ``fit_binary``'s SingularDesignError on a stack of one and LinAlgError
+    on a larger stack.
     """
     mean = _LINK_MEANS.get(link) or _mean_function(link)    # which raises on an unknown link
     B, n, p = design.shape
@@ -359,7 +343,6 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str) -> _Irls:
     coef = [None] * B
     iterations = [0] * B
     score_norm, loglik = [np.nan] * B, [np.nan] * B
-    singular = [None] * B
     exhausted = [False] * B
     # the live members and their state; every live member has taken `steps` steps
     live = list(range(B))
@@ -391,9 +374,9 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str) -> _Irls:
             if B > 1:
                 raise
             s = np.linalg.svd(hessian[0], compute_uv=False)
-            singular[0] = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-            coef[0] = np.full(p, np.nan)
-            break
+            cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+            raise SingularDesignError(f"fit_binary: weighted design is rank deficient "
+                                      f"(condition {cond:.3e})", condition=cond) from None
         steps += 1
         # step-halving: the accepted candidate's eta, mu, clipped mu and
         # log-likelihood are kept; a member whose 40 halvings all fail takes
@@ -425,7 +408,7 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str) -> _Irls:
         for member, value in zip(live, ll.tolist()):
             traces[member].append(value)
         score, norm, w = score_and_weights(x, live_y, eta, mu, var)
-    return _Irls(coef, iterations, score_norm, loglik, traces, singular, exhausted)
+    return _Irls(coef, iterations, score_norm, loglik, traces, exhausted)
 
 
 def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit") -> BinaryFit:
@@ -464,16 +447,12 @@ def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit") ->
 def _binary(design: np.ndarray, y: np.ndarray, link: str) -> _Irls:
     """The IRLS fit of a stack, design (B, n, p) and 0/1 responses y (B, n),
     with ``fit_binary``'s checks (see :func:`_check`): a response of one
-    class is a DegenerateResponseError, a singular X'WX a
-    SingularDesignError."""
+    class is a DegenerateResponseError, and :func:`_irls` raises for a
+    singular X'WX."""
     n = y.shape[-1]
     _check([DegenerateResponseError("response must contain both classes") if ones in (0, n)
             else None for ones in np.count_nonzero(y, axis=-1).tolist()])
-    fit = _irls(design, y, link)
-    _check([None if cond is None else SingularDesignError(
-        f"fit_binary: weighted design is rank deficient (condition {cond:.3e})", condition=cond)
-        for cond in fit.singular])
-    return fit
+    return _irls(design, y, link)
 
 
 def _binary_fit(fit: _Irls, k: int, link: str) -> BinaryFit:

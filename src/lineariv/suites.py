@@ -21,7 +21,7 @@ from .adaptive import (
     _eem_stack,
     _index_coef,
     _logistic,
-    _stack_errors,
+    _stack_data,
 )
 from .dataset import BasisSpec, Dataset
 from .errors import EstimationError
@@ -36,7 +36,7 @@ from .estimators import (
     plug_in_two_stage,
     standard_tsls,
 )
-from .glm import _attempt, _check, _fit_stack, _join, _mean_function, _ols, _stack
+from .glm import _attempt, _check, _fit_stack, _join, _mean_function, _ols
 from .models import BinaryLogisticIv, EffectModel, ExposureModel, OutcomeModel
 from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
 
@@ -95,13 +95,7 @@ def _table1_stack(datasets: list[Dataset], iv_known_coef) -> list[dict]:
     UnsupportedCombinationError; one without a covariate raises the basis
     evaluator's TermSpecError, as :func:`build_design` does.
     """
-    _check(_stack_errors(datasets))
-    y = _stack([ds.y for ds in datasets])
-    x = _stack([ds.x for ds in datasets])
-    zs = _stack([ds.z for ds in datasets])
-    # the covariates every member has: the bases raise for one that lacks c0
-    r = min(ds.n_covariates for ds in datasets)
-    cs = _stack([ds.c_raw[:, :r] for ds in datasets])
+    y, x, zs, cs = _stack_data(datasets)
     lin, saturated, instruments = (basis._evaluate(zs, cs) for basis in
                                    (C_LIN, EXPOSURE_SATURATED, INSTRUMENTS_ZVZ))
     z = zs[..., 0]
