@@ -235,8 +235,9 @@ def eem_estimate(data: Dataset, iv: IvModel, index_basis: BasisSpec,
 # Bias-reduced estimation
 # ---------------------------------------------------------------------------
 
-def _drop_collinear(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Keep the extension columns that raise the numerical rank of the design.
+def _extend(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """``base`` joined with the extension columns that raise the numerical
+    rank of the design, and their indices.
 
     On a stack, ``base`` (B, n, p) and ``extension`` (B, n, q): in order, a
     column is kept when appending it to the base and the kept columns raises
@@ -246,7 +247,6 @@ def _drop_collinear(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray
     is the index's, on which the bias-reduced estimators do not depend, so it
     is tested at the base's.  A column is kept when every member keeps it;
     a stack whose members disagree on one raises :class:`~lineariv.glm._Flagged`.
-    Returns the kept columns and their indices.
     """
     # [base, extension] = QR, so any of its column sets has the singular
     # values of the same columns of the small R: the test runs on those
@@ -258,17 +258,17 @@ def _drop_collinear(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray
     blind = (size > 0) & (reach > 0) & ((size <= RANK_RTOL * reach) | (RANK_RTOL * size >= reach))
     if blind.any():
         tested = tested * np.divide(reach, size, out=np.ones_like(size), where=blind)[:, None, None]
-    kept_cols: list[int] = []
+    kept: list[int] = []
     for j in range(extension.shape[-1]):
         trial = np.concatenate([current, tested[:, :, j:j + 1]], axis=-1)
         trial_ranks = _ranks(np.linalg.svd(trial, compute_uv=False))
         keep = [new > old for new, old in zip(trial_ranks, ranks)]
         if all(keep):
-            kept_cols.append(j)
+            kept.append(j)
             current, ranks = trial, trial_ranks
         elif any(keep):
             raise _Flagged()
-    return extension[:, :, kept_cols], kept_cols
+    return (_join(base, extension[:, :, kept]) if kept else base), kept
 
 
 def _index_coef(zc: np.ndarray, index_design: np.ndarray, x: np.ndarray,
@@ -288,13 +288,6 @@ def _logistic(design: np.ndarray, z: np.ndarray) -> tuple[_Irls, np.ndarray]:
     own fit too."""
     fit = _binary(design, z, "logit")
     return fit, _mean_function("logit")(np.matvec(design, np.array(fit.coef)))
-
-
-def _extend(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray, list]:
-    """``base`` with the extension columns :func:`_drop_collinear` keeps, and
-    their indices."""
-    kept_columns, kept = _drop_collinear(base, extension)
-    return (_join(base, kept_columns) if kept else base), kept
 
 
 class _BrPlain(NamedTuple):
@@ -343,7 +336,7 @@ def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.n
     Members are independent: each takes the iterates, checks and values of a
     stack of one.  A check that rejects a member raises its per-dataset error
     on a stack of one and flags a larger stack (:func:`_check`), as members
-    that disagree on an extension column do (:func:`_drop_collinear`).
+    that disagree on an extension column do (:func:`_extend`).
     """
     def extended(alpha):
         e_scale = np.matvec(index_design, alpha)

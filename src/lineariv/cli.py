@@ -45,13 +45,14 @@ from .models import (
 )
 from .simlab import (
     GENERATORS,
+    LAMBDA_GENERATORS,
     ScenarioConfig,
     run_monte_carlo,
     simulate,
     write_report_csv,
     write_report_json,
 )
-from .suites import AUDIT_MIN_REPS, BUNDLES, REPLICATE_TARGETS, run_replicate
+from .suites import AUDIT_MIN_REPS, BUNDLES, REPLICATE_SEEDS, run_replicate
 
 ESTIMATORS = ("tsls", "two-stage", "loc-eff-y", "g-est", "loc-eff-dr",
               "eem", "br-gamma", "br-beta")
@@ -306,7 +307,7 @@ def cmd_benchmark(args) -> int:
             scenarios.append(ScenarioConfig("table1", n=args.n, seed=args.seed,
                                             reps=args.reps, lam=lam))
     else:
-        lam = (args.lx, args.ly, args.lz) if args.generator in ("table1", "extreme") else None
+        lam = (args.lx, args.ly, args.lz) if args.generator in LAMBDA_GENERATORS else None
         scenarios.append(ScenarioConfig(args.generator, n=args.n, seed=args.seed,
                                         reps=args.reps, lam=lam))
     reports = []
@@ -330,9 +331,8 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    target = REPLICATE_TARGETS[args.target]
-    reps = args.reps if args.reps else target.default_reps
-    seed = args.seed if args.seed is not None else target.default_seed
+    reps = args.reps or 1000
+    seed = args.seed if args.seed is not None else REPLICATE_SEEDS[args.target]
     reports, gates = run_replicate(args.target, reps=reps, seed=seed, full_grid=args.full_grid)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_benchmark)
 
     repl = sub.add_parser("replicate", help="run a pinned benchmark target and check gates")
-    repl.add_argument("target", choices=sorted(REPLICATE_TARGETS))
+    repl.add_argument("target", choices=sorted(REPLICATE_SEEDS))
     repl.add_argument("--reps", type=int)
     repl.add_argument("--seed", type=int)
     repl.add_argument("--full-grid", action="store_true",

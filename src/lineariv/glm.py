@@ -3,15 +3,16 @@
 Linear solves go through a singular value decomposition (rank revealing,
 no explicit inversion of the design cross-product); the inverse Gram matrix is
 reconstructed from the factors only because sandwich variance estimation
-needs it.  Binary fits use iteratively reweighted least squares with
-step-halving on likelihood decrease.  Its arithmetic is set for many small
-fits: the logit mean, which is also every fitted logistic model's
-probability, is numpy's vectorised 1/(1+exp(-eta)), evaluated in place with
-overflow ignored once a fit; the log-likelihood takes one log a row; X'WX
-weights a C-contiguous (p, n) copy of the design along its rows, into a
-buffer reused from step to step.  Only the public :func:`expit`,
-:func:`normal_cdf` and :func:`normal_quantile` (the generators' and the
-probit link's) use scipy, whose ``scipy.special`` they import on first call.
+needs it.  Binary fits use iteratively reweighted least squares whose step
+takes the first length 1, 1/2, ..., 2^-40 that lowers the log-likelihood by
+at most 1e-10, the last untested.  Its arithmetic is set for many small fits:
+the logit mean, which is also every fitted logistic model's probability, is
+numpy's vectorised 1/(1+exp(-eta)), evaluated in place with overflow ignored
+once a fit; the log-likelihood takes one log a row; X'WX weights a
+C-contiguous (p, n) copy of the design along its rows, into a buffer reused
+from step to step.  Only the public :func:`expit`, :func:`normal_cdf` and
+:func:`normal_quantile` (the generators' and the probit link's) use scipy,
+whose ``scipy.special`` they import on first call.
 
 Each method has one kernel that fits a stack of B problems at once with
 its public fitter's checks (``_ols``, ``_wls``, ``_binary``) and returns
@@ -284,7 +285,7 @@ class _Irls(NamedTuple):
     score_norm: list    # max |X'adj| at the final coefficients
     loglik: list
     traces: list        # log-likelihood at the start and after each step
-    exhausted: list     # True where some step failed all 40 halvings
+    exhausted: list     # True where some step took the last length, 2^-40, untested
 
 
 @np.errstate(over="ignore")     # once a fit, for the logit mean
@@ -294,10 +295,10 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str) -> _Irls:
 
     Each member follows the iterate sequence of a fit on its own: it stops
     once its own score norm is at most SCORE_TOL or after MAX_ITER steps,
-    and halves its own step (at most 40 times) until the log-likelihood does
-    not drop by more than 1e-10.  An exactly singular X'WX raises
-    ``fit_binary``'s SingularDesignError on a stack of one and LinAlgError
-    on a larger stack.
+    and each step takes the first length 1, 1/2, ..., 2^-40 at which its
+    log-likelihood does not drop by more than 1e-10, or 2^-40 untested
+    (``exhausted``).  An exactly singular X'WX raises ``fit_binary``'s
+    SingularDesignError on a stack of one and LinAlgError on a larger stack.
     """
     mean = _LINK_MEANS.get(link) or _mean_function(link)    # which raises on an unknown link
     B, n, p = design.shape
@@ -363,8 +364,9 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str) -> _Irls:
             if not keep:
                 break
             live = [live[k] for k in keep]
-            x, xt, live_y, live_y0, beta, eta, mu, var, ll, score, norm, w = (
-                a[keep] for a in (x, xt, live_y, live_y0, beta, eta, mu, var, ll, score, norm, w))
+            # what the next step reads; eta, mu, var and norm are recomputed first
+            x, xt, live_y, live_y0, beta, ll, score, w = (
+                a[keep] for a in (x, xt, live_y, live_y0, beta, ll, score, w))
             xtw = xtw[:len(live)]
         # Fisher scoring step: solve (X'WX) d = X'(score residual)
         hessian = np.multiply(xt, w[:, None, :], out=xtw) @ x
@@ -378,32 +380,28 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str) -> _Irls:
             raise SingularDesignError(f"fit_binary: weighted design is rank deficient "
                                       f"(condition {cond:.3e})", condition=cond) from None
         steps += 1
-        # step-halving: the accepted candidate's eta, mu, clipped mu and
-        # log-likelihood are kept; a member whose 40 halvings all fail takes
-        # the next (untried) step length, evaluated afresh
-        t = 1.0
-        cand = beta + t * step
-        found = (cand, *evaluate(x, live_y0, cand))
-        pending = [k for k, ok in enumerate((found[-1] >= ll - 1e-10).tolist()) if not ok]
-        for _ in range(39):
+        # step-halving over t = 1, 1/2, ..., 2^-40: the whole stack tries t = 1,
+        # the members still pending each shorter t; the accepted candidate's
+        # eta, mu, variance and log-likelihood are kept
+        rows, pending, found = slice(None), range(len(live)), None
+        for halving in range(41):
+            cand = beta[rows] + 0.5 ** halving * step[rows]
+            trial = (cand, *evaluate(x[rows], live_y0[rows], cand))
+            if halving < 40:
+                ok = (trial[-1] >= ll[rows] - 1e-10).tolist()
+            else:       # the last length, untested
+                ok = [True] * len(pending)
+                for k in pending:
+                    exhausted[live[k]] = True
+            if found is None:
+                found = trial
+            elif any(ok):
+                accepted = [i for i, a in enumerate(ok) if a]
+                for state, value in zip(found, trial):
+                    state[[pending[i] for i in accepted]] = value[accepted]
+            rows = pending = [k for k, a in zip(pending, ok) if not a]
             if not pending:
                 break
-            t *= 0.5
-            cand = beta[pending] + t * step[pending]
-            retry = (cand, *evaluate(x[pending], live_y0[pending], cand))
-            ok = (retry[-1] >= ll[pending] - 1e-10).tolist()
-            accepted = [i for i, a in enumerate(ok) if a]
-            if accepted:
-                for state, value in zip(found, retry):
-                    state[[pending[i] for i in accepted]] = value[accepted]
-            pending = [k for k, a in zip(pending, ok) if not a]
-        if pending:
-            t *= 0.5
-            cand = beta[pending] + t * step[pending]
-            for state, value in zip(found, (cand, *evaluate(x[pending], live_y0[pending], cand))):
-                state[pending] = value
-            for k in pending:
-                exhausted[live[k]] = True
         beta, eta, mu, var, ll = found
         for member, value in zip(live, ll.tolist()):
             traces[member].append(value)
@@ -415,13 +413,14 @@ def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit") ->
     """Fit a binary regression by IRLS with step-halving.
 
     Fisher scoring stops once the max-abs score is at most SCORE_TOL (1e-8)
-    or after MAX_ITER (100) steps.  The start vector is zero except that the coefficient of an all-ones
-    column (if present) is initialised at ``link(mean(response))``.
-    Non-convergence is reported via ``converged`` rather than raised, so the
-    caller decides; apparent separation (coefficient norm above 1e4) sets the
-    ``separation`` flag.  The fit is a batch of one through the stacked
-    kernel ``_irls``, which the Monte Carlo bundles call directly on a
-    (B, n, p) stack of designs.
+    or after MAX_ITER (100) steps; a step is halved, at most 40 times, while
+    the log-likelihood drops by more than 1e-10.  The start vector is zero
+    except that the coefficient of an all-ones column (if present) is
+    initialised at ``link(mean(response))``.  Non-convergence is reported via
+    ``converged`` rather than raised, so the caller decides; apparent
+    separation (coefficient norm above 1e4) sets the ``separation`` flag.
+    The fit is a batch of one through the stacked kernel ``_irls``, which
+    the Monte Carlo bundles call directly on a (B, n, p) stack of designs.
 
     The log-likelihood clips probabilities to [1e-12, 1 - 1e-12]; the rest
     of the arithmetic is the module docstring's.  A member of a stack gets

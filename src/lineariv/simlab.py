@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 OUTLIER_IQR_MULTIPLIER = 50.0
-GENERATORS = ("sim1", "sim2", "effectmod", "table1", "extreme")
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,8 @@ def _extreme(u, v, rz, d, e, lambda_x, lambda_y, lambda_z):
 _FAMILIES = {"sim1": (_sim1, (0, 1, 4), (0.5,)), "sim2": (_sim2, (0, 1, 4), (0.5,)),
              "effectmod": (_effectmod, (0, 1, 3, 4), (0.5, 1.0)),
              "table1": (_table1, (0, 1, 3, 4), (1.0,)), "extreme": (_extreme, (0, 1, 3, 4), (1.0,))}
+GENERATORS = tuple(_FAMILIES)
+LAMBDA_GENERATORS = ("table1", "extreme")      # the families that read lam = (lx, ly, lz)
 
 
 def _simulate(generator: str, n: int, seeds, lam=None) -> list[Dataset]:
@@ -176,7 +177,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise SchemaError(f"unknown generator {self.generator!r}; choose from {GENERATORS}")
-        if self.generator in ("table1", "extreme"):
+        if self.generator in LAMBDA_GENERATORS:
             if self.lam is None or len(self.lam) != 3 or any(c not in (-1, 0, 1) for c in self.lam):
                 raise SchemaError("table1/extreme scenarios need lam=(lx,ly,lz) with components in {-1,0,1}")
         if self.n < 50:
@@ -192,7 +193,7 @@ def simulate(generator: str, n: int, seed, lam: tuple[int, int, int] | None = No
     """One dataset of a generator family, its stacked kernel on the one seed key
     ``seed``; ``lam`` is read by table1/extreme only."""
     data, = _simulate(generator, n, [seed], lam)
-    params = {"lambda": tuple(lam)} if generator in ("table1", "extreme") else {}
+    params = {"lambda": tuple(lam)} if generator in LAMBDA_GENERATORS else {}
     return SimulatedData(data, np.array(_FAMILIES[generator][2]), generator, params)
 
 

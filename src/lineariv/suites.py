@@ -44,8 +44,7 @@ __all__ = [
     "table1_estimators",
     "sim_binary_estimators",
     "effectmod_estimators",
-    "ReplicateTarget",
-    "REPLICATE_TARGETS",
+    "REPLICATE_SEEDS",
     "GateResult",
 ]
 
@@ -250,7 +249,7 @@ TABLE1_ROWS: list[tuple[int, int, int]] = [
     (1, 1, -1), (-1, 1, -1), (1, -1, -1), (-1, -1, -1),
 ]
 
-# Acceptance rows actually gated; replicate --full runs all TABLE1_ROWS.
+# Acceptance rows actually gated; replicate --full-grid runs all TABLE1_ROWS.
 TABLE1_GATED_ROWS = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, -1)]
 
 FIG3_LAMBDA = (1, -1, -1)
@@ -390,20 +389,8 @@ def fig3_gates(rep: MonteCarloReport) -> list[GateResult]:
     return gates
 
 
-@dataclass
-class ReplicateTarget:
-    name: str
-    default_seed: int
-    default_reps: int
-    n: int
-
-
-REPLICATE_TARGETS = {
-    "table1": ReplicateTarget("table1", TABLE1_SEED, 1000, 500),
-    "fig1": ReplicateTarget("fig1", FIG1_SEED, 1000, 500),
-    "fig2": ReplicateTarget("fig2", FIG2_SEED, 1000, 500),
-    "fig3": ReplicateTarget("fig3", FIG3_SEED, 1000, 500),
-}
+# replication target -> its pinned master seed
+REPLICATE_SEEDS = {"table1": TABLE1_SEED, "fig1": FIG1_SEED, "fig2": FIG2_SEED, "fig3": FIG3_SEED}
 
 
 def run_replicate(target: str, reps: int, seed: int, full_grid: bool = False):

@@ -1,5 +1,6 @@
 """Command-line interface: determinism, exit codes, library equality."""
 
+import csv
 import json
 
 import numpy as np
@@ -302,12 +303,16 @@ def test_benchmark_full_grid_layout(tmp_path, capsys):
     assert all(r["n"] == 120 and r["reps"] == 2 for r in rows)
 
 
-def test_replicate_below_audit_threshold_warns(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "replicate", "table1", "--reps", "10",
-                           "--out-dir", str(tmp_path))
+@pytest.mark.parametrize("target, seed", [("table1", 555), ("fig1", 777), ("fig2", 20260809),
+                                          ("fig3", 227)])
+def test_replicate_below_audit_threshold_warns(tmp_path, capsys, target, seed):
+    # without --seed every report row carries the target's pinned seed
+    code, out, _ = run_cli(capsys, "replicate", target, "--reps", "2", "--out-dir", str(tmp_path))
     assert code == 0
     assert "below audit threshold" in out
-    assert (tmp_path / "table1_report.csv").exists()
+    with open(tmp_path / f"{target}_report.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(row["seed"] == str(seed) and row["reps"] == "2" for row in rows)
 
 
 def test_replicate_gate_failure_exit_code(tmp_path, capsys):

@@ -13,7 +13,7 @@ from lineariv.adaptive import br_beta_estimate, br_gamma_estimate, eem_estimate,
 from lineariv.inference import bootstrap_ci, conservative_se_brgamma
 from lineariv.models import ExposureModel, OutcomeModel
 from lineariv.rng import make_generator
-from lineariv.adaptive import _br_gamma_stack, _drop_collinear, _extend
+from lineariv.adaptive import _br_gamma_stack, _extend
 from lineariv.errors import (
     DegenerateResponseError,
     SingularDesignError,
@@ -496,7 +496,7 @@ def test_solve_ee_flags_a_stack_with_a_degenerate_member():
 
 
 def _rank_keeps(base, extension):
-    """The rank rule ``_drop_collinear`` implements: keep a column when it
+    """The rank rule ``_extend`` implements: keep a column when it
     raises ``np.linalg.matrix_rank`` at fit_ols's tolerance RANK_RTOL * s_max."""
     def rank(design):
         return np.linalg.matrix_rank(design, tol=RANK_RTOL * np.linalg.norm(design, 2))
@@ -521,9 +521,9 @@ def test_drop_collinear_of_one_dataset_is_the_rank_rule():
         extension = base @ rng.standard_normal((p, q))
         extension += rng.choice([0.0, 1e-4, 1e-12], size=q) * rng.standard_normal((n, q))
         extension[:, rng.random(q) < 0.1] = 0.0
-        kept, cols = _drop_collinear(base[None], extension[None])
+        kept, cols = _extend(base[None], extension[None])
         assert cols == _rank_keeps(base, extension)
-        assert np.array_equal(kept[0], extension[:, cols])
+        assert np.array_equal(kept[0, :, p:], extension[:, cols])
         if np.linalg.matrix_rank(base, tol=RANK_RTOL * np.linalg.norm(base, 2)) == p:
             # on a full-rank base the extended design passes fit_ols's rank test
             design, extended = _extend(base[None], extension[None])
@@ -536,15 +536,15 @@ def test_drop_collinear_flags_members_that_disagree_with_the_stack():
     extension = base * rng.standard_normal((4, 300, 1))
     extension[2] = 2.0 * base[2]                          # in the span of its base
     with pytest.raises(_Flagged):
-        _drop_collinear(base, extension)
+        _extend(base, extension)
     # each member alone keeps its own columns, the agreeing ones those of
     # their stack
-    assert _drop_collinear(base[2:3], extension[2:3])[1] == []
-    kept, cols = _drop_collinear(base[[0, 1, 3]], extension[[0, 1, 3]])
+    assert _extend(base[2:3], extension[2:3])[1] == []
+    kept, cols = _extend(base[[0, 1, 3]], extension[[0, 1, 3]])
     assert cols == [0, 1]
     for i, k in enumerate((0, 1, 3)):
-        own = _drop_collinear(base[k:k + 1], extension[k:k + 1])
-        assert own[1] == [0, 1] and np.array_equal(own[0][0], kept[i])
+        own = _extend(base[k:k + 1], extension[k:k + 1])
+        assert own[1] == [0, 1] and np.array_equal(own[0][0, :, 2:], kept[i, :, 2:])
 
 
 def test_drop_collinear_projects_on_the_numerical_range_of_a_deficient_base():
@@ -555,18 +555,18 @@ def test_drop_collinear_projects_on_the_numerical_range_of_a_deficient_base():
     col = base[0] @ rng.standard_normal(3) + 1e-4 * u[:, 2]
     extension = col[None, :, None]
     assert _rank_keeps(base[0], extension[0]) == [0]
-    assert _drop_collinear(base, extension)[1] == [0]
+    assert _extend(base, extension)[1] == [0]
 
 
 def test_drop_collinear_judges_an_extension_the_test_cannot_see_at_the_base_scale():
     rng, base = _designs(6, b=1)
     # a column in the span of the base and one off it
     extension = np.stack([base[0] @ rng.standard_normal(3), rng.standard_normal(300)], axis=-1)
-    assert _drop_collinear(base, extension[None])[1] == [1]
+    assert _extend(base, extension[None])[1] == [1]
     for scale in (1e-13, 1e13):
         # numerically zero against the base, or the base against it
         assert _rank_keeps(base[0], scale * extension) == []
-        assert _drop_collinear(base, scale * extension[None])[1] == [1]
+        assert _extend(base, scale * extension[None])[1] == [1]
 
 
 # ---------------------------------------------------------------------------
