@@ -20,11 +20,11 @@ import weakref
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, TermSpecError
+from .errors import EstimationError, ParseError, SchemaError, TermSpecError
 
 __all__ = [
     "Dataset",
@@ -175,6 +175,28 @@ def _chunk_size(n: int) -> int:
     return max(1, CHUNK_ROWS // n)
 
 
+def _linked_estimates(count: int, n: int, make: Callable[[range], list["Dataset"]],
+                      estimators: dict[str, Callable]) -> Iterator[tuple]:
+    """Each estimator on items 0, ..., ``count`` - 1, datasets of ``n`` rows,
+    chunk by chunk (the Monte Carlo harness and the bootstrap): one call
+    ``make(items)`` builds :func:`_chunk_size` consecutive items, linked
+    (:meth:`Dataset.link`) so that the first estimator call fills its memo
+    (:meth:`Dataset.memo`) for all.  Yields ``(item, name, est)`` in item, then
+    estimator order; ``est`` is a 1-D float array, or None where the
+    estimator raised an EstimationError or returned a non-finite value."""
+    size = _chunk_size(n)
+    for first in range(0, count, size):
+        chunk = make(range(first, min(first + size, count)))
+        Dataset.link(chunk)
+        for item, data in enumerate(chunk, start=first):
+            for name, estimator in estimators.items():
+                try:
+                    est = np.atleast_1d(np.asarray(estimator(data), dtype=float))
+                except EstimationError:
+                    est = None
+                yield item, name, est if est is not None and np.isfinite(est).all() else None
+
+
 # The C-heap policy, set by a process's first dataset.  Fits allocate and free
 # arrays of a few hundred kB to a few MB many times over; by default glibc
 # serves some by mmap and hands the free top of its heap back to the kernel,
@@ -219,21 +241,19 @@ class Dataset:
 
     All arrays are validated to be finite and are frozen after construction.
 
-    Each instance also memoises values computed from it (:meth:`memo`): the
-    designs of :func:`build_design`, keyed by :class:`BasisSpec`, the
-    estimates of an estimator bundle, keyed by the bundle, the bias-reduced
-    pair of :func:`~lineariv.adaptive.br_gamma_estimate` and
+    Each instance also memoises the results that are computed for a whole
+    chunk of linked datasets at once (:meth:`memo`): the estimates of an
+    estimator bundle, keyed by the bundle, and the bias-reduced pair of
+    :func:`~lineariv.adaptive.br_gamma_estimate` and
     :func:`~lineariv.adaptive.br_beta_estimate`, keyed by their bases.  A
     memoised value (an estimation error included) is a pure function of the
-    frozen data and its key; designs are read-only and bias-reduced results
-    are built afresh on every call, so no caller can alter what another sees.
-    Datasets can be linked into a chunk (:meth:`link`), whose entries are
-    filled together on the first call of any member.  ``take`` builds new,
-    unlinked instances with empty memos.
+    frozen data and its key; bias-reduced results are built afresh on every
+    call, so no caller can alter what another sees.  :func:`_linked_estimates`
+    makes and links the chunks (:meth:`link`) of the Monte Carlo harness and
+    the bootstrap.  ``take`` builds new, unlinked instances with empty memos.
 
-    Equality and hashing are by identity, like the memo: two
-    datasets with equal contents are distinct objects.  Compare the arrays
-    to compare contents.
+    Equality and hashing are by identity, like the memo: two datasets with
+    equal contents are distinct objects.  Compare the arrays to compare contents.
     """
 
     y: np.ndarray
@@ -273,10 +293,10 @@ class Dataset:
 
     def memo(self, key: Hashable, compute: Callable[[list["Dataset"]], list]):
         """The value kept under ``key``.  A miss fills ``key`` for every
-        dataset of this one's chunk (:meth:`link`; an unlinked dataset is a
-        chunk of one) that lacks it, with one call ``compute(datasets)``,
-        which returns one value per dataset and must be a pure function of
-        each.  A call that raises stores nothing."""
+        dataset of this one's chunk (:func:`_linked_estimates`; an unlinked
+        dataset is a chunk of one) that lacks it, with one call
+        ``compute(datasets)``, which returns one value per dataset and must
+        be a pure function of each.  A call that raises stores nothing."""
         try:
             return self._memo[key]
         except KeyError:
@@ -290,10 +310,9 @@ class Dataset:
     @staticmethod
     def link(datasets: Sequence["Dataset"]) -> None:
         """Make ``datasets`` one chunk for :meth:`memo`: the first miss of a
-        key on any of them computes it for all.  The Monte Carlo harness
-        links each chunk of replicates and
-        :func:`~lineariv.inference.bootstrap_ci` each chunk of resamples.  The
-        chunk holds weak references, so linking keeps no dataset alive."""
+        key on any of them computes it for all.  :func:`_linked_estimates`
+        links each chunk it makes.  The chunk holds weak references, so
+        linking keeps no dataset alive."""
         chunk = tuple(weakref.ref(ds) for ds in datasets)
         for ds in datasets:
             object.__setattr__(ds, "_chunk", chunk)
@@ -393,11 +412,10 @@ def _term_values(term: Term, z: np.ndarray, c: np.ndarray) -> np.ndarray:
 def build_design(data: Dataset, spec: BasisSpec) -> np.ndarray:
     """Evaluate a basis on a dataset, column j = term j evaluated pointwise.
 
-    The result is memoised on ``data`` (see :meth:`Dataset.memo`), with the
-    designs of the other datasets of its chunk, and read-only; copy it before
-    modifying it in place.
+    Every call returns a fresh, read-only array; copy it before modifying it
+    in place.
     """
-    return data.memo(spec, lambda chunk: [spec._evaluate(ds.z, ds.c_raw) for ds in chunk])
+    return spec._evaluate(data.z, data.c_raw)
 
 
 # ---------------------------------------------------------------------------

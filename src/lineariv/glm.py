@@ -1,9 +1,9 @@
 """Nuisance-model fitters: OLS/WLS and binary regression with logit/probit link.
 
 Linear solves go through a singular value decomposition (rank revealing,
-no explicit inversion of the design cross-product); the inverse Gram matrix is
-reconstructed from the factors only because sandwich variance estimation
-needs it.  Binary fits use iteratively reweighted least squares whose step
+no explicit inversion of the design cross-product); the inverse Gram matrix
+that :class:`LinearFit` carries is reconstructed from the factors.  Binary
+fits use iteratively reweighted least squares whose step
 takes the first length 1, 1/2, ..., 2^-40 that lowers the log-likelihood by
 at most 1e-10, the last untested.  Its arithmetic is set for many small fits:
 the logit mean, which is also every fitted logistic model's probability, is

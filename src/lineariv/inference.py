@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _chunk_size
-from .errors import EstimationError, SingularDesignError, UnreliableBootstrapError
+from .dataset import _linked_estimates
+from .errors import SingularDesignError, UnreliableBootstrapError
 from .rng import make_generator
 
 __all__ = [
@@ -95,40 +95,22 @@ def bootstrap_ci(data, estimator, resamples: int = 1000, level: float = 0.95,
     excluded and counted; more than 20% failures raises.  ``se`` is the kept
     estimates' sample standard deviation, exactly 0 where they are all equal.
 
-    Resamples are drawn in chunks of consecutive ones that fill
-    ``dataset.CHUNK_ROWS`` rows (16 at n=500, 8 at n=1000), as replicates
-    are, to spread numpy's call overhead over a stack.  Each chunk's
-    datasets are linked (:meth:`Dataset.link`), so what an estimator
-    memoises on a resample (:meth:`Dataset.memo`) is computed for the whole
-    chunk on its first call: the designs of
-    :func:`~lineariv.dataset.build_design`, and the
-    bias-reduced pair that :func:`~lineariv.adaptive.br_gamma_estimate` and
-    :func:`~lineariv.adaptive.br_beta_estimate` share, as one stack.
-    ``estimator`` is still called once per resample, in order, and the
-    interval is byte-identical for every chunk size.
+    Resamples run in the linked chunks of
+    :func:`~lineariv.dataset._linked_estimates` (16 at n=500, 8 at n=1000),
+    as replicates do, so the bias-reduced pair that
+    :func:`~lineariv.adaptive.br_gamma_estimate` and
+    :func:`~lineariv.adaptive.br_beta_estimate` share is fitted as one stack
+    per chunk.  The interval is byte-identical for every chunk size.
     """
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be at least {MIN_RESAMPLES}")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     n = data.n
-    estimates = []
-    failed = 0
-    size = _chunk_size(n)
-    for first in range(0, resamples, size):
-        chunk = [data.take(make_generator([seed, b]).integers(0, n, size=n))
-                 for b in range(first, min(first + size, resamples))]
-        Dataset.link(chunk)
-        for resample in chunk:
-            try:
-                est = np.atleast_1d(np.asarray(estimator(resample), dtype=float))
-            except EstimationError:
-                failed += 1
-                continue
-            if not np.all(np.isfinite(est)):
-                failed += 1
-                continue
-            estimates.append(est)
+    make = lambda items: [data.take(make_generator([seed, b]).integers(0, n, size=n)) for b in items]
+    estimates = [est for _, _, est in _linked_estimates(resamples, n, make, {"estimator": estimator})
+                 if est is not None]
+    failed = resamples - len(estimates)
     if failed > MAX_FAILED_FRACTION * resamples:
         raise UnreliableBootstrapError(
             f"{failed}/{resamples} bootstrap resamples failed; interval not reliable")

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset, _chunk_size
-from .errors import EstimationError, SchemaError
+from .dataset import Dataset, _linked_estimates
+from .errors import SchemaError
 from .glm import expit, normal_cdf
 from .rng import _to_normal, make_generator
 
@@ -101,6 +101,8 @@ def _simulate(generator: str, n: int, seeds, lam=None) -> list[Dataset]:
     The stack is checked as the Dataset constructor checks a dataset and frozen, once."""
     if generator not in _FAMILIES:
         raise SchemaError(f"unknown generator {generator!r}; choose from {GENERATORS}")
+    if n < 1:
+        raise SchemaError("dataset must contain at least one observation")
     kernel, normal, _ = _FAMILIES[generator]
     u = np.empty((len(seeds), 5, n))
     for row, key in zip(u, seeds):
@@ -247,37 +249,25 @@ def run_monte_carlo(config: ScenarioConfig,
     removes extreme outliers from the retained ones.  Inserting or removing
     estimators never changes the data.
 
-    Replicates run in chunks of consecutive ones that fill
-    ``dataset.CHUNK_ROWS`` rows (16 at n=500, 1 at n=8000), which spread
-    numpy's call overhead over a stack.  A chunk is drawn as one stack, bit
-    for bit :func:`generate`'s datasets, linked (:meth:`Dataset.link`):
-    the first estimator call on any of them computes what its bundle
-    memoises for the whole chunk.  The estimators are still called replicate
-    by replicate, in order.  Replicate ``i`` depends only on (seed, ``i``),
-    and the report is byte-identical for every chunk size.
+    Replicates run in the linked chunks of
+    :func:`~lineariv.dataset._linked_estimates` (16 at n=500, 1 at n=8000),
+    each drawn as one stack, bit for bit :func:`generate`'s datasets.
+    Replicate ``i`` depends only on (seed, ``i``), and the report is
+    byte-identical for every chunk size.
     """
     if config.reps < 2:
         raise SchemaError("at least 2 replications are required")
-    names = list(estimators)
     psi_true = np.array(_FAMILIES[config.generator][2])
     k = psi_true.shape[0]
-    raw: dict[str, np.ndarray] = {name: np.full((config.reps, k), np.nan) for name in names}
-    size = _chunk_size(config.n)
-    for first in range(0, config.reps, size):
-        seeds = [[config.seed, i] for i in range(first, min(first + size, config.reps))]
-        chunk = _simulate(config.generator, config.n, seeds, config.lam)
-        Dataset.link(chunk)
-        for i, data in enumerate(chunk, start=first):
-            for name in names:
-                try:
-                    est = np.atleast_1d(np.asarray(estimators[name](data), dtype=float))
-                except EstimationError:
-                    continue
-                if np.all(np.isfinite(est)):
-                    raw[name][i] = est
+    raw: dict[str, np.ndarray] = {name: np.full((config.reps, k), np.nan) for name in estimators}
+    make = lambda items: _simulate(config.generator, config.n,
+                                   [[config.seed, i] for i in items], config.lam)
+    for i, name, est in _linked_estimates(config.reps, config.n, make, estimators):
+        if est is not None:
+            raw[name][i] = est
 
     summaries = {}
-    for name in names:
+    for name in estimators:
         values = raw[name]
         ok = ~np.any(np.isnan(values), axis=1)
         failed = int(config.reps - ok.sum())

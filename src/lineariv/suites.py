@@ -36,7 +36,7 @@ from .estimators import (
     plug_in_two_stage,
     standard_tsls,
 )
-from .glm import _attempt, _check, _fit_stack, _join, _mean_function, _ols
+from .glm import _attempt, _check, _fit_stack, _join, _ols
 from .models import BinaryLogisticIv, EffectModel, ExposureModel, OutcomeModel
 from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
 
@@ -79,7 +79,7 @@ def _bundle(compute: Callable[[list], list], names) -> dict[str, Callable]:
     return {name: (lambda ds, _n=name: estimate(ds, _n)) for name in names}
 
 
-def _table1_stack(datasets: list[Dataset], iv_known_coef) -> list[dict]:
+def _table1_stack(datasets: list[Dataset]) -> list[dict]:
     """The estimates of :func:`table1_estimators` on a stack of datasets, one
     dict per dataset.  tsls, eem, br_gamma and br_beta run the kernels of
     their per-dataset estimators, and loc_eff centers the exposure mean with
@@ -116,13 +116,10 @@ def _table1_stack(datasets: list[Dataset], iv_known_coef) -> list[dict]:
     out = {}
     _attempt(out, "tsls", lambda: _tsls_stack(instruments, lin, x[..., None], y)[-1].coef[:, 2])
     _attempt(out, "plain", lambda: _logistic(lin, z)[1])     # BinaryLogisticIv.fit's P(Z=1|C)
-    # the instrument law of loc_eff and eem: the plain fit, or the known one
-    out["iv"] = (out["plain"] if iv_known_coef is None
-                 else _mean_function("logit")(np.matvec(lin, np.asarray(iv_known_coef, dtype=float))))
     _attempt(out, "exposure", exposure)
-    _attempt(out, "loc_eff", loc_eff, "iv", "exposure")
+    _attempt(out, "loc_eff", loc_eff, "plain", "exposure")
     _attempt(out, "eem", lambda prob, tsls: _eem_stack(z - prob, x, y, lin, lin, tsls).psi,
-             "iv", "tsls")
+             "plain", "tsls")
     # the bias-reduced pair starts from the plain fit's index, br_beta from br_gamma
     _attempt(out, "alpha", lambda prob: _index_coef(z - prob, lin, x, _ALPHA_CONTEXT), "plain")
     _attempt(out, "br_gamma", lambda alpha: _br_gamma_stack(z, x, y, lin, lin, lin, alpha).psi,
@@ -133,15 +130,13 @@ def _table1_stack(datasets: list[Dataset], iv_known_coef) -> list[dict]:
              for name in TABLE1_NAMES} for k in range(len(datasets))]
 
 
-def table1_estimators(iv_known_coef: np.ndarray | None = None) -> dict[str, Callable]:
+def table1_estimators() -> dict[str, Callable]:
     """The five benchmark estimators of the lambda-grid designs.
 
-    Working models: logistic instrument law on (1, V); linear exposure model
-    with main effects and the instrument-covariate interaction; linear
-    outcome model on (1, V); index class (alpha'(1,V)) * Z.  With
-    ``iv_known_coef`` the instrument law of loc_eff and eem is treated as
-    known instead of fitted (used by the efficiency-dominance checks); the
-    bias-reduced pair always uses the fitted one.
+    Working models: logistic instrument law on (1, V), fitted by maximum
+    likelihood; linear exposure model with main effects and the
+    instrument-covariate interaction; linear outcome model on (1, V); index
+    class (alpha'(1,V)) * Z.
 
     The estimates equal the per-dataset estimators' (``standard_tsls``,
     ``g_estimate`` at ``efficient_index``, ``eem_estimate``,
@@ -150,8 +145,7 @@ def table1_estimators(iv_known_coef: np.ndarray | None = None) -> dict[str, Call
     chunk of replicates, and on each of its replicates as a stack of one when
     a check rejects the chunk (:func:`~lineariv.glm._fit_stack`).
     """
-    return _bundle(lambda datasets: _fit_stack(
-        lambda stack: _table1_stack(stack, iv_known_coef), datasets), TABLE1_NAMES)
+    return _bundle(lambda datasets: _fit_stack(_table1_stack, datasets), TABLE1_NAMES)
 
 
 def sim_binary_estimators() -> dict[str, Callable]:

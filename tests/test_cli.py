@@ -137,6 +137,15 @@ TSLS_FLAGS = ["--y-col", "y", "--x-col", "x", "--z-cols", "z", "--cov-cols", "v"
               "--instrument-basis", "z0", "z0:c0"]
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_simulate_without_observations_is_a_usage_error(tmp_path, capsys, n):
+    out_path = tmp_path / "d.csv"
+    code, out, err = run_cli(capsys, "simulate", "--generator", "sim1", "--n", n,
+                             "--out", str(out_path))
+    assert (code, out, err) == (2, "", "error: dataset must contain at least one observation\n")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("flags, word", [
     # zero values must not fall back to the defaults (1000 resamples, 0.95)
     (["--resamples", "0", "--level", "0"], "resamples"),

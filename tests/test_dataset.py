@@ -25,6 +25,7 @@ from lineariv import (
     ParseError,
     SchemaError,
     TermSpecError,
+    WeakIdentificationError,
     build_design,
     load_csv,
     parse_term,
@@ -195,7 +196,10 @@ def test_build_design_cached_read_only():
     data = small_dataset()
     spec = BasisSpec(["1", "c0"])
     design = build_design(data, spec)
-    assert build_design(data, BasisSpec(["1", "c0"])) is design
+    again = build_design(data, BasisSpec(["1", "c0"]))
+    assert again is not design and not np.shares_memory(again, design)
+    assert_array_equal(again, design)
+    assert not again.flags.writeable
     assert not design.flags.writeable
     with pytest.raises(ValueError):
         design[0, 0] = 5.0
@@ -211,8 +215,11 @@ def test_take_and_counterfactual_designs_leave_the_parent_untouched():
     assert_array_equal(build_design(resampled, spec), [[1.0, 4.0], [1.0, 0.0]])
     at_one = spec._evaluate(np.ones_like(data.z), data.c_raw)
     assert_array_equal(at_one, [[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
-    # the parent's cached design is untouched by its children
-    assert build_design(data, spec) is parent
+    # the parent's design is untouched by its children
+    again = build_design(data, spec)
+    assert again is not parent and not np.shares_memory(again, parent)
+    assert_array_equal(again, parent)
+    assert not again.flags.writeable
     assert_array_equal(parent, [[1.0, 0.0], [1.0, 3.0], [1.0, 4.0]])
 
 
@@ -269,7 +276,7 @@ def _take_outcome(take, data, rows):
 def test_take_of_row_numbers_skips_validation_but_matches_it():
     data = gen_table1(1, 1, -1, 50, 3).dataset
     Dataset.link([data])
-    build_design(data, BasisSpec(["1", "c0"]))
+    data.memo("filled", lambda chunk: [0.0] * len(chunk))
     for rows in (np.random.default_rng(0).integers(0, 50, size=50), [3, -1, 3],
                  np.array([7], dtype=np.uint8)):
         taken = data.take(rows)
@@ -288,6 +295,38 @@ def test_take_of_row_numbers_skips_validation_but_matches_it():
 def test_take_of_other_indices_behaves_as_the_validating_constructor(rows):
     data = gen_table1(1, 1, -1, 50, 3).dataset
     assert _take_outcome(Dataset.take, data, rows) == _take_outcome(_validated_take, data, rows)
+
+
+def test_linked_estimates_makes_links_and_walks_each_chunk(monkeypatch):
+    members = [gen_table1(0, 0, 0, 50, i).dataset for i in range(7)]
+    monkeypatch.setattr(dataset, "CHUNK_ROWS", 3 * 50)
+    made, calls = [], []
+
+    def make(items):
+        made.append(items)
+        return members[items.start:items.stop]
+
+    def estimator(name):
+        def call(ds):
+            item = members.index(ds)
+            first = item - item % 3
+            calls.append((item, name, [ref() for ref in ds._chunk] == members[first:first + 3]))
+            if name == "weak" and item % 2:
+                raise WeakIdentificationError("odd item")
+            return np.nan if name == "nan" and item == 2 else [float(item), -1.0]
+        return call
+
+    walked = list(dataset._linked_estimates(7, 50, make, {"weak": estimator("weak"),
+                                                          "nan": estimator("nan")}))
+    assert made == [range(0, 3), range(3, 6), range(6, 7)]
+    order = [(item, name) for item in range(7) for name in ("weak", "nan")]
+    assert calls == [(item, name, True) for item, name in order]
+    assert [(item, name) for item, name, _ in walked] == order
+    for item, name, est in walked:
+        if (name == "weak" and item % 2) or (name == "nan" and item == 2):
+            assert est is None
+        else:
+            assert est.dtype == float and est.tolist() == [item, -1.0]
 
 
 # ---------------------------------------------------------------------------

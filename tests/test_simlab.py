@@ -38,6 +38,13 @@ def test_simulate_is_the_generator_dispatch_of_generate():
         simulate("sim3", 60, 4)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_simulate_needs_an_observation(n):
+    for call in (lambda: simulate("sim1", n, 1), lambda: _simulate("table1", n, [1, 2], (0, 0, 0))):
+        with pytest.raises(SchemaError, match="^dataset must contain at least one observation$"):
+            call()
+
+
 def test_generators_bit_deterministic():
     a = gen_table1(0, 0, 0, 50, 99)
     b = gen_table1(0, 0, 0, 50, 99)

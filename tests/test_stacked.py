@@ -27,6 +27,7 @@ from lineariv.glm import (
     _check,
     _Flagged,
     _irls,
+    _mean_function,
     _ols,
     expit,
     fit_binary,
@@ -47,25 +48,18 @@ from lineariv.suites import (
     table1_estimators,
 )
 
-KNOWN_COEF = np.array([-1.0, 0.5])
-
-
-def _reference(data, iv_known_coef=None) -> dict:
+def _reference(data) -> dict:
     """The Table 1 bundle through the public per-dataset estimators: each
     estimate, or the EstimationError it or a fit it uses raised."""
     out = {}
     _attempt(out, "tsls", lambda: standard_tsls(data, EFFECT_CONST, C_LIN, INSTRUMENTS_ZVZ).psi_hat)
-    if iv_known_coef is not None:
-        out["iv"] = BinaryLogisticIv.known(C_LIN, iv_known_coef)
-    else:
-        _attempt(out, "iv", lambda: BinaryLogisticIv.fit(data, C_LIN))
+    _attempt(out, "iv", lambda: BinaryLogisticIv.fit(data, C_LIN))
     _attempt(out, "exposure", lambda: ExposureModel("identity", EXPOSURE_SATURATED).fit(data))
     _attempt(out, "loc_eff", lambda iv, exposure: g_estimate(
         data, efficient_index(data, exposure, iv, EFFECT_CONST), OutcomeModel(C_LIN), iv,
         EFFECT_CONST).psi_hat, "iv", "exposure")
     _attempt(out, "eem", lambda iv, tsls: eem_estimate(
         data, iv, C_LIN, C_LIN, preliminary_psi=float(tsls[0])).psi_hat, "iv", "tsls")
-    # the bias-reduced pair fits its own instrument law, even where loc_eff and eem know it
     _attempt(out, "br_gamma", lambda: br_gamma_estimate(data, C_LIN, C_LIN, C_LIN).psi_hat)
     _attempt(out, "br_beta", lambda brg: br_beta_estimate(
         data, C_LIN, C_LIN, C_LIN, start_psi=float(brg[0])).psi_hat, "br_gamma")
@@ -89,18 +83,18 @@ def _outcomes(bundle, data):
     return out
 
 
-def _per_dataset(datasets, iv_known_coef=None):
+def _per_dataset(datasets):
     """The reference outcomes of unlinked copies of ``datasets``."""
-    return [{name: _outcome(value) for name, value in _reference(data, iv_known_coef).items()
+    return [{name: _outcome(value) for name, value in _reference(data).items()
              if name in TABLE1_NAMES} for data in _copies(datasets)]
 
 
-def _bundle_outcomes(datasets, iv_known_coef=None, linked=True):
+def _bundle_outcomes(datasets, linked=True):
     """The bundle's outcomes on copies of ``datasets``, linked as one chunk or not."""
     copies = _copies(datasets)
     if linked:
         Dataset.link(copies)
-    bundle = table1_estimators(iv_known_coef)
+    bundle = table1_estimators()
     return [_outcomes(bundle, data) for data in copies]
 
 
@@ -109,26 +103,30 @@ def _replicates(generator, lam, n, seed, reps):
     return [generate(cfg, i).dataset for i in range(reps)]
 
 
-CASES = ([("table1", lam, 500, 555, 3, None) for lam in TABLE1_ROWS]
-         + [("extreme", (1, -1, -1), 500, 227, 6, None),
-            ("table1", (1, 1, -1), 500, 555, 6, KNOWN_COEF),
-            ("extreme", (1, -1, -1), 500, 227, 4, KNOWN_COEF),
-            ("table1", (1, 1, 0), 8000, 20260809, 2, None)])
+def _case(i, generator, lam, n, seed, reps):
+    # an id ends in the instrument law's known coefficients: None, as the law is fitted
+    return pytest.param(generator, lam, n, seed, reps, id=f"{generator}-lam{i}-{n}-{seed}-{reps}-None")
 
 
-@pytest.mark.parametrize("generator, lam, n, seed, reps, known", CASES)
-def test_stacked_bundle_bit_identical_to_per_dataset(generator, lam, n, seed, reps, known):
+CASES = ([_case(i, "table1", lam, 500, 555, 3) for i, lam in enumerate(TABLE1_ROWS)]
+         + [_case(19, "extreme", (1, -1, -1), 500, 227, 6),
+            _case(20, "table1", (1, 1, -1), 500, 555, 6),
+            _case(22, "table1", (1, 1, 0), 8000, 20260809, 2)])
+
+
+@pytest.mark.parametrize("generator, lam, n, seed, reps", CASES)
+def test_stacked_bundle_bit_identical_to_per_dataset(generator, lam, n, seed, reps):
     datasets = _replicates(generator, lam, n, seed, reps)
-    expected = _per_dataset(datasets, known)
+    expected = _per_dataset(datasets)
     # the whole stack at once, no member flagged, as in a chunk of the harness
     with np.errstate(all="ignore"):
-        stack = _table1_stack(datasets, known)
+        stack = _table1_stack(datasets)
     assert [{name: _outcome(value) for name, value in member.items()} for member in stack] == expected
     # each member as a stack of one, and the bundle, linked and unlinked
-    assert [{name: _outcome(value) for name, value in _table1_stack([data], known)[0].items()}
+    assert [{name: _outcome(value) for name, value in _table1_stack([data])[0].items()}
             for data in datasets] == expected
-    assert _bundle_outcomes(datasets, known) == expected
-    assert _bundle_outcomes(datasets, known, linked=False) == expected
+    assert _bundle_outcomes(datasets) == expected
+    assert _bundle_outcomes(datasets, linked=False) == expected
 
 
 def _failing(first, *args, **kwargs):
@@ -216,9 +214,9 @@ def _traced_peak(compute) -> int:
 @pytest.mark.parametrize("lam", [(0, 0, 0), (1, 1, -1)])
 def test_a_default_table1_chunk_stays_under_the_peak_ceiling(lam):
     size = dataset._chunk_size(500)
-    _table1_stack(_replicates("table1", lam, 500, 555, 1), None)     # warm-up
+    _table1_stack(_replicates("table1", lam, 500, 555, 1))     # warm-up
     chunk = _replicates("table1", lam, 500, 555, size)
-    assert _traced_peak(lambda: _table1_stack(chunk, None)) < CHUNK_PEAK_BYTES
+    assert _traced_peak(lambda: _table1_stack(chunk)) < CHUNK_PEAK_BYTES
 
 
 def test_a_default_bootstrap_chunk_stays_under_the_peak_ceiling():
@@ -336,15 +334,18 @@ def _degenerate(kind, datasets):
     return datasets
 
 
-@pytest.mark.parametrize("known", [None, KNOWN_COEF], ids=["fitted", "known"])
-@pytest.mark.parametrize("kind", ["constant covariate", "one-class instrument",
-                                  "orthogonal exposure", "another size", "3 rows", "5 rows"])
-def test_degenerate_members_and_odd_sizes_match_the_reference(kind, known):
+KINDS = ["constant covariate", "one-class instrument", "orthogonal exposure", "another size",
+         "3 rows", "5 rows"]
+
+
+# each id also names the bundle's instrument law, which is fitted
+@pytest.mark.parametrize("kind", KINDS, ids=[f"{kind}-fitted" for kind in KINDS])
+def test_degenerate_members_and_odd_sizes_match_the_reference(kind):
     datasets = _degenerate(kind, _replicates("table1", (1, 1, -1), 500, 555, 6))
     with np.errstate(all="ignore"):
-        expected = _per_dataset(datasets, known)
-        assert _bundle_outcomes(datasets, known) == expected
-        assert _bundle_outcomes(datasets, known, linked=False) == expected
+        expected = _per_dataset(datasets)
+        assert _bundle_outcomes(datasets) == expected
+        assert _bundle_outcomes(datasets, linked=False) == expected
 
 
 @pytest.mark.parametrize("kind", ["two instruments", "continuous instrument", "no covariate"])
@@ -721,52 +722,49 @@ def _orthogonal_exposure(data, prob):
     return Dataset(data.y, x, data.z, data.c_raw)
 
 
-@pytest.mark.parametrize("estimator, kernel, message", [
-    ("eem", "_eem_stack", "g_estimate: estimating-equation denominator is degenerate"),
-    ("br_beta", "_br_beta_stack", "br_beta: estimating-equation denominator is degenerate"),
-], ids=["eem", "br_beta"])
-def test_eem_and_br_beta_degenerate_member_gets_its_own_error(monkeypatch, estimator, kernel,
-                                                              message):
-    datasets = _replicates("table1", (1, 1, -1), 500, 555, 6)
-    data = datasets[2]
-    lin = np.column_stack([np.ones(data.n), data.c_raw[:, 0]])
-    # eem centers the instrument under the known law, br_beta under the plain fit
-    prob = (expit(lin @ KNOWN_COEF) if estimator == "eem"
-            else BinaryLogisticIv.fit(data, LIN).prob(data))
-    datasets[2] = _orthogonal_exposure(data, prob)
-    expected = _per_dataset(datasets, KNOWN_COEF)
-    # only the estimator under test fails, with its own error
-    assert [name for name, value in expected[2].items() if isinstance(value, tuple)] == [estimator]
-    assert expected[2][estimator][0] == "WeakIdentificationError"
-    assert expected[2][estimator][1].startswith(message)
-
-    sizes = _kernel_sizes(monkeypatch, kernel, lineariv.adaptive, lineariv.suites)
-    assert _bundle_outcomes(datasets, KNOWN_COEF) == expected
+@pytest.mark.parametrize("kernel, sizes", [
     # the member flags the chunk, and each replicate is computed again as a
     # stack of one
-    assert sizes == [6, 1, 1, 1, 1, 1, 1]
+    ("_eem_stack", [6, 1, 1, 1, 1, 1, 1]),
+    # eem's check flags the chunk before br_beta's kernel sees it
+    ("_br_beta_stack", [1] * 6),
+], ids=["eem", "br_beta"])
+def test_eem_and_br_beta_degenerate_member_gets_its_own_error(monkeypatch, kernel, sizes):
+    datasets = _replicates("table1", (1, 1, -1), 500, 555, 6)
+    data = datasets[2]
+    # eem and br_beta fit one index under the plain fit, so both fail on it
+    datasets[2] = _orthogonal_exposure(data, BinaryLogisticIv.fit(data, LIN).prob(data))
+    expected = _per_dataset(datasets)
+    # only eem and br_beta fail, each with its own error
+    assert [name for name, value in expected[2].items() if isinstance(value, tuple)] == [
+        "eem", "br_beta"]
+    for estimator in ("eem", "br_beta"):
+        assert expected[2][estimator][0] == "WeakIdentificationError"
+    assert expected[2]["eem"][1].startswith(
+        "g_estimate: estimating-equation denominator is degenerate")
+    assert expected[2]["br_beta"][1].startswith(
+        "br_beta: estimating-equation denominator is degenerate")
+
+    seen = _kernel_sizes(monkeypatch, kernel, lineariv.adaptive, lineariv.suites)
+    assert _bundle_outcomes(datasets) == expected
+    assert seen == sizes
 
 
-def test_every_logistic_model_has_the_irls_mean(monkeypatch):
-    # fit_binary's predict, the instrument law, a logit exposure model, the
-    # bias-reduced pair's stacked fit and the Table 1 bundle's known law give
-    # the same probabilities to the last bit, wherever predict does not clip
+def test_every_logistic_model_has_the_irls_mean():
+    # fit_binary's predict, the instrument law, a logit exposure model and
+    # the bias-reduced pair's stacked fit, which is also the Table 1
+    # bundle's, give the same probabilities to the last bit, wherever
+    # predict does not clip
     data = generate(ScenarioConfig("table1", n=1000, seed=3, reps=1, lam=(1, 1, -1)), 0).dataset
     design, z = dataset.build_design(data, LIN), data.z[:, 0]
     fit = fit_binary(design, z)
     want = fit.predict(design)
-    known = []
-    mean = lineariv.suites._mean_function
-    monkeypatch.setattr(lineariv.suites, "_mean_function",
-                        lambda link: lambda eta: known.append(mean(link)(eta)) or known[-1])
-    _table1_stack([data], fit.coefficients)
     got = {
         "BinaryLogisticIv.prob": BinaryLogisticIv.fit(data, LIN).prob(data),
         "ExposureModel.predict": ExposureModel("logit", LIN, fit.coefficients).predict(data),
         "adaptive._logistic": lineariv.adaptive._logistic(design[None], z[None])[1][0],
-        "_table1_stack": known[0][0],
     }
-    unclipped = want == mean("logit")(design @ fit.coefficients)
+    unclipped = want == _mean_function("logit")(design @ fit.coefficients)
     assert unclipped.sum() >= 990
     for name, prob in got.items():
         assert np.array_equal(prob[unclipped], want[unclipped]), name
