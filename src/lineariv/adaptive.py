@@ -27,6 +27,8 @@ from .errors import (
 from .estimators import EstimateResult, _ee_result, _ee_solve, _ee_system, _solve_ee, g_estimate
 from .glm import (
     RANK_RTOL,
+    SCORE_TOL,
+    SEPARATION_NORM,
     BinaryFit,
     _attempt,
     _binary,
@@ -282,11 +284,12 @@ def _index_coef(zc: np.ndarray, index_design: np.ndarray, x: np.ndarray,
     return fit.coef
 
 
-def _logistic(design: np.ndarray, z: np.ndarray) -> tuple[_Irls, np.ndarray]:
-    """fit_binary(design, z, "logit") of a stack, with its checks, and its
-    fitted probabilities.  A member whose step-halvings ran out follows its
-    own fit too."""
-    fit = _binary(design, z, "logit")
+def _logistic(design: np.ndarray, z: np.ndarray,
+              start: np.ndarray | None = None) -> tuple[_Irls, np.ndarray]:
+    """fit_binary(design, z, "logit") of a stack, from ``start`` (see
+    ``glm._irls``), with its checks, and its fitted probabilities.  A member
+    whose step-halvings ran out follows its own fit too."""
+    fit = _binary(design, z, "logit", start)
     return fit, _mean_function("logit")(np.matvec(design, np.array(fit.coef)))
 
 
@@ -322,6 +325,27 @@ class _BrGamma(NamedTuple):
     d: np.ndarray                   # (B, n) index times instrument residual
 
 
+def _refit_start(fit: _Irls, design: np.ndarray, refit_design: np.ndarray) -> np.ndarray:
+    """The IRLS start (B, p) of a refit on ``refit_design`` after ``fit`` on
+    ``design``: where a member's fit converged and is not separated, its
+    linear predictor projected onto the refit design by least squares (the
+    normal equations); NaN, the default start, for any other member.  A
+    singular member fails the solve: with others it raises LinAlgError,
+    which :func:`~lineariv.glm._fit_stack` answers by computing each member
+    alone, and alone it takes the default start."""
+    start = np.full((len(refit_design), refit_design.shape[-1]), np.nan)
+    take = [k for k, (coef, norm) in enumerate(zip(fit.coef, fit.score_norm))
+            if norm <= SCORE_TOL and np.linalg.norm(coef) <= SEPARATION_NORM]
+    x = refit_design[take]
+    gram, rhs = x.mT @ x, np.vecmat(np.matvec(design[take], np.array(fit.coef)[take]), x)[..., None]
+    try:
+        start[take] = np.linalg.solve(gram, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        if len(take) > 1:
+            raise
+    return start
+
+
 def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.ndarray,
                     outcome_design: np.ndarray, index_design: np.ndarray,
                     alpha: np.ndarray) -> _BrGamma:
@@ -329,7 +353,8 @@ def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.n
     fit, on a stack of B datasets of one size: z, x, y (B, n), the designs
     (B, n, p) and alpha (B, k), :func:`eem_fit_alpha` under the plain fit.
     The extended fit at alpha, the index refitted under it, the extended
-    fit at that index and psi from the scalar estimating equation
+    fit at that index from the first one's linear predictor
+    (:func:`_refit_start`) and psi from the scalar estimating equation
     sum d(y - psi x) = 0 at d = e(C)(z - P), solved and checked by
     :func:`~lineariv.estimators._solve_ee` as eem's equation is.
 
@@ -338,15 +363,14 @@ def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.n
     on a stack of one and flags a larger stack (:func:`_check`), as members
     that disagree on an extension column do (:func:`_extend`).
     """
-    def extended(alpha):
-        e_scale = np.matvec(index_design, alpha)
-        design, kept = _extend(iv_design, e_scale[..., None] * outcome_design)
-        return (e_scale, kept, *_logistic(design, z))
-
-    ext_prob = extended(alpha)[-1]
+    extend = lambda e_scale: _extend(iv_design, e_scale[..., None] * outcome_design)
+    first_design = extend(np.matvec(index_design, alpha))[0]
+    first, ext_prob = _logistic(first_design, z)
     alpha = _index_coef(z - ext_prob, index_design, x,
                         "degenerate instrument variation under the extended fit")
-    e_scale, kept, fit, ext_prob = extended(alpha)
+    e_scale = np.matvec(index_design, alpha)
+    design, kept = extend(e_scale)
+    fit, ext_prob = _logistic(design, z, _refit_start(first, first_design, design))
     d = e_scale * (z - ext_prob)
     theta, _ = _solve_ee(d[..., None], x[..., None], y, "br_gamma")
     return _BrGamma(theta[:, 0], alpha, fit, kept, d)
@@ -413,7 +437,11 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
     known instrument law: the bias-reduction identity assumes the ML fit);
     its coefficients are then re-estimated once with centering under the
     extended fit (the instrument model this procedure actually uses) and the
-    extension is rebuilt.
+    extension is rebuilt.  The refit starts at the first extended fit's
+    linear predictor, projected onto the rebuilt design by least squares,
+    where that fit converged and is not separated, and else at fit_binary's
+    default start.  For polynomial bases such as ``1 c0`` both designs span
+    one space, so the refit usually takes no Fisher-scoring step.
 
     Both fits, or the error that stopped them, are the dataset's memoised
     bias-reduced pair, shared with :func:`br_beta_estimate` on the same bases

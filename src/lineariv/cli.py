@@ -52,7 +52,7 @@ from .simlab import (
     write_report_csv,
     write_report_json,
 )
-from .suites import AUDIT_MIN_REPS, BUNDLES, REPLICATE_SEEDS, run_replicate
+from .suites import AUDIT_MIN_REPS, BUNDLES, REPLICATE_SEEDS, TABLE1_ROWS, run_replicate
 
 ESTIMATORS = ("tsls", "two-stage", "loc-eff-y", "g-est", "loc-eff-dr",
               "eem", "br-gamma", "br-beta")
@@ -193,14 +193,14 @@ def _build_pipeline(config: dict):
         raise SchemaError(f"unknown effect form {effect_cfg.get('form')!r}")
 
     outcome_basis = BasisSpec(_require(bases, "outcome", estimator))
+    iv_basis = BasisSpec(bases["iv"]) if bases.get("iv") else outcome_basis
 
     def make_iv(data):
         kind = config.get("iv_kind", "binary-logistic")
-        basis = BasisSpec(bases["iv"]) if bases.get("iv") else outcome_basis
         if kind == "binary-logistic":
-            return BinaryLogisticIv.fit(data, basis)
+            return BinaryLogisticIv.fit(data, iv_basis)
         if kind == "linear-mean":
-            return LinearMeanIv.fit(data, basis)
+            return LinearMeanIv.fit(data, iv_basis)
         if kind == "empirical":
             return EmpiricalIv.fit(data)
         raise SchemaError(f"unknown iv kind {kind!r}")
@@ -238,7 +238,6 @@ def _build_pipeline(config: dict):
             return eem_estimate(data, iv, BasisSpec(_require(bases, "index", estimator)),
                                 outcome_basis)
         index_basis = BasisSpec(_require(bases, "index", estimator))
-        iv_basis = BasisSpec(bases["iv"]) if bases.get("iv") else outcome_basis
         if estimator == "br-gamma":
             return br_gamma_estimate(data, index_basis, outcome_basis, iv_basis)
         return br_beta_estimate(data, index_basis, outcome_basis, iv_basis)
@@ -300,16 +299,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    scenarios: list[ScenarioConfig] = []
-    if args.table1_grid:
-        from .suites import TABLE1_ROWS
-        for lam in TABLE1_ROWS:
-            scenarios.append(ScenarioConfig("table1", n=args.n, seed=args.seed,
-                                            reps=args.reps, lam=lam))
-    else:
-        lam = (args.lx, args.ly, args.lz) if args.generator in LAMBDA_GENERATORS else None
-        scenarios.append(ScenarioConfig(args.generator, n=args.n, seed=args.seed,
-                                        reps=args.reps, lam=lam))
+    generator = "table1" if args.table1_grid else args.generator
+    lams = (TABLE1_ROWS if args.table1_grid else
+            [(args.lx, args.ly, args.lz) if generator in LAMBDA_GENERATORS else None])
+    scenarios = [ScenarioConfig(generator, n=args.n, seed=args.seed, reps=args.reps, lam=lam)
+                 for lam in lams]
     reports = []
     for cfg in scenarios:
         estimators = BUNDLES[cfg.generator]()
@@ -395,9 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="write a generated scenario dataset as CSV")
     sim.add_argument("--generator", required=True,
                      choices=GENERATORS)
-    sim.add_argument("--lx", type=int, default=0)
-    sim.add_argument("--ly", type=int, default=0)
-    sim.add_argument("--lz", type=int, default=0)
+    for flag in ("--lx", "--ly", "--lz"):
+        sim.add_argument(flag, type=int, default=0)
     sim.add_argument("--n", type=int, default=500)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
@@ -408,9 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=GENERATORS)
     bench.add_argument("--table1-grid", action="store_true",
                        help="run the full lambda grid of the factorial design")
-    bench.add_argument("--lx", type=int, default=0)
-    bench.add_argument("--ly", type=int, default=0)
-    bench.add_argument("--lz", type=int, default=0)
+    for flag in ("--lx", "--ly", "--lz"):
+        bench.add_argument(flag, type=int, default=0)
     bench.add_argument("--estimators", nargs="+")
     bench.add_argument("--reps", type=int, default=1000)
     bench.add_argument("--n", type=int, default=500)

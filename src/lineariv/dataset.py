@@ -247,10 +247,11 @@ class Dataset:
     :func:`~lineariv.adaptive.br_gamma_estimate` and
     :func:`~lineariv.adaptive.br_beta_estimate`, keyed by their bases.  A
     memoised value (an estimation error included) is a pure function of the
-    frozen data and its key; bias-reduced results are built afresh on every
-    call, so no caller can alter what another sees.  :func:`_linked_estimates`
-    makes and links the chunks (:meth:`link`) of the Monte Carlo harness and
-    the bootstrap.  ``take`` builds new, unlinked instances with empty memos.
+    frozen data and its key; bundle estimates are copied and bias-reduced
+    results built afresh on every call, so no caller can alter what another
+    sees.  :func:`_linked_estimates` makes and links the chunks (:meth:`link`)
+    of the Monte Carlo harness and the bootstrap.  ``take`` builds new,
+    unlinked instances with empty memos.
 
     Equality and hashing are by identity, like the memo: two datasets with
     equal contents are distinct objects.  Compare the arrays to compare contents.
@@ -264,10 +265,8 @@ class Dataset:
     _chunk: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _as_locked_array(self.y, "y", 1))
-        object.__setattr__(self, "x", _as_locked_array(self.x, "x", 1))
-        object.__setattr__(self, "z", _as_locked_array(self.z, "z", 2))
-        object.__setattr__(self, "c_raw", _as_locked_array(self.c_raw, "c_raw", 2))
+        for name, ndim in (("y", 1), ("x", 1), ("z", 2), ("c_raw", 2)):
+            object.__setattr__(self, name, _as_locked_array(getattr(self, name), name, ndim))
         n = self.y.shape[0]
         if n < 1:
             raise SchemaError("dataset must contain at least one observation")

@@ -289,9 +289,11 @@ class _Irls(NamedTuple):
 
 
 @np.errstate(over="ignore")     # once a fit, for the logit mean
-def _irls(design: np.ndarray, y: np.ndarray, link: str) -> _Irls:
+def _irls(design: np.ndarray, y: np.ndarray, link: str, start: np.ndarray | None = None) -> _Irls:
     """Binary regression by IRLS with step-halving for a stack of problems:
     design (B, n, p), binary y (B, n) holding both classes in every member.
+    A member starts at its row of ``start`` (B, p); without one, or where
+    the row holds a NaN, at ``fit_binary``'s default start.
 
     Each member follows the iterate sequence of a fit on its own: it stops
     once its own score norm is at most SCORE_TOL or after MAX_ITER steps,
@@ -304,7 +306,7 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str) -> _Irls:
     B, n, p = design.shape
     y0 = y == 0.0
     m = y.sum(-1) / n           # exact: a sum of zeros and ones, so m == mean(y)
-    start = np.log(m / (1 - m)) if link == "logit" else normal_quantile(m)
+    intercept = np.log(m / (1 - m)) if link == "logit" else normal_quantile(m)
     beta = np.zeros((B, p))
     todo = list(range(B))
     for j in range(p):          # the first all-ones column starts at link(mean(y))
@@ -313,8 +315,10 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str) -> _Irls:
         ones = (design[:, :, j] == 1.0).all(-1).tolist()
         for k in todo:
             if ones[k]:
-                beta[k, j] = start[k]
+                beta[k, j] = intercept[k]
         todo = [k for k in todo if not ones[k]]
+    if start is not None:
+        beta = np.where(np.isnan(start).any(-1, keepdims=True), beta, start)
 
     def evaluate(x, y0, b):
         # eta, mu, the variance muc * (1 - muc) of the clipped mu and the log-
@@ -443,15 +447,15 @@ def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit") ->
     return _binary_fit(_binary(design[None], y[None], link), 0, link)
 
 
-def _binary(design: np.ndarray, y: np.ndarray, link: str) -> _Irls:
+def _binary(design: np.ndarray, y: np.ndarray, link: str, start: np.ndarray | None = None) -> _Irls:
     """The IRLS fit of a stack, design (B, n, p) and 0/1 responses y (B, n),
-    with ``fit_binary``'s checks (see :func:`_check`): a response of one
-    class is a DegenerateResponseError, and :func:`_irls` raises for a
-    singular X'WX."""
+    from ``start`` (see :func:`_irls`), with ``fit_binary``'s checks (see
+    :func:`_check`): a response of one class is a DegenerateResponseError,
+    and :func:`_irls` raises for a singular X'WX."""
     n = y.shape[-1]
     _check([DegenerateResponseError("response must contain both classes") if ones in (0, n)
             else None for ones in np.count_nonzero(y, axis=-1).tolist()])
-    return _irls(design, y, link)
+    return _irls(design, y, link, start)
 
 
 def _binary_fit(fit: _Irls, k: int, link: str) -> BinaryFit:

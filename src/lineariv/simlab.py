@@ -266,32 +266,21 @@ def run_monte_carlo(config: ScenarioConfig,
         if est is not None:
             raw[name][i] = est
 
+    # the moments of the rows kept, NaN where there are too few
+    bias = lambda rows: rows.mean(axis=0) - psi_true if len(rows) else np.full(k, np.nan)
+    sd = lambda rows: rows.std(axis=0, ddof=1) if len(rows) >= 2 else np.full(k, np.nan)
     summaries = {}
     for name in estimators:
         values = raw[name]
         ok = ~np.any(np.isnan(values), axis=1)
         failed = int(config.reps - ok.sum())
         good = values[ok]
-        if good.shape[0] >= 2:
-            severe = _severe_outliers(good)
-            kept = good[~severe]
-            outliers = int(severe.sum())
-        else:
-            kept = good
-            outliers = 0
-        used = kept.shape[0]
-        nan_vec = np.full(k, np.nan)
+        severe = _severe_outliers(good) if good.shape[0] >= 2 else np.zeros(len(good), bool)
+        kept = good[~severe]
         summaries[name] = EstimatorSummary(
-            name=name,
-            bias=kept.mean(axis=0) - psi_true if used else nan_vec.copy(),
-            sd=kept.std(axis=0, ddof=1) if used >= 2 else nan_vec.copy(),
-            raw_bias=good.mean(axis=0) - psi_true if good.shape[0] else nan_vec.copy(),
-            raw_sd=good.std(axis=0, ddof=1) if good.shape[0] >= 2 else nan_vec.copy(),
-            outliers_removed=outliers,
-            failed=failed,
-            used=used,
-            scenario_failure=failed > 0.5 * config.reps,
-        )
+            name=name, bias=bias(kept), sd=sd(kept), raw_bias=bias(good), raw_sd=sd(good),
+            outliers_removed=int(severe.sum()), failed=failed, used=len(kept),
+            scenario_failure=failed > 0.5 * config.reps)
     return MonteCarloReport(config=config, psi_true=psi_true, summaries=summaries, estimates=raw)
 
 
@@ -299,38 +288,24 @@ def run_monte_carlo(config: ScenarioConfig,
 # Report serialization
 # ---------------------------------------------------------------------------
 
+_REPORT_FIELDS = ["scenario", "generator", "lambda_x", "lambda_y", "lambda_z", "n",
+                  "seed", "reps", "estimator", "component", "bias", "sd",
+                  "raw_bias", "raw_sd", "outliers_removed", "failed", "used"]
+
+
 def report_rows(reports: list[MonteCarloReport]) -> list[dict]:
-    """One row per (scenario, estimator, effect component)."""
+    """One row per (scenario, estimator, effect component), keyed by _REPORT_FIELDS."""
     rows = []
     for rep in reports:
         cfg = rep.config
         for name, s in rep.summaries.items():
             for comp in range(rep.psi_true.shape[0]):
-                rows.append({
-                    "scenario": cfg.label(),
-                    "generator": cfg.generator,
-                    "lambda_x": cfg.lam[0] if cfg.lam else "",
-                    "lambda_y": cfg.lam[1] if cfg.lam else "",
-                    "lambda_z": cfg.lam[2] if cfg.lam else "",
-                    "n": cfg.n,
-                    "seed": cfg.seed,
-                    "reps": cfg.reps,
-                    "estimator": name,
-                    "component": comp,
-                    "bias": float(s.bias[comp]),
-                    "sd": float(s.sd[comp]),
-                    "raw_bias": float(s.raw_bias[comp]),
-                    "raw_sd": float(s.raw_sd[comp]),
-                    "outliers_removed": s.outliers_removed,
-                    "failed": s.failed,
-                    "used": s.used,
-                })
+                moments = (s.bias[comp], s.sd[comp], s.raw_bias[comp], s.raw_sd[comp])
+                rows.append(dict(zip(_REPORT_FIELDS, (
+                    cfg.label(), cfg.generator, *(cfg.lam or ("", "", "")), cfg.n, cfg.seed,
+                    cfg.reps, name, comp, *map(float, moments), s.outliers_removed, s.failed,
+                    s.used))))
     return rows
-
-
-_REPORT_FIELDS = ["scenario", "generator", "lambda_x", "lambda_y", "lambda_z", "n",
-                  "seed", "reps", "estimator", "component", "bias", "sd",
-                  "raw_bias", "raw_sd", "outliers_removed", "failed", "used"]
 
 
 def write_report_csv(reports: list[MonteCarloReport], path) -> None:

@@ -66,7 +66,8 @@ def _bundle(compute: Callable[[list], list], names) -> dict[str, Callable]:
     one EstimationError for the whole dataset.  The first closure called on
     any dataset of a chunk computes the whole chunk (:meth:`Dataset.memo`),
     so estimates share nuisance fits, and a closure re-raises its own
-    estimate's error, so one failing estimator fails no other.
+    estimate's error, so one failing estimator fails no other.  Every call
+    returns a fresh copy of the memoised estimate.
     """
     def estimate(data: Dataset, name: str):
         value = data.memo(compute, compute)
@@ -74,7 +75,7 @@ def _bundle(compute: Callable[[list], list], names) -> dict[str, Callable]:
             value = value[name]
         if isinstance(value, EstimationError):
             raise value
-        return value
+        return value.copy()
 
     return {name: (lambda ds, _n=name: estimate(ds, _n)) for name in names}
 

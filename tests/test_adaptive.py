@@ -368,9 +368,37 @@ def test_bundle_shares_fits_per_dataset_not_per_thread(monkeypatch):
     for data in (b, a):
         for estimator in bundle.values():
             estimator(data)
-    # three fits each for A and B; returning to A reuses A's fits
+    # three fits each for A and B; returning to A reuses A's fits, and each
+    # call hands out a fresh copy of the estimate
     assert len(calls) == 6
-    assert all(bundle[name](a) is first[name] for name in bundle)
+    for name in bundle:
+        again = bundle[name](a)
+        assert again is not first[name] and again.tobytes() == first[name].tobytes()
+
+
+def test_bundle_estimate_written_into_leaves_the_next_call_alone():
+    from lineariv.suites import table1_estimators
+
+    data = gen_table1(0, 0, 0, 500, 1).dataset
+    bundle = table1_estimators()
+    for name, estimator in bundle.items():
+        first = estimator(data)
+        original = first.copy()
+        first[0] = 99.0
+        again = estimator(data)
+        assert again.tobytes() == original.tobytes(), name
+        assert not np.shares_memory(again, first)
+
+
+@pytest.mark.parametrize("factor", [1e-5, 1e-3, 1e3, 1e5])
+def test_br_gamma_does_not_depend_on_the_covariate_scale(factor):
+    # the bases (1, c0) span the same functions of c0 at every scale, so only
+    # rounding and the IRLS tolerance may move psi
+    for seed in range(10):
+        data = gen_table1(0, 0, 0, 500, seed).dataset
+        scaled = Dataset(data.y, data.x, data.z, data.c_raw * factor)
+        psi = br_gamma_estimate(data, C_LIN, C_LIN, C_LIN).psi
+        assert br_gamma_estimate(scaled, C_LIN, C_LIN, C_LIN).psi == pytest.approx(psi, rel=1e-8)
 
 
 def _spy_irls_widths(monkeypatch) -> list:

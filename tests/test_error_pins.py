@@ -14,7 +14,10 @@ relative, and no error or message changed.  When br-beta's scalar
 denominator came to be checked and solved by the core solve
 (``estimators._solve_ee``), the four zero-exposure br-beta errors took its
 message (same class), and the two one-step values on the doubled exposure
-were re-pinned; they moved by at most 3.6e-16 relative.
+were re-pinned; they moved by at most 3.6e-16 relative.  When br-gamma's
+refit came to start at its first extended fit (see ``tests/test_golden.py``),
+the one-step br-beta on the doubled exposure from br-gamma's estimate was
+re-pinned: it moved by 6.4e-16 relative, and no error or message changed.
 """
 
 import numpy as np
@@ -162,7 +165,7 @@ PINS = {
     ('doubled exposure', 'eem_objective(index)'):
         ['0x1.104c015265018p-7'],
     ('doubled exposure', 'br_beta_estimate(one_step, start_psi=None)'):
-        ['0x1.b98197df707b2p-2'],
+        ['0x1.b98197df707adp-2'],
     ('doubled exposure', 'br_beta_estimate(one_step, start_psi=0.5)'):
         ['0x1.d816db80a82edp-2'],
     ('doubled exposure', 'br_beta_estimate(full_solve, start_psi=None)'):

@@ -7,6 +7,7 @@ import pytest
 
 import lineariv.adaptive
 import lineariv.estimators
+import lineariv.glm
 import lineariv.suites
 from lineariv import BasisSpec, BinaryLogisticIv, Dataset, EstimationError, dataset, simlab
 from lineariv.adaptive import br_beta_estimate, br_gamma_estimate, eem_estimate, eem_fit_alpha
@@ -23,6 +24,7 @@ from lineariv.errors import (
 from lineariv.estimators import _solve_ee, efficient_index, g_estimate, standard_tsls
 from lineariv.glm import (
     RANK_RTOL,
+    SCORE_TOL,
     _binary_fit,
     _check,
     _Flagged,
@@ -706,6 +708,95 @@ def test_br_gamma_calls_share_no_mutable_state():
     first.nuisance["extended_fit"].loglik_trace.append(0.0)
     first.diagnostics["extension_columns_kept"].append(7)
     assert _br_fields(data, (LIN, LIN, LIN)) == before
+
+
+# ---------------------------------------------------------------------------
+# br_gamma's refit starts at the first extended fit
+# ---------------------------------------------------------------------------
+
+def _spy_irls(monkeypatch) -> list:
+    """Records (design, y, start, fit) of every call of the IRLS kernel."""
+    calls = []
+
+    def spy(design, y, link, start=None):
+        fit = _irls(design, y, link, start)
+        calls.append((design, y, start, fit))
+        return fit
+
+    monkeypatch.setattr(lineariv.glm, "_irls", spy)
+    return calls
+
+
+def _separated(data):
+    """``data`` with the instrument the sign of c0: the extended fits do not converge."""
+    return Dataset(data.y, data.x, (data.c_raw[:, :1] > 0).astype(float), data.c_raw)
+
+
+def test_br_gamma_refit_of_a_table1_chunk_takes_no_step(monkeypatch):
+    datasets = simlab._simulate("table1", 500, [[TABLE1_SEED, i] for i in range(16)], (0, 0, 0))
+    assert len(datasets) == dataset._chunk_size(500)
+    calls = _spy_irls(monkeypatch)
+    plain = lineariv.adaptive._br_plain(datasets, (LIN, LIN, LIN))
+    fit = _br_gamma_stack(*plain.data, plain.alpha)
+    (_, _, first_start, first), (_, _, start, refit) = calls[1:]
+    # the first extended fit starts cold and takes steps; the refit starts
+    # at its projected linear predictor, which already meets the stop rule
+    assert first_start is None and min(first.iterations) > 0
+    assert refit is fit.extended and np.isfinite(start).all()
+    assert refit.iterations == [0] * 16
+    assert max(refit.score_norm) <= SCORE_TOL
+
+
+def test_br_gamma_refit_after_an_unconverged_first_fit_starts_by_default(monkeypatch):
+    data = _separated(simlab.gen_table1(1, 1, -1, 300, 61).dataset)
+    calls = _spy_irls(monkeypatch)
+    with np.errstate(all="ignore"):
+        br_gamma_estimate(data, LIN, LIN, LIN)
+        (_, _, _, first), (design, y, start, refit) = calls[1:]
+        assert first.score_norm[0] > SCORE_TOL and np.isnan(start).all()
+        default = _irls(design, y, "logit")
+    assert refit.iterations[0] > 0
+    for field in refit._fields:
+        assert repr(getattr(refit, field)) == repr(getattr(default, field)), field
+
+
+def test_refit_start_projects_converged_unseparated_members_only():
+    gen = make_generator(9)
+    design = np.stack([np.column_stack([np.ones(40), gen.normal(size=40)]) for _ in range(5)])
+    refit_design = np.concatenate([design, design[..., 1:] ** 2], axis=-1)
+    refit_design[4, :, 2] = refit_design[4, :, 1]     # singular normal equations
+    coef = [np.array([0.3, -0.5]), np.array([0.1, 0.2]), np.array([2e4, 1.0]),
+            np.array([-0.4, 0.7]), np.array([0.2, 0.1])]
+    # member 1 did not converge, member 2 is separated
+    fit = lineariv.glm._Irls(coef, [5] * 5, [1e-12, 1e-6, 1e-12, 0.0, 1e-12], [0.0] * 5,
+                             [[]] * 5, [False] * 5)
+    members = lambda rows: lineariv.glm._Irls(*([value[k] for k in rows] for value in fit))
+    start = lineariv.adaptive._refit_start(members(range(4)), design[:4], refit_design[:4])
+    assert np.isnan(start).any(-1).tolist() == [False, True, True, False]
+    for k in (0, 3):
+        projection = np.linalg.lstsq(refit_design[k], design[k] @ coef[k], rcond=None)[0]
+        np.testing.assert_allclose(start[k], projection, rtol=1e-10, atol=1e-12)
+    for k in range(5):
+        own = lineariv.adaptive._refit_start(members([k]), design[k:k + 1], refit_design[k:k + 1])
+        assert own.tobytes() == (start[k:k + 1] if k < 4 else np.full((1, 3), np.nan)).tobytes()
+    # with the singular member a stack raises, and _fit_stack fits each member alone
+    with pytest.raises(np.linalg.LinAlgError):
+        lineariv.adaptive._refit_start(members([0, 4]), design[[0, 4]], refit_design[[0, 4]])
+
+
+def test_mixed_refit_starts_in_one_stack_match_each_member_alone(monkeypatch):
+    base = simlab.gen_table1(1, 1, -1, 300, 61).dataset
+    datasets = _resamples(base, 3, 5) + [_separated(base)] + _resamples(base, 2, 6)
+    with np.errstate(all="ignore"):
+        expected = [_br_fields(ds, (LIN, LIN, LIN)) for ds in _copies(datasets)]
+        sizes = _kernel_sizes(monkeypatch, "_br_records", lineariv.adaptive)
+        calls = _spy_irls(monkeypatch)
+        Dataset.link(datasets)
+        assert [_br_fields(ds, (LIN, LIN, LIN)) for ds in datasets] == expected
+    # one stack, in which only the separated member's refit starts by default
+    assert sizes == [6]
+    assert np.isnan(calls[2][2]).any(-1).tolist() == [False, False, False, True, False, False]
+    assert [value["iterations"] for value in expected] == [0, 0, 0, 100, 0, 0]
 
 
 # ---------------------------------------------------------------------------
