@@ -13,7 +13,7 @@ Everything here is restricted to a constant causal effect and a single
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,8 +28,6 @@ from .estimators import EstimateResult, _ee_result, _ee_solve, _ee_system, _solv
 from .glm import (
     RANK_RTOL,
     SCORE_TOL,
-    SEPARATION_NORM,
-    BinaryFit,
     _attempt,
     _binary,
     _binary_fit,
@@ -38,7 +36,6 @@ from .glm import (
     _Flagged,
     _Irls,
     _join,
-    _mean_function,
     _ols,
     _ranks,
     _stack,
@@ -178,7 +175,6 @@ def _eem_objective(d: np.ndarray, x: np.ndarray, eps: np.ndarray) -> list:
 class _Eem(NamedTuple):
     """The EEM fits of a stack of B datasets."""
 
-    alpha: np.ndarray               # (B, k) index coefficients
     beta: np.ndarray                # (B, q) outcome coefficients
     d: np.ndarray                   # (B, n) centered index
     response: np.ndarray            # (B, n) y minus the outcome fit
@@ -188,20 +184,20 @@ class _Eem(NamedTuple):
 
 
 def _eem_stack(zc: np.ndarray, x: np.ndarray, y: np.ndarray, index_design: np.ndarray,
-               outcome_design: np.ndarray, psi0: np.ndarray) -> _Eem:
+               outcome_design: np.ndarray, psi0: np.ndarray, alpha: np.ndarray) -> _Eem:
     """The arithmetic of :func:`eem_estimate` from its preliminary estimates
-    psi0 (B,) on, for a stack of B datasets of one size: zc = z - E(z|C), x,
-    y (B, n) and the designs (B, n, p).  The index fit, the weighted beta
-    regression, the G-estimating equation at the centered index and the
-    objective, with their checks in that order (see :func:`_check`)."""
-    alpha = _index_coef(zc, index_design, x, _ALPHA_CONTEXT)
+    psi0 (B,) and index coefficients alpha (B, k) on, for a stack of B
+    datasets of one size: zc = z - E(z|C), x, y (B, n) and the designs
+    (B, n, p).  The weighted beta regression, the G-estimating equation at
+    the centered index and the objective, with their checks in that order
+    (see :func:`_check`)."""
     scale = np.matvec(index_design, alpha)
     beta = _eem_beta(zc, x, y, scale, outcome_design, psi0)
     d = scale * zc
     response = y - np.matvec(outcome_design, beta)
     theta, condition = _solve_ee(d[..., None], x[..., None], response, "g_estimate")
     objective = _eem_objective(d, x, response - psi0[:, None] * x)
-    return _Eem(alpha, beta, d, response, theta[:, 0], condition, objective)
+    return _Eem(beta, d, response, theta[:, 0], condition, objective)
 
 
 def eem_estimate(data: Dataset, iv: IvModel, index_basis: BasisSpec,
@@ -221,8 +217,10 @@ def eem_estimate(data: Dataset, iv: IvModel, index_basis: BasisSpec,
         preliminary_psi = g_estimate(data, RawInstruments(), OutcomeModel(outcome_basis), iv,
                                      EffectModel.constant()).psi
     psi0 = float(preliminary_psi)
-    fit = _eem_stack(*_eem_data(data, iv, index_basis, outcome_basis), np.array([psi0]))
-    alpha, beta = fit.alpha[0], fit.beta[0]
+    zc, x, y, index_design, outcome_design = _eem_data(data, iv, index_basis, outcome_basis)
+    alpha = _index_coef(zc, index_design, x, _ALPHA_CONTEXT)
+    fit = _eem_stack(zc, x, y, index_design, outcome_design, np.array([psi0]), alpha)
+    alpha, beta = alpha[0], fit.beta[0]
     result = _ee_result(fit.d[0][:, None], data.x[:, None], fit.response[0], fit.psi, slice(0, 1),
                         beta, {"iv": iv, "index": ScaledInstrument(index_basis, alpha),
                                "outcome": OutcomeModel(outcome_basis, beta)},
@@ -284,21 +282,11 @@ def _index_coef(zc: np.ndarray, index_design: np.ndarray, x: np.ndarray,
     return fit.coef
 
 
-def _logistic(design: np.ndarray, z: np.ndarray,
-              start: np.ndarray | None = None) -> tuple[_Irls, np.ndarray]:
-    """fit_binary(design, z, "logit") of a stack, from ``start`` (see
-    ``glm._irls``), with its checks, and its fitted probabilities.  A member
-    whose step-halvings ran out follows its own fit too."""
-    fit = _binary(design, z, "logit", start)
-    return fit, _mean_function("logit")(np.matvec(design, np.array(fit.coef)))
-
-
 class _BrPlain(NamedTuple):
     """The plain stage of the bias-reduced pair on a stack of B datasets."""
 
     data: tuple                     # z, x, y (B, n) and the instrument, outcome and index designs
-    fit: _Irls                      # the plain ML instrument fit
-    prob: np.ndarray                # (B, n) its P(Z=1|C)
+    fit: _Irls                      # the plain ML instrument fit, its mean P(Z=1|C)
     alpha: np.ndarray               # (B, k) index coefficients under it
 
 
@@ -310,9 +298,9 @@ def _br_plain(datasets: list[Dataset], bases: tuple) -> _BrPlain:
     y, x, zs, cs = _stack_data(datasets)
     iv_design, outcome_design, index_design = (basis._evaluate(zs, cs) for basis in bases)
     z = zs[..., 0]
-    fit, prob = _logistic(iv_design, z)
-    return _BrPlain((z, x, y, iv_design, outcome_design, index_design), fit, prob,
-                    _index_coef(z - prob, index_design, x, _ALPHA_CONTEXT))
+    fit = _binary(iv_design, z, "logit")
+    return _BrPlain((z, x, y, iv_design, outcome_design, index_design), fit,
+                    _index_coef(z - fit.mean, index_design, x, _ALPHA_CONTEXT))
 
 
 class _BrGamma(NamedTuple):
@@ -334,10 +322,10 @@ def _refit_start(fit: _Irls, design: np.ndarray, refit_design: np.ndarray) -> np
     which :func:`~lineariv.glm._fit_stack` answers by computing each member
     alone, and alone it takes the default start."""
     start = np.full((len(refit_design), refit_design.shape[-1]), np.nan)
-    take = [k for k, (coef, norm) in enumerate(zip(fit.coef, fit.score_norm))
-            if norm <= SCORE_TOL and np.linalg.norm(coef) <= SEPARATION_NORM]
+    take = [k for k, (norm, separated) in enumerate(zip(fit.score_norm, fit.separated))
+            if norm <= SCORE_TOL and not separated]
     x = refit_design[take]
-    gram, rhs = x.mT @ x, np.vecmat(np.matvec(design[take], np.array(fit.coef)[take]), x)[..., None]
+    gram, rhs = x.mT @ x, np.vecmat(np.matvec(design[take], fit.coef[take]), x)[..., None]
     try:
         start[take] = np.linalg.solve(gram, rhs)[..., 0]
     except np.linalg.LinAlgError:
@@ -365,59 +353,51 @@ def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.n
     """
     extend = lambda e_scale: _extend(iv_design, e_scale[..., None] * outcome_design)
     first_design = extend(np.matvec(index_design, alpha))[0]
-    first, ext_prob = _logistic(first_design, z)
-    alpha = _index_coef(z - ext_prob, index_design, x,
+    first = _binary(first_design, z, "logit")
+    alpha = _index_coef(z - first.mean, index_design, x,
                         "degenerate instrument variation under the extended fit")
     e_scale = np.matvec(index_design, alpha)
     design, kept = extend(e_scale)
-    fit, ext_prob = _logistic(design, z, _refit_start(first, first_design, design))
-    d = e_scale * (z - ext_prob)
+    fit = _binary(design, z, "logit", _refit_start(first, first_design, design))
+    d = e_scale * (z - fit.mean)
     theta, _ = _solve_ee(d[..., None], x[..., None], y, "br_gamma")
     return _BrGamma(theta[:, 0], alpha, fit, kept, d)
 
 
-class _BrGammaFit(NamedTuple):
-    """One member of a :class:`_BrGamma` stack."""
+class _BrRecord(NamedTuple):
+    """The bias-reduced pair of a stack of B datasets, as their memo keeps it."""
 
-    psi: float
-    index_coef: np.ndarray
-    extended: BinaryFit
-    kept: list
-    score_identity: float
-    influence: np.ndarray
+    plain: _BrPlain | EstimationError
+    gamma: _BrGamma | EstimationError   # the plain stage's error too
+    identity: list | None               # br_gamma's score identity norm per member
+    influence: np.ndarray | None        # (B, n) br_gamma's influence values
 
 
 def _br_records(datasets: list[Dataset], bases: tuple) -> list[tuple]:
-    """The records of :func:`_br_record` for a stack of datasets: the plain
-    stage, then :func:`_br_gamma_stack` from it, each through
-    :func:`_attempt`, with each member's score identity and influence
-    values, which only a full result needs."""
+    """The entries of :func:`_br_record` for a stack of datasets: one
+    :class:`_BrRecord` of the plain stage, then :func:`_br_gamma_stack` from
+    it, each through :func:`_attempt`, with the score identity and influence
+    values that only a full result needs, and each dataset's row in it."""
     out: dict = {}
     _attempt(out, "plain", lambda: _br_plain(datasets, bases))
     _attempt(out, "gamma", lambda plain: _br_gamma_stack(*plain.data, plain.alpha), "plain")
-    plain, fit = out["plain"], out["gamma"]
-    if isinstance(plain, EstimationError):         # held only on a stack of one
-        return [(plain, fit)]
-    plains = [(_binary_fit(plain.fit, k, "logit"), plain.prob[k], plain.alpha[k],
-               tuple(design[k] for design in plain.data[3:])) for k in range(len(datasets))]
-    if isinstance(fit, EstimationError):
-        return [(plains[0], fit)]
-    _, x, y, _, outcome_design, _ = plain.data
-    d, psi = fit.d, fit.psi
-    # the column sums keep this form: a vecmat moves their last bits
-    identity = np.abs((d[..., None] * outcome_design).sum(-2)).max(-1).tolist()
-    influence = d * (y - psi[:, None] * x) / (d * x).mean(-1)[:, None]
-    return [(plains[k], _BrGammaFit(value, fit.index_coef[k], _binary_fit(fit.extended, k, "logit"),
-                                    fit.kept, identity[k], influence[k]))
-            for k, value in enumerate(psi.tolist())]
+    plain, gamma = out["plain"], out["gamma"]
+    identity = influence = None
+    if not isinstance(gamma, EstimationError):
+        _, x, y, _, outcome_design, _ = plain.data
+        d, psi = gamma.d, gamma.psi
+        # the column sums keep this form: a vecmat moves their last bits
+        identity = np.abs((d[..., None] * outcome_design).sum(-2)).max(-1).tolist()
+        influence = d * (y - psi[:, None] * x) / (d * x).mean(-1)[:, None]
+    record = _BrRecord(plain, gamma, identity, influence)
+    return [(record, k) for k in range(len(datasets))]
 
 
 def _br_record(data: Dataset, bases: tuple) -> tuple:
     """The dataset's memoised bias-reduced pair on the bases (instrument,
-    outcome, index): the plain stage, (BinaryFit, P(Z=1|C), index
-    coefficients, designs), and the br-gamma stage, a :class:`_BrGammaFit`.
-    Each is the fit, or the EstimationError it or the stage before raised,
-    as on the dataset alone; a linked chunk is filled at once."""
+    outcome, index): the :class:`_BrRecord` of its stack and its row there.
+    Each stage is the stacked fit, or the EstimationError it or the stage
+    before raised, as on the dataset alone; a linked chunk is filled at once."""
     return data.memo(("br", *bases),
                      lambda chunk: _fit_stack(lambda stack: _br_records(stack, bases), chunk))
 
@@ -448,34 +428,33 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
     and fitted as one stack for a linked chunk of resamples.  Every call
     returns a fresh result.
     """
-    plain, member = _br_record(data, (iv_basis, outcome_basis, index_basis))
-    if isinstance(member, EstimationError):
-        raise member
-    fit = replace(member.extended, coefficients=member.extended.coefficients.copy(),
-                  loglik_trace=list(member.extended.loglik_trace))
+    record, k = _br_record(data, (iv_basis, outcome_basis, index_basis))
+    gamma = record.gamma
+    if isinstance(gamma, EstimationError):
+        raise gamma
+    fit, plain = _binary_fit(gamma.extended, k, "logit"), _binary_fit(record.plain.fit, k, "logit")
     br = BrFit(
         variant="br_gamma",
         gamma_hat=fit.coefficients,
         beta_hat=np.empty(0),
-        score_identity_norm=member.score_identity,
+        score_identity_norm=record.identity[k],
         converged=fit.converged,
     )
     diagnostics = {
         "br_fit": br,
         "extended_converged": fit.converged,
-        "extension_columns_kept": list(member.kept),
+        "extension_columns_kept": list(gamma.kept),
         "separation": fit.separation,
-        "influence": member.influence.copy(),
+        "influence": record.influence[k].copy(),
     }
     if not fit.converged:
         diagnostics["warning"] = ("extended instrument model did not converge; "
                                   "using the step-halved fit")
     return EstimateResult(
-        psi_hat=np.array([member.psi]),
+        psi_hat=gamma.psi[k:k + 1].copy(),
         beta_hat=np.empty(0),
-        nuisance={"iv_plain": BinaryLogisticIv(iv_basis, plain[0].coefficients.copy(),
-                                               plain[0].converged),
-                  "index_coef": member.index_coef.copy(), "extended_fit": fit},
+        nuisance={"iv_plain": BinaryLogisticIv(iv_basis, plain.coefficients, plain.converged),
+                  "index_coef": gamma.index_coef[k].copy(), "extended_fit": fit},
         diagnostics=diagnostics,
     )
 
@@ -557,15 +536,17 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     if update not in ("one_step", "full_solve"):
         raise ValueError(f"unknown update mode {update!r}")
     bases = (iv_basis, outcome_basis, index_basis)
-    plain, gamma = _br_record(data, bases)
+    record, k = _br_record(data, bases)
+    plain, gamma = record.plain, record.gamma
     if isinstance(plain, EstimationError):
         raise plain
-    plain_fit, prob, alpha, (iv_design, outcome_design, index_design) = plain
+    prob, alpha = plain.fit.mean[k], plain.alpha[k]
+    iv_design, outcome_design, index_design = (design[k] for design in plain.data[3:])
 
     def start():
         if start_psi is None and isinstance(gamma, EstimationError):
             raise gamma
-        return np.array([float(gamma.psi if start_psi is None else start_psi)])
+        return np.array([float(gamma.psi[k] if start_psi is None else start_psi)])
 
     fit = _br_beta_stack(data.z[:, 0][None], data.x[None], data.y[None], prob[None],
                          iv_design[None], outcome_design[None], index_design[None], alpha[None],
@@ -581,7 +562,8 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     gamma_term = (data.z[:, 0] - prob)[:, None] * a_vec[None, :]
     beta_term = (w[:, None] * iv_design) * b_scal
     identity = ((e_scale * resid)[:, None] * (gamma_term - beta_term)).mean(axis=0)
-    iv = BinaryLogisticIv(iv_basis, plain_fit.coefficients.copy(), plain_fit.converged)
+    plain_fit = _binary_fit(plain.fit, k, "logit")
+    iv = BinaryLogisticIv(iv_basis, plain_fit.coefficients, plain_fit.converged)
     br = BrFit(
         variant="br_beta",
         gamma_hat=iv.coef,

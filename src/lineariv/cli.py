@@ -427,8 +427,9 @@ _parser = functools.cache(build_parser)     # once per process: parsing does not
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    # scipy.special, loaded here, costs a one-command process nothing and
-    # stays out of the first fit an in-process caller times
+    # scipy.special is loaded here so that its import (about 0.3 s) stays
+    # out of the first fit an in-process caller times; a one-command process
+    # pays it even when its estimator, e.g. tsls, never uses it
     _special()
     try:
         return args.func(args)

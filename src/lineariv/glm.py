@@ -278,14 +278,16 @@ def _mean_function(link: str):
 
 
 class _Irls(NamedTuple):
-    """Stacked IRLS: one list entry per member."""
+    """Stacked IRLS: one row or list entry per member."""
 
-    coef: list          # (p,) arrays
+    coef: np.ndarray    # (B, p)
+    mean: np.ndarray    # (B, n) the mean at coef
     iterations: list    # Fisher-scoring steps taken
     score_norm: list    # max |X'adj| at the final coefficients
     loglik: list
     traces: list        # log-likelihood at the start and after each step
     exhausted: list     # True where some step took the last length, 2^-40, untested
+    separated: list     # True where the coefficient norm is above SEPARATION_NORM
 
 
 @np.errstate(over="ignore")     # once a fit, for the logit mean
@@ -299,8 +301,10 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, start: np.ndarray | None
     once its own score norm is at most SCORE_TOL or after MAX_ITER steps,
     and each step takes the first length 1, 1/2, ..., 2^-40 at which its
     log-likelihood does not drop by more than 1e-10, or 2^-40 untested
-    (``exhausted``).  An exactly singular X'WX raises ``fit_binary``'s
-    SingularDesignError on a stack of one and LinAlgError on a larger stack.
+    (``exhausted``).  A member's ``mean`` is the one its last iterate was
+    tested with, the link's mean at its coefficients.  An exactly singular
+    X'WX raises ``fit_binary``'s SingularDesignError on a stack of one and
+    LinAlgError on a larger stack.
     """
     mean = _LINK_MEANS.get(link) or _mean_function(link)    # which raises on an unknown link
     B, n, p = design.shape
@@ -345,10 +349,10 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, start: np.ndarray | None
     eta, mu, var, ll = evaluate(design, y0, beta)
     score, norm, w = score_and_weights(design, y, eta, mu, var)
     traces = [[v] for v in ll.tolist()]
-    coef = [None] * B
+    coef, fitted = np.empty((B, p)), np.empty((B, n))
     iterations = [0] * B
     score_norm, loglik = [np.nan] * B, [np.nan] * B
-    exhausted = [False] * B
+    exhausted, separated = [False] * B, [False] * B
     # the live members and their state; every live member has taken `steps` steps
     live = list(range(B))
     # xt is a C-contiguous copy of the design transposed, (B, p, n), so that
@@ -360,10 +364,13 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, start: np.ndarray | None
         norms = norm.tolist()
         stop = [v <= SCORE_TOL or steps >= MAX_ITER for v in norms]
         if any(stop):
-            for k, member in enumerate(live):
-                if stop[k]:
-                    coef[member], score_norm[member], iterations[member] = beta[k], norms[k], steps
-                    loglik[member] = float(ll[k])
+            done = [k for k, s in enumerate(stop) if s]
+            members = [live[k] for k in done]
+            coef[members], fitted[members] = beta[done], mu[done]
+            for k, member in zip(done, members):
+                score_norm[member], iterations[member] = norms[k], steps
+                loglik[member] = float(ll[k])
+                separated[member] = bool(np.linalg.norm(beta[k]) > SEPARATION_NORM)
             keep = [k for k, s in enumerate(stop) if not s]
             if not keep:
                 break
@@ -410,7 +417,7 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, start: np.ndarray | None
         for member, value in zip(live, ll.tolist()):
             traces[member].append(value)
         score, norm, w = score_and_weights(x, live_y, eta, mu, var)
-    return _Irls(coef, iterations, score_norm, loglik, traces, exhausted)
+    return _Irls(coef, fitted, iterations, score_norm, loglik, traces, exhausted, separated)
 
 
 def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit") -> BinaryFit:
@@ -461,15 +468,14 @@ def _binary(design: np.ndarray, y: np.ndarray, link: str, start: np.ndarray | No
 def _binary_fit(fit: _Irls, k: int, link: str) -> BinaryFit:
     """Member ``k`` of a stacked IRLS fit as the BinaryFit ``fit_binary``
     returns; the member owns copies of the stack's arrays."""
-    beta = np.array(fit.coef[k])
     score_norm = fit.score_norm[k]
     return BinaryFit(
-        coefficients=beta,
+        coefficients=fit.coef[k].copy(),
         link=link,
         converged=score_norm <= SCORE_TOL,
         iterations=fit.iterations[k],
         score_norm=score_norm,
-        separation=bool(np.linalg.norm(beta) > SEPARATION_NORM),
+        separation=fit.separated[k],
         log_likelihood=fit.loglik[k],
         loglik_trace=list(fit.traces[k]),
     )

@@ -20,7 +20,6 @@ from .adaptive import (
     _br_gamma_stack,
     _eem_stack,
     _index_coef,
-    _logistic,
     _stack_data,
 )
 from .dataset import BasisSpec, Dataset
@@ -36,7 +35,7 @@ from .estimators import (
     plug_in_two_stage,
     standard_tsls,
 )
-from .glm import _attempt, _check, _fit_stack, _join, _ols
+from .glm import _attempt, _binary, _check, _fit_stack, _join, _ols
 from .models import BinaryLogisticIv, EffectModel, ExposureModel, OutcomeModel
 from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
 
@@ -116,13 +115,13 @@ def _table1_stack(datasets: list[Dataset]) -> list[dict]:
 
     out = {}
     _attempt(out, "tsls", lambda: _tsls_stack(instruments, lin, x[..., None], y)[-1].coef[:, 2])
-    _attempt(out, "plain", lambda: _logistic(lin, z)[1])     # BinaryLogisticIv.fit's P(Z=1|C)
+    _attempt(out, "plain", lambda: _binary(lin, z, "logit").mean)  # BinaryLogisticIv.fit's prob
     _attempt(out, "exposure", exposure)
     _attempt(out, "loc_eff", loc_eff, "plain", "exposure")
-    _attempt(out, "eem", lambda prob, tsls: _eem_stack(z - prob, x, y, lin, lin, tsls).psi,
-             "plain", "tsls")
-    # the bias-reduced pair starts from the plain fit's index, br_beta from br_gamma
+    # eem and the bias-reduced pair start from the plain fit's index, br_beta from br_gamma
     _attempt(out, "alpha", lambda prob: _index_coef(z - prob, lin, x, _ALPHA_CONTEXT), "plain")
+    _attempt(out, "eem", lambda prob, tsls, alpha: _eem_stack(
+        z - prob, x, y, lin, lin, tsls, alpha).psi, "plain", "tsls", "alpha")
     _attempt(out, "br_gamma", lambda alpha: _br_gamma_stack(z, x, y, lin, lin, lin, alpha).psi,
              "alpha")
     _attempt(out, "br_beta", lambda prob, alpha, start: _br_beta_stack(

@@ -317,6 +317,25 @@ def test_calls_after_the_first_member_of_a_chunk_fit_nothing(monkeypatch):
         assert calls == []
 
 
+def test_a_table1_chunk_fits_its_plain_law_index_once(monkeypatch):
+    # eem and the bias-reduced pair share one index fit under the plain
+    # instrument law; br_gamma then refits the index under its extended fit
+    contexts = []
+    kernel = lineariv.adaptive._index_coef
+
+    def spy(zc, index_design, x, context):
+        contexts.append((len(zc), context))
+        return kernel(zc, index_design, x, context)
+
+    for module in (lineariv.adaptive, lineariv.suites):
+        monkeypatch.setattr(module, "_index_coef", spy)
+    datasets = _replicates("table1", (1, 1, -1), 500, TABLE1_SEED, 16)
+    outcomes = _bundle_outcomes(datasets)
+    assert contexts == [(16, lineariv.adaptive._ALPHA_CONTEXT),
+                        (16, "degenerate instrument variation under the extended fit")]
+    assert outcomes == _per_dataset(datasets)
+
+
 def _small(datasets, rows):
     return [Dataset(ds.y[:rows], ds.x[:rows], ds.z[:rows], ds.c_raw[:rows]) for ds in datasets]
 
@@ -480,6 +499,44 @@ def test_irls_members_bit_identical_to_stacks_of_one(link):
         assert (fit.iterations[k], fit.score_norm[k], fit.loglik[k], fit.traces[k],
                 fit.exhausted[k]) == (own.iterations[0], own.score_norm[0], own.loglik[0],
                                       own.traces[0], own.exhausted[0])
+
+
+def _assert_irls_mean(design, y, link):
+    """A stacked fit's mean is the link's mean at its coefficients, and each
+    member's coefficients and mean are its stack-of-one fit's, to the bit."""
+    fit = _irls(design, y, link)
+    assert fit.coef.shape == (len(design), design.shape[-1]) and fit.mean.shape == y.shape
+    assert np.array_equal(fit.mean, _mean_function(link)(np.matvec(design, fit.coef)))
+    for k in range(len(design)):
+        own = _irls(design[k:k + 1], y[k:k + 1], link)
+        assert np.array_equal(fit.coef[k], own.coef[0])
+        assert np.array_equal(fit.mean[k], own.mean[0])
+    return fit
+
+
+@pytest.mark.parametrize("link", ["logit", "probit"])
+def test_irls_mean_is_the_link_mean_at_each_members_coefficients(monkeypatch, link):
+    # members that stop after different numbers of steps
+    rng, design = _designs(11, b=5, n=200)
+    design[:, :, 1:] *= np.linspace(0.05, 2.0, 5)[:, None, None]
+    y = (rng.random(design.shape[:2]) < expit(design @ np.array([0.2, 1.0, -0.5]))).astype(float)
+    fit = _assert_irls_mean(design, y, link)
+    assert len(set(fit.iterations)) > 1 and not any(fit.exhausted)
+
+    # a mean function that disagrees with the score for |eta| >= 0.3, so that
+    # some members' steps fail all 40 halvings and take the untried length
+    mean = {"logit": expit, "probit": lineariv.glm.normal_cdf}[link]
+    monkeypatch.setitem(lineariv.glm._LINK_MEANS, link,
+                        lambda eta: np.where(np.abs(eta) < 0.3, mean(eta), mean(-eta)))
+    monkeypatch.setattr(lineariv.glm, "MAX_ITER", 20)
+    rng = np.random.default_rng(0)
+    design = rng.standard_normal((6, 60, 2)) * rng.uniform(0.5, 6, size=(6, 1, 2))
+    design[:, :, 0] = 1.0
+    y = (rng.random((6, 60)) < 0.5).astype(float)
+    with np.errstate(all="ignore"):
+        fit = _assert_irls_mean(design, y, link)
+    assert any(fit.exhausted) and not all(fit.exhausted)
+    assert len(set(fit.iterations)) > 1
 
 
 def test_solve_ee_flags_a_stack_with_a_degenerate_member():
@@ -709,6 +766,45 @@ def test_br_gamma_calls_share_no_mutable_state():
     first.diagnostics["extension_columns_kept"].append(7)
     assert _br_fields(data, (LIN, LIN, LIN)) == before
 
+    # on a linked chunk, writing into every array and list of one member's
+    # br_gamma and br_beta results changes neither a repeat call on that
+    # member nor any other member's results
+    datasets = _resamples(data, 3, 42)
+    Dataset.link(datasets)
+    fields = lambda: [(_br_fields(ds, (LIN, LIN, LIN)), _br_beta_fields(ds, (LIN, LIN, LIN)))
+                      for ds in datasets]
+    before = fields()
+    for ds in datasets:
+        for res in (br_gamma_estimate(ds, LIN, LIN, LIN), br_beta_estimate(ds, LIN, LIN, LIN)):
+            _write_into(res)
+        assert fields() == before
+
+
+def _br_beta_fields(data, bases):
+    """The arrays of br_beta_estimate's result as float.hex."""
+    res = br_beta_estimate(data, *bases)
+    return {"psi": _hex(res.psi_hat), "beta_hat": _hex(res.beta_hat),
+            "index_coef": _hex(res.nuisance["index_coef"]),
+            "plain": _hex(res.nuisance["iv_plain"].coef),
+            "gamma_hat": _hex(res.diagnostics["br_fit"].gamma_hat),
+            "kept": res.nuisance["extension_columns"]}
+
+
+def _write_into(res):
+    """Zeroes every array, and appends to every list, of a bias-reduced result."""
+    br = res.diagnostics["br_fit"]
+    arrays = [res.psi_hat, res.beta_hat, res.nuisance["index_coef"],
+              res.nuisance["iv_plain"].coef, br.gamma_hat, br.beta_hat]
+    lists = [res.nuisance.get("extension_columns", [])]
+    if "extended_fit" in res.nuisance:
+        arrays += [res.nuisance["extended_fit"].coefficients, res.diagnostics["influence"]]
+        lists += [res.nuisance["extended_fit"].loglik_trace,
+                  res.diagnostics["extension_columns_kept"]]
+    for array in arrays:
+        array[...] = 0.0
+    for values in lists:
+        values.append(7)
+
 
 # ---------------------------------------------------------------------------
 # br_gamma's refit starts at the first extended fit
@@ -765,12 +861,14 @@ def test_refit_start_projects_converged_unseparated_members_only():
     design = np.stack([np.column_stack([np.ones(40), gen.normal(size=40)]) for _ in range(5)])
     refit_design = np.concatenate([design, design[..., 1:] ** 2], axis=-1)
     refit_design[4, :, 2] = refit_design[4, :, 1]     # singular normal equations
-    coef = [np.array([0.3, -0.5]), np.array([0.1, 0.2]), np.array([2e4, 1.0]),
-            np.array([-0.4, 0.7]), np.array([0.2, 0.1])]
+    coef = np.array([[0.3, -0.5], [0.1, 0.2], [2e4, 1.0], [-0.4, 0.7], [0.2, 0.1]])
+    mean = expit(np.matvec(design, coef))
     # member 1 did not converge, member 2 is separated
-    fit = lineariv.glm._Irls(coef, [5] * 5, [1e-12, 1e-6, 1e-12, 0.0, 1e-12], [0.0] * 5,
-                             [[]] * 5, [False] * 5)
-    members = lambda rows: lineariv.glm._Irls(*([value[k] for k in rows] for value in fit))
+    fit = lineariv.glm._Irls(coef, mean, [5] * 5, [1e-12, 1e-6, 1e-12, 0.0, 1e-12], [0.0] * 5,
+                             [[]] * 5, [False] * 5, [False, False, True, False, False])
+    members = lambda rows: lineariv.glm._Irls(*(
+        value[list(rows)] if isinstance(value, np.ndarray) else [value[k] for k in rows]
+        for value in fit))
     start = lineariv.adaptive._refit_start(members(range(4)), design[:4], refit_design[:4])
     assert np.isnan(start).any(-1).tolist() == [False, True, True, False]
     for k in (0, 3):
@@ -853,7 +951,7 @@ def test_every_logistic_model_has_the_irls_mean():
     got = {
         "BinaryLogisticIv.prob": BinaryLogisticIv.fit(data, LIN).prob(data),
         "ExposureModel.predict": ExposureModel("logit", LIN, fit.coefficients).predict(data),
-        "adaptive._logistic": lineariv.adaptive._logistic(design[None], z[None])[1][0],
+        "glm._binary": lineariv.glm._binary(design[None], z[None], "logit").mean[0],
     }
     unclipped = want == _mean_function("logit")(design @ fit.coefficients)
     assert unclipped.sum() >= 990
