@@ -306,13 +306,8 @@ def centered_index(data: Dataset, index: IndexFunction, iv: IvModel) -> np.ndarr
             "an uncentered index given as a callable cannot be evaluated at "
             "counterfactual instrument values; give the index as a basis")
     at = lambda z: index.basis._evaluate(z, data.c_raw)
-    if data.n_instruments == 1 and data.z_is_binary():
-        p = cond_mean[:, 0]
-        e1, e0 = at(np.ones_like(data.z)), at(np.zeros_like(data.z))
-        return values - (p[:, None] * e1 + (1.0 - p)[:, None] * e0)
-    if index.basis.is_linear_in_z():
-        return values - at(cond_mean)
-    if isinstance(iv, EmpiricalIv):
+    binary, linear = data.n_instruments == 1 and data.z_is_binary(), index.basis.is_linear_in_z()
+    if not (binary or linear) and isinstance(iv, EmpiricalIv):
         if data.n > 4000:
             raise UnsupportedCombinationError(
                 "empirical centering of a general index is quadratic in n; "
@@ -321,6 +316,23 @@ def centered_index(data: Dataset, index: IndexFunction, iv: IvModel) -> np.ndarr
         for j in range(data.n):
             acc += at(np.broadcast_to(data.z[j], data.z.shape))
         return values - acc / data.n
+    return _centered(at, values, cond_mean, binary, linear)
+
+
+def _centered(at, observed: np.ndarray, z_mean: np.ndarray, binary: bool,
+              linear: bool) -> np.ndarray:
+    """``observed`` - E{f(Z,C)|C} in closed form, the centering of every
+    G-estimator's index.  ``at(z)`` is f (..., n, m) at instrument values z
+    shaped as E(Z|C) ``z_mean`` (..., n, q), over any leading axes, and
+    ``observed`` is f at the observed instruments.  With one binary
+    instrument (``binary``) E{f|C} is the two-point mixture
+    p*f(1,C) + (1-p)*f(0,C) at p = E(Z|C); otherwise, for an f linear in Z
+    (``linear``), it is f(E(Z|C), C)."""
+    if binary:
+        p = z_mean[..., :1]
+        return observed - (p * at(np.ones_like(z_mean)) + (1.0 - p) * at(np.zeros_like(z_mean)))
+    if linear:
+        return observed - at(z_mean)
     raise UnsupportedCombinationError(
         "no exact conditional mean for a nonlinear index with a continuous instrument")
 
@@ -364,61 +376,32 @@ def g_estimate(data: Dataset, index: IndexFunction, outcome: OutcomeModel | None
                       {"condition": cond[0], "profiled_outcome": profiled})
 
 
-_NO_EXACT_INDEX = ("continuous instruments combined with a nonlinear exposure model "
-                   "have no exact efficient index here")
-
-
 def efficient_index(data: Dataset, exposure: ExposureModel, iv: IvModel,
                     effect: EffectModel) -> CustomIndex:
     """Locally efficient index under constant residual variance.
 
     e_opt(Z,C) = dm/dpsi * [m_x(Z,C) - E{m_x(Z,C)|C}], the bracket by
-    :func:`_centered_exposure_mean` as a stack of one: exactly a two-point
-    mixture for a binary instrument (any exposure link), or substitution of
-    E(Z|C) for an exposure model linear in Z.  The result is centered by
-    construction.
+    :func:`_centered`: exactly a two-point mixture for a binary instrument
+    (any exposure link), or substitution of E(Z|C) for an exposure model
+    linear in Z.  The result is centered by construction.
     """
     if not exposure.is_fitted:
         raise ValueError("exposure model must be fitted first")
     if not (data.n_instruments == 1 and data.z_is_binary() or exposure.is_linear_in_z()):
-        raise UnsupportedCombinationError(_NO_EXACT_INDEX)
+        raise UnsupportedCombinationError("continuous instruments combined with a nonlinear "
+                                          "exposure model have no exact efficient index here")
 
     def evaluator(ds: Dataset) -> np.ndarray:
-        model = exposure.basis, exposure.link, exposure.coef[None]
-        c = ds.c_raw[None]
-        centered_mx = _centered_exposure_mean(
-            *model, c, iv.conditional_mean(ds)[None], _exposure_mean(*model, ds.z[None], c),
-            ds.n_instruments == 1 and ds.z_is_binary())[0]
-        return centered_mx[:, None] * effect.gradient(ds)
+        def at(z):
+            eta = np.matvec(exposure.basis._evaluate(z, ds.c_raw), exposure.coef)
+            return (eta if exposure.link == "identity" else _mean_function(exposure.link)(eta))[:, None]
+
+        binary = ds.n_instruments == 1 and ds.z_is_binary()
+        centered_mx = _centered(at, at(ds.z), iv.conditional_mean(ds), binary,
+                                exposure.is_linear_in_z())
+        return centered_mx * effect.gradient(ds)
 
     return CustomIndex(evaluator=evaluator, centered=True)
-
-
-def _exposure_mean(basis: BasisSpec, link: str, coef: np.ndarray, z: np.ndarray,
-                   c: np.ndarray) -> np.ndarray:
-    """m_x(z, c) on a stack: the exposure model's basis, link and
-    coefficients (B, p) at instruments z (B, n, q) and covariates c (B, n, r);
-    returns (B, n)."""
-    eta = np.matvec(basis._evaluate(z, c), coef)
-    return eta if link == "identity" else _mean_function(link)(eta)
-
-
-def _centered_exposure_mean(basis: BasisSpec, link: str, coef: np.ndarray, c: np.ndarray,
-                            z_mean: np.ndarray, observed: np.ndarray,
-                            binary: bool) -> np.ndarray:
-    """m_x(z, c) - E{m_x(Z, C)|C} on a stack, from the exposure model as
-    :func:`_exposure_mean` takes it, E(Z|C) (B, n, q) and the observed
-    m_x(z, c) (B, n); returns (B, n).  ``binary`` says that the stack's
-    instrument is one binary column, which takes the two-point mixture
-    p*m_x(1, c) + (1-p)*m_x(0, c); otherwise an exposure linear in z takes
-    m_x(E(Z|C), c)."""
-    mean = lambda at: _exposure_mean(basis, link, coef, at, c)
-    if binary:
-        p = z_mean[..., 0]
-        return observed - (p * mean(np.ones_like(z_mean)) + (1.0 - p) * mean(np.zeros_like(z_mean)))
-    if link == "identity" and basis.is_linear_in_z():
-        return observed - mean(z_mean)
-    raise UnsupportedCombinationError(_NO_EXACT_INDEX)
 
 
 def _moment_scale(left: np.ndarray, right: np.ndarray, n: int) -> list[float]:

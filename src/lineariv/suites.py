@@ -25,7 +25,7 @@ from .adaptive import (
 from .dataset import BasisSpec, Dataset
 from .errors import EstimationError
 from .estimators import (
-    _centered_exposure_mean,
+    _centered,
     _solve_ee,
     _tsls_stack,
     efficient_index,
@@ -82,8 +82,8 @@ def _bundle(compute: Callable[[list], list], names) -> dict[str, Callable]:
 def _table1_stack(datasets: list[Dataset]) -> list[dict]:
     """The estimates of :func:`table1_estimators` on a stack of datasets, one
     dict per dataset.  tsls, eem, br_gamma and br_beta run the kernels of
-    their per-dataset estimators, and loc_eff centers the exposure mean with
-    :func:`efficient_index`'s function; the designs are the bundle's fixed
+    their per-dataset estimators, and loc_eff centers the exposure mean as
+    :func:`efficient_index` does; the designs are the bundle's fixed
     bases evaluated once on the stacked instruments and covariates.  Every
     operand keeps the per-dataset order and layout, so each estimate equals
     the per-dataset one to the last bit.  Checks follow
@@ -108,10 +108,9 @@ def _table1_stack(datasets: list[Dataset]) -> list[dict]:
     def loc_eff(prob, a_x):
         # g_estimate at efficient_index, outcome (1, c0) profiled; the
         # instrument is one binary column (_stack_errors)
-        d_eff = _centered_exposure_mean(EXPOSURE_SATURATED, "identity", a_x, cs, prob[..., None],
-                                        np.matvec(saturated, a_x), True)
-        return _solve_ee(_join(d_eff[..., None], lin), _join(x[..., None], lin), y,
-                         "g_estimate")[0][:, 0]
+        at = lambda z: np.matvec(EXPOSURE_SATURATED._evaluate(z, cs), a_x)[..., None]
+        d_eff = _centered(at, np.matvec(saturated, a_x)[..., None], prob[..., None], True, True)
+        return _solve_ee(_join(d_eff, lin), _join(x[..., None], lin), y, "g_estimate")[0][:, 0]
 
     out = {}
     _attempt(out, "tsls", lambda: _tsls_stack(instruments, lin, x[..., None], y)[-1].coef[:, 2])
