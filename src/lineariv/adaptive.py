@@ -38,6 +38,7 @@ from .glm import (
     _join,
     _ols,
     _ranks,
+    _rowsum,
     _stack,
     _wls,
 )
@@ -325,7 +326,7 @@ def _refit_start(fit: _Irls, design: np.ndarray, refit_design: np.ndarray) -> np
     take = [k for k, (norm, separated) in enumerate(zip(fit.score_norm, fit.separated))
             if norm <= SCORE_TOL and not separated]
     x = refit_design[take]
-    gram, rhs = x.mT @ x, np.vecmat(np.matvec(design[take], fit.coef[take]), x)[..., None]
+    gram, rhs = _rowsum(x, x), _rowsum(np.matvec(design[take], fit.coef[take]), x)[..., None]
     try:
         start[take] = np.linalg.solve(gram, rhs)[..., 0]
     except np.linalg.LinAlgError:

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedCombinationError,
     WeakIdentificationError,
 )
-from .glm import _check, _join, _linear_fit, _Lstsq, _mean_function, _ols, fit_ols
+from .glm import _check, _join, _linear_fit, _Lstsq, _mean_function, _ols, _rowsum, fit_ols
 from .inference import sandwich_se
 from .models import (
     CustomIndex,
@@ -78,7 +78,7 @@ def _ee_system(index: np.ndarray, regressors: np.ndarray, what: str) -> tuple[np
     that is degenerate against :func:`_moment_scale` or ill-conditioned is a
     :class:`WeakIdentificationError` (see :func:`_check`).  This is the one
     degeneracy rule of every estimating equation in the package."""
-    system = index.mT @ regressors
+    system = _rowsum(index, regressors)
     scale = _moment_scale(index, regressors, index.shape[1])
     s = np.linalg.svd(system, compute_uv=False)
     cond, errors = [], []
@@ -100,7 +100,7 @@ def _ee_system(index: np.ndarray, regressors: np.ndarray, what: str) -> tuple[np
 
 def _ee_solve(system: np.ndarray, index: np.ndarray, response: np.ndarray) -> np.ndarray:
     """theta (B, k) from a stack's :func:`_ee_system` and its response (B, n)."""
-    return np.linalg.solve(system, np.vecmat(response, index)[..., None])[..., 0]
+    return np.linalg.solve(system, _rowsum(response, index)[..., None])[..., 0]
 
 
 def _solve_ee(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
@@ -127,7 +127,7 @@ def _ee_result(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
     """
     resid = response - regressors @ theta
     moments = index * resid[:, None]
-    jac = -(index.T @ regressors) / index.shape[0]
+    jac = -_rowsum(index, regressors) / index.shape[0]
     try:
         se_all = sandwich_se(moments, jac)
     except SingularDesignError:
@@ -292,8 +292,6 @@ def centered_index(data: Dataset, index: IndexFunction, iv: IvModel) -> np.ndarr
     an uncentered callable index raises UnsupportedCombinationError.
     """
     values = index.evaluate(data)
-    if values.ndim == 1:
-        values = values[:, None]
     if isinstance(index, CustomIndex) and index.centered:
         return values
     cond_mean = iv.conditional_mean(data)
@@ -410,10 +408,10 @@ def _moment_scale(left: np.ndarray, right: np.ndarray, n: int) -> list[float]:
     # cancellation scale ||left||*||right|| shrinks with it; the estimating
     # equation is homogeneous in the index, so any sanely scaled index sits far
     # above both references.  Each norm is sqrt(a.a) over the member in C
-    # order, as np.linalg.norm takes it.
+    # order, as np.linalg.norm takes it, in blocks of ROW_BLOCK elements (_rowsum).
     def norms(a):
         flat = a.reshape(len(a), -1)
-        return np.sqrt(np.vecdot(flat, flat)).tolist()
+        return np.sqrt(_rowsum(flat, flat[..., None])[..., 0]).tolist()
 
     return [max(left_norm * right_norm, right_norm**2) / n
             for left_norm, right_norm in zip(norms(left), norms(right))]

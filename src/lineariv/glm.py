@@ -51,6 +51,7 @@ SCORE_TOL = 1e-8           # IRLS convergence on the max-abs score
 MAX_ITER = 100             # IRLS Fisher-scoring steps
 PROB_CLIP = 1e-12          # probability clipping inside IRLS weights only
 SEPARATION_NORM = 1e4
+ROW_BLOCK = 10_000         # rows a contraction sums in one call (:func:`_rowsum`)
 
 
 def _special():
@@ -153,6 +154,22 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
+def _rowsum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The sum over rows of ``left`` (..., n) or (..., n, k) times ``right``
+    (..., n, m): ``np.vecmat(left, right)`` or ``left.mT @ right``, taken on
+    consecutive blocks of at most ROW_BLOCK rows and added left to right.
+    OpenBLAS splits a dot product (a 1 x 1 output) of more than 10,000
+    elements across its threads, so a block is one thread's sum and the bits
+    do not depend on the thread count.  Up to ROW_BLOCK rows it is one call."""
+    vector = left.ndim < right.ndim
+    contract = np.vecmat if vector else lambda a, b: a.mT @ b
+    if right.shape[-2] <= ROW_BLOCK:
+        return contract(left, right)
+    parts = [contract(left[..., rows] if vector else left[..., rows, :], right[..., rows, :])
+             for rows in (slice(lo, lo + ROW_BLOCK) for lo in range(0, right.shape[-2], ROW_BLOCK))]
+    return sum(parts[1:], parts[0])
+
+
 def _ranks(s: np.ndarray) -> list[int]:
     """The package's one rank test: per member of a (B, p) stack of singular
     values, largest first, the count above RANK_RTOL times the largest."""
@@ -177,7 +194,7 @@ def _ols(design: np.ndarray, response: np.ndarray,
         for row, cond, rank in zip(rows, condition, _ranks(s))]
     if any(err is not None for err in errors):
         return None, errors
-    return _Lstsq(np.vecmat(np.vecmat(response, u) / s, vt), s, vt, condition), errors
+    return _Lstsq(np.vecmat(_rowsum(response, u) / s, vt), s, vt, condition), errors
 
 
 def _wls(design: np.ndarray, response: np.ndarray, w: np.ndarray) -> _Lstsq:
@@ -343,7 +360,7 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, start: np.ndarray | None
             phi = np.exp(-0.5 * eta * eta) / np.sqrt(2.0 * np.pi)
             ratio = phi / var
             adj, w = (y - mu) * ratio, phi * ratio
-        score = np.vecmat(adj, x)
+        score = _rowsum(adj, x)
         return score, np.abs(score).max(-1), w
 
     eta, mu, var, ll = evaluate(design, y0, beta)
@@ -380,7 +397,7 @@ def _irls(design: np.ndarray, y: np.ndarray, link: str, start: np.ndarray | None
                 a[keep] for a in (x, xt, live_y, live_y0, beta, ll, score, w))
             xtw = xtw[:len(live)]
         # Fisher scoring step: solve (X'WX) d = X'(score residual)
-        hessian = np.multiply(xt, w[:, None, :], out=xtw) @ x
+        hessian = _rowsum(np.multiply(xt, w[:, None, :], out=xtw).mT, x)
         try:
             step = np.linalg.solve(hessian, score[..., None])[..., 0]
         except np.linalg.LinAlgError:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .dataset import _linked_estimates
 from .errors import SingularDesignError, UnreliableBootstrapError
+from .glm import _rowsum
 from .rng import make_generator
 
 __all__ = [
@@ -64,7 +65,7 @@ def sandwich_se(estfuns: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
             f"sandwich jacobian is singular (condition {s[0] / max(s[-1], 1e-300):.3e})",
             condition=float(s[0] / max(s[-1], 1e-300)))
     bread = np.linalg.inv(jac)
-    meat = (u.T @ u) / n**2
+    meat = _rowsum(u, u) / n**2
     cov = bread @ meat @ bread.T
     return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 

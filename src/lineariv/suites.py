@@ -107,7 +107,7 @@ def _table1_stack(datasets: list[Dataset]) -> list[dict]:
 
     def loc_eff(prob, a_x):
         # g_estimate at efficient_index, outcome (1, c0) profiled; the
-        # instrument is one binary column (_stack_errors)
+        # instrument is one binary column (_stack_errors), the exposure linear
         at = lambda z: np.matvec(EXPOSURE_SATURATED._evaluate(z, cs), a_x)[..., None]
         d_eff = _centered(at, np.matvec(saturated, a_x)[..., None], prob[..., None], True, True)
         return _solve_ee(_join(d_eff, lin), _join(x[..., None], lin), y, "g_estimate")[0][:, 0]

@@ -23,7 +23,7 @@ from lineariv import (
     normal_cdf,
     normal_quantile,
 )
-from lineariv.glm import _mean_function
+from lineariv.glm import ROW_BLOCK, _mean_function, _rowsum
 
 
 def test_ols_exact_interpolation():
@@ -243,3 +243,20 @@ def test_fit_binary_on_separated_data_emits_no_warning(link):
         fit = fit_binary(design, y, link=link)
     assert fit.separation and fit.converged
     assert np.abs(design @ fit.coefficients).max() > 710.0
+
+
+@pytest.mark.parametrize("n", [1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 7])
+def test_rowsum_adds_blocks_of_row_block_rows_left_to_right(n):
+    rng = np.random.default_rng(n)
+    a, b, v = rng.normal(size=(2, n, 3)), rng.normal(size=(2, n, 1)), rng.normal(size=(2, n))
+    blocks = [slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK)]
+    for got, whole, block in [
+            (_rowsum(v, b), np.vecmat(v, b), lambda r: np.vecmat(v[:, r], b[:, r])),
+            (_rowsum(a, b), a.mT @ b, lambda r: a[:, r].mT @ b[:, r])]:
+        expected = block(blocks[0])
+        for rows in blocks[1:]:
+            expected = expected + block(rows)
+        assert got.tobytes() == expected.tobytes()
+        if n <= ROW_BLOCK:      # one block: the single call, bit for bit
+            assert got.tobytes() == whole.tobytes()
+        assert_allclose(got, whole, rtol=1e-12, atol=1e-13 * n)
