@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedCombinationError,
     WeakIdentificationError,
 )
-from .estimators import EstimateResult, _ee_result, _ee_solve, _ee_system, _solve_ee, g_estimate
+from .estimators import EstimateResult, _ee_result, _ee_solve, _ee_system, _solve_ee
 from .glm import (
     RANK_RTOL,
     SCORE_TOL,
@@ -42,14 +42,7 @@ from .glm import (
     _stack,
     _wls,
 )
-from .models import (
-    BinaryLogisticIv,
-    EffectModel,
-    IvModel,
-    OutcomeModel,
-    RawInstruments,
-    ScaledInstrument,
-)
+from .models import BinaryLogisticIv, IvModel, OutcomeModel, ScaledInstrument
 
 __all__ = [
     "EemFit",
@@ -206,19 +199,22 @@ def eem_estimate(data: Dataset, iv: IvModel, index_basis: BasisSpec,
                  preliminary_psi: float | None = None) -> EstimateResult:
     """G-estimate at the variance-minimising index and outcome coefficients.
 
-    The preliminary effect estimate (default: the e=Z G-estimator with an
-    OLS outcome model) anchors the beta regression; the final estimating
-    equation is linear in the effect and is solved once, as
-    :func:`~lineariv.estimators.g_estimate` solves it at the centered index
-    (alpha'b(C))(z - E(z|C)) with the outcome model fixed.  All after the
-    preliminary estimate is one stacked kernel, run here as a stack of one
-    and by the Table 1 bundle on its chunks of Monte Carlo replicates.
+    The preliminary effect estimate anchors the beta regression.  Its
+    default, the e=Z G-estimator with the outcome model profiled, solves the
+    estimating equation of [z - E(z|C), outcome basis] against
+    [x, outcome basis] and y, as :func:`~lineariv.estimators.g_estimate`
+    does.  The final estimating equation is linear in the effect and is
+    solved once, as g_estimate solves it at the centered index
+    (alpha'b(C))(z - E(z|C)) with the outcome model fixed.  E(z|C) and each
+    basis are evaluated once; all after the preliminary estimate is one
+    stacked kernel, run here as a stack of one and by the Table 1 bundle on
+    its chunks of Monte Carlo replicates.
     """
-    if preliminary_psi is None:
-        preliminary_psi = g_estimate(data, RawInstruments(), OutcomeModel(outcome_basis), iv,
-                                     EffectModel.constant()).psi
-    psi0 = float(preliminary_psi)
     zc, x, y, index_design, outcome_design = _eem_data(data, iv, index_basis, outcome_basis)
+    if preliminary_psi is None:
+        preliminary_psi = _solve_ee(_join(zc[..., None], outcome_design),
+                                    _join(x[..., None], outcome_design), y, "g_estimate")[0][0, 0]
+    psi0 = float(preliminary_psi)
     alpha = _index_coef(zc, index_design, x, _ALPHA_CONTEXT)
     fit = _eem_stack(zc, x, y, index_design, outcome_design, np.array([psi0]), alpha)
     alpha, beta = alpha[0], fit.beta[0]
@@ -283,27 +279,6 @@ def _index_coef(zc: np.ndarray, index_design: np.ndarray, x: np.ndarray,
     return fit.coef
 
 
-class _BrPlain(NamedTuple):
-    """The plain stage of the bias-reduced pair on a stack of B datasets."""
-
-    data: tuple                     # z, x, y (B, n) and the instrument, outcome and index designs
-    fit: _Irls                      # the plain ML instrument fit, its mean P(Z=1|C)
-    alpha: np.ndarray               # (B, k) index coefficients under it
-
-
-def _br_plain(datasets: list[Dataset], bases: tuple) -> _BrPlain:
-    """``BinaryLogisticIv.fit`` and :func:`eem_fit_alpha` under it on a stack
-    of datasets and the bases (instrument, outcome, index), with the stacked
-    data and designs that :func:`_br_gamma_stack` takes, each basis
-    evaluated once on the stack."""
-    y, x, zs, cs = _stack_data(datasets)
-    iv_design, outcome_design, index_design = (basis._evaluate(zs, cs) for basis in bases)
-    z = zs[..., 0]
-    fit = _binary(iv_design, z, "logit")
-    return _BrPlain((z, x, y, iv_design, outcome_design, index_design), fit,
-                    _index_coef(z - fit.mean, index_design, x, _ALPHA_CONTEXT))
-
-
 class _BrGamma(NamedTuple):
     """The bias-reduced instrument-model fits of a stack of B datasets."""
 
@@ -365,32 +340,48 @@ def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.n
     return _BrGamma(theta[:, 0], alpha, fit, kept, d)
 
 
+def _br_stages(out: dict, z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.ndarray,
+               outcome_design: np.ndarray, index_design: np.ndarray) -> None:
+    """The plain-law chain of eem and the bias-reduced pair on a stack of B
+    datasets, added to ``out`` as three stages through :func:`_attempt`:
+    "plain", ``BinaryLogisticIv.fit``'s ML instrument fit, whose mean is
+    P(Z=1|C); "alpha", :func:`eem_fit_alpha` under it; "gamma",
+    :func:`_br_gamma_stack` from those.  Each stage holds its own error, or
+    the error of the stage before."""
+    _attempt(out, "plain", lambda: _binary(iv_design, z, "logit"))
+    _attempt(out, "alpha", lambda plain: _index_coef(z - plain.mean, index_design, x,
+                                                     _ALPHA_CONTEXT), "plain")
+    _attempt(out, "gamma", lambda alpha: _br_gamma_stack(z, x, y, iv_design, outcome_design,
+                                                         index_design, alpha), "alpha")
+
+
 class _BrRecord(NamedTuple):
     """The bias-reduced pair of a stack of B datasets, as their memo keeps it."""
 
-    plain: _BrPlain | EstimationError
-    gamma: _BrGamma | EstimationError   # the plain stage's error too
-    identity: list | None               # br_gamma's score identity norm per member
-    influence: np.ndarray | None        # (B, n) br_gamma's influence values
+    data: tuple                     # z, x, y (B, n) and the instrument, outcome and index designs
+    stages: dict                    # the stages of _br_stages, each a value or its EstimationError
+    identity: list | None           # br_gamma's score identity norm per member
+    influence: np.ndarray | None    # (B, n) br_gamma's influence values
 
 
 def _br_records(datasets: list[Dataset], bases: tuple) -> list[tuple]:
     """The entries of :func:`_br_record` for a stack of datasets: one
-    :class:`_BrRecord` of the plain stage, then :func:`_br_gamma_stack` from
-    it, each through :func:`_attempt`, with the score identity and influence
-    values that only a full result needs, and each dataset's row in it."""
-    out: dict = {}
-    _attempt(out, "plain", lambda: _br_plain(datasets, bases))
-    _attempt(out, "gamma", lambda plain: _br_gamma_stack(*plain.data, plain.alpha), "plain")
-    plain, gamma = out["plain"], out["gamma"]
+    :class:`_BrRecord` of the stacked data, its bases (instrument, outcome,
+    index) evaluated once, and :func:`_br_stages` on them, with the score
+    identity and influence values that only a full result needs, and each
+    dataset's row in it."""
+    y, x, zs, cs = _stack_data(datasets)
+    data = (zs[..., 0], x, y, *(basis._evaluate(zs, cs) for basis in bases))
+    stages: dict = {}
+    _br_stages(stages, *data)
+    gamma = stages["gamma"]
     identity = influence = None
     if not isinstance(gamma, EstimationError):
-        _, x, y, _, outcome_design, _ = plain.data
-        d, psi = gamma.d, gamma.psi
+        outcome_design, d, psi = data[4], gamma.d, gamma.psi
         # the column sums keep this form: a vecmat moves their last bits
         identity = np.abs((d[..., None] * outcome_design).sum(-2)).max(-1).tolist()
         influence = d * (y - psi[:, None] * x) / (d * x).mean(-1)[:, None]
-    record = _BrRecord(plain, gamma, identity, influence)
+    record = _BrRecord(data, stages, identity, influence)
     return [(record, k) for k in range(len(datasets))]
 
 
@@ -398,9 +389,13 @@ def _br_record(data: Dataset, bases: tuple) -> tuple:
     """The dataset's memoised bias-reduced pair on the bases (instrument,
     outcome, index): the :class:`_BrRecord` of its stack and its row there.
     Each stage is the stacked fit, or the EstimationError it or the stage
-    before raised, as on the dataset alone; a linked chunk is filled at once."""
-    return data.memo(("br", *bases),
-                     lambda chunk: _fit_stack(lambda stack: _br_records(stack, bases), chunk))
+    before raised, as on the dataset alone; a linked chunk is filled at once.
+    A dataset that the stack cannot hold raises its error."""
+    entry = data.memo(("br", *bases),
+                      lambda chunk: _fit_stack(lambda stack: _br_records(stack, bases), chunk))
+    if isinstance(entry, EstimationError):
+        raise entry
+    return entry
 
 
 def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: BasisSpec,
@@ -430,10 +425,11 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
     returns a fresh result.
     """
     record, k = _br_record(data, (iv_basis, outcome_basis, index_basis))
-    gamma = record.gamma
+    gamma = record.stages["gamma"]
     if isinstance(gamma, EstimationError):
         raise gamma
-    fit, plain = _binary_fit(gamma.extended, k, "logit"), _binary_fit(record.plain.fit, k, "logit")
+    fit = _binary_fit(gamma.extended, k, "logit")
+    plain = _binary_fit(record.stages["plain"], k, "logit")
     br = BrFit(
         variant="br_gamma",
         gamma_hat=fit.coefficients,
@@ -538,11 +534,11 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
         raise ValueError(f"unknown update mode {update!r}")
     bases = (iv_basis, outcome_basis, index_basis)
     record, k = _br_record(data, bases)
-    plain, gamma = record.plain, record.gamma
-    if isinstance(plain, EstimationError):
-        raise plain
-    prob, alpha = plain.fit.mean[k], plain.alpha[k]
-    iv_design, outcome_design, index_design = (design[k] for design in plain.data[3:])
+    plain, alpha, gamma = (record.stages[stage] for stage in ("plain", "alpha", "gamma"))
+    if isinstance(alpha, EstimationError):      # the plain fit's error too
+        raise alpha
+    prob, alpha = plain.mean[k], alpha[k]
+    iv_design, outcome_design, index_design = (design[k] for design in record.data[3:])
 
     def start():
         if start_psi is None and isinstance(gamma, EstimationError):
@@ -563,7 +559,7 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     gamma_term = (data.z[:, 0] - prob)[:, None] * a_vec[None, :]
     beta_term = (w[:, None] * iv_design) * b_scal
     identity = ((e_scale * resid)[:, None] * (gamma_term - beta_term)).mean(axis=0)
-    plain_fit = _binary_fit(plain.fit, k, "logit")
+    plain_fit = _binary_fit(plain, k, "logit")
     iv = BinaryLogisticIv(iv_basis, plain_fit.coefficients, plain_fit.converged)
     br = BrFit(
         variant="br_beta",

@@ -177,7 +177,7 @@ def _require(config: dict, key: str, estimator: str):
 
 
 def _build_pipeline(config: dict):
-    """Returns (estimator closure Dataset -> EstimateResult, metadata)."""
+    """The estimator closure Dataset -> EstimateResult of ``config``."""
     estimator = config.get("estimator")
     if estimator not in ESTIMATORS:
         raise SchemaError(f"unknown estimator {estimator!r}; valid: {', '.join(ESTIMATORS)}")

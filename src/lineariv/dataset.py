@@ -24,7 +24,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import EstimationError, ParseError, SchemaError, TermSpecError
+from .errors import EstimationError, ParseError, SchemaError, SingularDesignError, TermSpecError
+from .glm import _check
 
 __all__ = [
     "Dataset",
@@ -380,9 +381,18 @@ class BasisSpec:
         """The design at instruments ``z`` (..., n, q) and covariates ``c``
         (..., n, r), over any leading batch axes: a fresh, read-only,
         C-contiguous (..., n, p) array whose column j is term j evaluated
-        pointwise (:func:`_term_values`)."""
-        design = (np.stack([_term_values(t, z, c) for t in self.terms], axis=-1) if self.terms
-                  else np.empty((*z.shape[:-1], 0)))
+        pointwise (:func:`_term_values`), with numpy's warnings off.  A term
+        that is not finite at some row, such as ``c0^-1`` at c0 = 0, is a
+        SingularDesignError that names it, per member of the leading axes
+        (see :func:`~lineariv.glm._check`)."""
+        with np.errstate(all="ignore"):
+            design = (np.stack([_term_values(t, z, c) for t in self.terms], axis=-1)
+                      if self.terms else np.empty((*z.shape[:-1], 0)))
+        if not np.isfinite(design).all():
+            finite = np.isfinite(design).all(-2).reshape(-1, len(self.terms))
+            _check([None if row.all() else SingularDesignError(
+                f"basis term {self.terms[row.argmin()].label()!r} is not finite at some row")
+                for row in finite])
         design.flags.writeable = False
         return design
 

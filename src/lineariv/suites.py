@@ -14,14 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adaptive import (
-    _ALPHA_CONTEXT,
-    _br_beta_stack,
-    _br_gamma_stack,
-    _eem_stack,
-    _index_coef,
-    _stack_data,
-)
+from .adaptive import _br_beta_stack, _br_stages, _eem_stack, _stack_data
 from .dataset import BasisSpec, Dataset
 from .errors import EstimationError
 from .estimators import (
@@ -35,7 +28,7 @@ from .estimators import (
     plug_in_two_stage,
     standard_tsls,
 )
-from .glm import _attempt, _binary, _check, _fit_stack, _join, _ols
+from .glm import _attempt, _check, _fit_stack, _join, _ols
 from .models import BinaryLogisticIv, EffectModel, ExposureModel, OutcomeModel
 from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
 
@@ -105,26 +98,25 @@ def _table1_stack(datasets: list[Dataset]) -> list[dict]:
         _check(errors)
         return fit.coef
 
-    def loc_eff(prob, a_x):
+    def loc_eff(plain, a_x):
         # g_estimate at efficient_index, outcome (1, c0) profiled; the
         # instrument is one binary column (_stack_errors), the exposure linear
         at = lambda z: np.matvec(EXPOSURE_SATURATED._evaluate(z, cs), a_x)[..., None]
-        d_eff = _centered(at, np.matvec(saturated, a_x)[..., None], prob[..., None], True, True)
+        d_eff = _centered(at, np.matvec(saturated, a_x)[..., None], plain.mean[..., None], True, True)
         return _solve_ee(_join(d_eff, lin), _join(x[..., None], lin), y, "g_estimate")[0][:, 0]
 
     out = {}
     _attempt(out, "tsls", lambda: _tsls_stack(instruments, lin, x[..., None], y)[-1].coef[:, 2])
-    _attempt(out, "plain", lambda: _binary(lin, z, "logit").mean)  # BinaryLogisticIv.fit's prob
+    # eem and the bias-reduced pair start from the plain fit's index, br_beta from br_gamma
+    _br_stages(out, z, x, y, lin, lin, lin)
     _attempt(out, "exposure", exposure)
     _attempt(out, "loc_eff", loc_eff, "plain", "exposure")
-    # eem and the bias-reduced pair start from the plain fit's index, br_beta from br_gamma
-    _attempt(out, "alpha", lambda prob: _index_coef(z - prob, lin, x, _ALPHA_CONTEXT), "plain")
-    _attempt(out, "eem", lambda prob, tsls, alpha: _eem_stack(
-        z - prob, x, y, lin, lin, tsls, alpha).psi, "plain", "tsls", "alpha")
-    _attempt(out, "br_gamma", lambda alpha: _br_gamma_stack(z, x, y, lin, lin, lin, alpha).psi,
-             "alpha")
-    _attempt(out, "br_beta", lambda prob, alpha, start: _br_beta_stack(
-        z, x, y, prob, lin, lin, lin, alpha, lambda: start).psi, "plain", "alpha", "br_gamma")
+    _attempt(out, "eem", lambda plain, tsls, alpha: _eem_stack(
+        z - plain.mean, x, y, lin, lin, tsls, alpha).psi, "plain", "tsls", "alpha")
+    _attempt(out, "br_gamma", lambda gamma: gamma.psi, "gamma")
+    _attempt(out, "br_beta", lambda plain, alpha, gamma: _br_beta_stack(
+        z, x, y, plain.mean, lin, lin, lin, alpha, lambda: gamma.psi).psi,
+        "plain", "alpha", "gamma")
     return [{name: out[name] if isinstance(out[name], EstimationError) else out[name][k:k + 1]
              for name in TABLE1_NAMES} for k in range(len(datasets))]
 

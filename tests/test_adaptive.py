@@ -224,6 +224,27 @@ def test_eem_estimate_never_worse_than_naive_configuration():
         assert fit.objective_value <= naive + 1e-8
 
 
+def test_eem_estimate_evaluates_each_basis_once(monkeypatch):
+    # E(z|C) (the instrument basis), the index basis and the outcome basis:
+    # the preliminary estimate is solved from the arrays eem already holds
+    data = gen_table1(1, 0, 0, 400, 24).dataset
+    quad = BasisSpec(["1", "c0", "c0^2"])
+    iv = BinaryLogisticIv.fit(data, C_LIN)
+    evaluate, calls = BasisSpec._evaluate, []
+
+    def spy(basis, z, c):
+        calls.append(basis.labels())
+        return evaluate(basis, z, c)
+
+    monkeypatch.setattr(BasisSpec, "_evaluate", spy)
+    res = eem_estimate(data, iv, C_LIN, quad)
+    assert calls == [["1", "c0"], ["1", "c0"], ["1", "c0", "c0^2"]]
+    monkeypatch.undo()
+    # the default preliminary estimate is g_estimate's e=Z estimate, bit for bit
+    prelim = g_estimate(data, RawInstruments(), OutcomeModel(quad), iv, CONST).psi
+    assert res.nuisance["eem"].preliminary_psi == prelim
+
+
 # ---------------------------------------------------------------------------
 # BR-gamma
 # ---------------------------------------------------------------------------

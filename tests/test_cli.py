@@ -9,9 +9,11 @@ import pytest
 from lineariv import (
     BasisSpec,
     ColumnMap,
+    Dataset,
     EffectModel,
     br_beta_estimate,
     load_csv,
+    simlab,
     standard_tsls,
     write_csv,
 )
@@ -242,6 +244,35 @@ def test_fit_one_class_instrument_is_an_estimation_failure(tmp_path, capsys, est
         "--outcome-basis", "1", "c0", "--index-basis", "1", "c0")
     assert code == 3
     assert err.strip() == "estimation error: response must contain both classes"
+
+
+PROBIT_INVERSE = ["--exposure-link", "probit", "--exposure-basis", "z0", "1", "c0^-1"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [
+    ["g-est", "--outcome-basis", "1", "c0", "--iv-basis", "1", "c0^-1"],
+    ["g-est", "--outcome-basis", "1", "c0^-1", "--iv-basis", "1", "c0"],
+    ["br-gamma", "--index-basis", "1", "c0", "--outcome-basis", "1", "c0", "--iv-basis", "1", "c0^-1"],
+    ["br-beta", "--index-basis", "1", "c0", "--outcome-basis", "1", "c0^-1", "--iv-basis", "1", "c0"],
+    ["eem", "--index-basis", "1", "c0", "--outcome-basis", "1", "c0^-1", "--iv-basis", "1", "c0"],
+    ["tsls", "--outcome-basis", "1", "c0^-1"],
+    ["loc-eff-y", *PROBIT_INVERSE, "--outcome-basis", "1", "c0"],
+    ["two-stage", *PROBIT_INVERSE, "--outcome-basis", "1", "c0"],
+], ids=["g-est-iv", "g-est-outcome", "br-gamma", "br-beta", "eem", "tsls", "loc-eff-y",
+        "two-stage"])
+def test_fit_non_finite_basis_term_is_an_estimation_failure(tmp_path, capsys, flags):
+    # c0^-1 is inf at the row where c0 = 0: exit 3 with one line that names
+    # the term, and no traceback or numpy warning
+    sim = simlab.gen_sim1(300, 3).dataset
+    c = sim.c_raw.copy()
+    c[5, 0] = 0.0
+    csv_path = tmp_path / "zero.csv"
+    write_csv(Dataset(sim.y, sim.x, sim.z, c), csv_path)
+    code, out, err = run_cli(capsys, "fit", "--data", str(csv_path), "--y-col", "y", "--x-col",
+                             "x", "--z-cols", "z", "--cov-cols", "v", "--estimator", *flags)
+    assert (code, out) == (3, "")
+    assert err == "estimation error: basis term 'c0^-1' is not finite at some row\n"
 
 
 @pytest.mark.parametrize("estimator", ["loc-eff-y", "two-stage"])

@@ -258,7 +258,7 @@ def test_one_failing_estimator_fails_only_itself_and_its_dependants(monkeypatch)
 
     # an estimate fails with a fit it uses: eem needs tsls, br_beta needs br_gamma
     monkeypatch.setattr(lineariv.suites, "_tsls_stack", _failing)
-    monkeypatch.setattr(lineariv.suites, "_br_gamma_stack", _failing)
+    monkeypatch.setattr(lineariv.adaptive, "_br_gamma_stack", _failing)
     report = run_monte_carlo(cfg, table1_estimators())
     failed = {name: s.failed for name, s in report.summaries.items()}
     assert failed == {"tsls": 3, "loc_eff": 0, "eem": 3, "br_gamma": 3, "br_beta": 3}
@@ -327,8 +327,7 @@ def test_a_table1_chunk_fits_its_plain_law_index_once(monkeypatch):
         contexts.append((len(zc), context))
         return kernel(zc, index_design, x, context)
 
-    for module in (lineariv.adaptive, lineariv.suites):
-        monkeypatch.setattr(module, "_index_coef", spy)
+    monkeypatch.setattr(lineariv.adaptive, "_index_coef", spy)
     datasets = _replicates("table1", (1, 1, -1), 500, TABLE1_SEED, 16)
     outcomes = _bundle_outcomes(datasets)
     assert contexts == [(16, lineariv.adaptive._ALPHA_CONTEXT),
@@ -748,6 +747,30 @@ def test_br_gamma_memoises_a_degenerate_members_error(monkeypatch):
     assert second.value is first.value and sizes == [4, 1, 1, 1, 1]
 
 
+def test_a_non_finite_basis_term_fails_only_its_member(monkeypatch):
+    # c0^-1 is inf where c0 = 0: only the resample that draws that row fails
+    base = simlab.gen_table1(0, 0, 0, 200, 43).dataset
+    c = base.c_raw.copy()
+    c[5, 0] = 0.0
+    base = Dataset(base.y, base.x, base.z, c)
+    rows = [make_generator([43, b]).integers(0, base.n, size=base.n) for b in range(5)]
+    for k, draw in enumerate(rows):
+        draw[draw == 5] = 6
+        if k == 2:
+            draw[0] = 5
+    bases = (BasisSpec(["1", "c0^-1"]), LIN, LIN)
+    expected = [_br_fields(base.take(draw), bases) for draw in rows]
+    assert expected[2] == ("SingularDesignError", "basis term 'c0^-1' is not finite at some row")
+    assert all(isinstance(value, dict) for k, value in enumerate(expected) if k != 2)
+
+    datasets = [base.take(draw) for draw in rows]
+    sizes = _kernel_sizes(monkeypatch, "_br_records", lineariv.adaptive)
+    Dataset.link(datasets)
+    assert [_br_fields(ds, bases) for ds in datasets] == expected
+    # the evaluation flags the chunk, and each resample is fitted again alone
+    assert sizes == [5, 1, 1, 1, 1, 1]
+
+
 def test_br_gamma_calls_share_no_mutable_state():
     data = simlab.gen_table1(0, 0, 0, 200, 42).dataset
     first = br_gamma_estimate(data, LIN, LIN, LIN)
@@ -832,8 +855,8 @@ def test_br_gamma_refit_of_a_table1_chunk_takes_no_step(monkeypatch):
     datasets = simlab._simulate("table1", 500, [[TABLE1_SEED, i] for i in range(16)], (0, 0, 0))
     assert len(datasets) == dataset._chunk_size(500)
     calls = _spy_irls(monkeypatch)
-    plain = lineariv.adaptive._br_plain(datasets, (LIN, LIN, LIN))
-    fit = _br_gamma_stack(*plain.data, plain.alpha)
+    (record, _), *_ = lineariv.adaptive._br_records(datasets, (LIN, LIN, LIN))
+    fit = record.stages["gamma"]
     (_, _, first_start, first), (_, _, start, refit) = calls[1:]
     # the first extended fit starts cold and takes steps; the refit starts
     # at its projected linear predictor, which already meets the stop rule
