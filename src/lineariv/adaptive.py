@@ -21,6 +21,7 @@ import numpy as np
 from .dataset import BasisSpec, Dataset, build_design
 from .errors import (
     EstimationError,
+    SingularDesignError,
     UnsupportedCombinationError,
     WeakIdentificationError,
 )
@@ -83,21 +84,19 @@ _SINGLE_INSTRUMENT = "adaptive procedures require a single instrument column"
 
 
 def _stack_errors(datasets: list[Dataset]) -> list:
-    """Per dataset of a stack for the bias-reduced kernels, the
-    UnsupportedCombinationError of one without a single binary instrument
-    column or of another size than the first, or None."""
-    n = datasets[0].n
+    """Per dataset of a stack, the bias-reduced kernels' UnsupportedCombinationError
+    for one without a single binary instrument column, or None (:func:`_check`)."""
     return [UnsupportedCombinationError(_SINGLE_INSTRUMENT) if ds.n_instruments != 1
             else UnsupportedCombinationError("bias-reduced procedures require a binary instrument")
-            if not ds.z_is_binary()
-            else UnsupportedCombinationError("a stack holds datasets of one size") if ds.n != n
-            else None for ds in datasets]
+            if not ds.z_is_binary() else None for ds in datasets]
 
 
 def _stack_data(datasets: list[Dataset]) -> tuple:
     """y, x (B, n), z (B, n, q) and the covariates every member has (B, n, r)
-    of a stack, checked first by :func:`_stack_errors` (see :func:`_check`)."""
-    _check(_stack_errors(datasets))
+    of a stack.  A member of another size or instrument count than the first
+    flags the stack (:class:`~lineariv.glm._Flagged`): it is computed alone."""
+    if any(ds.z.shape != datasets[0].z.shape for ds in datasets):
+        raise _Flagged()
     r = min(ds.n_covariates for ds in datasets)
     return (_stack([ds.y for ds in datasets]), _stack([ds.x for ds in datasets]),
             _stack([ds.z for ds in datasets]), _stack([ds.c_raw[:, :r] for ds in datasets]))
@@ -273,10 +272,10 @@ def _index_coef(zc: np.ndarray, index_design: np.ndarray, x: np.ndarray,
     """fit_ols coefficients of x on zc * index basis for a stack (B, n); a
     rank-deficient member is a WeakIdentificationError that ``context``
     names (see :func:`_check`)."""
-    fit, errors = _ols(zc[..., None] * index_design, x)
-    _check([None if err is None else WeakIdentificationError(
-        f"{context} ({err})", condition=err.condition) for err in errors])
-    return fit.coef
+    try:
+        return _ols(zc[..., None] * index_design, x).coef
+    except SingularDesignError as err:
+        raise WeakIdentificationError(f"{context} ({err})", condition=err.condition) from err
 
 
 class _BrGamma(NamedTuple):
@@ -322,10 +321,9 @@ def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.n
     sum d(y - psi x) = 0 at d = e(C)(z - P), solved and checked by
     :func:`~lineariv.estimators._solve_ee` as eem's equation is.
 
-    Members are independent: each takes the iterates, checks and values of a
-    stack of one.  A check that rejects a member raises its per-dataset error
-    on a stack of one and flags a larger stack (:func:`_check`), as members
-    that disagree on an extension column do (:func:`_extend`).
+    Members are independent: each takes the iterates, checks (:func:`_check`)
+    and values of a stack of one; members that disagree on an extension
+    column flag the stack (:func:`_extend`).
     """
     extend = lambda e_scale: _extend(iv_design, e_scale[..., None] * outcome_design)
     first_design = extend(np.matvec(index_design, alpha))[0]
@@ -370,6 +368,7 @@ def _br_records(datasets: list[Dataset], bases: tuple) -> list[tuple]:
     index) evaluated once, and :func:`_br_stages` on them, with the score
     identity and influence values that only a full result needs, and each
     dataset's row in it."""
+    _check(_stack_errors(datasets))
     y, x, zs, cs = _stack_data(datasets)
     data = (zs[..., 0], x, y, *(basis._evaluate(zs, cs) for basis in bases))
     stages: dict = {}
@@ -481,8 +480,7 @@ def _br_beta_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, prob: np.ndarray
     this estimator's own checks; the one-step psi then solves
     sum d(y - X_ext beta - psi x) = 0 with the same system
     (:func:`~lineariv.estimators._ee_solve`).  ``start=None`` is the full
-    solve, one joint :func:`~lineariv.estimators._solve_ee`.  Checks raise
-    on a stack of one and flag a larger stack, as in :func:`_br_gamma_stack`.
+    solve, one joint :func:`~lineariv.estimators._solve_ee`.
     """
     e_scale = np.matvec(index_design, alpha)
     x_ext, kept = _extend(outcome_design, (e_scale * (prob * (1.0 - prob)))[..., None] * iv_design)
@@ -491,8 +489,7 @@ def _br_beta_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, prob: np.ndarray
     if start is None:
         theta, _ = _solve_ee(_join(x_ext, d[..., None]), _join(x_ext, x[..., None]), y, "br_beta")
         return _BrBeta(theta[:, -1], theta[:, :-1], kept, x_ext, e_scale, d)
-    fit, errors = _ols(x_ext, y - start()[:, None] * x)
-    _check(errors)
+    fit = _ols(x_ext, y - start()[:, None] * x)
     psi = _ee_solve(system, d[..., None], y - np.matvec(x_ext, fit.coef))[:, 0]
     return _BrBeta(psi, fit.coef, kept, x_ext, e_scale, d)
 

@@ -325,7 +325,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    reps = args.reps or 1000
+    reps = 1000 if args.reps is None else args.reps
     seed = args.seed if args.seed is not None else REPLICATE_SEEDS[args.target]
     reports, gates = run_replicate(args.target, reps=reps, seed=seed, full_grid=args.full_grid)
     out_dir = Path(args.out_dir) if args.out_dir else None

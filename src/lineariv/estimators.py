@@ -109,8 +109,7 @@ def _solve_ee(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
     stack: index and regressors (B, n, k), response (B, n).
 
     Returns theta (B, k) and the condition numbers of :func:`_ee_system`,
-    whose check comes first: a caller with one dataset passes a stack of one
-    and gets its error raised.
+    whose check (:func:`_check`) comes first.
     """
     system, cond = _ee_system(index, regressors, what)
     return _ee_solve(system, index, response), cond
@@ -201,16 +200,14 @@ def _tsls_stack(inst: np.ndarray, by: np.ndarray, endog: np.ndarray,
     second stage's design and fit.  A rank-deficient second stage, or one with
     condition above WEAK_ID_CONDITION, is a WeakIdentificationError (:func:`_check`)."""
     first_design = _join(inst, by)
-    first = []
-    for j in range(endog.shape[-1]):
-        fit, errors = _ols(first_design, endog[..., j])
-        _check(errors)
-        first.append(fit)
+    first = [_ols(first_design, endog[..., j]) for j in range(endog.shape[-1])]
     second_design = _join(by, np.stack([np.matvec(first_design, f.coef) for f in first], axis=-1))
-    second, errors = _ols(second_design, y)
-    _check([None if err is None else WeakIdentificationError(
-        "rank condition fails: fitted endogenous regressors are collinear "
-        f"with the outcome basis ({err})", condition=err.condition) for err in errors])
+    try:
+        second = _ols(second_design, y)
+    except SingularDesignError as err:
+        raise WeakIdentificationError(
+            "rank condition fails: fitted endogenous regressors are collinear "
+            f"with the outcome basis ({err})", condition=err.condition) from err
     _check([WeakIdentificationError(f"rank condition fails: second-stage condition {cond:.3e}",
                                     condition=cond) if cond > WEAK_ID_CONDITION else None
             for cond in second.condition])
@@ -258,22 +255,27 @@ def locally_efficient_y(data: Dataset, exposure: ExposureModel, effect: EffectMo
     """
     if not exposure.is_fitted:
         raise ValueError("exposure model must be fitted first")
-    mhat = exposure.predict(data)
-    by = build_design(data, outcome_basis)
-    grad = effect.gradient(data)
-    index_mat = _join(mhat[:, None] * grad, by)
-    regressors = _join(data.x[:, None] * grad, by)
+    labels = ([f"m_x*{lab}" for lab in (effect.basis.labels() if effect.basis else ["1"])]
+              + outcome_basis.labels())
+    index, regressors, theta, cond = _le_stack(
+        exposure.predict(data)[None], build_design(data, outcome_basis)[None],
+        effect.gradient(data)[None], data.x[None], data.y[None], labels)
+    k = effect.dim
+    return _ee_result(index[0], regressors[0], data.y, theta[0], slice(0, k), theta[0, k:],
+                      {"exposure": exposure}, {"condition": cond[0]})
+
+
+def _le_stack(mhat: np.ndarray, by: np.ndarray, grad: np.ndarray, x: np.ndarray, y: np.ndarray,
+              labels: list) -> tuple:
+    """:func:`locally_efficient_y`'s index (mhat * grad, by), regressors
+    (x * grad, by) and :func:`_solve_ee` on a stack, whose
+    WeakIdentificationError is a SingularDesignError naming ``labels``."""
+    index, regressors = _join(mhat[..., None] * grad, by), _join(x[..., None] * grad, by)
     try:
-        theta, cond = _solve_ee(index_mat[None], regressors[None], data.y[None],
-                                "locally_efficient_y")
+        return (index, regressors, *_solve_ee(index, regressors, y, "locally_efficient_y"))
     except WeakIdentificationError as err:
-        labels = ([f"m_x*{lab}" for lab in (effect.basis.labels() if effect.basis else ["1"])]
-                  + outcome_basis.labels())
         raise SingularDesignError(
             f"locally efficient system is singular; index components: {labels} ({err})") from err
-    k = effect.dim
-    return _ee_result(index_mat, regressors, data.y, theta[0], slice(0, k), theta[0, k:],
-                      {"exposure": exposure}, {"condition": cond[0]})
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +392,23 @@ def efficient_index(data: Dataset, exposure: ExposureModel, iv: IvModel,
                                           "exposure model have no exact efficient index here")
 
     def evaluator(ds: Dataset) -> np.ndarray:
-        def at(z):
-            eta = np.matvec(exposure.basis._evaluate(z, ds.c_raw), exposure.coef)
-            return (eta if exposure.link == "identity" else _mean_function(exposure.link)(eta))[:, None]
-
         binary = ds.n_instruments == 1 and ds.z_is_binary()
-        centered_mx = _centered(at, at(ds.z), iv.conditional_mean(ds), binary,
-                                exposure.is_linear_in_z())
-        return centered_mx * effect.gradient(ds)
+        return _exposure_bracket(exposure.link, exposure.basis, exposure.coef, ds.c_raw,
+                                 build_design(ds, exposure.basis), iv.conditional_mean(ds),
+                                 binary) * effect.gradient(ds)
 
     return CustomIndex(evaluator=evaluator, centered=True)
+
+
+def _exposure_bracket(link: str, basis: BasisSpec, coef: np.ndarray, c: np.ndarray,
+                      design: np.ndarray, z_mean: np.ndarray, binary: bool) -> np.ndarray:
+    """m_x - E{m_x|C} (..., n, 1), :func:`efficient_index`'s bracket, for
+    the exposure mean under ``link`` of ``basis`` at ``coef``, whose design
+    at the observed instruments is ``design``, by :func:`_centered`."""
+    mean = (lambda eta: eta) if link == "identity" else _mean_function(link)
+    at = lambda design: mean(np.matvec(design, coef))[..., None]
+    return _centered(lambda z: at(basis._evaluate(z, c)), at(design), z_mean, binary,
+                     link == "identity" and basis.is_linear_in_z())
 
 
 def _moment_scale(left: np.ndarray, right: np.ndarray, n: int) -> list[float]:

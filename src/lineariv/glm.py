@@ -14,11 +14,12 @@ from step to step.  Only the public :func:`expit`, :func:`normal_cdf` and
 :func:`normal_quantile` (the generators' and the probit link's) use scipy,
 whose ``scipy.special`` they import on first call.
 
-Each method has one kernel that fits a stack of B problems at once with
-its public fitter's checks (``_ols``, ``_wls``, ``_binary``) and returns
-every member's fit or none; the public fitters are stacks of one.  A stack
-that any check rejects is computed again member by member (``_fit_stack``),
-so each member gets the error of its fit alone.
+Each method has one kernel that fits a stack of B problems at once
+(``_ols``, ``_wls``, ``_binary``); the public fitters are stacks of one.
+Every stacked kernel of the package checks each member as its per-dataset
+counterpart does and raises through :func:`_check`; a stack that any check
+rejects is computed again member by member (``_fit_stack``), so each member
+gets the error of its fit alone.
 """
 
 from __future__ import annotations
@@ -176,25 +177,21 @@ def _ranks(s: np.ndarray) -> list[int]:
     return (s > RANK_RTOL * s[:, :1]).sum(-1).tolist()
 
 
-def _ols(design: np.ndarray, response: np.ndarray,
-         what: str = "fit_ols") -> tuple[_Lstsq | None, list]:
+def _ols(design: np.ndarray, response: np.ndarray, what: str = "fit_ols") -> _Lstsq:
     """Least squares of ``response`` (B, n) on ``design`` (B, n, p) by SVD,
-    member by member, with ``fit_ols``'s checks: per member, the
-    SingularDesignError the 2-D fit ``what`` raises, or None, and the
-    stacked fit only when every member passes (None otherwise)."""
+    member by member, with ``fit_ols``'s checks (see :func:`_check`): the
+    SingularDesignError that the 2-D fit ``what`` raises."""
     if design.shape[-2] < design.shape[-1]:
-        return None, [SingularDesignError(
-            f"need at least as many rows as columns, got {design.shape[-2:]}")] * len(design)
+        _check([SingularDesignError(
+            f"need at least as many rows as columns, got {design.shape[-2:]}")] * len(design))
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     rows = s.tolist()
     condition = [row[0] / row[-1] if row[-1] > 0 else np.inf for row in rows]
-    errors = [None if rank == len(row) else SingularDesignError(
+    _check([None if rank == len(row) else SingularDesignError(
         f"{what}: design is identically zero" if row[0] == 0.0 else
         f"{what}: design is rank deficient (condition estimate {cond:.3e})", condition=cond)
-        for row, cond, rank in zip(rows, condition, _ranks(s))]
-    if any(err is not None for err in errors):
-        return None, errors
-    return _Lstsq(np.vecmat(_rowsum(response, u) / s, vt), s, vt, condition), errors
+        for row, cond, rank in zip(rows, condition, _ranks(s))])
+    return _Lstsq(np.vecmat(_rowsum(response, u) / s, vt), s, vt, condition)
 
 
 def _wls(design: np.ndarray, response: np.ndarray, w: np.ndarray) -> _Lstsq:
@@ -207,9 +204,7 @@ def _wls(design: np.ndarray, response: np.ndarray, w: np.ndarray) -> _Lstsq:
         "weights must be finite and nonnegative" if not ok else "all weights are zero")
         for ok, pos in zip(usable, positive)])
     sw = np.sqrt(w)
-    fit, errors = _ols(design * sw[..., None], response * sw, "fit_wls")
-    _check(errors)
-    return fit
+    return _ols(design * sw[..., None], response * sw, "fit_wls")
 
 
 def _linear_fit(design: np.ndarray, response: np.ndarray, ls: _Lstsq) -> LinearFit:
@@ -222,9 +217,6 @@ def _linear_fit(design: np.ndarray, response: np.ndarray, ls: _Lstsq) -> LinearF
 def fit_ols(design: np.ndarray, response: np.ndarray) -> LinearFit:
     """Ordinary least squares via SVD.
 
-    A batch of one through the stacked kernel ``_ols``, which the Monte
-    Carlo bundles call directly on a (B, n, p) stack of designs.
-
     Raises
     ------
     SingularDesignError
@@ -233,9 +225,7 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> LinearFit:
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
-    fit, errors = _ols(design[None], response[None])
-    _check(errors)
-    return _linear_fit(design, response, fit)
+    return _linear_fit(design, response, _ols(design[None], response[None]))
 
 
 def fit_wls(design: np.ndarray, response: np.ndarray, weights: np.ndarray) -> LinearFit:
@@ -447,8 +437,6 @@ def fit_binary(design: np.ndarray, response: np.ndarray, link: str = "logit") ->
     initialised at ``link(mean(response))``.  Non-convergence is reported via
     ``converged`` rather than raised, so the caller decides; apparent
     separation (coefficient norm above 1e4) sets the ``separation`` flag.
-    The fit is a batch of one through the stacked kernel ``_irls``, which
-    the Monte Carlo bundles call directly on a (B, n, p) stack of designs.
 
     The log-likelihood clips probabilities to [1e-12, 1 - 1e-12]; the rest
     of the arithmetic is the module docstring's.  A member of a stack gets

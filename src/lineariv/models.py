@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import BasisSpec, Dataset, build_design
 from .errors import NonConvergenceError, UnsupportedCombinationError
-from .glm import BinaryFit, _mean_function, fit_binary, fit_ols
+from .glm import _binary, _binary_fit, _check, _Irls, _Lstsq, _mean_function, _ols, fit_ols
 
 __all__ = [
     "EffectModel",
@@ -116,15 +116,11 @@ class ExposureModel:
 
     def fit(self, data: Dataset, require_convergence: bool = False) -> "ExposureModel":
         """Fit by OLS (identity link) or maximum likelihood (logit/probit,
-        which need a binary 0/1 exposure)."""
-        design = build_design(data, self.basis)
+        which need a binary 0/1 exposure): :func:`_exposure_fit` on a stack of one."""
+        fit = _exposure_fit(self.link, build_design(data, self.basis)[None], data.x[None])
         if self.link == "identity":
-            res = fit_ols(design, data.x)
-            return replace(self, coef=res.coefficients, fit_converged=True)
-        if not np.all((data.x == 0.0) | (data.x == 1.0)):
-            raise UnsupportedCombinationError(
-                f"the {self.link} exposure model requires a binary 0/1 exposure")
-        res: BinaryFit = fit_binary(design, data.x, link=self.link)
+            return replace(self, coef=fit.coef[0], fit_converged=True)
+        res = _binary_fit(fit, 0, self.link)
         if require_convergence and not res.converged:
             raise NonConvergenceError(
                 f"exposure model ({self.link}) did not converge "
@@ -141,6 +137,18 @@ class ExposureModel:
         return eta if self.link == "identity" else _mean_function(self.link)(eta)
 
 
+def _exposure_fit(link: str, design: np.ndarray, x: np.ndarray) -> _Lstsq | _Irls:
+    """:meth:`ExposureModel.fit` on a stack, design (B, n, p) and exposure x
+    (B, n): OLS for the identity link; else, with its checks (see
+    :func:`~lineariv.glm._check`), a binary 0/1 exposure and the IRLS fit."""
+    if link == "identity":
+        return _ols(design, x)
+    _check([None if ok else UnsupportedCombinationError(
+        f"the {link} exposure model requires a binary 0/1 exposure")
+        for ok in ((x == 0.0) | (x == 1.0)).all(-1).tolist()])
+    return _binary(design, x, link)
+
+
 # ---------------------------------------------------------------------------
 # Instrument-law models f(Z | C)
 # ---------------------------------------------------------------------------
@@ -155,11 +163,8 @@ class BinaryLogisticIv:
 
     @classmethod
     def fit(cls, data: Dataset, basis: BasisSpec) -> "BinaryLogisticIv":
-        if data.n_instruments != 1:
-            raise UnsupportedCombinationError("binary logistic instrument model requires a single instrument column")
-        if not data.z_is_binary():
-            raise UnsupportedCombinationError("instrument column is not binary 0/1")
-        res = fit_binary(build_design(data, basis), data.z[:, 0], link="logit")
+        """Maximum likelihood: :func:`_logistic_iv` on a stack of one."""
+        res = _binary_fit(_logistic_iv(data.z[None], data.c_raw[None], basis), 0, "logit")
         return cls(basis, res.coefficients, res.converged)
 
     @classmethod
@@ -209,6 +214,17 @@ class EmpiricalIv:
 
     def conditional_mean(self, data: Dataset) -> np.ndarray:
         return np.broadcast_to(self.means, (data.n, len(self.means))).copy()
+
+
+def _logistic_iv(z: np.ndarray, c: np.ndarray, basis: BasisSpec) -> _Irls:
+    """:meth:`BinaryLogisticIv.fit` on a stack, instruments z (B, n, q) and
+    covariates c (B, n, r): a single binary 0/1 instrument column (see
+    :func:`~lineariv.glm._check`), then the logit IRLS on ``basis``."""
+    _check([UnsupportedCombinationError(
+        "binary logistic instrument model requires a single instrument column") if z.shape[-1] != 1
+        else None if ok else UnsupportedCombinationError("instrument column is not binary 0/1")
+        for ok in ((z == 0.0) | (z == 1.0)).all((-2, -1)).tolist()])
+    return _binary(basis._evaluate(z, c), z[..., 0], "logit")
 
 
 IvModel = BinaryLogisticIv | LinearMeanIv | EmpiricalIv

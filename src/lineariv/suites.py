@@ -1,10 +1,10 @@
 """Pinned estimator bundles and replication targets for the benchmark designs.
 
 Each generator family has a canonical set of working models (the bases every
-estimator shares), reproduced here as named estimator closures for the Monte
-Carlo harness.  The replication targets pin scenario lists, default seeds and
-the tolerance gates used by the ``replicate`` command and the acceptance
-suite.
+estimator shares), reproduced here as one stack function per bundle behind
+named estimator closures for the Monte Carlo harness.  The replication
+targets pin scenario lists, default seeds and the tolerance gates used by the
+``replicate`` command and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -14,22 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .adaptive import _br_beta_stack, _br_stages, _eem_stack, _stack_data
+from .adaptive import _br_beta_stack, _br_stages, _eem_stack, _stack_data, _stack_errors
 from .dataset import BasisSpec, Dataset
 from .errors import EstimationError
-from .estimators import (
-    _centered,
-    _solve_ee,
-    _tsls_stack,
-    efficient_index,
-    g_estimate,
-    locally_efficient_y,
-    outcome_coef_at,
-    plug_in_two_stage,
-    standard_tsls,
-)
+from .estimators import _exposure_bracket, _le_stack, _solve_ee, _tsls_stack
 from .glm import _attempt, _check, _fit_stack, _join, _ols
-from .models import BinaryLogisticIv, EffectModel, ExposureModel, OutcomeModel
+from .models import EffectModel, _exposure_fit, _logistic_iv
 from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
 
 __all__ = [
@@ -49,18 +39,24 @@ EXPOSURE_MAIN = BasisSpec(["z0", "1", "c0"])
 
 EFFECT_CONST = EffectModel.constant()
 TABLE1_NAMES = ("tsls", "loc_eff", "eem", "br_gamma", "br_beta")
+SIM_BINARY_NAMES = ("tsls", "ts", "le_y_c", "le_y_m", "dr_cc", "dr_cm", "dr_mm")
+EFFECTMOD_NAMES = ("tsls_c", "tsls_m", "ts_c", "ts_m")
 
 
-def _bundle(compute: Callable[[list], list], names) -> dict[str, Callable]:
-    """One estimator closure per name over ``compute``, which maps a list of
-    datasets to one outcome per dataset: every estimate of the bundle, each a
-    value or the :class:`EstimationError` it raised (:func:`_attempt`), or
-    one EstimationError for the whole dataset.  The first closure called on
-    any dataset of a chunk computes the whole chunk (:meth:`Dataset.memo`),
-    so estimates share nuisance fits, and a closure re-raises its own
-    estimate's error, so one failing estimator fails no other.  Every call
-    returns a fresh copy of the memoised estimate.
+def _bundle(stack: Callable[[list], list], names) -> dict[str, Callable]:
+    """One estimator closure per name over ``stack``, which maps a stack of
+    datasets to their outcomes (:func:`_members`); on a stack of one it may
+    raise one EstimationError for all the estimates.  Its stages run the
+    kernels of the per-dataset estimators in their order and layout, so
+    every estimate and error is theirs to the last bit.  The first closure
+    called on any dataset of a linked chunk computes the whole chunk
+    (:meth:`Dataset.memo`, :func:`_fit_stack`), so estimates share nuisance
+    fits, and a closure re-raises its own estimate's error, so one failing
+    estimator fails no other.  Every call returns a fresh copy of the
+    memoised estimate.
     """
+    compute = lambda datasets: _fit_stack(stack, datasets)
+
     def estimate(data: Dataset, name: str):
         value = data.memo(compute, compute)
         if not isinstance(value, EstimationError):
@@ -72,53 +68,45 @@ def _bundle(compute: Callable[[list], list], names) -> dict[str, Callable]:
     return {name: (lambda ds, _n=name: estimate(ds, _n)) for name in names}
 
 
+def _members(out: dict, names, count: int) -> list[dict]:
+    """Per dataset of a stack's ``count``, each estimate of ``names``: its row
+    of the (B, d) stage in ``out``, or the EstimationError the stage holds."""
+    return [{name: out[name] if isinstance(out[name], EstimationError) else out[name][k]
+             for name in names} for k in range(count)]
+
+
 def _table1_stack(datasets: list[Dataset]) -> list[dict]:
-    """The estimates of :func:`table1_estimators` on a stack of datasets, one
-    dict per dataset.  tsls, eem, br_gamma and br_beta run the kernels of
-    their per-dataset estimators, and loc_eff centers the exposure mean as
-    :func:`efficient_index` does; the designs are the bundle's fixed
-    bases evaluated once on the stacked instruments and covariates.  Every
-    operand keeps the per-dataset order and layout, so each estimate equals
-    the per-dataset one to the last bit.  Checks follow
-    :func:`~lineariv.glm._check`: any rejected member flags a larger stack,
-    and on a stack of one an error is held by its estimate and by the
-    estimates that use it (:func:`_attempt`).  Every
-    estimate of a dataset without one binary instrument column fails with one
-    UnsupportedCombinationError; one without a covariate raises the basis
-    evaluator's TermSpecError, as :func:`build_design` does.
+    """The estimates of :func:`table1_estimators` on a stack of datasets (see
+    :func:`_bundle`).  Every estimate of a dataset without one binary
+    instrument column fails with one UnsupportedCombinationError; one without
+    a covariate raises the basis evaluator's TermSpecError, as
+    :func:`build_design` does.
     """
+    _check(_stack_errors(datasets))
     y, x, zs, cs = _stack_data(datasets)
     lin, saturated, instruments = (basis._evaluate(zs, cs) for basis in
                                    (C_LIN, EXPOSURE_SATURATED, INSTRUMENTS_ZVZ))
     z = zs[..., 0]
 
-    def exposure():
-        # ExposureModel("identity", saturated).fit's coefficients
-        fit, errors = _ols(saturated, x)
-        _check(errors)
-        return fit.coef
-
     def loc_eff(plain, a_x):
-        # g_estimate at efficient_index, outcome (1, c0) profiled; the
-        # instrument is one binary column (_stack_errors), the exposure linear
-        at = lambda z: np.matvec(EXPOSURE_SATURATED._evaluate(z, cs), a_x)[..., None]
-        d_eff = _centered(at, np.matvec(saturated, a_x)[..., None], plain.mean[..., None], True, True)
-        return _solve_ee(_join(d_eff, lin), _join(x[..., None], lin), y, "g_estimate")[0][:, 0]
+        # g_estimate at efficient_index, the outcome (1, c0) profiled
+        d_eff = _exposure_bracket("identity", EXPOSURE_SATURATED, a_x, cs, saturated,
+                                  plain.mean[..., None], True)
+        return _solve_ee(_join(d_eff, lin), _join(x[..., None], lin), y, "g_estimate")[0][:, :1]
 
     out = {}
-    _attempt(out, "tsls", lambda: _tsls_stack(instruments, lin, x[..., None], y)[-1].coef[:, 2])
+    _attempt(out, "tsls", lambda: _tsls_stack(instruments, lin, x[..., None], y)[-1].coef[:, 2:])
     # eem and the bias-reduced pair start from the plain fit's index, br_beta from br_gamma
     _br_stages(out, z, x, y, lin, lin, lin)
-    _attempt(out, "exposure", exposure)
+    _attempt(out, "exposure", lambda: _exposure_fit("identity", saturated, x).coef)
     _attempt(out, "loc_eff", loc_eff, "plain", "exposure")
     _attempt(out, "eem", lambda plain, tsls, alpha: _eem_stack(
-        z - plain.mean, x, y, lin, lin, tsls, alpha).psi, "plain", "tsls", "alpha")
-    _attempt(out, "br_gamma", lambda gamma: gamma.psi, "gamma")
+        z - plain.mean, x, y, lin, lin, tsls[:, 0], alpha).psi[:, None], "plain", "tsls", "alpha")
+    _attempt(out, "br_gamma", lambda gamma: gamma.psi[:, None], "gamma")
     _attempt(out, "br_beta", lambda plain, alpha, gamma: _br_beta_stack(
-        z, x, y, plain.mean, lin, lin, lin, alpha, lambda: gamma.psi).psi,
+        z, x, y, plain.mean, lin, lin, lin, alpha, lambda: gamma.psi).psi[:, None],
         "plain", "alpha", "gamma")
-    return [{name: out[name] if isinstance(out[name], EstimationError) else out[name][k:k + 1]
-             for name in TABLE1_NAMES} for k in range(len(datasets))]
+    return _members(out, TABLE1_NAMES, len(datasets))
 
 
 def table1_estimators() -> dict[str, Callable]:
@@ -127,20 +115,50 @@ def table1_estimators() -> dict[str, Callable]:
     Working models: logistic instrument law on (1, V), fitted by maximum
     likelihood; linear exposure model with main effects and the
     instrument-covariate interaction; linear outcome model on (1, V); index
-    class (alpha'(1,V)) * Z.
-
-    The estimates equal the per-dataset estimators' (``standard_tsls``,
+    class (alpha'(1,V)) * Z.  The estimates are ``standard_tsls``,
     ``g_estimate`` at ``efficient_index``, ``eem_estimate``,
-    ``br_gamma_estimate``, ``br_beta_estimate``) to the last bit, errors
-    included, as :func:`_table1_stack` runs their code on a whole linked
-    chunk of replicates, and on each of its replicates as a stack of one when
-    a check rejects the chunk (:func:`~lineariv.glm._fit_stack`).
+    ``br_gamma_estimate`` and ``br_beta_estimate`` (:func:`_table1_stack`).
     """
-    return _bundle(lambda datasets: _fit_stack(_table1_stack, datasets), TABLE1_NAMES)
+    return _bundle(_table1_stack, TABLE1_NAMES)
+
+
+def _sim_binary_stack(datasets: list[Dataset]) -> list[dict]:
+    """The estimates of :func:`sim_binary_estimators` on a stack of datasets
+    (see :func:`_bundle`): probit and linear exposure fits, the instrument
+    law and the efficient index under each exposure model, centered once."""
+    y, x, zs, cs = _stack_data(datasets)
+    out, ones = {}, np.ones_like(x)[..., None]
+    # each basis once, a stage: a term that is not finite fails only the estimates using it
+    for name, basis in dict(inst=INSTRUMENT_Z, lin=C_LIN, quad=C_QUAD, main=EXPOSURE_MAIN).items():
+        _attempt(out, name, lambda basis=basis: basis._evaluate(zs, cs))
+    # standard_tsls, then outcome_coef_at for the double-robust estimators
+    _attempt(out, "tsls", lambda inst, lin: _tsls_stack(
+        inst, lin, x[..., None], y)[-1].coef[:, 2:], "inst", "lin")
+    _attempt(out, "beta_c", lambda tsls, quad: _ols(quad, y - tsls * x).coef, "tsls", "quad")
+    _attempt(out, "beta_m", lambda tsls, lin: _ols(lin, y - tsls * x).coef, "tsls", "lin")
+    # plug_in_two_stage and locally_efficient_y at the probit exposure model
+    _attempt(out, "probit", lambda main: _exposure_fit("probit", main, x), "main")
+    _attempt(out, "ts", lambda probit, lin: _ols(
+        _join(lin, probit.mean[..., None]), y).coef[:, 2:], "probit", "lin")
+    for name, by, basis in (("le_y_c", "quad", C_QUAD), ("le_y_m", "lin", C_LIN)):
+        _attempt(out, name, lambda probit, by, labels=["m_x*1", *basis.labels()]: _le_stack(
+            probit.mean, by, ones, x, y, labels)[2][:, :1], "probit", by)
+    # g_estimate at efficient_index under a logistic instrument law
+    _attempt(out, "iv", lambda: _logistic_iv(zs, cs, C_LIN))
+    _attempt(out, "linear", lambda main: _exposure_fit("identity", main, x), "main")
+    for name, link, fit in (("e_probit", "probit", "probit"), ("e_lin", "identity", "linear")):
+        _attempt(out, name, lambda fit, iv, main, link=link: _exposure_bracket(
+            link, EXPOSURE_MAIN, fit.coef, cs, main, iv.mean[..., None], True), fit, "iv", "main")
+    for name, index, beta, by in (("dr_cc", "e_probit", "beta_c", "quad"),
+                                  ("dr_cm", "e_probit", "beta_m", "lin"),
+                                  ("dr_mm", "e_lin", "beta_m", "lin")):
+        _attempt(out, name, lambda d, beta, by: _solve_ee(
+            d, x[..., None], y - np.matvec(by, beta), "g_estimate")[0], index, beta, by)
+    return _members(out, SIM_BINARY_NAMES, len(datasets))
 
 
 def sim_binary_estimators() -> dict[str, Callable]:
-    """Estimators of the binary-exposure experiments.
+    """Estimators of the binary-exposure experiments (:func:`_sim_binary_stack`).
 
     tsls: implied linear first stage, outcome basis (1, V) (omits V^2);
     ts: plug-in probit two-stage with the same outcome basis;
@@ -149,37 +167,25 @@ def sim_binary_estimators() -> dict[str, Callable]:
     dr_cc / dr_cm / dr_mm: double-robust with the efficient index under a
     logistic instrument law, varying which working models are correct.
     """
+    return _bundle(_sim_binary_stack, SIM_BINARY_NAMES)
 
-    def compute(data: Dataset) -> dict:
-        out = {}
-        _attempt(out, "tsls", lambda: standard_tsls(data, EFFECT_CONST, C_LIN, INSTRUMENT_Z).psi_hat)
-        _attempt(out, "probit", lambda: ExposureModel("probit", EXPOSURE_MAIN).fit(data))
-        _attempt(out, "ts", lambda probit: plug_in_two_stage(
-            data, probit, EFFECT_CONST, C_LIN).psi_hat, "probit")
-        _attempt(out, "le_y_c", lambda probit: locally_efficient_y(
-            data, probit, EFFECT_CONST, C_QUAD).psi_hat, "probit")
-        _attempt(out, "le_y_m", lambda probit: locally_efficient_y(
-            data, probit, EFFECT_CONST, C_LIN).psi_hat, "probit")
-        _attempt(out, "iv", lambda: BinaryLogisticIv.fit(data, C_LIN))
-        _attempt(out, "e_probit", lambda probit, iv: efficient_index(
-            data, probit, iv, EFFECT_CONST), "probit", "iv")
-        _attempt(out, "beta_c", lambda tsls: outcome_coef_at(
-            data, EFFECT_CONST, C_QUAD, tsls), "tsls")
-        _attempt(out, "beta_m", lambda tsls: outcome_coef_at(
-            data, EFFECT_CONST, C_LIN, tsls), "tsls")
-        _attempt(out, "dr_cc", lambda e, iv, beta: g_estimate(
-            data, e, OutcomeModel(C_QUAD, beta), iv, EFFECT_CONST).psi_hat, "e_probit", "iv", "beta_c")
-        _attempt(out, "dr_cm", lambda e, iv, beta: g_estimate(
-            data, e, OutcomeModel(C_LIN, beta), iv, EFFECT_CONST).psi_hat, "e_probit", "iv", "beta_m")
-        _attempt(out, "linear", lambda: ExposureModel("identity", EXPOSURE_MAIN).fit(data))
-        _attempt(out, "e_lin", lambda linear, iv: efficient_index(
-            data, linear, iv, EFFECT_CONST), "linear", "iv")
-        _attempt(out, "dr_mm", lambda e, iv, beta: g_estimate(
-            data, e, OutcomeModel(C_LIN, beta), iv, EFFECT_CONST).psi_hat, "e_lin", "iv", "beta_m")
-        return out
 
-    return _bundle(lambda datasets: [compute(data) for data in datasets],
-                   ("tsls", "ts", "le_y_c", "le_y_m", "dr_cc", "dr_cm", "dr_mm"))
+def _effectmod_stack(datasets: list[Dataset]) -> list[dict]:
+    """The estimates of :func:`effectmod_estimators` on a stack of datasets
+    (see :func:`_bundle`): standard_tsls and plug_in_two_stage, whose effect
+    gradient is the (1, V) design."""
+    y, x, zs, cs = _stack_data(datasets)
+    out = {}
+    for name, basis in dict(zvz=INSTRUMENTS_ZVZ, quad=C_QUAD, lin=C_LIN, main=EXPOSURE_MAIN).items():
+        _attempt(out, name, lambda basis=basis: basis._evaluate(zs, cs))
+    _attempt(out, "misspec", lambda main: _exposure_fit("identity", main, x), "main")
+    for suffix, by, p in (("c", "quad", 3), ("m", "lin", 2)):
+        _attempt(out, f"tsls_{suffix}", lambda zvz, by, lin, p=p: _tsls_stack(
+            zvz, by, x[..., None] * lin, y)[-1].coef[:, p:], "zvz", by, "lin")
+        _attempt(out, f"ts_{suffix}", lambda misspec, by, lin, main, p=p: _ols(_join(
+            by, np.matvec(main, misspec.coef)[..., None] * lin), y).coef[:, p:],
+            "misspec", by, "lin", "main")
+    return _members(out, EFFECTMOD_NAMES, len(datasets))
 
 
 def effectmod_estimators() -> dict[str, Callable]:
@@ -189,20 +195,7 @@ def effectmod_estimators() -> dict[str, Callable]:
     (1, V, V^2) / (1, V); ts_c / ts_m: plug-in two-stage with a misspecified
     linear exposure model (main effects of Z and V only).
     """
-    effect = EffectModel.with_modifiers(C_LIN)
-
-    def compute(data: Dataset) -> dict:
-        out = {}
-        _attempt(out, "tsls_c", lambda: standard_tsls(data, effect, C_QUAD, INSTRUMENTS_ZVZ).psi_hat)
-        _attempt(out, "tsls_m", lambda: standard_tsls(data, effect, C_LIN, INSTRUMENTS_ZVZ).psi_hat)
-        _attempt(out, "misspec", lambda: ExposureModel("identity", EXPOSURE_MAIN).fit(data))
-        _attempt(out, "ts_c", lambda misspec: plug_in_two_stage(
-            data, misspec, effect, C_QUAD).psi_hat, "misspec")
-        _attempt(out, "ts_m", lambda misspec: plug_in_two_stage(
-            data, misspec, effect, C_LIN).psi_hat, "misspec")
-        return out
-
-    return _bundle(lambda datasets: [compute(data) for data in datasets], ("tsls_c", "tsls_m", "ts_c", "ts_m"))
+    return _bundle(_effectmod_stack, EFFECTMOD_NAMES)
 
 
 # the estimator bundle of each generator family (simlab.GENERATORS)
@@ -254,10 +247,6 @@ CONSISTENCY_N = 4000
 CONSISTENCY_REPS = 600
 
 
-def _get(reports: dict, lam, name: str):
-    return reports[lam].summaries[name]
-
-
 def _band(val: float, lo: float, hi: float) -> bool:
     return lo <= val <= hi
 
@@ -265,7 +254,7 @@ def _band(val: float, lo: float, hi: float) -> bool:
 def table1_gates(reports: dict[tuple, MonteCarloReport]) -> list[GateResult]:
     """Tolerance gates for the lambda-grid benchmark (bias/SD bands)."""
     gates = []
-    row = lambda lam, est: _get(reports, lam, est)
+    row = lambda lam, est: reports[lam].summaries[est]
 
     for est in ("tsls", "loc_eff", "eem", "br_gamma", "br_beta"):
         s = row((0, 0, 0), est)

@@ -355,6 +355,14 @@ def test_replicate_below_audit_threshold_warns(tmp_path, capsys, target, seed):
     assert rows and all(row["seed"] == str(seed) and row["reps"] == "2" for row in rows)
 
 
+@pytest.mark.parametrize("reps", ["0", "1"])
+def test_replicate_rejects_fewer_than_two_replications(capsys, reps):
+    # --reps 0 is a request for no replicates, not for the default target of 1000
+    code, out, err = run_cli(capsys, "replicate", "fig3", "--reps", reps)
+    assert code == 2 and out == ""
+    assert err == "error: at least 2 replications are required\n"
+
+
 def test_replicate_gate_failure_exit_code(tmp_path, capsys):
     # a seed without the heavy-tail demonstration fails the blow-up gate
     code, out, _ = run_cli(capsys, "replicate", "fig3", "--reps", "300", "--seed", "1")

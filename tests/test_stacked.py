@@ -12,7 +12,7 @@ import lineariv.suites
 from lineariv import BasisSpec, BinaryLogisticIv, Dataset, EstimationError, dataset, simlab
 from lineariv.adaptive import br_beta_estimate, br_gamma_estimate, eem_estimate, eem_fit_alpha
 from lineariv.inference import bootstrap_ci, conservative_se_brgamma
-from lineariv.models import ExposureModel, OutcomeModel
+from lineariv.models import EffectModel, ExposureModel, OutcomeModel
 from lineariv.rng import make_generator
 from lineariv.adaptive import _br_gamma_stack, _extend
 from lineariv.errors import (
@@ -21,7 +21,15 @@ from lineariv.errors import (
     TermSpecError,
     WeakIdentificationError,
 )
-from lineariv.estimators import _solve_ee, efficient_index, g_estimate, standard_tsls
+from lineariv.estimators import (
+    _solve_ee,
+    efficient_index,
+    g_estimate,
+    locally_efficient_y,
+    outcome_coef_at,
+    plug_in_two_stage,
+    standard_tsls,
+)
 from lineariv.glm import (
     RANK_RTOL,
     SCORE_TOL,
@@ -38,15 +46,26 @@ from lineariv.glm import (
 from lineariv.simlab import ScenarioConfig, generate, run_monte_carlo
 from lineariv.suites import (
     C_LIN,
+    C_QUAD,
     EFFECT_CONST,
+    EFFECTMOD_NAMES,
+    EXPOSURE_MAIN,
     EXPOSURE_SATURATED,
+    FIG1_SEED,
+    FIG2_SEED,
+    INSTRUMENT_Z,
     INSTRUMENTS_ZVZ,
+    SIM_BINARY_NAMES,
     TABLE1_GATED_ROWS,
     TABLE1_NAMES,
     TABLE1_ROWS,
     TABLE1_SEED,
     _attempt,
+    _effectmod_stack,
+    _sim_binary_stack,
     _table1_stack,
+    effectmod_estimators,
+    sim_binary_estimators,
     table1_estimators,
 )
 
@@ -287,6 +306,15 @@ def test_pinned_runs_never_reject_a_stack(monkeypatch):
                  seed=1)
     assert sizes == [40, 40, 20]
 
+    # nor a chunk of the Fig. 1 and Fig. 2 families at their pinned seeds
+    for generator, seed, stack in (("sim1", FIG1_SEED, "_sim_binary_stack"),
+                                   ("sim2", FIG1_SEED, "_sim_binary_stack"),
+                                   ("effectmod", FIG2_SEED, "_effectmod_stack")):
+        sizes = _kernel_sizes(monkeypatch, stack, lineariv.suites)
+        cfg = ScenarioConfig(generator, n=500, seed=seed, reps=32)
+        run_monte_carlo(cfg, lineariv.suites.BUNDLES[generator]())
+        assert sizes == [16, 16], generator
+
 
 def test_calls_after_the_first_member_of_a_chunk_fit_nothing(monkeypatch):
     # the first call on a linked chunk fits every member, so a call on any
@@ -390,18 +418,195 @@ def test_other_bundles_fail_per_estimator(monkeypatch):
     def failing(*args, **kwargs):
         raise WeakIdentificationError("forced failure")
 
-    monkeypatch.setattr(lineariv.suites, "locally_efficient_y", failing)
+    monkeypatch.setattr(lineariv.suites, "_le_stack", failing)
     cfg = ScenarioConfig("sim1", n=500, seed=777, reps=2)
     report = run_monte_carlo(cfg, lineariv.suites.sim_binary_estimators())
     failed = {name: s.failed for name, s in report.summaries.items()}
     assert failed == {"tsls": 0, "ts": 0, "le_y_c": 2, "le_y_m": 2, "dr_cc": 0, "dr_cm": 0,
                       "dr_mm": 0}
 
-    monkeypatch.setattr(lineariv.suites, "plug_in_two_stage", failing)
+    monkeypatch.setattr(lineariv.suites, "_ols", failing)
     cfg = ScenarioConfig("effectmod", n=500, seed=20260809, reps=2)
     report = run_monte_carlo(cfg, lineariv.suites.effectmod_estimators())
     failed = {name: s.failed for name, s in report.summaries.items()}
     assert failed == {"tsls_c": 0, "tsls_m": 0, "ts_c": 2, "ts_m": 2}
+
+
+# ---------------------------------------------------------------------------
+# The Fig. 1 and Fig. 2 stacks against the public per-dataset estimators
+# ---------------------------------------------------------------------------
+
+def _sim_binary_reference(data) -> dict:
+    """The Fig. 1 bundle through the public per-dataset estimators."""
+    out = {}
+    _attempt(out, "tsls", lambda: standard_tsls(data, EFFECT_CONST, C_LIN, INSTRUMENT_Z).psi_hat)
+    _attempt(out, "probit", lambda: ExposureModel("probit", EXPOSURE_MAIN).fit(data))
+    _attempt(out, "ts", lambda probit: plug_in_two_stage(
+        data, probit, EFFECT_CONST, C_LIN).psi_hat, "probit")
+    _attempt(out, "le_y_c", lambda probit: locally_efficient_y(
+        data, probit, EFFECT_CONST, C_QUAD).psi_hat, "probit")
+    _attempt(out, "le_y_m", lambda probit: locally_efficient_y(
+        data, probit, EFFECT_CONST, C_LIN).psi_hat, "probit")
+    _attempt(out, "iv", lambda: BinaryLogisticIv.fit(data, C_LIN))
+    _attempt(out, "e_probit", lambda probit, iv: efficient_index(
+        data, probit, iv, EFFECT_CONST), "probit", "iv")
+    _attempt(out, "beta_c", lambda tsls: outcome_coef_at(data, EFFECT_CONST, C_QUAD, tsls), "tsls")
+    _attempt(out, "beta_m", lambda tsls: outcome_coef_at(data, EFFECT_CONST, C_LIN, tsls), "tsls")
+    _attempt(out, "dr_cc", lambda e, iv, beta: g_estimate(
+        data, e, OutcomeModel(C_QUAD, beta), iv, EFFECT_CONST).psi_hat, "e_probit", "iv", "beta_c")
+    _attempt(out, "dr_cm", lambda e, iv, beta: g_estimate(
+        data, e, OutcomeModel(C_LIN, beta), iv, EFFECT_CONST).psi_hat, "e_probit", "iv", "beta_m")
+    _attempt(out, "linear", lambda: ExposureModel("identity", EXPOSURE_MAIN).fit(data))
+    _attempt(out, "e_lin", lambda linear, iv: efficient_index(
+        data, linear, iv, EFFECT_CONST), "linear", "iv")
+    _attempt(out, "dr_mm", lambda e, iv, beta: g_estimate(
+        data, e, OutcomeModel(C_LIN, beta), iv, EFFECT_CONST).psi_hat, "e_lin", "iv", "beta_m")
+    return out
+
+
+def _effectmod_reference(data) -> dict:
+    """The Fig. 2 bundle through the public per-dataset estimators."""
+    effect = EffectModel.with_modifiers(C_LIN)
+    out = {}
+    _attempt(out, "tsls_c", lambda: standard_tsls(data, effect, C_QUAD, INSTRUMENTS_ZVZ).psi_hat)
+    _attempt(out, "tsls_m", lambda: standard_tsls(data, effect, C_LIN, INSTRUMENTS_ZVZ).psi_hat)
+    _attempt(out, "misspec", lambda: ExposureModel("identity", EXPOSURE_MAIN).fit(data))
+    _attempt(out, "ts_c", lambda misspec: plug_in_two_stage(
+        data, misspec, effect, C_QUAD).psi_hat, "misspec")
+    _attempt(out, "ts_m", lambda misspec: plug_in_two_stage(
+        data, misspec, effect, C_LIN).psi_hat, "misspec")
+    return out
+
+
+# generator -> (reference, estimate names, stack function, bundle)
+FIGURE_BUNDLES = {
+    "sim1": (_sim_binary_reference, SIM_BINARY_NAMES, _sim_binary_stack, sim_binary_estimators),
+    "sim2": (_sim_binary_reference, SIM_BINARY_NAMES, _sim_binary_stack, sim_binary_estimators),
+    "effectmod": (_effectmod_reference, EFFECTMOD_NAMES, _effectmod_stack, effectmod_estimators),
+}
+
+
+def _figure_outcomes(generator, datasets):
+    """Every outcome of ``datasets`` under the bundle of ``generator``, as
+    lists of per-dataset dicts: "reference", the public estimators on each
+    dataset; "stack", the stack function through _fit_stack; "alone", each
+    dataset as a stack of one; "linked" and "unlinked", the bundle on a
+    linked chunk of copies or on unlinked copies."""
+    reference, names, stack, bundle = FIGURE_BUNDLES[generator]
+    fields = lambda member: {name: _outcome(member[name]) for name in names}
+    linked = _copies(datasets)
+    Dataset.link(linked)
+    return {
+        "reference": [fields(reference(data)) for data in _copies(datasets)],
+        "stack": [fields(member) for member in lineariv.glm._fit_stack(stack, datasets)],
+        "alone": [fields(stack([data])[0]) for data in datasets],
+        "linked": [_outcomes(bundle(), data) for data in linked],
+        "unlinked": [_outcomes(bundle(), data) for data in _copies(datasets)],
+    }
+
+
+def _assert_all_equal(outcomes: dict):
+    expected = outcomes.pop("reference")
+    for path, got in outcomes.items():
+        assert got == expected, path
+
+
+@pytest.mark.parametrize("generator, seed", [
+    ("sim1", FIG1_SEED), ("sim2", FIG1_SEED), ("effectmod", FIG2_SEED)])
+@pytest.mark.parametrize("n, reps", [(500, 16), (4000, 2)])
+def test_figure_stacks_bit_identical_to_per_dataset(generator, seed, n, reps):
+    datasets = _replicates(generator, None, n, seed, reps)
+    outcomes = _figure_outcomes(generator, datasets)
+    assert all(isinstance(value, list) for member in outcomes["reference"]
+               for value in member.values())
+    _assert_all_equal(outcomes)
+
+
+def _odd_member(kind, datasets):
+    """``datasets`` with one member (or, for "3 rows", every member) of ``kind``."""
+    data = datasets[2]
+    odd = {
+        "constant covariate": lambda: Dataset(data.y, data.x, data.z, np.ones_like(data.c_raw)),
+        "one-class exposure": lambda: Dataset(data.y, np.zeros(data.n), data.z, data.c_raw),
+        "exposure equal to the instrument": lambda: Dataset(data.y, data.z[:, 0], data.z,
+                                                            data.c_raw),
+        "continuous instrument": lambda: Dataset(data.y, data.x, data.z + 0.5 * data.c_raw[:, :1],
+                                                 data.c_raw),
+        "second instrument column": lambda: Dataset(
+            data.y, data.x, np.column_stack([data.z, data.c_raw[:, :1]]), data.c_raw),
+        "missing covariate": lambda: Dataset(data.y, data.x, data.z, np.empty((data.n, 0))),
+    }
+    if kind == "another size":
+        datasets[2:3] = _small(datasets[2:3], 300)
+    elif kind == "3 rows":
+        return _small(datasets, 3)
+    else:
+        datasets[2] = odd[kind]()
+    return datasets
+
+
+ODD_KINDS = ["constant covariate", "one-class exposure", "another size", "3 rows",
+             "exposure equal to the instrument", "continuous instrument",
+             "second instrument column"]
+
+
+@pytest.mark.parametrize("generator, seed", [("sim1", FIG1_SEED), ("effectmod", FIG2_SEED)])
+@pytest.mark.parametrize("kind", ODD_KINDS)
+def test_figure_stacks_match_the_reference_on_odd_members(generator, seed, kind):
+    datasets = _odd_member(kind, _replicates(generator, None, 500, seed, 6))
+    outcomes = _figure_outcomes(generator, datasets)
+    if kind != "3 rows":
+        # the other members keep their estimates
+        assert all(isinstance(value, list) for k, member in enumerate(outcomes["reference"])
+                   if k != 2 for value in member.values())
+    _assert_all_equal(outcomes)
+
+
+@pytest.mark.parametrize("generator, seed", [("sim1", FIG1_SEED), ("effectmod", FIG2_SEED)])
+def test_figure_stacks_raise_the_evaluators_error_on_a_missing_covariate(generator, seed):
+    datasets = _odd_member("missing covariate", _replicates(generator, None, 500, seed, 4))
+    reference, _, stack, bundle = FIGURE_BUNDLES[generator]
+    with pytest.raises(TermSpecError) as want:
+        reference(datasets[2])
+    copies = _copies(datasets)
+    Dataset.link(copies)
+    calls = [lambda: lineariv.glm._fit_stack(stack, datasets), lambda: stack(datasets[2:3]),
+             lambda: bundle()["tsls" if generator == "sim1" else "tsls_c"](copies[0])]
+    for call in calls:
+        with pytest.raises(TermSpecError) as got:
+            call()
+        assert str(got.value) == str(want.value)
+    # unlinked, the datasets with the covariate keep their estimates
+    assert _outcomes(bundle(), _copies(datasets)[0]) == _figure_outcomes(
+        generator, datasets[:1])["reference"][0]
+
+
+@pytest.mark.parametrize("generator, seed, stack", [
+    ("sim1", FIG1_SEED, _sim_binary_stack), ("sim2", FIG1_SEED, _sim_binary_stack),
+    ("effectmod", FIG2_SEED, _effectmod_stack)])
+def test_a_default_figure_chunk_stays_under_the_peak_ceiling(generator, seed, stack):
+    stack(_replicates(generator, None, 500, seed, 1))                   # warm-up
+    chunk = _replicates(generator, None, 500, seed, dataset._chunk_size(500))
+    assert _traced_peak(lambda: stack(chunk)) < CHUNK_PEAK_BYTES
+
+
+def test_a_fig1_chunk_centers_each_efficient_index_once(monkeypatch):
+    # e_probit serves dr_cc and dr_cm, e_lin serves dr_mm: one centering of
+    # each exposure model's mean for the whole chunk
+    sizes, kernel = [], lineariv.estimators._centered
+
+    def spy(at, observed, *args):
+        sizes.append(len(observed))
+        return kernel(at, observed, *args)
+
+    monkeypatch.setattr(lineariv.estimators, "_centered", spy)
+    datasets = _replicates("sim1", None, 500, FIG1_SEED, 16)
+    Dataset.link(datasets)
+    bundle = sim_binary_estimators()
+    for data in datasets:
+        for estimator in bundle.values():
+            estimator(data)
+    assert sizes == [16, 16]
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +625,17 @@ def test_lstsq_reports_a_deficient_member():
     rng, design = _designs(1)
     design[1, :, 2] = design[1, :, 1]
     response = rng.standard_normal(design.shape[:2])
-    # the stack returns no fit; the deficient member's error is fit_ols's alone
-    fit, errors = _ols(design, response)
-    assert fit is None and [err is None for err in errors] == [True, False, True, True]
+    # the stack is flagged; the deficient member alone raises fit_ols's error
+    with pytest.raises(_Flagged):
+        _ols(design, response)
     with pytest.raises(SingularDesignError) as own:
         fit_ols(design[1], response[1])
-    assert type(errors[1]) is SingularDesignError
-    assert (str(errors[1]), errors[1].condition) == (str(own.value), own.value.condition)
+    with pytest.raises(SingularDesignError) as alone:
+        _ols(design[1:2], response[1:2])
+    assert type(alone.value) is SingularDesignError
+    assert (str(alone.value), alone.value.condition) == (str(own.value), own.value.condition)
     full = [0, 2, 3]
-    fit, errors = _ols(design[full], response[full])
-    assert errors == [None] * 3
+    fit = _ols(design[full], response[full])
     for row, k in zip(fit.coef, full):
         assert np.array_equal(row, fit_ols(design[k], response[k]).coefficients)
 
