@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedCombinationError,
     WeakIdentificationError,
 )
-from .estimators import EstimateResult, _ee_result, _ee_solve, _ee_system, _solve_ee
+from .estimators import EstimateResult, _Ee, _ee_result, _ee_solve, _ee_system, _g_stack, _solve_ee
 from .glm import (
     RANK_RTOL,
     SCORE_TOL,
@@ -130,7 +130,7 @@ def eem_fit_beta(data: Dataset, iv: IvModel, alpha: np.ndarray, index_basis: Bas
     """
     zc, x, y, index_design, outcome_design = _eem_data(data, iv, index_basis, outcome_basis)
     scale = np.matvec(index_design, np.asarray(alpha, dtype=float))
-    return _eem_beta(zc, x, y, scale, outcome_design, np.array([float(preliminary_psi)]))[0]
+    return _wls(outcome_design, y - float(preliminary_psi) * x, scale**2 * zc**2).coef[0]
 
 
 def eem_objective(data: Dataset, iv: IvModel, alpha, beta, psi: float,
@@ -145,13 +145,6 @@ def eem_objective(data: Dataset, iv: IvModel, alpha, beta, psi: float,
     d = np.matvec(index_design, np.asarray(alpha, dtype=float)) * zc
     eps = y - np.matvec(outcome_design, np.asarray(beta, dtype=float)) - float(psi) * x
     return _eem_objective(d, x, eps)[0]
-
-
-def _eem_beta(zc: np.ndarray, x: np.ndarray, y: np.ndarray, scale: np.ndarray,
-              outcome_design: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    """:func:`eem_fit_beta` of a stack at index scales alpha'b(C) (B, n) and
-    preliminary estimates psi0 (B,): fit_wls's checks, then its solve."""
-    return _wls(outcome_design, y - psi0[:, None] * x, scale**2 * zc**2).coef
 
 
 def _eem_objective(d: np.ndarray, x: np.ndarray, eps: np.ndarray) -> list:
@@ -169,10 +162,7 @@ class _Eem(NamedTuple):
     """The EEM fits of a stack of B datasets."""
 
     beta: np.ndarray                # (B, q) outcome coefficients
-    d: np.ndarray                   # (B, n) centered index
-    response: np.ndarray            # (B, n) y minus the outcome fit
-    psi: np.ndarray                 # (B,)
-    condition: list
+    ee: _Ee                         # the G-estimating equation at the centered index
     objective: list                 # eem_objective at (alpha, beta, psi0)
 
 
@@ -181,16 +171,14 @@ def _eem_stack(zc: np.ndarray, x: np.ndarray, y: np.ndarray, index_design: np.nd
     """The arithmetic of :func:`eem_estimate` from its preliminary estimates
     psi0 (B,) and index coefficients alpha (B, k) on, for a stack of B
     datasets of one size: zc = z - E(z|C), x, y (B, n) and the designs
-    (B, n, p).  The weighted beta regression, the G-estimating equation at
-    the centered index and the objective, with their checks in that order
-    (see :func:`_check`)."""
+    (B, n, p).  The weighted beta regression (:func:`eem_fit_beta`), the
+    G-estimating equation at the centered index with that outcome fit fixed
+    and the objective, with their checks in that order (see :func:`_check`)."""
     scale = np.matvec(index_design, alpha)
-    beta = _eem_beta(zc, x, y, scale, outcome_design, psi0)
+    beta = _wls(outcome_design, y - psi0[:, None] * x, scale**2 * zc**2).coef
     d = scale * zc
-    response = y - np.matvec(outcome_design, beta)
-    theta, condition = _solve_ee(d[..., None], x[..., None], response, "g_estimate")
-    objective = _eem_objective(d, x, response - psi0[:, None] * x)
-    return _Eem(beta, d, response, theta[:, 0], condition, objective)
+    ee = _g_stack(d[..., None], x[..., None], y - np.matvec(outcome_design, beta))
+    return _Eem(beta, ee, _eem_objective(d, x, ee.response - psi0[:, None] * x))
 
 
 def eem_estimate(data: Dataset, iv: IvModel, index_basis: BasisSpec,
@@ -211,16 +199,14 @@ def eem_estimate(data: Dataset, iv: IvModel, index_basis: BasisSpec,
     """
     zc, x, y, index_design, outcome_design = _eem_data(data, iv, index_basis, outcome_basis)
     if preliminary_psi is None:
-        preliminary_psi = _solve_ee(_join(zc[..., None], outcome_design),
-                                    _join(x[..., None], outcome_design), y, "g_estimate")[0][0, 0]
+        preliminary_psi = _g_stack(zc[..., None], x[..., None], y, outcome_design).theta[0, 0]
     psi0 = float(preliminary_psi)
     alpha = _index_coef(zc, index_design, x, _ALPHA_CONTEXT)
     fit = _eem_stack(zc, x, y, index_design, outcome_design, np.array([psi0]), alpha)
     alpha, beta = alpha[0], fit.beta[0]
-    result = _ee_result(fit.d[0][:, None], data.x[:, None], fit.response[0], fit.psi, slice(0, 1),
-                        beta, {"iv": iv, "index": ScaledInstrument(index_basis, alpha),
-                               "outcome": OutcomeModel(outcome_basis, beta)},
-                        {"condition": fit.condition[0], "profiled_outcome": False})
+    result = _ee_result(fit.ee, slice(0, 1), beta,
+                        {"iv": iv, "index": ScaledInstrument(index_basis, alpha),
+                         "outcome": OutcomeModel(outcome_basis, beta)}, {"profiled_outcome": False})
     result.nuisance["eem"] = EemFit(alpha_tilde=alpha, beta_tilde=beta,
                                     objective_value=fit.objective[0], preliminary_psi=psi0)
     result.diagnostics["preliminary_psi"] = psi0
@@ -334,8 +320,8 @@ def _br_gamma_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.n
     design, kept = extend(e_scale)
     fit = _binary(design, z, "logit", _refit_start(first, first_design, design))
     d = e_scale * (z - fit.mean)
-    theta, _ = _solve_ee(d[..., None], x[..., None], y, "br_gamma")
-    return _BrGamma(theta[:, 0], alpha, fit, kept, d)
+    psi = _solve_ee(d[..., None], x[..., None], y, "br_gamma").theta[:, 0]
+    return _BrGamma(psi, alpha, fit, kept, d)
 
 
 def _br_stages(out: dict, z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design: np.ndarray,
@@ -487,7 +473,7 @@ def _br_beta_stack(z: np.ndarray, x: np.ndarray, y: np.ndarray, prob: np.ndarray
     d = e_scale * (z - prob)
     system, _ = _ee_system(d[..., None], x[..., None], "br_beta")
     if start is None:
-        theta, _ = _solve_ee(_join(x_ext, d[..., None]), _join(x_ext, x[..., None]), y, "br_beta")
+        theta = _solve_ee(_join(x_ext, d[..., None]), _join(x_ext, x[..., None]), y, "br_beta").theta
         return _BrBeta(theta[:, -1], theta[:, :-1], kept, x_ext, e_scale, d)
     fit = _ols(x_ext, y - start()[:, None] * x)
     psi = _ee_solve(system, d[..., None], y - np.matvec(x_ext, fit.coef))[:, 0]

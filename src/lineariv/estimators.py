@@ -5,17 +5,18 @@ for arbitrary exposure links, the exposure-model-free locally efficient
 estimator (joint solve over effect and outcome coefficients), and the generic
 double-robust G-estimator built on a centered index.  Every estimating
 equation here is linear: an estimator builds an index matrix D, a regressor
-matrix R and a response y, solves D'(y - R theta) = 0 (:func:`_solve_ee`, or
-an SVD regression for the two least-squares estimators) and takes the
-sandwich at the solution (:func:`_ee_result`).  The adaptive estimators of
-:mod:`~lineariv.adaptive` (eem and the bias-reduced pair, br-gamma and
-br-beta) solve their equations with the same function, so one rule
+matrix R and a response y, solves D'(y - R theta) = 0 into one value
+(:class:`_Ee`) and takes the sandwich at the solution (:func:`_ee_result`),
+the one result path of every estimator here and of eem.  The adaptive
+estimators of :mod:`~lineariv.adaptive` (eem, br-gamma and br-beta) solve
+with the same function (:func:`_solve_ee`), so one rule
 (:func:`_ee_system`) decides whether any denominator is degenerate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,27 +104,36 @@ def _ee_solve(system: np.ndarray, index: np.ndarray, response: np.ndarray) -> np
     return np.linalg.solve(system, _rowsum(response, index)[..., None])[..., 0]
 
 
+class _Ee(NamedTuple):
+    """The solved estimating equation index'(response - regressors @ theta) = 0
+    of a stack of B members."""
+
+    index: np.ndarray               # (B, n, k)
+    regressors: np.ndarray          # (B, n, k)
+    response: np.ndarray            # (B, n)
+    theta: np.ndarray               # (B, k)
+    condition: list                 # the denominator's condition number per member
+
+
 def _solve_ee(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
-              what: str) -> tuple[np.ndarray, list]:
+              what: str) -> _Ee:
     """Solve index'(response - regressors @ theta) = 0 for each member of a
-    stack: index and regressors (B, n, k), response (B, n).
-
-    Returns theta (B, k) and the condition numbers of :func:`_ee_system`,
-    whose check (:func:`_check`) comes first.
-    """
+    stack, with the condition numbers of :func:`_ee_system`, whose check
+    (:func:`_check`) comes first."""
     system, cond = _ee_system(index, regressors, what)
-    return _ee_solve(system, index, response), cond
+    return _Ee(index, regressors, response, _ee_solve(system, index, response), cond)
 
 
-def _ee_result(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
-               theta: np.ndarray, psi_slice: slice, beta: np.ndarray, nuisance: dict,
+def _ee_result(ee: _Ee, psi_slice: slice, beta: np.ndarray, nuisance: dict,
                diagnostics: dict) -> EstimateResult:
-    """The result at a solution theta: sandwich SEs (``None`` if singular), normal
-    CI and residual norm of the moments index_i * (response_i - regressors_i' theta).
+    """The result at member 0 of a solved equation: its condition, sandwich
+    SEs (``None`` if singular), normal CI and residual norm of the moments
+    index_i * (response_i - regressors_i' theta).
 
     ``psi_slice`` picks the effect out of theta; the SEs of any other entries
     of theta (outcome coefficients) go to ``beta_se``.
     """
+    index, regressors, response, theta = ee.index[0], ee.regressors[0], ee.response[0], ee.theta[0]
     resid = response - regressors @ theta
     moments = index * resid[:, None]
     jac = -_rowsum(index, regressors) / index.shape[0]
@@ -135,7 +145,7 @@ def _ee_result(index: np.ndarray, regressors: np.ndarray, response: np.ndarray,
     se = se_all[psi_slice] if se_all is not None else None
     ci = (psi - NORMAL_975 * se, psi + NORMAL_975 * se) if se is not None else None
     total, scale = np.abs(moments.sum(axis=0)), np.abs(moments).sum(axis=0)
-    diagnostics = {**diagnostics,
+    diagnostics = {"condition": ee.condition[0], **diagnostics,
                    "ee_residual_norm": float(np.max(total / np.maximum(scale, 1e-300)))}
     if theta.size > psi.size:
         diagnostics["beta_se"] = np.delete(se_all, psi_slice) if se_all is not None else None
@@ -186,11 +196,9 @@ def standard_tsls(data: Dataset, effect: EffectModel, outcome_basis: BasisSpec,
         r_squared = float(1.0 - np.sum(f.residuals ** 2) / tot) if tot > 0 else 0.0
         first_fits.append(f)
         fs_summary[f"endog{j}"] = {"r_squared": r_squared}
-    p_y = by.shape[1]
-    coef = second.coef[0]
-    return _ee_result(second_design[0], _join(by, endog), data.y,
-                      coef, slice(p_y, None), coef[:p_y], {"first_stage": first_fits},
-                      {"condition": second.condition[0], "first_stage": fs_summary})
+    ee = _Ee(second_design, _join(by, endog)[None], data.y[None], second.coef, second.condition)
+    return _ee_result(ee, slice(by.shape[1], None), ee.theta[0, :by.shape[1]],
+                      {"first_stage": first_fits}, {"first_stage": fs_summary})
 
 
 def _tsls_stack(inst: np.ndarray, by: np.ndarray, endog: np.ndarray,
@@ -228,16 +236,20 @@ def plug_in_two_stage(data: Dataset, exposure: ExposureModel, effect: EffectMode
     fitted_exposure = exposure if exposure.is_fitted else exposure.fit(data, require_convergence=True)
     mhat = fitted_exposure.predict(data)
     by = build_design(data, outcome_basis)
-    grad = effect.gradient(data)
-    plug = mhat[:, None] * grad
+    ee = _plug_in_stack(by[None], mhat[None], effect.gradient(data)[None], data.y[None])
+    return _ee_result(ee, slice(by.shape[1], None), ee.theta[0, :by.shape[1]],
+                      {"exposure": fitted_exposure},
+                      {"exposure_converged": fitted_exposure.fit_converged})
 
-    design = _join(by, plug)
-    second = fit_ols(design, data.y)
-    p_y = by.shape[1]
-    return _ee_result(design, design, data.y, second.coefficients, slice(p_y, None),
-                      second.coefficients[:p_y], {"exposure": fitted_exposure},
-                      {"condition": second.condition,
-                       "exposure_converged": fitted_exposure.fit_converged})
+
+def _plug_in_stack(by: np.ndarray, mhat: np.ndarray, grad: np.ndarray, y: np.ndarray) -> _Ee:
+    """:func:`plug_in_two_stage`'s second stage on a stack: fit_ols of y
+    (B, n) on [by, mhat * grad], the outcome design (B, n, p), the exposure
+    mean (B, n) and the effect gradient (B, n, k), as the equation whose
+    index and regressors are that design."""
+    design = _join(by, mhat[..., None] * grad)
+    second = _ols(design, y)
+    return _Ee(design, design, y, second.coef, second.condition)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +269,20 @@ def locally_efficient_y(data: Dataset, exposure: ExposureModel, effect: EffectMo
         raise ValueError("exposure model must be fitted first")
     labels = ([f"m_x*{lab}" for lab in (effect.basis.labels() if effect.basis else ["1"])]
               + outcome_basis.labels())
-    index, regressors, theta, cond = _le_stack(
-        exposure.predict(data)[None], build_design(data, outcome_basis)[None],
-        effect.gradient(data)[None], data.x[None], data.y[None], labels)
+    ee = _le_stack(exposure.predict(data)[None], build_design(data, outcome_basis)[None],
+                   effect.gradient(data)[None], data.x[None], data.y[None], labels)
     k = effect.dim
-    return _ee_result(index[0], regressors[0], data.y, theta[0], slice(0, k), theta[0, k:],
-                      {"exposure": exposure}, {"condition": cond[0]})
+    return _ee_result(ee, slice(0, k), ee.theta[0, k:], {"exposure": exposure}, {})
 
 
 def _le_stack(mhat: np.ndarray, by: np.ndarray, grad: np.ndarray, x: np.ndarray, y: np.ndarray,
-              labels: list) -> tuple:
-    """:func:`locally_efficient_y`'s index (mhat * grad, by), regressors
-    (x * grad, by) and :func:`_solve_ee` on a stack, whose
+              labels: list) -> _Ee:
+    """:func:`locally_efficient_y`'s index (mhat * grad, by) and regressors
+    (x * grad, by) solved on a stack by :func:`_solve_ee`, whose
     WeakIdentificationError is a SingularDesignError naming ``labels``."""
     index, regressors = _join(mhat[..., None] * grad, by), _join(x[..., None] * grad, by)
     try:
-        return (index, regressors, *_solve_ee(index, regressors, y, "locally_efficient_y"))
+        return _solve_ee(index, regressors, y, "locally_efficient_y")
     except WeakIdentificationError as err:
         raise SingularDesignError(
             f"locally efficient system is singular; index components: {labels} ({err})") from err
@@ -355,25 +365,27 @@ def g_estimate(data: Dataset, index: IndexFunction, outcome: OutcomeModel | None
     if d_full.shape[1] < k:
         raise UnsupportedCombinationError(
             f"index dimension {d_full.shape[1]} below effect dimension {k}")
-    d = d_full[:, :k]
-    grad = effect.gradient(data)
-    endog = data.x[:, None] * grad
-
+    endog = data.x[:, None] * effect.gradient(data)
     profiled = outcome is not None and outcome.coef is None
-    if profiled:
-        by = outcome.design(data)
-        index_mat = _join(d, by)
-        regressors = _join(endog, by)
-        response = data.y
-    else:
-        index_mat, regressors = d, endog
-        response = data.y if outcome is None else data.y - outcome.predict(data)
-    theta, cond = _solve_ee(index_mat[None], regressors[None], response[None], "g_estimate")
-    theta = theta[0]
-    beta = theta[k:] if profiled else np.asarray([] if outcome is None else outcome.coef, dtype=float)
-    return _ee_result(index_mat, regressors, response, theta, slice(0, k), beta,
-                      {"iv": iv, "index": index, "outcome": outcome},
-                      {"condition": cond[0], "profiled_outcome": profiled})
+    response = data.y if outcome is None or profiled else data.y - outcome.predict(data)
+    ee = _g_stack(d_full[None, :, :k], endog[None], response[None],
+                  outcome.design(data)[None] if profiled else None)
+    beta = (ee.theta[0, k:] if profiled
+            else np.asarray([] if outcome is None else outcome.coef, dtype=float))
+    return _ee_result(ee, slice(0, k), beta, {"iv": iv, "index": index, "outcome": outcome},
+                      {"profiled_outcome": profiled})
+
+
+def _g_stack(d: np.ndarray, endog: np.ndarray, response: np.ndarray,
+             by: np.ndarray | None = None) -> _Ee:
+    """:func:`g_estimate`'s equation on a stack: the centered index d
+    (B, n, k) against the endogenous columns x * grad (B, n, k) and the
+    response (B, n), the outcome fit already taken out of it; with an outcome
+    design ``by`` (B, n, p), that model is profiled: its columns join both
+    the index and the regressors."""
+    if by is not None:
+        d, endog = _join(d, by), _join(endog, by)
+    return _solve_ee(d, endog, response, "g_estimate")
 
 
 def efficient_index(data: Dataset, exposure: ExposureModel, iv: IvModel,

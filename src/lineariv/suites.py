@@ -17,8 +17,8 @@ import numpy as np
 from .adaptive import _br_beta_stack, _br_stages, _eem_stack, _stack_data, _stack_errors
 from .dataset import BasisSpec, Dataset
 from .errors import EstimationError
-from .estimators import _exposure_bracket, _le_stack, _solve_ee, _tsls_stack
-from .glm import _attempt, _check, _fit_stack, _join, _ols
+from .estimators import _exposure_bracket, _g_stack, _le_stack, _plug_in_stack, _tsls_stack
+from .glm import _attempt, _check, _fit_stack, _ols
 from .models import EffectModel, _exposure_fit, _logistic_iv
 from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
 
@@ -92,7 +92,7 @@ def _table1_stack(datasets: list[Dataset]) -> list[dict]:
         # g_estimate at efficient_index, the outcome (1, c0) profiled
         d_eff = _exposure_bracket("identity", EXPOSURE_SATURATED, a_x, cs, saturated,
                                   plain.mean[..., None], True)
-        return _solve_ee(_join(d_eff, lin), _join(x[..., None], lin), y, "g_estimate")[0][:, :1]
+        return _g_stack(d_eff, x[..., None], y, lin).theta[:, :1]
 
     out = {}
     _attempt(out, "tsls", lambda: _tsls_stack(instruments, lin, x[..., None], y)[-1].coef[:, 2:])
@@ -101,7 +101,7 @@ def _table1_stack(datasets: list[Dataset]) -> list[dict]:
     _attempt(out, "exposure", lambda: _exposure_fit("identity", saturated, x).coef)
     _attempt(out, "loc_eff", loc_eff, "plain", "exposure")
     _attempt(out, "eem", lambda plain, tsls, alpha: _eem_stack(
-        z - plain.mean, x, y, lin, lin, tsls[:, 0], alpha).psi[:, None], "plain", "tsls", "alpha")
+        z - plain.mean, x, y, lin, lin, tsls[:, 0], alpha).ee.theta, "plain", "tsls", "alpha")
     _attempt(out, "br_gamma", lambda gamma: gamma.psi[:, None], "gamma")
     _attempt(out, "br_beta", lambda plain, alpha, gamma: _br_beta_stack(
         z, x, y, plain.mean, lin, lin, lin, alpha, lambda: gamma.psi).psi[:, None],
@@ -138,11 +138,11 @@ def _sim_binary_stack(datasets: list[Dataset]) -> list[dict]:
     _attempt(out, "beta_m", lambda tsls, lin: _ols(lin, y - tsls * x).coef, "tsls", "lin")
     # plug_in_two_stage and locally_efficient_y at the probit exposure model
     _attempt(out, "probit", lambda main: _exposure_fit("probit", main, x), "main")
-    _attempt(out, "ts", lambda probit, lin: _ols(
-        _join(lin, probit.mean[..., None]), y).coef[:, 2:], "probit", "lin")
+    _attempt(out, "ts", lambda probit, lin: _plug_in_stack(
+        lin, probit.mean, ones, y).theta[:, 2:], "probit", "lin")
     for name, by, basis in (("le_y_c", "quad", C_QUAD), ("le_y_m", "lin", C_LIN)):
         _attempt(out, name, lambda probit, by, labels=["m_x*1", *basis.labels()]: _le_stack(
-            probit.mean, by, ones, x, y, labels)[2][:, :1], "probit", by)
+            probit.mean, by, ones, x, y, labels).theta[:, :1], "probit", by)
     # g_estimate at efficient_index under a logistic instrument law
     _attempt(out, "iv", lambda: _logistic_iv(zs, cs, C_LIN))
     _attempt(out, "linear", lambda main: _exposure_fit("identity", main, x), "main")
@@ -152,8 +152,8 @@ def _sim_binary_stack(datasets: list[Dataset]) -> list[dict]:
     for name, index, beta, by in (("dr_cc", "e_probit", "beta_c", "quad"),
                                   ("dr_cm", "e_probit", "beta_m", "lin"),
                                   ("dr_mm", "e_lin", "beta_m", "lin")):
-        _attempt(out, name, lambda d, beta, by: _solve_ee(
-            d, x[..., None], y - np.matvec(by, beta), "g_estimate")[0], index, beta, by)
+        _attempt(out, name, lambda d, beta, by: _g_stack(
+            d, x[..., None], y - np.matvec(by, beta)).theta, index, beta, by)
     return _members(out, SIM_BINARY_NAMES, len(datasets))
 
 
@@ -182,9 +182,8 @@ def _effectmod_stack(datasets: list[Dataset]) -> list[dict]:
     for suffix, by, p in (("c", "quad", 3), ("m", "lin", 2)):
         _attempt(out, f"tsls_{suffix}", lambda zvz, by, lin, p=p: _tsls_stack(
             zvz, by, x[..., None] * lin, y)[-1].coef[:, p:], "zvz", by, "lin")
-        _attempt(out, f"ts_{suffix}", lambda misspec, by, lin, main, p=p: _ols(_join(
-            by, np.matvec(main, misspec.coef)[..., None] * lin), y).coef[:, p:],
-            "misspec", by, "lin", "main")
+        _attempt(out, f"ts_{suffix}", lambda misspec, by, lin, main, p=p: _plug_in_stack(
+            by, np.matvec(main, misspec.coef), lin, y).theta[:, p:], "misspec", by, "lin", "main")
     return _members(out, EFFECTMOD_NAMES, len(datasets))
 
 

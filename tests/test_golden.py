@@ -1,5 +1,6 @@
-"""Bit-identity guard: pinned outputs of the estimator bundles, of IRLS and
-of a br-gamma bootstrap interval.
+"""Bit-identity guard: pinned outputs of the estimator bundles, the full
+results of the per-dataset estimators, IRLS and a br-gamma bootstrap
+interval.
 
 The values are ``float.hex`` strings.  The Table 1 and IRLS pins were
 recorded before the nuisance fits were shared and the IRLS line search
@@ -48,7 +49,10 @@ and TSLS, loc_eff, eem, IRLS and the binary-exposure and
 effect-modification pins did not move.
 """
 
-from lineariv.adaptive import br_gamma_estimate
+import pytest
+
+from lineariv import estimators, models
+from lineariv.adaptive import br_gamma_estimate, eem_estimate
 from lineariv.dataset import BasisSpec, build_design
 from lineariv.glm import fit_binary
 from lineariv.inference import bootstrap_ci
@@ -274,6 +278,149 @@ BOOTSTRAP_HEX = {
     "1 c0 c0^2": (["0x1.ad2d8891bf8fcp-1", "0x1.ed9a3f1ca7748p+0", "0x1.269effde979d6p-2"], 0),
 }
 
+# the full results of the per-dataset estimators (_result_hex) on gen_sim1(500, 3)
+# with a probit exposure model and gen_table1(0, 0, 0, 500, 3) with an identity
+# one (_per_dataset_results); recorded before every estimator returned through
+# one solved-equation value (estimators._Ee)
+RESULT_HEX = {('sim1', 'standard_tsls'): {'psi_hat': ['0x1.5f1501a48af36p+0'],
+                                          'beta_hat': ['-0x1.efadf289c1bc7p-2',
+                                                       '-0x1.26e20ba5e42e5p+1',
+                                                       '0x1.050bf3fa52348p+0'],
+                                          'se': ['0x1.7c0dbb883657ap-1'],
+                                          'ci': [['-0x1.55d1974e66a80p-4'], ['0x1.69c38e5efe28ap+1']],
+                                          'condition': '0x1.9c4bd8c285f5fp+4',
+                                          'ee_residual_norm': '0x1.40644f0598cd0p-48',
+                                          'beta_se': ['0x1.b8a273a68a3f1p-2',
+                                                      '0x1.85c008586eec3p-3',
+                                                      '0x1.3c1c626cda6a4p-5']},
+              ('sim1', 'plug_in_two_stage'): {'psi_hat': ['0x1.8de7974cb1c69p-1'],
+                                              'beta_hat': ['-0x1.26b840c17cb4ep-3',
+                                                           '-0x1.156e423978ab5p+1',
+                                                           '0x1.04953e5b6c5dfp+0'],
+                                              'se': ['0x1.1a768aee21874p-1'],
+                                              'ci': [['-0x1.376cefce91912p-2'], ['0x1.dbc2d340562aep+0']],
+                                              'condition': '0x1.6cd971c6663c3p+4',
+                                              'ee_residual_norm': '0x1.46cc367c79cadp-48',
+                                              'beta_se': ['0x1.490d70a78feaep-2',
+                                                          '0x1.24351f0e5b92ap-3',
+                                                          '0x1.281901b863521p-5']},
+              ('sim1', 'locally_efficient_y'): {'psi_hat': ['0x1.bae105cd6c6f3p-1'],
+                                                'beta_hat': ['-0x1.89f47e78a3d23p-3',
+                                                             '-0x1.17c9f59e8b804p+1',
+                                                             '0x1.044855481882ap+0'],
+                                                'se': ['0x1.5ae18c05926f1p-1'],
+                                                'ci': [['-0x1.d9fd9f4eb39cep-2'], ['0x1.18b036d08cab3p+1']],
+                                                'condition': '0x1.20e0eefc2fb92p+9',
+                                                'ee_residual_norm': '0x1.56ddbff1e83a4p-50',
+                                                'beta_se': ['0x1.90dc191fcdab5p-2',
+                                                            '0x1.5c383e3013149p-3',
+                                                            '0x1.314cd7f0aa825p-5']},
+              ('sim1', 'g_estimate fixed'): {'psi_hat': ['0x1.5f0ae2d54ac74p+0'],
+                                             'beta_hat': ['-0x1.efadf289c1bd4p-2',
+                                                          '-0x1.26e20ba5e42e5p+1',
+                                                          '0x1.050bf3fa52344p+0'],
+                                             'se': ['0x1.7c0364a68b057p-1'],
+                                             'ci': [['-0x1.55d165eb78b00p-4'], ['0x1.69b96e04a68ccp+1']],
+                                             'condition': '0x1.0000000000000p+0',
+                                             'ee_residual_norm': '0x0.0p+0',
+                                             'beta_se': 'absent'},
+              ('sim1', 'g_estimate profiled'): {'psi_hat': ['0x1.4dbadca378aa9p+0'],
+                                                'beta_hat': ['-0x1.c7b30ed65c366p-2',
+                                                             '-0x1.24dcda75d7a13p+1',
+                                                             '0x1.04f1c52619004p+0'],
+                                                'se': ['0x1.8ac8304d9fb0dp-1'],
+                                                'ci': [['-0x1.a931c8eb26320p-3'], ['0x1.684df9322b0dbp+1']],
+                                                'condition': '0x1.0b042130e6f5dp+9',
+                                                'ee_residual_norm': '0x1.cb05cfc8a3bebp-50',
+                                                'beta_se': ['0x1.c8bd952867ae6p-2',
+                                                            '0x1.8e67e2a93f02ep-3',
+                                                            '0x1.3c746be9b9859p-5']},
+              ('sim1', 'g_estimate none'): {'psi_hat': ['0x1.4435baa1bae23p+0'],
+                                            'beta_hat': [],
+                                            'se': ['0x1.bb9464ba3e1c5p+0'],
+                                            'ci': [['-0x1.10985b2f3bce4p+1'], ['0x1.2a670ae87b583p+2']],
+                                            'condition': '0x1.0000000000000p+0',
+                                            'ee_residual_norm': '0x1.d4874d293d4adp-56',
+                                            'beta_se': 'absent'},
+              ('sim1', 'eem_estimate'): {'psi_hat': ['0x1.4b92f3fa209ccp+0'],
+                                         'beta_hat': ['-0x1.c9081d3be460ep-2',
+                                                      '-0x1.24894ae9715aep+1',
+                                                      '0x1.fadd5bfd4f134p-1'],
+                                         'se': ['0x1.76cbcfaf0bc90p-1'],
+                                         'ci': [['-0x1.1dc164c3e6d68p-3'], ['0x1.5d6f0a465f0a2p+1']],
+                                         'condition': '0x1.0000000000000p+0',
+                                         'ee_residual_norm': '0x1.d1d7f03146de1p-55',
+                                         'beta_se': 'absent'},
+              ('table1', 'standard_tsls'): {'psi_hat': ['0x1.57d0b675c13cdp+0'],
+                                            'beta_hat': ['-0x1.3967eebdf3ff8p-4',
+                                                         '-0x1.629d969934831p+0',
+                                                         '0x1.ee7403ab38e8ep-5'],
+                                            'se': ['0x1.1c13f04d73183p-2'],
+                                            'ci': [['0x1.993d4670758f7p-1'], ['0x1.e302c9b347b1ep+0']],
+                                            'condition': '0x1.2ea3515828334p+3',
+                                            'ee_residual_norm': '0x1.6bedd0e9ec098p-51',
+                                            'beta_se': ['0x1.c317be2636a60p-4',
+                                                        '0x1.f5bdfbefc0a7cp-3',
+                                                        '0x1.d1a374aef96e4p-5']},
+              ('table1', 'plug_in_two_stage'): {'psi_hat': ['0x1.6271f7c2ef969p+0'],
+                                                'beta_hat': ['0x1.ef32107bbf2f7p-4',
+                                                             '-0x1.746a6afacb580p+0',
+                                                             '-0x1.072c269cd7b93p-3'],
+                                                'se': ['0x1.efe9d6d06e7a7p-3'],
+                                                'ci': [['0x1.d1e5b2923d074p-1'], ['0x1.dbf1163cc0a98p+0']],
+                                                'condition': '0x1.329a4612a2967p+3',
+                                                'ee_residual_norm': '0x1.17d7a6cdcb431p-51',
+                                                'beta_se': ['0x1.5008c17370c6dp-4',
+                                                            '0x1.cbe6effe0d33bp-3',
+                                                            '0x1.31fff6e76beb9p-5']},
+              ('table1', 'locally_efficient_y'): {'psi_hat': ['0x1.57d0b675c13a3p+0'],
+                                                  'beta_hat': ['-0x1.3967eebdf3f3fp-4',
+                                                               '-0x1.629d969934810p+0',
+                                                               '0x1.ee7403ab38df5p-5'],
+                                                  'se': ['0x1.1c13f04d73117p-2'],
+                                                  'ci': [['0x1.993d46707590dp-1'], ['0x1.e302c9b347ac0p+0']],
+                                                  'condition': '0x1.69dde1ac983c1p+6',
+                                                  'ee_residual_norm': '0x1.b5eda11f8a2ccp-51',
+                                                  'beta_se': ['0x1.c317be2636a04p-4',
+                                                              '0x1.f5bdfbefc09c8p-3',
+                                                              '0x1.d1a374aef9684p-5']},
+              ('table1', 'g_estimate fixed'): {'psi_hat': ['0x1.5811bab92cd16p+0'],
+                                               'beta_hat': ['-0x1.3967eebdf4022p-4',
+                                                            '-0x1.629d969934839p+0',
+                                                            '0x1.ee7403ab38edep-5'],
+                                               'se': ['0x1.1e137045fc379p-2'],
+                                               'ci': [['0x1.97ca0c3b8b307p-1'], ['0x1.e43e6f54940a8p+0']],
+                                               'condition': '0x1.0000000000000p+0',
+                                               'ee_residual_norm': '0x1.eb35579196237p-56',
+                                               'beta_se': 'absent'},
+              ('table1', 'g_estimate profiled'): {'psi_hat': ['0x1.5811597784a6dp+0'],
+                                                  'beta_hat': ['-0x1.3a84871bb79fcp-4',
+                                                               '-0x1.62d32b7d7b896p+0',
+                                                               '0x1.ef880f82d85d6p-5'],
+                                                  'se': ['0x1.1c9573d40ba14p-2'],
+                                                  'ci': [['0x1.993fa0a2873adp-1'], ['0x1.e382e29dc5b04p+0']],
+                                                  'condition': '0x1.0d0979299af4cp+6',
+                                                  'ee_residual_norm': '0x1.80011d4fd528fp-53',
+                                                  'beta_se': ['0x1.c3a13c056918cp-4',
+                                                              '0x1.f691c6da9773ap-3',
+                                                              '0x1.d241ecefb458bp-5']},
+              ('table1', 'g_estimate none'): {'psi_hat': ['0x1.58bfef53c2e34p+0'],
+                                              'beta_hat': [],
+                                              'se': ['0x1.5dade5b6905dep-2'],
+                                              'ci': [['0x1.5ad1f14049962p-1'], ['0x1.020b7303b07dcp+1']],
+                                              'condition': '0x1.0000000000000p+0',
+                                              'ee_residual_norm': '0x1.8590f34abb18cp-55',
+                                              'beta_se': 'absent'},
+              ('table1', 'eem_estimate'): {'psi_hat': ['0x1.0b78289f8478ep+0'],
+                                           'beta_hat': ['-0x1.327df4c6d02d6p-4',
+                                                        '-0x1.3fb2cb47b4efcp+0',
+                                                        '0x1.5c107ab649e02p-7'],
+                                           'se': ['0x1.1ddc305f5e927p-3'],
+                                           'ci': [['0x1.8adeaf05f3b14p-1'], ['0x1.5180f9bc0f192p+0']],
+                                           'condition': '0x1.0000000000000p+0',
+                                           'ee_residual_norm': '0x1.46ff7b1d01d73p-55',
+                                           'beta_se': 'absent'}}
+
 
 def _hex(values):
     return [float(v).hex() for v in values]
@@ -337,3 +484,48 @@ def test_br_gamma_bootstrap_bit_identical():
                            resamples=1000, seed=8)
         got[terms] = (_hex([res.ci_lower[0], res.ci_upper[0], res.se[0]]), res.failed_resamples)
     assert got == BOOTSTRAP_HEX
+
+
+def _result_hex(res):
+    diagnostics = res.diagnostics
+    return {"psi_hat": _hex(res.psi_hat), "beta_hat": _hex(res.beta_hat), "se": _hex(res.se),
+            "ci": [_hex(bound) for bound in res.ci],
+            "condition": float(diagnostics["condition"]).hex(),
+            "ee_residual_norm": float(diagnostics["ee_residual_norm"]).hex(),
+            "beta_se": _hex(diagnostics["beta_se"]) if "beta_se" in diagnostics else "absent"}
+
+
+def _per_dataset_results(data, link):
+    """Every per-dataset estimator of the lattice, g_estimate with a fixed, a
+    profiled and no outcome model."""
+    quad, lin = BasisSpec(["1", "c0", "c0^2"]), BasisSpec(["1", "c0"])
+    effect = models.EffectModel.constant()
+    exposure = models.ExposureModel(link, BasisSpec(["z0", "1", "c0"]))
+    instruments = BasisSpec(["z0"])
+    iv = models.BinaryLogisticIv.fit(data, lin)
+    psi0 = estimators.standard_tsls(data, effect, quad, instruments).psi_hat
+    fixed = models.OutcomeModel(quad, estimators.outcome_coef_at(data, effect, quad, psi0))
+    index = estimators.efficient_index(data, exposure.fit(data), iv, effect)
+    return {
+        "standard_tsls": estimators.standard_tsls(data, effect, quad, instruments),
+        "plug_in_two_stage": estimators.plug_in_two_stage(data, exposure, effect, quad),
+        "locally_efficient_y": estimators.locally_efficient_y(data, exposure.fit(data), effect,
+                                                              quad),
+        "g_estimate fixed": estimators.g_estimate(data, models.RawInstruments(), fixed, iv,
+                                                  effect),
+        "g_estimate profiled": estimators.g_estimate(data, index, models.OutcomeModel(quad), iv,
+                                                     effect),
+        "g_estimate none": estimators.g_estimate(data, models.RawInstruments(), None, iv, effect),
+        "eem_estimate": eem_estimate(data, iv, lin, quad),
+    }
+
+
+@pytest.mark.parametrize("family", ["sim1", "table1"])
+def test_per_dataset_results_bit_identical(family):
+    if family == "sim1":
+        data, link = gen_sim1(500, 3).dataset, "probit"
+    else:
+        data, link = gen_table1(0, 0, 0, 500, 3).dataset, "identity"
+    got = {(family, name): _result_hex(res)
+           for name, res in _per_dataset_results(data, link).items()}
+    assert got == {key: pins for key, pins in RESULT_HEX.items() if key[0] == family}

@@ -425,7 +425,7 @@ def test_other_bundles_fail_per_estimator(monkeypatch):
     assert failed == {"tsls": 0, "ts": 0, "le_y_c": 2, "le_y_m": 2, "dr_cc": 0, "dr_cm": 0,
                       "dr_mm": 0}
 
-    monkeypatch.setattr(lineariv.suites, "_ols", failing)
+    monkeypatch.setattr(lineariv.suites, "_plug_in_stack", failing)
     cfg = ScenarioConfig("effectmod", n=500, seed=20260809, reps=2)
     report = run_monte_carlo(cfg, lineariv.suites.effectmod_estimators())
     failed = {name: s.failed for name, s in report.summaries.items()}
@@ -754,10 +754,11 @@ def test_solve_ee_flags_a_stack_with_a_degenerate_member():
         _solve_ee(index, regressors, response, "test")
     with pytest.raises(WeakIdentificationError, match="test: estimating-equation denominator"):
         _solve_ee(index[:1], regressors[:1], response[:1], "test")
-    theta, cond = _solve_ee(index[1:], regressors[1:], response[1:], "test")
+    ee = _solve_ee(index[1:], regressors[1:], response[1:], "test")
     for k in (1, 2, 3):
-        own, own_cond = _solve_ee(index[k:k + 1], regressors[k:k + 1], response[k:k + 1], "test")
-        assert np.array_equal(theta[k - 1], own[0]) and cond[k - 1] == own_cond[0]
+        own = _solve_ee(index[k:k + 1], regressors[k:k + 1], response[k:k + 1], "test")
+        assert np.array_equal(ee.theta[k - 1], own.theta[0])
+        assert ee.condition[k - 1] == own.condition[0]
 
 
 def _rank_keeps(base, extension):
