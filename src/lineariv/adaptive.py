@@ -33,7 +33,6 @@ from .glm import (
     _binary,
     _binary_fit,
     _check,
-    _fit_stack,
     _Flagged,
     _Irls,
     _join,
@@ -339,48 +338,23 @@ def _br_stages(out: dict, z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design
                                                          index_design, alpha), "alpha")
 
 
-class _BrRecord(NamedTuple):
-    """The bias-reduced pair of a stack of B datasets, as their memo keeps it."""
-
-    data: tuple                     # z, x, y (B, n) and the instrument, outcome and index designs
-    stages: dict                    # the stages of _br_stages, each a value or its EstimationError
-    identity: list | None           # br_gamma's score identity norm per member
-    influence: np.ndarray | None    # (B, n) br_gamma's influence values
-
-
-def _br_records(datasets: list[Dataset], bases: tuple) -> list[tuple]:
-    """The entries of :func:`_br_record` for a stack of datasets: one
-    :class:`_BrRecord` of the stacked data, its bases (instrument, outcome,
-    index) evaluated once, and :func:`_br_stages` on them, with the score
-    identity and influence values that only a full result needs, and each
-    dataset's row in it."""
+def _br_records(datasets: list[Dataset], bases: tuple) -> dict:
+    """The stages of the bias-reduced pair on a stack of datasets, which the
+    pair memoises under ``bases`` (instrument, outcome, index): "data", the
+    stacked z, x, y (B, n) and the designs, each basis evaluated once;
+    :func:`_br_stages` on them; br-gamma's score identity norms, "identity",
+    and influence values (B, n), "influence", which only a full result needs."""
     _check(_stack_errors(datasets))
     y, x, zs, cs = _stack_data(datasets)
     data = (zs[..., 0], x, y, *(basis._evaluate(zs, cs) for basis in bases))
-    stages: dict = {}
+    stages: dict = {"data": data}
     _br_stages(stages, *data)
-    gamma = stages["gamma"]
-    identity = influence = None
-    if not isinstance(gamma, EstimationError):
-        outcome_design, d, psi = data[4], gamma.d, gamma.psi
-        # the column sums keep this form: a vecmat moves their last bits
-        identity = np.abs((d[..., None] * outcome_design).sum(-2)).max(-1).tolist()
-        influence = d * (y - psi[:, None] * x) / (d * x).mean(-1)[:, None]
-    record = _BrRecord(data, stages, identity, influence)
-    return [(record, k) for k in range(len(datasets))]
-
-
-def _br_record(data: Dataset, bases: tuple) -> tuple:
-    """The dataset's memoised bias-reduced pair on the bases (instrument,
-    outcome, index): the :class:`_BrRecord` of its stack and its row there.
-    Each stage is the stacked fit, or the EstimationError it or the stage
-    before raised, as on the dataset alone; a linked chunk is filled at once.
-    A dataset that the stack cannot hold raises its error."""
-    entry = data.memo(("br", *bases),
-                      lambda chunk: _fit_stack(lambda stack: _br_records(stack, bases), chunk))
-    if isinstance(entry, EstimationError):
-        raise entry
-    return entry
+    # the column sums keep this form: a vecmat moves their last bits
+    _attempt(stages, "identity", lambda gamma: np.abs(
+        (gamma.d[..., None] * data[4]).sum(-2)).max(-1).tolist(), "gamma")
+    _attempt(stages, "influence", lambda gamma: gamma.d * (y - gamma.psi[:, None] * x)
+             / (gamma.d * x).mean(-1)[:, None], "gamma")
+    return stages
 
 
 def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: BasisSpec,
@@ -409,17 +383,18 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
     and fitted as one stack for a linked chunk of resamples.  Every call
     returns a fresh result.
     """
-    record, k = _br_record(data, (iv_basis, outcome_basis, index_basis))
-    gamma = record.stages["gamma"]
+    bases = (iv_basis, outcome_basis, index_basis)
+    stages, k = data.memo(bases, lambda chunk: _br_records(chunk, bases))
+    gamma = stages["gamma"]
     if isinstance(gamma, EstimationError):
         raise gamma
     fit = _binary_fit(gamma.extended, k, "logit")
-    plain = _binary_fit(record.stages["plain"], k, "logit")
+    plain = _binary_fit(stages["plain"], k, "logit")
     br = BrFit(
         variant="br_gamma",
         gamma_hat=fit.coefficients,
         beta_hat=np.empty(0),
-        score_identity_norm=record.identity[k],
+        score_identity_norm=stages["identity"][k],
         converged=fit.converged,
     )
     diagnostics = {
@@ -427,7 +402,7 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
         "extended_converged": fit.converged,
         "extension_columns_kept": list(gamma.kept),
         "separation": fit.separation,
-        "influence": record.influence[k].copy(),
+        "influence": stages["influence"][k].copy(),
     }
     if not fit.converged:
         diagnostics["warning"] = ("extended instrument model did not converge; "
@@ -516,12 +491,12 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     if update not in ("one_step", "full_solve"):
         raise ValueError(f"unknown update mode {update!r}")
     bases = (iv_basis, outcome_basis, index_basis)
-    record, k = _br_record(data, bases)
-    plain, alpha, gamma = (record.stages[stage] for stage in ("plain", "alpha", "gamma"))
+    stages, k = data.memo(bases, lambda chunk: _br_records(chunk, bases))
+    plain, alpha, gamma = (stages[stage] for stage in ("plain", "alpha", "gamma"))
     if isinstance(alpha, EstimationError):      # the plain fit's error too
         raise alpha
     prob, alpha = plain.mean[k], alpha[k]
-    iv_design, outcome_design, index_design = (design[k] for design in record.data[3:])
+    iv_design, outcome_design, index_design = (design[k] for design in stages["data"][3:])
 
     def start():
         if start_psi is None and isinstance(gamma, EstimationError):

@@ -186,6 +186,8 @@ def _build_pipeline(config: dict):
     if effect_cfg.get("form") == "constant":
         effect = EffectModel.constant()
     elif effect_cfg.get("form") == "linear":
+        if estimator in ("eem", "br-gamma", "br-beta"):
+            raise SchemaError(f"estimator {estimator!r} takes a constant effect only")
         if "basis" not in effect_cfg:
             raise SchemaError("linear effect model requires effect basis terms")
         effect = EffectModel.with_modifiers(BasisSpec(effect_cfg["basis"]))

@@ -25,7 +25,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .errors import EstimationError, ParseError, SchemaError, SingularDesignError, TermSpecError
-from .glm import _check
+from .glm import _check, _fit_stack
 
 __all__ = [
     "Dataset",
@@ -242,10 +242,10 @@ class Dataset:
 
     All arrays are validated to be finite and are frozen after construction.
 
-    Each instance also memoises the results that are computed for a whole
-    chunk of linked datasets at once (:meth:`memo`): the estimates of an
-    estimator bundle, keyed by the bundle, and the bias-reduced pair of
-    :func:`~lineariv.adaptive.br_gamma_estimate` and
+    Each instance also memoises the stages that are computed for a whole
+    chunk of linked datasets at once, as ``(stages, row)`` (:meth:`memo`):
+    those of an estimator bundle, keyed by its stack function, and of the
+    bias-reduced pair of :func:`~lineariv.adaptive.br_gamma_estimate` and
     :func:`~lineariv.adaptive.br_beta_estimate`, keyed by their bases.  A
     memoised value (an estimation error included) is a pure function of the
     frozen data and its key; bundle estimates are copied and bias-reduced
@@ -291,21 +291,25 @@ class Dataset:
     def n_covariates(self) -> int:
         return self.c_raw.shape[1]
 
-    def memo(self, key: Hashable, compute: Callable[[list["Dataset"]], list]):
-        """The value kept under ``key``.  A miss fills ``key`` for every
-        dataset of this one's chunk (:func:`_linked_estimates`; an unlinked
-        dataset is a chunk of one) that lacks it, with one call
-        ``compute(datasets)``, which returns one value per dataset and must
-        be a pure function of each.  A call that raises stores nothing."""
+    def memo(self, key: Hashable, stack: Callable[[list["Dataset"]], dict]) -> tuple:
+        """``(stages, row)`` kept under ``key``: the stage dict of ``stack``
+        on this dataset's chunk and its row there.  A miss fills ``key`` for
+        every dataset of the chunk (:func:`_linked_estimates`; an unlinked
+        dataset is a chunk of one) that lacks it, through one
+        :func:`~lineariv.glm._fit_stack`; ``stack`` must be a pure function
+        of each dataset.  A kept EstimationError raises, on every call; any
+        other error stores nothing."""
         try:
-            return self._memo[key]
+            value = self._memo[key]
         except KeyError:
-            pass
-        chunk = [ds for ds in (ref() for ref in self._chunk) if ds is not None] or [self]
-        pending = [ds for ds in chunk if key not in ds._memo]
-        for ds, value in zip(pending, compute(pending)):
-            ds._memo[key] = value
-        return self._memo[key]
+            chunk = [ds for ds in (ref() for ref in self._chunk) if ds is not None] or [self]
+            pending = [ds for ds in chunk if key not in ds._memo]
+            for ds, entry in zip(pending, _fit_stack(stack, pending)):
+                ds._memo[key] = entry
+            value = self._memo[key]
+        if isinstance(value, EstimationError):
+            raise value
+        return value
 
     @staticmethod
     def link(datasets: Sequence["Dataset"]) -> None:

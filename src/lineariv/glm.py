@@ -19,7 +19,8 @@ Each method has one kernel that fits a stack of B problems at once
 Every stacked kernel of the package checks each member as its per-dataset
 counterpart does and raises through :func:`_check`; a stack that any check
 rejects is computed again member by member (``_fit_stack``), so each member
-gets the error of its fit alone.
+gets the error of its fit alone; each member reads the stage dict of its
+stack as ``(stages, row)``.
 """
 
 from __future__ import annotations
@@ -102,21 +103,23 @@ def _check(errors: list) -> None:
         raise errors[0] if len(errors) == 1 else _Flagged()
 
 
-def _fit_stack(compute: Callable[[list], list], items: list) -> list:
-    """One value per item.  ``compute(stack)``, one value per member, runs on
-    all the items at once with numpy's warnings off; if a check rejects that
-    stack (:class:`_Flagged`) or a solve in it is singular (LinAlgError),
-    each item is computed again as a stack of one with warnings on, whose
-    EstimationError is its value (:func:`_attempt`)."""
+def _fit_stack(stack: Callable[[list], dict], items: list) -> list:
+    """Per item, ``(stages, row)``: the stage dict of ``stack(items)``, run
+    on all the items at once with numpy's warnings off, and the item's row
+    in it.  If a check rejects that stack (:class:`_Flagged`) or a solve in
+    it is singular (LinAlgError), each item is computed again as a stack of
+    one with warnings on: its ``(stack([item]), 0)``, or the EstimationError
+    that raised (:func:`_attempt`)."""
     if len(items) > 1:
         try:
             with np.errstate(all="ignore"):
-                return compute(items)
+                stages = stack(items)
+            return [(stages, k) for k in range(len(items))]
         except (_Flagged, np.linalg.LinAlgError):
             pass
     values: dict = {}
     for k, item in enumerate(items):
-        _attempt(values, k, lambda: compute([item])[0])
+        _attempt(values, k, lambda: (stack([item]), 0))
     return [values[k] for k in range(len(items))]
 
 

@@ -18,7 +18,7 @@ from .adaptive import _br_beta_stack, _br_stages, _eem_stack, _stack_data, _stac
 from .dataset import BasisSpec, Dataset
 from .errors import EstimationError
 from .estimators import _exposure_bracket, _g_stack, _le_stack, _plug_in_stack, _tsls_stack
-from .glm import _attempt, _check, _fit_stack, _ols
+from .glm import _attempt, _check, _ols
 from .models import EffectModel, _exposure_fit, _logistic_iv
 from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
 
@@ -43,40 +43,29 @@ SIM_BINARY_NAMES = ("tsls", "ts", "le_y_c", "le_y_m", "dr_cc", "dr_cm", "dr_mm")
 EFFECTMOD_NAMES = ("tsls_c", "tsls_m", "ts_c", "ts_m")
 
 
-def _bundle(stack: Callable[[list], list], names) -> dict[str, Callable]:
+def _bundle(stack: Callable[[list], dict], names) -> dict[str, Callable]:
     """One estimator closure per name over ``stack``, which maps a stack of
-    datasets to their outcomes (:func:`_members`); on a stack of one it may
-    raise one EstimationError for all the estimates.  Its stages run the
-    kernels of the per-dataset estimators in their order and layout, so
-    every estimate and error is theirs to the last bit.  The first closure
-    called on any dataset of a linked chunk computes the whole chunk
-    (:meth:`Dataset.memo`, :func:`_fit_stack`), so estimates share nuisance
-    fits, and a closure re-raises its own estimate's error, so one failing
-    estimator fails no other.  Every call returns a fresh copy of the
-    memoised estimate.
+    datasets to its stages, the (B, d) estimates of ``names`` among them or
+    the EstimationError each holds; on a stack of one it may raise one error
+    for all.  Its stages run the kernels of the per-dataset estimators in
+    their order and layout, so every estimate and error is theirs to the last
+    bit.  The first closure of any bundle of ``stack`` called on a dataset of
+    a linked chunk computes the whole chunk (:meth:`Dataset.memo`, keyed by
+    ``stack``), so estimates share nuisance fits; a closure reads its row of
+    ``(stages, row)`` and re-raises its own estimate's error, so one failing
+    estimator fails no other.  Every call returns a fresh copy.
     """
-    compute = lambda datasets: _fit_stack(stack, datasets)
-
     def estimate(data: Dataset, name: str):
-        value = data.memo(compute, compute)
-        if not isinstance(value, EstimationError):
-            value = value[name]
-        if isinstance(value, EstimationError):
-            raise value
-        return value.copy()
+        stages, k = data.memo(stack, stack)
+        if isinstance(stages[name], EstimationError):
+            raise stages[name]
+        return stages[name][k].copy()
 
     return {name: (lambda ds, _n=name: estimate(ds, _n)) for name in names}
 
 
-def _members(out: dict, names, count: int) -> list[dict]:
-    """Per dataset of a stack's ``count``, each estimate of ``names``: its row
-    of the (B, d) stage in ``out``, or the EstimationError the stage holds."""
-    return [{name: out[name] if isinstance(out[name], EstimationError) else out[name][k]
-             for name in names} for k in range(count)]
-
-
-def _table1_stack(datasets: list[Dataset]) -> list[dict]:
-    """The estimates of :func:`table1_estimators` on a stack of datasets (see
+def _table1_stack(datasets: list[Dataset]) -> dict:
+    """The stages of :func:`table1_estimators` on a stack of datasets (see
     :func:`_bundle`).  Every estimate of a dataset without one binary
     instrument column fails with one UnsupportedCombinationError; one without
     a covariate raises the basis evaluator's TermSpecError, as
@@ -106,7 +95,7 @@ def _table1_stack(datasets: list[Dataset]) -> list[dict]:
     _attempt(out, "br_beta", lambda plain, alpha, gamma: _br_beta_stack(
         z, x, y, plain.mean, lin, lin, lin, alpha, lambda: gamma.psi).psi[:, None],
         "plain", "alpha", "gamma")
-    return _members(out, TABLE1_NAMES, len(datasets))
+    return out
 
 
 def table1_estimators() -> dict[str, Callable]:
@@ -122,8 +111,8 @@ def table1_estimators() -> dict[str, Callable]:
     return _bundle(_table1_stack, TABLE1_NAMES)
 
 
-def _sim_binary_stack(datasets: list[Dataset]) -> list[dict]:
-    """The estimates of :func:`sim_binary_estimators` on a stack of datasets
+def _sim_binary_stack(datasets: list[Dataset]) -> dict:
+    """The stages of :func:`sim_binary_estimators` on a stack of datasets
     (see :func:`_bundle`): probit and linear exposure fits, the instrument
     law and the efficient index under each exposure model, centered once."""
     y, x, zs, cs = _stack_data(datasets)
@@ -154,7 +143,7 @@ def _sim_binary_stack(datasets: list[Dataset]) -> list[dict]:
                                   ("dr_mm", "e_lin", "beta_m", "lin")):
         _attempt(out, name, lambda d, beta, by: _g_stack(
             d, x[..., None], y - np.matvec(by, beta)).theta, index, beta, by)
-    return _members(out, SIM_BINARY_NAMES, len(datasets))
+    return out
 
 
 def sim_binary_estimators() -> dict[str, Callable]:
@@ -170,8 +159,8 @@ def sim_binary_estimators() -> dict[str, Callable]:
     return _bundle(_sim_binary_stack, SIM_BINARY_NAMES)
 
 
-def _effectmod_stack(datasets: list[Dataset]) -> list[dict]:
-    """The estimates of :func:`effectmod_estimators` on a stack of datasets
+def _effectmod_stack(datasets: list[Dataset]) -> dict:
+    """The stages of :func:`effectmod_estimators` on a stack of datasets
     (see :func:`_bundle`): standard_tsls and plug_in_two_stage, whose effect
     gradient is the (1, V) design."""
     y, x, zs, cs = _stack_data(datasets)
@@ -184,7 +173,7 @@ def _effectmod_stack(datasets: list[Dataset]) -> list[dict]:
             zvz, by, x[..., None] * lin, y)[-1].coef[:, p:], "zvz", by, "lin")
         _attempt(out, f"ts_{suffix}", lambda misspec, by, lin, main, p=p: _plug_in_stack(
             by, np.matvec(main, misspec.coef), lin, y).theta[:, p:], "misspec", by, "lin", "main")
-    return _members(out, EFFECTMOD_NAMES, len(datasets))
+    return out
 
 
 def effectmod_estimators() -> dict[str, Callable]:

@@ -417,3 +417,20 @@ def test_fit_json_strict_with_non_finite_values(tmp_path, capsys, monkeypatch):
     # dropped from dicts and null inside lists
     assert payload["diagnostics"]["probe"] == {"nan": None, "inf": None,
                                                "list": [1.0, None, None]}
+
+
+@pytest.mark.parametrize("estimator", ["eem", "br-gamma", "br-beta"])
+def test_fit_constant_effect_estimators_reject_a_linear_effect(tmp_path, capsys, estimator):
+    # eem and the bias-reduced pair fit a constant effect only: a linear
+    # effect model is a usage error, not a modifier silently dropped
+    csv_path = tmp_path / "effectmod.csv"
+    write_csv(simlab.gen_effectmod(500, 3).dataset, csv_path)
+    fit = ["fit", "--data", str(csv_path), "--y-col", "y", "--x-col", "x", "--z-cols", "z",
+           "--cov-cols", "v", "--estimator", estimator, "--index-basis", "1", "c0",
+           "--outcome-basis", "1", "c0", "--iv-basis", "1", "c0"]
+    code, out, err = run_cli(capsys, *fit, "--effect", "linear", "--effect-basis", "1", "c0")
+    assert (code, out) == (2, "")
+    assert f"estimator {estimator!r} takes a constant effect only" in err
+    code, out, err = run_cli(capsys, *fit, "--effect", "constant")
+    assert code == 0, err
+    assert len(json.loads(out)["psi_hat"]) == 1

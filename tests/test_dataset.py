@@ -276,7 +276,7 @@ def _take_outcome(take, data, rows):
 def test_take_of_row_numbers_skips_validation_but_matches_it():
     data = gen_table1(1, 1, -1, 50, 3).dataset
     Dataset.link([data])
-    data.memo("filled", lambda chunk: [0.0] * len(chunk))
+    data.memo("filled", lambda chunk: {})
     for rows in (np.random.default_rng(0).integers(0, 50, size=50), [3, -1, 3],
                  np.array([7], dtype=np.uint8)):
         taken = data.take(rows)

@@ -94,6 +94,13 @@ def _outcome(value):
     return [float(v).hex() for v in value]
 
 
+def _row_outcomes(stages, k, names):
+    """The outcome of each estimate of ``names`` at row ``k`` of a stack
+    function's stages: the stage's row, or the EstimationError it holds."""
+    return {name: _outcome(stages[name] if isinstance(stages[name], EstimationError)
+                           else stages[name][k]) for name in names}
+
+
 def _outcomes(bundle, data):
     out = {}
     for name, estimator in bundle.items():
@@ -142,9 +149,9 @@ def test_stacked_bundle_bit_identical_to_per_dataset(generator, lam, n, seed, re
     # the whole stack at once, no member flagged, as in a chunk of the harness
     with np.errstate(all="ignore"):
         stack = _table1_stack(datasets)
-    assert [{name: _outcome(value) for name, value in member.items()} for member in stack] == expected
+    assert [_row_outcomes(stack, k, TABLE1_NAMES) for k in range(len(datasets))] == expected
     # each member as a stack of one, and the bundle, linked and unlinked
-    assert [{name: _outcome(value) for name, value in _table1_stack([data])[0].items()}
+    assert [_row_outcomes(_table1_stack([data]), 0, TABLE1_NAMES)
             for data in datasets] == expected
     assert _bundle_outcomes(datasets) == expected
     assert _bundle_outcomes(datasets, linked=False) == expected
@@ -262,6 +269,38 @@ def test_degenerate_member_falls_back_without_failing_its_chunk(monkeypatch):
     sizes = _kernel_sizes(monkeypatch, "_tsls_stack", lineariv.estimators, lineariv.suites)
     assert _bundle_outcomes(datasets) == expected
     assert sizes == [5, 1, 1, 1, 1, 1]
+
+
+def test_bundles_of_one_stack_function_share_a_chunks_memo(monkeypatch):
+    # the memo key is the stack function, not a bundle's closure: a second
+    # bundle on a linked chunk reads the stages the first one computed
+    datasets = _replicates("table1", (1, 1, -1), 500, 555, 4)
+    Dataset.link(datasets)
+    sizes = _kernel_sizes(monkeypatch, "_table1_stack", lineariv.suites)
+    first, second = table1_estimators(), table1_estimators()
+    assert [_outcomes(first, data) for data in datasets] == [
+        _outcomes(second, data) for data in datasets]
+    assert sizes == [4]
+
+
+@pytest.mark.parametrize("kind", ["constant covariate", "second instrument column"])
+def test_a_bundles_degenerate_member_re_raises_its_memoised_error(monkeypatch, kind):
+    # a stage's error (constant covariate) or the member's own error, which
+    # the stack raised alone (second instrument column)
+    datasets = _replicates("table1", (1, 1, -1), 500, 555, 4)
+    bad = datasets[1]
+    datasets[1] = (Dataset(bad.y, bad.x, bad.z, np.ones_like(bad.c_raw))
+                   if kind == "constant covariate" else
+                   Dataset(bad.y, bad.x, np.column_stack([bad.z, bad.c_raw[:, :1]]), bad.c_raw))
+    Dataset.link(datasets)
+    sizes = _kernel_sizes(monkeypatch, "_table1_stack", lineariv.suites)
+    with pytest.raises(EstimationError) as first:
+        table1_estimators()["tsls"](datasets[1])
+    assert sizes == [4, 1, 1, 1, 1]
+    # the error is the member's memoised value: no second stack run
+    with pytest.raises(EstimationError) as second:
+        table1_estimators()["tsls"](datasets[1])
+    assert second.value is first.value and sizes == [4, 1, 1, 1, 1]
 
 
 def test_one_failing_estimator_fails_only_itself_and_its_dependants(monkeypatch):
@@ -498,8 +537,9 @@ def _figure_outcomes(generator, datasets):
     Dataset.link(linked)
     return {
         "reference": [fields(reference(data)) for data in _copies(datasets)],
-        "stack": [fields(member) for member in lineariv.glm._fit_stack(stack, datasets)],
-        "alone": [fields(stack([data])[0]) for data in datasets],
+        "stack": [_row_outcomes(stages, k, names)
+                  for stages, k in lineariv.glm._fit_stack(stack, datasets)],
+        "alone": [_row_outcomes(stack([data]), 0, names) for data in datasets],
         "linked": [_outcomes(bundle(), data) for data in linked],
         "unlinked": [_outcomes(bundle(), data) for data in _copies(datasets)],
     }
@@ -1062,8 +1102,7 @@ def test_br_gamma_refit_of_a_table1_chunk_takes_no_step(monkeypatch):
     datasets = simlab._simulate("table1", 500, [[TABLE1_SEED, i] for i in range(16)], (0, 0, 0))
     assert len(datasets) == dataset._chunk_size(500)
     calls = _spy_irls(monkeypatch)
-    (record, _), *_ = lineariv.adaptive._br_records(datasets, (LIN, LIN, LIN))
-    fit = record.stages["gamma"]
+    fit = lineariv.adaptive._br_records(datasets, (LIN, LIN, LIN))["gamma"]
     (_, _, first_start, first), (_, _, start, refit) = calls[1:]
     # the first extended fit starts cold and takes steps; the refit starts
     # at its projected linear predictor, which already meets the stop rule
