@@ -5,6 +5,9 @@ Four commands: ``fit`` runs one estimator on a CSV dataset and emits JSON;
 Monte Carlo grids; ``replicate`` runs the pinned benchmark configurations and
 checks their tolerance gates.
 
+``fit`` checks every value of its run config, flags merged in, before it reads
+the data; each choice is one table, which also gives its flag's ``choices``.
+
 Exit codes: 0 ok, 2 usage/config error, 3 estimation failure, 4 tolerance
 failure.  All outputs are byte-deterministic given identical flags and seed.
 """
@@ -23,7 +26,6 @@ from .adaptive import br_beta_estimate, br_gamma_estimate, eem_estimate
 from .dataset import BasisSpec, ColumnMap, load_csv, write_csv
 from .errors import EstimationError, InputError, SchemaError
 from .estimators import (
-    EstimateResult,
     efficient_index,
     g_estimate,
     locally_efficient_y,
@@ -34,6 +36,7 @@ from .estimators import (
 from .glm import _special, normal_quantile
 from .inference import MIN_RESAMPLES, bootstrap_ci, conservative_se_brgamma
 from .models import (
+    EXPOSURE_LINKS,
     BinaryLogisticIv,
     CustomIndex,
     EffectModel,
@@ -54,8 +57,19 @@ from .simlab import (
 )
 from .suites import AUDIT_MIN_REPS, BUNDLES, REPLICATE_SEEDS, TABLE1_ROWS, run_replicate
 
-ESTIMATORS = ("tsls", "two-stage", "loc-eff-y", "g-est", "loc-eff-dr",
-              "eem", "br-gamma", "br-beta")
+# Each estimator -> the bases it requires besides the outcome basis.
+ESTIMATORS = {"tsls": (), "two-stage": ("exposure",), "loc-eff-y": ("exposure",), "g-est": (),
+              "loc-eff-dr": ("exposure",), "eem": ("index",), "br-gamma": ("index",),
+              "br-beta": ("index",)}
+# Each instrument-law kind -> its fitter (data, basis).
+IV_KINDS = {"binary-logistic": lambda data, basis: BinaryLogisticIv.fit(data, basis),
+            "linear-mean": lambda data, basis: LinearMeanIv.fit(data, basis),
+            "empirical": lambda data, basis: EmpiricalIv.fit(data)}
+EFFECT_FORMS = ("constant", "linear")
+INFERENCE_METHODS = ("none", "sandwich", "bootstrap", "conservative")
+# Each key of the config's "bases" -> its flag.
+BASIS_FLAGS = {"outcome": "--outcome-basis", "exposure": "--exposure-basis",
+               "index": "--index-basis", "iv": "--iv-basis", "instruments": "--instrument-basis"}
 SCHEMA_VERSION = 1
 
 
@@ -113,6 +127,18 @@ def _object(value, where: str):
     return value
 
 
+def _strings(value, where: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(term, str) for term in value):
+        raise SchemaError(f"config {where!r} must be a list of strings")
+    return value
+
+
+def _choice(value, valid, what: str):
+    if not isinstance(value, str) or value not in valid:
+        raise SchemaError(f"unknown {what} {value!r}; valid: {', '.join(valid)}")
+    return value
+
+
 def _load_run_config(args) -> dict:
     config: dict = {}
     if args.config:
@@ -125,147 +151,120 @@ def _load_run_config(args) -> dict:
         if value is not None:
             into[key] = value
 
-    put("estimator", args.estimator)
     data_cfg = _object(config.setdefault("data", {}), "'data'")
     if args.data:
         data_cfg["path"] = args.data
     cols = _object(data_cfg.setdefault("columns", {}), "'data.columns'")
-    for key, flag in (("y", args.y_col), ("x", args.x_col), ("z", args.z_cols)):
-        if flag:
-            cols[key] = flag
-    put("covariates", args.cov_cols, cols)
+    for key, flag in (("y", args.y_col), ("x", args.x_col), ("z", args.z_cols),
+                      ("covariates", args.cov_cols)):
+        put(key, flag, cols)
     bases = _object(config.setdefault("bases", {}), "'bases'")
-    for key, flag in (("outcome", args.outcome_basis), ("exposure", args.exposure_basis),
-                      ("index", args.index_basis), ("iv", args.iv_basis),
-                      ("instruments", args.instrument_basis)):
-        put(key, flag, bases)
+    for key, flag in BASIS_FLAGS.items():   # argparse's attribute name of the flag
+        put(key, getattr(args, flag[2:].replace("-", "_")), bases)
     if args.effect:
         config["effect"] = {"form": args.effect}
-        if args.effect_basis:
-            config["effect"]["basis"] = args.effect_basis
+        put("basis", args.effect_basis, config["effect"])
     _object(config.get("effect", {}), "'effect'")
-    put("exposure_link", args.exposure_link)
-    put("iv_kind", args.iv_kind)
     inference = _object(config.setdefault("inference", {}), "'inference'")
     put("method", args.inference, inference)
     put("resamples", args.resamples, inference)
     put("level", args.level, inference)
-    put("seed", args.seed)
+    for key in ("estimator", "exposure_link", "iv_kind", "seed"):
+        put(key, getattr(args, key))
     return config
 
 
-def _inference_settings(config: dict) -> tuple[str, int, float]:
-    """(method, resamples, level) of the run config, validated."""
+def _inference_settings(config: dict) -> tuple[str, int, float, int]:
+    """(method, resamples, level, seed) of the run config, validated."""
     inference = config.get("inference", {})
-    method = inference.get("method", "none")
+    method = _choice(inference.get("method", "none"), INFERENCE_METHODS, "inference method")
     resamples, level = inference.get("resamples", 1000), inference.get("level", 0.95)
-    if method not in ("none", "sandwich", "bootstrap", "conservative", None):
-        raise SchemaError(f"unknown inference method {method!r}")
     if not isinstance(resamples, int) or resamples < MIN_RESAMPLES:
         raise SchemaError(f"resamples must be an integer >= {MIN_RESAMPLES}, got {resamples!r}")
     if not isinstance(level, (int, float)) or not 0.0 < level < 1.0:
         raise SchemaError(f"level must lie strictly between 0 and 1, got {level!r}")
     if method == "conservative" and config.get("estimator") != "br-gamma":
         raise SchemaError("conservative inference is defined for br-gamma only")
-    return method, resamples, float(level)
+    seed = config.get("seed", 0)
+    if not isinstance(seed, int):
+        raise SchemaError(f"seed must be an integer, got {seed!r}")
+    return method, resamples, float(level), int(seed)
 
 
-def _require(config: dict, key: str, estimator: str):
-    if key not in config or config[key] in (None, []):
-        raise SchemaError(f"estimator {estimator!r} requires {key!r}")
-    return config[key]
-
-
-def _build_pipeline(config: dict):
-    """The estimator closure Dataset -> EstimateResult of ``config``."""
-    estimator = config.get("estimator")
-    if estimator not in ESTIMATORS:
-        raise SchemaError(f"unknown estimator {estimator!r}; valid: {', '.join(ESTIMATORS)}")
-    bases = config.get("bases", {})
+def _build_pipeline(config: dict, n_instruments: int):
+    """The estimator closure Dataset -> EstimateResult of ``config``, whose
+    values are checked, and whose bases and models are built, here, once; the
+    default instrument basis is ``z0 ... z{n_instruments - 1}``."""
+    estimator = _choice(config.get("estimator"), ESTIMATORS, "estimator")
+    bases = {key: BasisSpec(_strings(terms, f"bases.{key}"))
+             for key, terms in config.get("bases", {}).items()
+             if key in BASIS_FLAGS and terms not in (None, [])}
     effect_cfg = config.get("effect", {"form": "constant"})
-    if effect_cfg.get("form") == "constant":
+    if _choice(effect_cfg.get("form"), EFFECT_FORMS, "effect form") == "constant":
         effect = EffectModel.constant()
-    elif effect_cfg.get("form") == "linear":
-        if estimator in ("eem", "br-gamma", "br-beta"):
-            raise SchemaError(f"estimator {estimator!r} takes a constant effect only")
-        if "basis" not in effect_cfg:
-            raise SchemaError("linear effect model requires effect basis terms")
-        effect = EffectModel.with_modifiers(BasisSpec(effect_cfg["basis"]))
+    elif estimator in ("eem", "br-gamma", "br-beta"):
+        raise SchemaError(f"estimator {estimator!r} takes a constant effect only")
+    elif "basis" not in effect_cfg:
+        raise SchemaError("linear effect model requires effect basis terms")
     else:
-        raise SchemaError(f"unknown effect form {effect_cfg.get('form')!r}")
+        modifiers = BasisSpec(_strings(effect_cfg["basis"], "effect.basis"))
+        effect = EffectModel.with_modifiers(modifiers)
+    for key in ("outcome", *ESTIMATORS[estimator]):
+        if key not in bases:
+            raise SchemaError(f"estimator {estimator!r} requires {key!r}")
+    link = _choice(config.get("exposure_link", "identity"), EXPOSURE_LINKS, "exposure link")
+    fit_iv = IV_KINDS[_choice(config.get("iv_kind", "binary-logistic"), IV_KINDS, "iv kind")]
 
-    outcome_basis = BasisSpec(_require(bases, "outcome", estimator))
-    iv_basis = BasisSpec(bases["iv"]) if bases.get("iv") else outcome_basis
+    outcome, index = bases["outcome"], bases.get("index")
+    iv_basis = bases.get("iv", outcome)
+    instruments = bases.get("instruments", BasisSpec([f"z{j}" for j in range(n_instruments)]))
+    exposure = ExposureModel(link, bases["exposure"]) if "exposure" in bases else None
+    g_index = RawInstruments() if index is None else CustomIndex.from_basis(index)
 
-    def make_iv(data):
-        kind = config.get("iv_kind", "binary-logistic")
-        if kind == "binary-logistic":
-            return BinaryLogisticIv.fit(data, iv_basis)
-        if kind == "linear-mean":
-            return LinearMeanIv.fit(data, iv_basis)
-        if kind == "empirical":
-            return EmpiricalIv.fit(data)
-        raise SchemaError(f"unknown iv kind {kind!r}")
+    def g_est(data):
+        iv = fit_iv(data, iv_basis)
+        psi0 = standard_tsls(data, effect, outcome, instruments).psi_hat
+        beta = outcome_coef_at(data, effect, outcome, psi0)
+        return g_estimate(data, g_index, OutcomeModel(outcome, beta), iv, effect)
 
-    def instruments_spec(data):
-        if bases.get("instruments"):
-            return BasisSpec(bases["instruments"])
-        return BasisSpec([f"z{j}" for j in range(data.n_instruments)])
+    def loc_eff_dr(data):
+        fitted = exposure.fit(data)
+        iv = fit_iv(data, iv_basis)
+        return g_estimate(data, efficient_index(data, fitted, iv, effect), OutcomeModel(outcome),
+                          iv, effect)
 
-    link = config.get("exposure_link", "identity")
-
-    def run(data) -> EstimateResult:
-        if estimator == "tsls":
-            return standard_tsls(data, effect, outcome_basis, instruments_spec(data))
-        if estimator == "two-stage":
-            exposure = ExposureModel(link, BasisSpec(_require(bases, "exposure", estimator)))
-            return plug_in_two_stage(data, exposure, effect, outcome_basis)
-        if estimator == "loc-eff-y":
-            exposure = ExposureModel(link, BasisSpec(_require(bases, "exposure", estimator))).fit(data)
-            return locally_efficient_y(data, exposure, effect, outcome_basis)
-        if estimator == "g-est":
-            iv = make_iv(data)
-            index = (CustomIndex.from_basis(BasisSpec(bases["index"]))
-                     if bases.get("index") else RawInstruments())
-            psi0 = standard_tsls(data, effect, outcome_basis, instruments_spec(data)).psi_hat
-            beta = outcome_coef_at(data, effect, outcome_basis, psi0)
-            return g_estimate(data, index, OutcomeModel(outcome_basis, beta), iv, effect)
-        if estimator == "loc-eff-dr":
-            exposure = ExposureModel(link, BasisSpec(_require(bases, "exposure", estimator))).fit(data)
-            iv = make_iv(data)
-            index = efficient_index(data, exposure, iv, effect)
-            return g_estimate(data, index, OutcomeModel(outcome_basis), iv, effect)
-        if estimator == "eem":
-            iv = make_iv(data)
-            return eem_estimate(data, iv, BasisSpec(_require(bases, "index", estimator)),
-                                outcome_basis)
-        index_basis = BasisSpec(_require(bases, "index", estimator))
-        if estimator == "br-gamma":
-            return br_gamma_estimate(data, index_basis, outcome_basis, iv_basis)
-        return br_beta_estimate(data, index_basis, outcome_basis, iv_basis)
-
-    return run
+    return {
+        "tsls": lambda data: standard_tsls(data, effect, outcome, instruments),
+        "two-stage": lambda data: plug_in_two_stage(data, exposure, effect, outcome),
+        "loc-eff-y": lambda data: locally_efficient_y(data, exposure.fit(data), effect, outcome),
+        "g-est": g_est,
+        "loc-eff-dr": loc_eff_dr,
+        "eem": lambda data: eem_estimate(data, fit_iv(data, iv_basis), index, outcome),
+        "br-gamma": lambda data: br_gamma_estimate(data, index, outcome, iv_basis),
+        "br-beta": lambda data: br_beta_estimate(data, index, outcome, iv_basis),
+    }[estimator]
 
 
 def cmd_fit(args) -> int:
     config = _load_run_config(args)
-    method, resamples, level = _inference_settings(config)
+    method, resamples, level, seed = _inference_settings(config)
     data_cfg = config.get("data", {})
-    if "path" not in data_cfg:
+    if not isinstance(data_cfg.get("path"), str):
         raise SchemaError("no dataset: pass --data or a config with data.path")
     cols = data_cfg.get("columns", {})
     for key in ("y", "x", "z"):
         if key not in cols:
             raise SchemaError(f"column mapping is missing {key!r}")
-    columns = ColumnMap(cols["y"], cols["x"], cols["z"], cols.get("covariates", ()))
+    columns = ColumnMap(cols["y"], cols["x"], _strings(cols["z"], "data.columns.z"),
+                        _strings(cols.get("covariates", []), "data.columns.covariates"))
+    pipeline = _build_pipeline(config, len(columns.z))
     data = load_csv(data_cfg["path"], columns)
-    pipeline = _build_pipeline(config)
     result = pipeline(data)
 
     se, ci, extra = result.se, result.ci, {}
     if method == "bootstrap":
         boot = bootstrap_ci(data, lambda ds: pipeline(ds).psi_hat, resamples=resamples,
-                            level=level, seed=int(config.get("seed", 0)))
+                            level=level, seed=seed)
         se, ci = boot.se, (boot.ci_lower, boot.ci_upper)
         extra["failed_resamples"] = boot.failed_resamples
     elif method == "conservative":
@@ -372,16 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--z-cols", nargs="+")
     fit.add_argument("--cov-cols", nargs="*")
     fit.add_argument("--estimator", choices=ESTIMATORS)
-    fit.add_argument("--effect", choices=("constant", "linear"))
+    fit.add_argument("--effect", choices=EFFECT_FORMS)
     fit.add_argument("--effect-basis", nargs="+")
-    fit.add_argument("--outcome-basis", nargs="+")
-    fit.add_argument("--exposure-basis", nargs="+")
-    fit.add_argument("--index-basis", nargs="+")
-    fit.add_argument("--iv-basis", nargs="+")
-    fit.add_argument("--instrument-basis", nargs="+")
-    fit.add_argument("--exposure-link", choices=("identity", "logit", "probit"))
-    fit.add_argument("--iv-kind", choices=("binary-logistic", "linear-mean", "empirical"))
-    fit.add_argument("--inference", choices=("none", "sandwich", "bootstrap", "conservative"))
+    for flag in BASIS_FLAGS.values():
+        fit.add_argument(flag, nargs="+")
+    fit.add_argument("--exposure-link", choices=EXPOSURE_LINKS)
+    fit.add_argument("--iv-kind", choices=IV_KINDS)
+    fit.add_argument("--inference", choices=INFERENCE_METHODS)
     fit.add_argument("--resamples", type=int)
     fit.add_argument("--level", type=float)
     fit.add_argument("--seed", type=int)

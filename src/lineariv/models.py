@@ -94,9 +94,12 @@ class OutcomeModel:
 # Exposure model m_x(Z, C; alpha)
 # ---------------------------------------------------------------------------
 
+EXPOSURE_LINKS = ("identity", "logit", "probit")
+
+
 @dataclass(frozen=True)
 class ExposureModel:
-    """Conditional-mean model for the exposure with identity/logit/probit link."""
+    """Conditional-mean model for the exposure with one of ``EXPOSURE_LINKS``."""
 
     link: str
     basis: BasisSpec
@@ -104,7 +107,7 @@ class ExposureModel:
     fit_converged: bool = True
 
     def __post_init__(self):
-        if self.link not in ("identity", "logit", "probit"):
+        if self.link not in EXPOSURE_LINKS:
             raise ValueError(f"unknown link {self.link!r}")
 
     @property

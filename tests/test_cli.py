@@ -173,6 +173,80 @@ def test_fit_bad_bootstrap_config_is_rejected_before_loading_data(tmp_path, caps
     assert "resamples" in err and "file not found" not in err
 
 
+MISSING_CSV = "missing.csv"
+
+
+def columns(z=("z",), covariates=("v",)):
+    return {"path": MISSING_CSV, "columns": {"y": "y", "x": "x", "z": z, "covariates": covariates}}
+
+
+@pytest.mark.parametrize("overrides, flags, message", [
+    # eem read the instrument before its index basis: exit 3 on a non-binary one
+    ({"estimator": "eem", "bases": {"outcome": ["1", "c0"], "iv": ["1", "c0"]}}, [],
+     "estimator 'eem' requires 'index'"),
+    # loc-eff-dr fitted its exposure model before it read iv_kind
+    ({"estimator": "loc-eff-dr", "iv_kind": "bogus", "exposure_link": "probit",
+      "bases": {"outcome": ["1", "c0"], "exposure": ["1", "z0", "c0"]}}, [],
+     "unknown iv kind 'bogus'; valid: binary-logistic, linear-mean, empirical"),
+    # tsls, which fits no instrument law, never read iv_kind
+    ({"iv_kind": "bogus"}, [],
+     "unknown iv kind 'bogus'; valid: binary-logistic, linear-mean, empirical"),
+    ({"exposure_link": "cloglog"}, [],
+     "unknown exposure link 'cloglog'; valid: identity, logit, probit"),
+    ({"estimator": "frobnicate"}, [], "unknown estimator 'frobnicate'; valid: tsls, two-stage, "
+     "loc-eff-y, g-est, loc-eff-dr, eem, br-gamma, br-beta"),
+    ({"estimator": ["tsls"]}, [], "unknown estimator ['tsls']; valid: tsls, two-stage, "
+     "loc-eff-y, g-est, loc-eff-dr, eem, br-gamma, br-beta"),
+    ({"effect": {"form": "quadratic"}}, [],
+     "unknown effect form 'quadratic'; valid: constant, linear"),
+    ({}, ["--effect", "linear"], "linear effect model requires effect basis terms"),
+    ({"inference": {"method": None}}, [],
+     "unknown inference method None; valid: none, sandwich, bootstrap, conservative"),
+    # a JSON string was read one character at a time
+    ({"bases": {"outcome": "1 c0"}}, [], "config 'bases.outcome' must be a list of strings"),
+    ({"bases": {"outcome": ["1", 0]}}, [], "config 'bases.outcome' must be a list of strings"),
+    ({"bases": {"outcome": ["1"], "instruments": "z0"}}, [],
+     "config 'bases.instruments' must be a list of strings"),
+    ({"effect": {"form": "linear", "basis": "c0"}}, [],
+     "config 'effect.basis' must be a list of strings"),
+    ({"data": columns(z="z")}, [], "config 'data.columns.z' must be a list of strings"),
+    ({"data": columns(covariates="v")}, [],
+     "config 'data.columns.covariates' must be a list of strings"),
+    # these two raised an untyped ValueError or TypeError traceback (exit 1)
+    ({"seed": "abc", "inference": {"method": "bootstrap", "resamples": 100}}, [],
+     "seed must be an integer, got 'abc'"),
+    ({"data": {**columns(), "path": 3}}, [], "no dataset: pass --data or a config with data.path"),
+    ({"data": {"path": MISSING_CSV, "columns": {"y": "y", "x": "x"}}}, [],
+     "column mapping is missing 'z'"),
+], ids=["eem without index", "loc-eff-dr iv kind", "tsls iv kind", "tsls exposure link",
+        "estimator", "estimator list", "effect form",
+        "linear effect without basis", "null inference method", "basis string",
+        "basis of a number", "instrument basis string", "effect basis string",
+        "instrument columns string", "covariate columns string", "seed string",
+        "path number", "no instrument column"])
+def test_fit_config_errors_are_rejected_before_loading_data(tmp_path, capsys, monkeypatch,
+                                                            overrides, flags, message):
+    # every value of the run config is checked before the CSV is read: the
+    # config error wins over the missing file
+    monkeypatch.chdir(tmp_path)
+    cfg = make_config(tmp_path, MISSING_CSV, **overrides)
+    code, out, err = run_cli(capsys, "fit", "--config", str(cfg), *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_fit_unknown_exposure_link_in_a_config_is_a_usage_error(tmp_path, capsys):
+    # an exposure link outside identity/logit/probit raised an untyped
+    # ValueError traceback (exit 1)
+    csv_path = tmp_path / "d.csv"
+    run_cli(capsys, "simulate", "--generator", "table1", "--n", "100", "--seed", "3",
+            "--out", str(csv_path))
+    cfg = make_config(tmp_path, csv_path, estimator="loc-eff-y", exposure_link="cloglog",
+                      bases={"outcome": ["1", "c0"], "exposure": ["1", "z0", "c0"]})
+    code, out, err = run_cli(capsys, "fit", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown exposure link 'cloglog'; valid: identity, logit, probit\n"
+
+
 @pytest.mark.parametrize("document, message", [
     ({"inference": "bootstrap"}, "config 'inference' must be a JSON object, got str"),
     ({"data": "x.csv"}, "config 'data' must be a JSON object, got str"),
