@@ -27,7 +27,6 @@ from .errors import (
 )
 from .estimators import EstimateResult, _Ee, _ee_result, _ee_solve, _ee_system, _g_stack, _solve_ee
 from .glm import (
-    RANK_RTOL,
     SCORE_TOL,
     _attempt,
     _binary,
@@ -222,12 +221,14 @@ def _extend(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray, list[i
 
     On a stack, ``base`` (B, n, p) and ``extension`` (B, n, q): in order, a
     column is kept when appending it to the base and the kept columns raises
-    the rank under fit_ols's test (``glm._ranks``), so a full-rank base gives
-    a design fit_ols accepts.  An extension beyond RANK_RTOL of the base's
-    largest singular value, either way, is invisible to that test; its scale
-    is the index's, on which the bias-reduced estimators do not depend, so it
-    is tested at the base's.  A column is kept when every member keeps it;
-    a stack whose members disagree on one raises :class:`~lineariv.glm._Flagged`.
+    the rank under fit_ols's test (``glm._ranks``), with the column's norm set
+    to the base's largest singular value (van der Sluis column scaling).  Its
+    own norm carries the index's scale and the covariates' units, on which
+    the bias-reduced estimators do not depend, so the kept columns do not
+    depend on them either.  The returned design holds the raw columns, which
+    fit_ols judges unscaled: a column kept near the tolerance can leave a
+    design it rejects.  A column is kept when every member keeps it; a stack
+    whose members disagree on one raises :class:`~lineariv.glm._Flagged`.
     """
     # [base, extension] = QR, so any of its column sets has the singular
     # values of the same columns of the small R: the test runs on those
@@ -235,10 +236,8 @@ def _extend(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray, list[i
     current, tested = r[..., :base.shape[-1]], r[..., base.shape[-1]:]
     s = np.linalg.svd(current, compute_uv=False)
     ranks = _ranks(s)
-    size, reach = np.linalg.norm(tested, axis=(-2, -1)), s[:, 0]
-    blind = (size > 0) & (reach > 0) & ((size <= RANK_RTOL * reach) | (RANK_RTOL * size >= reach))
-    if blind.any():
-        tested = tested * np.divide(reach, size, out=np.ones_like(size), where=blind)[:, None, None]
+    norms = np.linalg.norm(tested, axis=-2)
+    tested *= np.divide(s[:, :1], norms, out=np.ones_like(norms), where=norms > 0)[:, None, :]
     kept: list[int] = []
     for j in range(extension.shape[-1]):
         trial = np.concatenate([current, tested[:, :, j:j + 1]], axis=-1)

@@ -67,9 +67,30 @@ IV_KINDS = {"binary-logistic": lambda data, basis: BinaryLogisticIv.fit(data, ba
             "empirical": lambda data, basis: EmpiricalIv.fit(data)}
 EFFECT_FORMS = ("constant", "linear")
 INFERENCE_METHODS = ("none", "sandwich", "bootstrap", "conservative")
-# Each key of the config's "bases" -> its flag.
-BASIS_FLAGS = {"outcome": "--outcome-basis", "exposure": "--exposure-basis",
-               "index": "--index-basis", "iv": "--iv-basis", "instruments": "--instrument-basis"}
+# Each fit flag -> the run-config entry it replaces, and its argparse options.
+FIT_FLAGS = {
+    "--data": (("data", "path"), {"help": "CSV file path"}),
+    "--y-col": (("data", "columns", "y"), {}),
+    "--x-col": (("data", "columns", "x"), {}),
+    "--z-cols": (("data", "columns", "z"), {"nargs": "+"}),
+    "--cov-cols": (("data", "columns", "covariates"), {"nargs": "*"}),
+    "--estimator": (("estimator",), {"choices": ESTIMATORS}),
+    "--effect": (("effect", "form"), {"choices": EFFECT_FORMS}),
+    "--effect-basis": (("effect", "basis"), {"nargs": "+"}),
+    "--outcome-basis": (("bases", "outcome"), {"nargs": "+"}),
+    "--exposure-basis": (("bases", "exposure"), {"nargs": "+"}),
+    "--index-basis": (("bases", "index"), {"nargs": "+"}),
+    "--iv-basis": (("bases", "iv"), {"nargs": "+"}),
+    "--instrument-basis": (("bases", "instruments"), {"nargs": "+"}),
+    "--exposure-link": (("exposure_link",), {"choices": EXPOSURE_LINKS}),
+    "--iv-kind": (("iv_kind",), {"choices": IV_KINDS}),
+    "--inference": (("inference", "method"), {"choices": INFERENCE_METHODS}),
+    "--resamples": (("inference", "resamples"), {"type": int}),
+    "--level": (("inference", "level"), {"type": float}),
+    "--seed": (("seed",), {"type": int}),
+}
+# The run config's sections: each must be a JSON object where it is given.
+SECTIONS = (("data",), ("data", "columns"), ("bases",), ("effect",), ("inference",))
 SCHEMA_VERSION = 1
 
 
@@ -146,31 +167,14 @@ def _load_run_config(args) -> dict:
             config = _object(json.loads(Path(args.config).read_text(encoding="utf-8-sig")), "document")
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
             raise SchemaError(f"cannot read config {args.config}: {err}") from None
-
-    def put(key, value, into=config):
+    for path in SECTIONS:
+        _object(functools.reduce(lambda section, key: section.get(key, {}), path, config),
+                repr(".".join(path)))
+    for flag, (path, _) in FIT_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))   # argparse's attribute name
         if value is not None:
-            into[key] = value
-
-    data_cfg = _object(config.setdefault("data", {}), "'data'")
-    if args.data:
-        data_cfg["path"] = args.data
-    cols = _object(data_cfg.setdefault("columns", {}), "'data.columns'")
-    for key, flag in (("y", args.y_col), ("x", args.x_col), ("z", args.z_cols),
-                      ("covariates", args.cov_cols)):
-        put(key, flag, cols)
-    bases = _object(config.setdefault("bases", {}), "'bases'")
-    for key, flag in BASIS_FLAGS.items():   # argparse's attribute name of the flag
-        put(key, getattr(args, flag[2:].replace("-", "_")), bases)
-    if args.effect:
-        config["effect"] = {"form": args.effect}
-        put("basis", args.effect_basis, config["effect"])
-    _object(config.get("effect", {}), "'effect'")
-    inference = _object(config.setdefault("inference", {}), "'inference'")
-    put("method", args.inference, inference)
-    put("resamples", args.resamples, inference)
-    put("level", args.level, inference)
-    for key in ("estimator", "exposure_link", "iv_kind", "seed"):
-        put(key, getattr(args, key))
+            functools.reduce(lambda section, key: section.setdefault(key, {}), path[:-1],
+                             config)[path[-1]] = value
     return config
 
 
@@ -191,14 +195,16 @@ def _inference_settings(config: dict) -> tuple[str, int, float, int]:
     return method, resamples, float(level), int(seed)
 
 
-def _build_pipeline(config: dict, n_instruments: int):
+def _build_pipeline(config: dict, n_instruments: int, n_covariates: int):
     """The estimator closure Dataset -> EstimateResult of ``config``, whose
     values are checked, and whose bases and models are built, here, once; the
-    default instrument basis is ``z0 ... z{n_instruments - 1}``."""
+    default instrument basis is ``z0 ... z{n_instruments - 1}``.  Each basis
+    is evaluated on zero rows of these column counts: a term naming a column
+    the data lack fails before they are read."""
     estimator = _choice(config.get("estimator"), ESTIMATORS, "estimator")
     bases = {key: BasisSpec(_strings(terms, f"bases.{key}"))
-             for key, terms in config.get("bases", {}).items()
-             if key in BASIS_FLAGS and terms not in (None, [])}
+             for key, terms in config.get("bases", {}).items() if terms not in (None, [])
+             and ("bases", key) in (path for path, _ in FIT_FLAGS.values())}
     effect_cfg = config.get("effect", {"form": "constant"})
     if _choice(effect_cfg.get("form"), EFFECT_FORMS, "effect form") == "constant":
         effect = EffectModel.constant()
@@ -212,6 +218,9 @@ def _build_pipeline(config: dict, n_instruments: int):
     for key in ("outcome", *ESTIMATORS[estimator]):
         if key not in bases:
             raise SchemaError(f"estimator {estimator!r} requires {key!r}")
+    for basis in (*bases.values(), effect.basis):
+        if basis is not None:
+            basis._evaluate(np.empty((0, n_instruments)), np.empty((0, n_covariates)))
     link = _choice(config.get("exposure_link", "identity"), EXPOSURE_LINKS, "exposure link")
     fit_iv = IV_KINDS[_choice(config.get("iv_kind", "binary-logistic"), IV_KINDS, "iv kind")]
 
@@ -255,9 +264,11 @@ def cmd_fit(args) -> int:
     for key in ("y", "x", "z"):
         if key not in cols:
             raise SchemaError(f"column mapping is missing {key!r}")
+        if key != "z" and not isinstance(cols[key], str):
+            raise SchemaError(f"config 'data.columns.{key}' must be a string")
     columns = ColumnMap(cols["y"], cols["x"], _strings(cols["z"], "data.columns.z"),
                         _strings(cols.get("covariates", []), "data.columns.covariates"))
-    pipeline = _build_pipeline(config, len(columns.z))
+    pipeline = _build_pipeline(config, len(columns.z), len(columns.covariates))
     data = load_csv(data_cfg["path"], columns)
     result = pipeline(data)
 
@@ -365,22 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit one estimator on a CSV dataset")
     fit.add_argument("--config", help="JSON run config; flags override")
-    fit.add_argument("--data", help="CSV file path")
-    fit.add_argument("--y-col")
-    fit.add_argument("--x-col")
-    fit.add_argument("--z-cols", nargs="+")
-    fit.add_argument("--cov-cols", nargs="*")
-    fit.add_argument("--estimator", choices=ESTIMATORS)
-    fit.add_argument("--effect", choices=EFFECT_FORMS)
-    fit.add_argument("--effect-basis", nargs="+")
-    for flag in BASIS_FLAGS.values():
-        fit.add_argument(flag, nargs="+")
-    fit.add_argument("--exposure-link", choices=EXPOSURE_LINKS)
-    fit.add_argument("--iv-kind", choices=IV_KINDS)
-    fit.add_argument("--inference", choices=INFERENCE_METHODS)
-    fit.add_argument("--resamples", type=int)
-    fit.add_argument("--level", type=float)
-    fit.add_argument("--seed", type=int)
+    for flag, (_, options) in FIT_FLAGS.items():
+        fit.add_argument(flag, **options)
     fit.add_argument("--out")
     fit.set_defaults(func=cmd_fit)
 

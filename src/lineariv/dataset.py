@@ -556,7 +556,7 @@ def load_csv(path, columns: ColumnMap) -> Dataset:
     does a row with the wrong number of fields, a row that is not valid
     UTF-8 and a row the ``csv`` module rejects (such as a field longer than
     ``csv.field_size_limit()``).  When a file has several faults, the first
-    one in file order is reported.
+    one in file order is reported.  A path that cannot be read raises SchemaError.
 
     The file is decoded once, with ``surrogateescape``: a byte that is not
     valid UTF-8 becomes one character in U+DC80-U+DCFF and is a fault of the
@@ -574,8 +574,11 @@ def load_csv(path, columns: ColumnMap) -> Dataset:
     if not path.exists():
         raise SchemaError(f"file not found: {path}")
     names = (columns.y, columns.x, *columns.z, *columns.covariates)
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        arr = _read_table(fh, path, names)
+    try:
+        with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+            arr = _read_table(fh, path, names)
+    except OSError as err:
+        raise SchemaError(f"cannot read {path}: {err.strerror}") from None
     if not len(arr):
         raise SchemaError(f"{path}: no data rows")
     nz = len(columns.z)

@@ -13,6 +13,7 @@ from lineariv import (
     OutcomeModel,
     RawInstruments,
     ScaledInstrument,
+    UnsupportedCombinationError,
     WeakIdentificationError,
     br_beta_estimate,
     br_gamma_estimate,
@@ -74,6 +75,12 @@ def test_eem_alpha_null_association_flags_weak_identification():
     assert_allclose(alpha, [0.0], atol=1e-12)
     with pytest.raises(WeakIdentificationError):
         g_estimate(data, ScaledInstrument(C1, alpha), None, iv, CONST)
+
+
+def test_eem_requires_a_single_instrument_column():
+    data = Dataset(np.zeros(4), np.zeros(4), np.eye(4)[:, :2], np.zeros(4))
+    with pytest.raises(UnsupportedCombinationError, match="single instrument column"):
+        eem_fit_alpha(data, EmpiricalIv.fit(data), C1)
 
 
 def test_eem_alpha_objective_beats_perturbations():
@@ -313,9 +320,10 @@ def test_br_beta_one_step_close_to_full_solve_when_stable():
 
 
 def test_br_beta_keeps_only_extension_columns_fit_ols_accepts():
-    # sim1 replicate 4: the second extension column leaves the extended
-    # outcome design with condition 9.4e11, which fit_ols rejects, so it is
-    # not kept and br-beta returns an estimate
+    # sim1 replicate 4: the second extension column raises no rank even at
+    # the base's scale (smallest/largest singular value 1.9e-11), so it is not
+    # kept; with it the extended outcome design's condition would be 9.4e11,
+    # which fit_ols rejects, and br-beta returns an estimate
     data = generate(ScenarioConfig("sim1", n=500, seed=777, reps=2), 4).dataset
     res = br_beta_estimate(data, C_LIN, BasisSpec(["1", "c0", "c0^2"]), C_LIN)
     assert res.nuisance["extension_columns"] == [0]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,8 +61,9 @@ def test_fit_matches_library_call(tmp_path, capsys):
 
 
 def test_fit_br_beta_with_a_quadratic_outcome_basis_on_sim1(tmp_path, capsys):
-    # sim1 replicate 4: br-beta's second extension column would leave an
-    # outcome design that fit_ols rejects (exit 3), so it is not kept
+    # sim1 replicate 4: br-beta's second extension column raises no rank even
+    # at the base's scale, so it is not kept; with it fit_ols would reject the
+    # outcome design (exit 3)
     data = generate(ScenarioConfig("sim1", n=500, seed=777, reps=2), 4).dataset
     csv_path = tmp_path / "sim1.csv"
     write_csv(data, csv_path)
@@ -218,12 +220,21 @@ def columns(z=("z",), covariates=("v",)):
     ({"data": {**columns(), "path": 3}}, [], "no dataset: pass --data or a config with data.path"),
     ({"data": {"path": MISSING_CSV, "columns": {"y": "y", "x": "x"}}}, [],
      "column mapping is missing 'z'"),
+    # a term naming a column the data lack failed only once the CSV was read
+    ({}, ["--outcome-basis", "1", "c3"], "covariate index 3 out of range (dataset has 1)"),
+    ({}, ["--instrument-basis", "z1"], "instrument index 1 out of range (dataset has 1)"),
+    # a column name that is not a string failed only at the CSV header
+    ({"data": {**columns(), "columns": {"y": 3, "x": "x", "z": ["z"]}}}, [],
+     "config 'data.columns.y' must be a string"),
+    ({"data": {**columns(), "columns": {"y": "y", "x": None, "z": ["z"]}}}, [],
+     "config 'data.columns.x' must be a string"),
 ], ids=["eem without index", "loc-eff-dr iv kind", "tsls iv kind", "tsls exposure link",
         "estimator", "estimator list", "effect form",
         "linear effect without basis", "null inference method", "basis string",
         "basis of a number", "instrument basis string", "effect basis string",
         "instrument columns string", "covariate columns string", "seed string",
-        "path number", "no instrument column"])
+        "path number", "no instrument column", "covariate out of range",
+        "instrument out of range", "outcome column number", "exposure column null"])
 def test_fit_config_errors_are_rejected_before_loading_data(tmp_path, capsys, monkeypatch,
                                                             overrides, flags, message):
     # every value of the run config is checked before the CSV is read: the
@@ -232,6 +243,34 @@ def test_fit_config_errors_are_rejected_before_loading_data(tmp_path, capsys, mo
     cfg = make_config(tmp_path, MISSING_CSV, **overrides)
     code, out, err = run_cli(capsys, "fit", "--config", str(cfg), *flags)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("effect, flags", [
+    # --effect-basis was dropped unless --effect was given too
+    ({"form": "linear"}, ["--effect-basis", "1", "c0"]),
+    # --effect replaced the config's whole effect entry, its basis included
+    ({"form": "constant", "basis": ["1", "c0"]}, ["--effect", "linear"]),
+], ids=["basis flag", "form flag"])
+def test_fit_effect_flags_replace_only_their_own_entry(tmp_path, capsys, effect, flags):
+    csv_path = tmp_path / "d.csv"
+    run_cli(capsys, "simulate", "--generator", "effectmod", "--n", "400", "--seed", "3",
+            "--out", str(csv_path))
+    linear = make_config(tmp_path, csv_path, effect={"form": "linear", "basis": ["1", "c0"]})
+    want = run_cli(capsys, "fit", "--config", str(linear))
+    merged = make_config(tmp_path, csv_path, effect=effect)
+    assert run_cli(capsys, "fit", "--config", str(merged), *flags) == want
+    assert want[0] == 0 and len(json.loads(want[1])["psi_hat"]) == 2
+
+
+@pytest.mark.parametrize("path", ["folder", ""], ids=["directory", "empty path"])
+def test_fit_data_that_is_not_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch, path):
+    # open() of a directory raised an untyped IsADirectoryError traceback
+    # (exit 1); an empty path is the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    code, out, err = run_cli(capsys, "fit", "--data", path, *TSLS_FLAGS)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {Path(path)}: ")
 
 
 def test_fit_unknown_exposure_link_in_a_config_is_a_usage_error(tmp_path, capsys):
@@ -402,6 +441,13 @@ def test_benchmark_smoke_schema(tmp_path, capsys):
     assert payload["schema_version"] == 1
     names = {row["estimator"] for row in payload["rows"]}
     assert names == {"tsls", "br_beta"}
+
+
+def test_benchmark_unknown_estimator_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "benchmark", "--reps", "2", "--n", "120",
+                             "--estimators", "tsls", "frobnicate")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown estimators for table1: ['frobnicate']\n"
 
 
 def test_benchmark_full_grid_layout(tmp_path, capsys):

@@ -95,6 +95,12 @@ def test_load_csv_missing_column_named(tmp_path):
         load_csv(path, ColumnMap("y", "x", ["z"], ["v"]))
 
 
+def test_load_csv_directory_is_a_schema_error(tmp_path):
+    # open() raised an untyped IsADirectoryError
+    with pytest.raises(SchemaError, match="^cannot read "):
+        load_csv(tmp_path, ColumnMap("y", "x", ["z"], ["v"]))
+
+
 def test_load_csv_non_finite_cell(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("y,x,z,v\n1,2,0,5\ninf,3,1,6\n")

@@ -13,6 +13,7 @@ from lineariv import (
     EmpiricalIv,
     ExposureModel,
     LinearMeanIv,
+    NonConvergenceError,
     OutcomeModel,
     RawInstruments,
     ScaledInstrument,
@@ -21,6 +22,7 @@ from lineariv import (
     centered_index,
     efficient_index,
     g_estimate,
+    gen_sim1,
     gen_table1,
     locally_efficient_y,
     normal_cdf,
@@ -111,6 +113,17 @@ def test_plug_in_noise_free_known_probit():
     assert_allclose(res.beta_hat, [1.0], atol=1e-8)
 
 
+def test_plug_in_requires_a_converged_exposure_fit(monkeypatch):
+    # one Fisher-scoring step leaves the probit score far from zero
+    monkeypatch.setattr("lineariv.glm.MAX_ITER", 1)
+    data = gen_sim1(500, 3).dataset
+    exposure = ExposureModel("probit", BasisSpec(["z0", "1", "c0"]))
+    with pytest.raises(NonConvergenceError, match="did not converge") as info:
+        plug_in_two_stage(data, exposure, CONST, C_LIN)
+    assert info.value.diagnostics["iterations"] == 1
+    assert info.value.diagnostics["score_norm"] > 1e-8
+
+
 # ---------------------------------------------------------------------------
 # Locally efficient estimation under the outcome model
 # ---------------------------------------------------------------------------
@@ -195,6 +208,14 @@ def test_centered_index_linear_mean_substitution():
     d = centered_index(data, RawInstruments(), iv)
     mean = iv.conditional_mean(data)[:, 0]
     assert_allclose(d[:, 0], z - mean, rtol=1e-12)
+
+
+def test_known_linear_mean_law_takes_one_dimensional_coefficients():
+    # one instrument column: (p,) coefficients are the (p, 1) column
+    data = seeded_dataset(n=10, seed=4)
+    iv = LinearMeanIv.known(C_LIN, [0.4, 0.2])
+    assert iv.coef.shape == (2, 1)
+    assert_allclose(iv.conditional_mean(data)[:, 0], 0.4 + 0.2 * data.c_raw[:, 0], rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

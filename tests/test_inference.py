@@ -64,6 +64,12 @@ def test_sandwich_singular_jacobian():
         sandwich_se(np.ones((5, 2)), np.zeros((2, 2)))
 
 
+def test_sandwich_one_dimensional_estimating_functions_are_one_column():
+    u = np.random.default_rng(2).normal(size=30)
+    jac = np.array([[-1.5]])
+    assert_array_equal(sandwich_se(u, jac), sandwich_se(u[:, None], jac))
+
+
 def test_conservative_se_arithmetic_oracle_and_equivariance():
     data = gen_table1(0, 0, 0, 400, 50).dataset
     res = br_gamma_estimate(data, C_LIN, C_LIN, C_LIN)
@@ -73,6 +79,13 @@ def test_conservative_se_arithmetic_oracle_and_equivariance():
     scaled = Dataset(2.0 * data.y, data.x, data.z, data.c_raw)
     res2 = br_gamma_estimate(scaled, C_LIN, C_LIN, C_LIN)
     assert_allclose(conservative_se_brgamma(scaled, res2), 2.0 * se, rtol=1e-8)
+
+
+def test_conservative_se_needs_influence_values():
+    data = gen_table1(0, 0, 0, 200, 51).dataset
+    res = standard_tsls(data, CONST, C_LIN, INSTRUMENTS)
+    with pytest.raises(ValueError, match="no influence values"):
+        conservative_se_brgamma(data, res)
 
 
 def test_conservative_se_covers_monte_carlo_sd():
@@ -170,6 +183,16 @@ def test_bootstrap_failure_accounting():
 
     res = bootstrap_ci(data, rare, resamples=200, seed=5)
     assert 0 <= res.failed_resamples <= 40
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"resamples": 99}, "resamples must be at least 100"),
+    ({"level": 1.0}, "level must be in"),
+    ({"level": 0.0}, "level must be in"),
+])
+def test_bootstrap_rejects_bad_settings(settings, message):
+    with pytest.raises(ValueError, match=message):
+        bootstrap_ci(normal_mean_data(), lambda ds: np.array([ds.y.mean()]), **settings)
 
 
 def test_bootstrap_agrees_with_sandwich_for_tsls():

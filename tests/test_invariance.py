@@ -5,11 +5,13 @@ CLI_FITS) on sim1 and Table 1 data must give the same psi after a row
 permutation, psi scaled by s after y is scaled by s, and, where the exposure
 is continuous, psi scaled by 1/s after x is scaled by s.  Rescaling the
 covariate must not move psi beyond rounding either; the cells that depend on
-its units today are strict xfails until ROADMAP direction 4 mends them.
+its units today are strict xfails until ROADMAP direction 3 mends them.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lineariv import Dataset, adaptive, estimators, models, simlab, suites
 from lineariv.dataset import BasisSpec
@@ -90,10 +92,10 @@ SCALE_CALLS = {
         data, EFFECT, QUAD, BasisSpec(["z0", "z0:c0"])).psi,
     "table1 loc_eff": lambda data: suites.table1_estimators()["loc_eff"](data)[0],
 }
-# the cells that depend on the covariate's units (ROADMAP direction 4): psi
-# moves silently (br-gamma at 1e5, 2.2e-2 relative; one-step br-beta at 1e-5,
-# 1.8e-2) or the estimating equation's checks reject the scaled data
-SCALE_DEPENDENT = {("br-gamma", 1e5), ("br-beta one-step", 1e-5), ("br-beta one-step", 1e5),
+# the cells that depend on the covariate's units (ROADMAP direction 3): psi
+# moves silently (one-step br-beta at 1e-5, 1.8e-2 relative) or the
+# estimating equation's checks reject the scaled data
+SCALE_DEPENDENT = {("br-beta one-step", 1e-5), ("br-beta one-step", 1e5),
                    *(("br-beta full-solve", factor) for factor in FACTORS),
                    *(("eem", factor) for factor in FACTORS),
                    ("tsls", 1e5), ("table1 loc_eff", 1e-5), ("table1 loc_eff", 1e5)}
@@ -101,7 +103,7 @@ SCALE_DEPENDENT = {("br-gamma", 1e5), ("br-beta one-step", 1e-5), ("br-beta one-
 
 @pytest.mark.parametrize("name, factor", [
     pytest.param(name, factor, marks=pytest.mark.xfail(
-        strict=True, raises=(AssertionError, EstimationError), reason="ROADMAP direction 4")
+        strict=True, raises=(AssertionError, EstimationError), reason="ROADMAP direction 3")
         if (name, factor) in SCALE_DEPENDENT else ())
     for name in SCALE_CALLS for factor in FACTORS])
 def test_psi_does_not_depend_on_the_covariate_scale(name, factor):
@@ -113,3 +115,15 @@ def test_psi_does_not_depend_on_the_covariate_scale(name, factor):
         psi = call(data)
         moved = call(Dataset(data.y, data.x, data.z, data.c_raw * factor))
         assert abs(moved - psi) <= RTOL * abs(psi), (seed, psi, moved)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(row=st.sampled_from(suites.TABLE1_ROWS), seed=st.integers(0, 2**31 - 1),
+       exponent=st.floats(-6.0, 6.0))
+def test_br_gamma_does_not_depend_on_the_covariate_units(row, seed, exponent):
+    # every extension column is judged at the base's scale (adaptive._extend),
+    # so the e(C) c0^2 column is kept or dropped whatever c0's units
+    data = simlab.gen_table1(*row, 500, seed).dataset
+    psi = SCALE_CALLS["br-gamma"](data)
+    moved = SCALE_CALLS["br-gamma"](Dataset(data.y, data.x, data.z, data.c_raw * 10.0**exponent))
+    assert abs(moved - psi) <= RTOL * abs(psi), (psi, moved)
