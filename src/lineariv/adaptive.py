@@ -221,27 +221,21 @@ def _extend(base: np.ndarray, extension: np.ndarray) -> tuple[np.ndarray, list[i
 
     On a stack, ``base`` (B, n, p) and ``extension`` (B, n, q): in order, a
     column is kept when appending it to the base and the kept columns raises
-    the rank under fit_ols's test (``glm._ranks``), with the column's norm set
-    to the base's largest singular value (van der Sluis column scaling).  Its
-    own norm carries the index's scale and the covariates' units, on which
-    the bias-reduced estimators do not depend, so the kept columns do not
-    depend on them either.  The returned design holds the raw columns, which
-    fit_ols judges unscaled: a column kept near the tolerance can leave a
-    design it rejects.  A column is kept when every member keeps it; a stack
-    whose members disagree on one raises :class:`~lineariv.glm._Flagged`.
+    the rank under fit_ols's test (``glm._ranks``), which sets every column
+    to unit norm: the columns kept do not depend on the index's scale or the
+    covariates' units, nor do the estimators, and fit_ols accepts the design
+    returned, of raw columns.  A column is kept when every member keeps it;
+    a stack whose members disagree on one raises :class:`~lineariv.glm._Flagged`.
     """
-    # [base, extension] = QR, so any of its column sets has the singular
-    # values of the same columns of the small R: the test runs on those
+    # [base, extension] = QR, so any of its column sets has the Gram matrix,
+    # hence the ranks, of the same columns of the small R: the test runs on those
+    p = base.shape[-1]
     r = np.linalg.qr(_join(base, extension), mode="r")
-    current, tested = r[..., :base.shape[-1]], r[..., base.shape[-1]:]
-    s = np.linalg.svd(current, compute_uv=False)
-    ranks = _ranks(s)
-    norms = np.linalg.norm(tested, axis=-2)
-    tested *= np.divide(s[:, :1], norms, out=np.ones_like(norms), where=norms > 0)[:, None, :]
+    current, ranks = r[..., :p], _ranks(r[..., :p])
     kept: list[int] = []
     for j in range(extension.shape[-1]):
-        trial = np.concatenate([current, tested[:, :, j:j + 1]], axis=-1)
-        trial_ranks = _ranks(np.linalg.svd(trial, compute_uv=False))
+        trial = np.concatenate([current, r[..., p + j:p + j + 1]], axis=-1)
+        trial_ranks = _ranks(trial)
         keep = [new > old for new, old in zip(trial_ranks, ranks)]
         if all(keep):
             kept.append(j)

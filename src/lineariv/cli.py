@@ -67,6 +67,9 @@ IV_KINDS = {"binary-logistic": lambda data, basis: BinaryLogisticIv.fit(data, ba
             "empirical": lambda data, basis: EmpiricalIv.fit(data)}
 EFFECT_FORMS = ("constant", "linear")
 INFERENCE_METHODS = ("none", "sandwich", "bootstrap", "conservative")
+# The run config's basis keys: --<key>-basis sets each, and --instrument-basis
+# sets "instruments".
+BASES = ("outcome", "exposure", "index", "iv", "instruments")
 # Each fit flag -> the run-config entry it replaces, and its argparse options.
 FIT_FLAGS = {
     "--data": (("data", "path"), {"help": "CSV file path"}),
@@ -77,11 +80,7 @@ FIT_FLAGS = {
     "--estimator": (("estimator",), {"choices": ESTIMATORS}),
     "--effect": (("effect", "form"), {"choices": EFFECT_FORMS}),
     "--effect-basis": (("effect", "basis"), {"nargs": "+"}),
-    "--outcome-basis": (("bases", "outcome"), {"nargs": "+"}),
-    "--exposure-basis": (("bases", "exposure"), {"nargs": "+"}),
-    "--index-basis": (("bases", "index"), {"nargs": "+"}),
-    "--iv-basis": (("bases", "iv"), {"nargs": "+"}),
-    "--instrument-basis": (("bases", "instruments"), {"nargs": "+"}),
+    **{f"--{key.removesuffix('s')}-basis": (("bases", key), {"nargs": "+"}) for key in BASES},
     "--exposure-link": (("exposure_link",), {"choices": EXPOSURE_LINKS}),
     "--iv-kind": (("iv_kind",), {"choices": IV_KINDS}),
     "--inference": (("inference", "method"), {"choices": INFERENCE_METHODS}),
@@ -204,7 +203,7 @@ def _build_pipeline(config: dict, n_instruments: int, n_covariates: int):
     estimator = _choice(config.get("estimator"), ESTIMATORS, "estimator")
     bases = {key: BasisSpec(_strings(terms, f"bases.{key}"))
              for key, terms in config.get("bases", {}).items() if terms not in (None, [])
-             and ("bases", key) in (path for path, _ in FIT_FLAGS.values())}
+             and key in BASES}
     effect_cfg = config.get("effect", {"form": "constant"})
     if _choice(effect_cfg.get("form"), EFFECT_FORMS, "effect form") == "constant":
         effect = EffectModel.constant()

@@ -48,7 +48,7 @@ __all__ = [
     "expit",
 ]
 
-RANK_RTOL = 1e-10          # smallest/largest singular value below this is rank deficient
+RANK_RTOL = 1e-10          # rank test: smallest/largest singular value, unit-norm columns
 SCORE_TOL = 1e-8           # IRLS convergence on the max-abs score
 MAX_ITER = 100             # IRLS Fisher-scoring steps
 PROB_CLIP = 1e-12          # probability clipping inside IRLS weights only
@@ -174,26 +174,32 @@ def _rowsum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return sum(parts[1:], parts[0])
 
 
-def _ranks(s: np.ndarray) -> list[int]:
-    """The package's one rank test: per member of a (B, p) stack of singular
-    values, largest first, the count above RANK_RTOL times the largest."""
+def _ranks(m: np.ndarray) -> list[int]:
+    """The package's one rank test, per member of a (B, k, p) stack with a
+    design's Gram matrix (its R or S V'): the count of singular values above
+    RANK_RTOL times the largest, each column set to unit norm (van der Sluis)."""
+    norms = np.sqrt((m * m).sum(-2, keepdims=True))     # an all-zero column stays zero
+    s = np.linalg.svd(m / np.maximum(norms, np.finfo(float).tiny), compute_uv=False)
     return (s > RANK_RTOL * s[:, :1]).sum(-1).tolist()
 
 
 def _ols(design: np.ndarray, response: np.ndarray, what: str = "fit_ols") -> _Lstsq:
     """Least squares of ``response`` (B, n) on ``design`` (B, n, p) by SVD,
     member by member, with ``fit_ols``'s checks (see :func:`_check`): the
-    SingularDesignError that the 2-D fit ``what`` raises."""
+    SingularDesignError that the 2-D fit ``what`` raises.  Only the rank
+    test (:func:`_ranks`) sets the columns to unit norm."""
     if design.shape[-2] < design.shape[-1]:
         _check([SingularDesignError(
             f"need at least as many rows as columns, got {design.shape[-2:]}")] * len(design))
     u, s, vt = np.linalg.svd(design, full_matrices=False)
-    rows = s.tolist()
+    rows, p = s.tolist(), s.shape[-1]
     condition = [row[0] / row[-1] if row[-1] > 0 else np.inf for row in rows]
-    _check([None if rank == len(row) else SingularDesignError(
+    # unit norm raises a condition at most sqrt(p)-fold (van der Sluis): test past 1/(p RANK_RTOL)
+    ranks = _ranks(s[..., None] * vt) if max(condition) * p * RANK_RTOL >= 1.0 else [p] * len(rows)
+    _check([None if rank == p else SingularDesignError(
         f"{what}: design is identically zero" if row[0] == 0.0 else
         f"{what}: design is rank deficient (condition estimate {cond:.3e})", condition=cond)
-        for row, cond, rank in zip(rows, condition, _ranks(s))])
+        for row, cond, rank in zip(rows, condition, ranks)])
     return _Lstsq(np.vecmat(_rowsum(response, u) / s, vt), s, vt, condition)
 
 
@@ -223,8 +229,9 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> LinearFit:
     Raises
     ------
     SingularDesignError
-        If the design has fewer rows than columns, or its smallest singular
-        value is at most ``RANK_RTOL`` (1e-10) times the largest.
+        If the design has fewer rows than columns, or, with each column
+        scaled to unit norm, its smallest singular value is at most
+        ``RANK_RTOL`` (1e-10) times the largest.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)

@@ -22,6 +22,7 @@ from lineariv import (
     eem_fit_beta,
     eem_objective,
     g_estimate,
+    gen_sim1,
     gen_table1,
     standard_tsls,
 )
@@ -320,13 +321,25 @@ def test_br_beta_one_step_close_to_full_solve_when_stable():
 
 
 def test_br_beta_keeps_only_extension_columns_fit_ols_accepts():
-    # sim1 replicate 4: the second extension column raises no rank even at
-    # the base's scale (smallest/largest singular value 1.9e-11), so it is not
-    # kept; with it the extended outcome design's condition would be 9.4e11,
-    # which fit_ols rejects, and br-beta returns an estimate
+    # sim1 replicate 4: the second extension column raises no rank with every
+    # column at unit norm (smallest/largest singular value 2.4e-11), so it is
+    # not kept; fit_ols, which runs the same test, would reject the design
+    # with it, and br-beta returns an estimate
     data = generate(ScenarioConfig("sim1", n=500, seed=777, reps=2), 4).dataset
     res = br_beta_estimate(data, C_LIN, BasisSpec(["1", "c0", "c0^2"]), C_LIN)
     assert res.nuisance["extension_columns"] == [0]
+    assert np.isfinite(res.psi)
+
+
+@pytest.mark.parametrize("n, seed", [(2000, 1), (25000, 12)])
+def test_br_beta_fits_every_extension_column_it_keeps(n, seed):
+    # sim1's instrument does not depend on C, so the extension lies almost in
+    # the span of the outcome basis.  Both columns are kept: the design's raw
+    # condition is 1.4e10 and 2.2e10, above fit_ols's 1e10, but with unit-norm
+    # columns 7.1e8 and 1.2e9, and fit_ols judges those as _extend does
+    data = gen_sim1(n, seed).dataset
+    res = br_beta_estimate(data, C_LIN, BasisSpec(["1", "c0", "c0^2"]), C_LIN)
+    assert res.nuisance["extension_columns"] == [0, 1]
     assert np.isfinite(res.psi)
 
 

@@ -61,9 +61,9 @@ def test_fit_matches_library_call(tmp_path, capsys):
 
 
 def test_fit_br_beta_with_a_quadratic_outcome_basis_on_sim1(tmp_path, capsys):
-    # sim1 replicate 4: br-beta's second extension column raises no rank even
-    # at the base's scale, so it is not kept; with it fit_ols would reject the
-    # outcome design (exit 3)
+    # sim1 replicate 4: br-beta's second extension column raises no rank with
+    # every column at unit norm, so it is not kept; with it fit_ols, which
+    # runs the same test, would reject the outcome design (exit 3)
     data = generate(ScenarioConfig("sim1", n=500, seed=777, reps=2), 4).dataset
     csv_path = tmp_path / "sim1.csv"
     write_csv(data, csv_path)

@@ -58,6 +58,20 @@ def test_ols_rank_deficiency_reports_condition():
     assert err.value.condition > 1e10
 
 
+def test_ols_rank_test_does_not_depend_on_column_units():
+    # the rank test sets each column to unit norm: columns in units 1e-6 and
+    # 1e6 (raw condition above 1e10) are fitted, and collinear ones rejected
+    rng = np.random.default_rng(6)
+    design, response = rng.normal(size=(50, 3)), rng.normal(size=50)
+    units = np.array([1e-6, 1.0, 1e6])
+    fit = fit_ols(design * units, response)
+    assert fit.condition > 1e10
+    assert_allclose(fit.coefficients * units, fit_ols(design, response).coefficients, rtol=1e-8)
+    collinear = np.column_stack([design[:, 0], 2.0 * design[:, 0], design[:, 2]])
+    with pytest.raises(SingularDesignError):
+        fit_ols(collinear * units, response)
+
+
 def test_wls_constant_weights_match_ols():
     rng = np.random.default_rng(2)
     design = rng.normal(size=(15, 2))

@@ -92,11 +92,9 @@ SCALE_CALLS = {
         data, EFFECT, QUAD, BasisSpec(["z0", "z0:c0"])).psi,
     "table1 loc_eff": lambda data: suites.table1_estimators()["loc_eff"](data)[0],
 }
-# the cells that depend on the covariate's units (ROADMAP direction 3): psi
-# moves silently (one-step br-beta at 1e-5, 1.8e-2 relative) or the
+# the cells that depend on the covariate's units (ROADMAP direction 3): the
 # estimating equation's checks reject the scaled data
-SCALE_DEPENDENT = {("br-beta one-step", 1e-5), ("br-beta one-step", 1e5),
-                   *(("br-beta full-solve", factor) for factor in FACTORS),
+SCALE_DEPENDENT = {*(("br-beta full-solve", factor) for factor in FACTORS),
                    *(("eem", factor) for factor in FACTORS),
                    ("tsls", 1e5), ("table1 loc_eff", 1e-5), ("table1 loc_eff", 1e5)}
 
@@ -121,8 +119,8 @@ def test_psi_does_not_depend_on_the_covariate_scale(name, factor):
 @given(row=st.sampled_from(suites.TABLE1_ROWS), seed=st.integers(0, 2**31 - 1),
        exponent=st.floats(-6.0, 6.0))
 def test_br_gamma_does_not_depend_on_the_covariate_units(row, seed, exponent):
-    # every extension column is judged at the base's scale (adaptive._extend),
-    # so the e(C) c0^2 column is kept or dropped whatever c0's units
+    # every column is judged at unit norm (glm._ranks), so adaptive._extend
+    # keeps or drops the e(C) c0^2 column whatever c0's units
     data = simlab.gen_table1(*row, 500, seed).dataset
     psi = SCALE_CALLS["br-gamma"](data)
     moved = SCALE_CALLS["br-gamma"](Dataset(data.y, data.x, data.z, data.c_raw * 10.0**exponent))
