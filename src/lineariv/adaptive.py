@@ -334,12 +334,13 @@ def _br_stages(out: dict, z: np.ndarray, x: np.ndarray, y: np.ndarray, iv_design
 def _br_records(datasets: list[Dataset], bases: tuple) -> dict:
     """The stages of the bias-reduced pair on a stack of datasets, which the
     pair memoises under ``bases`` (instrument, outcome, index): "data", the
-    stacked z, x, y (B, n) and the designs, each basis evaluated once;
+    stacked z, x, y (B, n) and the designs, one read-only array a distinct basis;
     :func:`_br_stages` on them; br-gamma's score identity norms, "identity",
     and influence values (B, n), "influence", which only a full result needs."""
     _check(_stack_errors(datasets))
     y, x, zs, cs = _stack_data(datasets)
-    data = (zs[..., 0], x, y, *(basis._evaluate(zs, cs) for basis in bases))
+    designs = {basis: basis._evaluate(zs, cs) for basis in dict.fromkeys(bases)}
+    data = (zs[..., 0], x, y, *(designs[basis] for basis in bases))
     stages: dict = {"data": data}
     _br_stages(stages, *data)
     # the column sums keep this form: a vecmat moves their last bits

@@ -75,16 +75,17 @@ class EstimateResult:
 def _ee_system(index: np.ndarray, regressors: np.ndarray, what: str) -> tuple[np.ndarray, list]:
     """The denominator index'regressors (B, k, k) of the estimating equation
     index'(response - regressors @ theta) = 0 for each member of a stack
-    (index and regressors (B, n, k)) and its condition numbers.  A system
-    that is degenerate against :func:`_moment_scale` or ill-conditioned is a
-    :class:`WeakIdentificationError` (see :func:`_check`).  This is the one
-    degeneracy rule of every estimating equation in the package."""
+    (index and regressors (B, n, k)) and its condition numbers (inf for a
+    1 x 1 one that is not finite).  A system that is degenerate against
+    :func:`_moment_scale` or ill-conditioned is a :class:`WeakIdentificationError`
+    (see :func:`_check`), the one rule of every estimating equation here."""
     system = _rowsum(index, regressors)
     scale = _moment_scale(index, regressors, index.shape[1])
-    s = np.linalg.svd(system, compute_uv=False)
+    # a 1 x 1 system's singular value is its absolute value, LAPACK's to the bit within 1e+-138
+    s = np.abs(system[..., 0]) if system.shape[-1] == 1 else np.linalg.svd(system, compute_uv=False)
     cond, errors = [], []
     for lo, hi, sc in zip(s[:, -1].tolist(), s[:, 0].tolist(), scale):
-        cond.append(hi / lo if lo > 0 else np.inf)
+        cond.append(hi / lo if 0 < lo < np.inf else np.inf)
         if lo <= 1e-10 * max(sc, 1e-300):
             errors.append(WeakIdentificationError(
                 f"{what}: estimating-equation denominator is degenerate "
@@ -176,22 +177,19 @@ def standard_tsls(data: Dataset, effect: EffectModel, outcome_basis: BasisSpec,
     projected by OLS onto [instrument columns, outcome-basis columns]; the
     second stage regresses y on [outcome basis, fitted endogenous columns].
     Standard errors are the usual IV sandwich, with residuals formed from the
-    actual (not fitted) endogenous columns.  Both stages and the rank
-    condition are :func:`_tsls_stack`, shared with the Table 1 stack.
+    actual (not fitted) endogenous columns.  The stages and the rank check are
+    :func:`_first_stage` and :func:`_tsls_stack`, shared with the bundles.
     """
-    inst = build_design(data, instruments)
-    by = build_design(data, outcome_basis)
-    grad = effect.gradient(data)
-    k = effect.dim
+    inst, by = build_design(data, instruments), build_design(data, outcome_basis)
+    endog, k = data.x[:, None] * effect.gradient(data), effect.dim
     if inst.shape[1] < k:
         raise UnsupportedCombinationError(
             f"order condition fails: {inst.shape[1]} instrument column(s) for {k} effect parameter(s)")
-    endog = data.x[:, None] * grad
-    first_design, first, second_design, second = _tsls_stack(
-        inst[None], by[None], endog[None], data.y[None])
+    first_design, first = _first_stage(inst[None], by[None], endog[None])
+    second_design, second = _tsls_stack(first_design, first, by[None], data.y[None])
     first_fits, fs_summary = [], {}
-    for j, fit in enumerate(first):
-        f = _linear_fit(first_design[0], endog[:, j], fit)
+    for j in range(k):
+        f = _linear_fit(first_design[0], endog[:, j], first._replace(coef=first.coef[..., j]))
         tot = np.sum((endog[:, j] - endog[:, j].mean()) ** 2)
         r_squared = float(1.0 - np.sum(f.residuals ** 2) / tot) if tot > 0 else 0.0
         first_fits.append(f)
@@ -201,15 +199,21 @@ def standard_tsls(data: Dataset, effect: EffectModel, outcome_basis: BasisSpec,
                       {"first_stage": first_fits}, {"first_stage": fs_summary})
 
 
-def _tsls_stack(inst: np.ndarray, by: np.ndarray, endog: np.ndarray,
-                y: np.ndarray) -> tuple[np.ndarray, list[_Lstsq], np.ndarray, _Lstsq]:
-    """:func:`standard_tsls` on a stack: designs (B, n, p), endogenous columns
-    (B, n, k), y (B, n).  Returns the first stage's design and k fits and the
-    second stage's design and fit.  A rank-deficient second stage, or one with
+def _first_stage(inst: np.ndarray, by: np.ndarray, endog: np.ndarray) -> tuple[np.ndarray, _Lstsq]:
+    """:func:`standard_tsls`'s first stage on a stack: the design [inst, by] (B, n, p)
+    and the fit_ols of the k endogenous columns (B, n, k) on it, from one SVD."""
+    design = _join(inst, by)
+    return design, _ols(design, endog)
+
+
+def _tsls_stack(first_design: np.ndarray, first: _Lstsq, by: np.ndarray,
+                y: np.ndarray) -> tuple[np.ndarray, _Lstsq]:
+    """:func:`standard_tsls`'s second stage on a stack after :func:`_first_stage`
+    (which a bundle's linear exposure fit on its columns shares: a stack factors
+    each least-squares problem once): the design [by, fitted endogenous columns]
+    and the fit of y (B, n) on it.  A rank-deficient second stage, or one with
     condition above WEAK_ID_CONDITION, is a WeakIdentificationError (:func:`_check`)."""
-    first_design = _join(inst, by)
-    first = [_ols(first_design, endog[..., j]) for j in range(endog.shape[-1])]
-    second_design = _join(by, np.stack([np.matvec(first_design, f.coef) for f in first], axis=-1))
+    second_design = _join(by, np.matvec(first_design[:, None], first.coef.mT).mT)
     try:
         second = _ols(second_design, y)
     except SingularDesignError as err:
@@ -219,7 +223,7 @@ def _tsls_stack(inst: np.ndarray, by: np.ndarray, endog: np.ndarray,
     _check([WeakIdentificationError(f"rank condition fails: second-stage condition {cond:.3e}",
                                     condition=cond) if cond > WEAK_ID_CONDITION else None
             for cond in second.condition])
-    return first_design, first, second_design, second
+    return second_design, second
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ from step to step.  Only the public :func:`expit`, :func:`normal_cdf` and
 :func:`normal_quantile` (the generators' and the probit link's) use scipy,
 whose ``scipy.special`` they import on first call.
 
-Each method has one kernel that fits a stack of B problems at once
-(``_ols``, ``_wls``, ``_binary``); the public fitters are stacks of one.
-Every stacked kernel of the package checks each member as its per-dataset
-counterpart does and raises through :func:`_check`; a stack that any check
-rejects is computed again member by member (``_fit_stack``), so each member
-gets the error of its fit alone; each member reads the stage dict of its
-stack as ``(stages, row)``.
+Each method has one kernel that fits a stack of B problems at once (``_ols``,
+``_wls``, ``_binary``); the public fitters are stacks of one.  A stack factors
+each least-squares problem once (``_ols`` solves several responses by one
+SVD).  Every stacked kernel checks each member as its per-dataset counterpart
+does and raises through :func:`_check`; a stack any check rejects is computed
+again member by member (``_fit_stack``), each member getting the error of its
+fit alone, and each member reads its stack's stage dict as ``(stages, row)``.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def _attempt(out: dict, key, compute: Callable, *needs) -> None:
 class _Lstsq(NamedTuple):
     """Stacked SVD least squares, one entry per member."""
 
-    coef: np.ndarray        # (B, p)
+    coef: np.ndarray        # (B, p), or (B, p, m) for m responses
     s: np.ndarray           # (B, p) singular values, largest first
     vt: np.ndarray          # (B, p, p)
     condition: list         # s[0] / s[-1]
@@ -184,10 +184,10 @@ def _ranks(m: np.ndarray) -> list[int]:
 
 
 def _ols(design: np.ndarray, response: np.ndarray, what: str = "fit_ols") -> _Lstsq:
-    """Least squares of ``response`` (B, n) on ``design`` (B, n, p) by SVD,
-    member by member, with ``fit_ols``'s checks (see :func:`_check`): the
-    SingularDesignError that the 2-D fit ``what`` raises.  Only the rank
-    test (:func:`_ranks`) sets the columns to unit norm."""
+    """Least squares of ``response`` (B, n), or of each column of responses (B, n, m),
+    bit for bit as alone, on ``design`` (B, n, p) by one SVD a member, with ``fit_ols``'s
+    checks (see :func:`_check`): the SingularDesignError that the 2-D fit ``what``
+    raises.  Only the rank test (:func:`_ranks`) sets the columns to unit norm."""
     if design.shape[-2] < design.shape[-1]:
         _check([SingularDesignError(
             f"need at least as many rows as columns, got {design.shape[-2:]}")] * len(design))
@@ -200,7 +200,10 @@ def _ols(design: np.ndarray, response: np.ndarray, what: str = "fit_ols") -> _Ls
         f"{what}: design is identically zero" if row[0] == 0.0 else
         f"{what}: design is rank deficient (condition estimate {cond:.3e})", condition=cond)
         for row, cond, rank in zip(rows, condition, ranks)])
-    return _Lstsq(np.vecmat(_rowsum(response, u) / s, vt), s, vt, condition)
+    solve = lambda column: np.vecmat(_rowsum(column, u) / s, vt)
+    coef = (solve(response) if response.ndim < 3
+            else np.stack([solve(column) for column in np.moveaxis(response, -1, 0)], axis=-1))
+    return _Lstsq(coef, s, vt, condition)
 
 
 def _wls(design: np.ndarray, response: np.ndarray, w: np.ndarray) -> _Lstsq:
@@ -233,8 +236,7 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> LinearFit:
         scaled to unit norm, its smallest singular value is at most
         ``RANK_RTOL`` (1e-10) times the largest.
     """
-    design = np.asarray(design, dtype=float)
-    response = np.asarray(response, dtype=float)
+    design, response = np.asarray(design, dtype=float), np.asarray(response, dtype=float)
     return _linear_fit(design, response, _ols(design[None], response[None]))
 
 
@@ -246,9 +248,7 @@ def fit_wls(design: np.ndarray, response: np.ndarray, weights: np.ndarray) -> Li
     full, unweighted rows.  The solve, with its checks, is :func:`fit_ols`'s
     on the rows scaled by sqrt(w).
     """
-    design = np.asarray(design, dtype=float)
-    response = np.asarray(response, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    design, response, w = (np.asarray(a, dtype=float) for a in (design, response, weights))
     if w.shape != response.shape:
         raise DegenerateWeightsError(f"weights shape {w.shape} does not match response {response.shape}")
     return _linear_fit(design, response, _wls(design[None], response[None], w[None]))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import BasisSpec, Dataset, build_design
 from .errors import NonConvergenceError, UnsupportedCombinationError
-from .glm import _binary, _binary_fit, _check, _Irls, _Lstsq, _mean_function, _ols, fit_ols
+from .glm import _binary, _binary_fit, _check, _Irls, _Lstsq, _mean_function, _ols
 
 __all__ = [
     "EffectModel",
@@ -190,16 +190,13 @@ class LinearMeanIv:
 
     @classmethod
     def fit(cls, data: Dataset, basis: BasisSpec) -> "LinearMeanIv":
-        design = build_design(data, basis)
-        cols = [fit_ols(design, data.z[:, j]).coefficients for j in range(data.n_instruments)]
-        return cls(basis, np.column_stack(cols))
+        """fit_ols of every instrument column on ``basis``, from one SVD."""
+        return cls(basis, _ols(build_design(data, basis)[None], data.z[None]).coef[0])
 
     @classmethod
     def known(cls, basis: BasisSpec, coef) -> "LinearMeanIv":
         coef = np.asarray(coef, dtype=float)
-        if coef.ndim == 1:
-            coef = coef[:, None]
-        return cls(basis, coef)
+        return cls(basis, coef[:, None] if coef.ndim == 1 else coef)
 
     def conditional_mean(self, data: Dataset) -> np.ndarray:
         return build_design(data, self.basis) @ self.coef

@@ -17,7 +17,8 @@ import numpy as np
 from .adaptive import _br_beta_stack, _br_stages, _eem_stack, _stack_data, _stack_errors
 from .dataset import BasisSpec, Dataset
 from .errors import EstimationError
-from .estimators import _exposure_bracket, _g_stack, _le_stack, _plug_in_stack, _tsls_stack
+from .estimators import (_exposure_bracket, _first_stage, _g_stack, _le_stack,
+                         _plug_in_stack, _tsls_stack)
 from .glm import _attempt, _check, _ols
 from .models import EffectModel, _exposure_fit, _logistic_iv
 from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
@@ -34,7 +35,7 @@ C_LIN = BasisSpec(["1", "c0"])
 C_QUAD = BasisSpec(["1", "c0", "c0^2"])
 INSTRUMENTS_ZVZ = BasisSpec(["z0", "z0:c0"])
 INSTRUMENT_Z = BasisSpec(["z0"])
-EXPOSURE_SATURATED = BasisSpec(["1", "z0", "c0", "z0:c0"])
+EXPOSURE_SATURATED = BasisSpec(["z0", "z0:c0", "1", "c0"])
 EXPOSURE_MAIN = BasisSpec(["z0", "1", "c0"])
 
 EFFECT_CONST = EffectModel.constant()
@@ -73,22 +74,16 @@ def _table1_stack(datasets: list[Dataset]) -> dict:
     """
     _check(_stack_errors(datasets))
     y, x, zs, cs = _stack_data(datasets)
-    lin, saturated, instruments = (basis._evaluate(zs, cs) for basis in
-                                   (C_LIN, EXPOSURE_SATURATED, INSTRUMENTS_ZVZ))
-    z = zs[..., 0]
-
-    def loc_eff(plain, a_x):
-        # g_estimate at efficient_index, the outcome (1, c0) profiled
-        d_eff = _exposure_bracket("identity", EXPOSURE_SATURATED, a_x, cs, saturated,
-                                  plain.mean[..., None], True)
-        return _g_stack(d_eff, x[..., None], y, lin).theta[:, :1]
-
-    out = {}
-    _attempt(out, "tsls", lambda: _tsls_stack(instruments, lin, x[..., None], y)[-1].coef[:, 2:])
+    lin, instruments = (basis._evaluate(zs, cs) for basis in (C_LIN, INSTRUMENTS_ZVZ))
+    z, out = zs[..., 0], {}
+    _attempt(out, "first", lambda: _first_stage(instruments, lin, x[..., None]))
+    _attempt(out, "tsls", lambda first: _tsls_stack(*first, lin, y)[1].coef[:, 2:], "first")
     # eem and the bias-reduced pair start from the plain fit's index, br_beta from br_gamma
     _br_stages(out, z, x, y, lin, lin, lin)
-    _attempt(out, "exposure", lambda: _exposure_fit("identity", saturated, x).coef)
-    _attempt(out, "loc_eff", loc_eff, "plain", "exposure")
+    # g_estimate at efficient_index, outcome (1, c0) profiled; its exposure fit is the first stage
+    _attempt(out, "loc_eff", lambda plain, first: _g_stack(_exposure_bracket(
+        "identity", EXPOSURE_SATURATED, first[1].coef[..., 0], cs, first[0], plain.mean[..., None],
+        True), x[..., None], y, lin).theta[:, :1], "plain", "first")
     _attempt(out, "eem", lambda plain, tsls, alpha: _eem_stack(
         z - plain.mean, x, y, lin, lin, tsls[:, 0], alpha).ee.theta, "plain", "tsls", "alpha")
     _attempt(out, "br_gamma", lambda gamma: gamma.psi[:, None], "gamma")
@@ -103,9 +98,10 @@ def table1_estimators() -> dict[str, Callable]:
 
     Working models: logistic instrument law on (1, V), fitted by maximum
     likelihood; linear exposure model with main effects and the
-    instrument-covariate interaction; linear outcome model on (1, V); index
-    class (alpha'(1,V)) * Z.  The estimates are ``standard_tsls``,
-    ``g_estimate`` at ``efficient_index``, ``eem_estimate``,
+    instrument-covariate interaction in the TSLS first stage's column order
+    (Z, VZ, 1, V), so the stack factors that one problem once; linear outcome
+    model on (1, V); index class (alpha'(1,V)) * Z.  The estimates are
+    ``standard_tsls``, ``g_estimate`` at ``efficient_index``, ``eem_estimate``,
     ``br_gamma_estimate`` and ``br_beta_estimate`` (:func:`_table1_stack`).
     """
     return _bundle(_table1_stack, TABLE1_NAMES)
@@ -121,8 +117,9 @@ def _sim_binary_stack(datasets: list[Dataset]) -> dict:
     for name, basis in dict(inst=INSTRUMENT_Z, lin=C_LIN, quad=C_QUAD, main=EXPOSURE_MAIN).items():
         _attempt(out, name, lambda basis=basis: basis._evaluate(zs, cs))
     # standard_tsls, then outcome_coef_at for the double-robust estimators
-    _attempt(out, "tsls", lambda inst, lin: _tsls_stack(
-        inst, lin, x[..., None], y)[-1].coef[:, 2:], "inst", "lin")
+    _attempt(out, "first", lambda inst, lin: _first_stage(inst, lin, x[..., None]), "inst", "lin")
+    _attempt(out, "tsls", lambda first, lin: _tsls_stack(*first, lin, y)[1].coef[:, 2:],
+             "first", "lin")
     _attempt(out, "beta_c", lambda tsls, quad: _ols(quad, y - tsls * x).coef, "tsls", "quad")
     _attempt(out, "beta_m", lambda tsls, lin: _ols(lin, y - tsls * x).coef, "tsls", "lin")
     # plug_in_two_stage and locally_efficient_y at the probit exposure model
@@ -134,7 +131,7 @@ def _sim_binary_stack(datasets: list[Dataset]) -> dict:
             probit.mean, by, ones, x, y, labels).theta[:, :1], "probit", by)
     # g_estimate at efficient_index under a logistic instrument law
     _attempt(out, "iv", lambda: _logistic_iv(zs, cs, C_LIN))
-    _attempt(out, "linear", lambda main: _exposure_fit("identity", main, x), "main")
+    _attempt(out, "linear", lambda first: first[1]._replace(coef=first[1].coef[..., 0]), "first")
     for name, link, fit in (("e_probit", "probit", "probit"), ("e_lin", "identity", "linear")):
         _attempt(out, name, lambda fit, iv, main, link=link: _exposure_bracket(
             link, EXPOSURE_MAIN, fit.coef, cs, main, iv.mean[..., None], True), fit, "iv", "main")
@@ -154,7 +151,8 @@ def sim_binary_estimators() -> dict[str, Callable]:
     le_y_c / le_y_m: locally efficient under the outcome model, correct
     (1, V, V^2) and misspecified (1, V) outcome bases, probit exposure model;
     dr_cc / dr_cm / dr_mm: double-robust with the efficient index under a
-    logistic instrument law, varying which working models are correct.
+    logistic instrument law, varying which working models are correct.  The
+    linear exposure model (Z, 1, V) of dr_mm is tsls's first stage, fitted once.
     """
     return _bundle(_sim_binary_stack, SIM_BINARY_NAMES)
 
@@ -170,7 +168,7 @@ def _effectmod_stack(datasets: list[Dataset]) -> dict:
     _attempt(out, "misspec", lambda main: _exposure_fit("identity", main, x), "main")
     for suffix, by, p in (("c", "quad", 3), ("m", "lin", 2)):
         _attempt(out, f"tsls_{suffix}", lambda zvz, by, lin, p=p: _tsls_stack(
-            zvz, by, x[..., None] * lin, y)[-1].coef[:, p:], "zvz", by, "lin")
+            *_first_stage(zvz, by, x[..., None] * lin), by, y)[1].coef[:, p:], "zvz", by, "lin")
         _attempt(out, f"ts_{suffix}", lambda misspec, by, lin, main, p=p: _plug_in_stack(
             by, np.matvec(main, misspec.coef), lin, y).theta[:, p:], "misspec", by, "lin", "main")
     return out

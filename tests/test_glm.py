@@ -23,7 +23,10 @@ from lineariv import (
     normal_cdf,
     normal_quantile,
 )
-from lineariv.glm import ROW_BLOCK, _mean_function, _rowsum
+from lineariv.dataset import build_design
+from lineariv.glm import ROW_BLOCK, _Flagged, _mean_function, _ols, _rowsum
+from lineariv.models import LinearMeanIv
+from lineariv.simlab import gen_table1
 
 
 def test_ols_exact_interpolation():
@@ -70,6 +73,49 @@ def test_ols_rank_test_does_not_depend_on_column_units():
     collinear = np.column_stack([design[:, 0], 2.0 * design[:, 0], design[:, 2]])
     with pytest.raises(SingularDesignError):
         fit_ols(collinear * units, response)
+
+
+@pytest.mark.parametrize("n", [500, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 7])
+def test_ols_of_several_responses_solves_each_as_alone(n):
+    # one SVD of the design serves every response column, each column's
+    # coefficients bit for bit those of its fit alone, in one row block or more
+    rng = np.random.default_rng(n)
+    design, responses = rng.normal(size=(3, n, 4)), rng.normal(size=(3, n, 3))
+    fit = _ols(design, responses)
+    assert fit.coef.shape == (3, 4, 3)
+    for j in range(3):
+        alone = _ols(design, responses[..., j])
+        assert fit.coef[..., j].tobytes() == alone.coef.tobytes()
+        assert (fit.s.tobytes(), fit.vt.tobytes(), fit.condition) == (
+            alone.s.tobytes(), alone.vt.tobytes(), alone.condition)
+
+
+def test_ols_of_several_responses_raises_once_on_a_deficient_design():
+    rng = np.random.default_rng(4)
+    design, responses = rng.normal(size=(2, 50, 3)), rng.normal(size=(2, 50, 2))
+    design[0, :, 2] = 2.0 * design[0, :, 1]
+    # the deficient member alone raises the error of one response's fit; with
+    # another member it flags the stack
+    with pytest.raises(SingularDesignError) as alone:
+        _ols(design[:1], responses[:1, :, 0])
+    with pytest.raises(SingularDesignError) as both:
+        _ols(design[:1], responses[:1])
+    assert (str(both.value), both.value.condition) == (str(alone.value), alone.value.condition)
+    assert str(both.value).startswith("fit_ols: design is rank deficient (condition estimate ")
+    with pytest.raises(_Flagged):
+        _ols(design, responses)
+
+
+def test_linear_mean_iv_fits_every_instrument_column_as_fit_ols():
+    d = gen_table1(1, 1, -1, 400, 7).dataset
+    rng = np.random.default_rng(7)
+    data = Dataset(d.y, d.x, np.column_stack([d.z[:, 0], d.c_raw[:, 0] + rng.normal(size=d.n)]),
+                   d.c_raw)
+    basis = BasisSpec(["1", "c0", "c0^2"])
+    design = build_design(data, basis)
+    per_column = np.column_stack([fit_ols(design, data.z[:, j]).coefficients for j in range(2)])
+    coef = LinearMeanIv.fit(data, basis).coef
+    assert coef.shape == (3, 2) and coef.tobytes() == per_column.tobytes()
 
 
 def test_wls_constant_weights_match_ols():

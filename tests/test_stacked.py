@@ -22,6 +22,8 @@ from lineariv.errors import (
     WeakIdentificationError,
 )
 from lineariv.estimators import (
+    _ee_system,
+    _moment_scale,
     _solve_ee,
     efficient_index,
     g_estimate,
@@ -39,6 +41,7 @@ from lineariv.glm import (
     _irls,
     _mean_function,
     _ols,
+    _rowsum,
     expit,
     fit_binary,
     fit_ols,
@@ -264,9 +267,9 @@ def test_degenerate_member_falls_back_without_failing_its_chunk(monkeypatch):
     expected = _per_dataset(datasets)
     assert all(isinstance(value, tuple) for value in expected[2].values())
 
-    # tsls's check flags the chunk, and each replicate is computed again as
-    # a stack of one: the other four keep their estimates
-    sizes = _kernel_sizes(monkeypatch, "_tsls_stack", lineariv.estimators, lineariv.suites)
+    # the TSLS first stage's check flags the chunk, and each replicate is
+    # computed again as a stack of one: the other four keep their estimates
+    sizes = _kernel_sizes(monkeypatch, "_first_stage", lineariv.estimators, lineariv.suites)
     assert _bundle_outcomes(datasets) == expected
     assert sizes == [5, 1, 1, 1, 1, 1]
 
@@ -649,6 +652,80 @@ def test_a_fig1_chunk_centers_each_efficient_index_once(monkeypatch):
     assert sizes == [16, 16]
 
 
+@pytest.mark.parametrize("generator, lam, seed, stack, factorisations", [
+    ("table1", (1, 1, -1), TABLE1_SEED, _table1_stack, 6),
+    ("sim1", None, FIG1_SEED, _sim_binary_stack, 5),
+    ("effectmod", None, FIG2_SEED, _effectmod_stack, 7)])
+def test_a_chunk_factors_each_least_squares_problem_once(monkeypatch, generator, lam, seed,
+                                                          stack, factorisations):
+    # one SVD of an n-row design per least-squares problem of the chunk:
+    # Table 1's exposure fit and Fig. 1's linear one are the TSLS first stage,
+    # and Fig. 2's first stage solves its two endogenous columns together
+    shapes, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    datasets = _replicates(generator, lam, 500, seed, 16)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    with np.errstate(all="ignore"):
+        stack(datasets)
+    assert [shape[0] for shape in shapes if shape[-2] == 500] == [16] * factorisations
+
+
+def _lapack_outcomes(index, regressors):
+    """Per member of a stack of scalar estimating equations, the condition and
+    the error message of the degeneracy rule, on LAPACK's singular value of
+    the 1 x 1 denominator."""
+    lows = np.linalg.svd(_rowsum(index, regressors), compute_uv=False)[:, 0].tolist()
+    out = []
+    for lo, sc in zip(lows, _moment_scale(index, regressors, index.shape[1])):
+        cond = 1.0 if lo > 0 else np.inf
+        out.append((cond, f"test: estimating-equation denominator is degenerate (smallest "
+                          f"singular value {lo:.3e} against scale {sc:.3e})"
+                    if lo <= 1e-10 * max(sc, 1e-300) else None))
+    return out
+
+
+@pytest.mark.parametrize("entries", ["random", "zero", "1e-300"])
+def test_a_scalar_denominator_is_judged_on_lapacks_singular_value(entries):
+    rng = np.random.default_rng(5)
+    index, regressors = rng.standard_normal((2, 6, 40, 1))
+    if entries == "zero":
+        index[::2] = 0.0
+    elif entries == "1e-300":
+        index[1::2] *= 1e-300
+    expected = _lapack_outcomes(index, regressors)
+    got = []
+    for k in range(len(index)):
+        try:
+            got.append((_ee_system(index[k:k + 1], regressors[k:k + 1], "test")[1][0], None))
+        except WeakIdentificationError as err:
+            got.append((err.condition, str(err)))
+    assert got == expected
+    if entries == "random":         # every member passes, and the stack with them
+        assert _ee_system(index, regressors, "test")[1] == [cond for cond, _ in expected]
+        system = _rowsum(index, regressors)
+        assert np.array_equal(np.abs(system[:, 0]), np.linalg.svd(system, compute_uv=False))
+    else:
+        with pytest.raises(_Flagged):
+            _ee_system(index, regressors, "test")
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_a_non_finite_scalar_denominator_is_weak_identification(value):
+    rng = np.random.default_rng(6)
+    index, regressors = rng.standard_normal((2, 3, 40, 1))
+    index[1, 7, 0] = value
+    with np.errstate(all="ignore"):
+        with pytest.raises(WeakIdentificationError) as err:
+            _ee_system(index[1:2], regressors[1:2], "test")
+        with pytest.raises(_Flagged):
+            _ee_system(index, regressors, "test")
+    assert err.value.condition == np.inf
+
+
 # ---------------------------------------------------------------------------
 # Stacked kernels: a degenerate member rejects its stack, and on its own
 # gets the error of its fit alone
@@ -1016,6 +1093,22 @@ def test_a_non_finite_basis_term_fails_only_its_member(monkeypatch):
     assert [_br_fields(ds, bases) for ds in datasets] == expected
     # the evaluation flags the chunk, and each resample is fitted again alone
     assert sizes == [5, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("bases, evaluations", [((LIN, LIN, LIN), 1), ((LIN, QUAD, LIN), 2)])
+def test_br_records_evaluate_each_distinct_basis_once(monkeypatch, bases, evaluations):
+    # equal bases share one read-only design
+    resamples = _resamples(simlab.gen_table1(0, 0, 0, 500, 1).dataset, 4, 1)
+    evaluate, calls = BasisSpec._evaluate, []
+
+    def spy(basis, z, c):
+        calls.append(basis)
+        return evaluate(basis, z, c)
+
+    monkeypatch.setattr(BasisSpec, "_evaluate", spy)
+    designs = lineariv.adaptive._br_records(resamples, bases)["data"][3:]
+    assert len(calls) == evaluations
+    assert designs[0] is designs[2] and not designs[0].flags.writeable
 
 
 def test_br_gamma_calls_share_no_mutable_state():
