@@ -20,7 +20,6 @@ import numpy as np
 
 from .dataset import BasisSpec, Dataset, build_design
 from .errors import (
-    EstimationError,
     SingularDesignError,
     UnsupportedCombinationError,
     WeakIdentificationError,
@@ -33,6 +32,7 @@ from .glm import (
     _binary_fit,
     _check,
     _Flagged,
+    _held,
     _Irls,
     _join,
     _ols,
@@ -379,9 +379,7 @@ def br_gamma_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basi
     """
     bases = (iv_basis, outcome_basis, index_basis)
     stages, k = data.memo(bases, lambda chunk: _br_records(chunk, bases))
-    gamma = stages["gamma"]
-    if isinstance(gamma, EstimationError):
-        raise gamma
+    gamma = _held(stages["gamma"])
     fit = _binary_fit(gamma.extended, k, "logit")
     plain = _binary_fit(stages["plain"], k, "logit")
     br = BrFit(
@@ -487,16 +485,9 @@ def br_beta_estimate(data: Dataset, index_basis: BasisSpec, outcome_basis: Basis
     bases = (iv_basis, outcome_basis, index_basis)
     stages, k = data.memo(bases, lambda chunk: _br_records(chunk, bases))
     plain, alpha, gamma = (stages[stage] for stage in ("plain", "alpha", "gamma"))
-    if isinstance(alpha, EstimationError):      # the plain fit's error too
-        raise alpha
-    prob, alpha = plain.mean[k], alpha[k]
+    alpha, prob = _held(alpha)[k], plain.mean[k]        # alpha holds the plain fit's error too
     iv_design, outcome_design, index_design = (design[k] for design in stages["data"][3:])
-
-    def start():
-        if start_psi is None and isinstance(gamma, EstimationError):
-            raise gamma
-        return np.array([float(gamma.psi[k] if start_psi is None else start_psi)])
-
+    start = lambda: np.array([float(_held(gamma).psi[k] if start_psi is None else start_psi)])
     fit = _br_beta_stack(data.z[:, 0][None], data.x[None], data.y[None], prob[None],
                          iv_design[None], outcome_design[None], index_design[None], alpha[None],
                          None if update == "full_solve" else start)

@@ -25,7 +25,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .errors import EstimationError, ParseError, SchemaError, SingularDesignError, TermSpecError
-from .glm import _check, _fit_stack
+from .glm import _check, _fit_stack, _held
 
 __all__ = [
     "Dataset",
@@ -307,9 +307,7 @@ class Dataset:
             for ds, entry in zip(pending, _fit_stack(stack, pending)):
                 ds._memo[key] = entry
             value = self._memo[key]
-        if isinstance(value, EstimationError):
-            raise value
-        return value
+        return _held(value)
 
     @staticmethod
     def link(datasets: Sequence["Dataset"]) -> None:

@@ -10,7 +10,8 @@ matrix R and a response y, solves D'(y - R theta) = 0 into one value
 the one result path of every estimator here and of eem.  The adaptive
 estimators of :mod:`~lineariv.adaptive` (eem, br-gamma and br-beta) solve
 with the same function (:func:`_solve_ee`), so one rule
-(:func:`_ee_system`) decides whether any denominator is degenerate.
+(:func:`_ee_system`) decides whether any denominator is degenerate, in the
+units of its parameters; the solve uses the raw system.
 """
 
 from __future__ import annotations
@@ -76,28 +77,39 @@ def _ee_system(index: np.ndarray, regressors: np.ndarray, what: str) -> tuple[np
     """The denominator index'regressors (B, k, k) of the estimating equation
     index'(response - regressors @ theta) = 0 for each member of a stack
     (index and regressors (B, n, k)) and its condition numbers (inf for a
-    1 x 1 one that is not finite).  A system that is degenerate against
-    :func:`_moment_scale` or ill-conditioned is a :class:`WeakIdentificationError`
-    (see :func:`_check`), the one rule of every estimating equation here."""
-    system = _rowsum(index, regressors)
-    scale = _moment_scale(index, regressors, index.shape[1])
+    1 x 1 one that is not finite).  The one rule of every estimating equation
+    here (see :func:`_check`) judges it in its parameters' units: with each
+    regressor column, and the index column paired with it, divided by that
+    regressor column's norm (van der Sluis), the system is a
+    WeakIdentificationError when its smallest singular value is at most
+    1e-10 max(||index|| sqrt(k), k) / n (k, the squared norm of the unit
+    columns, catches an index of rounding noise) or its condition number
+    exceeds WEAK_ID_CONDITION."""
+    system, (n, k) = _rowsum(index, regressors), index.shape[-2:]
+    squares = lambda a: _rowsum(a.mT, a.mT[..., None])[..., 0]     # column norms squared, blocked
+    units = squares(regressors)
+    units[units == 0] = 1.0                                         # a zero column stays zero
+    norms, units = np.sqrt((squares(index) / units).sum(-1)).tolist(), np.sqrt(units)
     # a 1 x 1 system's singular value is its absolute value, LAPACK's to the bit within 1e+-138
-    s = np.abs(system[..., 0]) if system.shape[-1] == 1 else np.linalg.svd(system, compute_uv=False)
-    cond, errors = [], []
-    for lo, hi, sc in zip(s[:, -1].tolist(), s[:, 0].tolist(), scale):
-        cond.append(hi / lo if 0 < lo < np.inf else np.inf)
-        if lo <= 1e-10 * max(sc, 1e-300):
+    values = lambda m: np.abs(m[..., 0]) if k == 1 else np.linalg.svd(m, compute_uv=False)
+    conditions = lambda s: [hi / lo if 0 < lo < np.inf else np.inf
+                            for lo, hi in zip(s[:, -1].tolist(), s[:, 0].tolist())]
+    s = values(system / units[:, :, None] / units[:, None, :])
+    errors = []
+    for lo, cond, norm in zip(s[:, -1].tolist(), conditions(s), norms):
+        scale = max(norm * k**0.5, k) / n
+        if lo <= 1e-10 * scale:
             errors.append(WeakIdentificationError(
                 f"{what}: estimating-equation denominator is degenerate "
-                f"(smallest singular value {lo:.3e} against scale {sc:.3e})", condition=cond[-1]))
-        elif cond[-1] > WEAK_ID_CONDITION:
+                f"(smallest singular value {lo:.3e} against scale {scale:.3e})", condition=cond))
+        elif cond > WEAK_ID_CONDITION:
             errors.append(WeakIdentificationError(
-                f"{what}: denominator condition number {cond[-1]:.3e} exceeds "
-                f"{WEAK_ID_CONDITION:.0e}", condition=cond[-1]))
+                f"{what}: denominator condition number {cond:.3e} exceeds "
+                f"{WEAK_ID_CONDITION:.0e}", condition=cond))
         else:
             errors.append(None)
     _check(errors)
-    return system, cond
+    return system, conditions(values(system))
 
 
 def _ee_solve(system: np.ndarray, index: np.ndarray, response: np.ndarray) -> np.ndarray:
@@ -211,19 +223,16 @@ def _tsls_stack(first_design: np.ndarray, first: _Lstsq, by: np.ndarray,
     """:func:`standard_tsls`'s second stage on a stack after :func:`_first_stage`
     (which a bundle's linear exposure fit on its columns shares: a stack factors
     each least-squares problem once): the design [by, fitted endogenous columns]
-    and the fit of y (B, n) on it.  A rank-deficient second stage, or one with
-    condition above WEAK_ID_CONDITION, is a WeakIdentificationError (:func:`_check`)."""
+    and the fit of y (B, n) on it.  A second stage that fit_ols's rank test,
+    which sets every column to unit norm, rejects is a WeakIdentificationError
+    (:func:`_check`)."""
     second_design = _join(by, np.matvec(first_design[:, None], first.coef.mT).mT)
     try:
-        second = _ols(second_design, y)
+        return second_design, _ols(second_design, y)
     except SingularDesignError as err:
         raise WeakIdentificationError(
             "rank condition fails: fitted endogenous regressors are collinear "
             f"with the outcome basis ({err})", condition=err.condition) from err
-    _check([WeakIdentificationError(f"rank condition fails: second-stage condition {cond:.3e}",
-                                    condition=cond) if cond > WEAK_ID_CONDITION else None
-            for cond in second.condition])
-    return second_design, second
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +434,3 @@ def _exposure_bracket(link: str, basis: BasisSpec, coef: np.ndarray, c: np.ndarr
     at = lambda design: mean(np.matvec(design, coef))[..., None]
     return _centered(lambda z: at(basis._evaluate(z, c)), at(design), z_mean, binary,
                      link == "identity" and basis.is_linear_in_z())
-
-
-def _moment_scale(left: np.ndarray, right: np.ndarray, n: int) -> list[float]:
-    # Per member of (B, n, k) stacks.  The ||right||^2 floor makes an
-    # (effectively) zero index register as degenerate no matter how the
-    # cancellation scale ||left||*||right|| shrinks with it; the estimating
-    # equation is homogeneous in the index, so any sanely scaled index sits far
-    # above both references.  Each norm is sqrt(a.a) over the member in C
-    # order, as np.linalg.norm takes it, in blocks of ROW_BLOCK elements (_rowsum).
-    def norms(a):
-        flat = a.reshape(len(a), -1)
-        return np.sqrt(_rowsum(flat, flat[..., None])[..., 0]).tolist()
-
-    return [max(left_norm * right_norm, right_norm**2) / n
-            for left_norm, right_norm in zip(norms(left), norms(right))]

@@ -139,6 +139,13 @@ def _attempt(out: dict, key, compute: Callable, *needs) -> None:
         out[key] = err
 
 
+def _held(value):
+    """``value``, or the EstimationError held in its place (:func:`_attempt`), raised."""
+    if isinstance(value, EstimationError):
+        raise value
+    return value
+
+
 class _Lstsq(NamedTuple):
     """Stacked SVD least squares, one entry per member."""
 

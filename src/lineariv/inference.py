@@ -53,13 +53,17 @@ def sandwich_se(estfuns: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
     Returns
     -------
     (k,) array: sqrt(diag(J^-1 B J^-T)) with B = (1/n^2) sum_i U_i U_i'.
+    J is singular, a SingularDesignError, when its smallest singular value is
+    at most 1e-12 times the largest with its rows and then its columns scaled
+    to unit norm, not in the units of the data; the raw J is inverted.
     """
     u = np.asarray(estfuns, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
     jac = np.atleast_2d(np.asarray(jacobian, dtype=float))
     n = u.shape[0]
-    s = np.linalg.svd(jac, compute_uv=False)
+    unit = lambda a, axis: a / np.maximum(np.linalg.norm(a, axis=axis, keepdims=True), 1e-300)
+    s = np.linalg.svd(unit(unit(jac, 1), 0), compute_uv=False)
     if s[-1] <= 1e-12 * max(s[0], 1e-300):
         raise SingularDesignError(
             f"sandwich jacobian is singular (condition {s[0] / max(s[-1], 1e-300):.3e})",

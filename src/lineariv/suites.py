@@ -16,10 +16,9 @@ import numpy as np
 
 from .adaptive import _br_beta_stack, _br_stages, _eem_stack, _stack_data, _stack_errors
 from .dataset import BasisSpec, Dataset
-from .errors import EstimationError
 from .estimators import (_exposure_bracket, _first_stage, _g_stack, _le_stack,
                          _plug_in_stack, _tsls_stack)
-from .glm import _attempt, _check, _ols
+from .glm import _attempt, _check, _held, _ols
 from .models import EffectModel, _exposure_fit, _logistic_iv
 from .simlab import MonteCarloReport, ScenarioConfig, run_monte_carlo
 
@@ -58,9 +57,7 @@ def _bundle(stack: Callable[[list], dict], names) -> dict[str, Callable]:
     """
     def estimate(data: Dataset, name: str):
         stages, k = data.memo(stack, stack)
-        if isinstance(stages[name], EstimationError):
-            raise stages[name]
-        return stages[name][k].copy()
+        return _held(stages[name])[k].copy()
 
     return {name: (lambda ds, _n=name: estimate(ds, _n)) for name in names}
 
@@ -87,9 +84,10 @@ def _table1_stack(datasets: list[Dataset]) -> dict:
     _attempt(out, "eem", lambda plain, tsls, alpha: _eem_stack(
         z - plain.mean, x, y, lin, lin, tsls[:, 0], alpha).ee.theta, "plain", "tsls", "alpha")
     _attempt(out, "br_gamma", lambda gamma: gamma.psi[:, None], "gamma")
-    _attempt(out, "br_beta", lambda plain, alpha, gamma: _br_beta_stack(
-        z, x, y, plain.mean, lin, lin, lin, alpha, lambda: gamma.psi).psi[:, None],
-        "plain", "alpha", "gamma")
+    # br_gamma's error is raised after br_beta's own checks, as br_beta_estimate raises it
+    _attempt(out, "br_beta", lambda plain, alpha: _br_beta_stack(
+        z, x, y, plain.mean, lin, lin, lin, alpha, lambda: _held(out["gamma"]).psi).psi[:, None],
+        "plain", "alpha")
     return out
 
 

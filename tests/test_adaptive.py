@@ -446,16 +446,14 @@ def test_br_gamma_does_not_depend_on_the_covariate_scale(factor):
 @pytest.mark.parametrize("factor", [1e-5, 1e-3, 1e3, 1e5])
 def test_table1_bundle_does_not_depend_on_the_covariate_scale(factor):
     # every basis of the bundle is (1, c0) or its products with z0, which span
-    # the same functions at every scale.  loc_eff is left out: its profiled
-    # system's condition number passes 1e10 on 7 of 10 seeds at 1e-5 and on
-    # all 10 at 1e5, a unit dependence that this test does not pin.
+    # the same functions at every scale
     from lineariv.suites import table1_estimators
 
     for seed in range(10):
         data = gen_table1(0, 0, 0, 500, seed).dataset
         scaled = Dataset(data.y, data.x, data.z, data.c_raw * factor)
         bundle = table1_estimators()
-        for name in ("tsls", "eem", "br_gamma", "br_beta"):
+        for name in ("tsls", "loc_eff", "eem", "br_gamma", "br_beta"):
             psi = bundle[name](data)[0]
             assert bundle[name](scaled)[0] == pytest.approx(psi, rel=1e-8), (seed, name)
 
@@ -566,8 +564,8 @@ def test_one_step_br_beta_full_solve_and_eem_take_one_degeneracy_decision(ratio,
 
 @pytest.mark.parametrize("factor", [1e3, 1e-3])
 def test_bias_reduced_pair_does_not_depend_on_covariate_units(factor):
-    # eem's joint systems carry the c0^2 column and fail at these scales; the
-    # scalar equation of the bias-reduced pair passes the shared rule
+    # the outcome basis carries the c0^2 column; the shared rule judges every
+    # equation in its parameters' units, so no scale of c0 fails it
     quad = BasisSpec(["1", "c0", "c0^2"])
     for seed in range(10):
         d = gen_table1(0, 0, 0, 500, seed).dataset

@@ -18,6 +18,16 @@ were re-pinned; they moved by at most 3.6e-16 relative.  When br-gamma's
 refit came to start at its first extended fit (see ``tests/test_golden.py``),
 the one-step br-beta on the doubled exposure from br-gamma's estimate was
 re-pinned: it moved by 6.4e-16 relative, and no error or message changed.
+When every estimating equation came to be judged in its parameters' units
+(each regressor column, and the index column paired with it, at the
+regressor's unit norm; ``estimators._ee_system``), the degeneracy messages
+of eem's preliminary equation on the constant covariate and the zero
+exposure, of the four zero-exposure br-beta calls and of the two three-row
+full-solve br-beta calls were re-pinned with their smallest singular value
+and scale in those units (same class).  The two full-solve br-beta calls on
+the separated instrument now return a value: they were rejected only
+because their extension columns, which carry P(1-P) ~ 5e-8, were small
+against one scale for the whole system.  No value changed.
 """
 
 import numpy as np
@@ -73,7 +83,7 @@ def _outcome(call):
 
 PINS = {
     ('constant covariate', 'eem_estimate(preliminary_psi=None)'):
-        ('WeakIdentificationError', 'g_estimate: estimating-equation denominator is degenerate (smallest singular value 2.062e-31 against scale 7.760e+00)'),
+        ('WeakIdentificationError', 'g_estimate: estimating-equation denominator is degenerate (smallest singular value 2.513e-33 against scale 1.000e-02)'),
     ('constant covariate', 'eem_estimate(preliminary_psi=0.5)'):
         ('WeakIdentificationError', 'degenerate instrument variation: centered index design is rank deficient (fit_ols: design is rank deficient (condition estimate 3.759e+15))'),
     ('constant covariate', 'eem_fit_beta(zero index)'):
@@ -93,7 +103,7 @@ PINS = {
     ('constant covariate', 'br_beta_estimate(full_solve, start_psi=0.5)'):
         ('WeakIdentificationError', 'degenerate instrument variation: centered index design is rank deficient (fit_ols: design is rank deficient (condition estimate 2.190e+15))'),
     ('zero exposure', 'eem_estimate(preliminary_psi=None)'):
-        ('WeakIdentificationError', 'g_estimate: estimating-equation denominator is degenerate (smallest singular value 0.000e+00 against scale 2.041e+00)'),
+        ('WeakIdentificationError', 'g_estimate: estimating-equation denominator is degenerate (smallest singular value 0.000e+00 against scale 4.496e-02)'),
     ('zero exposure', 'eem_estimate(preliminary_psi=0.5)'):
         ('DegenerateWeightsError', 'all weights are zero'),
     ('zero exposure', 'eem_fit_beta(zero index)'):
@@ -105,13 +115,13 @@ PINS = {
     ('zero exposure', 'eem_objective(index)'):
         ('WeakIdentificationError', 'objective denominator mean(d*x) is zero'),
     ('zero exposure', 'br_beta_estimate(one_step, start_psi=None)'):
-        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 0.000e+00 against scale 0.000e+00)'),
+        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 0.000e+00 against scale 3.333e-03)'),
     ('zero exposure', 'br_beta_estimate(one_step, start_psi=0.5)'):
-        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 0.000e+00 against scale 0.000e+00)'),
+        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 0.000e+00 against scale 3.333e-03)'),
     ('zero exposure', 'br_beta_estimate(full_solve, start_psi=None)'):
-        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 0.000e+00 against scale 0.000e+00)'),
+        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 0.000e+00 against scale 3.333e-03)'),
     ('zero exposure', 'br_beta_estimate(full_solve, start_psi=0.5)'):
-        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 0.000e+00 against scale 0.000e+00)'),
+        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 0.000e+00 against scale 3.333e-03)'),
     ('separated instrument', 'eem_estimate(preliminary_psi=None)'):
         ['0x1.5022fdc2f7181p+1'],
     ('separated instrument', 'eem_estimate(preliminary_psi=0.5)'):
@@ -129,9 +139,9 @@ PINS = {
     ('separated instrument', 'br_beta_estimate(one_step, start_psi=0.5)'):
         ['0x1.ffff2d087deafp-2'],
     ('separated instrument', 'br_beta_estimate(full_solve, start_psi=None)'):
-        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 5.666e-12 against scale 7.707e+00)'),
+        ['0x1.022c902d668bfp+0'],
     ('separated instrument', 'br_beta_estimate(full_solve, start_psi=0.5)'):
-        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 5.666e-12 against scale 7.707e+00)'),
+        ['0x1.022c902d668bfp+0'],
     ('three rows', 'eem_estimate(preliminary_psi=None)'):
         ['0x1.6f6f236937732p-1'],
     ('three rows', 'eem_estimate(preliminary_psi=0.5)'):
@@ -149,9 +159,9 @@ PINS = {
     ('three rows', 'br_beta_estimate(one_step, start_psi=0.5)'):
         ['0x1.ffffffffffff9p-2'],
     ('three rows', 'br_beta_estimate(full_solve, start_psi=None)'):
-        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 2.291e-15 against scale 3.960e+01)'),
+        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 4.994e-17 against scale 1.333e+00)'),
     ('three rows', 'br_beta_estimate(full_solve, start_psi=0.5)'):
-        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 2.291e-15 against scale 3.960e+01)'),
+        ('WeakIdentificationError', 'br_beta: estimating-equation denominator is degenerate (smallest singular value 4.994e-17 against scale 1.333e+00)'),
     ('doubled exposure', 'eem_estimate(preliminary_psi=None)'):
         ['-0x1.700ff8dc3a986p-5'],
     ('doubled exposure', 'eem_estimate(preliminary_psi=0.5)'):

@@ -4,8 +4,9 @@ Each of the eight ``lineariv fit`` library calls (``perfbench/workloads.py``
 CLI_FITS) on sim1 and Table 1 data must give the same psi after a row
 permutation, psi scaled by s after y is scaled by s, and, where the exposure
 is continuous, psi scaled by 1/s after x is scaled by s.  Rescaling the
-covariate must not move psi beyond rounding either; the cells that depend on
-its units today are strict xfails until ROADMAP direction 3 mends them.
+covariate must not move psi, nor the sandwich standard error where there is
+one, beyond rounding either: every estimating equation and sandwich Jacobian
+is judged in its parameters' units.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 from lineariv import Dataset, adaptive, estimators, models, simlab, suites
 from lineariv.dataset import BasisSpec
-from lineariv.errors import EstimationError
 from lineariv.rng import make_generator
 
 QUAD, LIN = BasisSpec(["1", "c0", "c0^2"]), BasisSpec(["1", "c0"])
@@ -92,18 +92,19 @@ SCALE_CALLS = {
         data, EFFECT, QUAD, BasisSpec(["z0", "z0:c0"])).psi,
     "table1 loc_eff": lambda data: suites.table1_estimators()["loc_eff"](data)[0],
 }
-# the cells that depend on the covariate's units (ROADMAP direction 3): the
-# estimating equation's checks reject the scaled data
-SCALE_DEPENDENT = {*(("br-beta full-solve", factor) for factor in FACTORS),
-                   *(("eem", factor) for factor in FACTORS),
-                   ("tsls", 1e5), ("table1 loc_eff", 1e-5), ("table1 loc_eff", 1e5)}
+# the calls whose sandwich standard error of psi is checked as well
+SE_CALLS = {
+    "tsls": lambda data: estimators.standard_tsls(data, EFFECT, QUAD, BasisSpec(["z0", "z0:c0"])),
+    "eem": lambda data: adaptive.eem_estimate(
+        data, models.BinaryLogisticIv.fit(data, LIN), LIN, QUAD),
+    "g-est profiled": lambda data: estimators.g_estimate(
+        data, models.RawInstruments(), models.OutcomeModel(QUAD),
+        models.BinaryLogisticIv.fit(data, LIN), EFFECT),
+}
 
 
-@pytest.mark.parametrize("name, factor", [
-    pytest.param(name, factor, marks=pytest.mark.xfail(
-        strict=True, raises=(AssertionError, EstimationError), reason="ROADMAP direction 3")
-        if (name, factor) in SCALE_DEPENDENT else ())
-    for name in SCALE_CALLS for factor in FACTORS])
+@pytest.mark.parametrize("name, factor", [(name, factor) for name in SCALE_CALLS
+                                           for factor in FACTORS])
 def test_psi_does_not_depend_on_the_covariate_scale(name, factor):
     # every basis spans the same functions of c0 at every scale, so only
     # rounding and the IRLS tolerance may move psi
@@ -113,6 +114,25 @@ def test_psi_does_not_depend_on_the_covariate_scale(name, factor):
         psi = call(data)
         moved = call(Dataset(data.y, data.x, data.z, data.c_raw * factor))
         assert abs(moved - psi) <= RTOL * abs(psi), (seed, psi, moved)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(row=st.sampled_from(suites.TABLE1_ROWS), seed=st.integers(0, 2**31 - 1),
+       exponent=st.floats(-6.0, 6.0))
+def test_estimating_equations_do_not_depend_on_the_covariate_units(row, seed, exponent):
+    # each regressor column, and the index column paired with it, is judged at
+    # unit norm (estimators._ee_system), TSLS's second stage only by fit_ols's
+    # unit-norm rank test, and a sandwich Jacobian with unit-norm rows and
+    # columns (inference.sandwich_se): no decision depends on c0's units
+    data = simlab.gen_table1(*row, 500, seed).dataset
+    scaled = Dataset(data.y, data.x, data.z, data.c_raw * 10.0**exponent)
+    for name in ("tsls", "eem", "br-beta full-solve", "table1 loc_eff"):
+        psi, moved = SCALE_CALLS[name](data), SCALE_CALLS[name](scaled)
+        assert abs(moved - psi) <= RTOL * abs(psi), (name, psi, moved)
+    for name, call in SE_CALLS.items():
+        se, moved = call(data).se, call(scaled).se
+        assert se is not None and moved is not None, (name, se, moved)
+        assert abs(moved[0] - se[0]) <= RTOL * se[0], (name, se, moved)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -23,7 +23,6 @@ from lineariv.errors import (
 )
 from lineariv.estimators import (
     _ee_system,
-    _moment_scale,
     _solve_ee,
     efficient_index,
     g_estimate,
@@ -85,8 +84,8 @@ def _reference(data) -> dict:
     _attempt(out, "eem", lambda iv, tsls: eem_estimate(
         data, iv, C_LIN, C_LIN, preliminary_psi=float(tsls[0])).psi_hat, "iv", "tsls")
     _attempt(out, "br_gamma", lambda: br_gamma_estimate(data, C_LIN, C_LIN, C_LIN).psi_hat)
-    _attempt(out, "br_beta", lambda brg: br_beta_estimate(
-        data, C_LIN, C_LIN, C_LIN, start_psi=float(brg[0])).psi_hat, "br_gamma")
+    # from br_gamma's estimate, whose error comes after br_beta's own checks
+    _attempt(out, "br_beta", lambda: br_beta_estimate(data, C_LIN, C_LIN, C_LIN).psi_hat)
     return out
 
 
@@ -413,6 +412,8 @@ def _degenerate(kind, datasets):
     data = datasets[2]
     if kind == "constant covariate":
         datasets[2] = Dataset(data.y, data.x, data.z, np.ones_like(data.c_raw))
+    elif kind == "zero exposure":           # br_gamma's and br_beta's own checks both fail
+        datasets[2] = Dataset(data.y, np.zeros_like(data.x), data.z, data.c_raw)
     elif kind == "one-class instrument":
         datasets[2] = Dataset(data.y, data.x, np.zeros_like(data.z), data.c_raw)
     elif kind == "orthogonal exposure":
@@ -424,8 +425,8 @@ def _degenerate(kind, datasets):
     return datasets
 
 
-KINDS = ["constant covariate", "one-class instrument", "orthogonal exposure", "another size",
-         "3 rows", "5 rows"]
+KINDS = ["constant covariate", "zero exposure", "one-class instrument", "orthogonal exposure",
+         "another size", "3 rows", "5 rows"]
 
 
 # each id also names the bundle's instrument law, which is fitted
@@ -677,10 +678,15 @@ def test_a_chunk_factors_each_least_squares_problem_once(monkeypatch, generator,
 def _lapack_outcomes(index, regressors):
     """Per member of a stack of scalar estimating equations, the condition and
     the error message of the degeneracy rule, on LAPACK's singular value of
-    the 1 x 1 denominator."""
+    the 1 x 1 denominator in the parameter's units: the regressor, and the
+    index with it, divided by the regressor's norm, against the scale
+    max(||index||, 1) / n."""
+    norms = np.sqrt((regressors * regressors).sum(-2))[..., None]
+    index, regressors = index / norms, regressors / norms
     lows = np.linalg.svd(_rowsum(index, regressors), compute_uv=False)[:, 0].tolist()
     out = []
-    for lo, sc in zip(lows, _moment_scale(index, regressors, index.shape[1])):
+    for lo, norm in zip(lows, np.sqrt((index * index).sum((-2, -1))).tolist()):
+        sc = max(norm, 1.0) / index.shape[1]
         cond = 1.0 if lo > 0 else np.inf
         out.append((cond, f"test: estimating-equation denominator is degenerate (smallest "
                           f"singular value {lo:.3e} against scale {sc:.3e})"
