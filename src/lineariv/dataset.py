@@ -165,15 +165,15 @@ def _as_locked_array(a, name: str, ndim: int) -> np.ndarray:
 
 # Rows of one chunk of linked datasets (Monte Carlo replicates in
 # run_monte_carlo, bootstrap resamples in bootstrap_ci): 16 datasets at n=500,
-# 8 at n=1000, 2 at n=4000, 1 above n=4096.  Measured cost per member sets
-# it: at a few hundred rows numpy's call overhead outweighs the arithmetic,
-# and the few (B, n) arrays a stacked op streams still fit a per-core L2.
+# 8 at n=1000, 2 at n=4000 and n=8000, 1 above n=8192.  Measured cost sets it:
+# a chunk's fixed cost (numpy's call overhead) is a fifth of an 8000-row
+# replicate's, and the few (B, n) arrays a stacked op streams fit a per-core L2.
 CHUNK_ROWS = 8192
 
 
 def _chunk_size(n: int) -> int:
-    """Datasets of ``n`` rows per chunk: CHUNK_ROWS rows, and at least one."""
-    return max(1, CHUNK_ROWS // n)
+    """Datasets of ``n`` rows per chunk: CHUNK_ROWS rows, two where one fits, one where none."""
+    return max(CHUNK_ROWS // n, 2 if n <= CHUNK_ROWS else 1)
 
 
 def _linked_estimates(count: int, n: int, make: Callable[[range], list["Dataset"]],
@@ -363,6 +363,10 @@ class BasisSpec:
     def __init__(self, terms: Iterable[Term | str]):
         parsed = tuple(parse_term(t) if isinstance(t, str) else t for t in terms)
         object.__setattr__(self, "terms", parsed)
+        object.__setattr__(self, "_hash", hash(parsed))     # a memo key, hashed once
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -370,11 +374,8 @@ class BasisSpec:
     def labels(self) -> list[str]:
         return [t.label() for t in self.terms]
 
-    def max_z_degree(self) -> int:
-        return max((z_degree(t) for t in self.terms), default=0)
-
     def is_linear_in_z(self) -> bool:
-        return self.max_z_degree() <= 1
+        return all(z_degree(t) <= 1 for t in self.terms)
 
     def append(self, term: Term | str) -> "BasisSpec":
         return BasisSpec(self.terms + (parse_term(term) if isinstance(term, str) else term,))
@@ -421,11 +422,8 @@ def _term_values(term: Term, z: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def build_design(data: Dataset, spec: BasisSpec) -> np.ndarray:
-    """Evaluate a basis on a dataset, column j = term j evaluated pointwise.
-
-    Every call returns a fresh, read-only array; copy it before modifying it
-    in place.
-    """
+    """Evaluate a basis on a dataset, column j = term j evaluated pointwise:
+    a fresh, read-only array on every call."""
     return spec._evaluate(data.z, data.c_raw)
 
 

@@ -250,7 +250,7 @@ def run_monte_carlo(config: ScenarioConfig,
     estimators never changes the data.
 
     Replicates run in the linked chunks of
-    :func:`~lineariv.dataset._linked_estimates` (16 at n=500, 1 at n=8000),
+    :func:`~lineariv.dataset._linked_estimates` (16 at n=500, 2 at n=8000),
     each drawn as one stack, bit for bit :func:`generate`'s datasets.
     Replicate ``i`` depends only on (seed, ``i``), and the report is
     byte-identical for every chunk size.

@@ -3,7 +3,8 @@
 OpenBLAS splits a dot product across its threads above 10,000 elements, so a
 sum over more rows than that is taken in blocks of at most 10,000 rows
 (``glm._rowsum``).  Two fresh interpreters, one with one OpenBLAS thread and
-one with two, must print the same bytes for fits on 25,000 rows.
+one with two, must print the same bytes for fits on 25,000 rows, and for a
+Table 1 report at n=8000, whose default chunks stack two replicates.
 """
 
 import json
@@ -39,15 +40,17 @@ CHILD = """
     import json, sys
     from lineariv.cli import main
     from lineariv.simlab import ScenarioConfig, report_rows, run_monte_carlo
-    from lineariv.suites import sim_binary_estimators
+    from lineariv.suites import sim_binary_estimators, table1_estimators
 
     csv, fits = sys.argv[1], json.loads(sys.argv[2])
     codes = [main(["fit", "--data", csv, "--y-col", "y", "--x-col", "x", "--z-cols", "z",
                    "--cov-cols", "v", "--estimator", estimator, *flags])
              for estimator, flags in fits.items()]
-    report = run_monte_carlo(ScenarioConfig("sim1", n=25000, seed=4, reps=2),
-                             sim_binary_estimators())
-    print(json.dumps({"exit": codes, "report": report_rows([report])}, sort_keys=True))
+    reports = [run_monte_carlo(ScenarioConfig("sim1", n=25000, seed=4, reps=2),
+                               sim_binary_estimators()),
+               run_monte_carlo(ScenarioConfig("table1", n=8000, seed=20260809, reps=4,
+                                              lam=(1, 1, 0)), table1_estimators())]
+    print(json.dumps({"exit": codes, "report": report_rows(reports)}, sort_keys=True))
 """
 
 

@@ -195,7 +195,19 @@ def test_parse_term_forms():
 def test_z_degree_and_linearity():
     assert BasisSpec(["1", "c0", "z0"]).is_linear_in_z()
     assert BasisSpec(["z0:c0"]).is_linear_in_z()
+    assert BasisSpec([]).is_linear_in_z()
     assert not BasisSpec(["z0*z0"]).is_linear_in_z()
+
+
+def test_specs_of_strings_and_of_terms_are_one_key():
+    # equal specs hash equal, however they were built (BasisSpec hashes once)
+    text = BasisSpec(["1", "c0", "z0:c0", "c1^2"])
+    terms = BasisSpec([Intercept(), Raw(0), InstrumentByTerm(0, Raw(0)), Power(1, 2)])
+    mixed = BasisSpec(["1"]).append(Raw(0)).append("z0:c0").append("c1^2")
+    assert text == terms == mixed
+    assert hash(text) == hash(terms) == hash(mixed)
+    assert {text: "first", terms: "second", mixed: "third"} == {text: "third"}
+    assert text != BasisSpec(["1", "c0", "z0:c0"])
 
 
 def test_build_design_cached_read_only():
@@ -305,7 +317,7 @@ def test_take_of_other_indices_behaves_as_the_validating_constructor(rows):
 
 def test_linked_estimates_makes_links_and_walks_each_chunk(monkeypatch):
     members = [gen_table1(0, 0, 0, 50, i).dataset for i in range(7)]
-    monkeypatch.setattr(dataset, "CHUNK_ROWS", 3 * 50)
+    monkeypatch.setattr(dataset, "_chunk_size", lambda n: 3)
     made, calls = [], []
 
     def make(items):

@@ -262,14 +262,13 @@ def test_bootstrap_byte_identical_across_chunk_sizes(monkeypatch, estimator, dat
 
     default = run()
     for size in (1, 7):
-        monkeypatch.setattr(dataset_module, "CHUNK_ROWS", size * data.n)
-        assert dataset_module._chunk_size(data.n) == size
+        monkeypatch.setattr(dataset_module, "_chunk_size", lambda n: size)
         assert run() == default
 
 
 def test_bootstrap_links_each_chunk_and_calls_in_order(monkeypatch):
     data = gen_table1(0, 0, 0, 500, 4).dataset
-    monkeypatch.setattr(dataset_module, "CHUNK_ROWS", 3 * data.n)
+    monkeypatch.setattr(dataset_module, "_chunk_size", lambda n: 3)
     seen = []
     bootstrap_ci(data, lambda ds: seen.append(ds) or np.array([ds.y.mean()]),
                  resamples=100, seed=2)

@@ -123,7 +123,7 @@ def test_stacked_generators_equal_per_seed_generators(generator, lam, size):
 def test_generate_is_row_i_of_its_chunk(generator, lam, monkeypatch):
     cfg = ScenarioConfig(generator, n=51, seed=12, reps=10, lam=lam)
     for size in (3, dataset._chunk_size(51)):       # chunks of 3, 3, 3, 1 and one of 10
-        monkeypatch.setattr(dataset, "CHUNK_ROWS", size * 51)
+        monkeypatch.setattr(dataset, "_chunk_size", lambda n: size)
         seen = []
         report = run_monte_carlo(cfg, {"seen": lambda ds: seen.append(ds) or np.array([0.0])})
         assert len(seen) == 10

@@ -179,20 +179,22 @@ def _kernel_sizes(monkeypatch, name, *modules):
     return sizes
 
 
-def _report_bytes(tmp_path, tag):
+def _report_bytes(tmp_path, cfg, bundle, size):
+    """The CSV and JSON reports of ``bundle`` on ``cfg`` run in chunks of
+    ``size`` datasets, forced through ``dataset._chunk_size``, or in the
+    default chunks where ``size`` is None."""
+    with pytest.MonkeyPatch.context() as m:
+        if size is not None:
+            m.setattr(dataset, "_chunk_size", lambda n: size)
+        report = run_monte_carlo(cfg, bundle())
+    simlab.write_report_csv([report], tmp_path / f"{size}.csv")
+    simlab.write_report_json([report], tmp_path / f"{size}.json")
+    return (tmp_path / f"{size}.csv").read_bytes() + (tmp_path / f"{size}.json").read_bytes()
+
+
+def test_reports_byte_identical_across_chunk_sizes(tmp_path):
     cfg = ScenarioConfig("table1", n=500, seed=555, reps=16, lam=(1, 1, -1))
-    report = run_monte_carlo(cfg, table1_estimators())
-    simlab.write_report_csv([report], tmp_path / f"{tag}.csv")
-    simlab.write_report_json([report], tmp_path / f"{tag}.json")
-    return (tmp_path / f"{tag}.csv").read_bytes() + (tmp_path / f"{tag}.json").read_bytes()
-
-
-def test_reports_byte_identical_across_chunk_sizes(tmp_path, monkeypatch):
-    reports = []
-    for size in (1, 7, 16):
-        monkeypatch.setattr(dataset, "CHUNK_ROWS", size * 500)
-        assert dataset._chunk_size(500) == size
-        reports.append(_report_bytes(tmp_path, f"chunk{size}"))
+    reports = [_report_bytes(tmp_path, cfg, table1_estimators, size) for size in (1, 7, 16)]
     assert reports[0] == reports[1] == reports[2]
 
 
@@ -201,28 +203,29 @@ def test_reports_byte_identical_across_chunk_sizes(tmp_path, monkeypatch):
     ("sim2", None, 777, lineariv.suites.sim_binary_estimators),
     ("effectmod", None, 20260809, lineariv.suites.effectmod_estimators),
     ("extreme", (1, -1, -1), 227, table1_estimators)])
-def test_every_family_reports_byte_identical_across_chunk_sizes(tmp_path, monkeypatch, generator,
-                                                                 lam, seed, bundle):
+def test_every_family_reports_byte_identical_across_chunk_sizes(tmp_path, generator, lam, seed,
+                                                                bundle):
     cfg = ScenarioConfig(generator, n=500, seed=seed, reps=16, lam=lam)
-    reports = []
-    for size in (1, 7, None):                   # None: the default budget, 16 at n=500
-        with monkeypatch.context() as m:
-            if size is not None:
-                m.setattr(dataset, "CHUNK_ROWS", size * 500)
-            assert dataset._chunk_size(500) == (size or 16)
-            report = run_monte_carlo(cfg, bundle())
-        simlab.write_report_csv([report], tmp_path / f"{size}.csv")
-        simlab.write_report_json([report], tmp_path / f"{size}.json")
-        reports.append((tmp_path / f"{size}.csv").read_bytes()
-                       + (tmp_path / f"{size}.json").read_bytes())
+    assert dataset._chunk_size(500) == 16           # None below: the default rule
+    reports = [_report_bytes(tmp_path, cfg, bundle, size) for size in (1, 7, None)]
     assert reports[0] == reports[1] == reports[2]
 
 
+@pytest.mark.parametrize("lam", [(1, 1, 0), (0, 0, -1)])        # two criterion-8 rows
+def test_n8000_reports_byte_identical_with_one_and_two_members_per_chunk(tmp_path, monkeypatch,
+                                                                         lam):
+    cfg = ScenarioConfig("table1", n=8000, seed=20260809, reps=4, lam=lam)
+    sizes = _kernel_sizes(monkeypatch, "_table1_stack", lineariv.suites)
+    one, default = (_report_bytes(tmp_path, cfg, table1_estimators, size) for size in (1, None))
+    assert one == default
+    # the default chunks hold two replicates each, and no member was rerun alone
+    assert sizes == [1, 1, 1, 1, 2, 2]
+
+
 def test_chunk_size_follows_the_row_budget():
-    assert dataset._chunk_size(500) == 16
-    assert dataset._chunk_size(1000) == 8
-    assert dataset._chunk_size(4000) == 2
-    assert dataset._chunk_size(8000) == 1
+    # CHUNK_ROWS rows a chunk, and two datasets wherever one fits the budget
+    sizes = {n: dataset._chunk_size(n) for n in (500, 1000, 4000, 4097, 8000, 8192, 8193)}
+    assert sizes == {500: 16, 1000: 8, 4000: 2, 4097: 2, 8000: 2, 8192: 2, 8193: 1}
 
 
 # a ceiling on the Python-heap peak of one default chunk, about 1.2x its
@@ -247,6 +250,19 @@ def test_a_default_table1_chunk_stays_under_the_peak_ceiling(lam):
     _table1_stack(_replicates("table1", lam, 500, 555, 1))     # warm-up
     chunk = _replicates("table1", lam, 500, 555, size)
     assert _traced_peak(lambda: _table1_stack(chunk)) < CHUNK_PEAK_BYTES
+
+
+# the same for the default n=8000 chunk, two datasets of 8000 rows: about 1.2x
+# its measured 4.1 MB
+N8000_CHUNK_PEAK_BYTES = 5_000_000
+
+
+@pytest.mark.parametrize("lam", [(1, 1, 0), (0, 0, -1)])
+def test_a_default_n8000_table1_chunk_stays_under_its_peak_ceiling(lam):
+    size = dataset._chunk_size(8000)
+    _table1_stack(_replicates("table1", lam, 8000, 20260809, 1))     # warm-up
+    chunk = _replicates("table1", lam, 8000, 20260809, size)
+    assert size == 2 and _traced_peak(lambda: _table1_stack(chunk)) < N8000_CHUNK_PEAK_BYTES
 
 
 def test_a_default_bootstrap_chunk_stays_under_the_peak_ceiling():
